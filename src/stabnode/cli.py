@@ -6,7 +6,10 @@ writes a manifest (resolved config plus input hashes as comments) that
 reproduces the run bit-identically.  Relative artifact paths resolve under
 $SNODE_DATA_DIR when it is set.
 
-Exit codes: 0 success, 2 config error, 3 numerical divergence, 4 I/O error.
+Exit codes: 0 success; 2 config error; 3 numerical divergence, including a
+`rom` sweep with a diverged (non-finite KL) row, whose rows and manifest are
+still written; 4 I/O error or a corrupt (truncated, padded, bad-header)
+binary artifact.
 """
 
 from __future__ import annotations
@@ -89,9 +92,14 @@ _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
 
 AUTO = "auto"
 
+# keys that manifests of older versions carry but that never changed a result
+RETIRED_KEYS = {"threads"}
+
 
 def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
-    """defaults <- config file <- CLI overrides, with unknown keys rejected."""
+    """defaults <- config file <- CLI overrides; unknown keys are rejected,
+    retired keys in a config file dropped so old manifests still rerun."""
+    file_values = {k: v for k, v in file_values.items() if k not in RETIRED_KEYS}
     for source, values in (("config file", file_values), ("command line", overrides)):
         for key in values:
             if key not in schema:
@@ -165,7 +173,6 @@ GENERATE_SCHEMA_COMMON = {
     "d": ("int", AUTO),
     "domain_length": ("float", AUTO),
     "seed": ("int", "0"),
-    "threads": ("int", "1"),
 }
 
 GENERATE_SCHEMA_VBE = {
@@ -188,19 +195,6 @@ GENERATE_SCHEMA_KSE = {
 }
 
 
-def _vbe_trajectory(args):
-    seed, d, length, peak, amp, n_snap, sub, viscosity, dt = args
-    ic = sp.generate_vbe_ic(sp.IcSpec(peak, amp, seed), d, length)
-    solver = sp.VbeSolver(d, length, viscosity, dt)
-    out = np.empty((n_snap, d))
-    out[0] = ic.values
-    coeffs = np.fft.rfft(ic.values) / d
-    for j in range(1, n_snap):
-        coeffs = solver.advance(coeffs, sub)
-        out[j] = np.fft.irfft(coeffs * d, n=d)
-    return out
-
-
 def cmd_generate(config: dict) -> int:
     system = config["system"]
     if config["d"] == AUTO:
@@ -209,39 +203,32 @@ def cmd_generate(config: dict) -> int:
         config["domain_length"] = 1.0 if system == "vbe" else 22.0
     out = resolve_path(config["out"])
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-    if system == "vbe":
-        amp = None if config["ic_amplitude"] == AUTO else config["ic_amplitude"]
-        n_traj = config["train_ics"] + config["test_ics"]
-        n_snap = int(round(config["horizon"] / config["tau"])) + 1
-        sub = int(round(config["tau"] / config["solver_step"]))
-        seeds = [config["seed"] + i for i in range(n_traj)]
-        jobs = [(seed, config["d"], config["domain_length"],
-                 config["peak_wavenumber"], amp, n_snap, sub,
-                 config["viscosity"], config["solver_step"]) for seed in seeds]
-        if config["threads"] > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=config["threads"]) as pool:
-                trajectories = list(pool.map(_vbe_trajectory, jobs))
+    # the schema admits only vbe and kse; a ValueError here is a bad setting
+    try:
+        if system == "vbe":
+            amp = None if config["ic_amplitude"] == AUTO else config["ic_amplitude"]
+            ds = sp.generate_vbe_dataset(
+                n_train=config["train_ics"], n_test=config["test_ics"], d=config["d"],
+                domain_length=config["domain_length"], viscosity=config["viscosity"],
+                horizon=config["horizon"], tau=config["tau"], dt=config["solver_step"],
+                peak_wavenumber=config["peak_wavenumber"], amplitude=amp,
+                base_seed=config["seed"])
+            sidecar = {"system": "vbe", "train_trajectories": config["train_ics"],
+                       "solver_step": config["solver_step"],
+                       "viscosity": config["viscosity"],
+                       "peak_wavenumber": config["peak_wavenumber"],
+                       "base_seed": config["seed"]}
         else:
-            trajectories = [_vbe_trajectory(job) for job in jobs]
-        ds = sp.SnapshotDataset(np.stack(trajectories), config["tau"],
-                                config["domain_length"], "vbe", seeds)
-        sidecar = {"system": "vbe", "train_trajectories": config["train_ics"],
-                   "solver_step": config["solver_step"],
-                   "viscosity": config["viscosity"],
-                   "peak_wavenumber": config["peak_wavenumber"],
-                   "base_seed": config["seed"]}
-    elif system == "kse":
-        ds = sp.generate_kse_dataset(
-            d=config["d"], domain_length=config["domain_length"],
-            horizon=config["horizon"], tau=config["tau"],
-            h=config["solver_step"], transient=config["transient"],
-            seed=config["seed"])
-        sidecar = {"system": "kse", "train_fraction": config["train_fraction"],
-                   "solver_step": config["solver_step"],
-                   "transient": config["transient"], "base_seed": config["seed"]}
-    else:
-        raise ConfigError(f"unknown system {system!r}")
+            ds = sp.generate_kse_dataset(
+                d=config["d"], domain_length=config["domain_length"],
+                horizon=config["horizon"], tau=config["tau"],
+                h=config["solver_step"], transient=config["transient"],
+                seed=config["seed"])
+            sidecar = {"system": "kse", "train_fraction": config["train_fraction"],
+                       "solver_step": config["solver_step"],
+                       "transient": config["transient"], "base_seed": config["seed"]}
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     sp.write_dataset(ds, out, manifest=sidecar)
     write_manifest(f"{out}.manifest.cfg", "generate", config,
                    {"dataset": sha256_file(out)})
@@ -271,7 +258,6 @@ TRAIN_SCHEMA = {
     "lr_linear": ("floats", AUTO),
     "checkpoint_every": ("int", "0"),
     "resume": ("str", ""),
-    "threads": ("int", "1"),
 }
 
 
@@ -416,7 +402,6 @@ EVALUATE_SCHEMA = {
     "pdf_bins": ("int", "100"),
     "lyapunov_time": ("float", "22.0"),
     "lyapunov_total_time": ("float", "2000.0"),
-    "threads": ("int", "1"),
 }
 
 
@@ -437,34 +422,6 @@ def _true_solver(ds: sp.SnapshotDataset, sidecar: dict):
         return sp.VbeSolver(ds.d, ds.domain_length,
                             float(sidecar.get("viscosity", 8e-4)), step), step
     return sp.KseSolver(ds.d, ds.domain_length, step), step
-
-
-def _true_trajectory(solver, step, u0, horizon, tau):
-    n_snap = int(round(horizon / tau)) + 1
-    sub = int(round(tau / step))
-    d = u0.size
-    out = np.empty((n_snap, d))
-    out[0] = u0
-    coeffs = np.fft.rfft(u0) / d
-    for j in range(1, n_snap):
-        coeffs = solver.advance(coeffs, sub)
-        out[j] = np.fft.irfft(coeffs * d, n=d)
-    return out
-
-
-def _model_trajectory(model, u0, horizon, tau, steps_per_interval):
-    """Model rollout; after divergence the remaining rows are +inf."""
-    n_snap = int(round(horizon / tau)) + 1
-    out = np.full((n_snap, u0.size), np.inf)
-    out[0] = u0
-    u = u0
-    for j in range(1, n_snap):
-        try:
-            u = node.integrate(model, u, tau, steps_per_interval)
-        except node.DivergenceError:
-            break
-        out[j] = u
-    return out
 
 
 def cmd_evaluate(config: dict) -> int:
@@ -523,12 +480,14 @@ def cmd_evaluate(config: dict) -> int:
         ics.append(f.values)
 
     horizon, tau = config["horizon"], ds.tau
-    true_set = np.stack([_true_trajectory(solver, step, u0, horizon, tau)
-                         for u0 in ics])
-    model_set = np.stack([_model_trajectory(model, u0, horizon, tau,
-                                            config["rollout_steps"])
-                          for u0 in ics])
-    times = np.arange(true_set.shape[1]) * tau
+    ics = np.stack(ics)
+    n_snap = int(round(horizon / tau)) + 1
+    true_set = np.empty((n_ics, n_snap, ds.d))
+    true_set[:, 0] = ics
+    sp.fill_trajectories(solver, np.fft.rfft(ics) / ds.d, true_set,
+                         int(round(tau / step)), tau)
+    times, model_set = node.rollout(model, ics, (n_snap - 1) * tau, tau,
+                                    config["rollout_steps"])
 
     if metric == "error":
         if ds.system == "vbe":
@@ -558,9 +517,9 @@ def cmd_evaluate(config: dict) -> int:
         mt.write_spectrum_csv(os.path.join(out_dir, "spectrum.csv"), k, spectra, meta)
         print(f"wrote spectra at t={list(config['times'])}")
     elif metric == "pdf":
-        u0 = ics[0]
-        traj = _model_trajectory(model, u0, config["pdf_time"], tau,
-                                 config["rollout_steps"])
+        n_save = int(round(config["pdf_time"] / tau))
+        _, traj = node.rollout(model, ics[0], n_save * tau, tau,
+                               config["rollout_steps"])
         finite = traj[np.all(np.isfinite(traj), axis=1)]
         pdf = mt.joint_pdf(finite, ds.domain_length, bins=config["pdf_bins"])
         mt.write_joint_pdf(os.path.join(out_dir, "model_pdf.snpd"), pdf)
@@ -600,7 +559,6 @@ ROM_SCHEMA = {
     "pdf_bins": ("int", "100"),
     "reference": ("str", "dataset"),
     "seed": ("int", "0"),
-    "threads": ("int", "1"),
 }
 
 
@@ -635,9 +593,9 @@ def cmd_rom(config: dict) -> int:
                                  bins=config["pdf_bins"])
     elif config["reference"] == "self":
         # full (untruncated) rollout of the same RHS, same integrator settings
-        steps = int(round(config["save_interval"] / config["dt"]))
-        traj = _model_trajectory(model, u0, config["total_time"],
-                                 config["save_interval"], steps)
+        save = config["save_interval"]
+        _, traj = node.rollout(model, u0, round(config["total_time"] / save) * save,
+                               save, int(round(save / config["dt"])))
         finite = traj[np.all(np.isfinite(traj), axis=1)]
         reference = mt.joint_pdf(finite, ds.domain_length, bins=config["pdf_bins"])
     else:
@@ -672,6 +630,11 @@ def cmd_rom(config: dict) -> int:
             fh.write(f"{d_p},{mode},{mt.fmt(kl)},{mt.fmt(overlap)},{elapsed:.3f}\n")
     write_manifest(os.path.join(out_dir, "manifest-rom.cfg"), "rom", config,
                    {"dataset": sha256_file(dataset_path), "rhs": rhs_hash})
+    diverged = [d_p for d_p, _, kl, _, _ in rows if not np.isfinite(kl)]
+    if diverged:
+        print("numerical divergence: non-finite KL for d_p = "
+              + ",".join(map(str, diverged)), file=sys.stderr)
+        return 3
     return 0
 
 
@@ -768,7 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--test-ics", dest="test_ics")
     gen.add_argument("--horizon")
     gen.add_argument("--seed")
-    gen.add_argument("--threads")
 
     tr = subs.add_parser("train", help="train an RHS model on a dataset")
     _add_common(tr)
@@ -811,8 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "generate": (cmd_generate, None,
                  {"system": "system", "out": "out", "train_ics": "train_ics",
-                  "test_ics": "test_ics", "horizon": "horizon", "seed": "seed",
-                  "threads": "threads"}),
+                  "test_ics": "test_ics", "horizon": "horizon", "seed": "seed"}),
     "train": (cmd_train, TRAIN_SCHEMA,
               {"dataset": "dataset", "variant": "variant", "out": "out",
                "epochs": "epochs", "seed": "seed", "resume": "resume"}),
@@ -857,6 +818,9 @@ def main(argv=None) -> int:
     except (sp.BlowUpError, node.DivergenceError, node.TrainingDiverged) as err:
         print(f"numerical divergence: {err}", file=sys.stderr)
         return 3
+    except sp.ArtifactError as err:
+        print(f"corrupt artifact: {err}", file=sys.stderr)
+        return 4
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 4

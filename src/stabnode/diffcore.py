@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import ArtifactError, expect_end, read_exact, read_f8
+
 ACTIVATION_TAGS = {"relu": 0, "sigmoid": 1, "linear": 2}
 ACTIVATION_NAMES = {v: k for k, v in ACTIVATION_TAGS.items()}
 
@@ -111,7 +113,9 @@ def _activate(name, z):
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        # exp of -|z| cannot overflow: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
     return z
 
 
@@ -272,22 +276,21 @@ def write_checkpoint(path, variant_tag: int, mlp: MlpParams,
 def read_checkpoint(path):
     """Returns (variant_tag, MlpParams, ConvStencil or None)."""
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError("not a checkpoint file: bad magic")
-        version, variant_tag = struct.unpack("<IB", fh.read(5))
+        if read_exact(fh, 4) != CHECKPOINT_MAGIC:
+            raise ArtifactError(f"{path}: not a checkpoint file: bad magic")
+        version, variant_tag = struct.unpack("<IB", read_exact(fh, 5))
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (n_sizes,) = struct.unpack("<I", fh.read(4))
-        sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
-        acts = [ACTIVATION_NAMES[t] for t in fh.read(n_sizes - 1)]
-        width, symmetric = struct.unpack("<IB", fh.read(5))
+            raise ArtifactError(f"{path}: unsupported checkpoint version {version}")
+        (n_sizes,) = struct.unpack("<I", read_exact(fh, 4))
+        sizes = list(struct.unpack(f"<{n_sizes}I", read_exact(fh, 4 * n_sizes)))
+        acts = [ACTIVATION_NAMES[t] for t in read_exact(fh, n_sizes - 1)]
+        width, symmetric = struct.unpack("<IB", read_exact(fh, 5))
         weights, biases = [], []
         for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(np.frombuffer(fh.read(8 * n_in * n_out), dtype="<f8")
-                           .reshape(n_in, n_out).copy())
-            biases.append(np.frombuffer(fh.read(8 * n_out), dtype="<f8").copy())
+            weights.append(read_f8(fh, n_in * n_out).reshape(n_in, n_out))
+            biases.append(read_f8(fh, n_out))
         stencil = None
         if width:
-            taps = np.frombuffer(fh.read(8 * width), dtype="<f8").copy()
-            stencil = ConvStencil(taps, bool(symmetric))
+            stencil = ConvStencil(read_f8(fh, width), bool(symmetric))
+        expect_end(fh)
     return variant_tag, MlpParams(sizes, acts, weights, biases), stencil

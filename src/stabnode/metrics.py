@@ -295,12 +295,13 @@ def write_joint_pdf(path, pdf: JointPdf2D) -> None:
 
 def read_joint_pdf(path) -> JointPdf2D:
     with open(path, "rb") as fh:
-        if fh.read(4) != PDF_MAGIC:
-            raise ValueError("not a joint-PDF file: bad magic")
-        nx, ny, total, oob = struct.unpack("<IIQQ", fh.read(24))
-        x_edges = np.frombuffer(fh.read(8 * (nx + 1)), dtype="<f8").copy()
-        y_edges = np.frombuffer(fh.read(8 * (ny + 1)), dtype="<f8").copy()
-        masses = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8").reshape(nx, ny).copy()
+        if sp.read_exact(fh, 4) != PDF_MAGIC:
+            raise sp.ArtifactError(f"{path}: not a joint-PDF file: bad magic")
+        nx, ny, total, oob = struct.unpack("<IIQQ", sp.read_exact(fh, 24))
+        x_edges = sp.read_f8(fh, nx + 1)
+        y_edges = sp.read_f8(fh, ny + 1)
+        masses = sp.read_f8(fh, nx * ny).reshape(nx, ny)
+        sp.expect_end(fh)
     return JointPdf2D(x_edges, y_edges, masses, total, oob)
 
 

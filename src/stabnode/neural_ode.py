@@ -18,7 +18,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import diffcore as dc
-from .spectral import SnapshotDataset, _dealias_mask, wavenumber_indices
+from .spectral import (ArtifactError, SnapshotDataset, advection_symbols, burgers_tendency,
+                       expect_end, read_exact, read_f8, wavenumber_indices)
 
 VARIANT_TAGS = {"nonlinear": 0, "fixed-linear": 1, "learned-linear": 2}
 VARIANT_NAMES = {v: k for k, v in VARIANT_TAGS.items()}
@@ -186,24 +187,16 @@ def _rk4_backward(model: RhsModel, stages, h: float, cotangent: np.ndarray,
     return w
 
 
-def integrate(model, u0: np.ndarray, horizon: float, nsteps: int,
-              return_trace: bool = False):
+def integrate(model, u0: np.ndarray, horizon: float, nsteps: int):
     """Classical RK4 with fixed step horizon/nsteps.
 
     Raises DivergenceError (with the substep index) on non-finite states.
     """
     if nsteps < 1:
         raise ValueError("nsteps must be at least 1")
-    u = np.asarray(u0, dtype=np.float64)
-    h = horizon / nsteps
-    if not return_trace:
-        out, _ = _rk4_forward(model, u, h, nsteps, record=False)
-        return out
-    trace = [u]
-    for _ in range(nsteps):
-        u, _ = _rk4_forward(model, u, h, 1, record=False)
-        trace.append(u)
-    return u, trace
+    out, _ = _rk4_forward(model, np.asarray(u0, dtype=np.float64),
+                          horizon / nsteps, nsteps, record=False)
+    return out
 
 
 def l1_loss(predicted: np.ndarray, target: np.ndarray) -> float:
@@ -239,30 +232,44 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
     return loss, grads
 
 
+def _integrate_rows(model, u: np.ndarray, horizon: float, nsteps: int) -> np.ndarray:
+    """:func:`integrate` on an (n, d) batch; rows that diverge come back +inf.
+    Rows do not interact, so a diverging batch is halved down to those rows."""
+    try:
+        return integrate(model, u, horizon, nsteps)
+    except DivergenceError:
+        if u.shape[0] == 1:
+            return np.full_like(u, np.inf)
+        half = u.shape[0] // 2
+        return np.concatenate([_integrate_rows(model, u[:half], horizon, nsteps),
+                               _integrate_rows(model, u[half:], horizon, nsteps)])
+
+
 def rollout(model, u0: np.ndarray, total_time: float, save_interval: float,
             steps_per_interval: int = 5):
-    """Repeated integration; returns (times, states) with states[0] = u0.
+    """Repeated integration of one state (d,) or a batch (n, d).
 
-    On divergence raises DivergenceError carrying the last finite saved
-    state and its time.
+    Returns (times, states).  States are (n_save + 1, d) for one state and
+    (n, n_save + 1, d) for a batch, with u0 as the first snapshot.  The
+    batch advances together; a trajectory that goes non-finite during an
+    interval leaves it, and that snapshot and all later ones read +inf.
     """
     n_save = int(round(total_time / save_interval))
     if abs(n_save * save_interval - total_time) > 1e-9 * max(total_time, 1.0):
         raise ValueError("save_interval must divide total_time")
-    u = np.asarray(u0, dtype=np.float64)
-    states = [u]
-    times = [0.0]
+    u0 = np.asarray(u0, dtype=np.float64)
+    u = np.atleast_2d(u0)
+    states = np.full((u.shape[0], n_save + 1, u.shape[1]), np.inf)
+    states[:, 0] = u
+    alive = np.arange(u.shape[0])
     for i in range(n_save):
-        try:
-            u = integrate(model, u, save_interval, steps_per_interval)
-        except DivergenceError as err:
-            raise DivergenceError(
-                f"rollout diverged in interval {i} (t = {times[-1]:.4g} was the "
-                f"last finite save)", step=i, time=times[-1],
-                last_state=states[-1]) from err
-        states.append(u)
-        times.append((i + 1) * save_interval)
-    return np.array(times), np.stack(states)
+        u = _integrate_rows(model, u, save_interval, steps_per_interval)
+        finite = np.all(np.isfinite(u), axis=1)
+        alive, u = alive[finite], u[finite]
+        if alive.size == 0:
+            break
+        states[alive, i + 1] = u
+    return np.arange(n_save + 1) * save_interval, (states[0] if u0.ndim == 1 else states)
 
 
 # training -----------------------------------------------------------------
@@ -439,22 +446,15 @@ class TrueRhs:
         self.width = d
         self.domain_length = domain_length
         self._matrix = true_linear_matrix(system, d, domain_length, viscosity)
-        q = 2.0 * np.pi * wavenumber_indices(d) / domain_length
-        self._iq = 1j * q
-        self._iq[-1] = 0.0
-        self._mask = _dealias_mask(d)
+        self._adv = advection_symbols(d, domain_length)
 
     def linear_matrix(self) -> np.ndarray:
         return self._matrix
 
     def nonlinear(self, u: np.ndarray) -> np.ndarray:
         d = self.width
-        coeffs = np.fft.rfft(u, axis=-1) / d
-        coeffs = np.where(self._mask, coeffs, 0.0)
-        phys = np.fft.irfft(coeffs * d, n=d, axis=-1)
-        sq = np.fft.rfft(phys * phys, axis=-1) / d
-        prod = np.where(self._mask, -0.5 * self._iq * sq, 0.0)
-        return np.fft.irfft(prod * d, n=d, axis=-1)
+        tendency = burgers_tendency(np.fft.rfft(u) / d, *self._adv)
+        return np.fft.irfft(tendency * d, n=d)
 
     def linear_apply(self, u: np.ndarray) -> np.ndarray:
         return u @ self._matrix.T
@@ -532,12 +532,13 @@ def save_opt_state(path, adam: AdamState) -> None:
 def load_opt_state(path, model: RhsModel) -> AdamState:
     adam = AdamState(model)
     with open(path, "rb") as fh:
-        if fh.read(4) != OPT_STATE_MAGIC:
-            raise ValueError("not an optimizer-state file")
-        (adam.t,) = struct.unpack("<Q", fh.read(8))
+        if read_exact(fh, 4) != OPT_STATE_MAGIC:
+            raise ArtifactError(f"{path}: not an optimizer-state file")
+        (adam.t,) = struct.unpack("<Q", read_exact(fh, 8))
         tensors = adam.m_w + adam.v_w + adam.m_b + adam.v_b
         if adam.m_t is not None:
             tensors += [adam.m_t, adam.v_t]
         for t in tensors:
-            t[...] = np.frombuffer(fh.read(8 * t.size), dtype="<f8").reshape(t.shape)
+            t[...] = read_f8(fh, t.size).reshape(t.shape)
+        expect_end(fh)
     return adam

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .neural_ode import DivergenceError
+from .spectral import ArtifactError, expect_end, read_exact, read_f8
 
 ORDERING_TAGS = {"eigenvalue": 0, "variance": 1}
 ORDERING_NAMES = {v: k for k, v in ORDERING_TAGS.items()}
@@ -214,22 +215,24 @@ def rom_integrate(basis: EigenBasis, d_p: int, model, u0: np.ndarray,
     times = [0.0]
     states = [reconstruct(p)]
     for i in range(n_save):
-        for _ in range(sub):
-            if mode == "nlg":
-                q_now = unresolved_correction(basis, d_p, model, p,
-                                              slaving_iterations)
-                lift = vq @ q_now
+        # overflow en route to the finiteness check is the divergence signal
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(sub):
+                if mode == "nlg":
+                    q_now = unresolved_correction(basis, d_p, model, p,
+                                                  slaving_iterations)
+                    lift = vq @ q_now
 
-                def rhs(ps):
-                    return lam_p * ps + vp.T @ model.nonlinear(vp @ ps + lift)
-            else:
-                def rhs(ps):
-                    return lam_p * ps + vp.T @ model.nonlinear(vp @ ps)
-            p = _rk4_reduced(rhs, p, dt)
-            if not np.all(np.isfinite(p)):
-                raise DivergenceError(
-                    f"reduced model diverged near t = {times[-1]:.4g}",
-                    time=times[-1], last_state=states[-1])
+                    def rhs(ps):
+                        return lam_p * ps + vp.T @ model.nonlinear(vp @ ps + lift)
+                else:
+                    def rhs(ps):
+                        return lam_p * ps + vp.T @ model.nonlinear(vp @ ps)
+                p = _rk4_reduced(rhs, p, dt)
+                if not np.all(np.isfinite(p)):
+                    raise DivergenceError(
+                        f"reduced model diverged near t = {times[-1]:.4g}",
+                        time=times[-1], last_state=states[-1])
         times.append((i + 1) * save_interval)
         states.append(reconstruct(p))
     return np.array(times), np.stack(states)
@@ -263,10 +266,10 @@ def write_eigenbasis(path, basis: EigenBasis) -> None:
 
 def read_eigenbasis(path) -> EigenBasis:
     with open(path, "rb") as fh:
-        if fh.read(4) != EIGENBASIS_MAGIC:
-            raise ValueError("not an eigenbasis file: bad magic")
-        d, tag = struct.unpack("<IB", fh.read(5))
-        vals = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
-        vecs = np.frombuffer(fh.read(8 * d * d), dtype="<f8").reshape(
-            (d, d), order="F").copy()
+        if read_exact(fh, 4) != EIGENBASIS_MAGIC:
+            raise ArtifactError(f"{path}: not an eigenbasis file: bad magic")
+        d, tag = struct.unpack("<IB", read_exact(fh, 5))
+        vals = read_f8(fh, d)
+        vecs = read_f8(fh, d * d).reshape((d, d), order="F")
+        expect_end(fh)
     return EigenBasis(vals, vecs, ORDERING_NAMES[tag])

@@ -28,6 +28,32 @@ DATASET_MAGIC = b"SNOD"
 DATASET_VERSION = 1
 
 
+class ArtifactError(ValueError):
+    """A binary artifact is truncated, padded or has a bad header."""
+
+
+def read_exact(fh, nbytes: int) -> bytes:
+    """The next ``nbytes`` of an open binary file, or ArtifactError naming it."""
+    here = fh.tell()
+    left = fh.seek(0, 2) - here
+    fh.seek(here)
+    if not 0 <= nbytes <= left:
+        raise ArtifactError(f"{fh.name}: truncated: {nbytes} bytes expected at "
+                            f"offset {here}, {left} left")
+    return fh.read(nbytes)
+
+
+def read_f8(fh, count: int) -> np.ndarray:
+    """``count`` little-endian float64 values as a writable array."""
+    return np.frombuffer(read_exact(fh, 8 * count), dtype="<f8").copy()
+
+
+def expect_end(fh) -> None:
+    """ArtifactError unless the file ends where its header says it does."""
+    if fh.read(1):
+        raise ArtifactError(f"{fh.name}: trailing bytes after offset {fh.tell() - 1}")
+
+
 class BlowUpError(RuntimeError):
     """Integration produced non-finite values."""
 
@@ -178,9 +204,22 @@ def generate_vbe_ic(spec: IcSpec, d: int, domain_length: float = 1.0) -> Field:
     return from_spectral(SpectralField(coeffs, domain_length), d)
 
 
-def _dealias_mask(d: int) -> np.ndarray:
-    k = wavenumber_indices(d)
-    return k <= d // TWO_THIRDS_CUTOFF
+def advection_symbols(d: int, domain_length: float):
+    """(-0.5*i*q with the Nyquist entry zeroed, 2/3-rule mask) for burgers_tendency."""
+    q = 2.0 * np.pi * wavenumber_indices(d) / domain_length
+    iq = 1j * q
+    iq[-1] = 0.0
+    return -0.5 * iq, wavenumber_indices(d) <= d // TWO_THIRDS_CUTOFF
+
+
+def burgers_tendency(coeffs: np.ndarray, half_iq: np.ndarray,
+                     mask: np.ndarray) -> np.ndarray:
+    """Advection -0.5*(u^2)_x of one-sided coefficients (one state or a batch),
+    2/3-rule dealiased on input and output; see :func:`advection_symbols`."""
+    d = 2 * (coeffs.shape[-1] - 1)
+    u = np.fft.irfft(np.where(mask, coeffs, 0.0) * d, n=d)
+    sq = np.fft.rfft(u * u) / d
+    return np.where(mask, half_iq * sq, 0.0)
 
 
 class VbeSolver:
@@ -201,21 +240,14 @@ class VbeSolver:
         self.dt = dt
         q = 2.0 * np.pi * wavenumber_indices(d) / domain_length
         self._lin = -viscosity * q**2
-        self._iq = 1j * q
-        self._iq[-1] = 0.0
-        self._mask = _dealias_mask(d)
-
-    def _nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
-        u = np.fft.irfft(np.where(self._mask, coeffs, 0.0) * self.d, n=self.d)
-        sq = np.fft.rfft(u * u) / self.d
-        return np.where(self._mask, -0.5 * self._iq * sq, 0.0)
+        self._adv = advection_symbols(d, domain_length)
 
     def step_spectral(self, coeffs: np.ndarray) -> np.ndarray:
         base = coeffs
         v = coeffs
         for stage in range(3):
             dt_s = self.dt / (3 - stage)
-            v = base + dt_s * self._nonlinear(v)
+            v = base + dt_s * burgers_tendency(v, *self._adv)
             v = (v + 0.5 * self._lin * dt_s * base) / (1.0 - 0.5 * self._lin * dt_s)
         return v
 
@@ -257,9 +289,7 @@ class KseSolver:
         self.h = h
         q = 2.0 * np.pi * wavenumber_indices(d) / domain_length
         ell = q**2 - q**4
-        self._iq = 1j * q
-        self._iq[-1] = 0.0
-        self._mask = _dealias_mask(d)
+        self._adv = advection_symbols(d, domain_length)
         self._E = np.exp(h * ell)
         self._E2 = np.exp(0.5 * h * ell)
         m = self.CONTOUR_POINTS
@@ -273,19 +303,14 @@ class KseSolver:
         self._f3 = h * np.mean(
             (-4.0 - 3.0 * lr - lr**2 + np.exp(lr) * (4.0 - lr)) / lr**3, axis=1).real
 
-    def _nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
-        u = np.fft.irfft(np.where(self._mask, coeffs, 0.0) * self.d, n=self.d)
-        sq = np.fft.rfft(u * u) / self.d
-        return np.where(self._mask, -0.5 * self._iq * sq, 0.0)
-
     def step_spectral(self, v: np.ndarray) -> np.ndarray:
-        n_v = self._nonlinear(v)
+        n_v = burgers_tendency(v, *self._adv)
         a = self._E2 * v + self._Q * n_v
-        n_a = self._nonlinear(a)
+        n_a = burgers_tendency(a, *self._adv)
         b = self._E2 * v + self._Q * n_a
-        n_b = self._nonlinear(b)
+        n_b = burgers_tendency(b, *self._adv)
         c = self._E2 * a + self._Q * (2.0 * n_b - n_v)
-        n_c = self._nonlinear(c)
+        n_c = burgers_tendency(c, *self._adv)
         return self._E * v + n_v * self._f1 + 2.0 * (n_a + n_b) * self._f2 + n_c * self._f3
 
     def advance(self, coeffs: np.ndarray, nsteps: int) -> np.ndarray:
@@ -367,6 +392,34 @@ class SnapshotDataset:
         return mk(self.values[:, :cut]), mk(self.values[:, cut:])
 
 
+def fill_trajectories(solver, coeffs: np.ndarray, values: np.ndarray, sub: int,
+                      tau: float, seeds=()) -> None:
+    """Advance (n, d/2 + 1) coefficients, or one state, sampling every ``sub`` steps.
+
+    Snapshot j >= 1 of every row goes to ``values[:, j]`` of the (n, n_snap,
+    d) array; snapshot 0 is the caller's.  A batch gives the same bits as its
+    rows stepped one at a time.  Blow-up raises BlowUpError with the time.
+    """
+    d = values.shape[-1]
+    for j in range(1, values.shape[1]):
+        try:
+            coeffs = solver.advance(coeffs, sub)
+        except BlowUpError as err:
+            which = f" (seeds {seeds[0]}..{seeds[-1]})" if len(seeds) else ""
+            raise BlowUpError(f"integration blew up near t = {j * tau:.3f}{which}",
+                              seed=seeds[0] if len(seeds) == 1 else None,
+                              time=j * tau) from err
+        values[:, j] = np.fft.irfft(coeffs * d, n=d)
+
+
+def _steps_per_sample(tau: float, step: float) -> int:
+    sub = int(round(tau / step))
+    if sub < 1 or abs(sub * step - tau) > 1e-12 * tau:
+        raise ValueError(f"sampling interval tau={tau!r} must be a multiple of "
+                         f"the solver step {step!r}")
+    return sub
+
+
 def generate_vbe_dataset(n_train: int = 1000, n_test: int = 100, d: int = 512,
                          domain_length: float = 1.0, viscosity: float = 8e-4,
                          horizon: float = 5.0, tau: float = 0.05, dt: float = 1e-3,
@@ -374,29 +427,19 @@ def generate_vbe_dataset(n_train: int = 1000, n_test: int = 100, d: int = 512,
                          base_seed: int = 0) -> SnapshotDataset:
     """Ensemble of Burgers trajectories from random initial conditions.
 
-    Trajectory i uses seed base_seed + i, so parallel and serial generation
-    agree.  Train/test membership is by position: the first n_train
-    trajectories are the training set.
+    Trajectory i starts from the initial condition with seed base_seed + i.
+    All trajectories advance as one batch, which gives the same bits as
+    separate single-seed runs stacked.  Train/test membership is by
+    position: the first n_train trajectories are the training set.
     """
     n_snap = int(round(horizon / tau)) + 1
-    sub = int(round(tau / dt))
-    if abs(sub * dt - tau) > 1e-12 * tau:
-        raise ValueError("sampling interval must be a multiple of the solver step")
+    sub = _steps_per_sample(tau, dt)
     solver = VbeSolver(d, domain_length, viscosity, dt)
-    n_traj = n_train + n_test
-    values = np.empty((n_traj, n_snap, d))
-    seeds = [base_seed + i for i in range(n_traj)]
-    for i, seed in enumerate(seeds):
-        ic = generate_vbe_ic(IcSpec(peak_wavenumber, amplitude, seed), d, domain_length)
-        coeffs = np.fft.rfft(ic.values) / d
-        values[i, 0] = ic.values
-        for j in range(1, n_snap):
-            try:
-                coeffs = solver.advance(coeffs, sub)
-            except BlowUpError as err:
-                raise BlowUpError(f"trajectory with seed {seed} blew up near "
-                                  f"t = {j * tau:.3f}", seed=seed, time=j * tau) from err
-            values[i, j] = np.fft.irfft(coeffs * d, n=d)
+    seeds = [base_seed + i for i in range(n_train + n_test)]
+    values = np.empty((len(seeds), n_snap, d))
+    values[:, 0] = [generate_vbe_ic(IcSpec(peak_wavenumber, amplitude, seed), d,
+                                    domain_length).values for seed in seeds]
+    fill_trajectories(solver, np.fft.rfft(values[:, 0]) / d, values, sub, tau, seeds)
     return SnapshotDataset(values, tau, domain_length, "vbe", seeds)
 
 
@@ -409,37 +452,19 @@ def generate_kse_dataset(d: int = 64, domain_length: float = 22.0, horizon: floa
     before recording begins, so snapshots sample the attractor.
     """
     n_snap = int(round(horizon / tau)) + 1
-    sub = int(round(tau / h))
-    if abs(sub * h - tau) > 1e-12 * tau:
-        raise ValueError("sampling interval must be a multiple of the solver step")
+    sub = _steps_per_sample(tau, h)
     solver = KseSolver(d, domain_length, h)
     rng = np.random.default_rng(seed)
     u0 = 0.01 * rng.standard_normal(d)
     u0 -= u0.mean()
-    coeffs = np.fft.rfft(u0) / d
     try:
-        coeffs = solver.advance(coeffs, int(round(transient / h)))
+        coeffs = solver.advance(np.fft.rfft(u0) / d, int(round(transient / h)))
     except BlowUpError as err:
         raise BlowUpError(f"transient with seed {seed} blew up", seed=seed) from err
     values = np.empty((1, n_snap, d))
     values[0, 0] = np.fft.irfft(coeffs * d, n=d)
-    for j in range(1, n_snap):
-        try:
-            coeffs = solver.advance(coeffs, sub)
-        except BlowUpError as err:
-            raise BlowUpError(f"trajectory with seed {seed} blew up near "
-                              f"t = {j * tau:.2f}", seed=seed, time=j * tau) from err
-        values[0, j] = np.fft.irfft(coeffs * d, n=d)
+    fill_trajectories(solver, coeffs, values, sub, tau, [seed])
     return SnapshotDataset(values, tau, domain_length, "kse", [seed])
-
-
-def generate_dataset(system: str, **params) -> SnapshotDataset:
-    """Dispatch to the VBE ensemble or KSE single-trajectory generator."""
-    if system == "vbe":
-        return generate_vbe_dataset(**params)
-    if system == "kse":
-        return generate_kse_dataset(**params)
-    raise ValueError(f"unknown system {system!r}")
 
 
 def write_dataset(ds: SnapshotDataset, path, manifest: dict | None = None) -> None:
@@ -463,13 +488,13 @@ def write_dataset(ds: SnapshotDataset, path, manifest: dict | None = None) -> No
 
 def read_dataset(path) -> SnapshotDataset:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic = read_exact(fh, 4)
         if magic != DATASET_MAGIC:
-            raise ValueError(f"not a snapshot dataset file: bad magic {magic!r}")
+            raise ArtifactError(f"{path}: not a snapshot dataset file: bad magic {magic!r}")
         version, d, n_traj, n_snap, tau, length, tag = struct.unpack(
-            "<IIIIddB", fh.read(struct.calcsize("<IIIIddB")))
+            "<IIIIddB", read_exact(fh, struct.calcsize("<IIIIddB")))
         if version != DATASET_VERSION:
-            raise ValueError(f"unsupported dataset version {version}")
-        payload = np.frombuffer(fh.read(8 * d * n_traj * n_snap), dtype="<f8")
-    values = payload.reshape(n_traj, n_snap, d).copy()
+            raise ArtifactError(f"{path}: unsupported dataset version {version}")
+        values = read_f8(fh, d * n_traj * n_snap).reshape(n_traj, n_snap, d)
+        expect_end(fh)
     return SnapshotDataset(values, tau, length, SYSTEM_NAMES[tag])

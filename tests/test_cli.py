@@ -86,11 +86,38 @@ class TestGenerate:
         run_cli(*tiny_vbe_args(out2))
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_parallel_generation_matches_serial(self, tmp_path):
-        out1, out2 = tmp_path / "s.snod", tmp_path / "p.snod"
-        run_cli(*tiny_vbe_args(out1))
-        run_cli(*tiny_vbe_args(out2), "--threads", "2")
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_batch_matches_single_seed_runs(self, tmp_path):
+        # all ICs advance as one batch; the file equals single-seed runs stacked
+        out = tmp_path / "batch.snod"
+        assert run_cli(*tiny_vbe_args(out, seed="3")) == 0
+        solo = [sp.generate_vbe_dataset(n_train=1, n_test=0, d=64, horizon=0.5,
+                                        tau=0.05, dt=2.5e-3, base_seed=seed).values
+                for seed in range(3, 8)]
+        stacked = tmp_path / "stacked.snod"
+        sp.write_dataset(sp.SnapshotDataset(np.concatenate(solo), 0.05, 1.0, "vbe"),
+                         stacked)
+        assert out.read_bytes() == stacked.read_bytes()
+
+    def test_tau_not_multiple_of_step_config_error(self, tmp_path):
+        code = run_cli(*tiny_vbe_args(tmp_path / "x.snod"),
+                       "--set", "solver_step=3e-3")
+        assert code == 2
+        assert not (tmp_path / "x.snod").exists()
+
+    def test_old_manifest_with_threads_reruns(self, tmp_path):
+        # manifests of older versions carry threads=; the key is dropped
+        out = tmp_path / "a.snod"
+        run_cli(*tiny_vbe_args(out))
+        first = out.read_bytes()
+        manifest = tmp_path / "old.cfg"
+        manifest.write_text(open(f"{out}.manifest.cfg").read() + "threads=2\n")
+        out.unlink()
+        assert run_cli("generate", "--config", str(manifest)) == 0
+        assert out.read_bytes() == first
+
+    def test_threads_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit):
+            run_cli(*tiny_vbe_args(tmp_path / "x.snod"), "--threads", "2")
 
     def test_rerun_from_manifest_identical(self, tmp_path):
         out = tmp_path / "a.snod"
@@ -176,6 +203,18 @@ class TestTrain:
                        "--resume", str(half / "model.snck")) == 0
         assert ((straight / "model.snck").read_bytes()
                 == (resumed / "model.snck").read_bytes())
+
+    @pytest.mark.parametrize("damage", ["half", "header", "padded"])
+    def test_corrupt_dataset_io_error(self, tmp_path, vbe_dataset, damage, capsys):
+        data = vbe_dataset.read_bytes()
+        bad = tmp_path / "bad.snod"
+        bad.write_bytes({"half": data[:len(data) // 2], "header": data[:20],
+                         "padded": data + b"junk"}[damage])
+        code = run_cli("train", "--dataset", str(bad), "--variant", "nonlinear",
+                       "--out", str(tmp_path / "o"), "--epochs", "1",
+                       "--set", "hidden=4")
+        assert code == 4
+        assert str(bad) in capsys.readouterr().err
 
     def test_missing_dataset_io_error(self, tmp_path):
         code = run_cli("train", "--dataset", str(tmp_path / "nope.snod"),
@@ -288,6 +327,21 @@ class TestRom:
                 if not l.startswith("#")][1]
         kl = float(data.split(",")[2])
         assert abs(kl) < 1e-2
+
+
+    def test_diverged_row_exits_3(self, tmp_path, kse_dataset, capsys):
+        # d_p = 32 keeps the stiffest mode, far outside RK4's region at dt=0.05
+        out = tmp_path / "rom_bad"
+        code = run_cli("rom", "--dataset", str(kse_dataset), "--rhs", "true",
+                       "--mode", "galerkin", "--dp", "8,32", "--out", str(out),
+                       "--set", "dt=0.05", "--set", "total_time=5.0")
+        assert code == 3
+        assert "d_p = 32" in capsys.readouterr().err
+        data = [l for l in (out / "rom.csv").read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert [row.split(",")[:3] for row in data][1] == ["32", "galerkin", "nan"]
+        assert np.isfinite(float(data[0].split(",")[2]))
+        assert (out / "manifest-rom.cfg").exists()
 
 
 class TestStencilReport:

@@ -1,5 +1,7 @@
 """VJP exactness for the hand-rolled MLP and circular-convolution kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,25 @@ class TestMlpForward:
     def test_final_activation_must_be_linear(self):
         with pytest.raises(ValueError):
             dc.MlpParams([3, 3], ["relu"], [np.zeros((3, 3))], [np.zeros(3)])
+
+
+class TestSigmoid:
+    def test_saturated_values(self):
+        out = dc._activate("sigmoid", np.array([-800.0, 0.0, 800.0]))
+        assert out.tolist() == [0.0, 0.5, 1.0]
+
+    def test_large_inputs_raise_no_warning(self):
+        # pre-activations of +-800 and beyond, forward and backward
+        p = dc.MlpParams([2, 2, 2], ["sigmoid", "linear"],
+                         [np.array([[1.0, -1.0], [0.0, 0.0]]), np.eye(2)],
+                         [np.zeros(2), np.zeros(2)])
+        u = np.array([[800.0, 1.0], [-900.0, 2.0], [1e4, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, tape = dc.mlp_forward(p, u)
+            _, gin = dc.mlp_backward(p, tape, np.ones_like(out))
+        assert np.all(np.isfinite(out)) and np.all(np.isfinite(gin))
+        assert out[1].tolist() == [0.0, 1.0]
 
 
 class TestMlpBackward:

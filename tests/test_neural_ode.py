@@ -297,14 +297,39 @@ class TestRollout:
         assert np.array_equal(states, np.tile(u0, (5, 1)))
 
     def test_divergence_reports_last_finite(self):
+        # du/dt = 40 u overflows after some tens of unit intervals
         mlp = zero_mlp(2)
         model = node.RhsModel("learned-linear", mlp,
                               stencil=dc.ConvStencil(np.array([40.0])))
-        with pytest.raises(node.DivergenceError) as exc_info:
-            node.rollout(model, np.ones(2), 50.0, 1.0, steps_per_interval=2)
-        err = exc_info.value
-        assert err.last_state is not None
-        assert np.all(np.isfinite(err.last_state))
+        _, states = node.rollout(model, np.ones(2), 50.0, 1.0, steps_per_interval=2)
+        finite = np.all(np.isfinite(states), axis=1)
+        last = int(np.argmin(finite)) - 1
+        assert 0 < last < 50
+        assert np.all(finite[:last + 1])
+        assert np.all(states[last + 1:] == np.inf)
+
+    def test_batch_row_divergence_leaves_others(self):
+        mlp = zero_mlp(2)
+        model = node.RhsModel("learned-linear", mlp,
+                              stencil=dc.ConvStencil(np.array([40.0])))
+        u0 = np.stack([np.ones(2), np.zeros(2)])
+        times, states = node.rollout(model, u0, 50.0, 1.0, steps_per_interval=2)
+        assert times.shape == (51,)
+        assert states.shape == (2, 51, 2)
+        _, alone = node.rollout(model, np.ones(2), 50.0, 1.0, steps_per_interval=2)
+        assert np.array_equal(states[0], alone)
+        last = int(np.argmin(np.all(np.isfinite(states[0]), axis=1))) - 1
+        assert 0 < last < 50
+        assert np.all(states[0, last + 1:] == np.inf)
+        assert np.all(states[1] == 0.0)
+
+    def test_batch_matches_single_rollouts(self):
+        model = random_model("learned-linear", 8, seed=4)
+        u0 = 0.1 * np.random.default_rng(5).standard_normal((3, 8))
+        _, batch = node.rollout(model, u0, 1.0, 0.25)
+        for row, start in zip(batch, u0):
+            _, alone = node.rollout(model, start, 1.0, 0.25)
+            assert np.allclose(row, alone, rtol=1e-14, atol=0.0)
 
     def test_interval_must_divide(self):
         model = node.RhsModel("nonlinear", zero_mlp(4))

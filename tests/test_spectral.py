@@ -190,6 +190,42 @@ class TestKseSolver:
             solver.advance(sf.coeffs, 3)
 
 
+class TestBatchedAdvance:
+    # batches step every row exactly as a single state: the same bits
+    def _batch(self, d, L, n):
+        rng = np.random.default_rng(d)
+        u = rng.standard_normal((n, d))
+        u -= u.mean(axis=1, keepdims=True)
+        return np.fft.rfft(0.3 * u) / d
+
+    @pytest.mark.parametrize("d", [64, 128])
+    def test_vbe_bitwise_rowwise(self, d):
+        solver = sp.VbeSolver(d, 1.0, 8e-4, 1e-3)
+        coeffs = self._batch(d, 1.0, 7)
+        batch = solver.advance(coeffs, 40)
+        assert np.array_equal(batch, np.stack([solver.advance(c, 40) for c in coeffs]))
+        assert np.array_equal(solver.advance(coeffs[:3], 40), batch[:3])
+
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_kse_bitwise_rowwise(self, d):
+        solver = sp.KseSolver(d, 22.0, 0.05)
+        coeffs = self._batch(d, 22.0, 7)
+        batch = solver.advance(coeffs, 100)
+        assert np.array_equal(batch, np.stack([solver.advance(c, 100) for c in coeffs]))
+        assert np.array_equal(solver.advance(coeffs[:3], 100), batch[:3])
+
+    def test_fill_trajectories_blow_up_names_time(self):
+        solver = sp.VbeSolver(64, 1.0, 8e-4, 0.5)
+        ic = sp.generate_vbe_ic(sp.IcSpec(seed=4), 64, 1.0).values
+        values = np.empty((1, 7, 64))
+        values[:, 0] = ic
+        with pytest.raises(sp.BlowUpError) as info:
+            sp.fill_trajectories(solver, np.fft.rfft(values[:, 0]) / 64, values, 1,
+                                 0.5, [4])
+        assert info.value.seed == 4
+        assert info.value.time in 0.5 * np.arange(1, 7)
+
+
 class TestDatasets:
     def test_vbe_bookkeeping(self):
         ds = sp.generate_vbe_dataset(n_train=2, n_test=0, d=64, horizon=0.1,
@@ -210,6 +246,11 @@ class TestDatasets:
         solo = sp.generate_vbe_dataset(n_train=1, n_test=0, d=64, horizon=0.05,
                                        tau=0.05, dt=1e-3, base_seed=6)
         assert np.array_equal(big.values[2], solo.values[0])
+
+    def test_tau_must_be_multiple_of_step(self):
+        with pytest.raises(ValueError, match="multiple"):
+            sp.generate_vbe_dataset(n_train=1, n_test=0, d=64, horizon=0.1,
+                                    tau=0.05, dt=3e-3)
 
     def test_kse_single_trajectory(self):
         ds = sp.generate_kse_dataset(d=32, horizon=2.0, tau=0.25, h=0.05,
