@@ -6,10 +6,11 @@ writes a manifest (resolved config plus input hashes as comments) that
 reproduces the run bit-identically.  Relative artifact paths resolve under
 $SNODE_DATA_DIR when it is set.
 
-Exit codes: 0 success; 2 config error; 3 numerical divergence, including a
-`rom` sweep with a diverged (non-finite KL) row, whose rows and manifest are
-still written; 4 I/O error or a corrupt (truncated, padded, bad-header)
-binary artifact.
+Exit codes: 0 success; 2 config error, including a fixed-linear `train` or
+`evaluate` whose RK4 substep tau/rollout_steps amplifies a mode the linear
+term damps; 3 numerical divergence, including a `rom` sweep with a diverged
+(non-finite KL) row, whose rows and manifest are still written; 4 I/O error
+or a corrupt (truncated, padded, bad-header or unknown-tag) binary artifact.
 """
 
 from __future__ import annotations
@@ -307,6 +308,16 @@ def _resolve_train_defaults(config: dict, system: str) -> None:
         config["lr_linear"] = defaults.lr_linear
 
 
+def _require_stable_substeps(model, tau: float, rollout_steps: int) -> None:
+    """ConfigError when an RK4 substep amplifies a mode the fixed linear term damps."""
+    if model.variant != "fixed-linear":
+        return
+    need = node.min_stable_substeps(model.fixed_symbol, tau)
+    if rollout_steps < need:
+        raise ConfigError(f"rollout_steps={rollout_steps} makes RK4 amplify modes the "
+                          f"fixed linear term damps; use rollout_steps={need} or more")
+
+
 def cmd_train(config: dict) -> int:
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
@@ -346,6 +357,7 @@ def cmd_train(config: dict) -> int:
             stencil_symmetric=config["stencil_symmetric"],
             stencil_init=st_init)
 
+    _require_stable_substeps(model, train_ds.tau, config["rollout_steps"])
     train_cfg = node.TrainConfig(
         config["epochs"], tuple(config["lr_nonlinear"]),
         tuple(config["lr_linear"]), batch_size=config["batch_size"],
@@ -459,9 +471,9 @@ def cmd_evaluate(config: dict) -> int:
               f"{est.lyapunov_time}")
         return 0
 
+    _require_stable_substeps(model, ds.tau, config["rollout_steps"])
     n_ics = min(config["n_ics"], test_ds.n_traj if ds.system == "vbe"
                 else test_ds.n_snap)
-    solver, step = _true_solver(ds, sidecar)
     rng_seed = config["seed"]
 
     # assemble (possibly noised) initial conditions from the test split
@@ -481,13 +493,15 @@ def cmd_evaluate(config: dict) -> int:
 
     horizon, tau = config["horizon"], ds.tau
     ics = np.stack(ics)
-    n_snap = int(round(horizon / tau)) + 1
-    true_set = np.empty((n_ics, n_snap, ds.d))
-    true_set[:, 0] = ics
-    sp.fill_trajectories(solver, np.fft.rfft(ics) / ds.d, true_set,
-                         int(round(tau / step)), tau)
-    times, model_set = node.rollout(model, ics, (n_snap - 1) * tau, tau,
-                                    config["rollout_steps"])
+    if metric in ("error", "spectrum"):
+        solver, step = _true_solver(ds, sidecar)
+        n_snap = int(round(horizon / tau)) + 1
+        true_set = np.empty((n_ics, n_snap, ds.d))
+        true_set[:, 0] = ics
+        sp.fill_trajectories(solver, np.fft.rfft(ics) / ds.d, true_set,
+                             int(round(tau / step)), tau)
+        times, model_set = node.rollout(model, ics, (n_snap - 1) * tau, tau,
+                                        config["rollout_steps"])
 
     if metric == "error":
         if ds.system == "vbe":
@@ -578,7 +592,7 @@ def cmd_rom(config: dict) -> int:
         model = node.load_model(ckpt)
         rhs_hash = sha256_file(ckpt)
 
-    basis = rom_mod.eig_symmetric(rom_mod.rom_linear_matrix(model))
+    basis = rom_mod.fourier_basis(model.linear_symbol())
     if config["sort"] == "variance":
         test_ds = _test_split(ds, sidecar)
         basis = rom_mod.variance_sort(basis, model, test_ds.snapshots())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ArtifactError, expect_end, read_exact, read_f8
+from .spectral import ArtifactError, expect_end, read_exact, read_f8, tag_name
 
 ACTIVATION_TAGS = {"relu": 0, "sigmoid": 1, "linear": 2}
 ACTIVATION_NAMES = {v: k for k, v in ACTIVATION_TAGS.items()}
@@ -89,6 +89,23 @@ class ConvStencil:
         if self.symmetric:
             return self.taps + self.taps[::-1]
         return self.taps
+
+    def symbol(self, d: int) -> np.ndarray:
+        """Eigenvalue of the operator on a d-point grid for k = 0..d/2.
+
+        The DFT sum_m taps_eff[m] exp(2*pi*i*k*m/d) of the effective taps,
+        summed in +m/-m pairs so a symmetric stencil gives an exactly real
+        symbol.
+        """
+        if self.width >= d:
+            raise ValueError("stencil width must be smaller than the grid")
+        teff = self.effective_taps()
+        c = self.width // 2
+        m = np.arange(1, c + 1)
+        theta = 2.0 * np.pi * np.outer(np.arange(d // 2 + 1), m) / d
+        even = np.cos(theta) @ (teff[c + m] + teff[c - m])
+        odd = np.sin(theta) @ (teff[c + m] - teff[c - m])
+        return teff[c] + even + 1j * odd
 
 
 class MlpTape:
@@ -202,27 +219,6 @@ def conv_backward(stencil: ConvStencil, u: np.ndarray, cotangent: np.ndarray):
     return grad_taps, grad_in
 
 
-def circulant_from_taps(taps: np.ndarray, d: int) -> np.ndarray:
-    """Dense circulant whose action equals correlation with centered taps."""
-    taps = np.asarray(taps, dtype=np.float64)
-    w = taps.size
-    c = w // 2
-    mat = np.zeros((d, d))
-    for m in range(-c, c + 1):
-        idx = np.arange(d)
-        mat[idx, (idx + m) % d] = taps[m + c]
-    return mat
-
-
-def stencil_to_matrix(stencil: ConvStencil, d: int) -> np.ndarray:
-    """Dense symmetric circulant of the effective operator (ROM entry point)."""
-    if not stencil.symmetric:
-        raise ValueError("stencil_to_matrix requires the symmetric flag")
-    if stencil.width >= d:
-        raise ValueError("stencil width must be smaller than the grid")
-    return circulant_from_taps(stencil.effective_taps(), d)
-
-
 def _draw(rng, dist, shape):
     kind = dist[0]
     if kind == "normal":
@@ -283,7 +279,8 @@ def read_checkpoint(path):
             raise ArtifactError(f"{path}: unsupported checkpoint version {version}")
         (n_sizes,) = struct.unpack("<I", read_exact(fh, 4))
         sizes = list(struct.unpack(f"<{n_sizes}I", read_exact(fh, 4 * n_sizes)))
-        acts = [ACTIVATION_NAMES[t] for t in read_exact(fh, n_sizes - 1)]
+        acts = [tag_name(ACTIVATION_NAMES, t, path, "activation")
+                for t in read_exact(fh, n_sizes - 1)]
         width, symmetric = struct.unpack("<IB", read_exact(fh, 5))
         weights, biases = [], []
         for n_in, n_out in zip(sizes[:-1], sizes[1:]):

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import diffcore as dc
-from .spectral import (ArtifactError, SnapshotDataset, advection_symbols, burgers_tendency,
-                       expect_end, read_exact, read_f8, wavenumber_indices)
+from .spectral import (ArtifactError, SnapshotDataset, advection_symbols, apply_symbol,
+                       burgers_tendency, expect_end, linear_symbol, read_exact, read_f8,
+                       tag_name)
 
 VARIANT_TAGS = {"nonlinear": 0, "fixed-linear": 1, "learned-linear": 2}
 VARIANT_NAMES = {v: k for k, v in VARIANT_TAGS.items()}
@@ -27,6 +28,10 @@ VARIANT_NAMES = {v: k for k, v in VARIANT_TAGS.items()}
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# the RK4 amplification R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has |R(z)| <= 1 on
+# the negative real axis exactly for z >= -this, the real root of R(z) = 1
+RK4_REAL_STABILITY_LIMIT = 2.785293563405282
 
 OPT_STATE_MAGIC = b"SNOP"
 
@@ -50,22 +55,26 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class RhsModel:
-    """du/dt model: optional explicit linear branch plus a network branch."""
+    """du/dt model: optional explicit linear branch plus a network branch.
+
+    The fixed-linear branch is the circulant operator with the real one-sided
+    symbol ``fixed_symbol`` (k = 0..d/2), so it is self-adjoint.
+    """
 
     variant: str
     mlp: dc.MlpParams
-    fixed_matrix: np.ndarray | None = None
+    fixed_symbol: np.ndarray | None = None
     stencil: dc.ConvStencil | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANT_TAGS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "fixed-linear" and self.fixed_matrix is None:
-            raise ValueError("fixed-linear variant requires fixed_matrix")
+        if self.variant == "fixed-linear" and self.fixed_symbol is None:
+            raise ValueError("fixed-linear variant requires fixed_symbol")
         if self.variant == "learned-linear" and self.stencil is None:
             raise ValueError("learned-linear variant requires a stencil")
-        if self.variant != "fixed-linear" and self.fixed_matrix is not None:
-            raise ValueError("fixed_matrix only belongs to the fixed-linear variant")
+        if self.variant != "fixed-linear" and self.fixed_symbol is not None:
+            raise ValueError("fixed_symbol only belongs to the fixed-linear variant")
         if self.variant != "learned-linear" and self.stencil is not None:
             raise ValueError("stencil only belongs to the learned-linear variant")
 
@@ -75,7 +84,7 @@ class RhsModel:
 
     def linear_apply(self, u: np.ndarray) -> np.ndarray:
         if self.variant == "fixed-linear":
-            return u @ self.fixed_matrix.T
+            return apply_symbol(self.fixed_symbol, u)
         if self.variant == "learned-linear":
             return dc.conv_apply(self.stencil, u)
         return np.zeros_like(u)
@@ -90,13 +99,12 @@ class RhsModel:
         return self.linear_apply(u) + self.nonlinear_apply(u)
 
     # ROM protocol ---------------------------------------------------------
-    def linear_matrix(self) -> np.ndarray:
-        """Dense matrix of the explicit linear branch."""
+    def linear_symbol(self) -> np.ndarray:
+        """One-sided symbol (k = 0..d/2) of the explicit linear branch."""
         if self.variant == "fixed-linear":
-            return self.fixed_matrix
+            return self.fixed_symbol
         if self.variant == "learned-linear":
-            return dc.circulant_from_taps(self.stencil.effective_taps(),
-                                          self.width)
+            return self.stencil.symbol(self.width)
         raise ValueError("nonlinear variant has no separable linear term")
 
     def nonlinear(self, u: np.ndarray) -> np.ndarray:
@@ -146,7 +154,7 @@ def _rhs_vjp(model: RhsModel, x: np.ndarray, cotangent: np.ndarray,
     mlp_grads, gin = dc.mlp_backward(model.mlp, tape, cotangent)
     grads.add_mlp(mlp_grads)
     if model.variant == "fixed-linear":
-        gin = gin + cotangent @ model.fixed_matrix
+        gin = gin + apply_symbol(model.fixed_symbol, cotangent)
     elif model.variant == "learned-linear":
         tap_g, lin_gin = dc.conv_backward(model.stencil, x, cotangent)
         grads.taps += tap_g
@@ -197,6 +205,14 @@ def integrate(model, u0: np.ndarray, horizon: float, nsteps: int):
     out, _ = _rk4_forward(model, np.asarray(u0, dtype=np.float64),
                           horizon / nsteps, nsteps, record=False)
     return out
+
+
+def min_stable_substeps(symbol: np.ndarray, tau: float) -> int:
+    """Fewest RK4 substeps over ``tau`` that amplify no mode the real symbol
+    damps: |R(h*sigma)| <= 1 for every sigma < 0, with h = tau / n and R the
+    RK4 amplification polynomial, holds exactly when h*min(sigma) is at least
+    -RK4_REAL_STABILITY_LIMIT."""
+    return max(1, int(np.ceil(tau * -symbol.min() / RK4_REAL_STABILITY_LIMIT)))
 
 
 def l1_loss(predicted: np.ndarray, target: np.ndarray) -> float:
@@ -411,32 +427,11 @@ def train(model: RhsModel, dataset: SnapshotDataset, config: TrainConfig,
 
 # true-physics operators ----------------------------------------------------
 
-def true_linear_matrix(system: str, d: int, domain_length: float,
-                       viscosity: float = 8e-4) -> np.ndarray:
-    """Dense symmetric circulant of the system's true linear term.
-
-    VBE: nu * d2/dx2 (symbol -nu q^2); KSE: -d2/dx2 - d4/dx4 (symbol q^2 - q^4),
-    both in the package's spectral discretization.
-    """
-    q = 2.0 * np.pi * wavenumber_indices(d) / domain_length
-    if system == "vbe":
-        symbol = -viscosity * q**2
-    elif system == "kse":
-        symbol = q**2 - q**4
-    else:
-        raise ValueError(f"unknown system {system!r}")
-    impulse = np.zeros(d)
-    impulse[0] = 1.0
-    col = np.fft.irfft(symbol * np.fft.rfft(impulse), n=d)
-    idx = np.arange(d)
-    mat = col[(idx[:, None] - idx[None, :]) % d]
-    return 0.5 * (mat + mat.T)
-
-
 class TrueRhs:
-    """Exact discrete RHS split into linear matrix + pseudospectral nonlinearity.
+    """Exact discrete RHS: the true linear symbol plus the pseudospectral
+    nonlinearity.
 
-    Implements the same eval/linear_matrix/nonlinear protocol as RhsModel so
+    Implements the same eval/linear_symbol/nonlinear protocol as RhsModel so
     reduced-order modeling can run on the true equations without training.
     """
 
@@ -445,11 +440,11 @@ class TrueRhs:
         self.system = system
         self.width = d
         self.domain_length = domain_length
-        self._matrix = true_linear_matrix(system, d, domain_length, viscosity)
+        self._symbol = linear_symbol(system, d, domain_length, viscosity)
         self._adv = advection_symbols(d, domain_length)
 
-    def linear_matrix(self) -> np.ndarray:
-        return self._matrix
+    def linear_symbol(self) -> np.ndarray:
+        return self._symbol
 
     def nonlinear(self, u: np.ndarray) -> np.ndarray:
         d = self.width
@@ -457,7 +452,7 @@ class TrueRhs:
         return np.fft.irfft(tendency * d, n=d)
 
     def linear_apply(self, u: np.ndarray) -> np.ndarray:
-        return u @ self._matrix.T
+        return apply_symbol(self._symbol, u)
 
     def eval(self, u: np.ndarray) -> np.ndarray:
         return self.linear_apply(u) + self.nonlinear(u)
@@ -479,8 +474,8 @@ def build_model(variant: str, layer_sizes, activations, weight_init, seed: int,
     if variant == "fixed-linear":
         if system is None:
             raise ValueError("fixed-linear variant needs the system name")
-        mat = true_linear_matrix(system, layer_sizes[0], domain_length, viscosity)
-        return RhsModel("fixed-linear", mlp, fixed_matrix=mat)
+        symbol = linear_symbol(system, layer_sizes[0], domain_length, viscosity)
+        return RhsModel("fixed-linear", mlp, fixed_symbol=symbol)
     if variant == "learned-linear":
         stencil = dc.init_stencil(stencil_width, stencil_symmetric,
                                   stencil_init, seed + 1)
@@ -495,17 +490,18 @@ def save_model(path, model: RhsModel, sidecar: dict | None = None) -> None:
                         model.stencil, sidecar=sidecar)
 
 
-def load_model(path, fixed_matrix: np.ndarray | None = None) -> RhsModel:
-    """Load a checkpoint; fixed-linear models rebuild A from the sidecar
-    (system, domain_length, viscosity) unless a matrix is supplied."""
+def load_model(path) -> RhsModel:
+    """Load a checkpoint; fixed-linear models rebuild the symbol from the
+    sidecar (system, domain_length, viscosity)."""
     tag, mlp, stencil = dc.read_checkpoint(path)
-    variant = VARIANT_NAMES[tag]
-    if variant == "fixed-linear" and fixed_matrix is None:
+    variant = tag_name(VARIANT_NAMES, tag, path, "variant")
+    symbol = None
+    if variant == "fixed-linear":
         meta = read_sidecar(f"{path}.txt")
-        fixed_matrix = true_linear_matrix(
-            meta["system"], mlp.layer_sizes[0], float(meta["domain_length"]),
-            float(meta.get("viscosity", 8e-4)))
-    return RhsModel(variant, mlp, fixed_matrix=fixed_matrix, stencil=stencil)
+        symbol = linear_symbol(meta["system"], mlp.layer_sizes[0],
+                               float(meta["domain_length"]),
+                               float(meta.get("viscosity", 8e-4)))
+    return RhsModel(variant, mlp, fixed_symbol=symbol, stencil=stencil)
 
 
 def read_sidecar(path) -> dict:

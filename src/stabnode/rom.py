@@ -1,11 +1,13 @@
 """Reduced-order modeling in the eigenbasis of the explicit linear operator.
 
-The symmetric operator is diagonalized with cyclic Jacobi rotations; modes
-are retained either by descending eigenvalue or by descending variance of
-their projected tendencies on attractor data.  Reduced dynamics integrate
-with RK4 in three flavors: plain Galerkin (truncate), nonlinear Galerkin
-(unresolved coordinates slaved through the stationarity of their dynamics),
-and postprocessing Galerkin (slaving applied only at output times).
+Every linear operator here is circulant, so its eigenvectors are the real
+Fourier modes and its eigenvalues are its symbol: the basis is written down
+from the symbol, with no eigensolver.  Modes are retained either by
+descending eigenvalue or by descending variance of their projected
+tendencies on attractor data.  Reduced dynamics integrate with RK4 in three
+flavors: plain Galerkin (truncate), nonlinear Galerkin (unresolved
+coordinates slaved through the stationarity of their dynamics), and
+postprocessing Galerkin (slaving applied only at output times).
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .neural_ode import DivergenceError
-from .spectral import ArtifactError, expect_end, read_exact, read_f8
+from .spectral import ArtifactError, expect_end, read_exact, read_f8, tag_name
 
 ORDERING_TAGS = {"eigenvalue": 0, "variance": 1}
 ORDERING_NAMES = {v: k for k, v in ORDERING_TAGS.items()}
 
 EIGENBASIS_MAGIC = b"SNEB"
 
-JACOBI_TOL = 1e-12
 SYMMETRY_TOL = 1e-10
 SLAVING_EIGENVALUE_FLOOR = 1e-10
 
@@ -62,60 +63,33 @@ class EigenBasis:
         return self.eigenvectors[:, d_p:]
 
 
-def _jacobi(mat: np.ndarray, tol: float, max_sweeps: int = 60):
-    a = mat.astype(np.float64).copy()
-    d = a.shape[0]
-    v = np.eye(d)
-    scale = np.linalg.norm(mat)
-    if scale == 0.0:
-        return np.zeros(d), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= tol * scale:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    return np.diag(a).copy(), v
+def fourier_basis(symbol: np.ndarray) -> EigenBasis:
+    """Eigenpairs of the circulant operator with one-sided symbol (k = 0..d/2).
 
-
-def eig_symmetric(mat: np.ndarray) -> EigenBasis:
-    """Jacobi eigendecomposition, eigenvalue-descending, signed deterministically.
-
-    The largest-magnitude component of every eigenvector is made positive so
-    bases are comparable across runs.  Asymmetric input is rejected.
+    The columns are the orthonormal modes cos(2*pi*k*j/d) for k = 0..d/2 and
+    sin(2*pi*k*j/d) for 0 < k < d/2, each with eigenvalue Re symbol[k], the
+    symbol of the symmetric part (A + A^T)/2; a symbol whose imaginary part
+    is not negligible warns.  Eigenpairs are sorted by descending eigenvalue,
+    ties kept in that column order, and the largest-magnitude component of every
+    eigenvector is made positive so bases are comparable across runs.
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = np.max(np.abs(mat))
-    if scale > 0 and np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric")
-    vals, vecs = _jacobi(mat, JACOBI_TOL)
-    order = np.lexsort((np.arange(vals.size), -vals))
+    symbol = np.asarray(symbol)
+    scale = np.max(np.abs(symbol))
+    if scale > 0 and np.max(np.abs(symbol.imag)) > SYMMETRY_TOL * scale:
+        warnings.warn("linear operator is not symmetric; using (A + A^T)/2 "
+                      "for the reduced-order basis")
+    lam = symbol.real.astype(np.float64)
+    d = 2 * (lam.size - 1)
+    phase = 2.0 * np.pi * np.outer(np.arange(d), np.arange(lam.size)) / d
+    cos = np.cos(phase) * np.sqrt(2.0 / d)
+    cos[:, [0, -1]] /= np.sqrt(2.0)
+    vals = np.concatenate([lam, lam[1:-1]])
+    vecs = np.hstack([cos, np.sin(phase[:, 1:-1]) * np.sqrt(2.0 / d)])
+    order = np.lexsort((np.arange(d), -vals))
     vals = vals[order]
     vecs = vecs[:, order]
     picks = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[picks, np.arange(vals.size)])
-    signs[signs == 0] = 1.0
+    signs = np.sign(vecs[picks, np.arange(d)])
     return EigenBasis(vals, vecs * signs, "eigenvalue")
 
 
@@ -243,17 +217,6 @@ def eigenvalue_gaps(basis: EigenBasis) -> np.ndarray:
     return np.diff(np.sort(basis.eigenvalues))
 
 
-def rom_linear_matrix(model) -> np.ndarray:
-    """The model's linear branch, symmetrized for eigenbasis use if needed."""
-    mat = model.linear_matrix()
-    scale = np.max(np.abs(mat))
-    if scale > 0 and np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL * scale:
-        warnings.warn("linear operator is not symmetric; using (A + A^T)/2 "
-                      "for the reduced-order basis")
-        mat = 0.5 * (mat + mat.T)
-    return mat
-
-
 def write_eigenbasis(path, basis: EigenBasis) -> None:
     """Binary persistence (magic SNEB): d, ordering tag, values, column-major
     vectors."""
@@ -272,4 +235,4 @@ def read_eigenbasis(path) -> EigenBasis:
         vals = read_f8(fh, d)
         vecs = read_f8(fh, d * d).reshape((d, d), order="F")
         expect_end(fh)
-    return EigenBasis(vals, vecs, ORDERING_NAMES[tag])
+    return EigenBasis(vals, vecs, tag_name(ORDERING_NAMES, tag, path, "ordering"))

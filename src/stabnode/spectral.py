@@ -54,6 +54,13 @@ def expect_end(fh) -> None:
         raise ArtifactError(f"{fh.name}: trailing bytes after offset {fh.tell() - 1}")
 
 
+def tag_name(names: dict, tag: int, path, what: str) -> str:
+    """The name a header tag byte stands for, or ArtifactError naming the file."""
+    if tag not in names:
+        raise ArtifactError(f"{path}: unknown {what} tag byte {tag}")
+    return names[tag]
+
+
 class BlowUpError(RuntimeError):
     """Integration produced non-finite values."""
 
@@ -204,6 +211,28 @@ def generate_vbe_ic(spec: IcSpec, d: int, domain_length: float = 1.0) -> Field:
     return from_spectral(SpectralField(coeffs, domain_length), d)
 
 
+def linear_symbol(system: str, d: int, domain_length: float,
+                  viscosity: float = 8e-4) -> np.ndarray:
+    """Eigenvalue of the system's true linear term for k = 0..d/2.
+
+    VBE: nu * d2/dx2, symbol -nu q^2; KSE: -d2/dx2 - d4/dx4, symbol q^2 - q^4;
+    q = 2*pi*k/L.  The solvers, the true RHS and the fixed-linear branch all
+    take the operator from here.
+    """
+    q = 2.0 * np.pi * wavenumber_indices(d) / domain_length
+    if system == "vbe":
+        return -viscosity * q**2
+    if system == "kse":
+        return q**2 - q**4
+    raise ValueError(f"unknown system {system!r}")
+
+
+def apply_symbol(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The circulant operator with one-sided ``symbol`` applied to (d,) or (n, d)."""
+    d = u.shape[-1]
+    return np.fft.irfft(symbol * np.fft.rfft(u), n=d)
+
+
 def advection_symbols(d: int, domain_length: float):
     """(-0.5*i*q with the Nyquist entry zeroed, 2/3-rule mask) for burgers_tendency."""
     q = 2.0 * np.pi * wavenumber_indices(d) / domain_length
@@ -238,8 +267,7 @@ class VbeSolver:
         self.domain_length = domain_length
         self.viscosity = viscosity
         self.dt = dt
-        q = 2.0 * np.pi * wavenumber_indices(d) / domain_length
-        self._lin = -viscosity * q**2
+        self._lin = linear_symbol("vbe", d, domain_length, viscosity)
         self._adv = advection_symbols(d, domain_length)
 
     def step_spectral(self, coeffs: np.ndarray) -> np.ndarray:
@@ -287,8 +315,7 @@ class KseSolver:
         self.d = d
         self.domain_length = domain_length
         self.h = h
-        q = 2.0 * np.pi * wavenumber_indices(d) / domain_length
-        ell = q**2 - q**4
+        ell = linear_symbol("kse", d, domain_length)
         self._adv = advection_symbols(d, domain_length)
         self._E = np.exp(h * ell)
         self._E2 = np.exp(0.5 * h * ell)
@@ -497,4 +524,5 @@ def read_dataset(path) -> SnapshotDataset:
             raise ArtifactError(f"{path}: unsupported dataset version {version}")
         values = read_f8(fh, d * n_traj * n_snap).reshape(n_traj, n_snap, d)
         expect_end(fh)
-    return SnapshotDataset(values, tau, length, SYSTEM_NAMES[tag])
+    system = tag_name(SYSTEM_NAMES, tag, path, "system")
+    return SnapshotDataset(values, tau, length, system)

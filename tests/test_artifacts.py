@@ -1,4 +1,5 @@
-"""Binary artifact readers reject files whose length disagrees with the header."""
+"""Binary artifact readers reject files whose length disagrees with the header
+or whose tag bytes name nothing."""
 
 import re
 
@@ -71,3 +72,25 @@ class TestLength:
         path.write_bytes(path.read_bytes()[:6])
         with pytest.raises(sp.ArtifactError):
             read(path)
+
+
+def _variant(path):
+    node.save_model(path, _model())
+    return node.load_model
+
+
+# (writer, offset of the tag byte): SNOD system, SNCK first activation, SNCK
+# variant, SNEB ordering
+BAD_TAGS = [(_dataset, 36), (_checkpoint, 25), (_variant, 8), (_eigenbasis, 8)]
+
+
+@pytest.mark.parametrize("write,offset", BAD_TAGS,
+                         ids=["dataset", "checkpoint", "variant", "eigenbasis"])
+def test_unknown_tag_byte(tmp_path, write, offset):
+    path = tmp_path / "artifact.bin"
+    read = write(path)
+    data = bytearray(path.read_bytes())
+    data[offset] = 7
+    path.write_bytes(bytes(data))
+    with pytest.raises(sp.ArtifactError, match=re.escape(str(path)) + ".*tag byte 7"):
+        read(path)

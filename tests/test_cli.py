@@ -1,6 +1,7 @@
 """End-to-end command pipeline: configs, manifests, artifacts, exit codes."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,13 @@ def vbe_dataset(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def kse_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ksedata") / "kse.snod"
+    run_cli(*tiny_kse_args(out))
+    return out
+
+
+@pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory, vbe_dataset):
     out = tmp_path_factory.mktemp("run")
     code = run_cli("train", "--dataset", str(vbe_dataset), "--variant",
@@ -204,12 +212,13 @@ class TestTrain:
         assert ((straight / "model.snck").read_bytes()
                 == (resumed / "model.snck").read_bytes())
 
-    @pytest.mark.parametrize("damage", ["half", "header", "padded"])
+    @pytest.mark.parametrize("damage", ["half", "header", "padded", "system-tag"])
     def test_corrupt_dataset_io_error(self, tmp_path, vbe_dataset, damage, capsys):
         data = vbe_dataset.read_bytes()
         bad = tmp_path / "bad.snod"
         bad.write_bytes({"half": data[:len(data) // 2], "header": data[:20],
-                         "padded": data + b"junk"}[damage])
+                         "padded": data + b"junk",
+                         "system-tag": data[:36] + bytes([7]) + data[37:]}[damage])
         code = run_cli("train", "--dataset", str(bad), "--variant", "nonlinear",
                        "--out", str(tmp_path / "o"), "--epochs", "1",
                        "--set", "hidden=4")
@@ -220,6 +229,25 @@ class TestTrain:
         code = run_cli("train", "--dataset", str(tmp_path / "nope.snod"),
                        "--variant", "nonlinear", "--out", str(tmp_path / "o"))
         assert code == 4
+
+    def test_fixed_linear_stiff_substep_config_error(self, tmp_path, kse_dataset,
+                                                     capsys):
+        # d = 32, L = 22: h * min(symbol) = 0.05 * -415 at the default 5 substeps
+        common = ["--dataset", str(kse_dataset), "--variant", "fixed-linear",
+                  "--epochs", "1", "--set", "hidden=4", "--set", "batch_size=8"]
+        assert run_cli("train", *common, "--out", str(tmp_path / "a")) == 2
+        need = int(re.search(r"rollout_steps=(\d+) or more",
+                             capsys.readouterr().err).group(1))
+        assert run_cli("train", *common, "--out", str(tmp_path / "b"),
+                       "--set", f"rollout_steps={need - 1}") == 2
+        run_dir = tmp_path / "c"
+        assert run_cli("train", *common, "--out", str(run_dir),
+                       "--set", f"rollout_steps={need}") == 0
+        evaluate = ["evaluate", "--dataset", str(kse_dataset), "--checkpoint",
+                    str(run_dir / "model.snck"), "--out", str(tmp_path / "e"),
+                    "--set", "n_ics=1", "--set", "horizon=0.5"]
+        assert run_cli(*evaluate) == 2
+        assert run_cli(*evaluate, "--set", f"rollout_steps={need}") == 0
 
 
 class TestEvaluate:
@@ -272,6 +300,25 @@ class TestEvaluate:
             outs.append((out / "error.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_pdf_metric_steps_no_ensembles(self, tmp_path, kse_dataset, monkeypatch):
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--dataset", str(kse_dataset), "--variant",
+                       "nonlinear", "--out", str(run_dir), "--epochs", "1",
+                       "--set", "hidden=4") == 0
+
+        def no_ensembles(*args, **kwargs):
+            raise AssertionError("the pdf metric stepped the true ensemble")
+
+        monkeypatch.setattr(sp, "fill_trajectories", no_ensembles)
+        out = tmp_path / "eval_pdf"
+        code = run_cli("evaluate", "--dataset", str(kse_dataset),
+                       "--checkpoint", str(run_dir / "model.snck"),
+                       "--out", str(out), "--metric", "pdf",
+                       "--set", "pdf_time=2.0")
+        assert code == 0
+        for name in ("model_pdf.snpd", "true_pdf.snpd", "pdf_kl.csv"):
+            assert (out / name).exists()
+
     def test_bad_metric_config_error(self, tmp_path, vbe_dataset, trained_dir):
         code = run_cli("evaluate", "--dataset", str(vbe_dataset),
                        "--checkpoint", str(trained_dir / "model.snck"),
@@ -281,12 +328,6 @@ class TestEvaluate:
 
 
 class TestRom:
-    @pytest.fixture(scope="class")
-    def kse_dataset(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("ksedata") / "kse.snod"
-        run_cli(*tiny_kse_args(out))
-        return out
-
     def test_true_rhs_sweep(self, tmp_path, kse_dataset):
         out = tmp_path / "rom"
         code = run_cli("rom", "--dataset", str(kse_dataset), "--rhs", "true",

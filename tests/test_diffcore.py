@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stabnode import diffcore as dc
+from stabnode import spectral as sp
 
 
 def random_mlp(layer_sizes, activations, seed, scale=0.6):
@@ -200,7 +201,9 @@ class TestConv:
         d, L = 64, 22.0
         x = np.arange(d) * L / d
         u = np.sin(2 * np.pi * x / L)
-        dense = dc.circulant_from_taps(taps, d)
+        dense = np.zeros((d, d))
+        for m in range(-2, 3):
+            dense[np.arange(d), (np.arange(d) + m) % d] = taps[m + 2]
         assert np.max(np.abs(dc.conv_apply(st, u) - dense @ u)) < 1e-10
         delta = L / d
         q = 2 * np.pi / L
@@ -227,6 +230,8 @@ class TestConv:
         st = dc.ConvStencil(np.ones(5))
         with pytest.raises(ValueError):
             dc.conv_apply(st, np.zeros(4))
+        with pytest.raises(ValueError):
+            st.symbol(4)
 
 
 class TestConvBackward:
@@ -264,29 +269,38 @@ class TestConvBackward:
 
 
 class TestStencilMatrix:
+    """The stencil's circulant operator, through its symbol."""
+
     def test_identity_taps_symmetrized(self):
         st = dc.ConvStencil(np.array([0.0, 1.0, 0.0]), symmetric=True)
-        assert np.array_equal(dc.stencil_to_matrix(st, 5), 2.0 * np.eye(5))
+        assert np.array_equal(st.symbol(6), np.full(4, 2.0 + 0j))
 
     def test_small_circulant_rows(self):
         st = dc.ConvStencil(np.array([1.0, -2.0, 1.0]), symmetric=True)
-        mat = dc.stencil_to_matrix(st, 4)
-        assert np.array_equal(mat[0], [-4.0, 2.0, 0.0, 2.0])
+        row = np.fft.irfft(st.symbol(4), n=4)
+        assert np.allclose(row, [-4.0, 2.0, 0.0, 2.0], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matvec_matches_conv_apply(self, seed):
         rng = np.random.default_rng(seed)
         st = dc.ConvStencil(rng.standard_normal(5), symmetric=True)
         d = 24
-        mat = dc.stencil_to_matrix(st, d)
+        symbol = st.symbol(d)
         u = rng.standard_normal(d)
-        assert np.max(np.abs(mat @ u - dc.conv_apply(st, u))) < 1e-14
-        assert np.array_equal(mat, mat.T)
+        assert np.max(np.abs(sp.apply_symbol(symbol, u) - dc.conv_apply(st, u))) < 1e-14
+        assert np.all(symbol.imag == 0.0)
 
-    def test_nonsymmetric_rejected(self):
-        st = dc.ConvStencil(np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            dc.stencil_to_matrix(st, 8)
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_symbol_is_fourier_eigenvalue(self, symmetric):
+        rng = np.random.default_rng(4)
+        st = dc.ConvStencil(rng.standard_normal(5), symmetric)
+        d = 16
+        symbol = st.symbol(d)
+        j = np.arange(d)
+        for k in range(d // 2 + 1):
+            mode = np.exp(2j * np.pi * k * j / d)
+            out = dc.conv_apply(st, mode.real) + 1j * dc.conv_apply(st, mode.imag)
+            assert np.max(np.abs(out - symbol[k] * mode)) < 1e-13
 
 
 class TestInit:

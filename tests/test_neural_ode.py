@@ -15,6 +15,11 @@ def zero_mlp(d, hidden=8):
                         [np.zeros(sizes[i + 1]) for i in range(2)])
 
 
+def dense_from_symbol(symbol, d):
+    """Dense circulant of a one-sided symbol, one column per unit impulse."""
+    return np.fft.irfft(symbol[:, None] * np.fft.rfft(np.eye(d), axis=0), n=d, axis=0)
+
+
 def random_model(variant, d, seed, acts=("sigmoid", "linear"), hidden=12,
                  system="vbe", L=1.0):
     sizes = [d, hidden, d]
@@ -26,10 +31,11 @@ def random_model(variant, d, seed, acts=("sigmoid", "linear"), hidden=12,
 class TestRhsEval:
     def test_fixed_linear_with_zero_net_is_pure_matrix(self):
         d = 8
-        mat = node.true_linear_matrix("vbe", d, 1.0, viscosity=1e-2)
-        model = node.RhsModel("fixed-linear", zero_mlp(d), fixed_matrix=mat)
+        symbol = sp.linear_symbol("vbe", d, 1.0, viscosity=1e-2)
+        model = node.RhsModel("fixed-linear", zero_mlp(d), fixed_symbol=symbol)
         u = np.arange(d, dtype=float)
-        assert np.array_equal(node.rhs_eval(model, u), mat @ u)
+        mat = dense_from_symbol(symbol, d)
+        assert np.max(np.abs(node.rhs_eval(model, u) - mat @ u)) < 1e-14
 
     def test_zero_stencil_equals_bare_network(self):
         d = 8
@@ -77,8 +83,9 @@ class TestIntegrate:
 
     def test_matches_matrix_exponential(self):
         d = 8
-        mat = node.true_linear_matrix("vbe", d, 1.0, viscosity=5e-3)
-        model = node.RhsModel("fixed-linear", zero_mlp(d), fixed_matrix=mat)
+        symbol = sp.linear_symbol("vbe", d, 1.0, viscosity=5e-3)
+        model = node.RhsModel("fixed-linear", zero_mlp(d), fixed_symbol=symbol)
+        mat = dense_from_symbol(symbol, d)
         u0 = np.random.default_rng(1).standard_normal(d)
         t = 0.5
         out = node.integrate(model, u0, t, 50)
@@ -187,7 +194,7 @@ class TestLossGradient:
                         stencil.taps + sign * step * direction.taps,
                         stencil.symmetric)
                 shifted = node.RhsModel(model.variant, mlp,
-                                        fixed_matrix=model.fixed_matrix,
+                                        fixed_symbol=model.fixed_symbol,
                                         stencil=stencil)
                 pred, _ = node._rk4_forward(shifted, u0, tau / steps, steps, False)
                 return np.mean(np.abs(pred - u1))
@@ -340,16 +347,18 @@ class TestRollout:
 class TestTruePhysics:
     def test_vbe_matrix_symbol(self):
         d, L, nu = 32, 1.0, 8e-4
-        mat = node.true_linear_matrix("vbe", d, L, nu)
+        mat = dense_from_symbol(sp.linear_symbol("vbe", d, L, nu), d)
         x = np.arange(d) * L / d
         u = np.sin(2 * np.pi * 3 * x / L)
         q3 = 2 * np.pi * 3 / L
         assert np.allclose(mat @ u, -nu * q3**2 * u, atol=1e-10)
-        assert np.array_equal(mat, mat.T)
+        assert np.allclose(mat, mat.T, rtol=0.0, atol=1e-15)
+        rhs = node.TrueRhs("vbe", d, L, nu)
+        assert np.allclose(rhs.linear_apply(u), mat @ u, atol=1e-12)
 
     def test_kse_matrix_symbol(self):
         d, L = 64, 22.0
-        mat = node.true_linear_matrix("kse", d, L)
+        mat = dense_from_symbol(sp.linear_symbol("kse", d, L), d)
         x = np.arange(d) * L / d
         u = np.cos(2 * np.pi * 4 * x / L)
         q4 = 2 * np.pi * 4 / L
@@ -371,6 +380,25 @@ class TestTruePhysics:
         assert np.max(np.abs(tend - fd)) < 1e-3 * max(1.0, np.max(np.abs(tend)))
 
 
+class TestStableSubsteps:
+    @pytest.mark.parametrize("system,d,length,tau", [("kse", 32, 22.0, 0.25),
+                                                    ("vbe", 512, 1.0, 0.05)])
+    def test_fewest_substeps_keeping_damped_modes_damped(self, system, d, length, tau):
+        symbol = sp.linear_symbol(system, d, length)
+        damped = symbol[symbol < 0]
+
+        def worst(n):
+            z = tau / n * damped
+            return np.max(np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24))
+
+        n = node.min_stable_substeps(symbol, tau)
+        assert n > 5
+        assert worst(n) <= 1.0 < worst(n - 1)
+
+    def test_no_damped_mode_needs_one(self):
+        assert node.min_stable_substeps(np.array([0.0, 0.5, 2.0]), 10.0) == 1
+
+
 class TestPersistence:
     def test_learned_linear_round_trip(self, tmp_path):
         model = random_model("learned-linear", 8, seed=1)
@@ -382,13 +410,13 @@ class TestPersistence:
                    zip(model.mlp.weights, back.mlp.weights))
         assert np.array_equal(model.stencil.taps, back.stencil.taps)
 
-    def test_fixed_linear_rebuilds_matrix_from_sidecar(self, tmp_path):
+    def test_fixed_linear_rebuilds_symbol_from_sidecar(self, tmp_path):
         model = random_model("fixed-linear", 8, seed=2)
         path = tmp_path / "m.snck"
         node.save_model(path, model, sidecar={
             "system": "vbe", "domain_length": 1.0, "viscosity": 8e-4})
         back = node.load_model(path)
-        assert np.allclose(back.fixed_matrix, model.fixed_matrix)
+        assert np.array_equal(back.fixed_symbol, model.fixed_symbol)
 
     def test_opt_state_round_trip(self, tmp_path):
         ds = tiny_vbe_dataset(n_snap=5)

@@ -1,4 +1,6 @@
-"""Eigendecomposition, projections, mode ordering, and reduced integration."""
+"""Fourier eigenbasis, projections, mode ordering, and reduced integration."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from stabnode import diffcore as dc
 from stabnode import neural_ode as node
 from stabnode import rom
+from stabnode import spectral as sp
 
 
 def zero_mlp(d, hidden=6):
@@ -15,21 +18,45 @@ def zero_mlp(d, hidden=6):
                         [np.zeros(sizes[i + 1]) for i in range(2)])
 
 
-def random_symmetric(d, seed):
+def random_basis(d, seed):
+    """Fourier eigenbasis of a random real symbol (a random symmetric circulant)."""
+    return rom.fourier_basis(np.random.default_rng(seed).standard_normal(d // 2 + 1))
+
+
+def qr_basis(d, seed):
+    """An arbitrary orthonormal basis with descending eigenvalues."""
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((d, d))
-    return 0.5 * (m + m.T)
+    vecs, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return rom.EigenBasis(np.sort(rng.standard_normal(d))[::-1], vecs)
+
+
+def dense_from_symbol(symbol, d):
+    """Dense circulant of a one-sided symbol, one column per unit impulse."""
+    return np.fft.irfft(symbol[:, None] * np.fft.rfft(np.eye(d), axis=0), n=d, axis=0)
+
+
+def dense_from_stencil(stencil, d):
+    """Dense circulant of out_j = sum_m taps_eff[m] u[(j+m) mod d]."""
+    teff = stencil.effective_taps()
+    c = stencil.width // 2
+    mat = np.zeros((d, d))
+    for m in range(-c, c + 1):
+        mat[np.arange(d), (np.arange(d) + m) % d] += teff[m + c]
+    return mat
 
 
 class TestEigSymmetric:
+    """Eigenpairs of symmetric circulant operators, written from their symbols."""
+
     def test_identity(self):
-        basis = rom.eig_symmetric(np.eye(5))
+        basis = rom.fourier_basis(np.ones(4))
         assert np.allclose(basis.eigenvalues, 1.0)
-        assert np.allclose(basis.eigenvectors.T @ basis.eigenvectors, np.eye(5),
+        assert np.allclose(basis.eigenvectors.T @ basis.eigenvectors, np.eye(6),
                            atol=1e-12)
 
     def test_two_by_two_exchange(self):
-        basis = rom.eig_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        # [[0, 1], [1, 0]] is the 2-point circulant with symbol (1, -1)
+        basis = rom.fourier_basis(np.array([1.0, -1.0]))
         assert np.allclose(basis.eigenvalues, [1.0, -1.0])
         r = 1 / np.sqrt(2)
         assert np.allclose(basis.eigenvectors[:, 0], [r, r])
@@ -39,8 +66,7 @@ class TestEigSymmetric:
         c0, c1, c2 = -2.0, 0.8, -0.1
         st = dc.ConvStencil(np.array([c2, c1, c0, c1, c2]))
         d = 16
-        mat = dc.circulant_from_taps(st.taps, d)
-        basis = rom.eig_symmetric(mat)
+        basis = rom.fourier_basis(st.symbol(d))
         k = np.arange(d)
         expected = c0 + 2 * c1 * np.cos(2 * np.pi * k / d) \
             + 2 * c2 * np.cos(4 * np.pi * k / d)
@@ -48,40 +74,74 @@ class TestEigSymmetric:
 
     @pytest.mark.parametrize("d,seed", [(8, 0), (32, 1), (64, 2), (128, 3)])
     def test_random_matrices_against_lapack(self, d, seed):
-        mat = random_symmetric(d, seed)
-        basis = rom.eig_symmetric(mat)
+        symbol = np.random.default_rng(seed).standard_normal(d // 2 + 1)
+        mat = dense_from_symbol(symbol, d)
+        basis = rom.fourier_basis(symbol)
         scale = np.linalg.norm(mat)
         residual = mat @ basis.eigenvectors - basis.eigenvectors * basis.eigenvalues
         assert np.max(np.linalg.norm(residual, axis=0)) < 1e-8 * scale
         assert np.max(np.abs(basis.eigenvectors.T @ basis.eigenvectors - np.eye(d))) < 1e-10
-        assert np.all(np.diff(basis.eigenvalues) <= 1e-12)
+        assert np.all(np.diff(basis.eigenvalues) <= 0.0)
         oracle = np.sort(np.linalg.eigvalsh(mat))[::-1]
         assert np.allclose(basis.eigenvalues, oracle, atol=1e-9 * max(scale, 1.0))
 
+    @pytest.mark.parametrize("case", ["vbe", "kse", "symmetric-stencil",
+                                      "nonsymmetric-stencil"])
+    def test_dense_circulant_oracle(self, case):
+        # V diag(lambda) V^T is the symmetric part of the dense operator
+        d = 32
+        if case in ("vbe", "kse"):
+            length = 1.0 if case == "vbe" else 22.0
+            symbol = sp.linear_symbol(case, d, length, viscosity=1e-2)
+            mat = dense_from_symbol(symbol, d)
+        else:
+            st = dc.ConvStencil(np.array([0.3, -1.2, 0.5, 0.9, -0.4]),
+                                symmetric=case == "symmetric-stencil")
+            symbol = st.symbol(d)
+            mat = dense_from_stencil(st, d)
+        if case == "nonsymmetric-stencil":
+            with pytest.warns(UserWarning, match="not symmetric"):
+                basis = rom.fourier_basis(symbol)
+            assert np.max(np.abs(mat - mat.T)) > 0.1
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                basis = rom.fourier_basis(symbol)
+        assert np.array_equal(np.sort(basis.eigenvalues),
+                              np.sort(np.concatenate([symbol.real, symbol.real[1:-1]])))
+        vecs = basis.eigenvectors
+        rebuilt = vecs @ np.diag(basis.eigenvalues) @ vecs.T
+        scale = np.max(np.abs(mat))
+        assert np.max(np.abs(rebuilt - 0.5 * (mat + mat.T))) < 1e-12 * scale
+
     def test_sign_convention_deterministic(self):
-        mat = random_symmetric(12, 7)
-        a = rom.eig_symmetric(mat)
-        b = rom.eig_symmetric(mat.copy())
+        a = random_basis(12, 7)
+        b = random_basis(12, 7)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
         picks = np.argmax(np.abs(a.eigenvectors), axis=0)
         assert np.all(a.eigenvectors[picks, np.arange(12)] > 0)
 
-    def test_asymmetric_rejected(self):
-        mat = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            rom.eig_symmetric(mat)
+    def test_degenerate_pair_cosine_first(self):
+        # equal eigenvalues keep column order: cos(2 pi k j/d) before sin
+        d = 8
+        basis = rom.fourier_basis(np.array([0.0, 3.0, -1.0, -2.0, -5.0]))
+        j = np.arange(d)
+        assert np.array_equal(basis.eigenvalues, [3, 3, 0, -1, -1, -2, -2, -5])
+        assert np.allclose(basis.eigenvectors[:, 0], np.cos(2 * np.pi * j / d) / 2)
+        assert np.allclose(np.abs(basis.eigenvectors[:, 1]),
+                           np.abs(np.sin(2 * np.pi * j / d)) / 2)
 
 
 class TestProjectors:
     def test_full_retention(self):
-        basis = rom.eig_symmetric(random_symmetric(6, 1))
+        basis = qr_basis(6, 1)
         p, q = rom.projectors(basis, 6)
         assert np.allclose(p, np.eye(6), atol=1e-10)
         assert np.max(np.abs(q)) < 1e-10
 
     @pytest.mark.parametrize("d_p", [1, 3, 5])
     def test_projector_algebra(self, d_p):
-        basis = rom.eig_symmetric(random_symmetric(8, 2))
+        basis = random_basis(8, 2)
         p, q = rom.projectors(basis, d_p)
         assert np.allclose(p + q, np.eye(8), atol=1e-10)
         assert np.allclose(p @ p, p, atol=1e-10)
@@ -100,7 +160,7 @@ class _SpanRhs:
 
 class TestVarianceSort:
     def test_constant_snapshots_fall_back_to_eigenvalue_order(self):
-        basis = rom.eig_symmetric(random_symmetric(6, 3))
+        basis = random_basis(6, 3)
         model = _SpanRhs(np.zeros(6))
         snaps = np.tile(np.arange(6.0), (10, 1))
         out = rom.variance_sort(basis, model, snaps)
@@ -108,7 +168,7 @@ class TestVarianceSort:
         assert out.ordering == "variance"
 
     def test_single_active_direction_sorts_first(self):
-        basis = rom.eig_symmetric(random_symmetric(6, 4))
+        basis = qr_basis(6, 4)
         target = basis.eigenvectors[:, 4]
         model = _SpanRhs(target)
         rng = np.random.default_rng(0)
@@ -117,7 +177,7 @@ class TestVarianceSort:
         assert np.allclose(np.abs(out.eigenvectors[:, 0]), np.abs(target))
 
     def test_sign_flip_invariant(self):
-        basis = rom.eig_symmetric(random_symmetric(6, 5))
+        basis = qr_basis(6, 5)
         flipped = rom.EigenBasis(basis.eigenvalues.copy(),
                                  basis.eigenvectors * -1.0, basis.ordering)
         model = _SpanRhs(basis.eigenvectors[:, 2])
@@ -127,26 +187,26 @@ class TestVarianceSort:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
     def test_empty_snapshots_rejected(self):
-        basis = rom.eig_symmetric(np.eye(4))
+        basis = rom.fourier_basis(np.ones(3))
         with pytest.raises(ValueError):
             rom.variance_sort(basis, _SpanRhs(np.zeros(4)), np.zeros((0, 4)))
 
 
 def stabilized_model(d, seed=0, zero_net=False):
-    mat = node.true_linear_matrix("kse", d, 22.0)
+    symbol = sp.linear_symbol("kse", d, 22.0)
     if zero_net:
         mlp = zero_mlp(d)
     else:
         mlp = dc.init_mlp([d, 10, d], ["sigmoid", "linear"],
                           ("normal", 0.0, 0.02), seed)
-    return node.RhsModel("fixed-linear", mlp, fixed_matrix=mat)
+    return node.RhsModel("fixed-linear", mlp, fixed_symbol=symbol)
 
 
 class TestGalerkinRhs:
     def test_zero_nonlinearity_decouples(self):
         d = 8
         model = stabilized_model(d, zero_net=True)
-        basis = rom.eig_symmetric(model.linear_matrix())
+        basis = rom.fourier_basis(model.linear_symbol())
         p = np.arange(1.0, 5.0)
         out = rom.galerkin_rhs(basis, 4, model, p)
         assert np.allclose(out, basis.eigenvalues[:4] * p, atol=1e-12)
@@ -154,7 +214,7 @@ class TestGalerkinRhs:
     def test_full_retention_matches_conjugated_rhs(self):
         d = 8
         model = stabilized_model(d, seed=1)
-        basis = rom.eig_symmetric(model.linear_matrix())
+        basis = rom.fourier_basis(model.linear_symbol())
         p = np.random.default_rng(2).standard_normal(d)
         out = rom.galerkin_rhs(basis, d, model, p)
         u = basis.eigenvectors @ p
@@ -164,7 +224,7 @@ class TestGalerkinRhs:
     def test_matches_direct_evaluation(self):
         d = 8
         model = stabilized_model(d, seed=3)
-        basis = rom.eig_symmetric(model.linear_matrix())
+        basis = rom.fourier_basis(model.linear_symbol())
         d_p = 5
         p = np.random.default_rng(4).standard_normal(d_p)
         out = rom.galerkin_rhs(basis, d_p, model, p)
@@ -174,7 +234,7 @@ class TestGalerkinRhs:
 
     def test_bare_nonlinear_model_rejected(self):
         d = 6
-        basis = rom.eig_symmetric(np.eye(d))
+        basis = rom.fourier_basis(np.ones(d // 2 + 1))
         model = node.RhsModel("nonlinear", zero_mlp(d))
         with pytest.raises(ValueError):
             rom.galerkin_rhs(basis, 3, model, np.zeros(3))
@@ -184,7 +244,7 @@ class TestUnresolvedCorrection:
     def test_zero_nonlinearity_gives_zero(self):
         d = 8
         model = stabilized_model(d, zero_net=True)
-        basis = rom.eig_symmetric(model.linear_matrix())
+        basis = rom.fourier_basis(model.linear_symbol())
         # d_p = 7 keeps the conserved-mean (zero-eigenvalue) mode resolved
         q = rom.unresolved_correction(basis, 7, model, np.ones(7))
         assert np.max(np.abs(q)) == 0.0
@@ -192,7 +252,7 @@ class TestUnresolvedCorrection:
     def test_single_iteration_matches_dense_solve(self):
         d = 10
         model = stabilized_model(d, seed=5)
-        basis = rom.eig_symmetric(model.linear_matrix())
+        basis = rom.fourier_basis(model.linear_symbol())
         d_p = 7
         p = 0.3 * np.random.default_rng(6).standard_normal(d_p)
         q = rom.unresolved_correction(basis, d_p, model, p)
@@ -204,7 +264,7 @@ class TestUnresolvedCorrection:
     def test_fixed_point_residual_decreases(self):
         d = 12
         model = stabilized_model(d, seed=7)
-        basis = rom.eig_symmetric(model.linear_matrix())
+        basis = rom.fourier_basis(model.linear_symbol())
         d_p = 7
         vp, vq = basis.leading(d_p), basis.trailing(d_p)
         lam_q = basis.eigenvalues[d_p:]
@@ -228,7 +288,7 @@ class TestRomIntegrate:
     def test_full_retention_matches_full_rollout(self):
         d = 8
         model = stabilized_model(d, seed=9)
-        basis = rom.eig_symmetric(model.linear_matrix())
+        basis = rom.fourier_basis(model.linear_symbol())
         u0 = 0.2 * np.random.default_rng(10).standard_normal(d)
         times, states = rom.rom_integrate(basis, d, model, u0, 0.5,
                                           mode="galerkin", save_interval=0.25,
@@ -239,7 +299,7 @@ class TestRomIntegrate:
     def test_zero_nonlinearity_exponential_modes(self):
         d = 8
         model = stabilized_model(d, zero_net=True)
-        basis = rom.eig_symmetric(model.linear_matrix())
+        basis = rom.fourier_basis(model.linear_symbol())
         d_p = 4
         p0 = np.ones(d_p)
         u0 = basis.leading(d_p) @ p0
@@ -254,7 +314,7 @@ class TestRomIntegrate:
     def test_ppg_equals_galerkin_plus_correction(self):
         d = 10
         model = stabilized_model(d, seed=11)
-        basis = rom.eig_symmetric(model.linear_matrix())
+        basis = rom.fourier_basis(model.linear_symbol())
         d_p = 7
         u0 = 0.2 * np.random.default_rng(12).standard_normal(d)
         _, plain = rom.rom_integrate(basis, d_p, model, u0, 0.2,
@@ -270,7 +330,7 @@ class TestRomIntegrate:
     def test_unknown_mode_rejected(self):
         d = 6
         model = stabilized_model(d, zero_net=True)
-        basis = rom.eig_symmetric(model.linear_matrix())
+        basis = rom.fourier_basis(model.linear_symbol())
         with pytest.raises(ValueError):
             rom.rom_integrate(basis, 3, model, np.zeros(d), 1.0, mode="spectral")
 
@@ -286,8 +346,7 @@ class TestEigenvalueGaps:
 
     def test_true_kse_operator_matches_dispersion(self):
         d, L = 64, 22.0
-        mat = node.true_linear_matrix("kse", d, L)
-        basis = rom.eig_symmetric(mat)
+        basis = rom.fourier_basis(sp.linear_symbol("kse", d, L))
         k = np.arange(d // 2 + 1)
         q = 2 * np.pi * k / L
         sym = q**2 - q**4
@@ -302,20 +361,27 @@ class TestSymmetrization:
     def test_symmetric_passthrough(self):
         d = 8
         model = stabilized_model(d, zero_net=True)
-        mat = rom.rom_linear_matrix(model)
-        assert np.array_equal(mat, model.linear_matrix())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = rom.fourier_basis(model.linear_symbol())
+        symbol = model.linear_symbol()
+        assert np.array_equal(np.sort(basis.eigenvalues),
+                              np.sort(np.concatenate([symbol, symbol[1:-1]])))
 
     def test_asymmetric_warns_and_symmetrizes(self):
+        # out_j = u_{j-1}: symbol exp(-2 pi i k/d), symmetric part cos(2 pi k/d)
         st = dc.ConvStencil(np.array([1.0, 0.0, 0.0]))
         model = node.RhsModel("learned-linear", zero_mlp(8), stencil=st)
         with pytest.warns(UserWarning):
-            mat = rom.rom_linear_matrix(model)
-        assert np.array_equal(mat, mat.T)
+            basis = rom.fourier_basis(model.linear_symbol())
+        cos = np.cos(2 * np.pi * np.arange(5) / 8)
+        assert np.allclose(np.sort(basis.eigenvalues),
+                           np.sort(np.concatenate([cos, cos[1:-1]])), atol=1e-15)
 
 
 class TestEigenbasisIO:
     def test_round_trip(self, tmp_path):
-        basis = rom.eig_symmetric(random_symmetric(10, 13))
+        basis = random_basis(10, 13)
         path = tmp_path / "basis.sneb"
         rom.write_eigenbasis(path, basis)
         back = rom.read_eigenbasis(path)
