@@ -6,11 +6,12 @@ writes a manifest (resolved config plus input hashes as comments) that
 reproduces the run bit-identically.  Relative artifact paths resolve under
 $SNODE_DATA_DIR when it is set.
 
-Exit codes: 0 success; 2 config error, including a fixed-linear `train` or
-`evaluate` whose RK4 substep tau/rollout_steps amplifies a mode the linear
-term damps; 3 numerical divergence, including a `rom` sweep with a diverged
-(non-finite KL) row, whose rows and manifest are still written; 4 I/O error
-or a corrupt (truncated, padded, bad-header or unknown-tag) binary artifact.
+Exit codes: 0 success; 2 config error, including epochs, batch_size,
+rollout_steps or n_ics below 1 and a fixed-linear `train` or `evaluate` whose
+RK4 substep tau/rollout_steps amplifies a mode the linear term damps; 3
+numerical divergence, including a `rom` sweep with a diverged (non-finite KL)
+row, whose rows and manifest are still written; 4 I/O error or a corrupt
+(truncated, padded, bad-header or unknown-tag) binary artifact.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ RETIRED_KEYS = {"threads"}
 
 def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
     """defaults <- config file <- CLI overrides; unknown keys are rejected,
-    retired keys in a config file dropped so old manifests still rerun."""
+    retired keys in a config file dropped so old manifests still rerun, and
+    `auto` accepted only for keys whose default it is."""
     file_values = {k: v for k, v in file_values.items() if k not in RETIRED_KEYS}
     for source, values in (("config file", file_values), ("command line", overrides)):
         for key in values:
@@ -116,7 +118,7 @@ def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
             raw = default
         if raw is None:
             raise ConfigError(f"missing required key {key!r}")
-        if isinstance(raw, str) and raw == AUTO:
+        if raw == AUTO and default == AUTO:
             out[key] = AUTO
             continue
         try:
@@ -262,22 +264,12 @@ TRAIN_SCHEMA = {
 }
 
 
-def _train_split(ds: sp.SnapshotDataset, sidecar: dict) -> sp.SnapshotDataset:
+def _split(ds: sp.SnapshotDataset, sidecar: dict):
+    """(train, test); a VBE dataset without test trajectories is both."""
     if ds.system == "vbe":
         n_train = int(sidecar.get("train_trajectories", ds.n_traj))
-        return ds.split_trajectories(n_train)[0] if n_train < ds.n_traj else ds
-    frac = float(sidecar.get("train_fraction", 0.8))
-    return ds.split_chronological(frac)[0]
-
-
-def _test_split(ds: sp.SnapshotDataset, sidecar: dict) -> sp.SnapshotDataset:
-    if ds.system == "vbe":
-        n_train = int(sidecar.get("train_trajectories", ds.n_traj))
-        if n_train < ds.n_traj:
-            return ds.split_trajectories(n_train)[1]
-        return ds
-    frac = float(sidecar.get("train_fraction", 0.8))
-    return ds.split_chronological(frac)[1]
+        return ds.split_trajectories(n_train) if n_train < ds.n_traj else (ds, ds)
+    return ds.split_chronological(float(sidecar.get("train_fraction", 0.8)))
 
 
 def _dataset_sidecar(dataset_path: str) -> dict:
@@ -308,6 +300,12 @@ def _resolve_train_defaults(config: dict, system: str) -> None:
         config["lr_linear"] = defaults.lr_linear
 
 
+def _require_positive(config: dict, *keys) -> None:
+    for key in keys:
+        if config[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {config[key]}")
+
+
 def _require_stable_substeps(model, tau: float, rollout_steps: int) -> None:
     """ConfigError when an RK4 substep amplifies a mode the fixed linear term damps."""
     if model.variant != "fixed-linear":
@@ -319,12 +317,13 @@ def _require_stable_substeps(model, tau: float, rollout_steps: int) -> None:
 
 
 def cmd_train(config: dict) -> int:
+    _require_positive(config, "epochs", "batch_size", "rollout_steps")
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
     sidecar = _dataset_sidecar(dataset_path)
     system = ds.system
     _resolve_train_defaults(config, system)
-    train_ds = _train_split(ds, sidecar)
+    train_ds = _split(ds, sidecar)[0]
 
     out_dir = resolve_path(config["out"])
     os.makedirs(out_dir, exist_ok=True)
@@ -428,15 +427,21 @@ def _parse_noise(spec: str):
     raise ConfigError(f"bad noise spec {spec!r}; use grid:EPS or fourier:EPS:KLO:KHI")
 
 
-def _true_solver(ds: sp.SnapshotDataset, sidecar: dict):
+def _physics(ds: sp.SnapshotDataset, sidecar: dict):
+    """(solver_step, viscosity) the dataset was generated with."""
     step = float(sidecar.get("solver_step", 1e-3 if ds.system == "vbe" else 0.05))
+    return step, float(sidecar.get("viscosity", 8e-4))
+
+
+def _true_solver(ds: sp.SnapshotDataset, sidecar: dict):
+    step, viscosity = _physics(ds, sidecar)
     if ds.system == "vbe":
-        return sp.VbeSolver(ds.d, ds.domain_length,
-                            float(sidecar.get("viscosity", 8e-4)), step), step
+        return sp.VbeSolver(ds.d, ds.domain_length, viscosity, step), step
     return sp.KseSolver(ds.d, ds.domain_length, step), step
 
 
 def cmd_evaluate(config: dict) -> int:
+    _require_positive(config, "rollout_steps", "n_ics")
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
     sidecar = _dataset_sidecar(dataset_path)
@@ -447,7 +452,7 @@ def cmd_evaluate(config: dict) -> int:
     if config["horizon"] == AUTO:
         config["horizon"] = 5.0 if ds.system == "vbe" else 90.0
 
-    test_ds = _test_split(ds, sidecar)
+    test_ds = _split(ds, sidecar)[1]
     meta = {"dataset": os.path.basename(dataset_path),
             "checkpoint": os.path.basename(config["checkpoint"]),
             "noise": config["noise"], "seed": config["seed"],
@@ -455,9 +460,10 @@ def cmd_evaluate(config: dict) -> int:
     metric = config["metric"]
 
     if metric == "lyapunov":
+        step, viscosity = _physics(ds, sidecar)
         est = mt.lyapunov_time_estimate(
             system=ds.system, d=ds.d, domain_length=ds.domain_length,
-            solver_step=float(sidecar.get("solver_step", 0.05)),
+            solver_step=step, viscosity=viscosity,
             total_time=config["lyapunov_total_time"], seed=config["seed"])
         path = os.path.join(out_dir, "lyapunov.csv")
         with open(path, "w") as fh:
@@ -594,7 +600,7 @@ def cmd_rom(config: dict) -> int:
 
     basis = rom_mod.fourier_basis(model.linear_symbol())
     if config["sort"] == "variance":
-        test_ds = _test_split(ds, sidecar)
+        test_ds = _split(ds, sidecar)[1]
         basis = rom_mod.variance_sort(basis, model, test_ds.snapshots())
     elif config["sort"] != "eigenvalue":
         raise ConfigError(f"unknown sort {config['sort']!r}")
@@ -717,12 +723,10 @@ def _add_common(sub):
                      help="override any config key")
 
 
-def _collect_overrides(args, mapping: dict) -> dict:
-    overrides = {}
-    for flag, key in mapping.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[key] = val
+def _collect_overrides(args) -> dict:
+    """Every flag given on the command line, then each --set KEY=VALUE."""
+    overrides = {key: val for key, val in vars(args).items()
+                 if val is not None and key not in ("command", "config", "set")}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -785,21 +789,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "generate": (cmd_generate, None,
-                 {"system": "system", "out": "out", "train_ics": "train_ics",
-                  "test_ics": "test_ics", "horizon": "horizon", "seed": "seed"}),
-    "train": (cmd_train, TRAIN_SCHEMA,
-              {"dataset": "dataset", "variant": "variant", "out": "out",
-               "epochs": "epochs", "seed": "seed", "resume": "resume"}),
-    "evaluate": (cmd_evaluate, EVALUATE_SCHEMA,
-                 {"dataset": "dataset", "checkpoint": "checkpoint", "out": "out",
-                  "metric": "metric", "noise": "noise", "times": "times",
-                  "seed": "seed"}),
-    "rom": (cmd_rom, ROM_SCHEMA,
-            {"dataset": "dataset", "rhs": "rhs", "mode": "mode", "sort": "sort",
-             "dp": "dp", "out": "out"}),
-    "stencil-report": (cmd_stencil_report, STENCIL_SCHEMA,
-                       {"checkpoint": "checkpoint", "out": "out"}),
+    "generate": (cmd_generate, None),
+    "train": (cmd_train, TRAIN_SCHEMA),
+    "evaluate": (cmd_evaluate, EVALUATE_SCHEMA),
+    "rom": (cmd_rom, ROM_SCHEMA),
+    "stencil-report": (cmd_stencil_report, STENCIL_SCHEMA),
 }
 
 
@@ -814,9 +808,9 @@ def _generate_schema(file_values: dict, overrides: dict) -> dict:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    runner, schema, flag_map = _COMMANDS[args.command]
+    runner, schema = _COMMANDS[args.command]
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = _collect_overrides(args, flag_map)
+    overrides = _collect_overrides(args)
     if args.command == "generate":
         schema = _generate_schema(file_values, overrides)
     config = resolve_config(schema, file_values, overrides)

@@ -1,11 +1,13 @@
 """Hand-rolled reverse-mode kernels for the two learned layer types.
 
-Fully connected networks and circular-convolution stencils, each with exact
-vector-Jacobian products for inputs and parameters.  Forward passes accept a
-single state of length d or a batch shaped (n, d); parameter gradients are
-accumulated (summed) over the batch, so callers fold any averaging into the
-cotangent.  No computation graph: a forward call returns a one-shot tape that
-its matching backward call consumes.
+Fully connected networks, with exact vector-Jacobian products for inputs and
+parameters, and circular-convolution stencils, held as their Fourier symbol
+(:meth:`ConvStencil.symbol`) with the tap gradient as one FFT
+cross-correlation.  Forward passes accept a single state of length d or a
+batch shaped (n, d); parameter gradients are accumulated (summed) over the
+batch, so callers fold any averaging into the cotangent.  No computation
+graph: a forward call returns a one-shot tape that its matching backward
+call consumes.
 """
 
 from __future__ import annotations
@@ -107,6 +109,20 @@ class ConvStencil:
         odd = np.sin(theta) @ (teff[c + m] - teff[c - m])
         return teff[c] + even + 1j * odd
 
+    def tap_gradient(self, u: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+        """Gradient of sum(cotangent * A u) in the taps, summed over a batch.
+
+        The circular cross-correlation sum_j g_j u[(j+m) mod d] at offsets
+        m = -c..c, taken in Fourier space; folded by the symmetrization chain
+        rule when the stencil is symmetric.
+        """
+        d = u.shape[-1]
+        spectrum = np.conj(np.fft.rfft(cotangent)) * np.fft.rfft(u)
+        c = self.width // 2
+        grad = np.fft.irfft(spectrum.reshape(-1, d // 2 + 1).sum(axis=0),
+                            n=d)[np.arange(-c, c + 1)]
+        return grad + grad[::-1] if self.symmetric else grad
+
 
 class MlpTape:
     """Retained activations from one forward call; single use."""
@@ -178,45 +194,6 @@ def mlp_backward(params: MlpParams, tape: MlpTape, cotangent: np.ndarray):
         grad_b[i] = gz.sum(axis=0)
         g = gz @ params.weights[i].T
     return MlpGrads(grad_w, grad_b), (g[0] if squeeze else g)
-
-
-def conv_apply(stencil: ConvStencil, u: np.ndarray) -> np.ndarray:
-    """Circular correlation out_j = sum_m taps_eff[m] u[(j+m) mod d]."""
-    u = np.asarray(u, dtype=np.float64)
-    d = u.shape[-1]
-    if stencil.width >= d:
-        raise ValueError("stencil width must be smaller than the grid")
-    teff = stencil.effective_taps()
-    c = stencil.width // 2
-    out = np.zeros_like(u)
-    for m in range(-c, c + 1):
-        out += teff[m + c] * np.roll(u, -m, axis=-1)
-    return out
-
-
-def conv_backward(stencil: ConvStencil, u: np.ndarray, cotangent: np.ndarray):
-    """Exact VJP; returns (tap gradient, input cotangent).
-
-    The input cotangent is correlation with the reversed effective taps; the
-    tap gradient folds the symmetrization chain rule when the stencil is
-    symmetric.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    g = np.asarray(cotangent, dtype=np.float64)
-    if g.shape != u.shape:
-        raise ValueError("cotangent shape does not match input")
-    teff = stencil.effective_taps()
-    c = stencil.width // 2
-    grad_in = np.zeros_like(g)
-    grad_teff = np.empty(stencil.width)
-    for m in range(-c, c + 1):
-        grad_in += teff[m + c] * np.roll(g, m, axis=-1)
-        grad_teff[m + c] = np.sum(g * np.roll(u, -m, axis=-1))
-    if stencil.symmetric:
-        grad_taps = grad_teff + grad_teff[::-1]
-    else:
-        grad_taps = grad_teff
-    return grad_taps, grad_in
 
 
 def _draw(rng, dist, shape):

@@ -2,12 +2,13 @@
 
 Three RHS variants: a bare nonlinear network, a nonlinear network plus the
 true (fixed) linear operator, and a nonlinear network plus a learned
-circular-convolution operator.  States advance with classical RK4;
+circular-convolution operator.  Either linear branch is a circulant operator
+applied through its Fourier symbol.  States advance with classical RK4;
 parameter gradients come from the discrete adjoint, i.e. exact
 reverse-mode propagation through every RK4 stage.  Training minimizes the
 elementwise-mean L1 mismatch of one-interval predictions with an
-adaptive-moment optimizer whose two parameter groups (nonlinear branch,
-linear branch) follow staged learning rates.
+adaptive-moment optimizer over the model's parameter list, whose two groups
+(network, stencil taps) follow staged learning rates.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class TrainingDiverged(RuntimeError):
 class RhsModel:
     """du/dt model: optional explicit linear branch plus a network branch.
 
-    The fixed-linear branch is the circulant operator with the real one-sided
-    symbol ``fixed_symbol`` (k = 0..d/2), so it is self-adjoint.
+    Either linear branch is the circulant operator with a one-sided symbol
+    (k = 0..d/2): the real ``fixed_symbol``, or the learned stencil's.
     """
 
     variant: str
@@ -82,12 +83,18 @@ class RhsModel:
     def width(self) -> int:
         return self.mlp.layer_sizes[0]
 
+    def parameters(self) -> list:
+        """Trainable tensors in gradient and optimizer order: network weights,
+        network biases, then the stencil taps if there is a stencil."""
+        params = self.mlp.weights + self.mlp.biases
+        if self.stencil is not None:
+            params.append(self.stencil.taps)
+        return params
+
     def linear_apply(self, u: np.ndarray) -> np.ndarray:
-        if self.variant == "fixed-linear":
-            return apply_symbol(self.fixed_symbol, u)
-        if self.variant == "learned-linear":
-            return dc.conv_apply(self.stencil, u)
-        return np.zeros_like(u)
+        if self.variant == "nonlinear":
+            return np.zeros_like(u)
+        return apply_symbol(self.linear_symbol(), u)
 
     def nonlinear_apply(self, u: np.ndarray) -> np.ndarray:
         out, _ = dc.mlp_forward(self.mlp, u)
@@ -117,48 +124,20 @@ def rhs_eval(model, u: np.ndarray) -> np.ndarray:
     return model.eval(np.asarray(u, dtype=np.float64))
 
 
-@dataclass
-class ModelGrads:
-    """Gradient tree congruent with RhsModel's trainable parameters."""
-
-    mlp: dc.MlpGrads
-    taps: np.ndarray | None
-
-    @classmethod
-    def zeros(cls, model: RhsModel) -> "ModelGrads":
-        mlp = dc.MlpGrads([np.zeros_like(w) for w in model.mlp.weights],
-                          [np.zeros_like(b) for b in model.mlp.biases])
-        taps = None
-        if model.variant == "learned-linear":
-            taps = np.zeros_like(model.stencil.taps)
-        return cls(mlp, taps)
-
-    def add_mlp(self, grads: dc.MlpGrads) -> None:
-        for acc, g in zip(self.mlp.weights, grads.weights):
-            acc += g
-        for acc, g in zip(self.mlp.biases, grads.biases):
-            acc += g
-
-    def dot(self, other: "ModelGrads") -> float:
-        total = sum(np.sum(a * b) for a, b in zip(self.mlp.weights, other.mlp.weights))
-        total += sum(np.sum(a * b) for a, b in zip(self.mlp.biases, other.mlp.biases))
-        if self.taps is not None:
-            total += np.sum(self.taps * other.taps)
-        return float(total)
-
-
 def _rhs_vjp(model: RhsModel, x: np.ndarray, cotangent: np.ndarray,
-             grads: ModelGrads) -> np.ndarray:
-    """Accumulate parameter gradients; return the input cotangent."""
+             grads: list) -> np.ndarray:
+    """Accumulate into ``grads`` (one array per model parameter); return the
+    input cotangent."""
     _, tape = dc.mlp_forward(model.mlp, x)
     mlp_grads, gin = dc.mlp_backward(model.mlp, tape, cotangent)
-    grads.add_mlp(mlp_grads)
-    if model.variant == "fixed-linear":
-        gin = gin + apply_symbol(model.fixed_symbol, cotangent)
-    elif model.variant == "learned-linear":
-        tap_g, lin_gin = dc.conv_backward(model.stencil, x, cotangent)
-        grads.taps += tap_g
-        gin = gin + lin_gin
+    parts = mlp_grads.weights + mlp_grads.biases
+    if model.variant != "nonlinear":
+        # a real circulant's adjoint has the conjugate symbol
+        gin = gin + apply_symbol(np.conj(model.linear_symbol()), cotangent)
+    if model.stencil is not None:
+        parts.append(model.stencil.tap_gradient(x, cotangent))
+    for acc, g in zip(grads, parts):
+        acc += g
     return gin
 
 
@@ -184,7 +163,7 @@ def _rk4_forward(model, u, h: float, nsteps: int, record: bool):
 
 
 def _rk4_backward(model: RhsModel, stages, h: float, cotangent: np.ndarray,
-                  grads: ModelGrads) -> np.ndarray:
+                  grads: list) -> np.ndarray:
     w = cotangent
     for x1, x2, x3, x4 in reversed(stages):
         gx4 = _rhs_vjp(model, x4, (h / 6.0) * w, grads)
@@ -229,8 +208,9 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
     """One-interval L1 loss and its discrete-adjoint parameter gradient.
 
     The L1 subgradient at exactly zero residual is taken as zero.  Returns
-    (loss, ModelGrads); gradients are means over the batch and grid, matching
-    the loss normalization.
+    (loss, grads), one gradient per ``model.parameters()`` entry in that
+    order; gradients are means over the batch and grid, matching the loss
+    normalization.
     """
     u_start = np.atleast_2d(np.asarray(u_start, dtype=np.float64))
     u_end = np.atleast_2d(np.asarray(u_end, dtype=np.float64))
@@ -243,7 +223,7 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
     residual = pred - u_end
     loss = float(np.mean(np.abs(residual)))
     cotangent = np.sign(residual) / residual.size
-    grads = ModelGrads.zeros(model)
+    grads = [np.zeros_like(p) for p in model.parameters()]
     _rk4_backward(model, stages, h, cotangent, grads)
     return loss, grads
 
@@ -318,12 +298,7 @@ class TrainConfig:
 
 def vbe_train_config(epochs: int, variant: str, **kw) -> TrainConfig:
     """Staged learning rates for the Burgers setup."""
-    if variant == "fixed-linear":
-        lr_nl = (1e-3, 1e-4, 1e-5)
-    elif variant == "learned-linear":
-        lr_nl = (1e-3, 1e-4)
-    else:
-        lr_nl = (1e-3, 1e-4, 1e-5)
+    lr_nl = (1e-3, 1e-4) if variant == "learned-linear" else (1e-3, 1e-4, 1e-5)
     lr_lin = (1e0, 1e-1, 1e-2) if variant == "learned-linear" else ()
     return TrainConfig(epochs, lr_nl, lr_lin, **kw)
 
@@ -335,39 +310,29 @@ def kse_train_config(epochs: int, variant: str, **kw) -> TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators, one pair per parameter tensor."""
+    """First/second moment accumulators, one pair per ``model.parameters()``
+    tensor."""
 
     def __init__(self, model: RhsModel):
         self.t = 0
-        self.m_w = [np.zeros_like(w) for w in model.mlp.weights]
-        self.v_w = [np.zeros_like(w) for w in model.mlp.weights]
-        self.m_b = [np.zeros_like(b) for b in model.mlp.biases]
-        self.v_b = [np.zeros_like(b) for b in model.mlp.biases]
-        self.m_t = self.v_t = None
-        if model.variant == "learned-linear":
-            self.m_t = np.zeros_like(model.stencil.taps)
-            self.v_t = np.zeros_like(model.stencil.taps)
+        self.m = [np.zeros_like(p) for p in model.parameters()]
+        self.v = [np.zeros_like(p) for p in model.parameters()]
 
-    def _step_tensor(self, param, grad, m, v, lr):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        mhat = m / (1.0 - ADAM_BETA1**self.t)
-        vhat = v / (1.0 - ADAM_BETA2**self.t)
-        param -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-
-    def update(self, model: RhsModel, grads: ModelGrads,
+    def update(self, model: RhsModel, grads: list,
                lr_nonlinear: float, lr_linear: float) -> None:
+        """One step; the stencil taps take ``lr_linear``, the network the other."""
         self.t += 1
-        for i in range(model.mlp.n_layers):
-            self._step_tensor(model.mlp.weights[i], grads.mlp.weights[i],
-                              self.m_w[i], self.v_w[i], lr_nonlinear)
-            self._step_tensor(model.mlp.biases[i], grads.mlp.biases[i],
-                              self.m_b[i], self.v_b[i], lr_nonlinear)
-        if model.variant == "learned-linear":
-            self._step_tensor(model.stencil.taps, grads.taps,
-                              self.m_t, self.v_t, lr_linear)
+        n_network = 2 * model.mlp.n_layers
+        for i, (param, grad, m, v) in enumerate(
+                zip(model.parameters(), grads, self.m, self.v)):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            mhat = m / (1.0 - ADAM_BETA1**self.t)
+            vhat = v / (1.0 - ADAM_BETA2**self.t)
+            lr = lr_nonlinear if i < n_network else lr_linear
+            param -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 @dataclass
@@ -515,13 +480,18 @@ def read_sidecar(path) -> dict:
     return meta
 
 
+def _opt_tensors(adam: AdamState) -> list:
+    """Moments in SNOP file order: m, v of the weights, of the biases, then of
+    the taps (absent without a stencil)."""
+    n = len(adam.m) // 2  # network layers; an odd length adds the taps
+    groups = (slice(0, n), slice(n, 2 * n), slice(2 * n, None))
+    return [t for g in groups for t in adam.m[g] + adam.v[g]]
+
+
 def save_opt_state(path, adam: AdamState) -> None:
-    tensors = adam.m_w + adam.v_w + adam.m_b + adam.v_b
-    if adam.m_t is not None:
-        tensors += [adam.m_t, adam.v_t]
     with open(path, "wb") as fh:
         fh.write(OPT_STATE_MAGIC + struct.pack("<Q", adam.t))
-        for t in tensors:
+        for t in _opt_tensors(adam):
             fh.write(np.asarray(t, dtype="<f8").tobytes())
 
 
@@ -531,10 +501,7 @@ def load_opt_state(path, model: RhsModel) -> AdamState:
         if read_exact(fh, 4) != OPT_STATE_MAGIC:
             raise ArtifactError(f"{path}: not an optimizer-state file")
         (adam.t,) = struct.unpack("<Q", read_exact(fh, 8))
-        tensors = adam.m_w + adam.v_w + adam.m_b + adam.v_b
-        if adam.m_t is not None:
-            tensors += [adam.m_t, adam.v_t]
-        for t in tensors:
+        for t in _opt_tensors(adam):
             t[...] = read_f8(fh, t.size).reshape(t.shape)
         expect_end(fh)
     return adam

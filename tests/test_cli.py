@@ -1,5 +1,6 @@
 """End-to-end command pipeline: configs, manifests, artifacts, exit codes."""
 
+import functools
 import os
 import re
 
@@ -41,6 +42,11 @@ class TestConfig:
         code = run_cli("generate", "--system", "vbe", "--out", str(out),
                        "--set", "tpyo=1")
         assert code == 2
+
+    def test_auto_only_where_default_is_auto(self, tmp_path):
+        out = tmp_path / "x.snod"
+        assert run_cli(*tiny_vbe_args(out), "--set", "train_ics=auto") == 2
+        assert not out.exists()
 
     def test_malformed_line_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -250,6 +256,21 @@ class TestTrain:
         assert run_cli(*evaluate, "--set", f"rollout_steps={need}") == 0
 
 
+@pytest.mark.parametrize("command,setting", [
+    ("train", "rollout_steps=0"), ("train", "batch_size=0"), ("train", "epochs=0"),
+    ("train", "epochs=-3"), ("evaluate", "rollout_steps=0"),
+    ("evaluate", "n_ics=0")])
+def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
+                                           command, setting, capsys):
+    argv = {"train": ["train", "--variant", "nonlinear", "--set", "hidden=4"],
+            "evaluate": ["evaluate", "--checkpoint", str(trained_dir / "model.snck"),
+                         "--set", "horizon=0.1"]}[command]
+    code = run_cli(*argv, "--dataset", str(vbe_dataset), "--out", str(tmp_path / "o"),
+                   "--set", setting)
+    assert code == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_error_metric(self, tmp_path, vbe_dataset, trained_dir):
         out = tmp_path / "eval"
@@ -318,6 +339,28 @@ class TestEvaluate:
         assert code == 0
         for name in ("model_pdf.snpd", "true_pdf.snpd", "pdf_kl.csv"):
             assert (out / name).exists()
+
+    def test_lyapunov_uses_dataset_physics(self, tmp_path, monkeypatch):
+        data = tmp_path / "v.snod"
+        assert run_cli("generate", "--system", "vbe", "--out", str(data),
+                       "--train-ics", "1", "--test-ics", "0", "--set", "d=32",
+                       "--set", "horizon=0.1", "--set", "solver_step=0.01",
+                       "--set", "viscosity=4e-3") == 0
+        assert run_cli("train", "--dataset", str(data), "--variant", "nonlinear",
+                       "--out", str(tmp_path / "run"), "--epochs", "1",
+                       "--set", "hidden=4") == 0
+        # a short transient keeps the test fast; the CLI and the direct call share it
+        estimate = functools.partial(mt.lyapunov_time_estimate, transient=1.0)
+        monkeypatch.setattr(mt, "lyapunov_time_estimate", estimate)
+        out = tmp_path / "eval"
+        assert run_cli("evaluate", "--dataset", str(data), "--checkpoint",
+                       str(tmp_path / "run" / "model.snck"), "--out", str(out),
+                       "--metric", "lyapunov",
+                       "--set", "lyapunov_total_time=5.0") == 0
+        direct = estimate(system="vbe", d=32, domain_length=1.0, solver_step=0.01,
+                          viscosity=4e-3, total_time=5.0, seed=0)
+        row = (out / "lyapunov.csv").read_text().splitlines()[-1]
+        assert row.split(",")[0] == mt.fmt(direct.exponent)
 
     def test_bad_metric_config_error(self, tmp_path, vbe_dataset, trained_dir):
         code = run_cli("evaluate", "--dataset", str(vbe_dataset),

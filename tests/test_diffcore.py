@@ -173,10 +173,38 @@ def _near_relu_kink(params, u, tol=1e-4):
     return False
 
 
+def stencil_apply(st, u):
+    """The stencil's operator, applied through its symbol as the model does."""
+    return sp.apply_symbol(st.symbol(u.shape[-1]), u)
+
+
+def stencil_vjp(st, u, g):
+    """(tap gradient, input cotangent) of stencil_apply, as the model takes them."""
+    return st.tap_gradient(u, g), sp.apply_symbol(np.conj(st.symbol(u.shape[-1])), g)
+
+
+def roll_correlation(st, u):
+    # oracle: out_j = sum_m taps_eff[m] u[(j+m) mod d], one shifted copy per tap
+    teff = st.effective_taps()
+    c = st.width // 2
+    return sum(teff[m + c] * np.roll(u, -m, axis=-1) for m in range(-c, c + 1))
+
+
+def roll_correlation_vjp(st, u, g):
+    # oracle VJP of roll_correlation, tap gradient summed over a batch
+    teff = st.effective_taps()
+    c = st.width // 2
+    grad_in = sum(teff[m + c] * np.roll(g, m, axis=-1) for m in range(-c, c + 1))
+    grad_teff = np.array([np.sum(g * np.roll(u, -m, axis=-1)) for m in range(-c, c + 1)])
+    if st.symmetric:
+        grad_teff = grad_teff + grad_teff[::-1]
+    return grad_teff, grad_in
+
+
 class TestConv:
     def test_zero_sum_stencil_kills_constants(self):
         st = dc.ConvStencil(np.array([1.0, -2.0, 1.0]))
-        out = dc.conv_apply(st, np.full(16, 4.2))
+        out = stencil_apply(st, np.full(16, 4.2))
         assert np.max(np.abs(out)) < 1e-12
 
     def test_impulse_response(self):
@@ -184,15 +212,15 @@ class TestConv:
         u = np.zeros(8)
         j = 3
         u[j] = 1.0
-        out = dc.conv_apply(st, u)
+        out = stencil_apply(st, u)
         expected = np.zeros(8)
         expected[j - 1], expected[j], expected[j + 1] = 1.0, -2.0, 1.0
-        assert np.array_equal(out, expected)
+        assert np.max(np.abs(out - expected)) < 1e-15
 
     def test_wraparound(self):
         st = dc.ConvStencil(np.array([1.0, 0.0, 0.0]))  # out_j = u_{j-1}
         u = np.arange(6.0)
-        assert np.array_equal(dc.conv_apply(st, u), np.roll(u, 1))
+        assert np.max(np.abs(stencil_apply(st, u) - np.roll(u, 1))) < 1e-15
 
     def test_symbol_matches_dense_oracle(self):
         # five-tap stencil applied to a single Fourier mode
@@ -204,11 +232,11 @@ class TestConv:
         dense = np.zeros((d, d))
         for m in range(-2, 3):
             dense[np.arange(d), (np.arange(d) + m) % d] = taps[m + 2]
-        assert np.max(np.abs(dc.conv_apply(st, u) - dense @ u)) < 1e-10
+        assert np.max(np.abs(stencil_apply(st, u) - dense @ u)) < 1e-10
         delta = L / d
         q = 2 * np.pi / L
         symbol = -413.0 + 556.0 * np.cos(q * delta) - 144.0 * np.cos(2 * q * delta)
-        assert np.max(np.abs(dc.conv_apply(st, u) - symbol * u)) < 1e-10
+        assert np.max(np.abs(stencil_apply(st, u) - symbol * u)) < 1e-10
 
     @pytest.mark.parametrize("seed", range(5))
     def test_linear_in_taps_and_input(self, seed):
@@ -219,32 +247,46 @@ class TestConv:
         t1, t2 = rng.standard_normal(5), rng.standard_normal(5)
         st1, st2 = dc.ConvStencil(t1), dc.ConvStencil(t2)
         st_sum = dc.ConvStencil(a * t1 + b * t2)
-        lhs = dc.conv_apply(st_sum, u)
-        rhs = a * dc.conv_apply(st1, u) + b * dc.conv_apply(st2, u)
+        lhs = stencil_apply(st_sum, u)
+        rhs = a * stencil_apply(st1, u) + b * stencil_apply(st2, u)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
-        lhs = dc.conv_apply(st1, a * u + b * w)
-        rhs = a * dc.conv_apply(st1, u) + b * dc.conv_apply(st1, w)
+        lhs = stencil_apply(st1, a * u + b * w)
+        rhs = a * stencil_apply(st1, u) + b * stencil_apply(st1, w)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
     def test_width_bound(self):
         st = dc.ConvStencil(np.ones(5))
-        with pytest.raises(ValueError):
-            dc.conv_apply(st, np.zeros(4))
-        with pytest.raises(ValueError):
-            st.symbol(4)
+        for d in (4, 5):
+            with pytest.raises(ValueError):
+                st.symbol(d)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_matches_roll_oracle(self, width, symmetric):
+        # d = width + 1 is the smallest grid; the batch checks the tap-gradient sum
+        rng = np.random.default_rng(width)
+        for d in (width + 1, 16):
+            st = dc.ConvStencil(rng.standard_normal(width), symmetric)
+            for shape in ((d,), (3, d)):
+                u, g = rng.standard_normal(shape), rng.standard_normal(shape)
+                assert np.max(np.abs(stencil_apply(st, u)
+                                     - roll_correlation(st, u))) < 1e-13
+                got, want = stencil_vjp(st, u, g), roll_correlation_vjp(st, u, g)
+                assert np.max(np.abs(got[0] - want[0])) < 1e-13
+                assert np.max(np.abs(got[1] - want[1])) < 1e-13
 
 
 class TestConvBackward:
     def test_zero_cotangent(self):
         st = dc.ConvStencil(np.array([0.5, 1.0, -0.5]), symmetric=True)
         u = np.arange(8.0)
-        gt, gi = dc.conv_backward(st, u, np.zeros(8))
+        gt, gi = stencil_vjp(st, u, np.zeros(8))
         assert np.all(gt == 0) and np.all(gi == 0)
 
     def test_identity_taps_pass_cotangent(self):
         st = dc.ConvStencil(np.array([0.0, 1.0, 0.0]))
         g = np.array([1.0, -2.0, 3.0, 0.5])
-        _, gi = dc.conv_backward(st, np.zeros(4), g)
+        _, gi = stencil_vjp(st, np.zeros(4), g)
         assert np.array_equal(gi, g)
 
     @pytest.mark.parametrize("symmetric", [False, True])
@@ -255,14 +297,14 @@ class TestConvBackward:
         st = dc.ConvStencil(rng.standard_normal(w), symmetric)
         u = rng.standard_normal(d)
         cot = rng.standard_normal(d)
-        gt, gi = dc.conv_backward(st, u, cot)
+        gt, gi = stencil_vjp(st, u, cot)
         dt, du = rng.standard_normal(w), rng.standard_normal(d)
         analytic = np.dot(gt, dt) + np.dot(gi, du)
         step = 1e-5
 
         def value(sign):
             sh = dc.ConvStencil(st.taps + sign * step * dt, symmetric)
-            return np.dot(cot, dc.conv_apply(sh, u + sign * step * du))
+            return np.dot(cot, stencil_apply(sh, u + sign * step * du))
 
         fd = (value(+1) - value(-1)) / (2 * step)
         assert abs(analytic - fd) < 1e-6 * max(1.0, abs(fd))
@@ -287,7 +329,7 @@ class TestStencilMatrix:
         d = 24
         symbol = st.symbol(d)
         u = rng.standard_normal(d)
-        assert np.max(np.abs(sp.apply_symbol(symbol, u) - dc.conv_apply(st, u))) < 1e-14
+        assert np.max(np.abs(sp.apply_symbol(symbol, u) - roll_correlation(st, u))) < 1e-14
         assert np.all(symbol.imag == 0.0)
 
     @pytest.mark.parametrize("symmetric", [False, True])
@@ -299,7 +341,7 @@ class TestStencilMatrix:
         j = np.arange(d)
         for k in range(d // 2 + 1):
             mode = np.exp(2j * np.pi * k * j / d)
-            out = dc.conv_apply(st, mode.real) + 1j * dc.conv_apply(st, mode.imag)
+            out = roll_correlation(st, mode.real) + 1j * roll_correlation(st, mode.imag)
             assert np.max(np.abs(out - symbol[k] * mode)) < 1e-13
 
 

@@ -141,8 +141,8 @@ class TestLossGradient:
         pred, _ = node._rk4_forward(model, u0, 0.05 / 5, 5, record=False)
         loss, grads = node.loss_gradient(model, u0, pred, 0.05, 5)
         assert loss == 0.0
-        assert all(np.all(g == 0) for g in grads.mlp.weights)
-        assert np.all(grads.taps == 0)
+        assert len(grads) == len(model.parameters())
+        assert all(np.all(g == 0) for g in grads)
 
     def test_scalar_parameter_hand_derivative(self):
         # du/dt = theta*u, one RK4 step: d(pred)/d(theta) = h*R'(theta*h)*u0
@@ -158,7 +158,7 @@ class TestLossGradient:
         damp = h * (1 + z + z**2 / 2 + z**3 / 6)
         residual = amp * u0 - target
         expected = np.mean(np.sign(residual) * damp * u0)
-        assert grads.taps[0] == pytest.approx(expected, rel=1e-12)
+        assert grads[-1][0] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["nonlinear", "fixed-linear", "learned-linear"])
     def test_finite_difference(self, variant):
@@ -172,27 +172,19 @@ class TestLossGradient:
         step = 1e-5
         for trial in range(5):
             drng = np.random.default_rng(100 + trial)
-            direction = node.ModelGrads.zeros(model)
-            for g in direction.mlp.weights:
-                g += drng.standard_normal(g.shape)
-            for g in direction.mlp.biases:
-                g += drng.standard_normal(g.shape)
-            if direction.taps is not None:
-                direction.taps += drng.standard_normal(direction.taps.shape)
-            analytic = grads.dot(direction)
+            direction = [drng.standard_normal(p.shape) for p in model.parameters()]
+            analytic = sum(np.sum(g * v) for g, v in zip(grads, direction))
 
             def perturbed(sign):
-                mlp = dc.MlpParams(
-                    list(model.mlp.layer_sizes), list(model.mlp.activations),
-                    [w + sign * step * gw for w, gw in
-                     zip(model.mlp.weights, direction.mlp.weights)],
-                    [b + sign * step * gb for b, gb in
-                     zip(model.mlp.biases, direction.mlp.biases)])
+                moved = [p + sign * step * v
+                         for p, v in zip(model.parameters(), direction)]
+                n = model.mlp.n_layers
+                mlp = dc.MlpParams(list(model.mlp.layer_sizes),
+                                   list(model.mlp.activations), moved[:n],
+                                   moved[n:2 * n])
                 stencil = model.stencil
                 if stencil is not None:
-                    stencil = dc.ConvStencil(
-                        stencil.taps + sign * step * direction.taps,
-                        stencil.symmetric)
+                    stencil = dc.ConvStencil(moved[-1], stencil.symmetric)
                 shifted = node.RhsModel(model.variant, mlp,
                                         fixed_symbol=model.fixed_symbol,
                                         stencil=stencil)
@@ -429,5 +421,31 @@ class TestPersistence:
         node.save_opt_state(path, result.adam)
         back = node.load_opt_state(path, model)
         assert back.t == result.adam.t
-        assert all(np.array_equal(a, b) for a, b in zip(back.m_w, result.adam.m_w))
-        assert np.array_equal(back.v_t, result.adam.v_t)
+        assert len(back.m) == len(back.v) == len(model.parameters())
+        assert all(np.array_equal(a, b) for a, b in zip(back.m, result.adam.m))
+        assert all(np.array_equal(a, b) for a, b in zip(back.v, result.adam.v))
+
+    @pytest.mark.parametrize("variant", ["nonlinear", "learned-linear"])
+    def test_opt_state_layout(self, tmp_path, variant):
+        # SNOP: magic, u64 step count, then f8 moments m_w, v_w, m_b, v_b, m_t, v_t
+        ds = tiny_vbe_dataset(n_snap=5)
+        model = node.build_model(variant, [32, 8, 6, 32],
+                                 ["sigmoid", "sigmoid", "linear"],
+                                 ("normal", 0.0, 1e-2), seed=5, stencil_width=3)
+        cfg = node.vbe_train_config(3, variant, batch_size=8, seed=0)
+        adam = node.train(model, ds, cfg).adam
+        path = tmp_path / "state.snop"
+        node.save_opt_state(path, adam)
+        raw = path.read_bytes()
+        assert raw[:4] == b"SNOP"
+        assert int.from_bytes(raw[4:12], "little") == adam.t == 3
+        payload = np.frombuffer(raw[12:], dtype="<f8")
+        n = model.mlp.n_layers
+        w, b = slice(0, n), slice(n, 2 * n)
+        taps = [adam.m[-1], adam.v[-1]] if model.stencil is not None else []
+        expected = adam.m[w] + adam.v[w] + adam.m[b] + adam.v[b] + taps
+        assert payload.size == sum(t.size for t in expected)
+        offset = 0
+        for t in expected:
+            assert np.array_equal(payload[offset:offset + t.size], t.ravel())
+            offset += t.size
