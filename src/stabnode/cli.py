@@ -10,8 +10,10 @@ Exit codes: 0 success; 2 config error, including epochs, batch_size,
 rollout_steps or n_ics below 1 and a fixed-linear `train` or `evaluate` whose
 RK4 substep tau/rollout_steps amplifies a mode the linear term damps; 3
 numerical divergence, including a `rom` sweep with a diverged (non-finite KL)
-row, whose rows and manifest are still written; 4 I/O error or a corrupt
-(truncated, padded, bad-header or unknown-tag) binary artifact.
+row and an `evaluate --metric error|spectrum` with a non-finite model
+trajectory, whose rows and manifest are still written; 4 I/O error or a
+corrupt (truncated, padded, bad-header, unknown-tag or NaN/Inf-payload)
+binary artifact.
 """
 
 from __future__ import annotations
@@ -374,7 +376,7 @@ def cmd_train(config: dict) -> int:
         result = node.train(model, train_ds, train_cfg, start_epoch=start_epoch,
                             adam=adam, checkpoint_every=config["checkpoint_every"],
                             on_checkpoint=writer)
-    except node.TrainingDiverged as err:
+    except node.DivergenceError as err:
         with open(os.path.join(out_dir, "loss.log"), "w") as fh:
             fh.write("# epoch\tstage\tlr_nonlinear\tlr_linear\tloss\n")
             for i, loss in enumerate(err.history):
@@ -485,20 +487,16 @@ def cmd_evaluate(config: dict) -> int:
     # assemble (possibly noised) initial conditions from the test split
     ics = []
     for i in range(n_ics):
-        if ds.system == "vbe":
-            u0 = test_ds.values[i, 0]
-        else:
-            u0 = test_ds.values[0, i]
-        f = sp.Field(u0, ds.domain_length)
+        u0 = test_ds.values[i, 0] if ds.system == "vbe" else test_ds.values[0, i]
         if noise is not None and noise[0] == "grid":
-            f = mt.add_noise_grid(f, noise[1], seed=rng_seed + i)
+            u0 = mt.add_noise_grid(u0, noise[1], seed=rng_seed + i)
         elif noise is not None:
-            f = mt.add_noise_fourier(f, noise[1], noise[2], noise[3],
-                                     seed=rng_seed + i)
-        ics.append(f.values)
+            u0 = mt.add_noise_fourier(u0, *noise[1:], seed=rng_seed + i)
+        ics.append(u0)
 
     horizon, tau = config["horizon"], ds.tau
     ics = np.stack(ics)
+    diverged = []
     if metric in ("error", "spectrum"):
         solver, step = _true_solver(ds, sidecar)
         n_snap = int(round(horizon / tau)) + 1
@@ -508,6 +506,7 @@ def cmd_evaluate(config: dict) -> int:
                              int(round(tau / step)), tau)
         times, model_set = node.rollout(model, ics, (n_snap - 1) * tau, tau,
                                         config["rollout_steps"])
+        diverged = np.flatnonzero(~np.all(np.isfinite(model_set), axis=(1, 2)))
 
     if metric == "error":
         if ds.system == "vbe":
@@ -559,6 +558,10 @@ def cmd_evaluate(config: dict) -> int:
 
     write_manifest(os.path.join(out_dir, "manifest-evaluate.cfg"), "evaluate",
                    config, {"dataset": sha256_file(dataset_path)})
+    if len(diverged):
+        print("numerical divergence: non-finite model trajectory for initial "
+              "conditions " + ",".join(map(str, diverged)), file=sys.stderr)
+        return 3
     return 0
 
 
@@ -823,7 +826,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (sp.BlowUpError, node.DivergenceError, node.TrainingDiverged) as err:
+    except sp.DivergenceError as err:
         print(f"numerical divergence: {err}", file=sys.stderr)
         return 3
     except sp.ArtifactError as err:

@@ -66,12 +66,6 @@ class MlpParams:
 
 
 @dataclass
-class MlpGrads:
-    weights: list
-    biases: list
-
-
-@dataclass
 class ConvStencil:
     """Circular-correlation taps; symmetric means the operator is B + B^T."""
 
@@ -178,7 +172,8 @@ def mlp_forward(params: MlpParams, u: np.ndarray):
 
 
 def mlp_backward(params: MlpParams, tape: MlpTape, cotangent: np.ndarray):
-    """Exact VJP: returns (MlpGrads summed over batch, input cotangent)."""
+    """Exact VJP: returns (grads, input cotangent); grads lists the weight
+    gradients, then the bias gradients, each summed over the batch."""
     acts = tape.consume(params)
     g = np.asarray(cotangent, dtype=np.float64)
     squeeze = g.ndim == 1
@@ -193,7 +188,7 @@ def mlp_backward(params: MlpParams, tape: MlpTape, cotangent: np.ndarray):
         grad_w[i] = acts[i].T @ gz
         grad_b[i] = gz.sum(axis=0)
         g = gz @ params.weights[i].T
-    return MlpGrads(grad_w, grad_b), (g[0] if squeeze else g)
+    return grad_w + grad_b, (g[0] if squeeze else g)
 
 
 def _draw(rng, dist, shape):

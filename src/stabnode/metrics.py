@@ -25,15 +25,18 @@ PDF_BINS = 100
 
 
 def energy_spectrum(states: np.ndarray, ensemble_axis: int = 0) -> np.ndarray:
-    """Ensemble-averaged E(k) = <0.5 |u_hat(k)|^2>, one-sided k = 0..d/2."""
+    """Ensemble-averaged E(k) = <0.5 |u_hat(k)|^2>, one-sided k = 0..d/2.
+
+    Non-finite states give non-finite entries, without a warning."""
     states = np.asarray(states, dtype=np.float64)
     if states.ndim == 1:
         states = states[None, :]
     if states.shape[0] == 0:
         raise ValueError("empty ensemble")
     d = states.shape[-1]
-    coeffs = np.fft.rfft(states, axis=-1) / d
-    return np.mean(0.5 * np.abs(coeffs) ** 2, axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        coeffs = np.fft.rfft(states, axis=-1) / d
+        return np.mean(0.5 * np.abs(coeffs) ** 2, axis=0)
 
 
 @dataclass
@@ -179,15 +182,14 @@ def kl_divergence(pdf_model: JointPdf2D, pdf_true: JointPdf2D) -> float:
     return float(np.sum(pm * np.log(pm / pt)) * pdf_model.bin_area())
 
 
-def add_noise_grid(field: sp.Field, epsilon: float, seed: int) -> sp.Field:
+def add_noise_grid(u: np.ndarray, epsilon: float, seed: int) -> np.ndarray:
     """Independent Gaussian noise with std epsilon at every grid point."""
     if epsilon < 0:
         raise ValueError("noise level must be nonnegative")
     if epsilon == 0.0:
-        return sp.Field(field.values.copy(), field.domain_length, field.time)
+        return u.copy()
     rng = np.random.default_rng(seed)
-    noisy = field.values + rng.normal(0.0, epsilon, size=field.d)
-    return sp.Field(noisy, field.domain_length, field.time)
+    return u + rng.normal(0.0, epsilon, size=u.shape)
 
 
 def add_noise_fourier_coeffs(coeffs: np.ndarray, epsilon: float, k_lo: int,
@@ -213,14 +215,14 @@ def add_noise_fourier_coeffs(coeffs: np.ndarray, epsilon: float, k_lo: int,
     return out
 
 
-def add_noise_fourier(field: sp.Field, epsilon: float, k_lo: int, k_hi: int,
-                      seed: int) -> sp.Field:
+def add_noise_fourier(u: np.ndarray, epsilon: float, k_lo: int, k_hi: int,
+                      seed: int) -> np.ndarray:
+    """A state with :func:`add_noise_fourier_coeffs` applied to its spectrum."""
     if epsilon < 0:
         raise ValueError("noise level must be nonnegative")
-    coeffs = np.fft.rfft(field.values) / field.d
-    coeffs = add_noise_fourier_coeffs(coeffs, epsilon, k_lo, k_hi, seed)
-    values = np.fft.irfft(coeffs * field.d, n=field.d)
-    return sp.Field(values, field.domain_length, field.time)
+    d = u.shape[-1]
+    coeffs = add_noise_fourier_coeffs(np.fft.rfft(u) / d, epsilon, k_lo, k_hi, seed)
+    return np.fft.irfft(coeffs * d, n=d)
 
 
 @dataclass

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import diffcore as dc
-from .spectral import (ArtifactError, SnapshotDataset, advection_symbols, apply_symbol,
-                       burgers_tendency, expect_end, linear_symbol, read_exact, read_f8,
-                       tag_name)
+from .spectral import (ArtifactError, DivergenceError, SnapshotDataset,
+                       advection_symbols, apply_symbol, burgers_tendency, expect_end,
+                       linear_symbol, read_exact, read_f8, tag_name)
 
 VARIANT_TAGS = {"nonlinear": 0, "fixed-linear": 1, "learned-linear": 2}
 VARIANT_NAMES = {v: k for k, v in VARIANT_TAGS.items()}
@@ -35,23 +35,6 @@ ADAM_EPS = 1e-8
 RK4_REAL_STABILITY_LIMIT = 2.785293563405282
 
 OPT_STATE_MAGIC = b"SNOP"
-
-
-class DivergenceError(RuntimeError):
-    """RK4 produced a non-finite state."""
-
-    def __init__(self, message, step=None, time=None, last_state=None):
-        super().__init__(message)
-        self.step = step
-        self.time = time
-        self.last_state = last_state
-
-
-class TrainingDiverged(RuntimeError):
-    def __init__(self, message, epoch, history):
-        super().__init__(message)
-        self.epoch = epoch
-        self.history = history
 
 
 @dataclass
@@ -120,17 +103,12 @@ class RhsModel:
         return self.nonlinear_apply(u)
 
 
-def rhs_eval(model, u: np.ndarray) -> np.ndarray:
-    return model.eval(np.asarray(u, dtype=np.float64))
-
-
 def _rhs_vjp(model: RhsModel, x: np.ndarray, cotangent: np.ndarray,
              grads: list) -> np.ndarray:
     """Accumulate into ``grads`` (one array per model parameter); return the
     input cotangent."""
     _, tape = dc.mlp_forward(model.mlp, x)
-    mlp_grads, gin = dc.mlp_backward(model.mlp, tape, cotangent)
-    parts = mlp_grads.weights + mlp_grads.biases
+    parts, gin = dc.mlp_backward(model.mlp, tape, cotangent)
     if model.variant != "nonlinear":
         # a real circulant's adjoint has the conjugate symbol
         gin = gin + apply_symbol(np.conj(model.linear_symbol()), cotangent)
@@ -141,22 +119,24 @@ def _rhs_vjp(model: RhsModel, x: np.ndarray, cotangent: np.ndarray,
     return gin
 
 
-def _rk4_forward(model, u, h: float, nsteps: int, record: bool):
+def _rk4_forward(rhs, u, h: float, nsteps: int, record: bool):
+    """``nsteps`` classical RK4 steps of du/dt = rhs(u); with ``record`` also
+    the stage inputs of every step, for :func:`_rk4_backward`."""
     stages = [] if record else None
     for step in range(nsteps):
         x1 = u
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = model.eval(x1)
+            k1 = rhs(x1)
             x2 = x1 + 0.5 * h * k1
-            k2 = model.eval(x2)
+            k2 = rhs(x2)
             x3 = x1 + 0.5 * h * k2
-            k3 = model.eval(x3)
+            k3 = rhs(x3)
             x4 = x1 + h * k3
-            k4 = model.eval(x4)
+            k4 = rhs(x4)
             u = x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(u)):
             raise DivergenceError(f"integration diverged at substep {step}",
-                                  step=step, time=(step + 1) * h, last_state=x1)
+                                  step=step, time=(step + 1) * h)
         if record:
             stages.append((x1, x2, x3, x4))
     return u, stages
@@ -181,7 +161,7 @@ def integrate(model, u0: np.ndarray, horizon: float, nsteps: int):
     """
     if nsteps < 1:
         raise ValueError("nsteps must be at least 1")
-    out, _ = _rk4_forward(model, np.asarray(u0, dtype=np.float64),
+    out, _ = _rk4_forward(model.eval, np.asarray(u0, dtype=np.float64),
                           horizon / nsteps, nsteps, record=False)
     return out
 
@@ -219,7 +199,7 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
     if u_start.shape[0] == 0:
         raise ValueError("empty batch")
     h = tau / rollout_steps
-    pred, stages = _rk4_forward(model, u_start, h, rollout_steps, record=True)
+    pred, stages = _rk4_forward(model.eval, u_start, h, rollout_steps, record=True)
     residual = pred - u_end
     loss = float(np.mean(np.abs(residual)))
     cotangent = np.sign(residual) / residual.size
@@ -353,8 +333,8 @@ def train(model: RhsModel, dataset: SnapshotDataset, config: TrainConfig,
     stage schedule always partitions config.epochs, so a run interrupted at
     stop_epoch and resumed at start_epoch reproduces an uninterrupted one
     bit-for-bit given the saved optimizer state.  On divergence the last good
-    state is checkpointed (if a writer was supplied) and TrainingDiverged is
-    raised.
+    state is checkpointed (if a writer was supplied) and DivergenceError is
+    raised with the finished epochs' losses as its ``history``.
     """
     if dataset.d != model.width:
         raise ValueError(f"dataset width {dataset.d} does not match model "
@@ -378,8 +358,10 @@ def train(model: RhsModel, dataset: SnapshotDataset, config: TrainConfig,
         except DivergenceError as err:
             if on_checkpoint is not None:
                 on_checkpoint(epoch, model, adam)
-            raise TrainingDiverged(
-                f"training diverged at epoch {epoch}: {err}", epoch, history) from err
+            diverged = DivergenceError(f"training diverged at epoch {epoch}: {err}",
+                                       err.step, err.time)
+            diverged.history = history
+            raise diverged from err
         adam.update(model, grads, lr_nl, lr_lin)
         history.append(loss)
         stage = config.stage(epoch, config.lr_nonlinear)

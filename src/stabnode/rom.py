@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neural_ode import DivergenceError
-from .spectral import ArtifactError, expect_end, read_exact, read_f8, tag_name
+from .neural_ode import _rk4_forward
+from .spectral import (ArtifactError, DivergenceError, expect_end, read_exact, read_f8,
+                       tag_name)
 
 ORDERING_TAGS = {"eigenvalue": 0, "variance": 1}
 ORDERING_NAMES = {v: k for k, v in ORDERING_TAGS.items()}
@@ -37,7 +38,6 @@ class EigenBasis:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     ordering: str = "eigenvalue"
-    retained: int | None = None
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -47,10 +47,6 @@ class EigenBasis:
             raise ValueError("eigenvector matrix must be d x d")
         if self.ordering not in ORDERING_TAGS:
             raise ValueError(f"unknown ordering {self.ordering!r}")
-        if self.retained is None:
-            self.retained = d
-        if not 1 <= self.retained <= d:
-            raise ValueError("retained count out of range")
 
     @property
     def d(self) -> int:
@@ -93,15 +89,6 @@ def fourier_basis(symbol: np.ndarray) -> EigenBasis:
     return EigenBasis(vals, vecs * signs, "eigenvalue")
 
 
-def projectors(basis: EigenBasis, d_p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, Q) = (Vp Vp^T, Vq Vq^T) in the basis's current ordering."""
-    if not 1 <= d_p <= basis.d:
-        raise ValueError("d_p out of range")
-    vp = basis.leading(d_p)
-    vq = basis.trailing(d_p)
-    return vp @ vp.T, vq @ vq.T
-
-
 def variance_sort(basis: EigenBasis, model, snapshots) -> EigenBasis:
     """Reorder eigenpairs by descending variance of the projected tendencies.
 
@@ -117,7 +104,7 @@ def variance_sort(basis: EigenBasis, model, snapshots) -> EigenBasis:
     variances = tendencies.var(axis=0)
     order = np.lexsort((np.arange(basis.d), -basis.eigenvalues, -variances))
     return EigenBasis(basis.eigenvalues[order], basis.eigenvectors[:, order],
-                      "variance", basis.retained)
+                      "variance")
 
 
 def galerkin_rhs(basis: EigenBasis, d_p: int, model, p: np.ndarray) -> np.ndarray:
@@ -147,14 +134,6 @@ def unresolved_correction(basis: EigenBasis, d_p: int, model, p: np.ndarray,
     for _ in range(iterations):
         q = -(vq.T @ model.nonlinear(base + vq @ q)) / lam_q
     return q
-
-
-def _rk4_reduced(rhs, p, dt):
-    k1 = rhs(p)
-    k2 = rhs(p + 0.5 * dt * k1)
-    k3 = rhs(p + 0.5 * dt * k2)
-    k4 = rhs(p + dt * k3)
-    return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rom_integrate(basis: EigenBasis, d_p: int, model, u0: np.ndarray,
@@ -202,19 +181,15 @@ def rom_integrate(basis: EigenBasis, d_p: int, model, u0: np.ndarray,
                 else:
                     def rhs(ps):
                         return lam_p * ps + vp.T @ model.nonlinear(vp @ ps)
-                p = _rk4_reduced(rhs, p, dt)
-                if not np.all(np.isfinite(p)):
+                try:
+                    p, _ = _rk4_forward(rhs, p, dt, 1, record=False)
+                except DivergenceError as err:
                     raise DivergenceError(
                         f"reduced model diverged near t = {times[-1]:.4g}",
-                        time=times[-1], last_state=states[-1])
+                        time=times[-1]) from err
         times.append((i + 1) * save_interval)
         states.append(reconstruct(p))
     return np.array(times), np.stack(states)
-
-
-def eigenvalue_gaps(basis: EigenBasis) -> np.ndarray:
-    """Consecutive spectral gaps with eigenvalues sorted increasing."""
-    return np.diff(np.sort(basis.eigenvalues))
 
 
 def write_eigenbasis(path, basis: EigenBasis) -> None:

@@ -4,8 +4,7 @@ Ground-truth integrators for the viscous Burgers equation (semi-implicit
 third-order Runge-Kutta with Crank-Nicolson diffusion) and the
 Kuramoto-Sivashinsky equation (ETDRK4 after Kassam & Trefethen, SIAM
 J. Sci. Comput. 26 (2005) 1214-1233, with contour-averaged coefficients),
-plus spectral differentiation and random initial conditions drawn to a
-prescribed energy budget.
+plus random initial conditions drawn to a prescribed energy budget.
 
 Transform convention: the forward transform is normalized by 1/d, so a pure
 mode a*cos(2*pi*k*x/L) carries coefficient a/2 at one-sided index k.  Every
@@ -44,8 +43,15 @@ def read_exact(fh, nbytes: int) -> bytes:
 
 
 def read_f8(fh, count: int) -> np.ndarray:
-    """``count`` little-endian float64 values as a writable array."""
-    return np.frombuffer(read_exact(fh, 8 * count), dtype="<f8").copy()
+    """``count`` little-endian float64 values as a writable array, or
+    ArtifactError naming the file and the offset of the first NaN or Inf."""
+    here = fh.tell()
+    values = np.frombuffer(read_exact(fh, 8 * count), dtype="<f8").copy()
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ArtifactError(f"{fh.name}: non-finite value at offset "
+                            f"{here + 8 * int(bad.argmax())}")
+    return values
 
 
 def expect_end(fh) -> None:
@@ -61,13 +67,20 @@ def tag_name(names: dict, tag: int, path, what: str) -> str:
     return names[tag]
 
 
-class BlowUpError(RuntimeError):
-    """Integration produced non-finite values."""
+class DivergenceError(RuntimeError):
+    """A state went non-finite: in a solver, an RK4 rollout or a reduced model.
 
-    def __init__(self, message, seed=None, time=None):
+    ``step`` (the substep index), ``time`` and ``seed`` (of the initial
+    condition) are None where unknown; ``train`` also sets ``history``, the
+    losses of the epochs it finished.
+    """
+
+    def __init__(self, message, step=None, time=None, seed=None):
         super().__init__(message)
-        self.seed = seed
+        self.step = step
         self.time = time
+        self.seed = seed
+        self.history = []
 
 
 @dataclass
@@ -94,10 +107,6 @@ class Field:
     def d(self) -> int:
         return self.values.size
 
-    @property
-    def spacing(self) -> float:
-        return self.domain_length / self.d
-
 
 @dataclass
 class SpectralField:
@@ -108,10 +117,6 @@ class SpectralField:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-
-    @property
-    def d(self) -> int:
-        return 2 * (self.coeffs.size - 1)
 
 
 @dataclass
@@ -150,33 +155,6 @@ def to_spectral(field: Field) -> SpectralField:
     return SpectralField(coeffs, field.domain_length)
 
 
-def from_spectral(sf: SpectralField, d: int, time: float = 0.0) -> Field:
-    """Inverse of :func:`to_spectral` (exact round trip)."""
-    if d % 2 != 0:
-        raise ValueError("grid size must be even")
-    if sf.coeffs.size != d // 2 + 1:
-        raise ValueError("coefficient count does not match grid size")
-    values = np.fft.irfft(sf.coeffs * d, n=d)
-    return Field(values, sf.domain_length, time)
-
-
-def spectral_derivative(field: Field, order: int) -> Field:
-    """Differentiate by multiplying coefficients with (2*pi*i*k/L)^order.
-
-    The Nyquist mode is zeroed for odd orders (its derivative is not
-    representable on the grid).
-    """
-    if order not in (1, 2, 4):
-        raise ValueError(f"derivative order must be 1, 2, or 4, got {order}")
-    d = field.d
-    q = 2.0 * np.pi * wavenumber_indices(d) / field.domain_length
-    symbol = (1j * q) ** order
-    if order % 2 == 1:
-        symbol[-1] = 0.0
-    coeffs = (np.fft.rfft(field.values) / d) * symbol
-    return Field(np.fft.irfft(coeffs * d, n=d), field.domain_length, field.time)
-
-
 def initial_energy_budget(domain_length: float) -> float:
     """Target one-sided energy sum for random initial conditions."""
     return 0.5 * domain_length / (2.0 * np.pi)
@@ -208,7 +186,7 @@ def generate_vbe_ic(spec: IcSpec, d: int, domain_length: float = 1.0) -> Field:
     coeffs = np.sqrt(2.0 * e0) * (np.cos(2.0 * np.pi * psi) - 1j * np.sin(2.0 * np.pi * psi))
     coeffs[0] = 0.0
     coeffs[-1] = np.sqrt(2.0 * e0[-1])
-    return from_spectral(SpectralField(coeffs, domain_length), d)
+    return Field(np.fft.irfft(coeffs * d, n=d), domain_length)
 
 
 def linear_symbol(system: str, d: int, domain_length: float,
@@ -285,18 +263,8 @@ class VbeSolver:
             for _ in range(nsteps):
                 coeffs = self.step_spectral(coeffs)
         if not np.all(np.isfinite(coeffs)):
-            raise BlowUpError("viscous Burgers integration blew up")
+            raise DivergenceError("viscous Burgers integration blew up")
         return coeffs
-
-
-def step_vbe(field: Field, dt: float, viscosity: float) -> Field:
-    """Advance one time step; raises BlowUpError on non-finite output."""
-    solver = VbeSolver(field.d, field.domain_length, viscosity, dt)
-    coeffs = solver.advance(np.fft.rfft(field.values) / field.d, 1)
-    out = np.fft.irfft(coeffs * field.d, n=field.d)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError("viscous Burgers step blew up", time=field.time)
-    return Field(out, field.domain_length, field.time + dt)
 
 
 class KseSolver:
@@ -345,17 +313,8 @@ class KseSolver:
             for _ in range(nsteps):
                 coeffs = self.step_spectral(coeffs)
         if not np.all(np.isfinite(coeffs)):
-            raise BlowUpError("Kuramoto-Sivashinsky integration blew up")
+            raise DivergenceError("Kuramoto-Sivashinsky integration blew up")
         return coeffs
-
-
-def step_kse(sf: SpectralField, h: float) -> SpectralField:
-    """One ETDRK4 step; raises BlowUpError on non-finite output."""
-    solver = KseSolver(sf.d, sf.domain_length, h)
-    out = solver.step_spectral(sf.coeffs)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError("Kuramoto-Sivashinsky step blew up")
-    return SpectralField(out, sf.domain_length)
 
 
 @dataclass
@@ -425,17 +384,17 @@ def fill_trajectories(solver, coeffs: np.ndarray, values: np.ndarray, sub: int,
 
     Snapshot j >= 1 of every row goes to ``values[:, j]`` of the (n, n_snap,
     d) array; snapshot 0 is the caller's.  A batch gives the same bits as its
-    rows stepped one at a time.  Blow-up raises BlowUpError with the time.
+    rows stepped one at a time.  Blow-up raises DivergenceError with the time.
     """
     d = values.shape[-1]
     for j in range(1, values.shape[1]):
         try:
             coeffs = solver.advance(coeffs, sub)
-        except BlowUpError as err:
+        except DivergenceError as err:
             which = f" (seeds {seeds[0]}..{seeds[-1]})" if len(seeds) else ""
-            raise BlowUpError(f"integration blew up near t = {j * tau:.3f}{which}",
-                              seed=seeds[0] if len(seeds) == 1 else None,
-                              time=j * tau) from err
+            raise DivergenceError(f"integration blew up near t = {j * tau:.3f}{which}",
+                                  time=j * tau,
+                                  seed=seeds[0] if len(seeds) == 1 else None) from err
         values[:, j] = np.fft.irfft(coeffs * d, n=d)
 
 
@@ -486,8 +445,8 @@ def generate_kse_dataset(d: int = 64, domain_length: float = 22.0, horizon: floa
     u0 -= u0.mean()
     try:
         coeffs = solver.advance(np.fft.rfft(u0) / d, int(round(transient / h)))
-    except BlowUpError as err:
-        raise BlowUpError(f"transient with seed {seed} blew up", seed=seed) from err
+    except DivergenceError as err:
+        raise DivergenceError(f"transient with seed {seed} blew up", seed=seed) from err
     values = np.empty((1, n_snap, d))
     values[0, 0] = np.fft.irfft(coeffs * d, n=d)
     fill_trajectories(solver, coeffs, values, sub, tau, [seed])

@@ -1,7 +1,8 @@
-"""Binary artifact readers reject files whose length disagrees with the header
-or whose tag bytes name nothing."""
+"""Binary artifact readers reject files whose length disagrees with the header,
+whose tag bytes name nothing, or whose payload holds a NaN or Inf."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -93,4 +94,18 @@ def test_unknown_tag_byte(tmp_path, write, offset):
     data[offset] = 7
     path.write_bytes(bytes(data))
     with pytest.raises(sp.ArtifactError, match=re.escape(str(path)) + ".*tag byte 7"):
+        read(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+@pytest.mark.parametrize("write", FORMATS, ids=lambda f: f.__name__.strip("_"))
+def test_non_finite_payload(tmp_path, write, value):
+    # every format ends in float64 payload; poison its last value
+    path = tmp_path / "artifact.bin"
+    read = write(path)
+    data = path.read_bytes()
+    offset = len(data) - 8
+    path.write_bytes(data[:offset] + struct.pack("<d", value))
+    with pytest.raises(sp.ArtifactError,
+                       match=re.escape(str(path)) + f".*non-finite.*offset {offset}"):
         read(path)

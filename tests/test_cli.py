@@ -3,12 +3,14 @@
 import functools
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from stabnode import cli
 from stabnode import metrics as mt
+from stabnode import neural_ode as node
 from stabnode import rom as rom_mod
 from stabnode import spectral as sp
 
@@ -218,18 +220,41 @@ class TestTrain:
         assert ((straight / "model.snck").read_bytes()
                 == (resumed / "model.snck").read_bytes())
 
-    @pytest.mark.parametrize("damage", ["half", "header", "padded", "system-tag"])
+    @pytest.mark.parametrize("damage", ["half", "header", "padded", "system-tag",
+                                        "nan"])
     def test_corrupt_dataset_io_error(self, tmp_path, vbe_dataset, damage, capsys):
+        # "nan": the first payload value, after the 37-byte header (train split)
         data = vbe_dataset.read_bytes()
+        nan = struct.pack("<d", np.nan)
         bad = tmp_path / "bad.snod"
         bad.write_bytes({"half": data[:len(data) // 2], "header": data[:20],
                          "padded": data + b"junk",
-                         "system-tag": data[:36] + bytes([7]) + data[37:]}[damage])
+                         "system-tag": data[:36] + bytes([7]) + data[37:],
+                         "nan": data[:37] + nan + data[45:]}[damage])
         code = run_cli("train", "--dataset", str(bad), "--variant", "nonlinear",
                        "--out", str(tmp_path / "o"), "--epochs", "1",
                        "--set", "hidden=4")
         assert code == 4
         assert str(bad) in capsys.readouterr().err
+
+    def test_diverged_training_loss_log(self, tmp_path, vbe_dataset):
+        # epochs 0-1 at the linear rate 1e-3; epoch 2's step of 1e20 on the taps
+        # makes epoch 3's RK4 overflow
+        common = ["--dataset", str(vbe_dataset), "--variant", "learned-linear",
+                  "--epochs", "4", "--set", "hidden=8", "--set", "batch_size=8"]
+        out = tmp_path / "diverged"
+        assert run_cli("train", *common, "--out", str(out),
+                       "--set", "lr_linear=1e-3,1e20") == 3
+        # the same run at a small second rate: the same first three losses
+        calm = tmp_path / "calm"
+        assert run_cli("train", *common, "--out", str(calm),
+                       "--set", "lr_linear=1e-3,1e-3") == 0
+        losses = [line.split("\t")[-1]
+                  for line in (calm / "loss.log").read_text().splitlines()[1:4]]
+        assert (out / "loss.log").read_text() == (
+            "# epoch\tstage\tlr_nonlinear\tlr_linear\tloss\n"
+            + "".join(f"{i}\t-\t-\t-\t{loss}\n" for i, loss in enumerate(losses)))
+        assert (out / "model.snck").exists()
 
     def test_missing_dataset_io_error(self, tmp_path):
         code = run_cli("train", "--dataset", str(tmp_path / "nope.snod"),
@@ -361,6 +386,45 @@ class TestEvaluate:
                           viscosity=4e-3, total_time=5.0, seed=0)
         row = (out / "lyapunov.csv").read_text().splitlines()[-1]
         assert row.split(",")[0] == mt.fmt(direct.exponent)
+
+    def test_non_finite_test_split_io_error(self, tmp_path, vbe_dataset, trained_dir,
+                                            capsys):
+        # the last payload value is in the last (test) trajectory
+        data = vbe_dataset.read_bytes()
+        offset = len(data) - 8
+        bad = tmp_path / "nan.snod"
+        bad.write_bytes(data[:offset] + struct.pack("<d", np.nan))
+        code = run_cli("evaluate", "--dataset", str(bad),
+                       "--checkpoint", str(trained_dir / "model.snck"),
+                       "--out", str(tmp_path / "e"), "--set", "n_ics=2",
+                       "--set", "horizon=0.2")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"non-finite value at offset {offset}" in err
+
+    @pytest.mark.parametrize("metric,csv", [("error", "error.csv"),
+                                            ("spectrum", "spectrum.csv")])
+    def test_diverged_rollout_exits_3(self, tmp_path, vbe_dataset, metric, csv,
+                                      capsys):
+        # stencil taps of 1e5 put RK4 far outside its stability region
+        model = node.build_model("learned-linear", [64, 8, 64], ["relu", "linear"],
+                                 ("normal", 0.0, 1e-4), 0, stencil_width=3)
+        model.stencil.taps[:] = 1e5
+        ckpt = tmp_path / "model.snck"
+        node.save_model(ckpt, model, sidecar={"system": "vbe", "epochs_completed": 0,
+                                              "variant": "learned-linear"})
+        out = tmp_path / "eval"
+        code = run_cli("evaluate", "--dataset", str(vbe_dataset), "--checkpoint",
+                       str(ckpt), "--out", str(out), "--metric", metric,
+                       "--times", "0.5", "--set", "n_ics=2", "--set", "horizon=0.5")
+        assert code == 3
+        assert "initial conditions 0,1" in capsys.readouterr().err
+        assert (out / csv).exists() and (out / "manifest-evaluate.cfg").exists()
+        if metric == "error":
+            rows = [l for l in (out / csv).read_text().splitlines()
+                    if not l.startswith("#")][1:]
+            assert float(rows[0].split(",")[1]) == 0.0
+            assert rows[-1].split(",")[1] == "inf"
 
     def test_bad_metric_config_error(self, tmp_path, vbe_dataset, trained_dir):
         code = run_cli("evaluate", "--dataset", str(vbe_dataset),

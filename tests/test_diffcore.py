@@ -98,8 +98,8 @@ class TestMlpBackward:
         p = random_mlp([4, 6, 4], ["sigmoid", "linear"], seed=5)
         out, tape = dc.mlp_forward(p, np.ones(4))
         grads, gin = dc.mlp_backward(p, tape, np.zeros_like(out))
-        assert all(np.all(gw == 0) for gw in grads.weights)
-        assert all(np.all(gb == 0) for gb in grads.biases)
+        assert len(grads) == 2 * p.n_layers
+        assert all(np.all(g == 0) for g in grads)
         assert np.all(gin == 0)
 
     def test_scalar_linear_product_rule(self):
@@ -108,7 +108,7 @@ class TestMlpBackward:
         p = dc.MlpParams([1, 1], ["linear"], [np.array([[w]])], [np.zeros(1)])
         out, tape = dc.mlp_forward(p, np.array([u]))
         grads, gin = dc.mlp_backward(p, tape, np.array([1.0]))
-        assert grads.weights[0][0, 0] == pytest.approx(u)
+        assert grads[0][0, 0] == pytest.approx(u)
         assert gin[0] == pytest.approx(w)
 
     def test_tape_single_use(self):
@@ -147,8 +147,8 @@ class TestMlpBackward:
             dirs_w = [rng.standard_normal(w.shape) for w in p.weights]
             dirs_b = [rng.standard_normal(b.shape) for b in p.biases]
             du = rng.standard_normal(5)
-            analytic = (sum(np.sum(g * d) for g, d in zip(grads.weights, dirs_w))
-                        + sum(np.sum(g * d) for g, d in zip(grads.biases, dirs_b))
+            # gradients come weights first, then biases
+            analytic = (sum(np.sum(g * d) for g, d in zip(grads, dirs_w + dirs_b))
                         + np.dot(gin, du))
 
             def shifted(sign):

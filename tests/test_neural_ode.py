@@ -35,7 +35,7 @@ class TestRhsEval:
         model = node.RhsModel("fixed-linear", zero_mlp(d), fixed_symbol=symbol)
         u = np.arange(d, dtype=float)
         mat = dense_from_symbol(symbol, d)
-        assert np.max(np.abs(node.rhs_eval(model, u) - mat @ u)) < 1e-14
+        assert np.max(np.abs(model.eval(u) - mat @ u)) < 1e-14
 
     def test_zero_stencil_equals_bare_network(self):
         d = 8
@@ -45,14 +45,14 @@ class TestRhsEval:
                                 stencil=dc.ConvStencil(np.zeros(3)))
         bare = node.RhsModel("nonlinear", mlp)
         u = rng.standard_normal(d)
-        assert np.array_equal(node.rhs_eval(learned, u), node.rhs_eval(bare, u))
+        assert np.array_equal(learned.eval(u), bare.eval(u))
 
     @pytest.mark.parametrize("variant", ["fixed-linear", "learned-linear"])
     def test_branch_additivity(self, variant):
         d = 16
         model = random_model(variant, d, seed=3)
         u = np.random.default_rng(5).standard_normal(d)
-        total = node.rhs_eval(model, u)
+        total = model.eval(u)
         split = model.linear_apply(u) + model.nonlinear_apply(u)
         assert np.max(np.abs(total - split)) < 1e-14
 
@@ -138,7 +138,7 @@ class TestLossGradient:
         d = 6
         model = random_model("learned-linear", d, seed=7)
         u0 = np.random.default_rng(8).standard_normal((3, d))
-        pred, _ = node._rk4_forward(model, u0, 0.05 / 5, 5, record=False)
+        pred, _ = node._rk4_forward(model.eval, u0, 0.05 / 5, 5, record=False)
         loss, grads = node.loss_gradient(model, u0, pred, 0.05, 5)
         assert loss == 0.0
         assert len(grads) == len(model.parameters())
@@ -188,7 +188,7 @@ class TestLossGradient:
                 shifted = node.RhsModel(model.variant, mlp,
                                         fixed_symbol=model.fixed_symbol,
                                         stencil=stencil)
-                pred, _ = node._rk4_forward(shifted, u0, tau / steps, steps, False)
+                pred, _ = node._rk4_forward(shifted.eval, u0, tau / steps, steps, False)
                 return np.mean(np.abs(pred - u1))
 
             fd = (perturbed(+1) - perturbed(-1)) / (2 * step)

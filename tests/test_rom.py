@@ -132,17 +132,23 @@ class TestEigSymmetric:
                            np.abs(np.sin(2 * np.pi * j / d)) / 2)
 
 
+def projectors(basis, d_p):
+    """(P, Q) = (Vp Vp^T, Vq Vq^T) for the leading d_p and the trailing vectors."""
+    vp, vq = basis.leading(d_p), basis.trailing(d_p)
+    return vp @ vp.T, vq @ vq.T
+
+
 class TestProjectors:
     def test_full_retention(self):
         basis = qr_basis(6, 1)
-        p, q = rom.projectors(basis, 6)
+        p, q = projectors(basis, 6)
         assert np.allclose(p, np.eye(6), atol=1e-10)
         assert np.max(np.abs(q)) < 1e-10
 
     @pytest.mark.parametrize("d_p", [1, 3, 5])
     def test_projector_algebra(self, d_p):
         basis = random_basis(8, 2)
-        p, q = rom.projectors(basis, d_p)
+        p, q = projectors(basis, d_p)
         assert np.allclose(p + q, np.eye(8), atol=1e-10)
         assert np.allclose(p @ p, p, atol=1e-10)
         assert np.max(np.abs(p @ q)) < 1e-10
@@ -218,7 +224,7 @@ class TestGalerkinRhs:
         p = np.random.default_rng(2).standard_normal(d)
         out = rom.galerkin_rhs(basis, d, model, p)
         u = basis.eigenvectors @ p
-        expected = basis.eigenvectors.T @ node.rhs_eval(model, u)
+        expected = basis.eigenvectors.T @ model.eval(u)
         assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_matches_direct_evaluation(self):
@@ -229,7 +235,7 @@ class TestGalerkinRhs:
         p = np.random.default_rng(4).standard_normal(d_p)
         out = rom.galerkin_rhs(basis, d_p, model, p)
         vp = basis.leading(d_p)
-        expected = vp.T @ node.rhs_eval(model, vp @ p)
+        expected = vp.T @ model.eval(vp @ p)
         assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_bare_nonlinear_model_rejected(self):
@@ -336,13 +342,16 @@ class TestRomIntegrate:
 
 
 class TestEigenvalueGaps:
+    """Gaps between consecutive eigenvalues of Fourier bases."""
+
     def test_degenerate_spectrum(self):
-        basis = rom.EigenBasis(np.full(5, 2.0), np.eye(5))
-        assert np.allclose(rom.eigenvalue_gaps(basis), 0.0)
+        basis = rom.fourier_basis(np.full(5, 2.0))
+        assert np.array_equal(np.diff(basis.eigenvalues), np.zeros(7))
 
     def test_small_example(self):
-        basis = rom.EigenBasis(np.array([-4.0, -1.0, 0.0]), np.eye(3))
-        assert np.allclose(rom.eigenvalue_gaps(basis), [3.0, 1.0])
+        # d = 4: the k = 1 eigenvalue holds a cosine and a sine mode
+        basis = rom.fourier_basis(np.array([0.0, -1.0, -4.0]))
+        assert np.array_equal(np.diff(basis.eigenvalues), [-1.0, 0.0, -3.0])
 
     def test_true_kse_operator_matches_dispersion(self):
         d, L = 64, 22.0
@@ -353,7 +362,7 @@ class TestEigenvalueGaps:
         # each nonzero/non-Nyquist symbol appears twice (sin/cos pair)
         expected = np.sort(np.concatenate([sym, sym[1:-1]]))
         assert np.allclose(np.sort(basis.eigenvalues), expected, atol=1e-6)
-        gaps = rom.eigenvalue_gaps(basis)
+        gaps = np.diff(np.sort(basis.eigenvalues))
         assert np.allclose(gaps, np.diff(expected), atol=1e-6)
 
 
