@@ -6,14 +6,17 @@ writes a manifest (resolved config plus input hashes as comments) that
 reproduces the run bit-identically.  Relative artifact paths resolve under
 $SNODE_DATA_DIR when it is set.
 
-Exit codes: 0 success; 2 config error, including epochs, batch_size,
-rollout_steps or n_ics below 1 and a fixed-linear `train` or `evaluate` whose
-RK4 substep tau/rollout_steps amplifies a mode the linear term damps; 3
-numerical divergence, including a `rom` sweep with a diverged (non-finite KL)
-row and an `evaluate --metric error|spectrum` with a non-finite model
-trajectory, whose rows and manifest are still written; 4 I/O error or a
-corrupt (truncated, padded, bad-header, unknown-tag or NaN/Inf-payload)
-binary artifact.
+Exit codes: 0 success; 2 config error: any setting the pipeline rejects (a
+ValueError other than an artifact error), e.g. epochs, batch_size,
+rollout_steps or n_ics below 1, an unknown variant, activation, stencil init
+kind, ROM mode or noise band, a stencil wider than the grid, an ic_index or
+d_p outside the dataset, a d_p that leaves a zero eigenvalue to slave, or a
+fixed-linear RK4 substep tau/rollout_steps that amplifies a damped mode; 3
+numerical divergence: a `rom` row with non-finite KL, a `rom --reference self`
+rollout (before any row runs), or an `evaluate --metric error|spectrum|pdf`
+model trajectory that went non-finite, whose outputs and manifest are still
+written; 4 I/O error, a corrupt (truncated, padded, bad-header, unknown-tag or
+NaN/Inf-payload) binary artifact, or a sidecar number that does not parse.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import time
 import numpy as np
 
 from . import __version__
-from . import diffcore as dc
 from . import metrics as mt
 from . import neural_ode as node
 from . import rom as rom_mod
@@ -208,32 +210,26 @@ def cmd_generate(config: dict) -> int:
         config["domain_length"] = 1.0 if system == "vbe" else 22.0
     out = resolve_path(config["out"])
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-    # the schema admits only vbe and kse; a ValueError here is a bad setting
-    try:
-        if system == "vbe":
-            amp = None if config["ic_amplitude"] == AUTO else config["ic_amplitude"]
-            ds = sp.generate_vbe_dataset(
-                n_train=config["train_ics"], n_test=config["test_ics"], d=config["d"],
-                domain_length=config["domain_length"], viscosity=config["viscosity"],
-                horizon=config["horizon"], tau=config["tau"], dt=config["solver_step"],
-                peak_wavenumber=config["peak_wavenumber"], amplitude=amp,
-                base_seed=config["seed"])
-            sidecar = {"system": "vbe", "train_trajectories": config["train_ics"],
-                       "solver_step": config["solver_step"],
-                       "viscosity": config["viscosity"],
-                       "peak_wavenumber": config["peak_wavenumber"],
-                       "base_seed": config["seed"]}
-        else:
-            ds = sp.generate_kse_dataset(
-                d=config["d"], domain_length=config["domain_length"],
-                horizon=config["horizon"], tau=config["tau"],
-                h=config["solver_step"], transient=config["transient"],
-                seed=config["seed"])
-            sidecar = {"system": "kse", "train_fraction": config["train_fraction"],
-                       "solver_step": config["solver_step"],
-                       "transient": config["transient"], "base_seed": config["seed"]}
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    if system == "vbe":
+        amp = None if config["ic_amplitude"] == AUTO else config["ic_amplitude"]
+        ds = sp.generate_vbe_dataset(
+            n_train=config["train_ics"], n_test=config["test_ics"], d=config["d"],
+            domain_length=config["domain_length"], viscosity=config["viscosity"],
+            horizon=config["horizon"], tau=config["tau"], dt=config["solver_step"],
+            peak_wavenumber=config["peak_wavenumber"], amplitude=amp,
+            base_seed=config["seed"])
+        sidecar = {"system": "vbe", "train_trajectories": config["train_ics"],
+                   "solver_step": config["solver_step"], "viscosity": config["viscosity"],
+                   "peak_wavenumber": config["peak_wavenumber"], "base_seed": config["seed"]}
+    else:
+        ds = sp.generate_kse_dataset(
+            d=config["d"], domain_length=config["domain_length"],
+            horizon=config["horizon"], tau=config["tau"],
+            h=config["solver_step"], transient=config["transient"],
+            seed=config["seed"])
+        sidecar = {"system": "kse", "train_fraction": config["train_fraction"],
+                   "solver_step": config["solver_step"],
+                   "transient": config["transient"], "base_seed": config["seed"]}
     sp.write_dataset(ds, out, manifest=sidecar)
     write_manifest(f"{out}.manifest.cfg", "generate", config,
                    {"dataset": sha256_file(out)})
@@ -264,21 +260,6 @@ TRAIN_SCHEMA = {
     "checkpoint_every": ("int", "0"),
     "resume": ("str", ""),
 }
-
-
-def _split(ds: sp.SnapshotDataset, sidecar: dict):
-    """(train, test); a VBE dataset without test trajectories is both."""
-    if ds.system == "vbe":
-        n_train = int(sidecar.get("train_trajectories", ds.n_traj))
-        return ds.split_trajectories(n_train) if n_train < ds.n_traj else (ds, ds)
-    return ds.split_chronological(float(sidecar.get("train_fraction", 0.8)))
-
-
-def _dataset_sidecar(dataset_path: str) -> dict:
-    sidecar_path = f"{dataset_path}.txt"
-    if os.path.exists(sidecar_path):
-        return node.read_sidecar(sidecar_path)
-    return {}
 
 
 def _resolve_train_defaults(config: dict, system: str) -> None:
@@ -322,10 +303,9 @@ def cmd_train(config: dict) -> int:
     _require_positive(config, "epochs", "batch_size", "rollout_steps")
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
-    sidecar = _dataset_sidecar(dataset_path)
     system = ds.system
     _resolve_train_defaults(config, system)
-    train_ds = _split(ds, sidecar)[0]
+    train_ds = ds.split()[0]
 
     out_dir = resolve_path(config["out"])
     os.makedirs(out_dir, exist_ok=True)
@@ -335,11 +315,10 @@ def cmd_train(config: dict) -> int:
     hidden = list(_parse_ints(config["hidden"]))
     sizes = [ds.d] + hidden + [ds.d]
     acts = [config["activation"]] * len(hidden) + ["linear"]
-    if config["stencil_init_kind"] == "normal":
-        st_init = ("normal", 0.0, config["stencil_init_scale"])
-    else:
-        bound = config["stencil_init_scale"]
-        st_init = ("uniform", -bound, bound)
+    kind, scale = config["stencil_init_kind"], config["stencil_init_scale"]
+    if kind not in ("normal", "uniform"):
+        raise ConfigError(f"unknown stencil_init_kind {kind!r}; use normal or uniform")
+    st_init = (kind, 0.0, scale) if kind == "normal" else (kind, -scale, scale)
 
     start_epoch = 0
     adam = None
@@ -347,13 +326,12 @@ def cmd_train(config: dict) -> int:
         resume_path = resolve_path(config["resume"])
         model = node.load_model(resume_path)
         adam = node.load_opt_state(f"{resume_path}.opt", model)
-        start_epoch = int(node.read_sidecar(f"{resume_path}.txt")["epochs_completed"])
+        start_epoch = sp.read_sidecar(f"{resume_path}.txt")["epochs_completed"]
     else:
         model = node.build_model(
             config["variant"], sizes, acts,
             ("normal", 0.0, config["weight_init_variance"]), config["seed"],
-            system=system, domain_length=ds.domain_length,
-            viscosity=float(sidecar.get("viscosity", 8e-4)),
+            system=system, domain_length=ds.domain_length, viscosity=ds.viscosity,
             stencil_width=config["stencil_width"],
             stencil_symmetric=config["stencil_symmetric"],
             stencil_init=st_init)
@@ -365,8 +343,8 @@ def cmd_train(config: dict) -> int:
         rollout_steps=config["rollout_steps"], seed=config["seed"])
 
     meta = {"system": system, "domain_length": ds.domain_length,
-            "viscosity": float(sidecar.get("viscosity", 8e-4)),
-            "variant": config["variant"], "dataset_sha256": sha256_file(dataset_path)}
+            "viscosity": ds.viscosity, "variant": config["variant"],
+            "dataset_sha256": sha256_file(dataset_path)}
 
     def writer(epoch, mdl, opt):
         node.save_model(ckpt_path, mdl, sidecar={**meta, "epochs_completed": epoch})
@@ -429,24 +407,10 @@ def _parse_noise(spec: str):
     raise ConfigError(f"bad noise spec {spec!r}; use grid:EPS or fourier:EPS:KLO:KHI")
 
 
-def _physics(ds: sp.SnapshotDataset, sidecar: dict):
-    """(solver_step, viscosity) the dataset was generated with."""
-    step = float(sidecar.get("solver_step", 1e-3 if ds.system == "vbe" else 0.05))
-    return step, float(sidecar.get("viscosity", 8e-4))
-
-
-def _true_solver(ds: sp.SnapshotDataset, sidecar: dict):
-    step, viscosity = _physics(ds, sidecar)
-    if ds.system == "vbe":
-        return sp.VbeSolver(ds.d, ds.domain_length, viscosity, step), step
-    return sp.KseSolver(ds.d, ds.domain_length, step), step
-
-
 def cmd_evaluate(config: dict) -> int:
     _require_positive(config, "rollout_steps", "n_ics")
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
-    sidecar = _dataset_sidecar(dataset_path)
     model = node.load_model(resolve_path(config["checkpoint"]))
     out_dir = resolve_path(config["out"])
     os.makedirs(out_dir, exist_ok=True)
@@ -454,7 +418,7 @@ def cmd_evaluate(config: dict) -> int:
     if config["horizon"] == AUTO:
         config["horizon"] = 5.0 if ds.system == "vbe" else 90.0
 
-    test_ds = _split(ds, sidecar)[1]
+    test_ds = ds.split()[1]
     meta = {"dataset": os.path.basename(dataset_path),
             "checkpoint": os.path.basename(config["checkpoint"]),
             "noise": config["noise"], "seed": config["seed"],
@@ -462,10 +426,9 @@ def cmd_evaluate(config: dict) -> int:
     metric = config["metric"]
 
     if metric == "lyapunov":
-        step, viscosity = _physics(ds, sidecar)
         est = mt.lyapunov_time_estimate(
             system=ds.system, d=ds.d, domain_length=ds.domain_length,
-            solver_step=step, viscosity=viscosity,
+            solver_step=ds.solver_step, viscosity=ds.viscosity,
             total_time=config["lyapunov_total_time"], seed=config["seed"])
         path = os.path.join(out_dir, "lyapunov.csv")
         with open(path, "w") as fh:
@@ -480,33 +443,34 @@ def cmd_evaluate(config: dict) -> int:
         return 0
 
     _require_stable_substeps(model, ds.tau, config["rollout_steps"])
-    n_ics = min(config["n_ics"], test_ds.n_traj if ds.system == "vbe"
-                else test_ds.n_snap)
-    rng_seed = config["seed"]
 
     # assemble (possibly noised) initial conditions from the test split
     ics = []
-    for i in range(n_ics):
-        u0 = test_ds.values[i, 0] if ds.system == "vbe" else test_ds.values[0, i]
+    for i, u0 in enumerate(test_ds.initial_conditions()[:config["n_ics"]]):
         if noise is not None and noise[0] == "grid":
-            u0 = mt.add_noise_grid(u0, noise[1], seed=rng_seed + i)
+            u0 = mt.add_noise_grid(u0, noise[1], seed=config["seed"] + i)
         elif noise is not None:
-            u0 = mt.add_noise_fourier(u0, *noise[1:], seed=rng_seed + i)
+            u0 = mt.add_noise_fourier(u0, *noise[1:], seed=config["seed"] + i)
         ics.append(u0)
 
     horizon, tau = config["horizon"], ds.tau
     ics = np.stack(ics)
-    diverged = []
     if metric in ("error", "spectrum"):
-        solver, step = _true_solver(ds, sidecar)
         n_snap = int(round(horizon / tau)) + 1
-        true_set = np.empty((n_ics, n_snap, ds.d))
+        true_set = np.empty((len(ics), n_snap, ds.d))
         true_set[:, 0] = ics
-        sp.fill_trajectories(solver, np.fft.rfft(ics) / ds.d, true_set,
-                             int(round(tau / step)), tau)
+        sp.fill_trajectories(ds.solver(), np.fft.rfft(ics) / ds.d, true_set,
+                             int(round(tau / ds.solver_step)), tau)
         times, model_set = node.rollout(model, ics, (n_snap - 1) * tau, tau,
                                         config["rollout_steps"])
-        diverged = np.flatnonzero(~np.all(np.isfinite(model_set), axis=(1, 2)))
+    elif metric == "pdf":
+        # one long rollout from the first initial condition
+        n_save = int(round(config["pdf_time"] / tau))
+        times, model_set = node.rollout(model, ics[:1], n_save * tau, tau,
+                                        config["rollout_steps"])
+    else:
+        raise ConfigError(f"unknown metric {metric!r}")
+    bad = ~np.all(np.isfinite(model_set), axis=-1)  # (initial condition, snapshot)
 
     if metric == "error":
         if ds.system == "vbe":
@@ -535,12 +499,9 @@ def cmd_evaluate(config: dict) -> int:
             spectra[f"model_t{t_want:g}"] = mt.energy_spectrum(model_set[:, idx])
         mt.write_spectrum_csv(os.path.join(out_dir, "spectrum.csv"), k, spectra, meta)
         print(f"wrote spectra at t={list(config['times'])}")
-    elif metric == "pdf":
-        n_save = int(round(config["pdf_time"] / tau))
-        _, traj = node.rollout(model, ics[0], n_save * tau, tau,
-                               config["rollout_steps"])
-        finite = traj[np.all(np.isfinite(traj), axis=1)]
-        pdf = mt.joint_pdf(finite, ds.domain_length, bins=config["pdf_bins"])
+    else:
+        pdf = mt.joint_pdf(model_set[0][~bad[0]], ds.domain_length,
+                           bins=config["pdf_bins"])
         mt.write_joint_pdf(os.path.join(out_dir, "model_pdf.snpd"), pdf)
         ref = mt.joint_pdf(test_ds.snapshots(), ds.domain_length,
                            bins=config["pdf_bins"])
@@ -553,14 +514,14 @@ def cmd_evaluate(config: dict) -> int:
             fh.write(f"{mt.fmt(kl)},{mt.fmt(mt.support_overlap(pdf, ref))},"
                      f"{mt.fmt(pdf.oob_fraction)}\n")
         print(f"joint-PDF KL divergence {kl:.4e}")
-    else:
-        raise ConfigError(f"unknown metric {metric!r}")
 
     write_manifest(os.path.join(out_dir, "manifest-evaluate.cfg"), "evaluate",
                    config, {"dataset": sha256_file(dataset_path)})
-    if len(diverged):
-        print("numerical divergence: non-finite model trajectory for initial "
-              "conditions " + ",".join(map(str, diverged)), file=sys.stderr)
+    if bad.any():
+        which = ",".join(map(str, np.flatnonzero(bad.any(axis=1))))
+        first = times[bad.any(axis=0).argmax()]
+        print(f"numerical divergence: non-finite model trajectory for initial "
+              f"conditions {which}, first at t = {first:g}", file=sys.stderr)
         return 3
     return 0
 
@@ -588,13 +549,11 @@ ROM_SCHEMA = {
 def cmd_rom(config: dict) -> int:
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
-    sidecar = _dataset_sidecar(dataset_path)
     out_dir = resolve_path(config["out"])
     os.makedirs(out_dir, exist_ok=True)
 
     if config["rhs"] == "true":
-        model = node.TrueRhs(ds.system, ds.d, ds.domain_length,
-                             viscosity=float(sidecar.get("viscosity", 8e-4)))
+        model = node.TrueRhs(ds.system, ds.d, ds.domain_length, viscosity=ds.viscosity)
         rhs_hash = "true"
     else:
         ckpt = resolve_path(config["rhs"])
@@ -603,24 +562,29 @@ def cmd_rom(config: dict) -> int:
 
     basis = rom_mod.fourier_basis(model.linear_symbol())
     if config["sort"] == "variance":
-        test_ds = _split(ds, sidecar)[1]
-        basis = rom_mod.variance_sort(basis, model, test_ds.snapshots())
+        basis = rom_mod.variance_sort(basis, model, ds.split()[1].snapshots())
     elif config["sort"] != "eigenvalue":
         raise ConfigError(f"unknown sort {config['sort']!r}")
     rom_mod.write_eigenbasis(os.path.join(out_dir, "basis.sneb"), basis)
 
-    u0 = ds.values[0, config["ic_index"]] if ds.system == "kse" \
-        else ds.values[config["ic_index"], 0]
+    starts = ds.initial_conditions()
+    if not 0 <= config["ic_index"] < len(starts):
+        raise ConfigError(f"ic_index must be in 0..{len(starts) - 1}")
+    u0 = starts[config["ic_index"]]
     if config["reference"] == "dataset":
         reference = mt.joint_pdf(ds.snapshots(), ds.domain_length,
                                  bins=config["pdf_bins"])
     elif config["reference"] == "self":
         # full (untruncated) rollout of the same RHS, same integrator settings
         save = config["save_interval"]
-        _, traj = node.rollout(model, u0, round(config["total_time"] / save) * save,
-                               save, int(round(save / config["dt"])))
-        finite = traj[np.all(np.isfinite(traj), axis=1)]
-        reference = mt.joint_pdf(finite, ds.domain_length, bins=config["pdf_bins"])
+        times, traj = node.rollout(model, u0, round(config["total_time"] / save) * save,
+                                   save, int(round(save / config["dt"])))
+        bad = ~np.all(np.isfinite(traj), axis=1)
+        if bad.any():
+            t = times[bad.argmax()]
+            raise sp.DivergenceError(f"reference=self rollout went non-finite by "
+                                     f"t = {t:g}", time=t)
+        reference = mt.joint_pdf(traj, ds.domain_length, bins=config["pdf_bins"])
     else:
         raise ConfigError(f"unknown reference {config['reference']!r}")
     mt.write_joint_pdf(os.path.join(out_dir, "reference_pdf.snpd"), reference)
@@ -691,12 +655,9 @@ def cmd_stencil_report(config: dict) -> int:
     model = node.load_model(ckpt)
     if model.variant != "learned-linear":
         raise ConfigError("stencil report needs a learned-linear checkpoint")
-    meta = node.read_sidecar(f"{ckpt}.txt")
-    system = meta["system"]
+    system, length, viscosity = node.checkpoint_physics(ckpt)
     d = model.width
-    length = float(meta["domain_length"])
-    optimal = optimal_stencil(system, d, length,
-                              float(meta.get("viscosity", 8e-4)))
+    optimal = optimal_stencil(system, d, length, viscosity)
     learned = model.stencil.effective_taps()
     if learned.size != optimal.size:
         raise ConfigError(f"learned width {learned.size} does not match the "
@@ -823,15 +784,15 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         code = run(argv)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     except sp.DivergenceError as err:
         print(f"numerical divergence: {err}", file=sys.stderr)
         return 3
     except sp.ArtifactError as err:
         print(f"corrupt artifact: {err}", file=sys.stderr)
         return 4
+    except ValueError as err:  # a ConfigError, or a setting a library call rejects
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 4

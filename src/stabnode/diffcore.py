@@ -6,8 +6,8 @@ parameters, and circular-convolution stencils, held as their Fourier symbol
 cross-correlation.  Forward passes accept a single state of length d or a
 batch shaped (n, d); parameter gradients are accumulated (summed) over the
 batch, so callers fold any averaging into the cotangent.  No computation
-graph: a forward call returns a one-shot tape that its matching backward
-call consumes.
+graph: a forward call returns the layer activations, which its matching
+backward call takes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ArtifactError, expect_end, read_exact, read_f8, tag_name
+from .spectral import (ArtifactError, expect_end, read_exact, read_f8, tag_name,
+                       write_sidecar)
 
 ACTIVATION_TAGS = {"relu": 0, "sigmoid": 1, "linear": 2}
 ACTIVATION_NAMES = {v: k for k, v in ACTIVATION_TAGS.items()}
@@ -118,24 +119,6 @@ class ConvStencil:
         return grad + grad[::-1] if self.symmetric else grad
 
 
-class MlpTape:
-    """Retained activations from one forward call; single use."""
-
-    def __init__(self, params, acts):
-        self._params = params
-        self._acts = acts
-        self._used = False
-
-    def consume(self, params):
-        if self._used:
-            raise RuntimeError("retained activations already consumed; "
-                               "rerun the forward pass")
-        if params is not self._params:
-            raise RuntimeError("retained activations belong to different parameters")
-        self._used = True
-        return self._acts
-
-
 def _activate(name, z):
     if name == "relu":
         return np.maximum(z, 0.0)
@@ -156,7 +139,8 @@ def _activation_grad(name, out):
 
 
 def mlp_forward(params: MlpParams, u: np.ndarray):
-    """Evaluate the network; returns (output, tape) with tape for one backward."""
+    """Evaluate the network; returns (output, activations) where activations
+    lists the input and every layer output, as (n, width) arrays."""
     u = np.asarray(u, dtype=np.float64)
     squeeze = u.ndim == 1
     a = u[None, :] if squeeze else u
@@ -168,13 +152,15 @@ def mlp_forward(params: MlpParams, u: np.ndarray):
         a = _activate(act, a @ w + b)
         acts.append(a)
     out = acts[-1][0] if squeeze else acts[-1]
-    return out, MlpTape(params, acts)
+    return out, acts
 
 
-def mlp_backward(params: MlpParams, tape: MlpTape, cotangent: np.ndarray):
-    """Exact VJP: returns (grads, input cotangent); grads lists the weight
-    gradients, then the bias gradients, each summed over the batch."""
-    acts = tape.consume(params)
+def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray):
+    """Exact VJP at the activations :func:`mlp_forward` returned: returns
+    (grads, input cotangent); grads lists the weight gradients, then the bias
+    gradients, each summed over the batch."""
+    if [a.shape[-1] for a in acts] != list(params.layer_sizes):
+        raise ValueError("activations do not come from a network of these layer sizes")
     g = np.asarray(cotangent, dtype=np.float64)
     squeeze = g.ndim == 1
     if squeeze:
@@ -236,9 +222,7 @@ def write_checkpoint(path, variant_tag: int, mlp: MlpParams,
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
     if sidecar is not None:
-        lines = [f"{k}={sidecar[k]}" for k in sorted(sidecar)]
-        with open(f"{path}.txt", "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_sidecar(f"{path}.txt", sidecar)
 
 
 def read_checkpoint(path):

@@ -248,15 +248,12 @@ def lyapunov_time_estimate(system: str = "kse", d: int = 64,
     its inverse, reported only when the exponent is positive.
     """
     rng = np.random.default_rng(seed)
+    solver = sp.true_solver(system, d, domain_length, viscosity, solver_step)
     if system == "kse":
-        solver = sp.KseSolver(d, domain_length, solver_step)
         u0 = 0.01 * rng.standard_normal(d)
         u0 -= u0.mean()
-    elif system == "vbe":
-        solver = sp.VbeSolver(d, domain_length, viscosity, solver_step)
-        u0 = sp.generate_vbe_ic(sp.IcSpec(seed=seed), d, domain_length).values
     else:
-        raise ValueError(f"unknown system {system!r}")
+        u0 = sp.generate_vbe_ic(sp.IcSpec(seed=seed), d, domain_length).values
     ref = np.fft.rfft(u0) / d
     ref = solver.advance(ref, int(round(transient / solver_step)))
 

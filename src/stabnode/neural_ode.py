@@ -14,14 +14,14 @@ adaptive-moment optimizer over the model's parameter list, whose two groups
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from .spectral import (ArtifactError, DivergenceError, SnapshotDataset,
                        advection_symbols, apply_symbol, burgers_tendency, expect_end,
-                       linear_symbol, read_exact, read_f8, tag_name)
+                       linear_symbol, read_exact, read_f8, read_sidecar, tag_name)
 
 VARIANT_TAGS = {"nonlinear": 0, "fixed-linear": 1, "learned-linear": 2}
 VARIANT_NAMES = {v: k for k, v in VARIANT_TAGS.items()}
@@ -107,8 +107,8 @@ def _rhs_vjp(model: RhsModel, x: np.ndarray, cotangent: np.ndarray,
              grads: list) -> np.ndarray:
     """Accumulate into ``grads`` (one array per model parameter); return the
     input cotangent."""
-    _, tape = dc.mlp_forward(model.mlp, x)
-    parts, gin = dc.mlp_backward(model.mlp, tape, cotangent)
+    _, acts = dc.mlp_forward(model.mlp, x)
+    parts, gin = dc.mlp_backward(model.mlp, acts, cotangent)
     if model.variant != "nonlinear":
         # a real circulant's adjoint has the conjugate symbol
         gin = gin + apply_symbol(np.conj(model.linear_symbol()), cotangent)
@@ -201,7 +201,7 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
     h = tau / rollout_steps
     pred, stages = _rk4_forward(model.eval, u_start, h, rollout_steps, record=True)
     residual = pred - u_end
-    loss = float(np.mean(np.abs(residual)))
+    loss = l1_loss(pred, u_end)
     cotangent = np.sign(residual) / residual.size
     grads = [np.zeros_like(p) for p in model.parameters()]
     _rk4_backward(model, stages, h, cotangent, grads)
@@ -439,27 +439,21 @@ def save_model(path, model: RhsModel, sidecar: dict | None = None) -> None:
 
 def load_model(path) -> RhsModel:
     """Load a checkpoint; fixed-linear models rebuild the symbol from the
-    sidecar (system, domain_length, viscosity)."""
+    sidecar's physics."""
     tag, mlp, stencil = dc.read_checkpoint(path)
     variant = tag_name(VARIANT_NAMES, tag, path, "variant")
     symbol = None
     if variant == "fixed-linear":
-        meta = read_sidecar(f"{path}.txt")
-        symbol = linear_symbol(meta["system"], mlp.layer_sizes[0],
-                               float(meta["domain_length"]),
-                               float(meta.get("viscosity", 8e-4)))
+        system, length, viscosity = checkpoint_physics(path)
+        symbol = linear_symbol(system, mlp.layer_sizes[0], length, viscosity)
     return RhsModel(variant, mlp, fixed_symbol=symbol, stencil=stencil)
 
 
-def read_sidecar(path) -> dict:
-    meta = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, val = line.split("=", 1)
-                meta[key] = val
-    return meta
+def checkpoint_physics(path):
+    """(system, domain_length, viscosity) from a checkpoint's sidecar;
+    viscosity 8e-4 when it is absent."""
+    meta = read_sidecar(f"{path}.txt")
+    return meta["system"], meta["domain_length"], meta.get("viscosity", 8e-4)
 
 
 def _opt_tensors(adam: AdamState) -> list:

@@ -107,11 +107,12 @@ def variance_sort(basis: EigenBasis, model, snapshots) -> EigenBasis:
                       "variance")
 
 
-def galerkin_rhs(basis: EigenBasis, d_p: int, model, p: np.ndarray) -> np.ndarray:
-    """Resolved dynamics dp/dt = Lambda_p p + Vp^T F(Vp p)."""
+def galerkin_rhs(basis: EigenBasis, d_p: int, model, p: np.ndarray,
+                 lift=0.0) -> np.ndarray:
+    """Resolved dynamics dp/dt = Lambda_p p + Vp^T F(Vp p + lift); the lift
+    is nonlinear Galerkin's slaved Vq q, zero for plain Galerkin."""
     vp = basis.leading(d_p)
-    u = vp @ p
-    return basis.eigenvalues[:d_p] * p + vp.T @ model.nonlinear(u)
+    return basis.eigenvalues[:d_p] * p + vp.T @ model.nonlinear(vp @ p + lift)
 
 
 def unresolved_correction(basis: EigenBasis, d_p: int, model, p: np.ndarray,
@@ -149,13 +150,14 @@ def rom_integrate(basis: EigenBasis, d_p: int, model, u0: np.ndarray,
     """
     if mode not in ("galerkin", "nlg", "ppg"):
         raise ValueError(f"unknown ROM mode {mode!r}")
+    if not 0 < d_p <= basis.d:
+        raise ValueError(f"retained dimension {d_p} is outside 1..{basis.d}")
     n_save = int(round(total_time / save_interval))
     sub = int(round(save_interval / dt))
     if sub < 1 or abs(sub * dt - save_interval) > 1e-9 * save_interval:
         raise ValueError("dt must divide save_interval")
     vp = basis.leading(d_p)
     vq = basis.trailing(d_p)
-    lam_p = basis.eigenvalues[:d_p]
     p = vp.T @ np.asarray(u0, dtype=np.float64)
 
     def reconstruct(p_now):
@@ -171,18 +173,14 @@ def rom_integrate(basis: EigenBasis, d_p: int, model, u0: np.ndarray,
         # overflow en route to the finiteness check is the divergence signal
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(sub):
+                lift = 0.0
                 if mode == "nlg":
-                    q_now = unresolved_correction(basis, d_p, model, p,
-                                                  slaving_iterations)
-                    lift = vq @ q_now
-
-                    def rhs(ps):
-                        return lam_p * ps + vp.T @ model.nonlinear(vp @ ps + lift)
-                else:
-                    def rhs(ps):
-                        return lam_p * ps + vp.T @ model.nonlinear(vp @ ps)
+                    lift = vq @ unresolved_correction(basis, d_p, model, p,
+                                                      slaving_iterations)
                 try:
-                    p, _ = _rk4_forward(rhs, p, dt, 1, record=False)
+                    p, _ = _rk4_forward(
+                        lambda ps: galerkin_rhs(basis, d_p, model, ps, lift),
+                        p, dt, 1, record=False)
                 except DivergenceError as err:
                     raise DivergenceError(
                         f"reduced model diverged near t = {times[-1]:.4g}",

@@ -9,12 +9,20 @@ plus random initial conditions drawn to a prescribed energy budget.
 Transform convention: the forward transform is normalized by 1/d, so a pure
 mode a*cos(2*pi*k*x/L) carries coefficient a/2 at one-sided index k.  Every
 spectrum formula in this package assumes that convention.
+
+Artifacts carry a key=value text sidecar, ``<path>.txt``.  A dataset reads
+``viscosity`` (8e-4 when absent), ``solver_step`` (1e-3 VBE, 0.05 KSE),
+``train_trajectories`` (the leading VBE training trajectories; absent, the
+ensemble is its own test set) and ``train_fraction`` (KSE chronological cut,
+0.8); a checkpoint ``system``, ``domain_length``, ``viscosity`` (8e-4) and
+``epochs_completed``.  A number that does not parse is an ArtifactError.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -26,9 +34,13 @@ SYSTEM_NAMES = {v: k for k, v in SYSTEM_TAGS.items()}
 DATASET_MAGIC = b"SNOD"
 DATASET_VERSION = 1
 
+SIDECAR_NUMBERS = {"viscosity": float, "solver_step": float, "train_fraction": float,
+                   "domain_length": float, "train_trajectories": int,
+                   "epochs_completed": int}
+
 
 class ArtifactError(ValueError):
-    """A binary artifact is truncated, padded or has a bad header."""
+    """A truncated, padded or malformed artifact, or an unparsable sidecar number."""
 
 
 def read_exact(fh, nbytes: int) -> bytes:
@@ -229,13 +241,28 @@ def burgers_tendency(coeffs: np.ndarray, half_iq: np.ndarray,
     return np.where(mask, half_iq * sq, 0.0)
 
 
-class VbeSolver:
+class _Solver:
+    """The stepping loop both ground-truth solvers share."""
+
+    def advance(self, coeffs: np.ndarray, nsteps: int) -> np.ndarray:
+        # overflow en route to the finiteness check is the blow-up signal
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(nsteps):
+                coeffs = self.step_spectral(coeffs)
+        if not np.all(np.isfinite(coeffs)):
+            raise DivergenceError(f"{self.EQUATION} integration blew up")
+        return coeffs
+
+
+class VbeSolver(_Solver):
     """Viscous Burgers u_t = -u*u_x + nu*u_xx, pseudospectral RK3/CN.
 
     Diffusion is treated with Crank-Nicolson inside a third-order
     low-storage Runge-Kutta loop (stage steps dt/3, dt/2, dt); the
     advection term -0.5*(u^2)_x is explicit with 2/3-rule dealiasing.
     """
+
+    EQUATION = "viscous Burgers"
 
     def __init__(self, d: int, domain_length: float = 1.0, viscosity: float = 8e-4,
                  dt: float = 1e-3):
@@ -257,17 +284,8 @@ class VbeSolver:
             v = (v + 0.5 * self._lin * dt_s * base) / (1.0 - 0.5 * self._lin * dt_s)
         return v
 
-    def advance(self, coeffs: np.ndarray, nsteps: int) -> np.ndarray:
-        # overflow en route to the finiteness check is the blow-up signal
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(nsteps):
-                coeffs = self.step_spectral(coeffs)
-        if not np.all(np.isfinite(coeffs)):
-            raise DivergenceError("viscous Burgers integration blew up")
-        return coeffs
 
-
-class KseSolver:
+class KseSolver(_Solver):
     """Kuramoto-Sivashinsky u_t = -u*u_x - u_xx - u_xxxx, ETDRK4 in time.
 
     Linear symbol l(k) = q^2 - q^4 with q = 2*pi*k/L is integrated exactly;
@@ -276,6 +294,7 @@ class KseSolver:
     """
 
     CONTOUR_POINTS = 32
+    EQUATION = "Kuramoto-Sivashinsky"
 
     def __init__(self, d: int, domain_length: float = 22.0, h: float = 0.05):
         if h <= 0:
@@ -308,24 +327,27 @@ class KseSolver:
         n_c = burgers_tendency(c, *self._adv)
         return self._E * v + n_v * self._f1 + 2.0 * (n_a + n_b) * self._f2 + n_c * self._f3
 
-    def advance(self, coeffs: np.ndarray, nsteps: int) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(nsteps):
-                coeffs = self.step_spectral(coeffs)
-        if not np.all(np.isfinite(coeffs)):
-            raise DivergenceError("Kuramoto-Sivashinsky integration blew up")
-        return coeffs
+
+def true_solver(system: str, d: int, domain_length: float, viscosity: float,
+                step: float):
+    """The ground-truth solver of ``system``; KSE has no viscosity."""
+    if system == "vbe":
+        return VbeSolver(d, domain_length, viscosity, step)
+    if system == "kse":
+        return KseSolver(d, domain_length, step)
+    raise ValueError(f"unknown system {system!r}")
 
 
 @dataclass
 class SnapshotDataset:
-    """Trajectories sampled at a fixed interval tau, shape (n_traj, n_snap, d)."""
+    """Trajectories sampled at a fixed interval tau, shape (n_traj, n_snap, d),
+    with the parsed ``sidecar`` its physics and split come from."""
 
     values: np.ndarray
     tau: float
     domain_length: float
     system: str
-    seeds: list = dc_field(default_factory=list)
+    sidecar: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -346,6 +368,24 @@ class SnapshotDataset:
     def d(self) -> int:
         return self.values.shape[2]
 
+    @property
+    def viscosity(self) -> float:
+        return self.sidecar.get("viscosity", 8e-4)
+
+    @property
+    def solver_step(self) -> float:
+        return self.sidecar.get("solver_step", 1e-3 if self.system == "vbe" else 0.05)
+
+    def solver(self):
+        """The ground-truth solver at the dataset's physics."""
+        return true_solver(self.system, self.d, self.domain_length, self.viscosity,
+                           self.solver_step)
+
+    def initial_conditions(self) -> np.ndarray:
+        """(n, d) starting states: the first snapshot of every VBE trajectory,
+        every snapshot of the one KSE trajectory."""
+        return self.values[:, 0] if self.system == "vbe" else self.values[0]
+
     def times(self) -> np.ndarray:
         return np.arange(self.n_snap) * self.tau
 
@@ -359,23 +399,26 @@ class SnapshotDataset:
         u1 = self.values[:, 1:, :].reshape(-1, self.d)
         return u0, u1
 
-    def split_trajectories(self, n_train: int) -> tuple["SnapshotDataset", "SnapshotDataset"]:
-        """Leading n_train trajectories for training, the rest for testing."""
-        if not 0 < n_train <= self.n_traj:
+    def split(self) -> tuple["SnapshotDataset", "SnapshotDataset"]:
+        """(train, test): a VBE ensemble's leading trajectories and the rest,
+        a KSE trajectory's chronological parts."""
+        if self.system == "kse":
+            return self.split_chronological(self.sidecar.get("train_fraction", 0.8))
+        n_train = self.sidecar.get("train_trajectories", self.n_traj)
+        if n_train >= self.n_traj:
+            return self, self
+        if n_train < 1:
             raise ValueError("invalid training trajectory count")
-        mk = lambda vals, seeds: SnapshotDataset(vals, self.tau, self.domain_length,
-                                                 self.system, seeds)
-        return (mk(self.values[:n_train], self.seeds[:n_train]),
-                mk(self.values[n_train:], self.seeds[n_train:]))
+        return (replace(self, values=self.values[:n_train]),
+                replace(self, values=self.values[n_train:]))
 
     def split_chronological(self, train_fraction: float = 0.8):
         """Chronological split of a single-trajectory dataset."""
         if self.n_traj != 1:
             raise ValueError("chronological split expects a single trajectory")
         cut = int(round(self.n_snap * train_fraction))
-        mk = lambda vals: SnapshotDataset(vals, self.tau, self.domain_length,
-                                          self.system, self.seeds)
-        return mk(self.values[:, :cut]), mk(self.values[:, cut:])
+        return (replace(self, values=self.values[:, :cut]),
+                replace(self, values=self.values[:, cut:]))
 
 
 def fill_trajectories(solver, coeffs: np.ndarray, values: np.ndarray, sub: int,
@@ -426,7 +469,7 @@ def generate_vbe_dataset(n_train: int = 1000, n_test: int = 100, d: int = 512,
     values[:, 0] = [generate_vbe_ic(IcSpec(peak_wavenumber, amplitude, seed), d,
                                     domain_length).values for seed in seeds]
     fill_trajectories(solver, np.fft.rfft(values[:, 0]) / d, values, sub, tau, seeds)
-    return SnapshotDataset(values, tau, domain_length, "vbe", seeds)
+    return SnapshotDataset(values, tau, domain_length, "vbe")
 
 
 def generate_kse_dataset(d: int = 64, domain_length: float = 22.0, horizon: float = 2500.0,
@@ -450,7 +493,7 @@ def generate_kse_dataset(d: int = 64, domain_length: float = 22.0, horizon: floa
     values = np.empty((1, n_snap, d))
     values[0, 0] = np.fft.irfft(coeffs * d, n=d)
     fill_trajectories(solver, coeffs, values, sub, tau, [seed])
-    return SnapshotDataset(values, tau, domain_length, "kse", [seed])
+    return SnapshotDataset(values, tau, domain_length, "kse")
 
 
 def write_dataset(ds: SnapshotDataset, path, manifest: dict | None = None) -> None:
@@ -458,7 +501,7 @@ def write_dataset(ds: SnapshotDataset, path, manifest: dict | None = None) -> No
 
     Layout: magic, u32 version, u32 d, u32 n_traj, u32 n_snap, f64 tau,
     f64 L, u8 system tag, then f64 payload trajectory-major, snapshot-major,
-    grid-minor.  An optional plain-text sidecar records generation metadata.
+    grid-minor.  An optional sidecar ``manifest`` records generation metadata.
     """
     header = DATASET_MAGIC + struct.pack(
         "<IIIIddB", DATASET_VERSION, ds.d, ds.n_traj, ds.n_snap, ds.tau,
@@ -467,9 +510,7 @@ def write_dataset(ds: SnapshotDataset, path, manifest: dict | None = None) -> No
         fh.write(header)
         fh.write(ds.values.astype("<f8").tobytes())
     if manifest is not None:
-        lines = [f"{k}={manifest[k]}" for k in sorted(manifest)]
-        with open(f"{path}.txt", "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_sidecar(f"{path}.txt", manifest)
 
 
 def read_dataset(path) -> SnapshotDataset:
@@ -484,4 +525,26 @@ def read_dataset(path) -> SnapshotDataset:
         values = read_f8(fh, d * n_traj * n_snap).reshape(n_traj, n_snap, d)
         expect_end(fh)
     system = tag_name(SYSTEM_NAMES, tag, path, "system")
-    return SnapshotDataset(values, tau, length, system)
+    sidecar = f"{path}.txt"
+    meta = read_sidecar(sidecar) if os.path.exists(sidecar) else {}
+    return SnapshotDataset(values, tau, length, system, meta)
+
+
+def write_sidecar(path, values: dict) -> None:
+    """One key=value line per entry, keys sorted."""
+    with open(path, "w") as fh:
+        fh.write("".join(f"{key}={values[key]}\n" for key in sorted(values)))
+
+
+def read_sidecar(path) -> dict:
+    """The key=value lines of a sidecar, the SIDECAR_NUMBERS keys parsed;
+    ArtifactError naming the file and the key when one does not parse."""
+    with open(path) as fh:
+        meta = dict(line.strip().split("=", 1) for line in fh if "=" in line)
+    for key, kind in SIDECAR_NUMBERS.items():
+        try:
+            if key in meta:
+                meta[key] = kind(meta[key])
+        except ValueError:
+            raise ArtifactError(f"{path}: {key} is not a number: {meta[key]!r}") from None
+    return meta

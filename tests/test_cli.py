@@ -176,6 +176,24 @@ def trained_dir(tmp_path_factory, vbe_dataset):
     return out
 
 
+@pytest.fixture(scope="module")
+def kse_checkpoint(tmp_path_factory, kse_dataset):
+    out = tmp_path_factory.mktemp("kserun")
+    assert run_cli("train", "--dataset", str(kse_dataset), "--variant", "nonlinear",
+                   "--out", str(out), "--epochs", "1", "--set", "hidden=4") == 0
+    return out / "model.snck"
+
+
+def learned_linear_checkpoint(path, d, taps, system):
+    """An untrained learned-linear checkpoint with the given stencil taps."""
+    model = node.build_model("learned-linear", [d, 8, d], ["relu", "linear"],
+                             ("normal", 0.0, 1e-4), 0, stencil_width=len(taps))
+    model.stencil.taps[:] = taps
+    node.save_model(path, model, sidecar={"system": system, "epochs_completed": 0,
+                                          "variant": "learned-linear"})
+    return path
+
+
 class TestTrain:
     def test_artifacts_written(self, trained_dir):
         assert (trained_dir / "model.snck").exists()
@@ -296,6 +314,98 @@ def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
     assert setting.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--set", "variant=bogus"],
+    ["train", "--variant", "learned-linear", "--set", "activation=tanh"],
+    ["train", "--variant", "learned-linear", "--set", "hidden=8,x"],
+    ["train", "--variant", "learned-linear", "--set", "stencil_width=4"],
+    ["train", "--variant", "learned-linear", "--set", "stencil_width=33"],
+    ["train", "--variant", "learned-linear", "--set", "stencil_init_kind=bogus"],
+    ["rom", "--dp", "7", "--set", "mode=bogus"],
+    ["rom", "--dp", "40"],
+    ["rom", "--dp", "7", "--set", "ic_index=121"],
+    *(["rom", "--dp", str(d_p)] for d_p in range(7)),
+    ["rom", "--dp", "8", "--sort", "variance"],
+    ["evaluate", "--noise", "fourier:0.1:0:100"]],
+    ids=lambda argv: " ".join(argv))
+def test_bad_setting_config_error(tmp_path, kse_dataset, kse_checkpoint, argv, capsys):
+    # d = 32 KSE; the rom cases use the default nlg mode, whose slaved trailing
+    # set may not hold the mean mode's zero eigenvalue
+    extra = {"train": ["--epochs", "1", "--set", "hidden=4"],
+             "rom": ["--rhs", "true", "--set", "total_time=1.0"],
+             "evaluate": ["--checkpoint", str(kse_checkpoint),
+                          "--set", "horizon=1.0"]}[argv[0]]
+    code = run_cli(argv[0], *extra, *argv[1:], "--dataset", str(kse_dataset),
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "o" / "loss.log").exists()
+    assert not (tmp_path / "o" / "rom.csv").exists()
+
+
+class TestDatasetSidecar:
+    """The .txt sidecar a dataset's physics, split and initial conditions come from."""
+
+    def _outputs(self, data, kind, tmp):
+        if kind == "vbe":
+            train = ["--variant", "fixed-linear"]
+            rom = ["--mode", "galerkin", "--set", "ic_index=1"]
+            horizon = "0.2"
+        else:
+            train = ["--variant", "learned-linear"]
+            rom = ["--mode", "galerkin", "--sort", "variance", "--set", "ic_index=3"]
+            horizon = "2.0"
+        assert run_cli("train", "--dataset", str(data), *train, "--out", str(tmp / "t"),
+                       "--epochs", "3", "--set", "hidden=8",
+                       "--set", "batch_size=8") == 0
+        assert run_cli("evaluate", "--dataset", str(data), "--checkpoint",
+                       str(tmp / "t" / "model.snck"), "--out", str(tmp / "e"),
+                       "--set", "n_ics=2", "--set", f"horizon={horizon}") == 0
+        assert run_cli("rom", "--dataset", str(data), "--rhs", "true", "--dp", "8",
+                       *rom, "--out", str(tmp / "r"), "--set", "total_time=1.0") == 0
+        rows = [line.split(",")[:4] for line in
+                (tmp / "r" / "rom.csv").read_text().splitlines()]
+        return ([(tmp / name).read_bytes() for name in
+                 ("t/model.snck", "t/model.snck.txt", "t/loss.log", "e/error.csv",
+                  "r/basis.sneb", "r/reference_pdf.snpd")], rows)
+
+    @pytest.mark.parametrize("kind", ["vbe", "kse"])
+    def test_fallbacks_match_generator_defaults(self, tmp_path, kse_dataset, kind):
+        # the sidecar holds the generator's defaults (viscosity 8e-4, solver step
+        # 1e-3 for VBE or 0.05 for KSE, train_fraction 0.8, no VBE test
+        # trajectories), so without it every output must stay the same
+        with_txt = tmp_path / "with"
+        with_txt.mkdir()
+        if kind == "vbe":
+            assert run_cli("generate", "--system", "vbe", "--out",
+                           str(with_txt / "d.snod"), "--train-ics", "3",
+                           "--test-ics", "0", "--set", "d=32",
+                           "--set", "horizon=0.3") == 0
+        else:
+            (with_txt / "d.snod").write_bytes(kse_dataset.read_bytes())
+            (with_txt / "d.snod.txt").write_text(open(f"{kse_dataset}.txt").read())
+        assert "solver_step=" in (with_txt / "d.snod.txt").read_text()
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "d.snod").write_bytes((with_txt / "d.snod").read_bytes())
+        assert (self._outputs(with_txt / "d.snod", kind, with_txt)
+                == self._outputs(bare / "d.snod", kind, bare))
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "rom"])
+    def test_bad_number_io_error(self, tmp_path, kse_dataset, kse_checkpoint, command,
+                                 capsys):
+        data = tmp_path / "d.snod"
+        data.write_bytes(kse_dataset.read_bytes())
+        (tmp_path / "d.snod.txt").write_text("system=kse\nsolver_step=abc\n")
+        argv = {"train": ["train", "--variant", "nonlinear", "--set", "hidden=4"],
+                "evaluate": ["evaluate", "--checkpoint", str(kse_checkpoint)],
+                "rom": ["rom", "--rhs", "true", "--dp", "7"]}[command]
+        code = run_cli(*argv, "--dataset", str(data), "--out", str(tmp_path / "o"))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{data}.txt" in err and "solver_step" in err
+
+
 class TestEvaluate:
     def test_error_metric(self, tmp_path, vbe_dataset, trained_dir):
         out = tmp_path / "eval"
@@ -407,12 +517,7 @@ class TestEvaluate:
     def test_diverged_rollout_exits_3(self, tmp_path, vbe_dataset, metric, csv,
                                       capsys):
         # stencil taps of 1e5 put RK4 far outside its stability region
-        model = node.build_model("learned-linear", [64, 8, 64], ["relu", "linear"],
-                                 ("normal", 0.0, 1e-4), 0, stencil_width=3)
-        model.stencil.taps[:] = 1e5
-        ckpt = tmp_path / "model.snck"
-        node.save_model(ckpt, model, sidecar={"system": "vbe", "epochs_completed": 0,
-                                              "variant": "learned-linear"})
+        ckpt = learned_linear_checkpoint(tmp_path / "model.snck", 64, [1e5] * 3, "vbe")
         out = tmp_path / "eval"
         code = run_cli("evaluate", "--dataset", str(vbe_dataset), "--checkpoint",
                        str(ckpt), "--out", str(out), "--metric", metric,
@@ -425,6 +530,23 @@ class TestEvaluate:
                     if not l.startswith("#")][1:]
             assert float(rows[0].split(",")[1]) == 0.0
             assert rows[-1].split(",")[1] == "inf"
+
+    def test_diverged_pdf_rollout_exits_3(self, tmp_path, kse_dataset, capsys):
+        # taps of 1e5 blow the one pdf rollout up; its finite leading snapshots
+        # still make the written PDF
+        ckpt = learned_linear_checkpoint(tmp_path / "model.snck", 32, [1e5] * 5, "kse")
+        out = tmp_path / "eval"
+        code = run_cli("evaluate", "--dataset", str(kse_dataset), "--checkpoint",
+                       str(ckpt), "--out", str(out), "--metric", "pdf",
+                       "--set", "pdf_time=5.0")
+        assert code == 3
+        for name in ("model_pdf.snpd", "true_pdf.snpd", "pdf_kl.csv",
+                     "manifest-evaluate.cfg"):
+            assert (out / name).exists()
+        finite = mt.read_joint_pdf(out / "model_pdf.snpd").total_count // 32
+        assert 0 < finite < 21
+        err = capsys.readouterr().err
+        assert f"initial conditions 0, first at t = {finite * 0.25:g}\n" in err
 
     def test_bad_metric_config_error(self, tmp_path, vbe_dataset, trained_dir):
         code = run_cli("evaluate", "--dataset", str(vbe_dataset),
@@ -490,6 +612,24 @@ class TestRom:
         assert [row.split(",")[:3] for row in data][1] == ["32", "galerkin", "nan"]
         assert np.isfinite(float(data[0].split(",")[2]))
         assert (out / "manifest-rom.cfg").exists()
+
+
+    def test_diverged_self_reference_exits_3(self, tmp_path, kse_dataset, capsys):
+        ckpt = learned_linear_checkpoint(tmp_path / "model.snck", 32,
+                                         [500.0, -1000.0, 500.0], "kse")
+        out = tmp_path / "rom_self"
+        code = run_cli("rom", "--dataset", str(kse_dataset), "--rhs", str(ckpt),
+                       "--mode", "galerkin", "--dp", "8", "--out", str(out),
+                       "--set", "total_time=5.0", "--set", "reference=self")
+        assert code == 3
+        assert not (out / "rom.csv").exists()
+        # the same rollout outside the CLI: the first non-finite snapshot
+        times, traj = node.rollout(node.load_model(ckpt),
+                                   sp.read_dataset(kse_dataset).values[0, 0],
+                                   5.0, 0.25, 25)
+        bad = ~np.all(np.isfinite(traj), axis=1)
+        assert 0 < bad.argmax() < 21
+        assert f"by t = {times[bad.argmax()]:g}\n" in capsys.readouterr().err
 
 
 class TestStencilReport:
