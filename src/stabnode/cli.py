@@ -6,6 +6,10 @@ writes a manifest (resolved config plus input hashes as comments) that
 reproduces the run bit-identically.  Relative artifact paths resolve under
 $SNODE_DATA_DIR when it is set.
 
+`evaluate --metric error|spectrum` reads the true trajectories of noise-free
+Burgers test starts from the dataset, within its stored horizon; noisy
+starts, longer horizons and Kuramoto-Sivashinsky starts are solved again.
+
 Exit codes: 0 success; 2 config error: any setting the pipeline rejects (a
 ValueError other than an artifact error), e.g. epochs, batch_size,
 rollout_steps or n_ics below 1, an unknown variant, activation, stencil init
@@ -16,7 +20,9 @@ numerical divergence: a `rom` row with non-finite KL, a `rom --reference self`
 rollout (before any row runs), or an `evaluate --metric error|spectrum|pdf`
 model trajectory that went non-finite, whose outputs and manifest are still
 written; 4 I/O error, a corrupt (truncated, padded, bad-header, unknown-tag or
-NaN/Inf-payload) binary artifact, or a sidecar number that does not parse.
+NaN/Inf-payload) binary artifact, a sidecar number that does not parse, a
+dataset sidecar `train_trajectories` below 1, or a checkpoint sidecar without
+`system` or `domain_length` where the physics is needed.
 """
 
 from __future__ import annotations
@@ -457,10 +463,7 @@ def cmd_evaluate(config: dict) -> int:
     ics = np.stack(ics)
     if metric in ("error", "spectrum"):
         n_snap = int(round(horizon / tau)) + 1
-        true_set = np.empty((len(ics), n_snap, ds.d))
-        true_set[:, 0] = ics
-        sp.fill_trajectories(ds.solver(), np.fft.rfft(ics) / ds.d, true_set,
-                             int(round(tau / ds.solver_step)), tau)
+        true_set = test_ds.true_trajectories(ics, n_snap)
         times, model_set = node.rollout(model, ics, (n_snap - 1) * tau, tau,
                                         config["rollout_steps"])
     elif metric == "pdf":
@@ -724,7 +727,11 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--seed")
     tr.add_argument("--resume")
 
-    ev = subs.add_parser("evaluate", help="metrics for a trained model")
+    ev = subs.add_parser(
+        "evaluate", help="metrics for a trained model",
+        description="error and spectrum compare with the test split's true "
+        "trajectories: read from the dataset for noise-free Burgers starts within "
+        "its horizon, solved again otherwise")
     _add_common(ev)
     ev.add_argument("--dataset")
     ev.add_argument("--checkpoint")

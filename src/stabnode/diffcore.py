@@ -130,12 +130,10 @@ def _activate(name, z):
 
 
 def _activation_grad(name, out):
-    # derivative expressed through the layer output; relu'(0) := 0
+    # derivative of relu or sigmoid expressed through the layer output; relu'(0) := 0
     if name == "relu":
         return (out > 0.0).astype(np.float64)
-    if name == "sigmoid":
-        return out * (1.0 - out)
-    return np.ones_like(out)
+    return out * (1.0 - out)
 
 
 def mlp_forward(params: MlpParams, u: np.ndarray):
@@ -170,7 +168,9 @@ def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray):
     grad_w = [None] * params.n_layers
     grad_b = [None] * params.n_layers
     for i in range(params.n_layers - 1, -1, -1):
-        gz = g * _activation_grad(params.activations[i], acts[i + 1])
+        act = params.activations[i]
+        # a linear layer passes the cotangent through: g * 1.0 has g's bits
+        gz = g if act == "linear" else g * _activation_grad(act, acts[i + 1])
         grad_w[i] = acts[i].T @ gz
         grad_b[i] = gz.sum(axis=0)
         g = gz @ params.weights[i].T

@@ -74,19 +74,21 @@ class RhsModel:
             params.append(self.stencil.taps)
         return params
 
-    def linear_apply(self, u: np.ndarray) -> np.ndarray:
-        if self.variant == "nonlinear":
-            return np.zeros_like(u)
-        return apply_symbol(self.linear_symbol(), u)
-
     def nonlinear_apply(self, u: np.ndarray) -> np.ndarray:
         out, _ = dc.mlp_forward(self.mlp, u)
         return out
 
     def eval(self, u: np.ndarray) -> np.ndarray:
+        return self.rhs()[0](u)
+
+    def rhs(self):
+        """(f, symbol): du/dt = f(u) with the linear branch's symbol (None for
+        the bare network) computed once, as the taps change only in the
+        optimizer step; one integration or gradient calls this once."""
         if self.variant == "nonlinear":
-            return self.nonlinear_apply(u)
-        return self.linear_apply(u) + self.nonlinear_apply(u)
+            return self.nonlinear_apply, None
+        symbol = self.linear_symbol()
+        return (lambda u: apply_symbol(symbol, u) + self.nonlinear_apply(u)), symbol
 
     # ROM protocol ---------------------------------------------------------
     def linear_symbol(self) -> np.ndarray:
@@ -103,15 +105,15 @@ class RhsModel:
         return self.nonlinear_apply(u)
 
 
-def _rhs_vjp(model: RhsModel, x: np.ndarray, cotangent: np.ndarray,
+def _rhs_vjp(model: RhsModel, symbol, x: np.ndarray, cotangent: np.ndarray,
              grads: list) -> np.ndarray:
     """Accumulate into ``grads`` (one array per model parameter); return the
-    input cotangent."""
+    input cotangent.  ``symbol`` is the linear branch's, from ``model.rhs()``."""
     _, acts = dc.mlp_forward(model.mlp, x)
     parts, gin = dc.mlp_backward(model.mlp, acts, cotangent)
-    if model.variant != "nonlinear":
+    if symbol is not None:
         # a real circulant's adjoint has the conjugate symbol
-        gin = gin + apply_symbol(np.conj(model.linear_symbol()), cotangent)
+        gin = gin + apply_symbol(np.conj(symbol), cotangent)
     if model.stencil is not None:
         parts.append(model.stencil.tap_gradient(x, cotangent))
     for acc, g in zip(grads, parts):
@@ -142,14 +144,14 @@ def _rk4_forward(rhs, u, h: float, nsteps: int, record: bool):
     return u, stages
 
 
-def _rk4_backward(model: RhsModel, stages, h: float, cotangent: np.ndarray,
-                  grads: list) -> np.ndarray:
+def _rk4_backward(model: RhsModel, symbol, stages, h: float,
+                  cotangent: np.ndarray, grads: list) -> np.ndarray:
     w = cotangent
     for x1, x2, x3, x4 in reversed(stages):
-        gx4 = _rhs_vjp(model, x4, (h / 6.0) * w, grads)
-        gx3 = _rhs_vjp(model, x3, (h / 3.0) * w + h * gx4, grads)
-        gx2 = _rhs_vjp(model, x2, (h / 3.0) * w + 0.5 * h * gx3, grads)
-        gx1 = _rhs_vjp(model, x1, (h / 6.0) * w + 0.5 * h * gx2, grads)
+        gx4 = _rhs_vjp(model, symbol, x4, (h / 6.0) * w, grads)
+        gx3 = _rhs_vjp(model, symbol, x3, (h / 3.0) * w + h * gx4, grads)
+        gx2 = _rhs_vjp(model, symbol, x2, (h / 3.0) * w + 0.5 * h * gx3, grads)
+        gx1 = _rhs_vjp(model, symbol, x1, (h / 6.0) * w + 0.5 * h * gx2, grads)
         w = w + gx1 + gx2 + gx3 + gx4
     return w
 
@@ -161,7 +163,7 @@ def integrate(model, u0: np.ndarray, horizon: float, nsteps: int):
     """
     if nsteps < 1:
         raise ValueError("nsteps must be at least 1")
-    out, _ = _rk4_forward(model.eval, np.asarray(u0, dtype=np.float64),
+    out, _ = _rk4_forward(model.rhs()[0], np.asarray(u0, dtype=np.float64),
                           horizon / nsteps, nsteps, record=False)
     return out
 
@@ -199,12 +201,13 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
     if u_start.shape[0] == 0:
         raise ValueError("empty batch")
     h = tau / rollout_steps
-    pred, stages = _rk4_forward(model.eval, u_start, h, rollout_steps, record=True)
+    rhs, symbol = model.rhs()
+    pred, stages = _rk4_forward(rhs, u_start, h, rollout_steps, record=True)
     residual = pred - u_end
     loss = l1_loss(pred, u_end)
     cotangent = np.sign(residual) / residual.size
     grads = [np.zeros_like(p) for p in model.parameters()]
-    _rk4_backward(model, stages, h, cotangent, grads)
+    _rk4_backward(model, symbol, stages, h, cotangent, grads)
     return loss, grads
 
 
@@ -393,6 +396,10 @@ class TrueRhs:
     def linear_symbol(self) -> np.ndarray:
         return self._symbol
 
+    def rhs(self):
+        """(eval, symbol), as :meth:`RhsModel.rhs`; the symbol is fixed."""
+        return self.eval, self._symbol
+
     def nonlinear(self, u: np.ndarray) -> np.ndarray:
         d = self.width
         tendency = burgers_tendency(np.fft.rfft(u) / d, *self._adv)
@@ -451,8 +458,12 @@ def load_model(path) -> RhsModel:
 
 def checkpoint_physics(path):
     """(system, domain_length, viscosity) from a checkpoint's sidecar;
-    viscosity 8e-4 when it is absent."""
-    meta = read_sidecar(f"{path}.txt")
+    viscosity 8e-4 when it is absent, ArtifactError when another is."""
+    sidecar = f"{path}.txt"
+    meta = read_sidecar(sidecar)
+    for key in ("system", "domain_length"):
+        if key not in meta:
+            raise ArtifactError(f"{sidecar}: no {key} key")
     return meta["system"], meta["domain_length"], meta.get("viscosity", 8e-4)
 
 

@@ -12,10 +12,12 @@ spectrum formula in this package assumes that convention.
 
 Artifacts carry a key=value text sidecar, ``<path>.txt``.  A dataset reads
 ``viscosity`` (8e-4 when absent), ``solver_step`` (1e-3 VBE, 0.05 KSE),
-``train_trajectories`` (the leading VBE training trajectories; absent, the
-ensemble is its own test set) and ``train_fraction`` (KSE chronological cut,
-0.8); a checkpoint ``system``, ``domain_length``, ``viscosity`` (8e-4) and
-``epochs_completed``.  A number that does not parse is an ArtifactError.
+``train_trajectories`` (the leading VBE training trajectories, at least 1;
+absent, the ensemble is its own test set) and ``train_fraction`` (KSE
+chronological cut, 0.8); a checkpoint ``system``, ``domain_length``,
+``viscosity`` (8e-4) and ``epochs_completed``.  A number that does not parse,
+a ``train_trajectories`` below 1 and a checkpoint sidecar without ``system`` or
+``domain_length`` are ArtifactErrors.
 """
 
 from __future__ import annotations
@@ -386,6 +388,25 @@ class SnapshotDataset:
         every snapshot of the one KSE trajectory."""
         return self.values[:, 0] if self.system == "vbe" else self.values[0]
 
+    def true_trajectories(self, ics: np.ndarray, n_snap: int) -> np.ndarray:
+        """(n, n_snap, d) ground truth from the (n, d) states ``ics``, every tau.
+
+        VBE states equal to the leading stored starts, within the stored
+        horizon, give the stored rows (a view): generation solved them from
+        the same coefficients, and a batch has the bits of its rows.  Other
+        states, longer horizons and KSE states (snapshots of one unbroken
+        coefficient trajectory, which a restart misses in the last bits) are
+        solved."""
+        n = len(ics)
+        if (self.system == "vbe" and n <= self.n_traj and n_snap <= self.n_snap
+                and np.array_equal(ics, self.values[:n, 0])):
+            return self.values[:n, :n_snap]
+        values = np.empty((n, n_snap, self.d))
+        values[:, 0] = ics
+        fill_trajectories(self.solver(), np.fft.rfft(ics) / self.d, values,
+                          int(round(self.tau / self.solver_step)), self.tau)
+        return values
+
     def times(self) -> np.ndarray:
         return np.arange(self.n_snap) * self.tau
 
@@ -407,8 +428,6 @@ class SnapshotDataset:
         n_train = self.sidecar.get("train_trajectories", self.n_traj)
         if n_train >= self.n_traj:
             return self, self
-        if n_train < 1:
-            raise ValueError("invalid training trajectory count")
         return (replace(self, values=self.values[:n_train]),
                 replace(self, values=self.values[n_train:]))
 
@@ -547,4 +566,7 @@ def read_sidecar(path) -> dict:
                 meta[key] = kind(meta[key])
         except ValueError:
             raise ArtifactError(f"{path}: {key} is not a number: {meta[key]!r}") from None
+    if meta.get("train_trajectories", 1) < 1:
+        raise ArtifactError(f"{path}: train_trajectories must be at least 1: "
+                            f"{meta['train_trajectories']}")
     return meta

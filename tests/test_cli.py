@@ -406,6 +406,45 @@ class TestDatasetSidecar:
         assert f"{data}.txt" in err and "solver_step" in err
 
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_train_trajectories_below_one_io_error(self, tmp_path, vbe_dataset,
+                                                   trained_dir, command, capsys):
+        data = tmp_path / "d.snod"
+        data.write_bytes(vbe_dataset.read_bytes())
+        (tmp_path / "d.snod.txt").write_text(
+            open(f"{vbe_dataset}.txt").read().replace("train_trajectories=3",
+                                                      "train_trajectories=0"))
+        argv = {"train": ["train", "--variant", "nonlinear", "--set", "hidden=4"],
+                "evaluate": ["evaluate", "--checkpoint",
+                             str(trained_dir / "model.snck")]}[command]
+        code = run_cli(*argv, "--dataset", str(data), "--out", str(tmp_path / "o"))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{data}.txt" in err and "train_trajectories" in err
+
+
+class TestCheckpointSidecar:
+    @pytest.mark.parametrize("key", ["system", "domain_length"])
+    @pytest.mark.parametrize("command", ["evaluate", "stencil-report"])
+    def test_missing_physics_key_io_error(self, tmp_path, vbe_dataset, command, key,
+                                          capsys):
+        variant = "fixed-linear" if command == "evaluate" else "learned-linear"
+        model = node.build_model(variant, [64, 8, 64], ["relu", "linear"],
+                                 ("normal", 0.0, 1e-4), 0, system="vbe",
+                                 viscosity=8e-4)
+        sidecar = {"system": "vbe", "domain_length": 1.0, "viscosity": 8e-4,
+                   "variant": variant, "epochs_completed": 0}
+        del sidecar[key]
+        ckpt = tmp_path / "model.snck"
+        node.save_model(ckpt, model, sidecar=sidecar)
+        argv = {"evaluate": ["evaluate", "--dataset", str(vbe_dataset),
+                             "--out", str(tmp_path / "o")],
+                "stencil-report": ["stencil-report"]}[command]
+        assert run_cli(*argv, "--checkpoint", str(ckpt)) == 4
+        err = capsys.readouterr().err
+        assert f"{ckpt}.txt" in err and key in err
+
+
 class TestEvaluate:
     def test_error_metric(self, tmp_path, vbe_dataset, trained_dir):
         out = tmp_path / "eval"
@@ -455,6 +494,36 @@ class TestEvaluate:
                     "--set", "n_ics=2", "--set", "horizon=0.2")
             outs.append((out / "error.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv, solved", [
+        (["--metric", "error"], False),
+        (["--metric", "spectrum", "--times", "0.1,0.2"], False),
+        (["--metric", "error", "--noise", "grid:1e-3"], True),
+        (["--metric", "error", "--set", "horizon=0.6"], True),  # stored: 0.5
+    ], ids=["error", "spectrum", "noise", "past-horizon"])
+    def test_true_trajectories_solved_only_when_not_stored(
+            self, tmp_path, vbe_dataset, trained_dir, monkeypatch, argv, solved):
+        steps = []
+        advance = sp.VbeSolver.advance
+
+        def counted(solver, coeffs, nsteps):
+            steps.append(nsteps)
+            return advance(solver, coeffs, nsteps)
+
+        monkeypatch.setattr(sp.VbeSolver, "advance", counted)
+        out = tmp_path / "eval"
+        code = run_cli("evaluate", "--dataset", str(vbe_dataset),
+                       "--checkpoint", str(trained_dir / "model.snck"),
+                       "--out", str(out), "--set", "n_ics=2", "--set", "horizon=0.2",
+                       *argv)
+        assert code == 0
+        assert bool(steps) == solved
+        if "error" in argv:
+            lines = [l for l in (out / "error.csv").read_text().splitlines()
+                     if not l.startswith("#")][1:]
+            horizon = 0.6 if "horizon=0.6" in argv else 0.2
+            assert len(lines) == int(round(horizon / 0.05)) + 1
+            assert all(np.isfinite(float(l.split(",")[1])) for l in lines)
 
     def test_pdf_metric_steps_no_ensembles(self, tmp_path, kse_dataset, monkeypatch):
         run_dir = tmp_path / "run"

@@ -297,3 +297,56 @@ class TestDatasets:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
             sp.read_dataset(path)
+
+
+class TestTrueTrajectories:
+    def _dataset(self, tmp_path, d, sidecar):
+        # the sidecar records non-default physics; without it the defaults apply
+        physics = dict(viscosity=2e-3, dt=2.5e-3) if sidecar else {}
+        ds = sp.generate_vbe_dataset(n_train=2, n_test=3, d=d, horizon=0.2, tau=0.05,
+                                     base_seed=d, **physics)
+        path = tmp_path / "data.snod"
+        sp.write_dataset(ds, path, manifest={"train_trajectories": 2, "viscosity": 2e-3,
+                                             "solver_step": 2.5e-3} if sidecar else None)
+        return sp.read_dataset(path)
+
+    @pytest.mark.parametrize("sidecar", [True, False])
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_resolving_test_split_gives_stored_bits(self, tmp_path, d, sidecar):
+        # the oracle the stored-row read rests on: the dataset's solver, started
+        # from the stored first snapshots, steps the stored test rows bit for bit
+        test = self._dataset(tmp_path, d, sidecar).split()[1]
+        assert test.n_traj == (3 if sidecar else 5)
+        values = np.empty_like(test.values)
+        values[:, 0] = test.initial_conditions()
+        sp.fill_trajectories(test.solver(), np.fft.rfft(values[:, 0]) / d, values,
+                             int(round(test.tau / test.solver_step)), test.tau)
+        assert np.array_equal(values, test.values)
+
+    def test_stored_starts_read_without_solving(self, tmp_path, monkeypatch):
+        test = self._dataset(tmp_path, 32, True).split()[1]
+        monkeypatch.setattr(sp, "fill_trajectories", None)  # any solve would fail
+        truth = test.true_trajectories(test.initial_conditions()[:2].copy(), 4)
+        assert truth.shape == (2, 4, 32)
+        assert np.shares_memory(truth, test.values)
+        assert np.array_equal(truth, test.values[:2, :4])
+
+    def test_other_starts_and_horizons_solved(self, tmp_path):
+        test = self._dataset(tmp_path, 32, True).split()[1]
+        starts = test.initial_conditions()
+        longer = test.true_trajectories(starts, test.n_snap + 2)
+        assert longer.shape == (3, test.n_snap + 2, 32)
+        assert np.array_equal(longer[:, :test.n_snap], test.values)
+        noisy = starts[1:] + 1e-3
+        truth = test.true_trajectories(noisy, 3)
+        assert not np.shares_memory(truth, test.values)
+        assert np.array_equal(truth[:, 0], noisy)
+        assert np.all(np.isfinite(truth))
+        assert not np.array_equal(truth, test.values[1:, :3])
+
+    def test_kse_always_solved(self):
+        ds = sp.generate_kse_dataset(d=32, horizon=2.0, transient=10.0)
+        truth = ds.true_trajectories(ds.initial_conditions()[:2], 3)
+        assert not np.shares_memory(truth, ds.values)
+        assert np.array_equal(truth[:, 0], ds.values[0, :2])
+        assert np.allclose(truth[0], ds.values[0, :3], rtol=0, atol=1e-10)
