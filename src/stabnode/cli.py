@@ -10,19 +10,27 @@ $SNODE_DATA_DIR when it is set.
 Burgers test starts from the dataset, within its stored horizon; noisy
 starts, longer horizons and Kuramoto-Sivashinsky starts are solved again.
 
+`rom` integrates its whole d_p sweep in lockstep, one batched nonlinear
+evaluation per RK4 stage, so a row's `runtime_s` is the shared integration
+wall time plus that row's PDF/KL time.  With the true RHS every row is
+bit-identical to a run of its d_p alone; with a checkpoint RHS the batched
+network evaluation matches it only to rounding.
+
 Exit codes: 0 success; 2 config error: any setting the pipeline rejects (a
 ValueError other than an artifact error), e.g. epochs, batch_size,
 rollout_steps or n_ics below 1, an unknown variant, activation, stencil init
 kind, ROM mode or noise band, a stencil wider than the grid, an ic_index or
-d_p outside the dataset, a d_p that leaves a zero eigenvalue to slave, or a
+d_p outside the dataset, an empty d_p list, a d_p that leaves a zero
+eigenvalue to slave (every d_p is checked before any row runs), or a
 fixed-linear RK4 substep tau/rollout_steps that amplifies a damped mode; 3
 numerical divergence: a `rom` row with non-finite KL, a `rom --reference self`
 rollout (before any row runs), or an `evaluate --metric error|spectrum|pdf`
 model trajectory that went non-finite, whose outputs and manifest are still
 written; 4 I/O error, a corrupt (truncated, padded, bad-header, unknown-tag or
 NaN/Inf-payload) binary artifact, a sidecar number that does not parse, a
-dataset sidecar `train_trajectories` below 1, or a checkpoint sidecar without
-`system` or `domain_length` where the physics is needed.
+dataset sidecar `train_trajectories` below 1, a checkpoint sidecar without
+`system` or `domain_length` where the physics is needed, or a `train --resume`
+checkpoint sidecar without `epochs_completed`.
 """
 
 from __future__ import annotations
@@ -332,7 +340,8 @@ def cmd_train(config: dict) -> int:
         resume_path = resolve_path(config["resume"])
         model = node.load_model(resume_path)
         adam = node.load_opt_state(f"{resume_path}.opt", model)
-        start_epoch = sp.read_sidecar(f"{resume_path}.txt")["epochs_completed"]
+        start_epoch = sp.read_sidecar(f"{resume_path}.txt",
+                                      required=("epochs_completed",))["epochs_completed"]
     else:
         model = node.build_model(
             config["variant"], sizes, acts,
@@ -550,6 +559,8 @@ ROM_SCHEMA = {
 
 
 def cmd_rom(config: dict) -> int:
+    if not config["dp"]:
+        raise ConfigError("dp must list at least one retained dimension")
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
     out_dir = resolve_path(config["out"])
@@ -591,20 +602,20 @@ def cmd_rom(config: dict) -> int:
     else:
         raise ConfigError(f"unknown reference {config['reference']!r}")
     mt.write_joint_pdf(os.path.join(out_dir, "reference_pdf.snpd"), reference)
+    start = time.perf_counter()
+    _, sweep = rom_mod.rom_integrate(
+        basis, config["dp"], model, u0, config["total_time"], config["mode"],
+        config["save_interval"], config["dt"], config["slaving_iterations"])
+    shared = time.perf_counter() - start
     rows = []
-    for d_p in config["dp"]:
+    for d_p, states in zip(config["dp"], sweep):
         start = time.perf_counter()
-        try:
-            _, states = rom_mod.rom_integrate(
-                basis, d_p, model, u0, config["total_time"], config["mode"],
-                config["save_interval"], config["dt"],
-                config["slaving_iterations"])
+        kl, overlap = float("nan"), 0.0
+        if np.all(np.isfinite(states)):
             pdf = mt.joint_pdf(states, ds.domain_length, bins=config["pdf_bins"])
             kl = mt.kl_divergence(pdf, reference)
             overlap = mt.support_overlap(pdf, reference)
-        except node.DivergenceError:
-            kl, overlap = float("nan"), 0.0
-        elapsed = time.perf_counter() - start
+        elapsed = shared + time.perf_counter() - start
         rows.append((d_p, config["mode"], kl, overlap, elapsed))
         print(f"d_p={d_p:3d} mode={config['mode']} KL={kl:.5e} "
               f"overlap={overlap:.3f} ({elapsed:.1f}s)")
@@ -742,7 +753,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--times")
     ev.add_argument("--seed")
 
-    rm = subs.add_parser("rom", help="reduced-order model sweep")
+    rm = subs.add_parser(
+        "rom", help="reduced-order model sweep",
+        description="integrate every retained dimension d_p of the sweep in lockstep, "
+        "one batched nonlinear evaluation per RK4 stage; a row's runtime_s is the "
+        "shared integration wall time plus its own PDF/KL time, and with a "
+        "checkpoint RHS a row matches a run of its d_p alone only to rounding")
     _add_common(rm)
     rm.add_argument("--dataset")
     rm.add_argument("--rhs", help="'true' or a checkpoint path")

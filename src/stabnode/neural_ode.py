@@ -459,11 +459,7 @@ def load_model(path) -> RhsModel:
 def checkpoint_physics(path):
     """(system, domain_length, viscosity) from a checkpoint's sidecar;
     viscosity 8e-4 when it is absent, ArtifactError when another is."""
-    sidecar = f"{path}.txt"
-    meta = read_sidecar(sidecar)
-    for key in ("system", "domain_length"):
-        if key not in meta:
-            raise ArtifactError(f"{sidecar}: no {key} key")
+    meta = read_sidecar(f"{path}.txt", required=("system", "domain_length"))
     return meta["system"], meta["domain_length"], meta.get("viscosity", 8e-4)
 
 

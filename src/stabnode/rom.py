@@ -7,7 +7,12 @@ descending eigenvalue or by descending variance of their projected
 tendencies on attractor data.  Reduced dynamics integrate with RK4 in three
 flavors: plain Galerkin (truncate), nonlinear Galerkin (unresolved
 coordinates slaved through the stationarity of their dynamics), and
-postprocessing Galerkin (slaving applied only at output times).
+postprocessing Galerkin (slaving applied only at output times).  A sweep
+over retained dimensions d_p runs in lockstep: the reduced states of every
+d_p advance as one zero-padded batch, with one nonlinear evaluation per RK4
+stage on the stacked full states.  Projections stay per row, so with the
+true RHS each row is bit-identical to a run of its d_p alone; a network RHS
+evaluated on the stacked rows matches it only to rounding.
 """
 
 from __future__ import annotations
@@ -107,37 +112,98 @@ def variance_sort(basis: EigenBasis, model, snapshots) -> EigenBasis:
                       "variance")
 
 
-def galerkin_rhs(basis: EigenBasis, d_p: int, model, p: np.ndarray,
+def _batch(d_p, p):
+    """(dims, rows, one): one d_p with p (d_p,) is a batch of one row."""
+    if np.ndim(d_p) == 0:
+        return [d_p], np.asarray(p, dtype=np.float64)[None], True
+    return d_p, np.asarray(p, dtype=np.float64), False
+
+
+def galerkin_rhs(basis: EigenBasis, d_p, model, p: np.ndarray,
                  lift=0.0) -> np.ndarray:
     """Resolved dynamics dp/dt = Lambda_p p + Vp^T F(Vp p + lift); the lift
-    is nonlinear Galerkin's slaved Vq q, zero for plain Galerkin."""
-    vp = basis.leading(d_p)
-    return basis.eigenvalues[:d_p] * p + vp.T @ model.nonlinear(vp @ p + lift)
+    is nonlinear Galerkin's slaved Vq q, zero for plain Galerkin.
+
+    One d_p takes p (d_p,) and a lift (d,).  A sequence of n d_p takes p
+    (n, max d_p), zero past each row's d_p, and lifts (n, d), and returns
+    that layout.  The projections run row by row and F once on the stacked
+    (n, d) states, so under a row-wise F (TrueRhs) each row keeps the bits
+    of a one-row call.
+    """
+    dims, p, one = _batch(d_p, p)
+    f = model.nonlinear(_resolved(basis, dims, p) + lift)
+    # zero past a row's d_p times any eigenvalue stays zero
+    out = basis.eigenvalues[:p.shape[1]] * p
+    for k, fk, o in zip(dims, f, out):
+        o[:k] += basis.leading(k).T @ fk
+    return out[0] if one else out
 
 
-def unresolved_correction(basis: EigenBasis, d_p: int, model, p: np.ndarray,
-                          iterations: int = 1) -> np.ndarray:
+def unresolved_correction(basis: EigenBasis, d_p, model, p: np.ndarray,
+                          iterations: int = 1):
     """Unresolved coordinates slaved by stationarity of their dynamics.
 
     Iterates q <- -Lambda_q^{-1} Vq^T F(Vp p + Vq q) from q = 0; the fixed
     point satisfies Lambda_q q + Vq^T F = 0.  One iteration by default.
+    Batches as :func:`galerkin_rhs` and then returns a list, one q per row.
+    No trailing eigenvalue may lie within SLAVING_EIGENVALUE_FLOOR of zero;
+    :func:`rom_integrate` checks that once per d_p, before any step.
     """
-    lam_q = basis.eigenvalues[d_p:]
-    small = np.abs(lam_q) <= SLAVING_EIGENVALUE_FLOOR
-    if np.any(small):
+    dims, p, one = _batch(d_p, p)
+    base = _resolved(basis, dims, p)
+    qs = [np.zeros(basis.d - k) for k in dims]
+    for _ in range(iterations):
+        f = model.nonlinear(base + _slaved(basis, dims, qs))
+        qs = [-(basis.trailing(k).T @ fk) / basis.eigenvalues[k:]
+              for k, fk in zip(dims, f)]
+    return qs[0] if one else qs
+
+
+def _check_retained(basis: EigenBasis, d_p: int, slaved: bool) -> None:
+    """ValueError for a d_p outside 1..d or, when the unresolved coordinates
+    are slaved, one that leaves a trailing eigenvalue at zero."""
+    if not 0 < d_p <= basis.d:
+        raise ValueError(f"retained dimension {d_p} is outside 1..{basis.d}")
+    small = np.abs(basis.eigenvalues[d_p:]) <= SLAVING_EIGENVALUE_FLOOR
+    if slaved and np.any(small):
         mode = d_p + int(np.argmax(small))
         raise ValueError(f"trailing eigenvalue {mode} is within "
                          f"{SLAVING_EIGENVALUE_FLOOR} of zero; cannot slave it")
-    vp = basis.leading(d_p)
-    vq = basis.trailing(d_p)
-    base = vp @ p
-    q = np.zeros(basis.d - d_p)
-    for _ in range(iterations):
-        q = -(vq.T @ model.nonlinear(base + vq @ q)) / lam_q
-    return q
 
 
-def rom_integrate(basis: EigenBasis, d_p: int, model, u0: np.ndarray,
+def _resolved(basis: EigenBasis, dims, p) -> np.ndarray:
+    """Vp p of every row of the batch, (n, d), one matrix-vector product each."""
+    u = np.empty((len(dims), basis.d))
+    for k, row, out in zip(dims, p, u):
+        np.matmul(basis.leading(k), row[:k], out=out)
+    return u
+
+
+def _slaved(basis: EigenBasis, dims, qs) -> np.ndarray:
+    """Vq q of every row, (n, d), one matrix-vector product each."""
+    u = np.empty((len(dims), basis.d))
+    for k, q, out in zip(dims, qs, u):
+        np.matmul(basis.trailing(k), q, out=out)
+    return u
+
+
+def _rk4_rows(basis: EigenBasis, dims, model, p: np.ndarray, lift,
+              dt: float) -> np.ndarray:
+    """One RK4 step of the reduced batch.  When a row goes non-finite the rows
+    are stepped again one by one, and that row comes back +inf."""
+    try:
+        return _rk4_forward(lambda ps: galerkin_rhs(basis, dims, model, ps, lift),
+                            p, dt, 1, record=False)[0]
+    except DivergenceError:
+        if len(dims) == 1:
+            return np.full_like(p, np.inf)
+        lift = np.broadcast_to(lift, (len(dims), basis.d))
+        return np.concatenate([_rk4_rows(basis, dims[i:i + 1], model, p[i:i + 1],
+                                         lift[i:i + 1], dt)
+                               for i in range(len(dims))])
+
+
+def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
                   total_time: float, mode: str = "galerkin",
                   save_interval: float = 0.25, dt: float = 0.01,
                   slaving_iterations: int = 1):
@@ -147,47 +213,56 @@ def rom_integrate(basis: EigenBasis, d_p: int, model, u0: np.ndarray,
     the slaved correction once per step and feeds it into the nonlinear
     term; "ppg" runs plain Galerkin and applies the correction only to the
     saved states.  Reconstructions are Vp p (+ Vq q where applicable).
+
+    An int d_p gives states (n_save + 1, d); a sequence of n gives
+    (n, n_save + 1, d).  The sweep runs in lockstep: one (n, max d_p) batch,
+    zero past each row's d_p, with one nonlinear evaluation per RK4 stage.
+    Every d_p is checked before any step.  A row that goes non-finite leaves
+    the batch, and its snapshots read +inf from then on; the others go on.
     """
     if mode not in ("galerkin", "nlg", "ppg"):
         raise ValueError(f"unknown ROM mode {mode!r}")
-    if not 0 < d_p <= basis.d:
-        raise ValueError(f"retained dimension {d_p} is outside 1..{basis.d}")
+    dims = np.atleast_1d(np.asarray(d_p, dtype=int))
+    if dims.size == 0:
+        raise ValueError("no retained dimension to integrate")
+    for k in dims:
+        _check_retained(basis, int(k), mode != "galerkin")
     n_save = int(round(total_time / save_interval))
     sub = int(round(save_interval / dt))
     if sub < 1 or abs(sub * dt - save_interval) > 1e-9 * save_interval:
         raise ValueError("dt must divide save_interval")
-    vp = basis.leading(d_p)
-    vq = basis.trailing(d_p)
-    p = vp.T @ np.asarray(u0, dtype=np.float64)
-
-    def reconstruct(p_now):
-        u = vp @ p_now
-        if mode == "galerkin":
-            return u
-        q = unresolved_correction(basis, d_p, model, p_now, slaving_iterations)
-        return u + vq @ q
-
-    times = [0.0]
-    states = [reconstruct(p)]
-    for i in range(n_save):
-        # overflow en route to the finiteness check is the divergence signal
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(sub):
+    u0 = np.asarray(u0, dtype=np.float64)
+    p = np.zeros((dims.size, dims.max()))
+    for k, row in zip(dims, p):
+        row[:k] = basis.leading(k).T @ u0
+    alive = np.arange(dims.size)
+    states = np.full((dims.size, n_save + 1, basis.d), np.inf)
+    # overflow en route to the finiteness checks is the divergence signal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_save + 1):
+            for _ in range(sub if j else 0):
+                live = dims[alive]
                 lift = 0.0
                 if mode == "nlg":
-                    lift = vq @ unresolved_correction(basis, d_p, model, p,
-                                                      slaving_iterations)
-                try:
-                    p, _ = _rk4_forward(
-                        lambda ps: galerkin_rhs(basis, d_p, model, ps, lift),
-                        p, dt, 1, record=False)
-                except DivergenceError as err:
-                    raise DivergenceError(
-                        f"reduced model diverged near t = {times[-1]:.4g}",
-                        time=times[-1]) from err
-        times.append((i + 1) * save_interval)
-        states.append(reconstruct(p))
-    return np.array(times), np.stack(states)
+                    lift = _slaved(basis, live, unresolved_correction(
+                        basis, live, model, p, slaving_iterations))
+                p = _rk4_rows(basis, live, model, p, lift, dt)
+                ok = np.all(np.isfinite(p), axis=1)
+                alive, p = alive[ok], p[ok]
+                if alive.size == 0:
+                    break
+            if alive.size == 0:
+                break
+            live = dims[alive]
+            u = _resolved(basis, live, p)
+            if mode != "galerkin":
+                u = u + _slaved(basis, live, unresolved_correction(
+                    basis, live, model, p, slaving_iterations))
+            ok = np.all(np.isfinite(u), axis=1)
+            states[alive[ok], j] = u[ok]
+            alive, p = alive[ok], p[ok]
+    times = np.arange(n_save + 1) * save_interval
+    return times, (states[0] if np.ndim(d_p) == 0 else states)
 
 
 def write_eigenbasis(path, basis: EigenBasis) -> None:

@@ -555,11 +555,15 @@ def write_sidecar(path, values: dict) -> None:
         fh.write("".join(f"{key}={values[key]}\n" for key in sorted(values)))
 
 
-def read_sidecar(path) -> dict:
+def read_sidecar(path, required=()) -> dict:
     """The key=value lines of a sidecar, the SIDECAR_NUMBERS keys parsed;
-    ArtifactError naming the file and the key when one does not parse."""
+    ArtifactError naming the file and the key when one does not parse or a
+    ``required`` key is absent."""
     with open(path) as fh:
         meta = dict(line.strip().split("=", 1) for line in fh if "=" in line)
+    for key in required:
+        if key not in meta:
+            raise ArtifactError(f"{path}: no {key} key")
     for key, kind in SIDECAR_NUMBERS.items():
         try:
             if key in meta:

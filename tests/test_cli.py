@@ -326,6 +326,7 @@ def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
     ["rom", "--dp", "7", "--set", "ic_index=121"],
     *(["rom", "--dp", str(d_p)] for d_p in range(7)),
     ["rom", "--dp", "8", "--sort", "variance"],
+    ["rom", "--dp", "9..8"],
     ["evaluate", "--noise", "fourier:0.1:0:100"]],
     ids=lambda argv: " ".join(argv))
 def test_bad_setting_config_error(tmp_path, kse_dataset, kse_checkpoint, argv, capsys):
@@ -443,6 +444,21 @@ class TestCheckpointSidecar:
         assert run_cli(*argv, "--checkpoint", str(ckpt)) == 4
         err = capsys.readouterr().err
         assert f"{ckpt}.txt" in err and key in err
+
+    def test_resume_without_epochs_completed_io_error(self, tmp_path, vbe_dataset,
+                                                       capsys):
+        model = node.build_model("nonlinear", [64, 8, 64], ["relu", "linear"],
+                                 ("normal", 0.0, 1e-4), 0)
+        ckpt = tmp_path / "model.snck"
+        node.save_model(ckpt, model, sidecar={"system": "vbe", "domain_length": 1.0,
+                                              "variant": "nonlinear"})
+        node.save_opt_state(f"{ckpt}.opt", node.AdamState(model))
+        code = run_cli("train", "--dataset", str(vbe_dataset), "--variant", "nonlinear",
+                       "--out", str(tmp_path / "o"), "--epochs", "2",
+                       "--set", "hidden=8", "--resume", str(ckpt))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{ckpt}.txt" in err and "epochs_completed" in err
 
 
 class TestEvaluate:
@@ -681,6 +697,34 @@ class TestRom:
         assert [row.split(",")[:3] for row in data][1] == ["32", "galerkin", "nan"]
         assert np.isfinite(float(data[0].split(",")[2]))
         assert (out / "manifest-rom.cfg").exists()
+        # the diverging row leaves row 8 as it is alone
+        solo = tmp_path / "rom_solo"
+        assert run_cli("rom", "--dataset", str(kse_dataset), "--rhs", "true",
+                       "--mode", "galerkin", "--dp", "8", "--out", str(solo),
+                       "--set", "dt=0.05", "--set", "total_time=5.0") == 0
+        alone = [l for l in (solo / "rom.csv").read_text().splitlines()
+                 if not l.startswith("#")][1]
+        assert data[0].split(",")[:4] == alone.split(",")[:4]
+
+    def test_every_dp_checked_before_any_row(self, tmp_path, kse_dataset, monkeypatch,
+                                             capsys):
+        # d_p = 3 leaves the mean mode's zero eigenvalue to slave; d_p = 23 is fine
+        calls = []
+        nonlinear = node.TrueRhs.nonlinear
+
+        def counted(self, u):
+            calls.append(u.shape)
+            return nonlinear(self, u)
+
+        monkeypatch.setattr(node.TrueRhs, "nonlinear", counted)
+        out = tmp_path / "rom_check"
+        code = run_cli("rom", "--dataset", str(kse_dataset), "--rhs", "true",
+                       "--mode", "nlg", "--dp", "23,3", "--out", str(out),
+                       "--set", "total_time=5.0")
+        assert code == 2
+        assert "trailing eigenvalue" in capsys.readouterr().err
+        assert not (out / "rom.csv").exists()
+        assert calls == []
 
 
     def test_diverged_self_reference_exits_3(self, tmp_path, kse_dataset, capsys):

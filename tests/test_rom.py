@@ -283,11 +283,12 @@ class TestUnresolvedCorrection:
         assert residual(q1) < residual(np.zeros(d - d_p))
 
     def test_near_zero_trailing_eigenvalue_named(self):
+        # the integrator checks the slaved set once, before any correction
         vals = np.array([2.0, 1.0, 1e-14, -1.0])
         basis = rom.EigenBasis(vals, np.eye(4))
         model = stabilized_model(4, zero_net=True)
         with pytest.raises(ValueError, match="2"):
-            rom.unresolved_correction(basis, 2, model, np.zeros(2))
+            rom.rom_integrate(basis, 2, model, np.zeros(4), 1.0, mode="nlg")
 
 
 class TestRomIntegrate:
@@ -339,6 +340,119 @@ class TestRomIntegrate:
         basis = rom.fourier_basis(model.linear_symbol())
         with pytest.raises(ValueError):
             rom.rom_integrate(basis, 3, model, np.zeros(d), 1.0, mode="spectral")
+
+
+def solo_rom(basis, d_p, model, u0, total_time, mode, save_interval, dt):
+    """One d_p integrated alone, in the step order of a one-row integrator;
+    snapshots from the first one after a non-finite step read +inf."""
+    vp, vq = basis.leading(d_p), basis.trailing(d_p)
+    p = vp.T @ u0
+
+    def reconstruct(p_now):
+        u = vp @ p_now
+        if mode == "galerkin":
+            return u
+        return u + vq @ rom.unresolved_correction(basis, d_p, model, p_now)
+
+    n_save = int(round(total_time / save_interval))
+    states = np.full((n_save + 1, basis.d), np.inf)
+    states[0] = reconstruct(p)
+    for i in range(n_save):
+        try:
+            for _ in range(int(round(save_interval / dt))):
+                lift = 0.0
+                if mode == "nlg":
+                    lift = vq @ rom.unresolved_correction(basis, d_p, model, p)
+                p, _ = node._rk4_forward(
+                    lambda ps: rom.galerkin_rhs(basis, d_p, model, ps, lift),
+                    p, dt, 1, record=False)
+        except sp.DivergenceError:
+            break
+        states[i + 1] = reconstruct(p)
+    return states
+
+
+def kse_start(d, seed=0):
+    """A smooth zero-mean KSE state built from the lowest eight wavenumbers."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(d // 2 + 1, dtype=complex)
+    coeffs[1:9] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    return np.fft.irfft(coeffs, n=d) * d / 8
+
+
+class TestLockstepSweep:
+    """A d_p sweep integrated as one batch against each d_p integrated alone."""
+
+    @pytest.mark.parametrize("mode", ["galerkin", "nlg", "ppg"])
+    def test_true_rhs_rows_bit_identical(self, mode):
+        d = 32
+        model = node.TrueRhs("kse", d, 22.0)
+        basis = rom.fourier_basis(model.linear_symbol())
+        u0 = kse_start(d)
+        dims = [7, 8, 15]
+        times, sweep = rom.rom_integrate(basis, dims, model, u0, 2.0, mode, 0.25, 0.01)
+        assert sweep.shape == (3, 9, d)
+        assert np.array_equal(times, np.arange(9) * 0.25)
+        for d_p, row in zip(dims, sweep):
+            assert np.all(np.isfinite(row))
+            assert np.array_equal(row, solo_rom(basis, d_p, model, u0, 2.0, mode,
+                                                0.25, 0.01))
+
+    def test_int_dp_returns_one_trajectory(self):
+        d = 32
+        model = node.TrueRhs("kse", d, 22.0)
+        basis = rom.fourier_basis(model.linear_symbol())
+        u0 = kse_start(d)
+        _, one = rom.rom_integrate(basis, 8, model, u0, 1.0, "nlg", 0.25, 0.01)
+        _, sweep = rom.rom_integrate(basis, [8], model, u0, 1.0, "nlg", 0.25, 0.01)
+        assert one.shape == (5, d)
+        assert np.array_equal(one, sweep[0])
+
+    def test_network_rhs_rows_match_to_rounding(self):
+        # a batched matmul is not bitwise a one-row one; relative to each
+        # snapshot's largest entry, as cancellation leaves some entries tiny
+        d = 32
+        model = stabilized_model(d, seed=13)
+        basis = rom.fourier_basis(model.linear_symbol())
+        u0 = 0.3 * kse_start(d, seed=1)
+        dims = [7, 8, 15]
+        _, sweep = rom.rom_integrate(basis, dims, model, u0, 0.5, "nlg", 0.25, 0.01)
+        for d_p, row in zip(dims, sweep):
+            alone = solo_rom(basis, d_p, model, u0, 0.5, "nlg", 0.25, 0.01)
+            scale = np.max(np.abs(alone), axis=1, keepdims=True)
+            assert np.all(np.abs(row - alone) <= 1e-14 * scale)
+
+    def test_diverging_row_leaves_the_others_alone(self):
+        # d_p = 32 keeps the stiffest mode, far outside RK4's region at dt = 0.05
+        d = 32
+        model = node.TrueRhs("kse", d, 22.0)
+        basis = rom.fourier_basis(model.linear_symbol())
+        u0 = kse_start(d)
+        dims = [7, 32, 8]
+        _, sweep = rom.rom_integrate(basis, dims, model, u0, 5.0, "galerkin", 0.25, 0.05)
+        bad = ~np.all(np.isfinite(sweep[1]), axis=1)
+        first = int(bad.argmax())
+        assert 0 < first and bad[first:].all()
+        assert np.all(sweep[1, first:] == np.inf)
+        for d_p, row in zip(dims, sweep):
+            assert np.array_equal(row, solo_rom(basis, d_p, model, u0, 5.0, "galerkin",
+                                                0.25, 0.05))
+        assert np.all(np.isfinite(sweep[[0, 2]]))
+
+    def test_every_dp_checked_before_any_step(self):
+        d = 32
+        model = node.TrueRhs("kse", d, 22.0)
+        basis = rom.fourier_basis(model.linear_symbol())
+        calls = []
+        model.nonlinear = lambda u: calls.append(u) or np.zeros_like(u)
+        # d_p = 3 leaves the mean mode's zero eigenvalue among the slaved ones
+        with pytest.raises(ValueError, match="cannot slave"):
+            rom.rom_integrate(basis, [23, 3], model, kse_start(d), 1.0, "nlg")
+        with pytest.raises(ValueError, match="outside"):
+            rom.rom_integrate(basis, [8, 33], model, kse_start(d), 1.0, "galerkin")
+        with pytest.raises(ValueError, match="no retained"):
+            rom.rom_integrate(basis, [], model, kse_start(d), 1.0, "galerkin")
+        assert calls == []
 
 
 class TestEigenvalueGaps:
