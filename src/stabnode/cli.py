@@ -564,7 +564,6 @@ def cmd_rom(config: dict) -> int:
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
     out_dir = resolve_path(config["out"])
-    os.makedirs(out_dir, exist_ok=True)
 
     if config["rhs"] == "true":
         model = node.TrueRhs(ds.system, ds.d, ds.domain_length, viscosity=ds.viscosity)
@@ -579,12 +578,16 @@ def cmd_rom(config: dict) -> int:
         basis = rom_mod.variance_sort(basis, model, ds.split()[1].snapshots())
     elif config["sort"] != "eigenvalue":
         raise ConfigError(f"unknown sort {config['sort']!r}")
-    rom_mod.write_eigenbasis(os.path.join(out_dir, "basis.sneb"), basis)
-
+    # every d_p, before anything is written or the reference is rolled out
+    rom_mod.check_sweep(basis, config["dp"], config["mode"], config["save_interval"],
+                        config["dt"])
     starts = ds.initial_conditions()
     if not 0 <= config["ic_index"] < len(starts):
         raise ConfigError(f"ic_index must be in 0..{len(starts) - 1}")
     u0 = starts[config["ic_index"]]
+    os.makedirs(out_dir, exist_ok=True)
+    rom_mod.write_eigenbasis(os.path.join(out_dir, "basis.sneb"), basis)
+
     if config["reference"] == "dataset":
         reference = mt.joint_pdf(ds.snapshots(), ds.domain_length,
                                  bins=config["pdf_bins"])

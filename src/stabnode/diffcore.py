@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (ArtifactError, expect_end, read_exact, read_f8, tag_name,
-                       write_sidecar)
+from .spectral import (ArtifactError, expect_end, irfft, read_exact, read_f8, rfft,
+                       tag_name, write_sidecar)
 
 ACTIVATION_TAGS = {"relu": 0, "sigmoid": 1, "linear": 2}
 ACTIVATION_NAMES = {v: k for k, v in ACTIVATION_TAGS.items()}
@@ -112,10 +112,10 @@ class ConvStencil:
         rule when the stencil is symmetric.
         """
         d = u.shape[-1]
-        spectrum = np.conj(np.fft.rfft(cotangent)) * np.fft.rfft(u)
+        spectrum = np.conj(rfft(cotangent)) * rfft(u)
         c = self.width // 2
-        grad = np.fft.irfft(spectrum.reshape(-1, d // 2 + 1).sum(axis=0),
-                            n=d)[np.arange(-c, c + 1)]
+        grad = irfft(spectrum.reshape(-1, d // 2 + 1).sum(axis=0), d)
+        grad = grad[np.arange(-c, c + 1)]
         return grad + grad[::-1] if self.symmetric else grad
 
 

@@ -35,7 +35,7 @@ def energy_spectrum(states: np.ndarray, ensemble_axis: int = 0) -> np.ndarray:
         raise ValueError("empty ensemble")
     d = states.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):
-        coeffs = np.fft.rfft(states, axis=-1) / d
+        coeffs = sp.rfft(states) / d
         return np.mean(0.5 * np.abs(coeffs) ** 2, axis=0)
 
 
@@ -139,11 +139,11 @@ def joint_pdf(states: np.ndarray, domain_length: float, bins: int = PDF_BINS,
         raise ValueError("empty trajectory")
     d = states.shape[-1]
     q = 2.0 * np.pi * sp.wavenumber_indices(d) / domain_length
-    coeffs = np.fft.rfft(states, axis=-1) / d
+    coeffs = sp.rfft(states) / d
     sym1 = 1j * q
     sym1[-1] = 0.0
-    ux = np.fft.irfft(coeffs * sym1 * d, n=d, axis=-1).ravel()
-    uxx = np.fft.irfft(coeffs * -(q**2) * d, n=d, axis=-1).ravel()
+    ux = sp.irfft(coeffs * sym1 * d, d).ravel()
+    uxx = sp.irfft(coeffs * -(q**2) * d, d).ravel()
     counts, x_edges, y_edges = np.histogram2d(
         ux, uxx, bins=bins, range=[list(x_range), list(y_range)])
     total = ux.size
@@ -221,8 +221,8 @@ def add_noise_fourier(u: np.ndarray, epsilon: float, k_lo: int, k_hi: int,
     if epsilon < 0:
         raise ValueError("noise level must be nonnegative")
     d = u.shape[-1]
-    coeffs = add_noise_fourier_coeffs(np.fft.rfft(u) / d, epsilon, k_lo, k_hi, seed)
-    return np.fft.irfft(coeffs * d, n=d)
+    coeffs = add_noise_fourier_coeffs(sp.rfft(u) / d, epsilon, k_lo, k_hi, seed)
+    return sp.irfft(coeffs * d, d)
 
 
 @dataclass
@@ -254,23 +254,23 @@ def lyapunov_time_estimate(system: str = "kse", d: int = 64,
         u0 -= u0.mean()
     else:
         u0 = sp.generate_vbe_ic(sp.IcSpec(seed=seed), d, domain_length).values
-    ref = np.fft.rfft(u0) / d
+    ref = sp.rfft(u0) / d
     ref = solver.advance(ref, int(round(transient / solver_step)))
 
     direction = rng.standard_normal(d)
     direction -= direction.mean()
     direction /= np.linalg.norm(direction)
-    comp = ref + np.fft.rfft(perturbation * direction) / d
+    comp = ref + sp.rfft(perturbation * direction) / d
 
     sub = int(round(renorm_interval / solver_step))
     n_segments = int(round(total_time / renorm_interval))
     growths = np.empty(n_segments)
     for seg in range(n_segments):
         ref, comp = solver.advance(np.stack([ref, comp]), sub)
-        delta = np.fft.irfft((comp - ref) * d, n=d)
+        delta = sp.irfft((comp - ref) * d, d)
         sep = np.linalg.norm(delta)
         growths[seg] = np.log(sep / perturbation)
-        comp = ref + np.fft.rfft(perturbation * delta / sep) / d
+        comp = ref + sp.rfft(perturbation * delta / sep) / d
     keep = growths[int(np.ceil(discard_fraction * n_segments)):]
     exponent = float(np.mean(keep) / renorm_interval)
     tau = 1.0 / exponent if exponent > 0 else None

@@ -21,7 +21,8 @@ import numpy as np
 from . import diffcore as dc
 from .spectral import (ArtifactError, DivergenceError, SnapshotDataset,
                        advection_symbols, apply_symbol, burgers_tendency, expect_end,
-                       linear_symbol, read_exact, read_f8, read_sidecar, tag_name)
+                       irfft, linear_symbol, read_exact, read_f8, read_sidecar, rfft,
+                       tag_name)
 
 VARIANT_TAGS = {"nonlinear": 0, "fixed-linear": 1, "learned-linear": 2}
 VARIANT_NAMES = {v: k for k, v in VARIANT_TAGS.items()}
@@ -402,8 +403,8 @@ class TrueRhs:
 
     def nonlinear(self, u: np.ndarray) -> np.ndarray:
         d = self.width
-        tendency = burgers_tendency(np.fft.rfft(u) / d, *self._adv)
-        return np.fft.irfft(tendency * d, n=d)
+        tendency = burgers_tendency(rfft(u) / d, *self._adv)
+        return irfft(tendency * d, d)
 
     def linear_apply(self, u: np.ndarray) -> np.ndarray:
         return apply_symbol(self._symbol, u)

@@ -147,7 +147,7 @@ def unresolved_correction(basis: EigenBasis, d_p, model, p: np.ndarray,
     point satisfies Lambda_q q + Vq^T F = 0.  One iteration by default.
     Batches as :func:`galerkin_rhs` and then returns a list, one q per row.
     No trailing eigenvalue may lie within SLAVING_EIGENVALUE_FLOOR of zero;
-    :func:`rom_integrate` checks that once per d_p, before any step.
+    :func:`check_sweep` checks that once per d_p, before any step.
     """
     dims, p, one = _batch(d_p, p)
     base = _resolved(basis, dims, p)
@@ -159,16 +159,32 @@ def unresolved_correction(basis: EigenBasis, d_p, model, p: np.ndarray,
     return qs[0] if one else qs
 
 
-def _check_retained(basis: EigenBasis, d_p: int, slaved: bool) -> None:
-    """ValueError for a d_p outside 1..d or, when the unresolved coordinates
-    are slaved, one that leaves a trailing eigenvalue at zero."""
-    if not 0 < d_p <= basis.d:
-        raise ValueError(f"retained dimension {d_p} is outside 1..{basis.d}")
-    small = np.abs(basis.eigenvalues[d_p:]) <= SLAVING_EIGENVALUE_FLOOR
-    if slaved and np.any(small):
-        mode = d_p + int(np.argmax(small))
-        raise ValueError(f"trailing eigenvalue {mode} is within "
-                         f"{SLAVING_EIGENVALUE_FLOOR} of zero; cannot slave it")
+def check_sweep(basis: EigenBasis, d_p, mode: str, save_interval: float,
+                dt: float):
+    """The retained dimensions (an int array) and the RK4 steps per save of a
+    :func:`rom_integrate` call.
+
+    ValueError for an unknown mode, an empty d_p list, a d_p outside 1..d,
+    a d_p that leaves a trailing eigenvalue at zero when the unresolved
+    coordinates are slaved, or a dt that does not divide save_interval.  It
+    integrates nothing, so a caller can run it before any other work.
+    """
+    if mode not in ("galerkin", "nlg", "ppg"):
+        raise ValueError(f"unknown ROM mode {mode!r}")
+    dims = np.atleast_1d(np.asarray(d_p, dtype=int))
+    if dims.size == 0:
+        raise ValueError("no retained dimension to integrate")
+    for k in dims:
+        if not 0 < k <= basis.d:
+            raise ValueError(f"retained dimension {k} is outside 1..{basis.d}")
+        small = np.abs(basis.eigenvalues[k:]) <= SLAVING_EIGENVALUE_FLOOR
+        if mode != "galerkin" and np.any(small):
+            raise ValueError(f"trailing eigenvalue {k + int(np.argmax(small))} is "
+                             f"within {SLAVING_EIGENVALUE_FLOOR} of zero; cannot slave it")
+    sub = int(round(save_interval / dt))
+    if sub < 1 or abs(sub * dt - save_interval) > 1e-9 * save_interval:
+        raise ValueError("dt must divide save_interval")
+    return dims, sub
 
 
 def _resolved(basis: EigenBasis, dims, p) -> np.ndarray:
@@ -217,26 +233,20 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
     An int d_p gives states (n_save + 1, d); a sequence of n gives
     (n, n_save + 1, d).  The sweep runs in lockstep: one (n, max d_p) batch,
     zero past each row's d_p, with one nonlinear evaluation per RK4 stage.
-    Every d_p is checked before any step.  A row that goes non-finite leaves
-    the batch, and its snapshots read +inf from then on; the others go on.
+    The checks of :func:`check_sweep` run before any step.  A row that goes
+    non-finite leaves the batch, and its snapshots read +inf from then on; the
+    others go on.  The slaved correction a save computes is the lift of the
+    step after it.
     """
-    if mode not in ("galerkin", "nlg", "ppg"):
-        raise ValueError(f"unknown ROM mode {mode!r}")
-    dims = np.atleast_1d(np.asarray(d_p, dtype=int))
-    if dims.size == 0:
-        raise ValueError("no retained dimension to integrate")
-    for k in dims:
-        _check_retained(basis, int(k), mode != "galerkin")
+    dims, sub = check_sweep(basis, d_p, mode, save_interval, dt)
     n_save = int(round(total_time / save_interval))
-    sub = int(round(save_interval / dt))
-    if sub < 1 or abs(sub * dt - save_interval) > 1e-9 * save_interval:
-        raise ValueError("dt must divide save_interval")
     u0 = np.asarray(u0, dtype=np.float64)
     p = np.zeros((dims.size, dims.max()))
     for k, row in zip(dims, p):
         row[:k] = basis.leading(k).T @ u0
     alive = np.arange(dims.size)
     states = np.full((dims.size, n_save + 1, basis.d), np.inf)
+    qs = None  # the correction the last save slaved to p, until p steps on
     # overflow en route to the finiteness checks is the divergence signal
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_save + 1):
@@ -244,8 +254,11 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
                 live = dims[alive]
                 lift = 0.0
                 if mode == "nlg":
-                    lift = _slaved(basis, live, unresolved_correction(
-                        basis, live, model, p, slaving_iterations))
+                    if qs is None:
+                        qs = unresolved_correction(basis, live, model, p,
+                                                   slaving_iterations)
+                    lift = _slaved(basis, live, qs)
+                qs = None
                 p = _rk4_rows(basis, live, model, p, lift, dt)
                 ok = np.all(np.isfinite(p), axis=1)
                 alive, p = alive[ok], p[ok]
@@ -256,11 +269,13 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
             live = dims[alive]
             u = _resolved(basis, live, p)
             if mode != "galerkin":
-                u = u + _slaved(basis, live, unresolved_correction(
-                    basis, live, model, p, slaving_iterations))
+                qs = unresolved_correction(basis, live, model, p, slaving_iterations)
+                u = u + _slaved(basis, live, qs)
             ok = np.all(np.isfinite(u), axis=1)
             states[alive[ok], j] = u[ok]
             alive, p = alive[ok], p[ok]
+            if qs is not None:
+                qs = [q for q, keep in zip(qs, ok) if keep]
     times = np.arange(n_save + 1) * save_interval
     return times, (states[0] if np.ndim(d_p) == 0 else states)
 

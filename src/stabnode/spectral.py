@@ -10,6 +10,14 @@ Transform convention: the forward transform is normalized by 1/d, so a pure
 mode a*cos(2*pi*k*x/L) carries coefficient a/2 at one-sided index k.  Every
 spectrum formula in this package assumes that convention.
 
+Every real transform in the package goes through one pair, :func:`rfft` and
+:func:`irfft`, over the last axis.  On numpy >= 2 they call numpy's pocketfft
+gufuncs directly, with a preallocated output and the factor ``np.fft`` itself
+passes (1 forward, 1/n inverse), so each result has ``np.fft``'s bits without
+its per-call Python wrapper; at d = 64 that wrapper costs more than the
+transform.  numpy < 2 has no such module, and there the pair is
+``np.fft.rfft`` / ``np.fft.irfft``.
+
 Artifacts carry a key=value text sidecar, ``<path>.txt``.  A dataset reads
 ``viscosity`` (8e-4 when absent), ``solver_step`` (1e-3 VBE, 0.05 KSE),
 ``train_trajectories`` (the leading VBE training trajectories, at least 1;
@@ -27,6 +35,11 @@ import struct
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
+
+try:
+    from numpy.fft import _pocketfft_umath as _pocketfft
+except ImportError:  # numpy < 2.0
+    _pocketfft = None
 
 TWO_THIRDS_CUTOFF = 3  # keep k <= d // TWO_THIRDS_CUTOFF before quadratic products
 
@@ -161,9 +174,26 @@ def wavenumber_indices(d: int) -> np.ndarray:
     return np.arange(d // 2 + 1)
 
 
+if _pocketfft is not None:
+    def rfft(u: np.ndarray) -> np.ndarray:
+        """Unnormalized one-sided transform of real (..., n) ``u``, the bits of
+        ``np.fft.rfft(u)``."""
+        n = u.shape[-1]
+        out = np.empty(u.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+        return (_pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even)(u, 1, out=out)
+
+    def irfft(c: np.ndarray, n: int) -> np.ndarray:
+        """Real (..., n) inverse of one-sided ``c``, scaled by 1/n, the bits of
+        ``np.fft.irfft(c, n)``."""
+        return _pocketfft.irfft(c, 1.0 / n, out=np.empty(c.shape[:-1] + (n,)))
+else:
+    rfft = np.fft.rfft
+    irfft = np.fft.irfft
+
+
 def to_spectral(field: Field) -> SpectralField:
     """Forward transform with 1/d normalization; enforces real DC/Nyquist."""
-    coeffs = np.fft.rfft(field.values) / field.d
+    coeffs = rfft(field.values) / field.d
     coeffs[0] = coeffs[0].real
     coeffs[-1] = coeffs[-1].real
     return SpectralField(coeffs, field.domain_length)
@@ -200,7 +230,7 @@ def generate_vbe_ic(spec: IcSpec, d: int, domain_length: float = 1.0) -> Field:
     coeffs = np.sqrt(2.0 * e0) * (np.cos(2.0 * np.pi * psi) - 1j * np.sin(2.0 * np.pi * psi))
     coeffs[0] = 0.0
     coeffs[-1] = np.sqrt(2.0 * e0[-1])
-    return Field(np.fft.irfft(coeffs * d, n=d), domain_length)
+    return Field(irfft(coeffs * d, d), domain_length)
 
 
 def linear_symbol(system: str, d: int, domain_length: float,
@@ -221,26 +251,27 @@ def linear_symbol(system: str, d: int, domain_length: float,
 
 def apply_symbol(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The circulant operator with one-sided ``symbol`` applied to (d,) or (n, d)."""
-    d = u.shape[-1]
-    return np.fft.irfft(symbol * np.fft.rfft(u), n=d)
+    return irfft(symbol * rfft(u), u.shape[-1])
 
 
 def advection_symbols(d: int, domain_length: float):
-    """(-0.5*i*q with the Nyquist entry zeroed, 2/3-rule mask) for burgers_tendency."""
-    q = 2.0 * np.pi * wavenumber_indices(d) / domain_length
-    iq = 1j * q
-    iq[-1] = 0.0
-    return -0.5 * iq, wavenumber_indices(d) <= d // TWO_THIRDS_CUTOFF
+    """The dealiasing factors of :func:`burgers_tendency`, computed once: the
+    advection symbol -0.5*i*q, zero above the 2/3-rule cutoff (Nyquist
+    included), and the input mask times d."""
+    k = wavenumber_indices(d)
+    keep = k <= d // TWO_THIRDS_CUTOFF
+    half_iq = -0.5 * (1j * (2.0 * np.pi * k / domain_length))
+    return np.where(keep, half_iq, 0.0), keep * (d + 0j)
 
 
 def burgers_tendency(coeffs: np.ndarray, half_iq: np.ndarray,
-                     mask: np.ndarray) -> np.ndarray:
+                     mask_d: np.ndarray) -> np.ndarray:
     """Advection -0.5*(u^2)_x of one-sided coefficients (one state or a batch),
-    2/3-rule dealiased on input and output; see :func:`advection_symbols`."""
+    2/3-rule dealiased on input and output by the factors of
+    :func:`advection_symbols`.  A discarded mode reads a zero of either sign."""
     d = 2 * (coeffs.shape[-1] - 1)
-    u = np.fft.irfft(np.where(mask, coeffs, 0.0) * d, n=d)
-    sq = np.fft.rfft(u * u) / d
-    return np.where(mask, half_iq * sq, 0.0)
+    u = irfft(coeffs * mask_d, d)
+    return half_iq * (rfft(u * u) / d)
 
 
 class _Solver:
@@ -403,7 +434,7 @@ class SnapshotDataset:
             return self.values[:n, :n_snap]
         values = np.empty((n, n_snap, self.d))
         values[:, 0] = ics
-        fill_trajectories(self.solver(), np.fft.rfft(ics) / self.d, values,
+        fill_trajectories(self.solver(), rfft(ics) / self.d, values,
                           int(round(self.tau / self.solver_step)), self.tau)
         return values
 
@@ -457,7 +488,7 @@ def fill_trajectories(solver, coeffs: np.ndarray, values: np.ndarray, sub: int,
             raise DivergenceError(f"integration blew up near t = {j * tau:.3f}{which}",
                                   time=j * tau,
                                   seed=seeds[0] if len(seeds) == 1 else None) from err
-        values[:, j] = np.fft.irfft(coeffs * d, n=d)
+        values[:, j] = irfft(coeffs * d, d)
 
 
 def _steps_per_sample(tau: float, step: float) -> int:
@@ -487,7 +518,7 @@ def generate_vbe_dataset(n_train: int = 1000, n_test: int = 100, d: int = 512,
     values = np.empty((len(seeds), n_snap, d))
     values[:, 0] = [generate_vbe_ic(IcSpec(peak_wavenumber, amplitude, seed), d,
                                     domain_length).values for seed in seeds]
-    fill_trajectories(solver, np.fft.rfft(values[:, 0]) / d, values, sub, tau, seeds)
+    fill_trajectories(solver, rfft(values[:, 0]) / d, values, sub, tau, seeds)
     return SnapshotDataset(values, tau, domain_length, "vbe")
 
 
@@ -506,11 +537,11 @@ def generate_kse_dataset(d: int = 64, domain_length: float = 22.0, horizon: floa
     u0 = 0.01 * rng.standard_normal(d)
     u0 -= u0.mean()
     try:
-        coeffs = solver.advance(np.fft.rfft(u0) / d, int(round(transient / h)))
+        coeffs = solver.advance(rfft(u0) / d, int(round(transient / h)))
     except DivergenceError as err:
         raise DivergenceError(f"transient with seed {seed} blew up", seed=seed) from err
     values = np.empty((1, n_snap, d))
-    values[0, 0] = np.fft.irfft(coeffs * d, n=d)
+    values[0, 0] = irfft(coeffs * d, d)
     fill_trajectories(solver, coeffs, values, sub, tau, [seed])
     return SnapshotDataset(values, tau, domain_length, "kse")
 

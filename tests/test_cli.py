@@ -727,6 +727,27 @@ class TestRom:
         assert calls == []
 
 
+    def test_bad_dp_exits_2_before_the_reference_rollout(self, tmp_path, kse_dataset,
+                                                         monkeypatch):
+        # d_p = 3 leaves the mean mode's zero eigenvalue to slave; the full
+        # reference=self rollout over total_time = 100 would diverge (exit 3)
+        calls = []
+        rollout = node.rollout
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rollout(*args, **kwargs)
+
+        monkeypatch.setattr(node, "rollout", counted)
+        out = tmp_path / "rom_bad_dp"
+        code = run_cli("rom", "--dataset", str(kse_dataset), "--mode", "nlg",
+                       "--dp", "3", "--out", str(out), "--set", "reference=self",
+                       "--set", "total_time=100")
+        assert code == 2
+        assert not (out / "reference_pdf.snpd").exists()
+        assert not (out / "basis.sneb").exists()
+        assert calls == []
+
     def test_diverged_self_reference_exits_3(self, tmp_path, kse_dataset, capsys):
         ckpt = learned_linear_checkpoint(tmp_path / "model.snck", 32,
                                          [500.0, -1000.0, 500.0], "kse")

@@ -398,6 +398,29 @@ class TestLockstepSweep:
             assert np.array_equal(row, solo_rom(basis, d_p, model, u0, 2.0, mode,
                                                 0.25, 0.01))
 
+    def test_nlg_save_correction_lifts_the_next_step(self, monkeypatch):
+        # 4 saves of 5 steps: one correction per step and one at t = 0, as
+        # every other save's correction is the lift of the step after it
+        d = 32
+        model = node.TrueRhs("kse", d, 22.0)
+        basis = rom.fourier_basis(model.linear_symbol())
+        u0 = kse_start(d)
+        dims = [7, 8, 15]
+        calls = []
+        correction = rom.unresolved_correction
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return correction(*args, **kwargs)
+
+        monkeypatch.setattr(rom, "unresolved_correction", counted)
+        _, sweep = rom.rom_integrate(basis, dims, model, u0, 1.0, "nlg", 0.25, 0.05)
+        monkeypatch.undo()
+        assert len(calls) == 1 + 4 * 5
+        for d_p, row in zip(dims, sweep):
+            assert np.array_equal(row, solo_rom(basis, d_p, model, u0, 1.0, "nlg",
+                                                0.25, 0.05))
+
     def test_int_dp_returns_one_trajectory(self):
         d = 32
         model = node.TrueRhs("kse", d, 22.0)

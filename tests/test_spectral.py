@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stabnode import cli
 from stabnode import spectral as sp
 
 
@@ -41,6 +42,65 @@ class TestTransforms:
             sp.Field(np.zeros(7), 1.0)
         with pytest.raises(ValueError):
             sp.generate_vbe_ic(sp.IcSpec(), 7)
+
+
+class TestTransformPair:
+    """spectral.rfft / irfft carry np.fft's bits, and every transform uses them."""
+
+    @pytest.mark.parametrize("d", [32, 64, 512])
+    def test_bits_of_np_fft(self, d):
+        rng = np.random.default_rng(d)
+        values = rng.standard_normal((5, 3, d))
+        for u in (values[0, 0], values[:, 1], values[:, 0]):  # (d,), (n, d), strided
+            assert np.array_equal(sp.rfft(u), np.fft.rfft(u))
+            c = np.fft.rfft(u)
+            assert np.array_equal(sp.irfft(c, d), np.fft.irfft(c, n=d))
+
+    @staticmethod
+    def _two_where_tendency(coeffs, d, L):
+        """The tendency with its mask applied by np.where on input and output."""
+        q = 2.0 * np.pi * sp.wavenumber_indices(d) / L
+        iq = 1j * q
+        iq[-1] = 0.0
+        mask = sp.wavenumber_indices(d) <= d // 3
+        u = np.fft.irfft(np.where(mask, coeffs, 0.0) * d, n=d)
+        return np.where(mask, -0.5 * iq * (np.fft.rfft(u * u) / d), 0.0)
+
+    @pytest.mark.parametrize("system, L", [("vbe", 1.0), ("kse", 22.0)])
+    @pytest.mark.parametrize("d", [32, 64, 512])
+    def test_tendency_matches_two_where_formula(self, system, L, d):
+        rng = np.random.default_rng(d)
+        coeffs = np.fft.rfft(rng.standard_normal((4, d))) / d
+        half_iq, mask_d = sp.advection_symbols(d, L)
+        for c in (coeffs, coeffs[2]):
+            assert np.array_equal(sp.burgers_tendency(c, half_iq, mask_d),
+                                  self._two_where_tendency(c, d, L))
+
+    @pytest.mark.skipif(sp.rfft is np.fft.rfft, reason="numpy < 2 uses np.fft itself")
+    def test_no_path_bypasses_the_pair(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.fft called outside spectral.rfft / irfft")
+
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        monkeypatch.setattr(np.fft, "irfft", refuse)
+        kse, vbe = str(tmp_path / "k.snod"), str(tmp_path / "v.snod")
+        runs = [
+            ["generate", "--system", "kse", "--out", kse, "--set", "d=32",
+             "--set", "horizon=10.0", "--set", "transient=5.0"],
+            ["rom", "--dataset", kse, "--out", str(tmp_path / "rom"), "--mode", "nlg",
+             "--dp", "8,10", "--set", "total_time=2.0", "--set", "dt=0.05"],
+            ["generate", "--system", "vbe", "--out", vbe, "--train-ics", "2",
+             "--test-ics", "1", "--set", "d=64", "--set", "horizon=0.2",
+             "--set", "solver_step=2.5e-3"],
+            ["train", "--dataset", vbe, "--variant", "learned-linear",
+             "--out", str(tmp_path / "run"), "--epochs", "2", "--set", "hidden=8"],
+            ["evaluate", "--dataset", vbe, "--checkpoint",
+             str(tmp_path / "run" / "model.snck"), "--out", str(tmp_path / "e"),
+             "--metric", "spectrum", "--times", "0.1", "--set", "n_ics=1",
+             "--set", "horizon=0.2"],
+        ]
+        for argv in runs:
+            assert cli.main(argv) == 0, argv
 
 
 def derivative(u, L, order):
