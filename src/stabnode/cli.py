@@ -21,8 +21,10 @@ ValueError other than an artifact error), e.g. epochs, batch_size,
 rollout_steps or n_ics below 1, an unknown variant, activation, stencil init
 kind, ROM mode or noise band, a stencil wider than the grid, an ic_index or
 d_p outside the dataset, an empty d_p list, a d_p that leaves a zero
-eigenvalue to slave (every d_p is checked before any row runs), or a
-fixed-linear RK4 substep tau/rollout_steps that amplifies a damped mode; 3
+eigenvalue to slave (every d_p is checked before any row runs), a `rom`
+total_time or `evaluate` horizon or pdf_time that its save interval
+(save_interval, tau) does not divide, or a fixed-linear RK4 substep
+tau/rollout_steps that amplifies a damped mode; 3
 numerical divergence: a `rom` row with non-finite KL, a `rom --reference self`
 rollout (before any row runs), or an `evaluate --metric error|spectrum|pdf`
 model trajectory that went non-finite, whose outputs and manifest are still
@@ -471,14 +473,11 @@ def cmd_evaluate(config: dict) -> int:
     horizon, tau = config["horizon"], ds.tau
     ics = np.stack(ics)
     if metric in ("error", "spectrum"):
-        n_snap = int(round(horizon / tau)) + 1
-        true_set = test_ds.true_trajectories(ics, n_snap)
-        times, model_set = node.rollout(model, ics, (n_snap - 1) * tau, tau,
-                                        config["rollout_steps"])
+        true_set = test_ds.true_trajectories(ics, sp.save_count(horizon, tau) + 1)
+        times, model_set = node.rollout(model, ics, horizon, tau, config["rollout_steps"])
     elif metric == "pdf":
         # one long rollout from the first initial condition
-        n_save = int(round(config["pdf_time"] / tau))
-        times, model_set = node.rollout(model, ics[:1], n_save * tau, tau,
+        times, model_set = node.rollout(model, ics[:1], config["pdf_time"], tau,
                                         config["rollout_steps"])
     else:
         raise ConfigError(f"unknown metric {metric!r}")
@@ -559,8 +558,6 @@ ROM_SCHEMA = {
 
 
 def cmd_rom(config: dict) -> int:
-    if not config["dp"]:
-        raise ConfigError("dp must list at least one retained dimension")
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
     out_dir = resolve_path(config["out"])
@@ -579,8 +576,8 @@ def cmd_rom(config: dict) -> int:
     elif config["sort"] != "eigenvalue":
         raise ConfigError(f"unknown sort {config['sort']!r}")
     # every d_p, before anything is written or the reference is rolled out
-    rom_mod.check_sweep(basis, config["dp"], config["mode"], config["save_interval"],
-                        config["dt"])
+    *_, sub = rom_mod.check_sweep(basis, config["dp"], config["mode"], config["total_time"],
+                                  config["save_interval"], config["dt"])
     starts = ds.initial_conditions()
     if not 0 <= config["ic_index"] < len(starts):
         raise ConfigError(f"ic_index must be in 0..{len(starts) - 1}")
@@ -593,9 +590,8 @@ def cmd_rom(config: dict) -> int:
                                  bins=config["pdf_bins"])
     elif config["reference"] == "self":
         # full (untruncated) rollout of the same RHS, same integrator settings
-        save = config["save_interval"]
-        times, traj = node.rollout(model, u0, round(config["total_time"] / save) * save,
-                                   save, int(round(save / config["dt"])))
+        times, traj = node.rollout(model, u0, config["total_time"],
+                                   config["save_interval"], sub)
         bad = ~np.all(np.isfinite(traj), axis=1)
         if bad.any():
             t = times[bad.argmax()]

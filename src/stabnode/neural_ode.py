@@ -21,8 +21,8 @@ import numpy as np
 from . import diffcore as dc
 from .spectral import (ArtifactError, DivergenceError, SnapshotDataset,
                        advection_symbols, apply_symbol, burgers_tendency, expect_end,
-                       irfft, linear_symbol, read_exact, read_f8, read_sidecar, rfft,
-                       tag_name)
+                       irfft, linear_symbol, march, read_exact, read_f8, read_sidecar,
+                       rfft, save_count, tag_name)
 
 VARIANT_TAGS = {"nonlinear": 0, "fixed-linear": 1, "learned-linear": 2}
 VARIANT_NAMES = {v: k for k, v in VARIANT_TAGS.items()}
@@ -212,43 +212,19 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
     return loss, grads
 
 
-def _integrate_rows(model, u: np.ndarray, horizon: float, nsteps: int) -> np.ndarray:
-    """:func:`integrate` on an (n, d) batch; rows that diverge come back +inf.
-    Rows do not interact, so a diverging batch is halved down to those rows."""
-    try:
-        return integrate(model, u, horizon, nsteps)
-    except DivergenceError:
-        if u.shape[0] == 1:
-            return np.full_like(u, np.inf)
-        half = u.shape[0] // 2
-        return np.concatenate([_integrate_rows(model, u[:half], horizon, nsteps),
-                               _integrate_rows(model, u[half:], horizon, nsteps)])
-
-
 def rollout(model, u0: np.ndarray, total_time: float, save_interval: float,
             steps_per_interval: int = 5):
     """Repeated integration of one state (d,) or a batch (n, d).
 
     Returns (times, states).  States are (n_save + 1, d) for one state and
-    (n, n_save + 1, d) for a batch, with u0 as the first snapshot.  The
-    batch advances together; a trajectory that goes non-finite during an
-    interval leaves it, and that snapshot and all later ones read +inf.
+    (n, n_save + 1, d) for a batch, with u0 as the first snapshot.  The batch
+    marches together, one :func:`integrate` per save_interval (which must divide
+    total_time); a row that goes non-finite reads +inf from that save on.
     """
-    n_save = int(round(total_time / save_interval))
-    if abs(n_save * save_interval - total_time) > 1e-9 * max(total_time, 1.0):
-        raise ValueError("save_interval must divide total_time")
+    n_save = save_count(total_time, save_interval)
     u0 = np.asarray(u0, dtype=np.float64)
-    u = np.atleast_2d(u0)
-    states = np.full((u.shape[0], n_save + 1, u.shape[1]), np.inf)
-    states[:, 0] = u
-    alive = np.arange(u.shape[0])
-    for i in range(n_save):
-        u = _integrate_rows(model, u, save_interval, steps_per_interval)
-        finite = np.all(np.isfinite(u), axis=1)
-        alive, u = alive[finite], u[finite]
-        if alive.size == 0:
-            break
-        states[alive, i + 1] = u
+    states = march(lambda u, nsteps, rows: integrate(model, u, save_interval, nsteps),
+                   np.atleast_2d(u0), n_save, steps_per_interval)
     return np.arange(n_save + 1) * save_interval, (states[0] if u0.ndim == 1 else states)
 
 

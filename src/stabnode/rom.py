@@ -7,11 +7,11 @@ descending eigenvalue or by descending variance of their projected
 tendencies on attractor data.  Reduced dynamics integrate with RK4 in three
 flavors: plain Galerkin (truncate), nonlinear Galerkin (unresolved
 coordinates slaved through the stationarity of their dynamics), and
-postprocessing Galerkin (slaving applied only at output times).  A sweep
-over retained dimensions d_p runs in lockstep: the reduced states of every
-d_p advance as one zero-padded batch, with one nonlinear evaluation per RK4
-stage on the stacked full states.  Projections stay per row, so with the
-true RHS each row is bit-identical to a run of its d_p alone; a network RHS
+postprocessing Galerkin (slaving applied only at output times).  A d_p
+sweep marches in lockstep: the reduced states, each with its nonlinear
+Galerkin lift Vq q, advance as one zero-padded batch, with one nonlinear
+evaluation per RK4 stage.  Projections stay per row, so with the true RHS
+each row is bit-identical to a run of its d_p alone; a network RHS
 evaluated on the stacked rows matches it only to rounding.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .neural_ode import _rk4_forward
-from .spectral import (ArtifactError, DivergenceError, expect_end, read_exact, read_f8,
+from .spectral import (ArtifactError, expect_end, march, read_exact, read_f8, save_count,
                        tag_name)
 
 ORDERING_TAGS = {"eigenvalue": 0, "variance": 1}
@@ -159,15 +159,16 @@ def unresolved_correction(basis: EigenBasis, d_p, model, p: np.ndarray,
     return qs[0] if one else qs
 
 
-def check_sweep(basis: EigenBasis, d_p, mode: str, save_interval: float,
-                dt: float):
-    """The retained dimensions (an int array) and the RK4 steps per save of a
-    :func:`rom_integrate` call.
+def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
+                save_interval: float, dt: float):
+    """The retained dimensions (an int array), saves and RK4 steps per save of
+    a :func:`rom_integrate` call.
 
     ValueError for an unknown mode, an empty d_p list, a d_p outside 1..d,
     a d_p that leaves a trailing eigenvalue at zero when the unresolved
-    coordinates are slaved, or a dt that does not divide save_interval.  It
-    integrates nothing, so a caller can run it before any other work.
+    coordinates are slaved, a dt that does not divide save_interval, or a
+    save_interval that does not divide total_time.  It integrates nothing,
+    so a caller can run it before any other work.
     """
     if mode not in ("galerkin", "nlg", "ppg"):
         raise ValueError(f"unknown ROM mode {mode!r}")
@@ -179,12 +180,15 @@ def check_sweep(basis: EigenBasis, d_p, mode: str, save_interval: float,
             raise ValueError(f"retained dimension {k} is outside 1..{basis.d}")
         small = np.abs(basis.eigenvalues[k:]) <= SLAVING_EIGENVALUE_FLOOR
         if mode != "galerkin" and np.any(small):
+            hint = ("; the variance sort puts a conserved mode last: use sort=eigenvalue"
+                    " or mode=galerkin") if basis.ordering == "variance" else ""
             raise ValueError(f"trailing eigenvalue {k + int(np.argmax(small))} is "
-                             f"within {SLAVING_EIGENVALUE_FLOOR} of zero; cannot slave it")
+                             f"within {SLAVING_EIGENVALUE_FLOOR} of zero; cannot slave "
+                             f"it{hint}")
     sub = int(round(save_interval / dt))
     if sub < 1 or abs(sub * dt - save_interval) > 1e-9 * save_interval:
         raise ValueError("dt must divide save_interval")
-    return dims, sub
+    return dims, save_count(total_time, save_interval), sub
 
 
 def _resolved(basis: EigenBasis, dims, p) -> np.ndarray:
@@ -203,79 +207,50 @@ def _slaved(basis: EigenBasis, dims, qs) -> np.ndarray:
     return u
 
 
-def _rk4_rows(basis: EigenBasis, dims, model, p: np.ndarray, lift,
-              dt: float) -> np.ndarray:
-    """One RK4 step of the reduced batch.  When a row goes non-finite the rows
-    are stepped again one by one, and that row comes back +inf."""
-    try:
-        return _rk4_forward(lambda ps: galerkin_rhs(basis, dims, model, ps, lift),
-                            p, dt, 1, record=False)[0]
-    except DivergenceError:
-        if len(dims) == 1:
-            return np.full_like(p, np.inf)
-        lift = np.broadcast_to(lift, (len(dims), basis.d))
-        return np.concatenate([_rk4_rows(basis, dims[i:i + 1], model, p[i:i + 1],
-                                         lift[i:i + 1], dt)
-                               for i in range(len(dims))])
-
-
 def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
                   total_time: float, mode: str = "galerkin",
                   save_interval: float = 0.25, dt: float = 0.01,
                   slaving_iterations: int = 1):
     """Integrate the reduced dynamics; returns (times, reconstructed states).
 
-    Modes: "galerkin" truncates the unresolved coordinates; "nlg" refreshes
-    the slaved correction once per step and feeds it into the nonlinear
-    term; "ppg" runs plain Galerkin and applies the correction only to the
-    saved states.  Reconstructions are Vp p (+ Vq q where applicable).
-
-    An int d_p gives states (n_save + 1, d); a sequence of n gives
-    (n, n_save + 1, d).  The sweep runs in lockstep: one (n, max d_p) batch,
-    zero past each row's d_p, with one nonlinear evaluation per RK4 stage.
-    The checks of :func:`check_sweep` run before any step.  A row that goes
-    non-finite leaves the batch, and its snapshots read +inf from then on; the
-    others go on.  The slaved correction a save computes is the lift of the
-    step after it.
+    Modes: "galerkin" truncates the unresolved coordinates; "nlg" slaves them
+    to every new p, a lift Vq q that feeds the next step and the save; "ppg"
+    runs plain Galerkin and slaves only at the saves.  An int d_p gives states
+    (n_save + 1, d), a sequence of n (n, n_save + 1, d): the sweep marches the
+    packed state [p | Vq q], (n, max d_p + d), p zero past each row's d_p, in
+    lockstep, with one nonlinear evaluation per RK4 stage.  :func:`check_sweep`
+    runs before any step; a row that goes non-finite reads +inf from then on.
     """
-    dims, sub = check_sweep(basis, d_p, mode, save_interval, dt)
-    n_save = int(round(total_time / save_interval))
+    dims, n_save, sub = check_sweep(basis, d_p, mode, total_time, save_interval, dt)
+    width = dims.max()
     u0 = np.asarray(u0, dtype=np.float64)
-    p = np.zeros((dims.size, dims.max()))
-    for k, row in zip(dims, p):
+    state = np.zeros((dims.size, width + basis.d))
+    for k, row in zip(dims, state):
         row[:k] = basis.leading(k).T @ u0
-    alive = np.arange(dims.size)
-    states = np.full((dims.size, n_save + 1, basis.d), np.inf)
-    qs = None  # the correction the last save slaved to p, until p steps on
-    # overflow en route to the finiteness checks is the divergence signal
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_save + 1):
-            for _ in range(sub if j else 0):
-                live = dims[alive]
-                lift = 0.0
-                if mode == "nlg":
-                    if qs is None:
-                        qs = unresolved_correction(basis, live, model, p,
-                                                   slaving_iterations)
-                    lift = _slaved(basis, live, qs)
-                qs = None
-                p = _rk4_rows(basis, live, model, p, lift, dt)
-                ok = np.all(np.isfinite(p), axis=1)
-                alive, p = alive[ok], p[ok]
-                if alive.size == 0:
-                    break
-            if alive.size == 0:
-                break
-            live = dims[alive]
-            u = _resolved(basis, live, p)
-            if mode != "galerkin":
-                qs = unresolved_correction(basis, live, model, p, slaving_iterations)
-                u = u + _slaved(basis, live, qs)
-            ok = np.all(np.isfinite(u), axis=1)
-            states[alive[ok], j] = u[ok]
-            alive, p = alive[ok], p[ok]
-            if qs is not None:
-                qs = [q for q, keep in zip(qs, ok) if keep]
+
+    def slave(p, live):
+        return _slaved(basis, live, unresolved_correction(basis, live, model, p,
+                                                          slaving_iterations))
+
+    def advance(state, nsteps, rows):
+        live, p, lift = dims[rows], state[:, :width], state[:, width:]
+        for _ in range(nsteps):
+            p = _rk4_forward(lambda ps: galerkin_rhs(basis, live, model, ps, lift),
+                             p, dt, 1, record=False)[0]
+            if mode == "nlg":
+                lift = slave(p, live)
+        return np.hstack([p, lift])
+
+    def observe(state, rows):
+        p = state[:, :width]
+        u = _resolved(basis, dims[rows], p)
+        if mode == "galerkin":
+            return u  # no + 0.0, which would turn -0.0 into +0.0
+        return u + (state[:, width:] if mode == "nlg" else slave(p, dims[rows]))
+
+    if mode == "nlg":
+        state[:, width:] = slave(state[:, :width], dims)
+    states = march(advance, state, n_save, sub, observe)
     times = np.arange(n_save + 1) * save_interval
     return times, (states[0] if np.ndim(d_p) == 0 else states)
 

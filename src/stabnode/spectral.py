@@ -5,6 +5,9 @@ third-order Runge-Kutta with Crank-Nicolson diffusion) and the
 Kuramoto-Sivashinsky equation (ETDRK4 after Kassam & Trefethen, SIAM
 J. Sci. Comput. 26 (2005) 1214-1233, with contour-averaged coefficients),
 plus random initial conditions drawn to a prescribed energy budget.
+:func:`march` is the one loop that drops diverging rows, for the model rollout
+and the ROM sweep; dataset generation, which must raise at once, and the
+Lyapunov estimate, which renormalises a coupled pair of rows, keep their own.
 
 Transform convention: the forward transform is normalized by 1/d, so a pure
 mode a*cos(2*pi*k*x/L) carries coefficient a/2 at one-sided index k.  Every
@@ -469,6 +472,55 @@ class SnapshotDataset:
         cut = int(round(self.n_snap * train_fraction))
         return (replace(self, values=self.values[:, :cut]),
                 replace(self, values=self.values[:, cut:]))
+
+
+def save_count(span: float, interval: float) -> int:
+    """Saves after the start of ``span``; ValueError unless ``interval`` divides it."""
+    n = int(round(span / interval)) if interval > 0 else -1
+    if n < 0 or abs(n * interval - span) > 1e-9 * max(span, 1.0):
+        raise ValueError(f"save interval {interval!r} must divide the time span {span!r}")
+    return n
+
+
+def march(advance, state: np.ndarray, n_save: int, sub: int, observe=None) -> np.ndarray:
+    """Snapshots (n, n_save + 1, ...) of an (n, ...) batch of independent rows
+    that ``advance(state, nsteps, rows)`` steps ``sub`` steps per save, taken
+    by ``observe(state, rows)`` (the state by default); ``rows`` index the rows
+    still marching.  A row whose step raises DivergenceError, or whose snapshot
+    is non-finite, reads +inf from that save on; with no row left, nothing more
+    runs.  Dataset generation and the Lyapunov estimate keep their own loops."""
+    see = observe or (lambda s, rows: s)
+    rows = np.arange(len(state))
+    # overflow en route to the finiteness checks is the divergence signal
+    with np.errstate(over="ignore", invalid="ignore"):
+        snap = see(state, rows)
+        snaps = np.full((rows.size, n_save + 1) + snap.shape[1:], np.inf)
+        for j in range(n_save + 1):
+            if j:
+                state, rows = _advance_rows(advance, state, sub, rows)
+                if rows.size == 0:
+                    break
+                snap = see(state, rows)
+            ok = np.all(np.isfinite(snap), axis=tuple(range(1, snap.ndim)))
+            snaps[rows[ok], j] = snap[ok]
+            state, rows = state[ok], rows[ok]
+            if rows.size == 0:
+                break
+    return snaps
+
+
+def _advance_rows(advance, state, nsteps, rows):
+    """(stepped state, its rows) less the rows that raise DivergenceError, found by
+    halving, so the others stay batched: a network gives one row other bits."""
+    try:
+        return advance(state, nsteps, rows), rows
+    except DivergenceError:
+        if rows.size == 1:
+            return state[:0], rows[:0]
+    half = rows.size // 2
+    a, ra = _advance_rows(advance, state[:half], nsteps, rows[:half])
+    b, rb = _advance_rows(advance, state[half:], nsteps, rows[half:])
+    return np.concatenate([a, b]), np.concatenate([ra, rb])
 
 
 def fill_trajectories(solver, coeffs: np.ndarray, values: np.ndarray, sub: int,

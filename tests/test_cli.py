@@ -327,7 +327,10 @@ def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
     *(["rom", "--dp", str(d_p)] for d_p in range(7)),
     ["rom", "--dp", "8", "--sort", "variance"],
     ["rom", "--dp", "9..8"],
-    ["evaluate", "--noise", "fourier:0.1:0:100"]],
+    ["rom", "--dp", "8", "--set", "total_time=1.1"],
+    ["evaluate", "--noise", "fourier:0.1:0:100"],
+    ["evaluate", "--set", "horizon=1.1"],
+    ["evaluate", "--metric", "pdf", "--set", "pdf_time=1.1"]],
     ids=lambda argv: " ".join(argv))
 def test_bad_setting_config_error(tmp_path, kse_dataset, kse_checkpoint, argv, capsys):
     # d = 32 KSE; the rom cases use the default nlg mode, whose slaved trailing
@@ -340,8 +343,8 @@ def test_bad_setting_config_error(tmp_path, kse_dataset, kse_checkpoint, argv, c
                    "--out", str(tmp_path / "o"))
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: ")
-    assert not (tmp_path / "o" / "loss.log").exists()
-    assert not (tmp_path / "o" / "rom.csv").exists()
+    # nothing is written: no loss.log, rom.csv, basis.sneb or evaluate output
+    assert not list((tmp_path / "o").glob("*"))
 
 
 class TestDatasetSidecar:
@@ -726,6 +729,19 @@ class TestRom:
         assert not (out / "rom.csv").exists()
         assert calls == []
 
+
+    def test_variance_sort_names_the_way_out(self, tmp_path, kse_dataset, capsys):
+        # KSE conserves the mean: the variance sort puts its zero eigenvalue last,
+        # among the slaved coordinates of every d_p < d
+        argv = ["rom", "--dataset", str(kse_dataset), "--rhs", "true", "--mode", "nlg",
+                "--out", str(tmp_path / "r"), "--set", "total_time=1.0"]
+        assert run_cli(*argv, "--sort", "variance", "--dp", "8") == 2
+        err = capsys.readouterr().err
+        assert "cannot slave" in err and "variance sort" in err
+        assert "sort=eigenvalue" in err and "mode=galerkin" in err
+        assert run_cli(*argv, "--sort", "eigenvalue", "--dp", "3") == 2
+        err = capsys.readouterr().err
+        assert "cannot slave" in err and "sort=eigenvalue" not in err
 
     def test_bad_dp_exits_2_before_the_reference_rollout(self, tmp_path, kse_dataset,
                                                          monkeypatch):

@@ -475,6 +475,9 @@ class TestLockstepSweep:
             rom.rom_integrate(basis, [8, 33], model, kse_start(d), 1.0, "galerkin")
         with pytest.raises(ValueError, match="no retained"):
             rom.rom_integrate(basis, [], model, kse_start(d), 1.0, "galerkin")
+        # a save interval that does not divide the span is not rounded away
+        with pytest.raises(ValueError, match="must divide the time span"):
+            rom.rom_integrate(basis, [8], model, kse_start(d), 1.1, "nlg", 0.25)
         assert calls == []
 
 

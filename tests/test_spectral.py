@@ -294,6 +294,74 @@ class TestBatchedAdvance:
         assert info.value.time in 0.5 * np.arange(1, 7)
 
 
+def quadrupling(calls, limit):
+    """An advance that quadruples its rows every step and, as an RK4 step
+    does, raises when any entry of the batch passes ``limit``."""
+    def advance(state, nsteps, rows):
+        calls.append(rows.tolist())
+        state = state * 4.0 ** nsteps
+        if np.any(np.abs(state) > limit):
+            raise sp.DivergenceError("past the limit")
+        return state
+    return advance
+
+
+class TestMarch:
+    def test_raising_row_leaves_the_others_alone(self):
+        state = np.array([[0.25, -0.25], [2.0, 1.0], [0.125, 0.375]])
+        calls = []
+        snaps = sp.march(quadrupling(calls, limit=30.0), state, 3, 1)
+        assert snaps.shape == (3, 4, 2)
+        # row 1 passes the limit in the second interval; the batch is halved down to it
+        assert np.array_equal(snaps[1, :2], [[2.0, 1.0], [8.0, 4.0]])
+        assert np.all(snaps[1, 2:] == np.inf)
+        alone = sp.march(quadrupling([], limit=30.0), state[[0, 2]], 3, 1)
+        assert np.array_equal(snaps[[0, 2]], alone)
+        assert calls == [[0, 1, 2], [0, 1, 2], [0], [1, 2], [1], [2], [0, 2]]
+
+    def test_observe_may_change_the_width(self):
+        state = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        seen = []
+
+        def observe(s, rows):
+            seen.append(rows.tolist())
+            # row 1's third snapshot is non-finite: it leaves from that save on
+            total = np.where(s[:, 0] < 7.5, s.sum(axis=1), np.nan)
+            return np.stack([total, rows.astype(float)], axis=1)
+
+        snaps = sp.march(lambda s, n, rows: s + n, state, 3, 2, observe)
+        assert snaps.shape == (2, 4, 2)
+        assert np.array_equal(snaps[0], [[6.0, 0.0], [12.0, 0.0], [18.0, 0.0],
+                                         [24.0, 0.0]])
+        assert np.array_equal(snaps[1], [[15.0, 1.0], [21.0, 1.0], [np.inf, np.inf],
+                                         [np.inf, np.inf]])
+        assert seen == [[0, 1], [0, 1], [0, 1], [0]]
+
+    def test_no_step_once_every_row_is_dead(self):
+        calls = []
+        state = np.full((2, 3), 50.0)
+        snaps = sp.march(quadrupling(calls, limit=100.0), state, 5, 1)
+        assert calls == [[0, 1], [0], [1]]
+        assert np.array_equal(snaps[:, 0], state) and np.all(snaps[:, 1:] == np.inf)
+        calls.clear()
+        snaps = sp.march(quadrupling(calls, limit=100.0), np.array([[np.nan, 1.0]]),
+                         5, 1)
+        assert calls == [] and np.all(snaps == np.inf)
+
+
+class TestSaveCount:
+    @pytest.mark.parametrize("span,interval,count", [
+        (1.0, 0.25, 4), (0.0, 0.25, 0), (2000.0, 0.25, 8000), (5.0, 0.05, 100)])
+    def test_divided_spans(self, span, interval, count):
+        assert sp.save_count(span, interval) == count
+
+    @pytest.mark.parametrize("span,interval", [(1.1, 0.25), (1.0, 0.3), (-1.0, 0.25),
+                                               (1.0, 0.0)])
+    def test_undivided_spans_rejected(self, span, interval):
+        with pytest.raises(ValueError, match="must divide"):
+            sp.save_count(span, interval)
+
+
 class TestDatasets:
     def test_vbe_bookkeeping(self):
         ds = sp.generate_vbe_dataset(n_train=2, n_test=0, d=64, horizon=0.1,
