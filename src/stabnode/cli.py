@@ -21,18 +21,22 @@ ValueError other than an artifact error), e.g. epochs, batch_size,
 rollout_steps or n_ics below 1, an unknown variant, activation, stencil init
 kind, ROM mode or noise band, a stencil wider than the grid, an ic_index or
 d_p outside the dataset, an empty d_p list, a d_p that leaves a zero
-eigenvalue to slave (every d_p is checked before any row runs), a `rom`
-total_time or `evaluate` horizon or pdf_time that its save interval
-(save_interval, tau) does not divide, or a fixed-linear RK4 substep
-tau/rollout_steps that amplifies a damped mode; 3
+eigenvalue to slave (every d_p is checked before any row runs), a time span
+its interval does not divide (`spectral.save_count`, before any integration:
+`generate` horizon, tau and KSE transient, `rom` total_time and
+save_interval, `evaluate` horizon, pdf_time, `times` and
+lyapunov_total_time), a lyapunov_total_time that keeps no segment after the
+leading tenth is discarded, or a fixed-linear RK4 substep tau/rollout_steps
+that amplifies a damped mode; 3
 numerical divergence: a `rom` row with non-finite KL, a `rom --reference self`
 rollout (before any row runs), or an `evaluate --metric error|spectrum|pdf`
 model trajectory that went non-finite, whose outputs and manifest are still
 written; 4 I/O error, a corrupt (truncated, padded, bad-header, unknown-tag or
 NaN/Inf-payload) binary artifact, a sidecar number that does not parse, a
-dataset sidecar `train_trajectories` below 1, a checkpoint sidecar without
-`system` or `domain_length` where the physics is needed, or a `train --resume`
-checkpoint sidecar without `epochs_completed`.
+dataset sidecar `train_trajectories` below 1 or `solver_step` that does not
+divide the dataset's tau, a checkpoint sidecar without `system` or
+`domain_length` where the physics is needed, or a `train --resume` checkpoint
+sidecar without `epochs_completed`.
 """
 
 from __future__ import annotations
@@ -460,6 +464,11 @@ def cmd_evaluate(config: dict) -> int:
         return 0
 
     _require_stable_substeps(model, ds.tau, config["rollout_steps"])
+    horizon, tau = config["horizon"], ds.tau
+    if metric == "spectrum":  # snapshot indices, checked before any rollout
+        picks = [sp.save_count(t, tau) for t in config["times"]]
+        if max(picks, default=0) > sp.save_count(horizon, tau):
+            raise ConfigError(f"time {max(config['times'])} is past the horizon {horizon}")
 
     # assemble (possibly noised) initial conditions from the test split
     ics = []
@@ -470,7 +479,6 @@ def cmd_evaluate(config: dict) -> int:
             u0 = mt.add_noise_fourier(u0, *noise[1:], seed=config["seed"] + i)
         ics.append(u0)
 
-    horizon, tau = config["horizon"], ds.tau
     ics = np.stack(ics)
     if metric in ("error", "spectrum"):
         true_set = test_ds.true_trajectories(ics, sp.save_count(horizon, tau) + 1)
@@ -502,10 +510,7 @@ def cmd_evaluate(config: dict) -> int:
     elif metric == "spectrum":
         spectra = {}
         k = sp.wavenumber_indices(ds.d)
-        for t_want in config["times"]:
-            idx = int(round(t_want / tau))
-            if not 0 <= idx < true_set.shape[1]:
-                raise ConfigError(f"time {t_want} outside the evaluated horizon")
+        for t_want, idx in zip(config["times"], picks):
             spectra[f"true_t{t_want:g}"] = mt.energy_spectrum(true_set[:, idx])
             spectra[f"model_t{t_want:g}"] = mt.energy_spectrum(model_set[:, idx])
         mt.write_spectrum_csv(os.path.join(out_dir, "spectrum.csv"), k, spectra, meta)

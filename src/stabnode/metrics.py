@@ -243,10 +243,17 @@ def lyapunov_time_estimate(system: str = "kse", d: int = 64,
 
     A reference trajectory and a companion offset by ``perturbation`` advance
     together as one two-row batch; every ``renorm_interval`` the log
-    separation growth is recorded and the offset is rescaled back.  The exponent averages the per-segment
-    growth rates after discarding the leading fraction; the Lyapunov time is
-    its inverse, reported only when the exponent is positive.
+    separation growth is recorded and the offset is rescaled back.  The
+    exponent averages the per-segment growth rates after discarding the
+    leading fraction; the Lyapunov time is its inverse, reported only when the
+    exponent is positive.  A ``total_time`` that keeps no segment is a ValueError.
     """
+    sub = sp.save_count(renorm_interval, solver_step)
+    n_segments = sp.save_count(total_time, renorm_interval)
+    skip = int(np.ceil(discard_fraction * n_segments))
+    if skip >= n_segments:
+        raise ValueError(f"total_time {total_time!r} keeps no segment after the leading "
+                         f"{discard_fraction:.0%} is discarded")
     rng = np.random.default_rng(seed)
     solver = sp.true_solver(system, d, domain_length, viscosity, solver_step)
     if system == "kse":
@@ -254,16 +261,13 @@ def lyapunov_time_estimate(system: str = "kse", d: int = 64,
         u0 -= u0.mean()
     else:
         u0 = sp.generate_vbe_ic(sp.IcSpec(seed=seed), d, domain_length).values
-    ref = sp.rfft(u0) / d
-    ref = solver.advance(ref, int(round(transient / solver_step)))
+    ref = solver.advance(sp.rfft(u0) / d, sp.save_count(transient, solver_step))
 
     direction = rng.standard_normal(d)
     direction -= direction.mean()
     direction /= np.linalg.norm(direction)
     comp = ref + sp.rfft(perturbation * direction) / d
 
-    sub = int(round(renorm_interval / solver_step))
-    n_segments = int(round(total_time / renorm_interval))
     growths = np.empty(n_segments)
     for seg in range(n_segments):
         ref, comp = solver.advance(np.stack([ref, comp]), sub)
@@ -271,7 +275,7 @@ def lyapunov_time_estimate(system: str = "kse", d: int = 64,
         sep = np.linalg.norm(delta)
         growths[seg] = np.log(sep / perturbation)
         comp = ref + sp.rfft(perturbation * delta / sep) / d
-    keep = growths[int(np.ceil(discard_fraction * n_segments)):]
+    keep = growths[skip:]
     exponent = float(np.mean(keep) / renorm_interval)
     tau = 1.0 / exponent if exponent > 0 else None
     return LyapunovEstimate(exponent, tau, keep.size, renorm_interval)

@@ -112,31 +112,22 @@ def variance_sort(basis: EigenBasis, model, snapshots) -> EigenBasis:
                       "variance")
 
 
-def _batch(d_p, p):
-    """(dims, rows, one): one d_p with p (d_p,) is a batch of one row."""
-    if np.ndim(d_p) == 0:
-        return [d_p], np.asarray(p, dtype=np.float64)[None], True
-    return d_p, np.asarray(p, dtype=np.float64), False
-
-
 def galerkin_rhs(basis: EigenBasis, d_p, model, p: np.ndarray,
                  lift=0.0) -> np.ndarray:
     """Resolved dynamics dp/dt = Lambda_p p + Vp^T F(Vp p + lift); the lift
     is nonlinear Galerkin's slaved Vq q, zero for plain Galerkin.
 
-    One d_p takes p (d_p,) and a lift (d,).  A sequence of n d_p takes p
-    (n, max d_p), zero past each row's d_p, and lifts (n, d), and returns
-    that layout.  The projections run row by row and F once on the stacked
-    (n, d) states, so under a row-wise F (TrueRhs) each row keeps the bits
-    of a one-row call.
+    A sequence of n d_p takes p (n, max d_p), zero past each row's d_p, and
+    lifts (n, d), and returns that layout.  The projections run row by row
+    and F once on the stacked (n, d) states, so under a row-wise F (TrueRhs)
+    each row keeps the bits of a one-row call.
     """
-    dims, p, one = _batch(d_p, p)
-    f = model.nonlinear(_resolved(basis, dims, p) + lift)
+    f = model.nonlinear(_resolved(basis, d_p, p) + lift)
     # zero past a row's d_p times any eigenvalue stays zero
     out = basis.eigenvalues[:p.shape[1]] * p
-    for k, fk, o in zip(dims, f, out):
+    for k, fk, o in zip(d_p, f, out):
         o[:k] += basis.leading(k).T @ fk
-    return out[0] if one else out
+    return out
 
 
 def unresolved_correction(basis: EigenBasis, d_p, model, p: np.ndarray,
@@ -149,14 +140,13 @@ def unresolved_correction(basis: EigenBasis, d_p, model, p: np.ndarray,
     No trailing eigenvalue may lie within SLAVING_EIGENVALUE_FLOOR of zero;
     :func:`check_sweep` checks that once per d_p, before any step.
     """
-    dims, p, one = _batch(d_p, p)
-    base = _resolved(basis, dims, p)
-    qs = [np.zeros(basis.d - k) for k in dims]
+    base = _resolved(basis, d_p, p)
+    qs = [np.zeros(basis.d - k) for k in d_p]
     for _ in range(iterations):
-        f = model.nonlinear(base + _slaved(basis, dims, qs))
+        f = model.nonlinear(base + _slaved(basis, d_p, qs))
         qs = [-(basis.trailing(k).T @ fk) / basis.eigenvalues[k:]
-              for k, fk in zip(dims, f)]
-    return qs[0] if one else qs
+              for k, fk in zip(d_p, f)]
+    return qs
 
 
 def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
@@ -164,17 +154,18 @@ def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
     """The retained dimensions (an int array), saves and RK4 steps per save of
     a :func:`rom_integrate` call.
 
-    ValueError for an unknown mode, an empty d_p list, a d_p outside 1..d,
-    a d_p that leaves a trailing eigenvalue at zero when the unresolved
-    coordinates are slaved, a dt that does not divide save_interval, or a
-    save_interval that does not divide total_time.  It integrates nothing,
-    so a caller can run it before any other work.
+    ValueError for an unknown mode, a d_p that is not a nonempty sequence, a
+    d_p outside 1..d, a d_p that leaves a trailing eigenvalue at zero when the
+    unresolved coordinates are slaved, or a dt that does not divide
+    save_interval or a save_interval total_time (:func:`spectral.save_count`).
+    It integrates nothing, so a caller can run it before any other work.
     """
     if mode not in ("galerkin", "nlg", "ppg"):
         raise ValueError(f"unknown ROM mode {mode!r}")
-    dims = np.atleast_1d(np.asarray(d_p, dtype=int))
-    if dims.size == 0:
-        raise ValueError("no retained dimension to integrate")
+    dims = np.asarray(d_p, dtype=int)
+    if dims.ndim != 1 or dims.size == 0:
+        raise ValueError(f"no retained dimension to integrate: d_p must be a "
+                         f"nonempty sequence, got {d_p!r}")
     for k in dims:
         if not 0 < k <= basis.d:
             raise ValueError(f"retained dimension {k} is outside 1..{basis.d}")
@@ -185,10 +176,7 @@ def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
             raise ValueError(f"trailing eigenvalue {k + int(np.argmax(small))} is "
                              f"within {SLAVING_EIGENVALUE_FLOOR} of zero; cannot slave "
                              f"it{hint}")
-    sub = int(round(save_interval / dt))
-    if sub < 1 or abs(sub * dt - save_interval) > 1e-9 * save_interval:
-        raise ValueError("dt must divide save_interval")
-    return dims, save_count(total_time, save_interval), sub
+    return dims, save_count(total_time, save_interval), save_count(save_interval, dt)
 
 
 def _resolved(basis: EigenBasis, dims, p) -> np.ndarray:
@@ -215,10 +203,10 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
 
     Modes: "galerkin" truncates the unresolved coordinates; "nlg" slaves them
     to every new p, a lift Vq q that feeds the next step and the save; "ppg"
-    runs plain Galerkin and slaves only at the saves.  An int d_p gives states
-    (n_save + 1, d), a sequence of n (n, n_save + 1, d): the sweep marches the
-    packed state [p | Vq q], (n, max d_p + d), p zero past each row's d_p, in
-    lockstep, with one nonlinear evaluation per RK4 stage.  :func:`check_sweep`
+    runs plain Galerkin and slaves only at the saves.  A sequence of n d_p
+    gives states (n, n_save + 1, d): the sweep marches the packed state
+    [p | Vq q], (n, max d_p + d), p zero past each row's d_p, in lockstep,
+    with one nonlinear evaluation per RK4 stage.  :func:`check_sweep`
     runs before any step; a row that goes non-finite reads +inf from then on.
     """
     dims, n_save, sub = check_sweep(basis, d_p, mode, total_time, save_interval, dt)
@@ -252,7 +240,7 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
         state[:, width:] = slave(state[:, :width], dims)
     states = march(advance, state, n_save, sub, observe)
     times = np.arange(n_save + 1) * save_interval
-    return times, (states[0] if np.ndim(d_p) == 0 else states)
+    return times, states
 
 
 def write_eigenbasis(path, basis: EigenBasis) -> None:

@@ -8,6 +8,8 @@ plus random initial conditions drawn to a prescribed energy budget.
 :func:`march` is the one loop that drops diverging rows, for the model rollout
 and the ROM sweep; dataset generation, which must raise at once, and the
 Lyapunov estimate, which renormalises a coupled pair of rows, keep their own.
+:func:`save_count` is the one time-grid rule: every step, save and segment
+count of a time span comes from it, and a span it does not divide is rejected.
 
 Transform convention: the forward transform is normalized by 1/d, so a pure
 mode a*cos(2*pi*k*x/L) carries coefficient a/2 at one-sided index k.  Every
@@ -27,8 +29,9 @@ Artifacts carry a key=value text sidecar, ``<path>.txt``.  A dataset reads
 absent, the ensemble is its own test set) and ``train_fraction`` (KSE
 chronological cut, 0.8); a checkpoint ``system``, ``domain_length``,
 ``viscosity`` (8e-4) and ``epochs_completed``.  A number that does not parse,
-a ``train_trajectories`` below 1 and a checkpoint sidecar without ``system`` or
-``domain_length`` are ArtifactErrors.
+a ``train_trajectories`` below 1, a dataset ``solver_step`` that does not divide
+its tau and a checkpoint sidecar without ``system`` or ``domain_length`` are
+ArtifactErrors.
 """
 
 from __future__ import annotations
@@ -438,7 +441,7 @@ class SnapshotDataset:
         values = np.empty((n, n_snap, self.d))
         values[:, 0] = ics
         fill_trajectories(self.solver(), rfft(ics) / self.d, values,
-                          int(round(self.tau / self.solver_step)), self.tau)
+                          save_count(self.tau, self.solver_step), self.tau)
         return values
 
     def times(self) -> np.ndarray:
@@ -475,10 +478,12 @@ class SnapshotDataset:
 
 
 def save_count(span: float, interval: float) -> int:
-    """Saves after the start of ``span``; ValueError unless ``interval`` divides it."""
-    n = int(round(span / interval)) if interval > 0 else -1
-    if n < 0 or abs(n * interval - span) > 1e-9 * max(span, 1.0):
-        raise ValueError(f"save interval {interval!r} must divide the time span {span!r}")
+    """The one time-grid rule: the ``interval`` steps, saves or segments in
+    ``span``; ValueError unless it divides ``span`` to 1e-9 * max(span, 1)."""
+    ratio = span / interval if interval > 0 else -1.0
+    n = int(round(ratio)) if np.isfinite(ratio) else -1
+    if n < 0 or not abs(n * interval - span) <= 1e-9 * max(span, 1.0):
+        raise ValueError(f"interval {interval!r} must divide the time span {span!r}")
     return n
 
 
@@ -543,14 +548,6 @@ def fill_trajectories(solver, coeffs: np.ndarray, values: np.ndarray, sub: int,
         values[:, j] = irfft(coeffs * d, d)
 
 
-def _steps_per_sample(tau: float, step: float) -> int:
-    sub = int(round(tau / step))
-    if sub < 1 or abs(sub * step - tau) > 1e-12 * tau:
-        raise ValueError(f"sampling interval tau={tau!r} must be a multiple of "
-                         f"the solver step {step!r}")
-    return sub
-
-
 def generate_vbe_dataset(n_train: int = 1000, n_test: int = 100, d: int = 512,
                          domain_length: float = 1.0, viscosity: float = 8e-4,
                          horizon: float = 5.0, tau: float = 0.05, dt: float = 1e-3,
@@ -563,8 +560,8 @@ def generate_vbe_dataset(n_train: int = 1000, n_test: int = 100, d: int = 512,
     separate single-seed runs stacked.  Train/test membership is by
     position: the first n_train trajectories are the training set.
     """
-    n_snap = int(round(horizon / tau)) + 1
-    sub = _steps_per_sample(tau, dt)
+    n_snap = save_count(horizon, tau) + 1
+    sub = save_count(tau, dt)
     solver = VbeSolver(d, domain_length, viscosity, dt)
     seeds = [base_seed + i for i in range(n_train + n_test)]
     values = np.empty((len(seeds), n_snap, d))
@@ -582,14 +579,14 @@ def generate_kse_dataset(d: int = 64, domain_length: float = 22.0, horizon: floa
     A transient of ``transient`` time units is integrated and discarded
     before recording begins, so snapshots sample the attractor.
     """
-    n_snap = int(round(horizon / tau)) + 1
-    sub = _steps_per_sample(tau, h)
+    n_snap = save_count(horizon, tau) + 1
+    sub = save_count(tau, h)
     solver = KseSolver(d, domain_length, h)
     rng = np.random.default_rng(seed)
     u0 = 0.01 * rng.standard_normal(d)
     u0 -= u0.mean()
     try:
-        coeffs = solver.advance(rfft(u0) / d, int(round(transient / h)))
+        coeffs = solver.advance(rfft(u0) / d, save_count(transient, h))
     except DivergenceError as err:
         raise DivergenceError(f"transient with seed {seed} blew up", seed=seed) from err
     values = np.empty((1, n_snap, d))
@@ -629,6 +626,11 @@ def read_dataset(path) -> SnapshotDataset:
     system = tag_name(SYSTEM_NAMES, tag, path, "system")
     sidecar = f"{path}.txt"
     meta = read_sidecar(sidecar) if os.path.exists(sidecar) else {}
+    try:
+        if "solver_step" in meta:
+            save_count(tau, meta["solver_step"])
+    except ValueError as err:
+        raise ArtifactError(f"{sidecar}: solver_step: {err}") from None
     return SnapshotDataset(values, tau, length, system, meta)
 
 

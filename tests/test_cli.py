@@ -108,10 +108,15 @@ class TestGenerate:
         assert out.read_bytes() == stacked.read_bytes()
 
     def test_tau_not_multiple_of_step_config_error(self, tmp_path):
-        code = run_cli(*tiny_vbe_args(tmp_path / "x.snod"),
-                       "--set", "solver_step=3e-3")
-        assert code == 2
-        assert not (tmp_path / "x.snod").exists()
+        # a step that does not divide tau, a tau that does not divide the
+        # horizon, a KSE step that does not divide the transient: none is
+        # rounded to a neighbouring span, and nothing is written
+        out = tmp_path / "x.snod"
+        for argv in ([*tiny_vbe_args(out), "--set", "solver_step=3e-3"],
+                     [*tiny_vbe_args(out), "--set", "horizon=0.33"],
+                     [*tiny_kse_args(out), "--set", "transient=10.01"]):
+            assert run_cli(*argv) == 2
+            assert not out.exists()
 
     def test_old_manifest_with_threads_reruns(self, tmp_path):
         # manifests of older versions carry threads=; the key is dropped
@@ -330,7 +335,11 @@ def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
     ["rom", "--dp", "8", "--set", "total_time=1.1"],
     ["evaluate", "--noise", "fourier:0.1:0:100"],
     ["evaluate", "--set", "horizon=1.1"],
-    ["evaluate", "--metric", "pdf", "--set", "pdf_time=1.1"]],
+    ["evaluate", "--metric", "pdf", "--set", "pdf_time=1.1"],
+    ["evaluate", "--metric", "spectrum", "--times", "0.3"],
+    ["evaluate", "--metric", "spectrum", "--times", "0.5,1.25"],
+    ["evaluate", "--metric", "lyapunov", "--set", "lyapunov_total_time=10.5"],
+    ["evaluate", "--metric", "lyapunov", "--set", "lyapunov_total_time=1.0"]],
     ids=lambda argv: " ".join(argv))
 def test_bad_setting_config_error(tmp_path, kse_dataset, kse_checkpoint, argv, capsys):
     # d = 32 KSE; the rom cases use the default nlg mode, whose slaved trailing
@@ -425,6 +434,25 @@ class TestDatasetSidecar:
         assert code == 4
         err = capsys.readouterr().err
         assert f"{data}.txt" in err and "train_trajectories" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "rom"])
+    def test_solver_step_not_dividing_tau_io_error(self, tmp_path, vbe_dataset,
+                                                   trained_dir, command, capsys):
+        # the truth of a noised start would be solved at 0.06 per snapshot
+        data = tmp_path / "d.snod"
+        data.write_bytes(vbe_dataset.read_bytes())
+        sidecar = open(f"{vbe_dataset}.txt").read()
+        assert "solver_step=0.0025\n" in sidecar
+        (tmp_path / "d.snod.txt").write_text(
+            sidecar.replace("solver_step=0.0025", "solver_step=0.03"))
+        argv = {"evaluate": ["evaluate", "--checkpoint", str(trained_dir / "model.snck"),
+                             "--noise", "grid:0.01", "--set", "horizon=0.1"],
+                "rom": ["rom", "--rhs", "true", "--dp", "8"]}[command]
+        code = run_cli(*argv, "--dataset", str(data), "--out", str(tmp_path / "o"))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{data}.txt" in err and "solver_step" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCheckpointSidecar:

@@ -206,10 +206,17 @@ class TestLyapunov:
         assert est.exponent < 0
         assert est.lyapunov_time is None
 
-    def test_renormalization_bookkeeping(self):
+    def test_renormalization_bookkeeping(self, monkeypatch):
         est = mt.lyapunov_time_estimate(system="kse", d=32, total_time=20.0,
                                         transient=20.0, seed=0)
         assert est.n_segments == 18  # 10% of 20 segments discarded
+        # a span its interval does not divide, or one that keeps no segment,
+        # is rejected before a solver exists, let alone the transient
+        monkeypatch.setattr(sp, "true_solver", None)
+        for bad in ({"total_time": 10.5}, {"total_time": 1.0}, {"total_time": 0.0},
+                    {"renorm_interval": 0.33}):
+            with pytest.raises(ValueError):
+                mt.lyapunov_time_estimate(system="kse", d=32, **{"total_time": 20.0, **bad})
 
 
 class TestPdfIO:

@@ -214,7 +214,7 @@ class TestGalerkinRhs:
         model = stabilized_model(d, zero_net=True)
         basis = rom.fourier_basis(model.linear_symbol())
         p = np.arange(1.0, 5.0)
-        out = rom.galerkin_rhs(basis, 4, model, p)
+        out = rom.galerkin_rhs(basis, [4], model, p[None])[0]
         assert np.allclose(out, basis.eigenvalues[:4] * p, atol=1e-12)
 
     def test_full_retention_matches_conjugated_rhs(self):
@@ -222,7 +222,7 @@ class TestGalerkinRhs:
         model = stabilized_model(d, seed=1)
         basis = rom.fourier_basis(model.linear_symbol())
         p = np.random.default_rng(2).standard_normal(d)
-        out = rom.galerkin_rhs(basis, d, model, p)
+        out = rom.galerkin_rhs(basis, [d], model, p[None])[0]
         u = basis.eigenvectors @ p
         expected = basis.eigenvectors.T @ model.eval(u)
         assert np.max(np.abs(out - expected)) < 1e-10
@@ -233,7 +233,7 @@ class TestGalerkinRhs:
         basis = rom.fourier_basis(model.linear_symbol())
         d_p = 5
         p = np.random.default_rng(4).standard_normal(d_p)
-        out = rom.galerkin_rhs(basis, d_p, model, p)
+        out = rom.galerkin_rhs(basis, [d_p], model, p[None])[0]
         vp = basis.leading(d_p)
         expected = vp.T @ model.eval(vp @ p)
         assert np.max(np.abs(out - expected)) < 1e-10
@@ -243,7 +243,7 @@ class TestGalerkinRhs:
         basis = rom.fourier_basis(np.ones(d // 2 + 1))
         model = node.RhsModel("nonlinear", zero_mlp(d))
         with pytest.raises(ValueError):
-            rom.galerkin_rhs(basis, 3, model, np.zeros(3))
+            rom.galerkin_rhs(basis, [3], model, np.zeros((1, 3)))
 
 
 class TestUnresolvedCorrection:
@@ -252,7 +252,7 @@ class TestUnresolvedCorrection:
         model = stabilized_model(d, zero_net=True)
         basis = rom.fourier_basis(model.linear_symbol())
         # d_p = 7 keeps the conserved-mean (zero-eigenvalue) mode resolved
-        q = rom.unresolved_correction(basis, 7, model, np.ones(7))
+        q = rom.unresolved_correction(basis, [7], model, np.ones((1, 7)))[0]
         assert np.max(np.abs(q)) == 0.0
 
     def test_single_iteration_matches_dense_solve(self):
@@ -261,7 +261,7 @@ class TestUnresolvedCorrection:
         basis = rom.fourier_basis(model.linear_symbol())
         d_p = 7
         p = 0.3 * np.random.default_rng(6).standard_normal(d_p)
-        q = rom.unresolved_correction(basis, d_p, model, p)
+        q = rom.unresolved_correction(basis, [d_p], model, p[None])[0]
         vp, vq = basis.leading(d_p), basis.trailing(d_p)
         rhs_vec = -(vq.T @ model.nonlinear(vp @ p))
         oracle = np.linalg.solve(np.diag(basis.eigenvalues[d_p:]), rhs_vec)
@@ -279,7 +279,7 @@ class TestUnresolvedCorrection:
         def residual(q):
             return np.linalg.norm(lam_q * q + vq.T @ model.nonlinear(vp @ p + vq @ q))
 
-        q1 = rom.unresolved_correction(basis, d_p, model, p, iterations=1)
+        q1 = rom.unresolved_correction(basis, [d_p], model, p[None], iterations=1)[0]
         assert residual(q1) < residual(np.zeros(d - d_p))
 
     def test_near_zero_trailing_eigenvalue_named(self):
@@ -288,7 +288,7 @@ class TestUnresolvedCorrection:
         basis = rom.EigenBasis(vals, np.eye(4))
         model = stabilized_model(4, zero_net=True)
         with pytest.raises(ValueError, match="2"):
-            rom.rom_integrate(basis, 2, model, np.zeros(4), 1.0, mode="nlg")
+            rom.rom_integrate(basis, [2], model, np.zeros(4), 1.0, mode="nlg")
 
 
 class TestRomIntegrate:
@@ -297,9 +297,10 @@ class TestRomIntegrate:
         model = stabilized_model(d, seed=9)
         basis = rom.fourier_basis(model.linear_symbol())
         u0 = 0.2 * np.random.default_rng(10).standard_normal(d)
-        times, states = rom.rom_integrate(basis, d, model, u0, 0.5,
+        times, states = rom.rom_integrate(basis, [d], model, u0, 0.5,
                                           mode="galerkin", save_interval=0.25,
                                           dt=0.05)
+        states = states[0]
         _, full = node.rollout(model, u0, 0.5, 0.25, steps_per_interval=5)
         assert np.max(np.abs(states - full)) < 1e-7
 
@@ -311,9 +312,10 @@ class TestRomIntegrate:
         p0 = np.ones(d_p)
         u0 = basis.leading(d_p) @ p0
         t_end = 0.25
-        times, states = rom.rom_integrate(basis, d_p, model, u0, t_end,
+        times, states = rom.rom_integrate(basis, [d_p], model, u0, t_end,
                                           mode="galerkin", save_interval=t_end,
                                           dt=0.0125)
+        states = states[0]
         p_end = basis.leading(d_p).T @ states[-1]
         expected = np.exp(basis.eigenvalues[:d_p] * t_end) * p0
         assert np.allclose(p_end, expected, rtol=1e-6)
@@ -324,14 +326,14 @@ class TestRomIntegrate:
         basis = rom.fourier_basis(model.linear_symbol())
         d_p = 7
         u0 = 0.2 * np.random.default_rng(12).standard_normal(d)
-        _, plain = rom.rom_integrate(basis, d_p, model, u0, 0.2,
-                                     mode="galerkin", save_interval=0.1, dt=0.02)
-        _, post = rom.rom_integrate(basis, d_p, model, u0, 0.2,
-                                    mode="ppg", save_interval=0.1, dt=0.02)
+        _, (plain,) = rom.rom_integrate(basis, [d_p], model, u0, 0.2,
+                                        mode="galerkin", save_interval=0.1, dt=0.02)
+        _, (post,) = rom.rom_integrate(basis, [d_p], model, u0, 0.2,
+                                       mode="ppg", save_interval=0.1, dt=0.02)
         vp, vq = basis.leading(d_p), basis.trailing(d_p)
         for k in range(len(plain)):
             p_now = vp.T @ plain[k]
-            q_now = rom.unresolved_correction(basis, d_p, model, p_now)
+            q_now = rom.unresolved_correction(basis, [d_p], model, p_now[None])[0]
             assert np.allclose(post[k], vp @ p_now + vq @ q_now, atol=1e-12)
 
     def test_unknown_mode_rejected(self):
@@ -339,7 +341,7 @@ class TestRomIntegrate:
         model = stabilized_model(d, zero_net=True)
         basis = rom.fourier_basis(model.linear_symbol())
         with pytest.raises(ValueError):
-            rom.rom_integrate(basis, 3, model, np.zeros(d), 1.0, mode="spectral")
+            rom.rom_integrate(basis, [3], model, np.zeros(d), 1.0, mode="spectral")
 
 
 def solo_rom(basis, d_p, model, u0, total_time, mode, save_interval, dt):
@@ -352,7 +354,7 @@ def solo_rom(basis, d_p, model, u0, total_time, mode, save_interval, dt):
         u = vp @ p_now
         if mode == "galerkin":
             return u
-        return u + vq @ rom.unresolved_correction(basis, d_p, model, p_now)
+        return u + vq @ rom.unresolved_correction(basis, [d_p], model, p_now[None])[0]
 
     n_save = int(round(total_time / save_interval))
     states = np.full((n_save + 1, basis.d), np.inf)
@@ -362,9 +364,9 @@ def solo_rom(basis, d_p, model, u0, total_time, mode, save_interval, dt):
             for _ in range(int(round(save_interval / dt))):
                 lift = 0.0
                 if mode == "nlg":
-                    lift = vq @ rom.unresolved_correction(basis, d_p, model, p)
+                    lift = vq @ rom.unresolved_correction(basis, [d_p], model, p[None])[0]
                 p, _ = node._rk4_forward(
-                    lambda ps: rom.galerkin_rhs(basis, d_p, model, ps, lift),
+                    lambda ps: rom.galerkin_rhs(basis, [d_p], model, ps[None], lift)[0],
                     p, dt, 1, record=False)
         except sp.DivergenceError:
             break
@@ -421,16 +423,6 @@ class TestLockstepSweep:
             assert np.array_equal(row, solo_rom(basis, d_p, model, u0, 1.0, "nlg",
                                                 0.25, 0.05))
 
-    def test_int_dp_returns_one_trajectory(self):
-        d = 32
-        model = node.TrueRhs("kse", d, 22.0)
-        basis = rom.fourier_basis(model.linear_symbol())
-        u0 = kse_start(d)
-        _, one = rom.rom_integrate(basis, 8, model, u0, 1.0, "nlg", 0.25, 0.01)
-        _, sweep = rom.rom_integrate(basis, [8], model, u0, 1.0, "nlg", 0.25, 0.01)
-        assert one.shape == (5, d)
-        assert np.array_equal(one, sweep[0])
-
     def test_network_rhs_rows_match_to_rounding(self):
         # a batched matmul is not bitwise a one-row one; relative to each
         # snapshot's largest entry, as cancellation leaves some entries tiny
@@ -475,9 +467,15 @@ class TestLockstepSweep:
             rom.rom_integrate(basis, [8, 33], model, kse_start(d), 1.0, "galerkin")
         with pytest.raises(ValueError, match="no retained"):
             rom.rom_integrate(basis, [], model, kse_start(d), 1.0, "galerkin")
-        # a save interval that does not divide the span is not rounded away
+        # one d_p is a sequence of one, not a bare int
+        with pytest.raises(ValueError, match="no retained"):
+            rom.rom_integrate(basis, 8, model, kse_start(d), 1.0, "galerkin")
+        # a save interval that does not divide the span is not rounded away,
+        # nor a step that does not divide the save interval
         with pytest.raises(ValueError, match="must divide the time span"):
             rom.rom_integrate(basis, [8], model, kse_start(d), 1.1, "nlg", 0.25)
+        with pytest.raises(ValueError, match="must divide the time span"):
+            rom.rom_integrate(basis, [8], model, kse_start(d), 1.0, "nlg", 0.25, 0.03)
         assert calls == []
 
 

@@ -351,12 +351,15 @@ class TestMarch:
 
 class TestSaveCount:
     @pytest.mark.parametrize("span,interval,count", [
-        (1.0, 0.25, 4), (0.0, 0.25, 0), (2000.0, 0.25, 8000), (5.0, 0.05, 100)])
+        (1.0, 0.25, 4), (0.0, 0.25, 0), (2000.0, 0.25, 8000), (5.0, 0.05, 100),
+        (0.05, 1e-3, 50), (100.0, 0.05, 2000), (500.0, 0.05, 10000), (0.25, 0.01, 25)])
     def test_divided_spans(self, span, interval, count):
         assert sp.save_count(span, interval) == count
 
     @pytest.mark.parametrize("span,interval", [(1.1, 0.25), (1.0, 0.3), (-1.0, 0.25),
-                                               (1.0, 0.0)])
+                                               (1.0, 0.0), (0.33, 0.05), (10.01, 0.05),
+                                               (0.05, 0.03), (1.0, np.inf),
+                                               (np.inf, 0.25), (np.nan, 0.25)])
     def test_undivided_spans_rejected(self, span, interval):
         with pytest.raises(ValueError, match="must divide"):
             sp.save_count(span, interval)
@@ -384,7 +387,7 @@ class TestDatasets:
         assert np.array_equal(big.values[2], solo.values[0])
 
     def test_tau_must_be_multiple_of_step(self):
-        with pytest.raises(ValueError, match="multiple"):
+        with pytest.raises(ValueError, match="must divide the time span"):
             sp.generate_vbe_dataset(n_train=1, n_test=0, d=64, horizon=0.1,
                                     tau=0.05, dt=3e-3)
 
