@@ -16,11 +16,20 @@ wall time plus that row's PDF/KL time.  With the true RHS every row is
 bit-identical to a run of its d_p alone; with a checkpoint RHS the batched
 network evaluation matches it only to rounding.
 
+Text outputs, every CSV through `write_table`: `generate` writes
+`<out>.manifest.cfg`; `train` `loss.log` and `manifest-train.cfg`; `evaluate`
+`error.csv`, `spectrum.csv`, `pdf_kl.csv` or `lyapunov.csv`, and
+`manifest-evaluate.cfg`; `rom` `rom.csv` and `manifest-rom.cfg`;
+`stencil-report --out` a tap CSV.  `loss.log` holds a header and one row per
+finished epoch, appended as the epoch finishes: a fresh run truncates it, a
+resumed run appends and writes the header only to a missing or empty file.
+
 Exit codes: 0 success; 2 config error: any setting the pipeline rejects (a
 ValueError other than an artifact error), e.g. epochs, batch_size,
 rollout_steps or n_ics below 1, an unknown variant, activation, stencil init
-kind, ROM mode or noise band, a stencil wider than the grid, an ic_index or
-d_p outside the dataset, an empty d_p list, a d_p that leaves a zero
+kind, ROM mode or noise band, a stencil wider than the grid, a `train
+--resume` checkpoint of another width than the dataset, an ic_index or d_p
+outside the dataset, an empty d_p list, a d_p that leaves a zero
 eigenvalue to slave (every d_p is checked before any row runs), a time span
 its interval does not divide (`spectral.save_count`, before any integration:
 `generate` horizon, tau and KSE transient, `rom` total_time and
@@ -183,6 +192,22 @@ def write_manifest(path, command: str, config: dict, input_hashes: dict) -> None
         header.append(f"# sha256.{name}={input_hashes[name]}")
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n" + config_text(config))
+
+
+def fmt(x) -> str:
+    """Full-precision scalar formatting for CSV cells."""
+    return repr(float(x))
+
+
+def write_table(path, quantity: str, meta: dict, columns: list, rows: list) -> None:
+    """The one CSV layout: a quantity line, sorted meta comment lines, the
+    column line, then one line per row of already-formatted cells."""
+    lines = [f"# quantity: {quantity}"]
+    lines += [f"# {key}: {meta[key]}" for key in sorted(meta)]
+    lines.append(",".join(columns))
+    lines += [",".join(row) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def resolve_path(path: str) -> str:
@@ -348,6 +373,9 @@ def cmd_train(config: dict) -> int:
         adam = node.load_opt_state(f"{resume_path}.opt", model)
         start_epoch = sp.read_sidecar(f"{resume_path}.txt",
                                       required=("epochs_completed",))["epochs_completed"]
+        if model.width != ds.d:  # before loss.log is opened
+            raise ConfigError(f"checkpoint width {model.width} does not match the "
+                              f"dataset width {ds.d}")
     else:
         model = node.build_model(
             config["variant"], sizes, acts,
@@ -367,27 +395,35 @@ def cmd_train(config: dict) -> int:
             "viscosity": ds.viscosity, "variant": config["variant"],
             "dataset_sha256": sha256_file(dataset_path)}
 
+    if adam is None:
+        adam = node.AdamState(model)
+    finished = start_epoch
+
     def writer(epoch, mdl, opt):
         node.save_model(ckpt_path, mdl, sidecar={**meta, "epochs_completed": epoch})
         node.save_opt_state(opt_path, opt)
 
-    try:
-        result = node.train(model, train_ds, train_cfg, start_epoch=start_epoch,
-                            adam=adam, checkpoint_every=config["checkpoint_every"],
-                            on_checkpoint=writer)
-    except node.DivergenceError as err:
-        with open(os.path.join(out_dir, "loss.log"), "w") as fh:
-            fh.write("# epoch\tstage\tlr_nonlinear\tlr_linear\tloss\n")
-            for i, loss in enumerate(err.history):
-                fh.write(f"{start_epoch + i}\t-\t-\t-\t{loss:.10e}\n")
-        raise
+    # line-buffered, so each epoch's row is in the file once the epoch finishes
+    with open(os.path.join(out_dir, "loss.log"), "a" if config["resume"] else "w",
+              buffering=1) as log:
+        if log.tell() == 0:
+            log.write("# epoch\tstage\tlr_nonlinear\tlr_linear\tloss\n")
 
-    writer(result.final_epoch, model, result.adam)
-    mode = "a" if start_epoch else "w"
-    with open(os.path.join(out_dir, "loss.log"), mode) as fh:
-        if not start_epoch:
-            fh.write("# epoch\tstage\tlr_nonlinear\tlr_linear\tloss\n")
-        fh.write("\n".join(result.log_lines) + "\n")
+        def on_epoch(epoch, loss, stage, lr_nl, lr_lin, mdl, opt):
+            nonlocal finished
+            finished = epoch + 1
+            log.write(f"{epoch}\t{stage}\t{lr_nl:.3e}\t{lr_lin:.3e}\t{loss:.10e}\n")
+            if config["checkpoint_every"] and finished % config["checkpoint_every"] == 0:
+                writer(finished, mdl, opt)
+
+        try:
+            result = node.train(model, train_ds, train_cfg, start_epoch=start_epoch,
+                                adam=adam, on_epoch=on_epoch)
+        except node.DivergenceError:
+            writer(finished, model, adam)  # the last good state: no update diverged
+            raise
+
+    writer(config["epochs"], model, adam)
     write_manifest(os.path.join(out_dir, "manifest-train.cfg"), "train", config,
                    {"dataset": meta["dataset_sha256"],
                     "checkpoint": sha256_file(ckpt_path)})
@@ -444,27 +480,32 @@ def cmd_evaluate(config: dict) -> int:
             "checkpoint": os.path.basename(config["checkpoint"]),
             "noise": config["noise"], "seed": config["seed"],
             "system": ds.system}
-    metric = config["metric"]
-
-    if metric == "lyapunov":
+    code = 0
+    if config["metric"] == "lyapunov":
         est = mt.lyapunov_time_estimate(
             system=ds.system, d=ds.d, domain_length=ds.domain_length,
             solver_step=ds.solver_step, viscosity=ds.viscosity,
             total_time=config["lyapunov_total_time"], seed=config["seed"])
-        path = os.path.join(out_dir, "lyapunov.csv")
-        with open(path, "w") as fh:
-            fh.write("\n".join(mt.csv_header("leading Lyapunov exponent", meta)))
-            fh.write("\nexponent,lyapunov_time,segments\n")
-            tau_l = "" if est.lyapunov_time is None else mt.fmt(est.lyapunov_time)
-            fh.write(f"{mt.fmt(est.exponent)},{tau_l},{est.n_segments}\n")
-        write_manifest(os.path.join(out_dir, "manifest-evaluate.cfg"), "evaluate",
-                       config, {"dataset": sha256_file(dataset_path)})
+        tau_l = "" if est.lyapunov_time is None else fmt(est.lyapunov_time)
+        write_table(os.path.join(out_dir, "lyapunov.csv"), "leading Lyapunov exponent",
+                    meta, ["exponent", "lyapunov_time", "segments"],
+                    [[fmt(est.exponent), tau_l, str(est.n_segments)]])
         print(f"lyapunov exponent {est.exponent:.4f} -> tau_L "
               f"{est.lyapunov_time}")
-        return 0
+    else:
+        code = _evaluate_rollouts(config, test_ds, model, noise, out_dir, meta)
+    write_manifest(os.path.join(out_dir, "manifest-evaluate.cfg"), "evaluate",
+                   config, {"dataset": sha256_file(dataset_path)})
+    return code
 
-    _require_stable_substeps(model, ds.tau, config["rollout_steps"])
-    horizon, tau = config["horizon"], ds.tau
+
+def _evaluate_rollouts(config: dict, test_ds, model, noise, out_dir: str,
+                       meta: dict) -> int:
+    """The error, spectrum and pdf metrics against the test split: write the
+    metric's CSV and return 3 if a model trajectory went non-finite, else 0."""
+    metric = config["metric"]
+    _require_stable_substeps(model, test_ds.tau, config["rollout_steps"])
+    horizon, tau = config["horizon"], test_ds.tau
     if metric == "spectrum":  # snapshot indices, checked before any rollout
         picks = [sp.save_count(t, tau) for t in config["times"]]
         if max(picks, default=0) > sp.save_count(horizon, tau):
@@ -492,7 +533,7 @@ def cmd_evaluate(config: dict) -> int:
     bad = ~np.all(np.isfinite(model_set), axis=-1)  # (initial condition, snapshot)
 
     if metric == "error":
-        if ds.system == "vbe":
+        if test_ds.system == "vbe":
             curve = mt.relative_error(true_set, model_set, times, "relative-l2")
         else:
             curve = mt.relative_error(true_set, model_set, times,
@@ -501,38 +542,38 @@ def cmd_evaluate(config: dict) -> int:
                                       seed=config["seed"])
             meta["normalization_D"] = curve.normalization
             meta["lyapunov_time"] = config["lyapunov_time"]
-        meta["norm"] = ("relative L2 per time" if ds.system == "vbe"
+        meta["norm"] = ("relative L2 per time" if test_ds.system == "vbe"
                         else "mean squared error over D")
-        mt.write_error_csv(os.path.join(out_dir, "error.csv"),
-                           {"model": curve}, meta)
+        write_table(os.path.join(out_dir, "error.csv"), "ensemble error", meta,
+                    ["t", "model"],
+                    [[fmt(t), fmt(e)] for t, e in zip(curve.times, curve.errors)])
         print(f"error curve over t in [0, {horizon}]: final "
               f"{curve.errors[-1]:.4e} (skipped {curve.skipped})")
     elif metric == "spectrum":
         spectra = {}
-        k = sp.wavenumber_indices(ds.d)
         for t_want, idx in zip(config["times"], picks):
             spectra[f"true_t{t_want:g}"] = mt.energy_spectrum(true_set[:, idx])
             spectra[f"model_t{t_want:g}"] = mt.energy_spectrum(model_set[:, idx])
-        mt.write_spectrum_csv(os.path.join(out_dir, "spectrum.csv"), k, spectra, meta)
+        write_table(os.path.join(out_dir, "spectrum.csv"),
+                    "energy spectrum E(k) = <0.5 |u_hat(k)|^2>, "
+                    "forward transform normalized by 1/d", meta, ["k", *spectra],
+                    [[str(k), *map(fmt, row)] for k, row in
+                     zip(sp.wavenumber_indices(test_ds.d), zip(*spectra.values()))])
         print(f"wrote spectra at t={list(config['times'])}")
     else:
-        pdf = mt.joint_pdf(model_set[0][~bad[0]], ds.domain_length,
+        pdf = mt.joint_pdf(model_set[0][~bad[0]], test_ds.domain_length,
                            bins=config["pdf_bins"])
         mt.write_joint_pdf(os.path.join(out_dir, "model_pdf.snpd"), pdf)
-        ref = mt.joint_pdf(test_ds.snapshots(), ds.domain_length,
+        ref = mt.joint_pdf(test_ds.snapshots(), test_ds.domain_length,
                            bins=config["pdf_bins"])
         mt.write_joint_pdf(os.path.join(out_dir, "true_pdf.snpd"), ref)
         kl = mt.kl_divergence(pdf, ref)
-        with open(os.path.join(out_dir, "pdf_kl.csv"), "w") as fh:
-            fh.write("\n".join(mt.csv_header("KL(model||true) of (u_x,u_xx) PDF",
-                                             meta)))
-            fh.write("\nkl,overlap,model_oob_fraction\n")
-            fh.write(f"{mt.fmt(kl)},{mt.fmt(mt.support_overlap(pdf, ref))},"
-                     f"{mt.fmt(pdf.oob_fraction)}\n")
+        write_table(os.path.join(out_dir, "pdf_kl.csv"),
+                    "KL(model||true) of (u_x,u_xx) PDF", meta,
+                    ["kl", "overlap", "model_oob_fraction"],
+                    [[fmt(kl), fmt(mt.support_overlap(pdf, ref)), fmt(pdf.oob_fraction)]])
         print(f"joint-PDF KL divergence {kl:.4e}")
 
-    write_manifest(os.path.join(out_dir, "manifest-evaluate.cfg"), "evaluate",
-                   config, {"dataset": sha256_file(dataset_path)})
     if bad.any():
         which = ",".join(map(str, np.flatnonzero(bad.any(axis=1))))
         first = times[bad.any(axis=0).argmax()]
@@ -627,12 +668,11 @@ def cmd_rom(config: dict) -> int:
     meta = {"rhs": config["rhs"], "sort": config["sort"],
             "total_time": config["total_time"], "dt": config["dt"],
             "seed": config["seed"]}
-    with open(os.path.join(out_dir, "rom.csv"), "w") as fh:
-        fh.write("\n".join(mt.csv_header(
-            "KL(ROM||true) of (u_x,u_xx) joint PDF vs retained dimension", meta)))
-        fh.write("\nd_p,mode,kl,overlap,runtime_s\n")
-        for d_p, mode, kl, overlap, elapsed in rows:
-            fh.write(f"{d_p},{mode},{mt.fmt(kl)},{mt.fmt(overlap)},{elapsed:.3f}\n")
+    write_table(os.path.join(out_dir, "rom.csv"),
+                "KL(ROM||true) of (u_x,u_xx) joint PDF vs retained dimension", meta,
+                ["d_p", "mode", "kl", "overlap", "runtime_s"],
+                [[str(d_p), mode, fmt(kl), fmt(overlap), f"{elapsed:.3f}"]
+                 for d_p, mode, kl, overlap, elapsed in rows])
     write_manifest(os.path.join(out_dir, "manifest-rom.cfg"), "rom", config,
                    {"dataset": sha256_file(dataset_path), "rhs": rhs_hash})
     diverged = [d_p for d_p, _, kl, _, _ in rows if not np.isfinite(kl)]
@@ -687,13 +727,13 @@ def cmd_stencil_report(config: dict) -> int:
     print("learned taps: " + " ".join(f"{t:12.4f}" for t in learned))
     print(f"cosine similarity: {cosine:.6f}")
     if config["out"]:
-        path = resolve_path(config["out"])
-        with open(path, "w") as fh:
-            fh.write("# quantity: learned vs optimal linear-branch taps\n")
-            fh.write("tap_index,optimal,learned\n")
-            for i, (o, l) in enumerate(zip(optimal, learned)):
-                fh.write(f"{i},{mt.fmt(o)},{mt.fmt(l)}\n")
-            fh.write(f"# cosine_similarity={mt.fmt(cosine)}\n")
+        # the cosine closes the file as a one-cell comment row
+        write_table(resolve_path(config["out"]),
+                    "learned vs optimal linear-branch taps", {},
+                    ["tap_index", "optimal", "learned"],
+                    [[str(i), fmt(o), fmt(w)]
+                     for i, (o, w) in enumerate(zip(optimal, learned))]
+                    + [[f"# cosine_similarity={fmt(cosine)}"]])
     return 0
 
 

@@ -24,7 +24,7 @@ KSE_PDF_Y_RANGE = (-5.0, 5.0)
 PDF_BINS = 100
 
 
-def energy_spectrum(states: np.ndarray, ensemble_axis: int = 0) -> np.ndarray:
+def energy_spectrum(states: np.ndarray) -> np.ndarray:
     """Ensemble-averaged E(k) = <0.5 |u_hat(k)|^2>, one-sided k = 0..d/2.
 
     Non-finite states give non-finite entries, without a warning."""
@@ -306,40 +306,3 @@ def read_joint_pdf(path) -> JointPdf2D:
         sp.expect_end(fh)
     return JointPdf2D(x_edges, y_edges, masses, total, oob)
 
-
-def csv_header(quantity: str, meta: dict) -> list:
-    lines = [f"# quantity: {quantity}"]
-    for key in sorted(meta):
-        lines.append(f"# {key}: {meta[key]}")
-    return lines
-
-
-def fmt(x) -> str:
-    """Full-precision scalar formatting for CSV cells."""
-    return repr(float(x))
-
-
-def write_spectrum_csv(path, wavenumbers, spectra: dict, meta: dict) -> None:
-    """Columns: k then one E(k) column per labeled ensemble."""
-    labels = list(spectra)
-    lines = csv_header("energy spectrum E(k) = <0.5 |u_hat(k)|^2>, "
-                       "forward transform normalized by 1/d", meta)
-    lines.append(",".join(["k"] + labels))
-    for i, k in enumerate(wavenumbers):
-        row = [str(int(k))] + [fmt(spectra[label][i]) for label in labels]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_error_csv(path, curves: dict, meta: dict) -> None:
-    """Columns: t then one error column per labeled curve."""
-    labels = list(curves)
-    first = curves[labels[0]]
-    lines = csv_header("ensemble error", meta)
-    lines.append(",".join(["t"] + labels))
-    for i, t in enumerate(first.times):
-        row = [fmt(t)] + [fmt(curves[label].errors[i]) for label in labels]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -62,6 +62,8 @@ class RhsModel:
             raise ValueError("fixed_symbol only belongs to the fixed-linear variant")
         if self.variant != "learned-linear" and self.stencil is not None:
             raise ValueError("stencil only belongs to the learned-linear variant")
+        if self.stencil is not None and self.stencil.width >= self.width:
+            raise ValueError("stencil width must be smaller than the grid")
 
     @property
     def width(self) -> int:
@@ -298,23 +300,25 @@ class AdamState:
 @dataclass
 class TrainResult:
     loss_history: list
-    log_lines: list
     adam: AdamState
-    final_epoch: int
 
 
 def train(model: RhsModel, dataset: SnapshotDataset, config: TrainConfig,
           start_epoch: int = 0, stop_epoch: int | None = None,
-          adam: AdamState | None = None, checkpoint_every: int = 0,
-          on_checkpoint=None) -> TrainResult:
+          adam: AdamState | None = None, on_epoch=None) -> TrainResult:
     """Minibatch training loop; one epoch = one optimizer step on one batch.
 
     Batches are drawn from a per-epoch RNG derived from (seed, epoch), and the
     stage schedule always partitions config.epochs, so a run interrupted at
     stop_epoch and resumed at start_epoch reproduces an uninterrupted one
-    bit-for-bit given the saved optimizer state.  On divergence the last good
-    state is checkpointed (if a writer was supplied) and DivergenceError is
-    raised with the finished epochs' losses as its ``history``.
+    bit-for-bit given the saved optimizer state.
+
+    After each epoch's update, ``on_epoch(epoch, loss, stage, lr_nonlinear,
+    lr_linear, model, adam)`` is called with the epoch's index, its loss, its
+    nonlinear learning-rate stage and rates, and the updated model and
+    optimizer state; this is where a caller logs or checkpoints.  On
+    divergence DivergenceError is raised before that epoch's update, so
+    ``model`` and ``adam`` still hold the last good state.
     """
     if dataset.d != model.width:
         raise ValueError(f"dataset width {dataset.d} does not match model "
@@ -326,7 +330,6 @@ def train(model: RhsModel, dataset: SnapshotDataset, config: TrainConfig,
     if adam is None:
         adam = AdamState(model)
     history = []
-    log_lines = []
     for epoch in range(start_epoch, stop_epoch):
         rng = np.random.default_rng([config.seed, epoch])
         take = min(config.batch_size, n_pairs)
@@ -336,20 +339,14 @@ def train(model: RhsModel, dataset: SnapshotDataset, config: TrainConfig,
             loss, grads = loss_gradient(model, u0_all[idx], u1_all[idx],
                                         dataset.tau, config.rollout_steps)
         except DivergenceError as err:
-            if on_checkpoint is not None:
-                on_checkpoint(epoch, model, adam)
-            diverged = DivergenceError(f"training diverged at epoch {epoch}: {err}",
-                                       err.step, err.time)
-            diverged.history = history
-            raise diverged from err
+            raise DivergenceError(f"training diverged at epoch {epoch}: {err}",
+                                  err.step, err.time) from err
         adam.update(model, grads, lr_nl, lr_lin)
         history.append(loss)
-        stage = config.stage(epoch, config.lr_nonlinear)
-        log_lines.append(f"{epoch}\t{stage}\t{lr_nl:.3e}\t{lr_lin:.3e}\t{loss:.10e}")
-        if (checkpoint_every and on_checkpoint is not None
-                and (epoch + 1) % checkpoint_every == 0):
-            on_checkpoint(epoch + 1, model, adam)
-    return TrainResult(history, log_lines, adam, stop_epoch)
+        if on_epoch is not None:
+            on_epoch(epoch, loss, config.stage(epoch, config.lr_nonlinear),
+                     lr_nl, lr_lin, model, adam)
+    return TrainResult(history, adam)
 
 
 # true-physics operators ----------------------------------------------------

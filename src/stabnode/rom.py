@@ -94,15 +94,14 @@ def fourier_basis(symbol: np.ndarray) -> EigenBasis:
     return EigenBasis(vals, vecs * signs, "eigenvalue")
 
 
-def variance_sort(basis: EigenBasis, model, snapshots) -> EigenBasis:
+def variance_sort(basis: EigenBasis, model, snapshots: np.ndarray) -> EigenBasis:
     """Reorder eigenpairs by descending variance of the projected tendencies.
 
     For every snapshot u the tendency of coordinate i is v_i . h(u); pairs
     are sorted by the sample variance of those tendencies, with ties broken
     by descending eigenvalue and then original position (stable).
     """
-    snaps = np.asarray(getattr(snapshots, "snapshots", lambda: snapshots)(),
-                       dtype=np.float64)
+    snaps = np.asarray(snapshots, dtype=np.float64)
     if snaps.ndim != 2 or snaps.shape[0] == 0:
         raise ValueError("need a nonempty (n, d) snapshot array")
     tendencies = model.eval(snaps) @ basis.eigenvectors

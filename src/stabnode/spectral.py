@@ -104,8 +104,7 @@ class DivergenceError(RuntimeError):
     """A state went non-finite: in a solver, an RK4 rollout or a reduced model.
 
     ``step`` (the substep index), ``time`` and ``seed`` (of the initial
-    condition) are None where unknown; ``train`` also sets ``history``, the
-    losses of the epochs it finished.
+    condition) are None where unknown.
     """
 
     def __init__(self, message, step=None, time=None, seed=None):
@@ -113,7 +112,6 @@ class DivergenceError(RuntimeError):
         self.step = step
         self.time = time
         self.seed = seed
-        self.history = []
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import functools
 import os
 import re
+import shutil
 import struct
 
 import numpy as np
@@ -274,10 +275,87 @@ class TestTrain:
                        "--set", "lr_linear=1e-3,1e-3") == 0
         losses = [line.split("\t")[-1]
                   for line in (calm / "loss.log").read_text().splitlines()[1:4]]
+        # each finished epoch's real stage and rates, epoch 2 at the rate 1e20
         assert (out / "loss.log").read_text() == (
             "# epoch\tstage\tlr_nonlinear\tlr_linear\tloss\n"
-            + "".join(f"{i}\t-\t-\t-\t{loss}\n" for i, loss in enumerate(losses)))
+            f"0\t0\t1.000e-03\t1.000e-03\t{losses[0]}\n"
+            f"1\t0\t1.000e-03\t1.000e-03\t{losses[1]}\n"
+            f"2\t1\t1.000e-04\t1.000e+20\t{losses[2]}\n")
         assert (out / "model.snck").exists()
+        # the checkpoint is the state before the diverged epoch
+        sidecar = sp.read_sidecar(f"{out / 'model.snck'}.txt")
+        assert sidecar["epochs_completed"] == 3
+
+    def test_resume_into_fresh_directory_one_header(self, tmp_path, vbe_dataset):
+        common = ["--dataset", str(vbe_dataset), "--variant", "learned-linear",
+                  "--set", "hidden=8", "--set", "batch_size=8",
+                  "--set", "lr_nonlinear=1e-3", "--set", "lr_linear=0.1"]
+        straight, half, resumed = tmp_path / "straight", tmp_path / "half", tmp_path / "r"
+        assert run_cli("train", *common, "--out", str(straight), "--epochs", "4") == 0
+        assert run_cli("train", *common, "--out", str(half), "--epochs", "2") == 0
+        assert run_cli("train", *common, "--out", str(resumed), "--epochs", "4",
+                       "--resume", str(half / "model.snck")) == 0
+        lines = (straight / "loss.log").read_text().splitlines()
+        assert (resumed / "loss.log").read_text().splitlines() == lines[:1] + lines[3:]
+
+    def test_resume_in_place_then_diverged_keeps_rows(self, tmp_path, vbe_dataset):
+        common = ["--dataset", str(vbe_dataset), "--variant", "learned-linear",
+                  "--set", "hidden=8", "--set", "batch_size=8",
+                  "--set", "lr_nonlinear=1e-3"]
+        out = tmp_path / "run"
+        assert run_cli("train", *common, "--out", str(out), "--epochs", "4",
+                       "--set", "lr_linear=1e-3") == 0
+        first = (out / "loss.log").read_text()
+        # epochs 4-7 take the linear rate 1e20, so epoch 5's RK4 overflows
+        assert run_cli("train", *common, "--out", str(out), "--epochs", "8",
+                       "--set", "lr_linear=1e-3,1e20",
+                       "--resume", str(out / "model.snck")) == 3
+        text = (out / "loss.log").read_text()
+        assert text.startswith(first)
+        rest = text[len(first):].splitlines()
+        assert len(rest) == 1 and rest[0].startswith("4\t0\t1.000e-03\t1.000e+20\t")
+        assert sp.read_sidecar(f"{out / 'model.snck'}.txt")["epochs_completed"] == 5
+
+    def test_resume_width_mismatch_writes_nothing(self, tmp_path, kse_dataset,
+                                                  trained_dir, capsys):
+        out = tmp_path / "o"
+        assert run_cli("train", "--dataset", str(kse_dataset), "--variant",
+                       "learned-linear", "--out", str(out), "--epochs", "4",
+                       "--resume", str(trained_dir / "model.snck")) == 2
+        assert "checkpoint width 64" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    def test_checkpoint_every(self, tmp_path, vbe_dataset, monkeypatch):
+        common = ["--dataset", str(vbe_dataset), "--variant", "learned-linear",
+                  "--epochs", "5", "--set", "hidden=8", "--set", "batch_size=8"]
+        saved = []
+        save_model, save_opt_state = node.save_model, node.save_opt_state
+
+        def recording_save_model(path, model, sidecar=None):
+            save_model(path, model, sidecar=sidecar)
+            saved.append(sidecar["epochs_completed"])
+
+        def keeping_save_opt_state(path, adam):
+            # keep a copy of every checkpoint, named by its epochs_completed
+            save_opt_state(path, adam)
+            keep = tmp_path / f"epoch{saved[-1]}"
+            keep.mkdir(exist_ok=True)
+            for suffix in ("", ".txt", ".opt"):
+                shutil.copy(f"{os.path.splitext(path)[0]}{suffix}",
+                            keep / f"model.snck{suffix}")
+
+        monkeypatch.setattr(node, "save_model", recording_save_model)
+        monkeypatch.setattr(node, "save_opt_state", keeping_save_opt_state)
+        straight = tmp_path / "straight"
+        assert run_cli("train", *common, "--out", str(straight),
+                       "--set", "checkpoint_every=2") == 0
+        assert saved == [2, 4, 5]
+        monkeypatch.undo()
+        resumed = tmp_path / "resumed"
+        assert run_cli("train", *common, "--out", str(resumed),
+                       "--resume", str(tmp_path / "epoch4" / "model.snck")) == 0
+        assert ((straight / "model.snck").read_bytes()
+                == (resumed / "model.snck").read_bytes())
 
     def test_missing_dataset_io_error(self, tmp_path):
         code = run_cli("train", "--dataset", str(tmp_path / "nope.snod"),
@@ -611,7 +689,7 @@ class TestEvaluate:
         direct = estimate(system="vbe", d=32, domain_length=1.0, solver_step=0.01,
                           viscosity=4e-3, total_time=5.0, seed=0)
         row = (out / "lyapunov.csv").read_text().splitlines()[-1]
-        assert row.split(",")[0] == mt.fmt(direct.exponent)
+        assert row.split(",")[0] == cli.fmt(direct.exponent)
 
     def test_non_finite_test_split_io_error(self, tmp_path, vbe_dataset, trained_dir,
                                             capsys):
@@ -808,6 +886,24 @@ class TestRom:
         bad = ~np.all(np.isfinite(traj), axis=1)
         assert 0 < bad.argmax() < 21
         assert f"by t = {times[bad.argmax()]:g}\n" in capsys.readouterr().err
+
+
+class TestCsv:
+    def test_spectrum_csv(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        cli.write_table(path, "energy spectrum", {"seed": 0}, ["k", "true", "model"],
+                        [[str(k), cli.fmt(1.0), cli.fmt(0.0)] for k in range(4)])
+        text = path.read_text().splitlines()
+        assert text[0].startswith("# quantity:")
+        assert "k,true,model" in text
+        assert text[-1].startswith("3,")
+
+    def test_error_csv(self, tmp_path):
+        path = tmp_path / "err.csv"
+        cli.write_table(path, "ensemble error", {"noise": 0.3}, ["t", "fixed-linear"],
+                        [[cli.fmt(t), cli.fmt(e)] for t, e in [(0.0, 0.0), (0.5, 0.25)]])
+        lines = path.read_text().splitlines()
+        assert "t,fixed-linear" in lines
 
 
 class TestStencilReport:

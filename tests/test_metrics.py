@@ -234,21 +234,3 @@ class TestPdfIO:
         mt.write_joint_pdf(path2, back)
         assert path.read_bytes() == path2.read_bytes()
 
-
-class TestCsv:
-    def test_spectrum_csv(self, tmp_path):
-        path = tmp_path / "spec.csv"
-        k = np.arange(4)
-        mt.write_spectrum_csv(path, k, {"true": np.ones(4), "model": np.zeros(4)},
-                              {"seed": 0})
-        text = path.read_text().splitlines()
-        assert text[0].startswith("# quantity:")
-        assert "k,true,model" in text
-        assert text[-1].startswith("3,")
-
-    def test_error_csv(self, tmp_path):
-        path = tmp_path / "err.csv"
-        curve = mt.EnsembleError(np.array([0.0, 0.5]), np.array([0.0, 0.25]))
-        mt.write_error_csv(path, {"fixed-linear": curve}, {"noise": 0.3})
-        lines = path.read_text().splitlines()
-        assert "t,fixed-linear" in lines
