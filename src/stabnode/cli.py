@@ -24,11 +24,17 @@ Text outputs, every CSV through `write_table`: `generate` writes
 finished epoch, appended as the epoch finishes: a fresh run truncates it, a
 resumed run appends and writes the header only to a missing or empty file.
 
+`train --resume` of a checkpoint with all `epochs` completed writes nothing
+and exits 0; a `checkpoint_every` save of the last epoch is not repeated.
+
 Exit codes: 0 success; 2 config error: any setting the pipeline rejects (a
 ValueError other than an artifact error), e.g. epochs, batch_size,
 rollout_steps or n_ics below 1, an unknown variant, activation, stencil init
-kind, ROM mode or noise band, a stencil wider than the grid, a `train
---resume` checkpoint of another width than the dataset, an ic_index or d_p
+kind, ROM mode or noise band, a stencil not narrower than the grid, a `train
+--resume` checkpoint of another width than the dataset or with more epochs
+completed than `epochs` (before any file is written), a `stencil-report` of
+a checkpoint without a learned stencil, a `rom` checkpoint RHS without a
+linear branch (before any output is written), an ic_index or d_p
 outside the dataset, an empty d_p list, a d_p that leaves a zero
 eigenvalue to slave (every d_p is checked before any row runs), a time span
 its interval does not divide (`spectral.save_count`, before any integration:
@@ -41,7 +47,8 @@ numerical divergence: a `rom` row with non-finite KL, a `rom --reference self`
 rollout (before any row runs), or an `evaluate --metric error|spectrum|pdf`
 model trajectory that went non-finite, whose outputs and manifest are still
 written; 4 I/O error, a corrupt (truncated, padded, bad-header, unknown-tag or
-NaN/Inf-payload) binary artifact, a sidecar number that does not parse, a
+NaN/Inf-payload) binary artifact, a checkpoint whose variant tag contradicts
+its stencil block, a sidecar number that does not parse, a
 dataset sidecar `train_trajectories` below 1 or `solver_step` that does not
 divide the dataset's tau, a checkpoint sidecar without `system` or
 `domain_length` where the physics is needed, or a `train --resume` checkpoint
@@ -338,7 +345,7 @@ def _require_stable_substeps(model, tau: float, rollout_steps: int) -> None:
     """ConfigError when an RK4 substep amplifies a mode the fixed linear term damps."""
     if model.variant != "fixed-linear":
         return
-    need = node.min_stable_substeps(model.fixed_symbol, tau)
+    need = node.min_stable_substeps(model.linear_symbol(), tau)
     if rollout_steps < need:
         raise ConfigError(f"rollout_steps={rollout_steps} makes RK4 amplify modes the "
                           f"fixed linear term damps; use rollout_steps={need} or more")
@@ -373,9 +380,13 @@ def cmd_train(config: dict) -> int:
         adam = node.load_opt_state(f"{resume_path}.opt", model)
         start_epoch = sp.read_sidecar(f"{resume_path}.txt",
                                       required=("epochs_completed",))["epochs_completed"]
-        if model.width != ds.d:  # before loss.log is opened
+        # before loss.log is opened or any file is rewritten
+        if model.width != ds.d:
             raise ConfigError(f"checkpoint width {model.width} does not match the "
                               f"dataset width {ds.d}")
+        if start_epoch > config["epochs"]:
+            raise ConfigError(f"checkpoint has {start_epoch} epochs completed, past "
+                              f"epochs={config['epochs']}")
     else:
         model = node.build_model(
             config["variant"], sizes, acts,
@@ -390,6 +401,9 @@ def cmd_train(config: dict) -> int:
         config["epochs"], tuple(config["lr_nonlinear"]),
         tuple(config["lr_linear"]), batch_size=config["batch_size"],
         rollout_steps=config["rollout_steps"], seed=config["seed"])
+    if start_epoch == config["epochs"]:
+        print(f"nothing to train: {resume_path} has all {start_epoch} epochs completed")
+        return 0
 
     meta = {"system": system, "domain_length": ds.domain_length,
             "viscosity": ds.viscosity, "variant": config["variant"],
@@ -403,6 +417,9 @@ def cmd_train(config: dict) -> int:
         node.save_model(ckpt_path, mdl, sidecar={**meta, "epochs_completed": epoch})
         node.save_opt_state(opt_path, opt)
 
+    def checkpoint_due(epoch):
+        return config["checkpoint_every"] and epoch % config["checkpoint_every"] == 0
+
     # line-buffered, so each epoch's row is in the file once the epoch finishes
     with open(os.path.join(out_dir, "loss.log"), "a" if config["resume"] else "w",
               buffering=1) as log:
@@ -413,7 +430,7 @@ def cmd_train(config: dict) -> int:
             nonlocal finished
             finished = epoch + 1
             log.write(f"{epoch}\t{stage}\t{lr_nl:.3e}\t{lr_lin:.3e}\t{loss:.10e}\n")
-            if config["checkpoint_every"] and finished % config["checkpoint_every"] == 0:
+            if checkpoint_due(finished):
                 writer(finished, mdl, opt)
 
         try:
@@ -423,7 +440,8 @@ def cmd_train(config: dict) -> int:
             writer(finished, model, adam)  # the last good state: no update diverged
             raise
 
-    writer(config["epochs"], model, adam)
+    if not checkpoint_due(finished):  # else on_epoch saved the last epoch
+        writer(finished, model, adam)
     write_manifest(os.path.join(out_dir, "manifest-train.cfg"), "train", config,
                    {"dataset": meta["dataset_sha256"],
                     "checkpoint": sha256_file(ckpt_path)})
@@ -716,7 +734,7 @@ def cmd_stencil_report(config: dict) -> int:
     system, length, viscosity = node.checkpoint_physics(ckpt)
     d = model.width
     optimal = optimal_stencil(system, d, length, viscosity)
-    learned = model.stencil.effective_taps()
+    learned = model.linear.effective_taps()
     if learned.size != optimal.size:
         raise ConfigError(f"learned width {learned.size} does not match the "
                           f"optimal stencil width {optimal.size} for {system}")

@@ -2,10 +2,11 @@
 
 Fully connected networks, with exact vector-Jacobian products for inputs and
 parameters, and circular-convolution stencils, held as their Fourier symbol
-(:meth:`ConvStencil.symbol`) with the tap gradient as one FFT
-cross-correlation.  Forward passes accept a single state of length d or a
-batch shaped (n, d); parameter gradients are accumulated (summed) over the
-batch, so callers fold any averaging into the cotangent.  No computation
+(:meth:`ConvStencil.symbol`) with the tap gradient as one inverse FFT of a
+cross-spectrum (:meth:`ConvStencil.symbol_vjp`).  Forward passes accept a
+single state of length d or a batch shaped (n, d); parameter gradients are
+accumulated (summed) over the batch, so callers fold any averaging into the
+cotangent.  No computation
 graph: a forward call returns the layer activations, which its matching
 backward call takes.
 """
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (ArtifactError, expect_end, irfft, read_exact, read_f8, rfft,
-                       tag_name, write_sidecar)
+from .spectral import (ArtifactError, expect_end, irfft, read_exact, read_f8, tag_name,
+                       write_sidecar)
 
 ACTIVATION_TAGS = {"relu": 0, "sigmoid": 1, "linear": 2}
 ACTIVATION_NAMES = {v: k for k, v in ACTIVATION_TAGS.items()}
@@ -104,19 +105,22 @@ class ConvStencil:
         odd = np.sin(theta) @ (teff[c + m] - teff[c - m])
         return teff[c] + even + 1j * odd
 
-    def tap_gradient(self, u: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        """Gradient of sum(cotangent * A u) in the taps, summed over a batch.
+    def params(self) -> list:
+        """The trainable tensors: the taps."""
+        return [self.taps]
 
-        The circular cross-correlation sum_j g_j u[(j+m) mod d] at offsets
-        m = -c..c, taken in Fourier space; folded by the symmetrization chain
-        rule when the stencil is symmetric.
+    def symbol_vjp(self, cross: np.ndarray, d: int) -> list:
+        """Tap gradient, one array per :meth:`params` entry, from the
+        batch-summed cross-spectrum ``cross`` = sum conj(rfft(g)) * rfft(u) of
+        the operator's inputs u and their output cotangents g on a d-point grid.
+
+        One inverse transform gives the circular cross-correlation
+        sum_j g_j u[(j+m) mod d], read at offsets m = -c..c; it is folded by the
+        symmetrization chain rule when the stencil is symmetric.
         """
-        d = u.shape[-1]
-        spectrum = np.conj(rfft(cotangent)) * rfft(u)
         c = self.width // 2
-        grad = irfft(spectrum.reshape(-1, d // 2 + 1).sum(axis=0), d)
-        grad = grad[np.arange(-c, c + 1)]
-        return grad + grad[::-1] if self.symmetric else grad
+        grad = irfft(cross, d)[np.arange(-c, c + 1)]
+        return [grad + grad[::-1] if self.symmetric else grad]
 
 
 def _activate(name, z):

@@ -1,14 +1,14 @@
 """Learned right-hand sides and training through a fixed-step integrator.
 
-Three RHS variants: a bare nonlinear network, a nonlinear network plus the
-true (fixed) linear operator, and a nonlinear network plus a learned
-circular-convolution operator.  Either linear branch is a circulant operator
-applied through its Fourier symbol.  States advance with classical RK4;
-parameter gradients come from the discrete adjoint, i.e. exact
-reverse-mode propagation through every RK4 stage.  Training minimizes the
+A model is du/dt = A u + N(u), with N a network and A a circulant linear
+operator applied through its Fourier symbol.  Three variants differ only in
+A: none (the bare network), the true operator held fixed, or a learned
+circular-convolution stencil.  States advance with classical RK4; parameter
+gradients come from the discrete adjoint, i.e. exact reverse-mode
+propagation through every RK4 stage.  Training minimizes the
 elementwise-mean L1 mismatch of one-interval predictions with an
-adaptive-moment optimizer over the model's parameter list, whose two groups
-(network, stencil taps) follow staged learning rates.
+adaptive-moment optimizer over the model's parameter list, whose two groups,
+the network's and the linear branch's, follow staged learning rates.
 """
 
 from __future__ import annotations
@@ -39,47 +39,57 @@ OPT_STATE_MAGIC = b"SNOP"
 
 
 @dataclass
-class RhsModel:
-    """du/dt model: optional explicit linear branch plus a network branch.
+class FixedSymbol:
+    """A known linear operator, the circulant with one-sided symbol ``values``
+    (k = 0..d/2), e.g. the true VBE/KSE operator; it has no parameters."""
 
-    Either linear branch is the circulant operator with a one-sided symbol
-    (k = 0..d/2): the real ``fixed_symbol``, or the learned stencil's.
+    values: np.ndarray
+
+    def symbol(self, d: int) -> np.ndarray:
+        return self.values
+
+    def params(self) -> list:
+        return []
+
+
+LINEAR_VARIANTS = {type(None): "nonlinear", FixedSymbol: "fixed-linear",
+                   dc.ConvStencil: "learned-linear"}
+
+
+@dataclass
+class RhsModel:
+    """du/dt = A u + N(u): the network ``mlp`` is N, and ``linear`` is the
+    circulant operator A, applied through its one-sided symbol (k = 0..d/2).
+
+    ``linear`` is None for the bare network, a :class:`FixedSymbol` for the
+    known operator, or a learned :class:`~stabnode.diffcore.ConvStencil`.  An
+    operator answers ``symbol(d)`` and ``params()``; one whose params are not
+    empty also answers ``symbol_vjp(cross, d)``, the map from the linear
+    branch's cross-spectrum to their gradients.
     """
 
-    variant: str
     mlp: dc.MlpParams
-    fixed_symbol: np.ndarray | None = None
-    stencil: dc.ConvStencil | None = None
+    linear: FixedSymbol | dc.ConvStencil | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANT_TAGS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "fixed-linear" and self.fixed_symbol is None:
-            raise ValueError("fixed-linear variant requires fixed_symbol")
-        if self.variant == "learned-linear" and self.stencil is None:
-            raise ValueError("learned-linear variant requires a stencil")
-        if self.variant != "fixed-linear" and self.fixed_symbol is not None:
-            raise ValueError("fixed_symbol only belongs to the fixed-linear variant")
-        if self.variant != "learned-linear" and self.stencil is not None:
-            raise ValueError("stencil only belongs to the learned-linear variant")
-        if self.stencil is not None and self.stencil.width >= self.width:
-            raise ValueError("stencil width must be smaller than the grid")
+        if self.linear is not None:
+            self.linear.symbol(self.width)  # raises for a stencil as wide as the grid
 
     @property
     def width(self) -> int:
         return self.mlp.layer_sizes[0]
 
+    @property
+    def variant(self) -> str:
+        return LINEAR_VARIANTS[type(self.linear)]
+
     def parameters(self) -> list:
         """Trainable tensors in gradient and optimizer order: network weights,
-        network biases, then the stencil taps if there is a stencil."""
+        network biases, then the linear branch's parameters."""
         params = self.mlp.weights + self.mlp.biases
-        if self.stencil is not None:
-            params.append(self.stencil.taps)
+        if self.linear is not None:
+            params += self.linear.params()
         return params
-
-    def nonlinear_apply(self, u: np.ndarray) -> np.ndarray:
-        out, _ = dc.mlp_forward(self.mlp, u)
-        return out
 
     def eval(self, u: np.ndarray) -> np.ndarray:
         return self.rhs()[0](u)
@@ -88,24 +98,24 @@ class RhsModel:
         """(f, symbol): du/dt = f(u) with the linear branch's symbol (None for
         the bare network) computed once, as the taps change only in the
         optimizer step; one integration or gradient calls this once."""
-        if self.variant == "nonlinear":
-            return self.nonlinear_apply, None
+        if self.linear is None:
+            return (lambda u: dc.mlp_forward(self.mlp, u)[0]), None
         symbol = self.linear_symbol()
-        return (lambda u: apply_symbol(symbol, u) + self.nonlinear_apply(u)), symbol
+        return (lambda u: apply_symbol(symbol, u) + self.nonlinear(u)), symbol
 
     # ROM protocol ---------------------------------------------------------
     def linear_symbol(self) -> np.ndarray:
         """One-sided symbol (k = 0..d/2) of the explicit linear branch."""
-        if self.variant == "fixed-linear":
-            return self.fixed_symbol
-        if self.variant == "learned-linear":
-            return self.stencil.symbol(self.width)
-        raise ValueError("nonlinear variant has no separable linear term")
+        if self.linear is None:
+            raise ValueError("nonlinear variant has no separable linear term")
+        return self.linear.symbol(self.width)
 
     def nonlinear(self, u: np.ndarray) -> np.ndarray:
-        if self.variant == "nonlinear":
+        """The network branch N(u), separable only beside a linear branch."""
+        if self.linear is None:
             raise ValueError("nonlinear variant has no separable linear term")
-        return self.nonlinear_apply(u)
+        out, _ = dc.mlp_forward(self.mlp, u)
+        return out
 
 
 def _rhs_vjp(model: RhsModel, symbol, x: np.ndarray, cotangent: np.ndarray,
@@ -115,10 +125,13 @@ def _rhs_vjp(model: RhsModel, symbol, x: np.ndarray, cotangent: np.ndarray,
     _, acts = dc.mlp_forward(model.mlp, x)
     parts, gin = dc.mlp_backward(model.mlp, acts, cotangent)
     if symbol is not None:
+        d = model.width
+        g_hat = rfft(cotangent)
         # a real circulant's adjoint has the conjugate symbol
-        gin = gin + apply_symbol(np.conj(symbol), cotangent)
-    if model.stencil is not None:
-        parts.append(model.stencil.tap_gradient(x, cotangent))
+        gin = gin + irfft(np.conj(symbol) * g_hat, d)
+        if model.linear.params():
+            cross = (np.conj(g_hat) * rfft(x)).reshape(-1, d // 2 + 1).sum(axis=0)
+            parts += model.linear.symbol_vjp(cross, d)
     for acc, g in zip(grads, parts):
         acc += g
     return gin
@@ -398,36 +411,40 @@ def build_model(variant: str, layer_sizes, activations, weight_init, seed: int,
     """
     mlp = dc.init_mlp(layer_sizes, activations, weight_init, seed)
     if variant == "nonlinear":
-        return RhsModel("nonlinear", mlp)
+        return RhsModel(mlp)
     if variant == "fixed-linear":
         if system is None:
             raise ValueError("fixed-linear variant needs the system name")
         symbol = linear_symbol(system, layer_sizes[0], domain_length, viscosity)
-        return RhsModel("fixed-linear", mlp, fixed_symbol=symbol)
+        return RhsModel(mlp, FixedSymbol(symbol))
     if variant == "learned-linear":
-        stencil = dc.init_stencil(stencil_width, stencil_symmetric,
-                                  stencil_init, seed + 1)
-        return RhsModel("learned-linear", mlp, stencil=stencil)
+        return RhsModel(mlp, dc.init_stencil(stencil_width, stencil_symmetric,
+                                             stencil_init, seed + 1))
     raise ValueError(f"unknown variant {variant!r}")
 
 
 # checkpoint / optimizer-state persistence ----------------------------------
 
 def save_model(path, model: RhsModel, sidecar: dict | None = None) -> None:
-    dc.write_checkpoint(path, VARIANT_TAGS[model.variant], model.mlp,
-                        model.stencil, sidecar=sidecar)
+    stencil = model.linear if model.variant == "learned-linear" else None
+    dc.write_checkpoint(path, VARIANT_TAGS[model.variant], model.mlp, stencil,
+                        sidecar=sidecar)
 
 
 def load_model(path) -> RhsModel:
     """Load a checkpoint; fixed-linear models rebuild the symbol from the
-    sidecar's physics."""
+    sidecar's physics.  A variant tag that contradicts the stencil block (a
+    stencil exactly for learned-linear) is an ArtifactError."""
     tag, mlp, stencil = dc.read_checkpoint(path)
     variant = tag_name(VARIANT_NAMES, tag, path, "variant")
-    symbol = None
+    if (variant == "learned-linear") != (stencil is not None):
+        raise ArtifactError(f"{path}: variant tag {tag} ({variant}) "
+                            f"{'with' if stencil else 'without'} a stencil")
     if variant == "fixed-linear":
         system, length, viscosity = checkpoint_physics(path)
-        symbol = linear_symbol(system, mlp.layer_sizes[0], length, viscosity)
-    return RhsModel(variant, mlp, fixed_symbol=symbol, stencil=stencil)
+        return RhsModel(mlp, FixedSymbol(linear_symbol(system, mlp.layer_sizes[0],
+                                                       length, viscosity)))
+    return RhsModel(mlp, stencil)
 
 
 def checkpoint_physics(path):

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from stabnode import cli
 from stabnode import diffcore as dc
 from stabnode import metrics as mt
 from stabnode import neural_ode as node
@@ -27,7 +28,7 @@ def _dataset(path):
 
 def _checkpoint(path):
     model = _model()
-    dc.write_checkpoint(path, 2, model.mlp, model.stencil)
+    dc.write_checkpoint(path, 2, model.mlp, model.linear)
     return dc.read_checkpoint
 
 
@@ -95,6 +96,21 @@ def test_unknown_tag_byte(tmp_path, write, offset):
     path.write_bytes(bytes(data))
     with pytest.raises(sp.ArtifactError, match=re.escape(str(path)) + ".*tag byte 7"):
         read(path)
+
+
+@pytest.mark.parametrize("tag,with_stencil", [(0, True), (1, True), (2, False)],
+                         ids=["nonlinear-with-stencil", "fixed-linear-with-stencil",
+                              "learned-linear-without-stencil"])
+def test_variant_tag_contradicting_stencil(tmp_path, tag, with_stencil, capsys):
+    # a stencil block belongs to the learned-linear tag (2) and to no other
+    model = _model()
+    path = tmp_path / "model.snck"
+    dc.write_checkpoint(path, tag, model.mlp, model.linear if with_stencil else None,
+                        sidecar={"system": "vbe", "domain_length": 1.0})
+    with pytest.raises(sp.ArtifactError, match=re.escape(str(path)) + ".*stencil"):
+        node.load_model(path)
+    assert cli.main(["stencil-report", "--checkpoint", str(path)]) == 4
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [np.nan, -np.inf])

@@ -194,7 +194,7 @@ def learned_linear_checkpoint(path, d, taps, system):
     """An untrained learned-linear checkpoint with the given stencil taps."""
     model = node.build_model("learned-linear", [d, 8, d], ["relu", "linear"],
                              ("normal", 0.0, 1e-4), 0, stencil_width=len(taps))
-    model.stencil.taps[:] = taps
+    model.linear.taps[:] = taps
     node.save_model(path, model, sidecar={"system": system, "epochs_completed": 0,
                                           "variant": "learned-linear"})
     return path
@@ -356,6 +356,44 @@ class TestTrain:
                        "--resume", str(tmp_path / "epoch4" / "model.snck")) == 0
         assert ((straight / "model.snck").read_bytes()
                 == (resumed / "model.snck").read_bytes())
+
+    def test_checkpoint_every_dividing_epochs_saves_last_once(self, tmp_path, vbe_dataset,
+                                                               monkeypatch):
+        saved = []
+        save_model = node.save_model
+
+        def recording_save_model(path, model, sidecar=None):
+            save_model(path, model, sidecar=sidecar)
+            saved.append(sidecar["epochs_completed"])
+
+        monkeypatch.setattr(node, "save_model", recording_save_model)
+        assert run_cli("train", "--dataset", str(vbe_dataset), "--variant",
+                       "learned-linear", "--epochs", "4", "--set", "hidden=8",
+                       "--set", "batch_size=8", "--set", "checkpoint_every=2",
+                       "--out", str(tmp_path / "run")) == 0
+        assert saved == [2, 4]
+
+    @pytest.mark.parametrize("epochs,code", [(4, 0), (2, 2)],
+                             ids=["at-the-end", "past-the-end"])
+    def test_resume_at_or_past_the_end_rewrites_nothing(self, tmp_path, vbe_dataset,
+                                                        epochs, code, capsys):
+        common = ["--dataset", str(vbe_dataset), "--variant", "learned-linear",
+                  "--set", "hidden=8", "--set", "batch_size=8"]
+        out = tmp_path / "run"
+        assert run_cli("train", *common, "--out", str(out), "--epochs", "4") == 0
+        files = [out / name for name in ("model.snck", "model.snck.opt",
+                                         "model.snck.txt", "loss.log",
+                                         "manifest-train.cfg")]
+        before = [f.read_bytes() for f in files]
+        capsys.readouterr()
+        assert run_cli("train", *common, "--out", str(out), "--epochs", str(epochs),
+                       "--resume", str(out / "model.snck")) == code
+        assert [f.read_bytes() for f in files] == before
+        captured = capsys.readouterr()
+        if code == 0:
+            assert "nothing to train" in captured.out
+        else:
+            assert "4 epochs completed" in captured.err
 
     def test_missing_dataset_io_error(self, tmp_path):
         code = run_cli("train", "--dataset", str(tmp_path / "nope.snod"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stabnode import diffcore as dc
+from stabnode import neural_ode as node
 from stabnode import spectral as sp
 
 
@@ -172,9 +173,29 @@ def stencil_apply(st, u):
     return sp.apply_symbol(st.symbol(u.shape[-1]), u)
 
 
+def cross_spectrum(u, g):
+    """Batch-summed conj(rfft(g)) * rfft(u), the input of symbol_vjp."""
+    d = u.shape[-1]
+    return (np.conj(sp.rfft(g)) * sp.rfft(u)).reshape(-1, d // 2 + 1).sum(axis=0)
+
+
 def stencil_vjp(st, u, g):
-    """(tap gradient, input cotangent) of stencil_apply, as the model takes them."""
-    return st.tap_gradient(u, g), sp.apply_symbol(np.conj(st.symbol(u.shape[-1])), g)
+    """(tap gradient, input cotangent) of stencil_apply, the taps' through
+    symbol_vjp."""
+    d = u.shape[-1]
+    (taps,) = st.symbol_vjp(cross_spectrum(u, g), d)
+    return taps, sp.apply_symbol(np.conj(st.symbol(d)), g)
+
+
+def two_call_vjp(st, u, g):
+    """The linear branch's VJP as two separate transforms of g: the input
+    cotangent apply_symbol(conj(symbol), g), and the irfft of the batch-summed
+    conj(rfft(g)) * rfft(u) read at offsets -c..c, folded when symmetric."""
+    d, c = u.shape[-1], st.width // 2
+    grad = sp.irfft(cross_spectrum(u, g), d)[np.arange(-c, c + 1)]
+    if st.symmetric:
+        grad = grad + grad[::-1]
+    return grad, sp.apply_symbol(np.conj(st.symbol(d)), g)
 
 
 def roll_correlation(st, u):
@@ -302,6 +323,29 @@ class TestConvBackward:
 
         fd = (value(+1) - value(-1)) / (2 * step)
         assert abs(analytic - fd) < 1e-6 * max(1.0, abs(fd))
+
+
+class TestSharedSpectrum:
+    """The model's linear-branch VJP transforms the cotangent once for both the
+    input cotangent and the tap gradient, and keeps the bits of two calls."""
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("shape", [(16,), (5, 16)], ids=["row", "batch"])
+    def test_matches_two_call_formula(self, symmetric, shape):
+        rng = np.random.default_rng(3)
+        d = shape[-1]
+        st = dc.ConvStencil(rng.standard_normal(5), symmetric)
+        mlp = random_mlp([d, 6, d], ["sigmoid", "linear"], seed=4)
+        model = node.RhsModel(mlp, st)
+        u, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        grads = [np.zeros_like(p) for p in model.parameters()]
+        gin = node._rhs_vjp(model, model.linear_symbol(), u, g, grads)
+        net_grads, net_gin = dc.mlp_backward(mlp, dc.mlp_forward(mlp, u)[1], g)
+        taps, linear_gin = two_call_vjp(st, u, g)
+        assert np.array_equal(gin, net_gin + linear_gin)
+        assert len(grads) == len(net_grads) + 1
+        for got, want in zip(grads, net_grads + [taps]):
+            assert np.array_equal(got, want)
 
 
 class TestStencilMatrix:

@@ -32,7 +32,7 @@ class TestRhsEval:
     def test_fixed_linear_with_zero_net_is_pure_matrix(self):
         d = 8
         symbol = sp.linear_symbol("vbe", d, 1.0, viscosity=1e-2)
-        model = node.RhsModel("fixed-linear", zero_mlp(d), fixed_symbol=symbol)
+        model = node.RhsModel(zero_mlp(d), node.FixedSymbol(symbol))
         u = np.arange(d, dtype=float)
         mat = dense_from_symbol(symbol, d)
         assert np.max(np.abs(model.eval(u) - mat @ u)) < 1e-14
@@ -41,9 +41,8 @@ class TestRhsEval:
         d = 8
         rng = np.random.default_rng(0)
         mlp = dc.init_mlp([d, 10, d], ["relu", "linear"], ("normal", 0, 0.04), 1)
-        learned = node.RhsModel("learned-linear", mlp,
-                                stencil=dc.ConvStencil(np.zeros(3)))
-        bare = node.RhsModel("nonlinear", mlp)
+        learned = node.RhsModel(mlp, dc.ConvStencil(np.zeros(3)))
+        bare = node.RhsModel(mlp)
         u = rng.standard_normal(d)
         assert np.array_equal(learned.eval(u), bare.eval(u))
 
@@ -56,19 +55,27 @@ class TestRhsEval:
         split = sp.apply_symbol(model.linear_symbol(), u) + model.nonlinear(u)
         assert np.max(np.abs(total - split)) < 1e-14
 
-    def test_variant_field_discipline(self):
+    def test_stencil_as_wide_as_grid_rejected(self):
+        stencil = dc.ConvStencil(np.zeros(5))
+        for d in (5, 4):
+            with pytest.raises(ValueError, match="smaller than the grid"):
+                node.RhsModel(zero_mlp(d), stencil)
+        node.RhsModel(zero_mlp(6), stencil)
+
+    def test_variant_reads_the_operator(self):
         d = 8
-        with pytest.raises(ValueError):
-            node.RhsModel("fixed-linear", zero_mlp(d))
-        with pytest.raises(ValueError):
-            node.RhsModel("nonlinear", zero_mlp(d),
-                          stencil=dc.ConvStencil(np.zeros(3)))
+        operators = {"nonlinear": None,
+                     "fixed-linear": node.FixedSymbol(sp.linear_symbol("vbe", d, 1.0)),
+                     "learned-linear": dc.ConvStencil(np.zeros(3))}
+        for variant, linear in operators.items():
+            assert node.RhsModel(zero_mlp(d), linear).variant == variant
+            assert random_model(variant, d, seed=0).variant == variant
 
 
 class TestIntegrate:
     def test_zero_rhs_identity(self):
         d = 8
-        model = node.RhsModel("nonlinear", zero_mlp(d))
+        model = node.RhsModel(zero_mlp(d))
         u0 = np.arange(d, dtype=float)
         out = node.integrate(model, u0, 1.0, 10)
         assert np.array_equal(out, u0)
@@ -76,15 +83,14 @@ class TestIntegrate:
     def test_scalar_rk4_amplification(self):
         # du/dt = -u through a 1-tap stencil; one step h = 0.1
         mlp = zero_mlp(2)
-        model = node.RhsModel("learned-linear", mlp,
-                              stencil=dc.ConvStencil(np.array([-1.0])))
+        model = node.RhsModel(mlp, dc.ConvStencil(np.array([-1.0])))
         out = node.integrate(model, np.array([1.0, 1.0]), 0.1, 1)
         assert out[0] == pytest.approx(0.9048375, abs=1e-12)
 
     def test_matches_matrix_exponential(self):
         d = 8
         symbol = sp.linear_symbol("vbe", d, 1.0, viscosity=5e-3)
-        model = node.RhsModel("fixed-linear", zero_mlp(d), fixed_symbol=symbol)
+        model = node.RhsModel(zero_mlp(d), node.FixedSymbol(symbol))
         mat = dense_from_symbol(symbol, d)
         u0 = np.random.default_rng(1).standard_normal(d)
         t = 0.5
@@ -105,8 +111,7 @@ class TestIntegrate:
 
     def test_divergence_carries_step(self):
         mlp = zero_mlp(2)
-        model = node.RhsModel("learned-linear", mlp,
-                              stencil=dc.ConvStencil(np.array([80.0])))
+        model = node.RhsModel(mlp, dc.ConvStencil(np.array([80.0])))
         with pytest.raises(node.DivergenceError) as exc_info:
             node.integrate(model, np.array([1.0, 1.0]), 100.0, 40)
         assert exc_info.value.step is not None
@@ -148,8 +153,7 @@ class TestLossGradient:
         # du/dt = theta*u, one RK4 step: d(pred)/d(theta) = h*R'(theta*h)*u0
         theta, h = 0.7, 0.25
         mlp = zero_mlp(2)
-        model = node.RhsModel("learned-linear", mlp,
-                              stencil=dc.ConvStencil(np.array([theta])))
+        model = node.RhsModel(mlp, dc.ConvStencil(np.array([theta])))
         u0 = np.array([[1.0, 2.0]])
         target = np.array([[1.5, 2.1]])
         loss, grads = node.loss_gradient(model, u0, target, h, 1)
@@ -182,12 +186,10 @@ class TestLossGradient:
                 mlp = dc.MlpParams(list(model.mlp.layer_sizes),
                                    list(model.mlp.activations), moved[:n],
                                    moved[n:2 * n])
-                stencil = model.stencil
-                if stencil is not None:
-                    stencil = dc.ConvStencil(moved[-1], stencil.symmetric)
-                shifted = node.RhsModel(model.variant, mlp,
-                                        fixed_symbol=model.fixed_symbol,
-                                        stencil=stencil)
+                linear = model.linear
+                if linear is not None and linear.params():
+                    linear = dc.ConvStencil(moved[-1], linear.symmetric)
+                shifted = node.RhsModel(mlp, linear)
                 pred, _ = node._rk4_forward(shifted.eval, u0, tau / steps, steps, False)
                 return np.mean(np.abs(pred - u1))
 
@@ -251,7 +253,7 @@ class TestTraining:
             models.append(model)
         a, b = models
         assert all(np.array_equal(x, y) for x, y in zip(a.mlp.weights, b.mlp.weights))
-        assert np.array_equal(a.stencil.taps, b.stencil.taps)
+        assert np.array_equal(a.linear.taps, b.linear.taps)
 
     def test_resume_matches_uninterrupted(self):
         ds = tiny_vbe_dataset(n_snap=20)
@@ -271,7 +273,7 @@ class TestTraining:
         node.train(resumed, ds, cfg, start_epoch=20, adam=first.adam)
         assert all(np.array_equal(x, y) for x, y in
                    zip(straight.mlp.weights, resumed.mlp.weights))
-        assert np.array_equal(straight.stencil.taps, resumed.stencil.taps)
+        assert np.array_equal(straight.linear.taps, resumed.linear.taps)
 
     def test_width_mismatch_rejected(self):
         ds = tiny_vbe_dataset(n_snap=5)
@@ -283,14 +285,14 @@ class TestTraining:
 class TestRollout:
     def test_single_interval(self):
         d = 8
-        model = node.RhsModel("nonlinear", zero_mlp(d))
+        model = node.RhsModel(zero_mlp(d))
         times, states = node.rollout(model, np.ones(d), 0.5, 0.5)
         assert times.shape == (2,)
         assert states.shape == (2, d)
 
     def test_zero_rhs_constant_trajectory(self):
         d = 8
-        model = node.RhsModel("nonlinear", zero_mlp(d))
+        model = node.RhsModel(zero_mlp(d))
         u0 = np.arange(d, dtype=float)
         _, states = node.rollout(model, u0, 2.0, 0.5)
         assert np.array_equal(states, np.tile(u0, (5, 1)))
@@ -298,8 +300,7 @@ class TestRollout:
     def test_divergence_reports_last_finite(self):
         # du/dt = 40 u overflows after some tens of unit intervals
         mlp = zero_mlp(2)
-        model = node.RhsModel("learned-linear", mlp,
-                              stencil=dc.ConvStencil(np.array([40.0])))
+        model = node.RhsModel(mlp, dc.ConvStencil(np.array([40.0])))
         _, states = node.rollout(model, np.ones(2), 50.0, 1.0, steps_per_interval=2)
         finite = np.all(np.isfinite(states), axis=1)
         last = int(np.argmin(finite)) - 1
@@ -309,8 +310,7 @@ class TestRollout:
 
     def test_batch_row_divergence_leaves_others(self):
         mlp = zero_mlp(2)
-        model = node.RhsModel("learned-linear", mlp,
-                              stencil=dc.ConvStencil(np.array([40.0])))
+        model = node.RhsModel(mlp, dc.ConvStencil(np.array([40.0])))
         u0 = np.stack([np.ones(2), np.zeros(2)])
         times, states = node.rollout(model, u0, 50.0, 1.0, steps_per_interval=2)
         assert times.shape == (51,)
@@ -331,7 +331,7 @@ class TestRollout:
             assert np.allclose(row, alone, rtol=1e-14, atol=0.0)
 
     def test_interval_must_divide(self):
-        model = node.RhsModel("nonlinear", zero_mlp(4))
+        model = node.RhsModel(zero_mlp(4))
         with pytest.raises(ValueError):
             node.rollout(model, np.ones(4), 1.0, 0.3)
 
@@ -400,7 +400,7 @@ class TestPersistence:
         assert back.variant == "learned-linear"
         assert all(np.array_equal(a, b) for a, b in
                    zip(model.mlp.weights, back.mlp.weights))
-        assert np.array_equal(model.stencil.taps, back.stencil.taps)
+        assert np.array_equal(model.linear.taps, back.linear.taps)
 
     def test_fixed_linear_rebuilds_symbol_from_sidecar(self, tmp_path):
         model = random_model("fixed-linear", 8, seed=2)
@@ -408,7 +408,7 @@ class TestPersistence:
         node.save_model(path, model, sidecar={
             "system": "vbe", "domain_length": 1.0, "viscosity": 8e-4})
         back = node.load_model(path)
-        assert np.array_equal(back.fixed_symbol, model.fixed_symbol)
+        assert np.array_equal(back.linear.values, model.linear.values)
 
     def test_opt_state_round_trip(self, tmp_path):
         ds = tiny_vbe_dataset(n_snap=5)
@@ -442,7 +442,7 @@ class TestPersistence:
         payload = np.frombuffer(raw[12:], dtype="<f8")
         n = model.mlp.n_layers
         w, b = slice(0, n), slice(n, 2 * n)
-        taps = [adam.m[-1], adam.v[-1]] if model.stencil is not None else []
+        taps = [adam.m[-1], adam.v[-1]] if variant == "learned-linear" else []
         expected = adam.m[w] + adam.v[w] + adam.m[b] + adam.v[b] + taps
         assert payload.size == sum(t.size for t in expected)
         offset = 0

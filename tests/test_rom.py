@@ -205,7 +205,7 @@ def stabilized_model(d, seed=0, zero_net=False):
     else:
         mlp = dc.init_mlp([d, 10, d], ["sigmoid", "linear"],
                           ("normal", 0.0, 0.02), seed)
-    return node.RhsModel("fixed-linear", mlp, fixed_symbol=symbol)
+    return node.RhsModel(mlp, node.FixedSymbol(symbol))
 
 
 class TestGalerkinRhs:
@@ -241,7 +241,7 @@ class TestGalerkinRhs:
     def test_bare_nonlinear_model_rejected(self):
         d = 6
         basis = rom.fourier_basis(np.ones(d // 2 + 1))
-        model = node.RhsModel("nonlinear", zero_mlp(d))
+        model = node.RhsModel(zero_mlp(d))
         with pytest.raises(ValueError):
             rom.galerkin_rhs(basis, [3], model, np.zeros((1, 3)))
 
@@ -518,7 +518,7 @@ class TestSymmetrization:
     def test_asymmetric_warns_and_symmetrizes(self):
         # out_j = u_{j-1}: symbol exp(-2 pi i k/d), symmetric part cos(2 pi k/d)
         st = dc.ConvStencil(np.array([1.0, 0.0, 0.0]))
-        model = node.RhsModel("learned-linear", zero_mlp(8), stencil=st)
+        model = node.RhsModel(zero_mlp(8), st)
         with pytest.warns(UserWarning):
             basis = rom.fourier_basis(model.linear_symbol())
         cos = np.cos(2 * np.pi * np.arange(5) / 8)
