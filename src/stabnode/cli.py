@@ -1,7 +1,9 @@
 """Command-line pipeline: generate, train, evaluate, rom, stencil-report.
 
 Configuration is flat key=value text with `include <path>` support; CLI
-flags override config keys, unknown keys are hard errors.  Every command
+flags override config keys, unknown keys are hard errors.  Each command's
+schema declares every key once (a `Key`), and the flags, the value checks
+and the per-system defaults all come from it.  Every command
 writes a manifest (resolved config plus input hashes as comments) that
 reproduces the run bit-identically.  Relative artifact paths resolve under
 $SNODE_DATA_DIR when it is set.
@@ -27,12 +29,17 @@ resumed run appends and writes the header only to a missing or empty file.
 `train --resume` of a checkpoint with all `epochs` completed writes nothing
 and exits 0; a `checkpoint_every` save of the last epoch is not repeated.
 
-Exit codes: 0 success; 2 config error: any setting the pipeline rejects (a
-ValueError other than an artifact error), e.g. epochs, batch_size,
-rollout_steps or n_ics below 1, an unknown variant, activation, stencil init
-kind, ROM mode or noise band, a stencil not narrower than the grid, a `train
---resume` checkpoint of another width than the dataset or with more epochs
-completed than `epochs` (before any file is written), a `stencil-report` of
+`train` and `evaluate`, like `rom`, create `out` only once every check has
+passed.
+
+Exit codes: 0 success; 2 config error: a value outside its key's kind,
+allowed values or minimum (a count below 1), from any source, rejected
+before any command runs; or any other setting the pipeline rejects (a
+ValueError other than an artifact error), e.g. a bad noise spec or band, a
+stencil not narrower than the grid, a `train --resume` checkpoint of another
+width than the dataset, of another variant, hidden sizes or activation than
+the config, or with more epochs completed than `epochs` (before any file is
+written), a `stencil-report` of
 a checkpoint without a learned stencil, a `rom` checkpoint RHS without a
 linear branch (before any output is written), an ic_index or d_p
 outside the dataset, an empty d_p list, a d_p that leaves a zero
@@ -62,10 +69,12 @@ import hashlib
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
+from . import diffcore as dc
 from . import metrics as mt
 from . import neural_ode as node
 from . import rom as rom_mod
@@ -129,7 +138,8 @@ def parse_dp_list(text) -> list:
     return list(_parse_ints(text))
 
 
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+# a count is an int of at least 1
+_PARSERS = {"int": int, "count": int, "float": float, "str": str, "bool": _parse_bool,
             "floats": _parse_floats, "dps": parse_dp_list}
 
 AUTO = "auto"
@@ -138,10 +148,28 @@ AUTO = "auto"
 RETIRED_KEYS = {"threads"}
 
 
+class Key(NamedTuple):
+    """Everything about one config key.
+
+    ``default`` is config text, None for a required key, or the per-system
+    values ``{system: value}`` (``{(system, variant): value}`` for the
+    learning rates) that `auto` stands for until :func:`fill_auto`.
+    ``choices`` closes the set of values; ``flag`` gives the key a
+    ``--key-name`` option.
+    """
+
+    kind: str
+    default: object = None
+    choices: tuple = ()
+    flag: bool = False
+
+
 def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
     """defaults <- config file <- CLI overrides; unknown keys are rejected,
     retired keys in a config file dropped so old manifests still rerun, and
-    `auto` accepted only for keys whose default it is."""
+    every value checked against its key's kind, choices and, for a count, the
+    minimum of 1.  `auto` is accepted only for keys whose default it is or
+    that have per-system defaults."""
     file_values = {k: v for k, v in file_values.items() if k not in RETIRED_KEYS}
     for source, values in (("config file", file_values), ("command line", overrides)):
         for key in values:
@@ -149,23 +177,36 @@ def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
                 raise ConfigError(f"unknown key {key!r} from {source}; known keys: "
                                   + ", ".join(sorted(schema)))
     out = {}
-    for key, (kind, default) in schema.items():
-        if key in overrides and overrides[key] is not None:
-            raw = overrides[key]
-        elif key in file_values:
-            raw = file_values[key]
-        else:
-            raw = default
+    for key, spec in schema.items():
+        default = AUTO if isinstance(spec.default, dict) else spec.default
+        raw = overrides.get(key)
+        if raw is None:
+            raw = file_values.get(key, default)
         if raw is None:
             raise ConfigError(f"missing required key {key!r}")
         if raw == AUTO and default == AUTO:
             out[key] = AUTO
             continue
         try:
-            out[key] = _PARSERS[kind](raw)
+            value = _PARSERS[spec.kind](raw)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({err})") from err
+        if spec.choices and value not in spec.choices:
+            raise ConfigError(f"unknown {key} {value!r}; use one of "
+                              + ", ".join(spec.choices))
+        if spec.kind == "count" and value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
+        out[key] = value
     return out
+
+
+def fill_auto(schema: dict, config: dict, system: str) -> None:
+    """Once the system is known, each per-system key still at `auto` takes
+    its system's value (the learning rates: its system's and variant's)."""
+    for key, spec in schema.items():
+        if config[key] == AUTO and isinstance(spec.default, dict):
+            by = spec.default
+            config[key] = by[system] if system in by else by[system, config["variant"]]
 
 
 def config_text(config: dict) -> str:
@@ -227,39 +268,36 @@ def resolve_path(path: str) -> str:
 # generate --------------------------------------------------------------------
 
 GENERATE_SCHEMA_COMMON = {
-    "system": ("str", None),
-    "out": ("str", None),
-    "d": ("int", AUTO),
-    "domain_length": ("float", AUTO),
-    "seed": ("int", "0"),
+    "system": Key("str", choices=("vbe", "kse"), flag=True),
+    "out": Key("str", flag=True),
+    "d": Key("int", {"vbe": 512, "kse": 64}),
+    "domain_length": Key("float", {"vbe": 1.0, "kse": 22.0}),
+    "seed": Key("int", "0", flag=True),
 }
 
 GENERATE_SCHEMA_VBE = {
-    "train_ics": ("int", "1000"),
-    "test_ics": ("int", "100"),
-    "horizon": ("float", "5.0"),
-    "tau": ("float", "0.05"),
-    "solver_step": ("float", "1e-3"),
-    "viscosity": ("float", "8e-4"),
-    "peak_wavenumber": ("float", "10.0"),
-    "ic_amplitude": ("float", AUTO),
+    "train_ics": Key("count", "1000", flag=True),
+    "test_ics": Key("int", "100", flag=True),
+    "horizon": Key("float", "5.0", flag=True),
+    "tau": Key("float", "0.05"),
+    "solver_step": Key("float", "1e-3"),
+    "viscosity": Key("float", "8e-4"),
+    "peak_wavenumber": Key("float", "10.0"),
+    "ic_amplitude": Key("float", AUTO),  # auto: the generator's amplitude rule
 }
 
 GENERATE_SCHEMA_KSE = {
-    "horizon": ("float", "2000.0"),
-    "tau": ("float", "0.25"),
-    "solver_step": ("float", "0.05"),
-    "transient": ("float", "500.0"),
-    "train_fraction": ("float", "0.8"),
+    "horizon": Key("float", "2000.0", flag=True),
+    "tau": Key("float", "0.25"),
+    "solver_step": Key("float", "0.05"),
+    "transient": Key("float", "500.0"),
+    "train_fraction": Key("float", "0.8"),
 }
 
 
 def cmd_generate(config: dict) -> int:
     system = config["system"]
-    if config["d"] == AUTO:
-        config["d"] = 512 if system == "vbe" else 64
-    if config["domain_length"] == AUTO:
-        config["domain_length"] = 1.0 if system == "vbe" else 22.0
+    fill_auto(GENERATE_SCHEMA_COMMON, config, system)
     out = resolve_path(config["out"])
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     if system == "vbe":
@@ -293,52 +331,30 @@ def cmd_generate(config: dict) -> int:
 # train -----------------------------------------------------------------------
 
 TRAIN_SCHEMA = {
-    "dataset": ("str", None),
-    "out": ("str", None),
-    "variant": ("str", None),
-    "epochs": ("int", "1000"),
-    "batch_size": ("int", "256"),
-    "rollout_steps": ("int", "5"),
-    "seed": ("int", "0"),
-    "hidden": ("str", "200,200,200"),
-    "activation": ("str", AUTO),
-    "weight_init_variance": ("float", "1e-2"),
-    "stencil_width": ("int", AUTO),
-    "stencil_symmetric": ("bool", AUTO),
-    "stencil_init_kind": ("str", AUTO),
-    "stencil_init_scale": ("float", AUTO),
-    "lr_nonlinear": ("floats", AUTO),
-    "lr_linear": ("floats", AUTO),
-    "checkpoint_every": ("int", "0"),
-    "resume": ("str", ""),
+    "dataset": Key("str", flag=True),
+    "variant": Key("str", choices=tuple(node.VARIANT_TAGS), flag=True),
+    "out": Key("str", flag=True),
+    "epochs": Key("count", "1000", flag=True),
+    "batch_size": Key("count", "256"),
+    "rollout_steps": Key("count", "5"),
+    "seed": Key("int", "0", flag=True),
+    "hidden": Key("str", "200,200,200"),
+    "activation": Key("str", {"vbe": "relu", "kse": "sigmoid"},
+                      tuple(dc.ACTIVATION_TAGS)),
+    "weight_init_variance": Key("float", "1e-2"),
+    "stencil_width": Key("int", {"vbe": 3, "kse": 5}),
+    "stencil_symmetric": Key("bool", {"vbe": True, "kse": False}),
+    "stencil_init_kind": Key("str", {"vbe": "normal", "kse": "uniform"},
+                             ("normal", "uniform")),
+    # Burgers linear-branch init variance capped at 1.0 by default
+    "stencil_init_scale": Key("float", {"vbe": 1.0, "kse": float(np.sqrt(1.0 / 3.0))}),
+    "lr_nonlinear": Key("floats", {sv: nonlinear for sv, (nonlinear, _)
+                                   in node.LEARNING_RATES.items()}),
+    "lr_linear": Key("floats", {sv: linear for sv, (_, linear)
+                                in node.LEARNING_RATES.items()}),
+    "checkpoint_every": Key("int", "0"),
+    "resume": Key("str", "", flag=True),
 }
-
-
-def _resolve_train_defaults(config: dict, system: str) -> None:
-    if config["activation"] == AUTO:
-        config["activation"] = "relu" if system == "vbe" else "sigmoid"
-    if config["stencil_width"] == AUTO:
-        config["stencil_width"] = 3 if system == "vbe" else 5
-    if config["stencil_symmetric"] == AUTO:
-        config["stencil_symmetric"] = system == "vbe"
-    if config["stencil_init_kind"] == AUTO:
-        config["stencil_init_kind"] = "normal" if system == "vbe" else "uniform"
-    if config["stencil_init_scale"] == AUTO:
-        # Burgers linear-branch init variance capped at 1.0 by default
-        config["stencil_init_scale"] = (1.0 if system == "vbe"
-                                        else float(np.sqrt(1.0 / 3.0)))
-    maker = node.vbe_train_config if system == "vbe" else node.kse_train_config
-    defaults = maker(config["epochs"], config["variant"])
-    if config["lr_nonlinear"] == AUTO:
-        config["lr_nonlinear"] = defaults.lr_nonlinear
-    if config["lr_linear"] == AUTO:
-        config["lr_linear"] = defaults.lr_linear
-
-
-def _require_positive(config: dict, *keys) -> None:
-    for key in keys:
-        if config[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {config[key]}")
 
 
 def _require_stable_substeps(model, tau: float, rollout_steps: int) -> None:
@@ -352,24 +368,16 @@ def _require_stable_substeps(model, tau: float, rollout_steps: int) -> None:
 
 
 def cmd_train(config: dict) -> int:
-    _require_positive(config, "epochs", "batch_size", "rollout_steps")
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
     system = ds.system
-    _resolve_train_defaults(config, system)
+    fill_auto(TRAIN_SCHEMA, config, system)
     train_ds = ds.split()[0]
-
-    out_dir = resolve_path(config["out"])
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt_path = os.path.join(out_dir, "model.snck")
-    opt_path = f"{ckpt_path}.opt"
 
     hidden = list(_parse_ints(config["hidden"]))
     sizes = [ds.d] + hidden + [ds.d]
     acts = [config["activation"]] * len(hidden) + ["linear"]
     kind, scale = config["stencil_init_kind"], config["stencil_init_scale"]
-    if kind not in ("normal", "uniform"):
-        raise ConfigError(f"unknown stencil_init_kind {kind!r}; use normal or uniform")
     st_init = (kind, 0.0, scale) if kind == "normal" else (kind, -scale, scale)
 
     start_epoch = 0
@@ -380,10 +388,17 @@ def cmd_train(config: dict) -> int:
         adam = node.load_opt_state(f"{resume_path}.opt", model)
         start_epoch = sp.read_sidecar(f"{resume_path}.txt",
                                       required=("epochs_completed",))["epochs_completed"]
-        # before loss.log is opened or any file is rewritten
+        # before the output directory is made or any file is rewritten
         if model.width != ds.d:
             raise ConfigError(f"checkpoint width {model.width} does not match the "
                               f"dataset width {ds.d}")
+        if (model.variant, model.mlp.layer_sizes, model.mlp.activations) != (
+                config["variant"], sizes, acts):
+            raise ConfigError(
+                f"variant={config['variant']}, hidden={config['hidden']} and "
+                f"activation={config['activation']} contradict the checkpoint, a "
+                f"{model.variant} model with layers {model.mlp.layer_sizes} and "
+                f"activations {model.mlp.activations}")
         if start_epoch > config["epochs"]:
             raise ConfigError(f"checkpoint has {start_epoch} epochs completed, past "
                               f"epochs={config['epochs']}")
@@ -398,13 +413,17 @@ def cmd_train(config: dict) -> int:
 
     _require_stable_substeps(model, train_ds.tau, config["rollout_steps"])
     train_cfg = node.TrainConfig(
-        config["epochs"], tuple(config["lr_nonlinear"]),
-        tuple(config["lr_linear"]), batch_size=config["batch_size"],
-        rollout_steps=config["rollout_steps"], seed=config["seed"])
+        config["epochs"], config["lr_nonlinear"], config["lr_linear"],
+        batch_size=config["batch_size"], rollout_steps=config["rollout_steps"],
+        seed=config["seed"])
     if start_epoch == config["epochs"]:
         print(f"nothing to train: {resume_path} has all {start_epoch} epochs completed")
         return 0
 
+    out_dir = resolve_path(config["out"])
+    os.makedirs(out_dir, exist_ok=True)
+    ckpt_path = os.path.join(out_dir, "model.snck")
+    opt_path = f"{ckpt_path}.opt"
     meta = {"system": system, "domain_length": ds.domain_length,
             "viscosity": ds.viscosity, "variant": config["variant"],
             "dataset_sha256": sha256_file(dataset_path)}
@@ -454,20 +473,20 @@ def cmd_train(config: dict) -> int:
 # evaluate ----------------------------------------------------------------------
 
 EVALUATE_SCHEMA = {
-    "dataset": ("str", None),
-    "checkpoint": ("str", None),
-    "out": ("str", None),
-    "metric": ("str", "error"),
-    "n_ics": ("int", "20"),
-    "horizon": ("float", AUTO),
-    "times": ("floats", "1,2,3,4,5"),
-    "noise": ("str", "none"),
-    "rollout_steps": ("int", "5"),
-    "seed": ("int", "0"),
-    "pdf_time": ("float", "2000.0"),
-    "pdf_bins": ("int", "100"),
-    "lyapunov_time": ("float", "22.0"),
-    "lyapunov_total_time": ("float", "2000.0"),
+    "dataset": Key("str", flag=True),
+    "checkpoint": Key("str", flag=True),
+    "out": Key("str", flag=True),
+    "metric": Key("str", "error", ("error", "spectrum", "pdf", "lyapunov"), flag=True),
+    "n_ics": Key("count", "20"),
+    "horizon": Key("float", {"vbe": 5.0, "kse": 90.0}),
+    "noise": Key("str", "none", flag=True),
+    "times": Key("floats", "1,2,3,4,5", flag=True),
+    "rollout_steps": Key("count", "5"),
+    "seed": Key("int", "0", flag=True),
+    "pdf_time": Key("float", "2000.0"),
+    "pdf_bins": Key("int", "100"),
+    "lyapunov_time": Key("float", "22.0"),
+    "lyapunov_total_time": Key("float", "2000.0"),
 }
 
 
@@ -483,15 +502,12 @@ def _parse_noise(spec: str):
 
 
 def cmd_evaluate(config: dict) -> int:
-    _require_positive(config, "rollout_steps", "n_ics")
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
     model = node.load_model(resolve_path(config["checkpoint"]))
-    out_dir = resolve_path(config["out"])
-    os.makedirs(out_dir, exist_ok=True)
+    fill_auto(EVALUATE_SCHEMA, config, ds.system)
     noise = _parse_noise(config["noise"])
-    if config["horizon"] == AUTO:
-        config["horizon"] = 5.0 if ds.system == "vbe" else 90.0
+    out_dir = resolve_path(config["out"])  # made once the metric is computed
 
     test_ds = ds.split()[1]
     meta = {"dataset": os.path.basename(dataset_path),
@@ -505,6 +521,7 @@ def cmd_evaluate(config: dict) -> int:
             solver_step=ds.solver_step, viscosity=ds.viscosity,
             total_time=config["lyapunov_total_time"], seed=config["seed"])
         tau_l = "" if est.lyapunov_time is None else fmt(est.lyapunov_time)
+        os.makedirs(out_dir, exist_ok=True)
         write_table(os.path.join(out_dir, "lyapunov.csv"), "leading Lyapunov exponent",
                     meta, ["exponent", "lyapunov_time", "segments"],
                     [[fmt(est.exponent), tau_l, str(est.n_segments)]])
@@ -542,13 +559,11 @@ def _evaluate_rollouts(config: dict, test_ds, model, noise, out_dir: str,
     if metric in ("error", "spectrum"):
         true_set = test_ds.true_trajectories(ics, sp.save_count(horizon, tau) + 1)
         times, model_set = node.rollout(model, ics, horizon, tau, config["rollout_steps"])
-    elif metric == "pdf":
-        # one long rollout from the first initial condition
+    else:  # pdf: one long rollout from the first initial condition
         times, model_set = node.rollout(model, ics[:1], config["pdf_time"], tau,
                                         config["rollout_steps"])
-    else:
-        raise ConfigError(f"unknown metric {metric!r}")
     bad = ~np.all(np.isfinite(model_set), axis=-1)  # (initial condition, snapshot)
+    os.makedirs(out_dir, exist_ok=True)
 
     if metric == "error":
         if test_ds.system == "vbe":
@@ -604,20 +619,20 @@ def _evaluate_rollouts(config: dict, test_ds, model, noise, out_dir: str,
 # rom ---------------------------------------------------------------------------
 
 ROM_SCHEMA = {
-    "dataset": ("str", None),
-    "out": ("str", None),
-    "rhs": ("str", "true"),
-    "mode": ("str", "nlg"),
-    "sort": ("str", "eigenvalue"),
-    "dp": ("dps", None),
-    "total_time": ("float", "2000.0"),
-    "save_interval": ("float", "0.25"),
-    "dt": ("float", "0.01"),
-    "slaving_iterations": ("int", "1"),
-    "ic_index": ("int", "0"),
-    "pdf_bins": ("int", "100"),
-    "reference": ("str", "dataset"),
-    "seed": ("int", "0"),
+    "dataset": Key("str", flag=True),
+    "rhs": Key("str", "true", flag=True),
+    "mode": Key("str", "nlg", rom_mod.MODES, flag=True),
+    "sort": Key("str", "eigenvalue", tuple(rom_mod.ORDERING_TAGS), flag=True),
+    "dp": Key("dps", flag=True),
+    "out": Key("str", flag=True),
+    "total_time": Key("float", "2000.0"),
+    "save_interval": Key("float", "0.25"),
+    "dt": Key("float", "0.01"),
+    "slaving_iterations": Key("int", "1"),
+    "ic_index": Key("int", "0"),
+    "pdf_bins": Key("int", "100"),
+    "reference": Key("str", "dataset", ("dataset", "self")),
+    "seed": Key("int", "0"),
 }
 
 
@@ -637,8 +652,6 @@ def cmd_rom(config: dict) -> int:
     basis = rom_mod.fourier_basis(model.linear_symbol())
     if config["sort"] == "variance":
         basis = rom_mod.variance_sort(basis, model, ds.split()[1].snapshots())
-    elif config["sort"] != "eigenvalue":
-        raise ConfigError(f"unknown sort {config['sort']!r}")
     # every d_p, before anything is written or the reference is rolled out
     *_, sub = rom_mod.check_sweep(basis, config["dp"], config["mode"], config["total_time"],
                                   config["save_interval"], config["dt"])
@@ -652,8 +665,7 @@ def cmd_rom(config: dict) -> int:
     if config["reference"] == "dataset":
         reference = mt.joint_pdf(ds.snapshots(), ds.domain_length,
                                  bins=config["pdf_bins"])
-    elif config["reference"] == "self":
-        # full (untruncated) rollout of the same RHS, same integrator settings
+    else:  # self: the full (untruncated) rollout of the same RHS and integrator
         times, traj = node.rollout(model, u0, config["total_time"],
                                    config["save_interval"], sub)
         bad = ~np.all(np.isfinite(traj), axis=1)
@@ -662,8 +674,6 @@ def cmd_rom(config: dict) -> int:
             raise sp.DivergenceError(f"reference=self rollout went non-finite by "
                                      f"t = {t:g}", time=t)
         reference = mt.joint_pdf(traj, ds.domain_length, bins=config["pdf_bins"])
-    else:
-        raise ConfigError(f"unknown reference {config['reference']!r}")
     mt.write_joint_pdf(os.path.join(out_dir, "reference_pdf.snpd"), reference)
     start = time.perf_counter()
     _, sweep = rom_mod.rom_integrate(
@@ -704,8 +714,8 @@ def cmd_rom(config: dict) -> int:
 # stencil report -----------------------------------------------------------------
 
 STENCIL_SCHEMA = {
-    "checkpoint": ("str", None),
-    "out": ("str", ""),
+    "checkpoint": Key("str", flag=True),
+    "out": Key("str", "", flag=True),
 }
 
 
@@ -757,12 +767,6 @@ def cmd_stencil_report(config: dict) -> int:
 
 # entry point ---------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="override any config key")
-
-
 def _collect_overrides(args) -> dict:
     """Every flag given on the command line, then each --set KEY=VALUE."""
     overrides = {key: val for key, val in vars(args).items()
@@ -775,89 +779,59 @@ def _collect_overrides(args) -> dict:
     return overrides
 
 
+def _generate_schema(file_values: dict, overrides: dict) -> dict:
+    system = overrides.get("system") or file_values.get("system")
+    if system not in GENERATE_SCHEMA_COMMON["system"].choices:
+        raise ConfigError("generate needs system=vbe or system=kse")
+    return {**GENERATE_SCHEMA_COMMON,
+            **(GENERATE_SCHEMA_VBE if system == "vbe" else GENERATE_SCHEMA_KSE)}
+
+
+# name: (runner, schema (for generate, the keys of both systems), help, description)
+_COMMANDS = {
+    "generate": (cmd_generate, {**GENERATE_SCHEMA_COMMON, **GENERATE_SCHEMA_VBE,
+                                **GENERATE_SCHEMA_KSE},
+                 "generate ground-truth datasets", None),
+    "train": (cmd_train, TRAIN_SCHEMA, "train an RHS model on a dataset", None),
+    "evaluate": (
+        cmd_evaluate, EVALUATE_SCHEMA, "metrics for a trained model",
+        "error and spectrum compare with the test split's true trajectories: read "
+        "from the dataset for noise-free Burgers starts within its horizon, solved "
+        "again otherwise"),
+    "rom": (
+        cmd_rom, ROM_SCHEMA, "reduced-order model sweep",
+        "integrate every retained dimension d_p of the sweep in lockstep, one batched "
+        "nonlinear evaluation per RK4 stage, with the rhs 'true' or a checkpoint path; "
+        "a row's runtime_s is the shared integration wall time plus its own PDF/KL "
+        "time, and with a checkpoint RHS a row matches a run of its d_p alone only "
+        "to rounding"),
+    "stencil-report": (cmd_stencil_report, STENCIL_SCHEMA,
+                       "learned vs optimal linear-branch taps", None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command; its flags are the schema keys declared with one."""
     parser = argparse.ArgumentParser(
         prog="snode",
         description="stabilized neural ODEs: data, training, evaluation, ROM")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    gen = subs.add_parser("generate", help="generate ground-truth datasets")
-    _add_common(gen)
-    gen.add_argument("--system", choices=["vbe", "kse"])
-    gen.add_argument("--out")
-    gen.add_argument("--train-ics", dest="train_ics")
-    gen.add_argument("--test-ics", dest="test_ics")
-    gen.add_argument("--horizon")
-    gen.add_argument("--seed")
-
-    tr = subs.add_parser("train", help="train an RHS model on a dataset")
-    _add_common(tr)
-    tr.add_argument("--dataset")
-    tr.add_argument("--variant",
-                    choices=["nonlinear", "fixed-linear", "learned-linear"])
-    tr.add_argument("--out")
-    tr.add_argument("--epochs")
-    tr.add_argument("--seed")
-    tr.add_argument("--resume")
-
-    ev = subs.add_parser(
-        "evaluate", help="metrics for a trained model",
-        description="error and spectrum compare with the test split's true "
-        "trajectories: read from the dataset for noise-free Burgers starts within "
-        "its horizon, solved again otherwise")
-    _add_common(ev)
-    ev.add_argument("--dataset")
-    ev.add_argument("--checkpoint")
-    ev.add_argument("--out")
-    ev.add_argument("--metric",
-                    choices=["error", "spectrum", "pdf", "lyapunov"])
-    ev.add_argument("--noise")
-    ev.add_argument("--times")
-    ev.add_argument("--seed")
-
-    rm = subs.add_parser(
-        "rom", help="reduced-order model sweep",
-        description="integrate every retained dimension d_p of the sweep in lockstep, "
-        "one batched nonlinear evaluation per RK4 stage; a row's runtime_s is the "
-        "shared integration wall time plus its own PDF/KL time, and with a "
-        "checkpoint RHS a row matches a run of its d_p alone only to rounding")
-    _add_common(rm)
-    rm.add_argument("--dataset")
-    rm.add_argument("--rhs", help="'true' or a checkpoint path")
-    rm.add_argument("--mode", choices=["galerkin", "nlg", "ppg"])
-    rm.add_argument("--sort", choices=["eigenvalue", "variance"])
-    rm.add_argument("--dp")
-    rm.add_argument("--out")
-
-    st = subs.add_parser("stencil-report",
-                         help="learned vs optimal linear-branch taps")
-    _add_common(st)
-    st.add_argument("--checkpoint")
-    st.add_argument("--out")
+    for name, (_, schema, help_text, description) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, description=description)
+        sub.add_argument("--config", help="flat key=value config file")
+        sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                         help="override any config key")
+        for key, spec in schema.items():
+            if spec.flag:
+                sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                                 metavar="{" + ",".join(spec.choices) + "}"
+                                 if spec.choices else None)
     return parser
-
-
-_COMMANDS = {
-    "generate": (cmd_generate, None),
-    "train": (cmd_train, TRAIN_SCHEMA),
-    "evaluate": (cmd_evaluate, EVALUATE_SCHEMA),
-    "rom": (cmd_rom, ROM_SCHEMA),
-    "stencil-report": (cmd_stencil_report, STENCIL_SCHEMA),
-}
-
-
-def _generate_schema(file_values: dict, overrides: dict) -> dict:
-    system = overrides.get("system") or file_values.get("system")
-    if system not in ("vbe", "kse"):
-        raise ConfigError("generate needs system=vbe or system=kse")
-    schema = dict(GENERATE_SCHEMA_COMMON)
-    schema.update(GENERATE_SCHEMA_VBE if system == "vbe" else GENERATE_SCHEMA_KSE)
-    return schema
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    runner, schema = _COMMANDS[args.command]
+    runner, schema, *_ = _COMMANDS[args.command]
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = _collect_overrides(args)
     if args.command == "generate":

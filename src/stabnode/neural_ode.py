@@ -271,17 +271,15 @@ class TrainConfig:
         return lr_nl, lr_lin
 
 
-def vbe_train_config(epochs: int, variant: str, **kw) -> TrainConfig:
-    """Staged learning rates for the Burgers setup."""
-    lr_nl = (1e-3, 1e-4) if variant == "learned-linear" else (1e-3, 1e-4, 1e-5)
-    lr_lin = (1e0, 1e-1, 1e-2) if variant == "learned-linear" else ()
-    return TrainConfig(epochs, lr_nl, lr_lin, **kw)
-
-
-def kse_train_config(epochs: int, variant: str, **kw) -> TrainConfig:
-    lr_nl = (1e-3, 1e-4)
-    lr_lin = (1e0, 1e-1, 1e-2) if variant == "learned-linear" else ()
-    return TrainConfig(epochs, lr_nl, lr_lin, **kw)
+# staged learning rates (network, linear branch) for each (system, variant)
+LEARNING_RATES = {
+    ("vbe", "nonlinear"): ((1e-3, 1e-4, 1e-5), ()),
+    ("vbe", "fixed-linear"): ((1e-3, 1e-4, 1e-5), ()),
+    ("vbe", "learned-linear"): ((1e-3, 1e-4), (1e0, 1e-1, 1e-2)),
+    ("kse", "nonlinear"): ((1e-3, 1e-4), ()),
+    ("kse", "fixed-linear"): ((1e-3, 1e-4), ()),
+    ("kse", "learned-linear"): ((1e-3, 1e-4), (1e0, 1e-1, 1e-2)),
+}
 
 
 class AdamState:

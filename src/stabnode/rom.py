@@ -30,6 +30,9 @@ from .spectral import (ArtifactError, expect_end, march, read_exact, read_f8, sa
 ORDERING_TAGS = {"eigenvalue": 0, "variance": 1}
 ORDERING_NAMES = {v: k for k, v in ORDERING_TAGS.items()}
 
+# plain, nonlinear and postprocessing Galerkin
+MODES = ("galerkin", "nlg", "ppg")
+
 EIGENBASIS_MAGIC = b"SNEB"
 
 SYMMETRY_TOL = 1e-10
@@ -159,7 +162,7 @@ def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
     save_interval or a save_interval total_time (:func:`spectral.save_count`).
     It integrates nothing, so a caller can run it before any other work.
     """
-    if mode not in ("galerkin", "nlg", "ppg"):
+    if mode not in MODES:
         raise ValueError(f"unknown ROM mode {mode!r}")
     dims = np.asarray(d_p, dtype=int)
     if dims.ndim != 1 or dims.size == 0:

@@ -1,5 +1,6 @@
 """End-to-end command pipeline: configs, manifests, artifacts, exit codes."""
 
+import argparse
 import functools
 import os
 import re
@@ -373,10 +374,18 @@ class TestTrain:
                        "--out", str(tmp_path / "run")) == 0
         assert saved == [2, 4]
 
-    @pytest.mark.parametrize("epochs,code", [(4, 0), (2, 2)],
-                             ids=["at-the-end", "past-the-end"])
+    @pytest.mark.parametrize("epochs,setting,code,message", [
+        (4, [], 0, "nothing to train"), (2, [], 2, "4 epochs completed"),
+        (6, ["--variant", "nonlinear"], 2, "variant=nonlinear"),
+        (6, ["--set", "hidden=8,8"], 2, "hidden=8,8"),
+        (6, ["--set", "activation=sigmoid"], 2, "activation=sigmoid")],
+        ids=["at-the-end", "past-the-end", "other-variant", "other-hidden",
+             "other-activation"])
     def test_resume_at_or_past_the_end_rewrites_nothing(self, tmp_path, vbe_dataset,
-                                                        epochs, code, capsys):
+                                                        epochs, setting, code, message,
+                                                        capsys):
+        # a variant, hidden or activation that contradicts the checkpoint would
+        # train it as another model: rejected before any file is touched
         common = ["--dataset", str(vbe_dataset), "--variant", "learned-linear",
                   "--set", "hidden=8", "--set", "batch_size=8"]
         out = tmp_path / "run"
@@ -386,14 +395,45 @@ class TestTrain:
                                          "manifest-train.cfg")]
         before = [f.read_bytes() for f in files]
         capsys.readouterr()
-        assert run_cli("train", *common, "--out", str(out), "--epochs", str(epochs),
-                       "--resume", str(out / "model.snck")) == code
+        assert run_cli("train", *common, *setting, "--out", str(out),
+                       "--epochs", str(epochs), "--resume", str(out / "model.snck")) == code
         assert [f.read_bytes() for f in files] == before
         captured = capsys.readouterr()
-        if code == 0:
-            assert "nothing to train" in captured.out
-        else:
-            assert "4 epochs completed" in captured.err
+        assert message in (captured.out if code == 0 else captured.err)
+        if setting:
+            assert "contradict the checkpoint" in captured.err
+
+    def test_resume_into_fresh_directory_at_the_end_makes_nothing(self, tmp_path,
+                                                                 vbe_dataset, trained_dir):
+        # the checkpoint has all 30 epochs completed: no epoch to train, no output
+        out = tmp_path / "o"
+        assert run_cli("train", "--dataset", str(vbe_dataset),
+                       "--variant", "learned-linear", "--out", str(out),
+                       "--epochs", "30", "--set", "hidden=24",
+                       "--resume", str(trained_dir / "model.snck")) == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("run,lines", [
+        ("trained_dir", ["activation=relu", "stencil_width=3", "stencil_symmetric=true",
+                         "stencil_init_kind=normal", "stencil_init_scale=0.5",
+                         "lr_nonlinear=0.001,0.0001", "lr_linear=1.0,0.1,0.01"]),
+        ("kse_checkpoint", ["activation=sigmoid", "stencil_width=5",
+                            "stencil_symmetric=false", "stencil_init_kind=uniform",
+                            "stencil_init_scale=0.5773502691896257",
+                            "lr_nonlinear=0.001,0.0001", "lr_linear="])],
+        ids=["vbe-learned-linear", "kse-nonlinear"])
+    def test_auto_keys_resolve_to_the_system_defaults(self, request, run, lines):
+        # the manifest is the resolved config: each auto key takes its system's
+        # value, the learning rates those of the system and variant
+        out = request.getfixturevalue(run)
+        out = out if out.is_dir() else out.parent
+        manifest = (out / "manifest-train.cfg").read_text().splitlines()
+        assert set(lines) <= set(manifest)
+
+    def test_linear_hidden_activation_accepted(self, tmp_path, kse_dataset):
+        assert run_cli("train", "--dataset", str(kse_dataset), "--variant", "nonlinear",
+                       "--out", str(tmp_path / "o"), "--epochs", "1", "--set", "hidden=4",
+                       "--set", "activation=linear") == 0
 
     def test_missing_dataset_io_error(self, tmp_path):
         code = run_cli("train", "--dataset", str(tmp_path / "nope.snod"),
@@ -433,6 +473,7 @@ def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
                    "--set", setting)
     assert code == 2
     assert setting.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -455,21 +496,46 @@ def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
     ["evaluate", "--metric", "spectrum", "--times", "0.3"],
     ["evaluate", "--metric", "spectrum", "--times", "0.5,1.25"],
     ["evaluate", "--metric", "lyapunov", "--set", "lyapunov_total_time=10.5"],
-    ["evaluate", "--metric", "lyapunov", "--set", "lyapunov_total_time=1.0"]],
+    ["evaluate", "--metric", "lyapunov", "--set", "lyapunov_total_time=1.0"],
+    ["rom", "--dp", "7", "--set", "reference=bogus"],
+    ["rom", "--dp", "7", "--set", "sort=bogus"],
+    ["evaluate", "--set", "metric=bogus"],
+    ["evaluate", "--metric", "bogus"],
+    ["generate", "--system", "vbe", "--set", "train_ics=0"],
+    ["generate", "--system", "vbe", "--train-ics", "0"],
+    ["generate", "--system", "bogus"]],
     ids=lambda argv: " ".join(argv))
 def test_bad_setting_config_error(tmp_path, kse_dataset, kse_checkpoint, argv, capsys):
     # d = 32 KSE; the rom cases use the default nlg mode, whose slaved trailing
     # set may not hold the mean mode's zero eigenvalue
-    extra = {"train": ["--epochs", "1", "--set", "hidden=4"],
-             "rom": ["--rhs", "true", "--set", "total_time=1.0"],
-             "evaluate": ["--checkpoint", str(kse_checkpoint),
+    dataset = ["--dataset", str(kse_dataset)]
+    extra = {"generate": [],
+             "train": [*dataset, "--epochs", "1", "--set", "hidden=4"],
+             "rom": [*dataset, "--rhs", "true", "--set", "total_time=1.0"],
+             "evaluate": [*dataset, "--checkpoint", str(kse_checkpoint),
                           "--set", "horizon=1.0"]}[argv[0]]
-    code = run_cli(argv[0], *extra, *argv[1:], "--dataset", str(kse_dataset),
-                   "--out", str(tmp_path / "o"))
+    code = run_cli(argv[0], *extra, *argv[1:], "--out", str(tmp_path / "o"))
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: ")
-    # nothing is written: no loss.log, rom.csv, basis.sneb or evaluate output
-    assert not list((tmp_path / "o").glob("*"))
+    # nothing is written, not even an empty output directory
+    assert not (tmp_path / "o").exists()
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("generate", "--system --out --train-ics --test-ics --horizon --seed"),
+    ("train", "--dataset --variant --out --epochs --seed --resume"),
+    ("evaluate", "--dataset --checkpoint --out --metric --noise --times --seed"),
+    ("rom", "--dataset --rhs --mode --sort --dp --out"),
+    ("stencil-report", "--checkpoint --out")])
+def test_flags_come_from_the_schema(command, flags):
+    # the schema declares which keys have a flag; every subcommand also keeps
+    # --config and --set
+    subs = next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    options = {option for action in subs.choices[command]._actions
+               for option in action.option_strings}
+    assert options == {"-h", "--help", "--config", "--set", *flags.split()}
 
 
 class TestDatasetSidecar:

@@ -208,12 +208,9 @@ class TestTrainConfig:
         assert cfg.lrs_at(8999) == (1e-5, 1e-2)
 
     def test_burgers_schedules(self):
-        cfg = node.vbe_train_config(300, "fixed-linear")
-        assert cfg.lr_nonlinear == (1e-3, 1e-4, 1e-5)
-        assert cfg.lr_linear == ()
-        cfg = node.vbe_train_config(300, "learned-linear")
-        assert cfg.lr_nonlinear == (1e-3, 1e-4)
-        assert cfg.lr_linear == (1e0, 1e-1, 1e-2)
+        assert node.LEARNING_RATES["vbe", "fixed-linear"] == ((1e-3, 1e-4, 1e-5), ())
+        assert node.LEARNING_RATES["vbe", "learned-linear"] == ((1e-3, 1e-4),
+                                                                (1e0, 1e-1, 1e-2))
 
     def test_mixed_stage_counts(self):
         cfg = node.TrainConfig(100, (1e-3, 1e-4), (1e0, 1e-1, 1e-2))
@@ -236,7 +233,8 @@ class TestTraining:
                                  ["relu", "linear"], ("normal", 0.0, 1e-2),
                                  seed=0, stencil_width=3,
                                  stencil_init=("normal", 0.0, 1.0))
-        cfg = node.vbe_train_config(200, "learned-linear", batch_size=64, seed=1)
+        cfg = node.TrainConfig(200, *node.LEARNING_RATES["vbe", "learned-linear"],
+                               batch_size=64, seed=1)
         result = node.train(model, ds, cfg)
         assert len(result.loss_history) == 200
         assert result.loss_history[-1] < 0.5 * result.loss_history[0]
@@ -248,7 +246,8 @@ class TestTraining:
             model = node.build_model("learned-linear", [32, 16, 32],
                                      ["sigmoid", "linear"], ("normal", 0.0, 1e-2),
                                      seed=5, stencil_width=3)
-            cfg = node.vbe_train_config(30, "learned-linear", batch_size=16, seed=2)
+            cfg = node.TrainConfig(30, *node.LEARNING_RATES["vbe", "learned-linear"],
+                                   batch_size=16, seed=2)
             node.train(model, ds, cfg)
             models.append(model)
         a, b = models
@@ -263,7 +262,8 @@ class TestTraining:
                                     ["sigmoid", "linear"], ("normal", 0.0, 1e-2),
                                     seed=5, stencil_width=3)
 
-        cfg = node.vbe_train_config(40, "learned-linear", batch_size=16, seed=3)
+        cfg = node.TrainConfig(40, *node.LEARNING_RATES["vbe", "learned-linear"],
+                               batch_size=16, seed=3)
         straight = fresh()
         node.train(straight, ds, cfg)
 
@@ -415,7 +415,8 @@ class TestPersistence:
         model = node.build_model("learned-linear", [32, 8, 32],
                                  ["sigmoid", "linear"], ("normal", 0.0, 1e-2),
                                  seed=5, stencil_width=3)
-        cfg = node.vbe_train_config(5, "learned-linear", batch_size=8, seed=0)
+        cfg = node.TrainConfig(5, *node.LEARNING_RATES["vbe", "learned-linear"],
+                               batch_size=8, seed=0)
         result = node.train(model, ds, cfg)
         path = tmp_path / "state.snop"
         node.save_opt_state(path, result.adam)
@@ -432,7 +433,8 @@ class TestPersistence:
         model = node.build_model(variant, [32, 8, 6, 32],
                                  ["sigmoid", "sigmoid", "linear"],
                                  ("normal", 0.0, 1e-2), seed=5, stencil_width=3)
-        cfg = node.vbe_train_config(3, variant, batch_size=8, seed=0)
+        cfg = node.TrainConfig(3, *node.LEARNING_RATES["vbe", variant],
+                               batch_size=8, seed=0)
         adam = node.train(model, ds, cfg).adam
         path = tmp_path / "state.snop"
         node.save_opt_state(path, adam)
