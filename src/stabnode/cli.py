@@ -33,14 +33,17 @@ and exits 0; a `checkpoint_every` save of the last epoch is not repeated.
 passed.
 
 Exit codes: 0 success; 2 config error: a value outside its key's kind,
-allowed values or minimum (a count below 1), from any source, rejected
-before any command runs; or any other setting the pipeline rejects (a
+allowed values or minimum (a count, or a `hidden` width, below 1), from any
+source, rejected before any command runs; or any other setting the pipeline
+rejects (a
 ValueError other than an artifact error), e.g. a bad noise spec or band, a
 stencil not narrower than the grid, a `train --resume` checkpoint of another
 width than the dataset, of another variant, hidden sizes or activation than
 the config, or with more epochs completed than `epochs` (before any file is
-written), a `stencil-report` of
-a checkpoint without a learned stencil, a `rom` checkpoint RHS without a
+written), an `evaluate --metric error|spectrum|pdf` or `rom --sort variance`
+dataset with an empty test split (every VBE trajectory or KSE snapshot in
+training; before any output is written), a `stencil-report` of a checkpoint
+without a learned stencil, a `rom` checkpoint RHS without a
 linear branch (before any output is written), an ic_index or d_p
 outside the dataset, an empty d_p list, a d_p that leaves a zero
 eigenvalue to slave (every d_p is checked before any row runs), a time span
@@ -138,9 +141,9 @@ def parse_dp_list(text) -> list:
     return list(_parse_ints(text))
 
 
-# a count is an int of at least 1
-_PARSERS = {"int": int, "count": int, "float": float, "str": str, "bool": _parse_bool,
-            "floats": _parse_floats, "dps": parse_dp_list}
+# a count is an int of at least 1, and counts a comma list of them
+_PARSERS = {"int": int, "count": int, "counts": _parse_ints, "float": float, "str": str,
+            "bool": _parse_bool, "floats": _parse_floats, "dps": parse_dp_list}
 
 AUTO = "auto"
 
@@ -167,9 +170,9 @@ class Key(NamedTuple):
 def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
     """defaults <- config file <- CLI overrides; unknown keys are rejected,
     retired keys in a config file dropped so old manifests still rerun, and
-    every value checked against its key's kind, choices and, for a count, the
-    minimum of 1.  `auto` is accepted only for keys whose default it is or
-    that have per-system defaults."""
+    every value checked against its key's kind, choices and, for a count or
+    each entry of counts, the minimum of 1.  `auto` is accepted only for keys
+    whose default it is or that have per-system defaults."""
     file_values = {k: v for k, v in file_values.items() if k not in RETIRED_KEYS}
     for source, values in (("config file", file_values), ("command line", overrides)):
         for key in values:
@@ -196,6 +199,8 @@ def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
                               + ", ".join(spec.choices))
         if spec.kind == "count" and value < 1:
             raise ConfigError(f"{key} must be at least 1, got {value}")
+        if spec.kind == "counts" and any(v < 1 for v in value):
+            raise ConfigError(f"every {key} entry must be at least 1, got {raw}")
         out[key] = value
     return out
 
@@ -338,7 +343,7 @@ TRAIN_SCHEMA = {
     "batch_size": Key("count", "256"),
     "rollout_steps": Key("count", "5"),
     "seed": Key("int", "0", flag=True),
-    "hidden": Key("str", "200,200,200"),
+    "hidden": Key("counts", "200,200,200"),
     "activation": Key("str", {"vbe": "relu", "kse": "sigmoid"},
                       tuple(dc.ACTIVATION_TAGS)),
     "weight_init_variance": Key("float", "1e-2"),
@@ -374,7 +379,7 @@ def cmd_train(config: dict) -> int:
     fill_auto(TRAIN_SCHEMA, config, system)
     train_ds = ds.split()[0]
 
-    hidden = list(_parse_ints(config["hidden"]))
+    hidden = list(config["hidden"])
     sizes = [ds.d] + hidden + [ds.d]
     acts = [config["activation"]] * len(hidden) + ["linear"]
     kind, scale = config["stencil_init_kind"], config["stencil_init_scale"]
@@ -395,8 +400,8 @@ def cmd_train(config: dict) -> int:
         if (model.variant, model.mlp.layer_sizes, model.mlp.activations) != (
                 config["variant"], sizes, acts):
             raise ConfigError(
-                f"variant={config['variant']}, hidden={config['hidden']} and "
-                f"activation={config['activation']} contradict the checkpoint, a "
+                f"variant={config['variant']}, hidden={','.join(map(str, hidden))} "
+                f"and activation={config['activation']} contradict the checkpoint, a "
                 f"{model.variant} model with layers {model.mlp.layer_sizes} and "
                 f"activations {model.mlp.activations}")
         if start_epoch > config["epochs"]:
@@ -501,6 +506,20 @@ def _parse_noise(spec: str):
     raise ConfigError(f"bad noise spec {spec!r}; use grid:EPS or fourier:EPS:KLO:KHI")
 
 
+# how each system's generator leaves a test split
+_TEST_SPLIT_SETTING = {"vbe": "test_ics of 1 or more", "kse": "train_fraction below 1"}
+
+
+def _test_split(ds, path) -> sp.SnapshotDataset:
+    """The dataset's test split; ConfigError when it is empty, as scoring on
+    the training data in its place would pass silently."""
+    test_ds = ds.split()[1]
+    if test_ds.values.size == 0:
+        raise ConfigError(f"{path} has no test split to score on; generate it with "
+                          f"{_TEST_SPLIT_SETTING[ds.system]}")
+    return test_ds
+
+
 def cmd_evaluate(config: dict) -> int:
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
@@ -509,7 +528,6 @@ def cmd_evaluate(config: dict) -> int:
     noise = _parse_noise(config["noise"])
     out_dir = resolve_path(config["out"])  # made once the metric is computed
 
-    test_ds = ds.split()[1]
     meta = {"dataset": os.path.basename(dataset_path),
             "checkpoint": os.path.basename(config["checkpoint"]),
             "noise": config["noise"], "seed": config["seed"],
@@ -528,7 +546,8 @@ def cmd_evaluate(config: dict) -> int:
         print(f"lyapunov exponent {est.exponent:.4f} -> tau_L "
               f"{est.lyapunov_time}")
     else:
-        code = _evaluate_rollouts(config, test_ds, model, noise, out_dir, meta)
+        code = _evaluate_rollouts(config, _test_split(ds, dataset_path), model, noise,
+                                  out_dir, meta)
     write_manifest(os.path.join(out_dir, "manifest-evaluate.cfg"), "evaluate",
                    config, {"dataset": sha256_file(dataset_path)})
     return code
@@ -651,7 +670,8 @@ def cmd_rom(config: dict) -> int:
 
     basis = rom_mod.fourier_basis(model.linear_symbol())
     if config["sort"] == "variance":
-        basis = rom_mod.variance_sort(basis, model, ds.split()[1].snapshots())
+        basis = rom_mod.variance_sort(basis, model,
+                                      _test_split(ds, dataset_path).snapshots())
     # every d_p, before anything is written or the reference is rolled out
     *_, sub = rom_mod.check_sweep(basis, config["dp"], config["mode"], config["total_time"],
                                   config["save_interval"], config["dt"])

@@ -6,9 +6,14 @@ parameters, and circular-convolution stencils, held as their Fourier symbol
 cross-spectrum (:meth:`ConvStencil.symbol_vjp`).  Forward passes accept a
 single state of length d or a batch shaped (n, d); parameter gradients are
 accumulated (summed) over the batch, so callers fold any averaging into the
-cotangent.  No computation
-graph: a forward call returns the layer activations, which its matching
-backward call takes.
+cotangent.
+
+No computation graph: a forward call returns the layer activations, which
+its matching backward call takes, and the backward pass never reads the
+output layer's, so a forward run only to feed it can stop after the last
+hidden layer.  Each pass writes into an :class:`MlpBuffers` when given one,
+and then allocates nothing; without one it runs the same operations into
+fresh arrays, with the same bits.
 """
 
 from __future__ import annotations
@@ -123,62 +128,115 @@ class ConvStencil:
         return [grad + grad[::-1] if self.symmetric else grad]
 
 
-def _activate(name, z):
+class MlpBuffers:
+    """The arrays :func:`mlp_forward` and :func:`mlp_backward` write, for
+    batches of ``rows`` states through a network of ``layer_sizes``.
+
+    ``acts[i]`` receives layer i's output and ``cot[i]`` the cotangent at its
+    input; ``scratch[i]`` and ``mask[i]`` are hidden layer i's activation
+    temporaries; ``grads`` holds the weight then the bias gradients.  Passes
+    that share these arrays allocate nothing, and each pass overwrites what
+    the previous one left.
+    """
+
+    def __init__(self, layer_sizes, rows: int):
+        pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+        self.acts = [np.empty((rows, n_out)) for _, n_out in pairs]
+        self.cot = [np.empty((rows, n_in)) for n_in, _ in pairs]
+        self.scratch = [np.empty((rows, n_out)) for _, n_out in pairs[:-1]]
+        self.mask = [np.empty((rows, n_out), dtype=bool) for _, n_out in pairs[:-1]]
+        self.grads = ([np.empty(pair) for pair in pairs]
+                      + [np.empty(n_out) for _, n_out in pairs])
+
+
+def _temps(buffers: MlpBuffers | None, i: int) -> tuple:
+    """Hidden layer i's (scratch, mask) from ``buffers``; none for the final
+    layer, which is linear, or without buffers."""
+    if buffers is None or i >= len(buffers.scratch):
+        return ()
+    return buffers.scratch[i], buffers.mask[i]
+
+
+def _activate(name, z, scratch=None, mask=None):
+    """The activation applied to ``z`` in place; sigmoid writes its temporaries
+    into ``scratch`` and ``mask``, fresh arrays when they are None."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
         # exp of -|z| cannot overflow: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+        mask = np.greater_equal(z, 0.0, out=mask)
+        e = np.abs(z, out=scratch)
+        np.exp(np.negative(e, out=e), out=e)
+        np.copyto(z, e)
+        np.copyto(z, 1.0, where=mask)
+        return np.divide(z, np.add(1.0, e, out=e), out=z)
     return z
 
 
-def _activation_grad(name, out):
-    # derivative of relu or sigmoid expressed through the layer output; relu'(0) := 0
+def _scale_by_activation_grad(name, g, out, scratch=None, mask=None):
+    """g times the derivative of relu or sigmoid, expressed through the layer
+    output ``out``, in place into ``g``; relu'(0) := 0."""
     if name == "relu":
-        return (out > 0.0).astype(np.float64)
-    return out * (1.0 - out)
+        return np.multiply(g, np.greater(out, 0.0, out=mask), out=g)
+    slope = np.subtract(1.0, out, out=scratch)
+    return np.multiply(g, np.multiply(out, slope, out=slope), out=g)
 
 
-def mlp_forward(params: MlpParams, u: np.ndarray):
-    """Evaluate the network; returns (output, activations) where activations
-    lists the input and every layer output, as (n, width) arrays."""
+def mlp_forward(params: MlpParams, u: np.ndarray, layers: int | None = None,
+                buffers: MlpBuffers | None = None):
+    """Evaluate the network, or its first ``layers`` layers; returns (output,
+    activations) where activations lists the input and every computed layer
+    output, as (n, width) arrays, and output is the last of them.  Layer
+    outputs go into ``buffers`` when given, fresh arrays otherwise."""
     u = np.asarray(u, dtype=np.float64)
     squeeze = u.ndim == 1
     a = u[None, :] if squeeze else u
     if a.shape[-1] != params.layer_sizes[0]:
         raise ValueError(f"input width {a.shape[-1]} does not match first layer "
                          f"size {params.layer_sizes[0]}")
+    n = params.n_layers if layers is None else layers
     acts = [a]
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        a = _activate(act, a @ w + b)
+    for i in range(n):
+        z = np.matmul(a, params.weights[i],
+                      out=None if buffers is None else buffers.acts[i])
+        np.add(z, params.biases[i], out=z)
+        a = _activate(params.activations[i], z, *_temps(buffers, i))
         acts.append(a)
     out = acts[-1][0] if squeeze else acts[-1]
     return out, acts
 
 
-def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray):
-    """Exact VJP at the activations :func:`mlp_forward` returned: returns
+def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray,
+                 buffers: MlpBuffers | None = None):
+    """Exact VJP at the activations :func:`mlp_forward` returned, with or
+    without the output layer's (the backward pass never reads it): returns
     (grads, input cotangent); grads lists the weight gradients, then the bias
-    gradients, each summed over the batch."""
-    if [a.shape[-1] for a in acts] != list(params.layer_sizes):
+    gradients, each summed over the batch.  Gradients and cotangents go into
+    ``buffers`` when given, fresh arrays otherwise; ``cotangent`` is only
+    read."""
+    n_layers = params.n_layers
+    if (len(acts) not in (n_layers, n_layers + 1)
+            or [a.shape[-1] for a in acts] != list(params.layer_sizes[:len(acts)])):
         raise ValueError("activations do not come from a network of these layer sizes")
     g = np.asarray(cotangent, dtype=np.float64)
     squeeze = g.ndim == 1
     if squeeze:
         g = g[None, :]
-    if g.shape != acts[-1].shape:
+    if g.shape != (acts[0].shape[0], params.layer_sizes[-1]):
         raise ValueError("cotangent shape does not match forward output")
-    grad_w = [None] * params.n_layers
-    grad_b = [None] * params.n_layers
-    for i in range(params.n_layers - 1, -1, -1):
+    grads = [None] * (2 * n_layers) if buffers is None else list(buffers.grads)
+    for i in range(n_layers - 1, -1, -1):
         act = params.activations[i]
-        # a linear layer passes the cotangent through: g * 1.0 has g's bits
-        gz = g if act == "linear" else g * _activation_grad(act, acts[i + 1])
-        grad_w[i] = acts[i].T @ gz
-        grad_b[i] = gz.sum(axis=0)
-        g = gz @ params.weights[i].T
-    return grad_w + grad_b, (g[0] if squeeze else g)
+        # the final layer is linear and passes the caller's cotangent through
+        # unchanged; a hidden layer's g is the previous iteration's product
+        gz = g
+        if act != "linear":
+            gz = _scale_by_activation_grad(act, g, acts[i + 1], *_temps(buffers, i))
+        grads[i] = np.matmul(acts[i].T, gz, out=grads[i])
+        grads[n_layers + i] = np.sum(gz, axis=0, out=grads[n_layers + i])
+        g = np.matmul(gz, params.weights[i].T,
+                      out=None if buffers is None else buffers.cot[i])
+    return grads, (g[0] if squeeze else g)
 
 
 def _draw(rng, dist, shape):

@@ -9,6 +9,15 @@ propagation through every RK4 stage.  Training minimizes the
 elementwise-mean L1 mismatch of one-interval predictions with an
 adaptive-moment optimizer over the model's parameter list, whose two groups,
 the network's and the linear branch's, follow staged learning rates.
+
+The adjoint tapes only the RK4 stage inputs and recomputes the network's
+hidden layers at each stage.  Every array it writes lives in an
+:class:`AdjointWorkspace`, which :func:`train` builds once per run, so an
+epoch's gradient allocates no array of the batch's size.  Each operation
+keeps the operands and order of the plain array expression it replaces, so
+results keep their bits with or without a workspace.  Integration and the
+ROM run the same RK4 code without recording, each operation into a fresh
+array.
 """
 
 from __future__ import annotations
@@ -91,17 +100,32 @@ class RhsModel:
             params += self.linear.params()
         return params
 
-    def eval(self, u: np.ndarray) -> np.ndarray:
-        return self.rhs()[0](u)
+    def eval(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self.rhs()[0](u, out)
 
-    def rhs(self):
-        """(f, symbol): du/dt = f(u) with the linear branch's symbol (None for
-        the bare network) computed once, as the taps change only in the
-        optimizer step; one integration or gradient calls this once."""
+    def rhs(self, workspace: AdjointWorkspace | None = None):
+        """(f, symbol): du/dt = f(u, out), written into ``out`` when it is
+        given, with the linear branch's symbol (None for the bare network)
+        computed once, as the taps change only in the optimizer step; one
+        integration or gradient calls this once.  The network's layers and the
+        spectrum go into ``workspace`` when given, fresh arrays otherwise."""
+        buffers = None if workspace is None else workspace.mlp
+        spectrum = None if workspace is None else workspace.spectra[0]
         if self.linear is None:
-            return (lambda u: dc.mlp_forward(self.mlp, u)[0]), None
+            def f(u, out=None):
+                net, _ = dc.mlp_forward(self.mlp, u, buffers=buffers)
+                if out is None:
+                    return net
+                np.copyto(out, net)
+                return out
+            return f, None
         symbol = self.linear_symbol()
-        return (lambda u: apply_symbol(symbol, u) + self.nonlinear(u)), symbol
+
+        def f(u, out=None):
+            net, _ = dc.mlp_forward(self.mlp, u, buffers=buffers)
+            linear = apply_symbol(symbol, u, out=out, spectrum=spectrum)
+            return np.add(linear, net, out=linear)
+        return f, symbol
 
     # ROM protocol ---------------------------------------------------------
     def linear_symbol(self) -> np.ndarray:
@@ -118,57 +142,152 @@ class RhsModel:
         return out
 
 
+class Rk4Buffers:
+    """The arrays a recording :func:`_rk4_forward` writes for states of
+    ``shape``: the stage inputs x1..x4 of ``slots`` substeps (``stages[s]``),
+    the slopes k1..k4 (``k``), the final ``state`` and a finiteness mask."""
+
+    def __init__(self, shape: tuple, slots: int):
+        self.stages = np.empty((slots, 4, *shape))
+        self.k = np.empty((4, *shape))
+        self.state = np.empty(shape)
+        self.finite = np.empty(shape, dtype=bool)
+
+
+class AdjointWorkspace:
+    """Every array one :func:`loss_gradient` call writes, for batches of
+    ``rows`` states, ``rollout_steps`` RK4 substeps and a model of ``model``'s
+    shapes.
+
+    It holds the RK4 stage-input tape and slopes (``rk4``, whose ``k`` the
+    backward pass reuses for the stage cotangents gx1..gx4), the network's
+    :class:`~stabnode.diffcore.MlpBuffers`, two spectra, the adjoint state
+    ``w``, the stage cotangent ``cot`` and the parameter gradients.  Calls that
+    share one allocate nothing larger than one spectrum row; each overwrites
+    what the previous one left, including the gradients it returned.
+    """
+
+    def __init__(self, model: RhsModel, rows: int, rollout_steps: int):
+        shape = (rows, model.width)
+        self.rk4 = Rk4Buffers(shape, rollout_steps)
+        self.mlp = dc.MlpBuffers(model.mlp.layer_sizes, rows)
+        self.spectra = np.empty((2, rows, model.width // 2 + 1), dtype=np.complex128)
+        self.w = np.empty(shape)
+        self.cot = np.empty(shape)
+        self.grads = [np.empty_like(p) for p in model.parameters()]
+
+    def fits(self, model: RhsModel, rows: int, rollout_steps: int) -> bool:
+        shapes = [p.shape for p in model.parameters()]
+        return (self.w.shape == (rows, model.width)
+                and self.rk4.stages.shape[0] == rollout_steps
+                and [g.shape for g in self.grads] == shapes)
+
+
 def _rhs_vjp(model: RhsModel, symbol, x: np.ndarray, cotangent: np.ndarray,
-             grads: list) -> np.ndarray:
+             grads: list, workspace: AdjointWorkspace | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Accumulate into ``grads`` (one array per model parameter); return the
-    input cotangent.  ``symbol`` is the linear branch's, from ``model.rhs()``."""
-    _, acts = dc.mlp_forward(model.mlp, x)
-    parts, gin = dc.mlp_backward(model.mlp, acts, cotangent)
+    input cotangent, written into ``out`` when given.  ``symbol`` is the linear
+    branch's, from ``model.rhs()``.  The network is recomputed only up to its
+    last hidden layer, as its backward pass never reads the output layer's
+    activation.  Intermediates go into ``workspace`` when given, fresh arrays
+    otherwise; ``cotangent`` is only read."""
+    buffers = None if workspace is None else workspace.mlp
+    _, acts = dc.mlp_forward(model.mlp, x, model.mlp.n_layers - 1, buffers)
+    parts, gin = dc.mlp_backward(model.mlp, acts, cotangent, buffers)
     if symbol is not None:
         d = model.width
-        g_hat = rfft(cotangent)
+        g_hat, scratch = (None, None) if workspace is None else workspace.spectra
+        g_hat = rfft(cotangent, out=g_hat)
         # a real circulant's adjoint has the conjugate symbol
-        gin = gin + irfft(np.conj(symbol) * g_hat, d)
+        linear = irfft(np.multiply(np.conj(symbol), g_hat, out=scratch), d, out=out)
+        gin = np.add(gin, linear, out=linear)
         if model.linear.params():
-            cross = (np.conj(g_hat) * rfft(x)).reshape(-1, d // 2 + 1).sum(axis=0)
-            parts += model.linear.symbol_vjp(cross, d)
+            x_hat = rfft(x, out=scratch)
+            cross = np.multiply(np.conj(g_hat, out=g_hat), x_hat, out=x_hat)
+            parts = parts + model.linear.symbol_vjp(
+                cross.reshape(-1, d // 2 + 1).sum(axis=0), d)
+    elif out is not None:
+        np.copyto(out, gin)
+        gin = out
     for acc, g in zip(grads, parts):
         acc += g
     return gin
 
 
-def _rk4_forward(rhs, u, h: float, nsteps: int, record: bool):
-    """``nsteps`` classical RK4 steps of du/dt = rhs(u); with ``record`` also
-    the stage inputs of every step, for :func:`_rk4_backward`."""
-    stages = [] if record else None
+def _rk4_forward(rhs, u, h: float, nsteps: int, record: bool = False,
+                 buffers: Rk4Buffers | None = None):
+    """``nsteps`` classical RK4 steps of du/dt = rhs(u), where ``rhs(x, out)``
+    returns the slope at x, written into ``out`` unless it is None.
+
+    With ``record`` every stage writes into ``buffers`` (fresh ones of
+    ``nsteps`` slots when None), whose ``stages`` then hold the stage inputs
+    x1..x4 of every step for :func:`_rk4_backward`; without it each operation
+    allocates its result.  Returns (state, stages), stages None without
+    ``record``; ``u`` is only read.
+    """
+    tape = None
+    if record:
+        tape = Rk4Buffers(np.shape(u), nsteps) if buffers is None else buffers
+        np.copyto(tape.stages[0, 0], u)
+        u = tape.stages[0, 0]
+    fresh = (None,) * 9
     for step in range(nsteps):
+        # the arrays the step's results go into: the tape's, or fresh ones
+        last = step + 1 == nsteps
+        (x2_out, x3_out, x4_out, k1_out, k2_out, k3_out, k4_out, u_out,
+         finite_out) = fresh if tape is None else (
+            *tape.stages[step, 1:], *tape.k,
+            tape.state if last else tape.stages[step + 1, 0], tape.finite)
         x1 = u
+        # each operation keeps the operands and order of x1 + 0.5 * h * k1 and
+        # x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(x1)
-            x2 = x1 + 0.5 * h * k1
-            k2 = rhs(x2)
-            x3 = x1 + 0.5 * h * k2
-            k3 = rhs(x3)
-            x4 = x1 + h * k3
-            k4 = rhs(x4)
-            u = x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(u)):
+            k1 = rhs(x1, k1_out)
+            x2 = np.add(x1, np.multiply(0.5 * h, k1, out=x2_out), out=x2_out)
+            k2 = rhs(x2, k2_out)
+            x3 = np.add(x1, np.multiply(0.5 * h, k2, out=x3_out), out=x3_out)
+            k3 = rhs(x3, k3_out)
+            x4 = np.add(x1, np.multiply(h, k3, out=x4_out), out=x4_out)
+            k4 = rhs(x4, k4_out)
+            total = np.add(k1, np.multiply(2.0, k2, out=k2_out), out=k2_out)
+            total = np.add(total, np.multiply(2.0, k3, out=k3_out), out=k3_out)
+            total = np.add(total, k4, out=k4_out)
+            u = np.add(x1, np.multiply(h / 6.0, total, out=k4_out), out=u_out)
+        if not np.isfinite(u, out=finite_out).all():
             raise DivergenceError(f"integration diverged at substep {step}",
                                   step=step, time=(step + 1) * h)
-        if record:
-            stages.append((x1, x2, x3, x4))
-    return u, stages
+    return u, (None if tape is None else tape.stages[:nsteps])
 
 
 def _rk4_backward(model: RhsModel, symbol, stages, h: float,
-                  cotangent: np.ndarray, grads: list) -> np.ndarray:
-    w = cotangent
+                  workspace: AdjointWorkspace) -> np.ndarray:
+    """Propagate the adjoint state ``workspace.w``, which holds the cotangent of
+    the final state on entry, back through the taped ``stages``, accumulating
+    into ``workspace.grads``; returns w, the cotangent of the initial state.
+    The stage cotangents gx1..gx4 reuse the slope arrays, and each operation
+    keeps the operands and order of (h / 3.0) * w + h * gx4 and
+    w + gx1 + gx2 + gx3 + gx4."""
+    w, cot, grads = workspace.w, workspace.cot, workspace.grads
+    gx1, gx2, gx3, gx4 = workspace.rk4.k
+
+    def vjp(x, out):
+        _rhs_vjp(model, symbol, x, cot, grads, workspace, out)
+
     for x1, x2, x3, x4 in reversed(stages):
-        gx4 = _rhs_vjp(model, symbol, x4, (h / 6.0) * w, grads)
-        gx3 = _rhs_vjp(model, symbol, x3, (h / 3.0) * w + h * gx4, grads)
-        gx2 = _rhs_vjp(model, symbol, x2, (h / 3.0) * w + 0.5 * h * gx3, grads)
-        gx1 = _rhs_vjp(model, symbol, x1, (h / 6.0) * w + 0.5 * h * gx2, grads)
-        w = w + gx1 + gx2 + gx3 + gx4
+        # a stage's cotangent array is scratch until its VJP writes it
+        np.multiply(h / 6.0, w, out=cot)
+        vjp(x4, gx4)
+        np.add(np.multiply(h / 3.0, w, out=cot), np.multiply(h, gx4, out=gx3), out=cot)
+        vjp(x3, gx3)
+        np.add(np.multiply(h / 3.0, w, out=cot), np.multiply(0.5 * h, gx3, out=gx2),
+               out=cot)
+        vjp(x2, gx2)
+        np.add(np.multiply(h / 6.0, w, out=cot), np.multiply(0.5 * h, gx2, out=gx1),
+               out=cot)
+        vjp(x1, gx1)
+        for gx in (gx1, gx2, gx3, gx4):
+            np.add(w, gx, out=w)
     return w
 
 
@@ -180,7 +299,7 @@ def integrate(model, u0: np.ndarray, horizon: float, nsteps: int):
     if nsteps < 1:
         raise ValueError("nsteps must be at least 1")
     out, _ = _rk4_forward(model.rhs()[0], np.asarray(u0, dtype=np.float64),
-                          horizon / nsteps, nsteps, record=False)
+                          horizon / nsteps, nsteps)
     return out
 
 
@@ -202,13 +321,16 @@ def l1_loss(predicted: np.ndarray, target: np.ndarray) -> float:
 
 
 def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
-                  tau: float, rollout_steps: int):
+                  tau: float, rollout_steps: int,
+                  workspace: AdjointWorkspace | None = None):
     """One-interval L1 loss and its discrete-adjoint parameter gradient.
 
     The L1 subgradient at exactly zero residual is taken as zero.  Returns
     (loss, grads), one gradient per ``model.parameters()`` entry in that
     order; gradients are means over the batch and grid, matching the loss
-    normalization.
+    normalization.  Every intermediate goes into ``workspace`` (built here
+    when None), the gradients included, so they hold until the workspace's
+    next call.
     """
     u_start = np.atleast_2d(np.asarray(u_start, dtype=np.float64))
     u_end = np.atleast_2d(np.asarray(u_end, dtype=np.float64))
@@ -216,15 +338,23 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
         raise ValueError("batch shapes do not match")
     if u_start.shape[0] == 0:
         raise ValueError("empty batch")
+    if workspace is None:
+        workspace = AdjointWorkspace(model, u_start.shape[0], rollout_steps)
+    elif not workspace.fits(model, u_start.shape[0], rollout_steps):
+        raise ValueError("workspace was built for another model, batch size or "
+                         "rollout_steps")
     h = tau / rollout_steps
-    rhs, symbol = model.rhs()
-    pred, stages = _rk4_forward(rhs, u_start, h, rollout_steps, record=True)
-    residual = pred - u_end
-    loss = l1_loss(pred, u_end)
-    cotangent = np.sign(residual) / residual.size
-    grads = [np.zeros_like(p) for p in model.parameters()]
-    _rk4_backward(model, symbol, stages, h, cotangent, grads)
-    return loss, grads
+    rhs, symbol = model.rhs(workspace)
+    pred, stages = _rk4_forward(rhs, u_start, h, rollout_steps, record=True,
+                                buffers=workspace.rk4)
+    residual = np.subtract(pred, u_end, out=workspace.w)
+    loss = float(np.mean(np.abs(residual, out=workspace.cot)))
+    # the cotangent sign(residual) / residual.size, in place: the adjoint state
+    np.divide(np.sign(residual, out=residual), residual.size, out=residual)
+    for grad in workspace.grads:
+        grad.fill(0.0)
+    _rk4_backward(model, symbol, stages, h, workspace)
+    return loss, list(workspace.grads)
 
 
 def rollout(model, u0: np.ndarray, total_time: float, save_interval: float,
@@ -338,17 +468,22 @@ def train(model: RhsModel, dataset: SnapshotDataset, config: TrainConfig,
         stop_epoch = config.epochs
     u0_all, u1_all = dataset.pairs()
     n_pairs = u0_all.shape[0]
+    take = min(config.batch_size, n_pairs)
     if adam is None:
         adam = AdamState(model)
+    # every epoch's batch and gradient reuse these arrays
+    batch = np.empty((2, take, model.width))
+    workspace = AdjointWorkspace(model, take, config.rollout_steps)
     history = []
     for epoch in range(start_epoch, stop_epoch):
         rng = np.random.default_rng([config.seed, epoch])
-        take = min(config.batch_size, n_pairs)
         idx = rng.choice(n_pairs, size=take, replace=False)
         lr_nl, lr_lin = config.lrs_at(epoch)
+        np.take(u0_all, idx, axis=0, out=batch[0])
+        np.take(u1_all, idx, axis=0, out=batch[1])
         try:
-            loss, grads = loss_gradient(model, u0_all[idx], u1_all[idx],
-                                        dataset.tau, config.rollout_steps)
+            loss, grads = loss_gradient(model, batch[0], batch[1], dataset.tau,
+                                        config.rollout_steps, workspace)
         except DivergenceError as err:
             raise DivergenceError(f"training diverged at epoch {epoch}: {err}",
                                   err.step, err.time) from err
@@ -381,8 +516,9 @@ class TrueRhs:
     def linear_symbol(self) -> np.ndarray:
         return self._symbol
 
-    def rhs(self):
-        """(eval, symbol), as :meth:`RhsModel.rhs`; the symbol is fixed."""
+    def rhs(self, workspace=None):
+        """(eval, symbol), as :meth:`RhsModel.rhs`; the symbol is fixed and
+        ``workspace`` unused."""
         return self.eval, self._symbol
 
     def nonlinear(self, u: np.ndarray) -> np.ndarray:
@@ -393,8 +529,8 @@ class TrueRhs:
     def linear_apply(self, u: np.ndarray) -> np.ndarray:
         return apply_symbol(self._symbol, u)
 
-    def eval(self, u: np.ndarray) -> np.ndarray:
-        return self.linear_apply(u) + self.nonlinear(u)
+    def eval(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.add(self.linear_apply(u), self.nonlinear(u), out=out)
 
 
 def build_model(variant: str, layer_sizes, activations, weight_init, seed: int,

@@ -225,7 +225,7 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
     def advance(state, nsteps, rows):
         live, p, lift = dims[rows], state[:, :width], state[:, width:]
         for _ in range(nsteps):
-            p = _rk4_forward(lambda ps: galerkin_rhs(basis, live, model, ps, lift),
+            p = _rk4_forward(lambda ps, _: galerkin_rhs(basis, live, model, ps, lift),
                              p, dt, 1, record=False)[0]
             if mode == "nlg":
                 lift = slave(p, live)

@@ -20,13 +20,15 @@ Every real transform in the package goes through one pair, :func:`rfft` and
 gufuncs directly, with a preallocated output and the factor ``np.fft`` itself
 passes (1 forward, 1/n inverse), so each result has ``np.fft``'s bits without
 its per-call Python wrapper; at d = 64 that wrapper costs more than the
-transform.  numpy < 2 has no such module, and there the pair is
-``np.fft.rfft`` / ``np.fft.irfft``.
+transform.  Both take ``out=``, so a caller that transforms the same shapes
+again can reuse its arrays.  numpy < 2 has no such module, and there the pair
+wraps ``np.fft.rfft`` / ``np.fft.irfft``.
 
 Artifacts carry a key=value text sidecar, ``<path>.txt``.  A dataset reads
 ``viscosity`` (8e-4 when absent), ``solver_step`` (1e-3 VBE, 0.05 KSE),
 ``train_trajectories`` (the leading VBE training trajectories, at least 1;
-absent, the ensemble is its own test set) and ``train_fraction`` (KSE
+the rest are the test split, empty when there are no more; absent, the
+ensemble is its own test set) and ``train_fraction`` (KSE
 chronological cut, 0.8); a checkpoint ``system``, ``domain_length``,
 ``viscosity`` (8e-4) and ``epochs_completed``.  A number that does not parse,
 a ``train_trajectories`` below 1, a dataset ``solver_step`` that does not divide
@@ -179,20 +181,32 @@ def wavenumber_indices(d: int) -> np.ndarray:
 
 
 if _pocketfft is not None:
-    def rfft(u: np.ndarray) -> np.ndarray:
+    def rfft(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Unnormalized one-sided transform of real (..., n) ``u``, the bits of
-        ``np.fft.rfft(u)``."""
+        ``np.fft.rfft(u)``, written into ``out`` when given."""
         n = u.shape[-1]
-        out = np.empty(u.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+        if out is None:
+            out = np.empty(u.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
         return (_pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even)(u, 1, out=out)
 
-    def irfft(c: np.ndarray, n: int) -> np.ndarray:
+    def irfft(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """Real (..., n) inverse of one-sided ``c``, scaled by 1/n, the bits of
-        ``np.fft.irfft(c, n)``."""
-        return _pocketfft.irfft(c, 1.0 / n, out=np.empty(c.shape[:-1] + (n,)))
+        ``np.fft.irfft(c, n)``, written into ``out`` when given."""
+        if out is None:
+            out = np.empty(c.shape[:-1] + (n,))
+        return _pocketfft.irfft(c, 1.0 / n, out=out)
 else:
-    rfft = np.fft.rfft
-    irfft = np.fft.irfft
+    def rfft(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return np.fft.rfft(u)
+        out[...] = np.fft.rfft(u)
+        return out
+
+    def irfft(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return np.fft.irfft(c, n)
+        out[...] = np.fft.irfft(c, n)
+        return out
 
 
 def to_spectral(field: Field) -> SpectralField:
@@ -253,9 +267,12 @@ def linear_symbol(system: str, d: int, domain_length: float,
     raise ValueError(f"unknown system {system!r}")
 
 
-def apply_symbol(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The circulant operator with one-sided ``symbol`` applied to (d,) or (n, d)."""
-    return irfft(symbol * rfft(u), u.shape[-1])
+def apply_symbol(symbol: np.ndarray, u: np.ndarray, out: np.ndarray | None = None,
+                 spectrum: np.ndarray | None = None) -> np.ndarray:
+    """The circulant operator with one-sided ``symbol`` applied to (d,) or (n, d),
+    written into ``out`` through the scratch ``spectrum`` when they are given."""
+    spectrum = rfft(u, out=spectrum)
+    return irfft(np.multiply(symbol, spectrum, out=spectrum), u.shape[-1], out=out)
 
 
 def advection_symbols(d: int, domain_length: float):
@@ -456,12 +473,14 @@ class SnapshotDataset:
         return u0, u1
 
     def split(self) -> tuple["SnapshotDataset", "SnapshotDataset"]:
-        """(train, test): a VBE ensemble's leading trajectories and the rest,
-        a KSE trajectory's chronological parts."""
+        """(train, test): a VBE ensemble's leading ``train_trajectories`` and
+        the rest, which is empty when they are all of them (without the key
+        the whole ensemble is both), or a KSE trajectory's chronological
+        parts."""
         if self.system == "kse":
             return self.split_chronological(self.sidecar.get("train_fraction", 0.8))
-        n_train = self.sidecar.get("train_trajectories", self.n_traj)
-        if n_train >= self.n_traj:
+        n_train = self.sidecar.get("train_trajectories")
+        if n_train is None:
             return self, self
         return (replace(self, values=self.values[:n_train]),
                 replace(self, values=self.values[n_train:]))

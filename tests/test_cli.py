@@ -463,7 +463,7 @@ class TestTrain:
 @pytest.mark.parametrize("command,setting", [
     ("train", "rollout_steps=0"), ("train", "batch_size=0"), ("train", "epochs=0"),
     ("train", "epochs=-3"), ("evaluate", "rollout_steps=0"),
-    ("evaluate", "n_ics=0")])
+    ("evaluate", "n_ics=0"), ("train", "hidden=0"), ("train", "hidden=16,0")])
 def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
                                            command, setting, capsys):
     argv = {"train": ["train", "--variant", "nonlinear", "--set", "hidden=4"],
@@ -567,14 +567,15 @@ class TestDatasetSidecar:
     @pytest.mark.parametrize("kind", ["vbe", "kse"])
     def test_fallbacks_match_generator_defaults(self, tmp_path, kse_dataset, kind):
         # the sidecar holds the generator's defaults (viscosity 8e-4, solver step
-        # 1e-3 for VBE or 0.05 for KSE, train_fraction 0.8, no VBE test
-        # trajectories), so without it every output must stay the same
+        # 1e-3 for VBE or 0.05 for KSE, train_fraction 0.8), so without them
+        # every output must stay the same; the VBE split is no physics default
+        # (without it the ensemble is its own test set), so that line stays
         with_txt = tmp_path / "with"
         with_txt.mkdir()
         if kind == "vbe":
             assert run_cli("generate", "--system", "vbe", "--out",
                            str(with_txt / "d.snod"), "--train-ics", "3",
-                           "--test-ics", "0", "--set", "d=32",
+                           "--test-ics", "2", "--set", "d=32",
                            "--set", "horizon=0.3") == 0
         else:
             (with_txt / "d.snod").write_bytes(kse_dataset.read_bytes())
@@ -583,6 +584,8 @@ class TestDatasetSidecar:
         bare = tmp_path / "bare"
         bare.mkdir()
         (bare / "d.snod").write_bytes((with_txt / "d.snod").read_bytes())
+        if kind == "vbe":
+            (bare / "d.snod.txt").write_text("train_trajectories=3\n")
         assert (self._outputs(with_txt / "d.snod", kind, with_txt)
                 == self._outputs(bare / "d.snod", kind, bare))
 
@@ -635,6 +638,44 @@ class TestDatasetSidecar:
         err = capsys.readouterr().err
         assert f"{data}.txt" in err and "solver_step" in err
         assert not (tmp_path / "o").exists()
+
+
+class TestEmptyTestSplit:
+    """A dataset whose sidecar puts all of it in training trains, but is not
+    scored: evaluate and rom --sort variance exit 2 and write nothing."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self, tmp_path_factory, kse_dataset):
+        root = tmp_path_factory.mktemp("no-test")
+        vbe = root / "v.snod"
+        assert run_cli("generate", "--system", "vbe", "--out", str(vbe),
+                       "--train-ics", "3", "--test-ics", "0", "--set", "d=32",
+                       "--set", "horizon=0.3") == 0
+        kse = root / "k.snod"
+        kse.write_bytes(kse_dataset.read_bytes())
+        sidecar = open(f"{kse_dataset}.txt").read()
+        assert "train_fraction=0.8" in sidecar
+        (root / "k.snod.txt").write_text(sidecar.replace("train_fraction=0.8",
+                                                         "train_fraction=1.0"))
+        return {"vbe": vbe, "kse": kse}
+
+    @pytest.mark.parametrize("kind", ["vbe", "kse"])
+    def test_train_works_and_scoring_is_refused(self, tmp_path, datasets, kind, capsys):
+        data = str(datasets[kind])
+        run_dir = tmp_path / "t"
+        assert run_cli("train", "--dataset", data, "--variant", "learned-linear",
+                       "--out", str(run_dir), "--epochs", "2", "--set", "hidden=4",
+                       "--set", "batch_size=8") == 0
+        assert (run_dir / "model.snck").exists()
+        capsys.readouterr()
+        for argv in (["evaluate", "--checkpoint", str(run_dir / "model.snck"),
+                      "--set", "n_ics=1", "--set", "horizon=0.5"],
+                     ["rom", "--rhs", "true", "--mode", "galerkin", "--sort", "variance",
+                      "--dp", "8", "--set", "total_time=1.0"]):
+            out = tmp_path / argv[0]
+            assert run_cli(*argv, "--dataset", data, "--out", str(out)) == 2
+            assert "has no test split" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestCheckpointSidecar:

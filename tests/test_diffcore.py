@@ -158,6 +158,47 @@ class TestMlpBackward:
             checked += 1
 
 
+class TestMlpBuffers:
+    """Passes into MlpBuffers keep the bits of passes into fresh arrays, and the
+    backward pass gives the same with or without the output activation."""
+
+    @pytest.mark.parametrize("acts", [("relu", "relu", "linear"),
+                                      ("sigmoid", "sigmoid", "linear"),
+                                      ("linear", "relu", "linear")])
+    def test_buffered_passes_keep_the_bits(self, acts):
+        sizes = [6, 9, 7, 6]
+        p = random_mlp(sizes, list(acts), seed=5)
+        rng = np.random.default_rng(6)
+        buffers = dc.MlpBuffers(sizes, 4)
+        for trial in range(2):  # the second pass overwrites the first's arrays
+            u, cot = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+            out, fresh_acts = dc.mlp_forward(p, u)
+            grads, gin = dc.mlp_backward(p, fresh_acts, cot)
+            cot_before = cot.copy()
+            buf_out, buf_acts = dc.mlp_forward(p, u, buffers=buffers)
+            assert np.array_equal(buf_out, out)
+            assert all(np.array_equal(a, b) for a, b in zip(buf_acts, fresh_acts))
+            hidden_acts = dc.mlp_forward(p, u, p.n_layers - 1, buffers)[1]
+            assert len(hidden_acts) == p.n_layers
+            buf_grads, buf_gin = dc.mlp_backward(p, hidden_acts, cot, buffers)
+            assert np.array_equal(cot, cot_before)
+            assert np.array_equal(buf_gin, gin)
+            assert all(np.array_equal(a, b) for a, b in zip(buf_grads, grads))
+            assert all(g is b for g, b in zip(buf_grads, buffers.grads))
+
+    def test_backward_without_the_output_activation(self):
+        p = random_mlp([5, 8, 5], ["sigmoid", "linear"], seed=2)
+        u, cot = np.linspace(-1.0, 1.0, 5), np.arange(5.0)
+        out, acts = dc.mlp_forward(p, u)
+        assert np.array_equal(dc.mlp_forward(p, u, 1)[0], acts[1][0])
+        full = dc.mlp_backward(p, acts, cot)
+        short = dc.mlp_backward(p, acts[:-1], cot)
+        assert np.array_equal(full[1], short[1])
+        assert all(np.array_equal(a, b) for a, b in zip(full[0], short[0]))
+        with pytest.raises(ValueError, match="layer sizes"):
+            dc.mlp_backward(p, acts[:1], cot)
+
+
 def _near_relu_kink(params, u, tol=1e-4):
     a = u
     for w, b, act in zip(params.weights, params.biases, params.activations):

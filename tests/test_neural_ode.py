@@ -1,5 +1,7 @@
 """RHS variants, RK4 discrete adjoint, and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,156 @@ class TestLossGradient:
 
             fd = (perturbed(+1) - perturbed(-1)) / (2 * step)
             assert abs(analytic - fd) < 1e-5 * max(abs(fd), 1e-3), (variant, trial)
+
+
+def allocating_loss_gradient(model, u_start, u_end, tau, steps):
+    """The one-interval L1 loss and discrete-adjoint gradient with a fresh
+    array for every intermediate and the network run in full on every VJP,
+    the oracle for the bits of the workspace-backed loss_gradient."""
+    mlp, d = model.mlp, model.width
+    symbol = None if model.linear is None else model.linear.symbol(d)
+
+    def forward(u):
+        acts = [u]
+        for w, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
+            z = acts[-1] @ w + b
+            if act == "relu":
+                z = np.maximum(z, 0.0)
+            elif act == "sigmoid":
+                e = np.exp(-np.abs(z))
+                z = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+            acts.append(z)
+        return acts
+
+    def rhs(u):
+        net = forward(u)[-1]
+        return net if symbol is None else np.fft.irfft(symbol * np.fft.rfft(u), n=d) + net
+
+    def vjp(x, cotangent, grads):
+        acts = forward(x)
+        g = cotangent
+        grad_w, grad_b = [None] * mlp.n_layers, [None] * mlp.n_layers
+        for i in range(mlp.n_layers - 1, -1, -1):
+            act, out = mlp.activations[i], acts[i + 1]
+            if act == "relu":
+                g = g * (out > 0.0).astype(np.float64)
+            elif act == "sigmoid":
+                g = g * (out * (1.0 - out))
+            grad_w[i] = acts[i].T @ g
+            grad_b[i] = g.sum(axis=0)
+            g = g @ mlp.weights[i].T
+        parts = grad_w + grad_b
+        if symbol is not None:
+            g_hat = np.fft.rfft(cotangent)
+            g = g + np.fft.irfft(np.conj(symbol) * g_hat, n=d)
+            if model.linear.params():
+                cross = (np.conj(g_hat) * np.fft.rfft(x)).sum(axis=0)
+                parts = parts + model.linear.symbol_vjp(cross, d)
+        for acc, part in zip(grads, parts):
+            acc += part
+        return g
+
+    h = tau / steps
+    u, stages = u_start, []
+    for _ in range(steps):
+        x1 = u
+        k1 = rhs(x1)
+        x2 = x1 + 0.5 * h * k1
+        k2 = rhs(x2)
+        x3 = x1 + 0.5 * h * k2
+        k3 = rhs(x3)
+        x4 = x1 + h * k3
+        k4 = rhs(x4)
+        u = x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stages.append((x1, x2, x3, x4))
+    residual = u - u_end
+    loss = float(np.mean(np.abs(residual)))
+    w = np.sign(residual) / residual.size
+    grads = [np.zeros_like(p) for p in model.parameters()]
+    for x1, x2, x3, x4 in reversed(stages):
+        gx4 = vjp(x4, (h / 6.0) * w, grads)
+        gx3 = vjp(x3, (h / 3.0) * w + h * gx4, grads)
+        gx2 = vjp(x2, (h / 3.0) * w + 0.5 * h * gx3, grads)
+        gx1 = vjp(x1, (h / 6.0) * w + 0.5 * h * gx2, grads)
+        w = w + gx1 + gx2 + gx3 + gx4
+    return loss, grads
+
+
+def deep_model(variant, activation, d=16, seed=21):
+    sizes = [d, 12, 10, d]
+    return node.build_model(variant, sizes, [activation] * 2 + ["linear"],
+                            ("normal", 0.0, 0.09), seed, system="vbe",
+                            stencil_width=3, stencil_init=("uniform", -0.3, 0.3))
+
+
+def smooth_batch(seed, n, d):
+    return np.cumsum(np.random.default_rng(seed).standard_normal((n, d)), axis=1) / d
+
+
+def same_bits(result, expected):
+    (loss, grads), (want_loss, want_grads) = result, expected
+    return (loss == want_loss and len(grads) == len(want_grads)
+            and all(np.array_equal(g, w) for g, w in zip(grads, want_grads)))
+
+
+class TestAdjointWorkspace:
+    """loss_gradient through a reused workspace keeps the bits of a fresh-array
+    adjoint, and its steady state allocates nothing that grows with the tape."""
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("variant", ["nonlinear", "fixed-linear", "learned-linear"])
+    def test_bits_of_the_allocating_adjoint(self, variant, activation):
+        model = deep_model(variant, activation)
+        u0, u1 = smooth_batch(1, 6, 16), smooth_batch(2, 6, 16)
+        expected = allocating_loss_gradient(model, u0, u1, 0.1, 3)
+        assert same_bits(node.loss_gradient(model, u0, u1, 0.1, 3), expected)
+        workspace = node.AdjointWorkspace(model, 6, 3)
+        assert same_bits(node.loss_gradient(model, u0, u1, 0.1, 3, workspace), expected)
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_successive_batches_share_one_workspace(self, activation):
+        model = deep_model("learned-linear", activation)
+        workspace = node.AdjointWorkspace(model, 5, 4)
+        for seed in (3, 5, 3):
+            u0, u1 = smooth_batch(seed, 5, 16), smooth_batch(seed + 1, 5, 16)
+            expected = allocating_loss_gradient(model, u0, u1, 0.2, 4)
+            assert same_bits(node.loss_gradient(model, u0, u1, 0.2, 4, workspace),
+                             expected), seed
+
+    def test_call_after_divergence(self):
+        model = deep_model("learned-linear", "relu")
+        workspace = node.AdjointWorkspace(model, 4, 2)
+        u0, u1 = smooth_batch(7, 4, 16), smooth_batch(8, 4, 16)
+        with pytest.raises(node.DivergenceError):
+            node.loss_gradient(model, 1e308 * (1.0 + u0 * u0), u1, 0.1, 2, workspace)
+        assert same_bits(node.loss_gradient(model, u0, u1, 0.1, 2, workspace),
+                         allocating_loss_gradient(model, u0, u1, 0.1, 2))
+
+    def test_workspace_of_another_shape_rejected(self):
+        model = deep_model("fixed-linear", "relu")
+        u0 = smooth_batch(1, 4, 16)
+        for rows, steps in ((5, 2), (4, 3)):
+            with pytest.raises(ValueError, match="workspace"):
+                node.loss_gradient(model, u0, u0, 0.1, 2,
+                                   node.AdjointWorkspace(model, rows, steps))
+
+    def test_steady_state_peak_does_not_grow_with_the_tape(self):
+        model = deep_model("learned-linear", "sigmoid", d=64)
+        n = 32
+        u0, u1 = smooth_batch(1, n, 64), smooth_batch(2, n, 64)
+        peaks = {}
+        for steps in (2, 8):
+            workspace = node.AdjointWorkspace(model, n, steps)
+            node.loss_gradient(model, u0, u1, 0.1, steps, workspace)
+            tracemalloc.start()
+            try:
+                node.loss_gradient(model, u0, u1, 0.1, steps, workspace)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the fresh-array adjoint grows by about four (n, d) arrays per substep;
+        # the slack, a quarter of one such array, covers interpreter objects
+        assert peaks[8] <= peaks[2] + u0.nbytes // 4, peaks
 
 
 class TestTrainConfig:

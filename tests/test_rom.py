@@ -366,7 +366,7 @@ def solo_rom(basis, d_p, model, u0, total_time, mode, save_interval, dt):
                 if mode == "nlg":
                     lift = vq @ rom.unresolved_correction(basis, [d_p], model, p[None])[0]
                 p, _ = node._rk4_forward(
-                    lambda ps: rom.galerkin_rhs(basis, [d_p], model, ps[None], lift)[0],
+                    lambda ps, _: rom.galerkin_rhs(basis, [d_p], model, ps[None], lift)[0],
                     p, dt, 1, record=False)
         except sp.DivergenceError:
             break
