@@ -53,13 +53,15 @@ save_interval, `evaluate` horizon, pdf_time, `times` and
 lyapunov_total_time), a lyapunov_total_time that keeps no segment after the
 leading tenth is discarded, or a fixed-linear RK4 substep tau/rollout_steps
 that amplifies a damped mode; 3
-numerical divergence: a `rom` row with non-finite KL, a `rom --reference self`
-rollout (before any row runs), or an `evaluate --metric error|spectrum|pdf`
-model trajectory that went non-finite, whose outputs and manifest are still
-written; 4 I/O error, a corrupt (truncated, padded, bad-header, unknown-tag or
-NaN/Inf-payload) binary artifact, a checkpoint whose variant tag contradicts
-its stencil block, a sidecar number that does not parse, a
-dataset sidecar `train_trajectories` below 1 or `solver_step` that does not
+numerical divergence: a `rom` row whose states went non-finite (its KL
+reads nan), a `rom --reference self` rollout (before any row runs), an
+`evaluate --metric error|spectrum|pdf` model trajectory that went non-finite,
+whose outputs and manifest are still written, or a `train` gradient whose
+prediction went non-finite, which saves the last good epoch.  A KL of PDFs
+that share no bin reads inf and is not a divergence; 4 I/O error, a corrupt
+(truncated, padded, bad-header, unknown-tag or NaN/Inf-payload) binary
+artifact, a checkpoint whose variant tag contradicts its stencil block, a
+sidecar number that does not parse, a dataset sidecar `train_trajectories` below 1 or `solver_step` that does not
 divide the dataset's tau, a checkpoint sidecar without `system` or
 `domain_length` where the physics is needed, or a `train --resume` checkpoint
 sidecar without `epochs_completed`.
@@ -700,7 +702,7 @@ def cmd_rom(config: dict) -> int:
         basis, config["dp"], model, u0, config["total_time"], config["mode"],
         config["save_interval"], config["dt"], config["slaving_iterations"])
     shared = time.perf_counter() - start
-    rows = []
+    rows, diverged = [], []
     for d_p, states in zip(config["dp"], sweep):
         start = time.perf_counter()
         kl, overlap = float("nan"), 0.0
@@ -708,6 +710,8 @@ def cmd_rom(config: dict) -> int:
             pdf = mt.joint_pdf(states, ds.domain_length, bins=config["pdf_bins"])
             kl = mt.kl_divergence(pdf, reference)
             overlap = mt.support_overlap(pdf, reference)
+        else:
+            diverged.append(d_p)
         elapsed = shared + time.perf_counter() - start
         rows.append((d_p, config["mode"], kl, overlap, elapsed))
         print(f"d_p={d_p:3d} mode={config['mode']} KL={kl:.5e} "
@@ -723,9 +727,8 @@ def cmd_rom(config: dict) -> int:
                  for d_p, mode, kl, overlap, elapsed in rows])
     write_manifest(os.path.join(out_dir, "manifest-rom.cfg"), "rom", config,
                    {"dataset": sha256_file(dataset_path), "rhs": rhs_hash})
-    diverged = [d_p for d_p, _, kl, _, _ in rows if not np.isfinite(kl)]
     if diverged:
-        print("numerical divergence: non-finite KL for d_p = "
+        print("numerical divergence: non-finite ROM states for d_p = "
               + ",".join(map(str, diverged)), file=sys.stderr)
         return 3
     return 0

@@ -10,7 +10,6 @@ repeated renormalization of a companion trajectory.
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,8 +163,8 @@ def support_overlap(pdf_a: JointPdf2D, pdf_b: JointPdf2D) -> float:
 def kl_divergence(pdf_model: JointPdf2D, pdf_true: JointPdf2D) -> float:
     """D_KL(model || true) over bins where both densities are positive.
 
-    Bins with a zero on either side contribute nothing; fully disjoint
-    supports therefore give 0, which is degenerate and warned about.
+    Bins with a zero on either side contribute nothing.  PDFs that share no
+    such bin, whose statistics miss each other entirely, give +inf.
     """
     if (pdf_model.masses.shape != pdf_true.masses.shape
             or not np.array_equal(pdf_model.x_edges, pdf_true.x_edges)
@@ -173,10 +172,7 @@ def kl_divergence(pdf_model: JointPdf2D, pdf_true: JointPdf2D) -> float:
         raise ValueError("histograms live on different grids")
     both = (pdf_model.masses > 0) & (pdf_true.masses > 0)
     if not np.any(both):
-        if np.any(pdf_model.masses > 0) and np.any(pdf_true.masses > 0):
-            warnings.warn("joint PDFs have disjoint supports; KL divergence "
-                          "degenerates to 0 (overlap fraction 0)")
-        return 0.0
+        return float("inf")
     pm = pdf_model.masses[both]
     pt = pdf_true.masses[both]
     return float(np.sum(pm * np.log(pm / pt)) * pdf_model.bin_area())

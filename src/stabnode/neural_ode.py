@@ -16,8 +16,9 @@ hidden layers at each stage.  Every array it writes lives in an
 epoch's gradient allocates no array of the batch's size.  Each operation
 keeps the operands and order of the plain array expression it replaces, so
 results keep their bits with or without a workspace.  Integration and the
-ROM run the same RK4 code without recording, each operation into a fresh
-array.
+ROM run the same RK4 code without a tape, each operation into a fresh
+array, and return a row that diverged as non-finite values; only the
+gradient raises DivergenceError, as training cannot go on.
 """
 
 from __future__ import annotations
@@ -143,15 +144,14 @@ class RhsModel:
 
 
 class Rk4Buffers:
-    """The arrays a recording :func:`_rk4_forward` writes for states of
-    ``shape``: the stage inputs x1..x4 of ``slots`` substeps (``stages[s]``),
-    the slopes k1..k4 (``k``), the final ``state`` and a finiteness mask."""
+    """The tape :func:`_rk4_forward` writes for states of ``shape``: the stage
+    inputs x1..x4 of ``slots`` substeps (``stages[s]``), the slopes k1..k4
+    (``k``) and the final ``state``."""
 
     def __init__(self, shape: tuple, slots: int):
         self.stages = np.empty((slots, 4, *shape))
         self.k = np.empty((4, *shape))
         self.state = np.empty(shape)
-        self.finite = np.empty(shape, dtype=bool)
 
 
 class AdjointWorkspace:
@@ -184,65 +184,60 @@ class AdjointWorkspace:
 
 
 def _rhs_vjp(model: RhsModel, symbol, x: np.ndarray, cotangent: np.ndarray,
-             grads: list, workspace: AdjointWorkspace | None = None,
-             out: np.ndarray | None = None) -> np.ndarray:
+             grads: list, workspace: AdjointWorkspace, out: np.ndarray) -> np.ndarray:
     """Accumulate into ``grads`` (one array per model parameter); return the
-    input cotangent, written into ``out`` when given.  ``symbol`` is the linear
-    branch's, from ``model.rhs()``.  The network is recomputed only up to its
-    last hidden layer, as its backward pass never reads the output layer's
-    activation.  Intermediates go into ``workspace`` when given, fresh arrays
-    otherwise; ``cotangent`` is only read."""
-    buffers = None if workspace is None else workspace.mlp
-    _, acts = dc.mlp_forward(model.mlp, x, model.mlp.n_layers - 1, buffers)
-    parts, gin = dc.mlp_backward(model.mlp, acts, cotangent, buffers)
-    if symbol is not None:
+    input cotangent, written into ``out``.  ``symbol`` is the linear branch's,
+    from ``model.rhs()``.  The network is recomputed only up to its last hidden
+    layer, as its backward pass never reads the output layer's activation.
+    Intermediates go into ``workspace``; ``cotangent`` is only read."""
+    _, acts = dc.mlp_forward(model.mlp, x, model.mlp.n_layers - 1, workspace.mlp)
+    parts, gin = dc.mlp_backward(model.mlp, acts, cotangent, workspace.mlp)
+    if symbol is None:
+        np.copyto(out, gin)
+    else:
         d = model.width
-        g_hat, scratch = (None, None) if workspace is None else workspace.spectra
-        g_hat = rfft(cotangent, out=g_hat)
+        g_hat, scratch = workspace.spectra
+        rfft(cotangent, out=g_hat)
         # a real circulant's adjoint has the conjugate symbol
         linear = irfft(np.multiply(np.conj(symbol), g_hat, out=scratch), d, out=out)
-        gin = np.add(gin, linear, out=linear)
+        np.add(gin, linear, out=out)
         if model.linear.params():
             x_hat = rfft(x, out=scratch)
             cross = np.multiply(np.conj(g_hat, out=g_hat), x_hat, out=x_hat)
             parts = parts + model.linear.symbol_vjp(
                 cross.reshape(-1, d // 2 + 1).sum(axis=0), d)
-    elif out is not None:
-        np.copyto(out, gin)
-        gin = out
     for acc, g in zip(grads, parts):
         acc += g
-    return gin
+    return out
 
 
-def _rk4_forward(rhs, u, h: float, nsteps: int, record: bool = False,
-                 buffers: Rk4Buffers | None = None):
-    """``nsteps`` classical RK4 steps of du/dt = rhs(u), where ``rhs(x, out)``
-    returns the slope at x, written into ``out`` unless it is None.
+def _rk4_forward(rhs, u, h: float, nsteps: int, tape: Rk4Buffers | None = None):
+    """The state after ``nsteps`` classical RK4 steps of du/dt = rhs(u), where
+    ``rhs(x, out)`` returns the slope at x, written into ``out`` unless it is
+    None; ``u`` is only read.
 
-    With ``record`` every stage writes into ``buffers`` (fresh ones of
-    ``nsteps`` slots when None), whose ``stages`` then hold the stage inputs
-    x1..x4 of every step for :func:`_rk4_backward`; without it each operation
-    allocates its result.  Returns (state, stages), stages None without
-    ``record``; ``u`` is only read.
+    With a ``tape`` of ``nsteps`` slots every stage writes into it, and its
+    ``stages`` then hold the stage inputs x1..x4 of every step for
+    :func:`_rk4_backward`; without one each operation allocates its result.
+    Nothing is checked: a row that overflows comes back non-finite, and stays
+    so, as every step adds to its input.
     """
-    tape = None
-    if record:
-        tape = Rk4Buffers(np.shape(u), nsteps) if buffers is None else buffers
+    if tape is not None:
         np.copyto(tape.stages[0, 0], u)
         u = tape.stages[0, 0]
-    fresh = (None,) * 9
-    for step in range(nsteps):
-        # the arrays the step's results go into: the tape's, or fresh ones
-        last = step + 1 == nsteps
-        (x2_out, x3_out, x4_out, k1_out, k2_out, k3_out, k4_out, u_out,
-         finite_out) = fresh if tape is None else (
-            *tape.stages[step, 1:], *tape.k,
-            tape.state if last else tape.stages[step + 1, 0], tape.finite)
-        x1 = u
-        # each operation keeps the operands and order of x1 + 0.5 * h * k1 and
-        # x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        with np.errstate(over="ignore", invalid="ignore"):
+    fresh = (None,) * 8
+    # overflow on the way to a non-finite row is the caller's to judge
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(nsteps):
+            # the arrays the step's results go into: the tape's, or fresh ones
+            last = step + 1 == nsteps
+            x2_out, x3_out, x4_out, k1_out, k2_out, k3_out, k4_out, u_out = (
+                fresh if tape is None else
+                (*tape.stages[step, 1:], *tape.k,
+                 tape.state if last else tape.stages[step + 1, 0]))
+            x1 = u
+            # each operation keeps the operands and order of x1 + 0.5 * h * k1 and
+            # x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             k1 = rhs(x1, k1_out)
             x2 = np.add(x1, np.multiply(0.5 * h, k1, out=x2_out), out=x2_out)
             k2 = rhs(x2, k2_out)
@@ -254,17 +249,15 @@ def _rk4_forward(rhs, u, h: float, nsteps: int, record: bool = False,
             total = np.add(total, np.multiply(2.0, k3, out=k3_out), out=k3_out)
             total = np.add(total, k4, out=k4_out)
             u = np.add(x1, np.multiply(h / 6.0, total, out=k4_out), out=u_out)
-        if not np.isfinite(u, out=finite_out).all():
-            raise DivergenceError(f"integration diverged at substep {step}",
-                                  step=step, time=(step + 1) * h)
-    return u, (None if tape is None else tape.stages[:nsteps])
+    return u
 
 
-def _rk4_backward(model: RhsModel, symbol, stages, h: float,
+def _rk4_backward(model: RhsModel, symbol, h: float,
                   workspace: AdjointWorkspace) -> np.ndarray:
     """Propagate the adjoint state ``workspace.w``, which holds the cotangent of
-    the final state on entry, back through the taped ``stages``, accumulating
-    into ``workspace.grads``; returns w, the cotangent of the initial state.
+    the final state on entry, back through the stages :func:`_rk4_forward`
+    taped into ``workspace.rk4``, accumulating into ``workspace.grads``;
+    returns w, the cotangent of the initial state.
     The stage cotangents gx1..gx4 reuse the slope arrays, and each operation
     keeps the operands and order of (h / 3.0) * w + h * gx4 and
     w + gx1 + gx2 + gx3 + gx4."""
@@ -274,7 +267,7 @@ def _rk4_backward(model: RhsModel, symbol, stages, h: float,
     def vjp(x, out):
         _rhs_vjp(model, symbol, x, cot, grads, workspace, out)
 
-    for x1, x2, x3, x4 in reversed(stages):
+    for x1, x2, x3, x4 in reversed(workspace.rk4.stages):
         # a stage's cotangent array is scratch until its VJP writes it
         np.multiply(h / 6.0, w, out=cot)
         vjp(x4, gx4)
@@ -292,15 +285,15 @@ def _rk4_backward(model: RhsModel, symbol, stages, h: float,
 
 
 def integrate(model, u0: np.ndarray, horizon: float, nsteps: int):
-    """Classical RK4 with fixed step horizon/nsteps.
+    """Classical RK4 with fixed step horizon/nsteps, of one state or a batch.
 
-    Raises DivergenceError (with the substep index) on non-finite states.
+    A row that diverges comes back non-finite, for the caller to judge; the
+    other rows keep their bits.
     """
     if nsteps < 1:
         raise ValueError("nsteps must be at least 1")
-    out, _ = _rk4_forward(model.rhs()[0], np.asarray(u0, dtype=np.float64),
-                          horizon / nsteps, nsteps)
-    return out
+    return _rk4_forward(model.rhs()[0], np.asarray(u0, dtype=np.float64),
+                        horizon / nsteps, nsteps)
 
 
 def min_stable_substeps(symbol: np.ndarray, tau: float) -> int:
@@ -330,7 +323,8 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
     order; gradients are means over the batch and grid, matching the loss
     normalization.  Every intermediate goes into ``workspace`` (built here
     when None), the gradients included, so they hold until the workspace's
-    next call.
+    next call.  A non-finite prediction or loss raises DivergenceError (with
+    ``time`` tau) before the backward pass, allocating nothing.
     """
     u_start = np.atleast_2d(np.asarray(u_start, dtype=np.float64))
     u_end = np.atleast_2d(np.asarray(u_end, dtype=np.float64))
@@ -345,15 +339,17 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
                          "rollout_steps")
     h = tau / rollout_steps
     rhs, symbol = model.rhs(workspace)
-    pred, stages = _rk4_forward(rhs, u_start, h, rollout_steps, record=True,
-                                buffers=workspace.rk4)
+    pred = _rk4_forward(rhs, u_start, h, rollout_steps, workspace.rk4)
     residual = np.subtract(pred, u_end, out=workspace.w)
     loss = float(np.mean(np.abs(residual, out=workspace.cot)))
+    if not np.isfinite(loss):
+        raise DivergenceError(f"the prediction over tau = {tau:g} went non-finite",
+                              time=tau)
     # the cotangent sign(residual) / residual.size, in place: the adjoint state
     np.divide(np.sign(residual, out=residual), residual.size, out=residual)
     for grad in workspace.grads:
         grad.fill(0.0)
-    _rk4_backward(model, symbol, stages, h, workspace)
+    _rk4_backward(model, symbol, h, workspace)
     return loss, list(workspace.grads)
 
 
@@ -486,7 +482,7 @@ def train(model: RhsModel, dataset: SnapshotDataset, config: TrainConfig,
                                         config.rollout_steps, workspace)
         except DivergenceError as err:
             raise DivergenceError(f"training diverged at epoch {epoch}: {err}",
-                                  err.step, err.time) from err
+                                  time=err.time) from err
         adam.update(model, grads, lr_nl, lr_lin)
         history.append(loss)
         if on_epoch is not None:

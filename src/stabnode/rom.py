@@ -209,7 +209,9 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
     gives states (n, n_save + 1, d): the sweep marches the packed state
     [p | Vq q], (n, max d_p + d), p zero past each row's d_p, in lockstep,
     with one nonlinear evaluation per RK4 stage.  :func:`check_sweep`
-    runs before any step; a row that goes non-finite reads +inf from then on.
+    runs before any step.  A diverging row does not raise: its states go
+    non-finite, it reads +inf from the first such save on, and the other rows
+    march on untouched.
     """
     dims, n_save, sub = check_sweep(basis, d_p, mode, total_time, save_interval, dt)
     width = dims.max()
@@ -226,7 +228,7 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
         live, p, lift = dims[rows], state[:, :width], state[:, width:]
         for _ in range(nsteps):
             p = _rk4_forward(lambda ps, _: galerkin_rhs(basis, live, model, ps, lift),
-                             p, dt, 1, record=False)[0]
+                             p, dt, 1)
             if mode == "nlg":
                 lift = slave(p, live)
         return np.hstack([p, lift])

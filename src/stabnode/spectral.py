@@ -6,8 +6,9 @@ Kuramoto-Sivashinsky equation (ETDRK4 after Kassam & Trefethen, SIAM
 J. Sci. Comput. 26 (2005) 1214-1233, with contour-averaged coefficients),
 plus random initial conditions drawn to a prescribed energy budget.
 :func:`march` is the one loop that drops diverging rows, for the model rollout
-and the ROM sweep; dataset generation, which must raise at once, and the
-Lyapunov estimate, which renormalises a coupled pair of rows, keep their own.
+and the ROM sweep: a diverged row is a non-finite state, judged by value at
+each save.  Dataset generation, which must raise at once, and the Lyapunov
+estimate, which renormalises a coupled pair of rows, keep their own loops.
 :func:`save_count` is the one time-grid rule: every step, save and segment
 count of a time span comes from it, and a span it does not divide is rejected.
 
@@ -103,15 +104,15 @@ def tag_name(names: dict, tag: int, path, what: str) -> str:
 
 
 class DivergenceError(RuntimeError):
-    """A state went non-finite: in a solver, an RK4 rollout or a reduced model.
+    """A state went non-finite where the caller must fail: in a ground-truth
+    solver, a training gradient or a ``rom --reference self`` rollout.  Model
+    rollouts and reduced models return non-finite rows instead.
 
-    ``step`` (the substep index), ``time`` and ``seed`` (of the initial
-    condition) are None where unknown.
+    ``time`` and ``seed`` (of the initial condition) are None where unknown.
     """
 
-    def __init__(self, message, step=None, time=None, seed=None):
+    def __init__(self, message, time=None, seed=None):
         super().__init__(message)
-        self.step = step
         self.time = time
         self.seed = seed
 
@@ -508,20 +509,20 @@ def march(advance, state: np.ndarray, n_save: int, sub: int, observe=None) -> np
     """Snapshots (n, n_save + 1, ...) of an (n, ...) batch of independent rows
     that ``advance(state, nsteps, rows)`` steps ``sub`` steps per save, taken
     by ``observe(state, rows)`` (the state by default); ``rows`` index the rows
-    still marching.  A row whose step raises DivergenceError, or whose snapshot
-    is non-finite, reads +inf from that save on; with no row left, nothing more
-    runs.  Dataset generation and the Lyapunov estimate keep their own loops."""
+    still marching.  ``advance`` runs once per save on the live rows and returns
+    a diverged row as non-finite values; whatever it raises propagates.  A row
+    whose snapshot is non-finite reads +inf from that save on and is not
+    stepped again; with no row left, nothing more runs.  Dataset generation
+    and the Lyapunov estimate keep their own loops."""
     see = observe or (lambda s, rows: s)
     rows = np.arange(len(state))
-    # overflow en route to the finiteness checks is the divergence signal
+    # overflow en route to the finiteness check is the divergence signal
     with np.errstate(over="ignore", invalid="ignore"):
         snap = see(state, rows)
         snaps = np.full((rows.size, n_save + 1) + snap.shape[1:], np.inf)
         for j in range(n_save + 1):
             if j:
-                state, rows = _advance_rows(advance, state, sub, rows)
-                if rows.size == 0:
-                    break
+                state = advance(state, sub, rows)
                 snap = see(state, rows)
             ok = np.all(np.isfinite(snap), axis=tuple(range(1, snap.ndim)))
             snaps[rows[ok], j] = snap[ok]
@@ -529,20 +530,6 @@ def march(advance, state: np.ndarray, n_save: int, sub: int, observe=None) -> np
             if rows.size == 0:
                 break
     return snaps
-
-
-def _advance_rows(advance, state, nsteps, rows):
-    """(stepped state, its rows) less the rows that raise DivergenceError, found by
-    halving, so the others stay batched: a network gives one row other bits."""
-    try:
-        return advance(state, nsteps, rows), rows
-    except DivergenceError:
-        if rows.size == 1:
-            return state[:0], rows[:0]
-    half = rows.size // 2
-    a, ra = _advance_rows(advance, state[:half], nsteps, rows[:half])
-    b, rb = _advance_rows(advance, state[half:], nsteps, rows[half:])
-    return np.concatenate([a, b]), np.concatenate([ra, rb])
 
 
 def fill_trajectories(solver, coeffs: np.ndarray, values: np.ndarray, sub: int,

@@ -887,6 +887,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"initial conditions 0, first at t = {finite * 0.25:g}\n" in err
 
+    def test_disjoint_pdf_kl_is_inf_and_exits_0(self, tmp_path, vbe_dataset, capsys):
+        # a 4-epoch model's statistics share no bin with the data's: the worst
+        # KL, written as inf without a warning, and no divergence, as every
+        # state stays finite
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--dataset", str(vbe_dataset), "--variant",
+                       "fixed-linear", "--out", str(run_dir), "--epochs", "4",
+                       "--seed", "1") == 0
+        out = tmp_path / "eval"
+        code = run_cli("evaluate", "--dataset", str(vbe_dataset), "--checkpoint",
+                       str(run_dir / "model.snck"), "--out", str(out), "--metric",
+                       "pdf", "--set", "pdf_time=5.0")
+        assert code == 0
+        row = (out / "pdf_kl.csv").read_text().splitlines()[-1]
+        assert row.split(",")[:2] == ["inf", "0.0"]
+        assert "Warning" not in capsys.readouterr().err
+
     def test_bad_metric_config_error(self, tmp_path, vbe_dataset, trained_dir):
         code = run_cli("evaluate", "--dataset", str(vbe_dataset),
                        "--checkpoint", str(trained_dir / "model.snck"),

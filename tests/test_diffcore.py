@@ -380,7 +380,11 @@ class TestSharedSpectrum:
         model = node.RhsModel(mlp, st)
         u, g = rng.standard_normal(shape), rng.standard_normal(shape)
         grads = [np.zeros_like(p) for p in model.parameters()]
-        gin = node._rhs_vjp(model, model.linear_symbol(), u, g, grads)
+        # the VJP writes into a workspace of (n, d) batches: a row is a batch of one
+        batch = u.reshape(-1, d)
+        workspace = node.AdjointWorkspace(model, len(batch), 1)
+        gin = node._rhs_vjp(model, model.linear_symbol(), batch, g.reshape(-1, d),
+                            grads, workspace, np.empty_like(batch)).reshape(shape)
         net_grads, net_gin = dc.mlp_backward(mlp, dc.mlp_forward(mlp, u)[1], g)
         taps, linear_gin = two_call_vjp(st, u, g)
         assert np.array_equal(gin, net_gin + linear_gin)

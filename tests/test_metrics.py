@@ -1,5 +1,7 @@
 """Statistics oracles: spectra, error curves, joint PDFs, KL, noise, Lyapunov."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,11 +140,14 @@ class TestKlDivergence:
         pb = mt.JointPdf2D(edges_x, edges_y, b, 1, 0)
         assert mt.kl_divergence(pa, pb) >= 0.0
 
-    def test_disjoint_supports_degenerate_zero(self):
+    def test_disjoint_supports_infinite(self):
+        # statistics that miss each other entirely are the worst match, not a
+        # perfect one, and say so without a warning
         model = two_bin_pdf([1.0, 0.0])
         true = two_bin_pdf([0.0, 1.0])
-        with pytest.warns(UserWarning):
-            assert mt.kl_divergence(model, true) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mt.kl_divergence(model, true) == np.inf
         assert mt.support_overlap(model, true) == 0.0
 
     def test_grid_mismatch_rejected(self):

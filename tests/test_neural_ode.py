@@ -112,11 +112,20 @@ class TestIntegrate:
         assert 3.5 <= order <= 4.5
 
     def test_divergence_carries_step(self):
-        mlp = zero_mlp(2)
-        model = node.RhsModel(mlp, dc.ConvStencil(np.array([80.0])))
-        with pytest.raises(node.DivergenceError) as exc_info:
-            node.integrate(model, np.array([1.0, 1.0]), 100.0, 40)
-        assert exc_info.value.step is not None
+        # a one-tap stencil of 23 grows every row about 3e9-fold over the span:
+        # the row at 1e300 overflows and comes back non-finite, without a raise
+        # or a warning, and the others keep the bits they have beside a benign
+        # row in its place
+        model = node.RhsModel(random_model("nonlinear", 8, seed=2).mlp,
+                              dc.ConvStencil(np.array([23.0])))
+        u0 = 0.3 * np.random.default_rng(3).standard_normal((4, 8))
+        blown = u0.copy()
+        blown[2] = 1e300
+        out = node.integrate(model, blown, 1.0, 8)
+        benign = node.integrate(model, u0, 1.0, 8)
+        assert not np.all(np.isfinite(out[2]))
+        assert np.all(np.isfinite(benign))
+        assert np.array_equal(out[[0, 1, 3]], benign[[0, 1, 3]])
 
 
 class TestLoss:
@@ -145,7 +154,7 @@ class TestLossGradient:
         d = 6
         model = random_model("learned-linear", d, seed=7)
         u0 = np.random.default_rng(8).standard_normal((3, d))
-        pred, _ = node._rk4_forward(model.eval, u0, 0.05 / 5, 5, record=False)
+        pred = node._rk4_forward(model.eval, u0, 0.05 / 5, 5)
         loss, grads = node.loss_gradient(model, u0, pred, 0.05, 5)
         assert loss == 0.0
         assert len(grads) == len(model.parameters())
@@ -192,7 +201,7 @@ class TestLossGradient:
                 if linear is not None and linear.params():
                     linear = dc.ConvStencil(moved[-1], linear.symmetric)
                 shifted = node.RhsModel(mlp, linear)
-                pred, _ = node._rk4_forward(shifted.eval, u0, tau / steps, steps, False)
+                pred = node._rk4_forward(shifted.eval, u0, tau / steps, steps)
                 return np.mean(np.abs(pred - u1))
 
             fd = (perturbed(+1) - perturbed(-1)) / (2 * step)
@@ -317,10 +326,35 @@ class TestAdjointWorkspace:
         model = deep_model("learned-linear", "relu")
         workspace = node.AdjointWorkspace(model, 4, 2)
         u0, u1 = smooth_batch(7, 4, 16), smooth_batch(8, 4, 16)
-        with pytest.raises(node.DivergenceError):
+        with pytest.raises(node.DivergenceError) as info:
             node.loss_gradient(model, 1e308 * (1.0 + u0 * u0), u1, 0.1, 2, workspace)
+        assert info.value.time == 0.1
         assert same_bits(node.loss_gradient(model, u0, u1, 0.1, 2, workspace),
                          allocating_loss_gradient(model, u0, u1, 0.1, 2))
+
+    def test_divergence_raises_without_allocating(self):
+        model = deep_model("learned-linear", "sigmoid", d=64)
+        n = 32
+        u0, u1 = smooth_batch(1, n, 64), smooth_batch(2, n, 64)
+        blown = 1e308 * (1.0 + u0 * u0)
+        workspace = node.AdjointWorkspace(model, n, 4)
+        node.loss_gradient(model, u0, u1, 0.1, 4, workspace)
+
+        def peak_of(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def diverging():
+            with pytest.raises(node.DivergenceError):
+                node.loss_gradient(model, blown, u1, 0.1, 4, workspace)
+
+        steady = peak_of(lambda: node.loss_gradient(model, u0, u1, 0.1, 4, workspace))
+        # a quarter of one (n, d) array covers the exception and its message
+        assert peak_of(diverging) <= steady + u0.nbytes // 4
 
     def test_workspace_of_another_shape_rejected(self):
         model = deep_model("fixed-linear", "relu")

@@ -310,12 +310,11 @@ class TestBatchedAdvance:
 
 def quadrupling(calls, limit):
     """An advance that quadruples its rows every step and, as an RK4 step
-    does, raises when any entry of the batch passes ``limit``."""
+    does on overflow, returns a row with an entry past ``limit`` as +inf."""
     def advance(state, nsteps, rows):
         calls.append(rows.tolist())
         state = state * 4.0 ** nsteps
-        if np.any(np.abs(state) > limit):
-            raise sp.DivergenceError("past the limit")
+        state[np.any(np.abs(state) > limit, axis=1)] = np.inf
         return state
     return advance
 
@@ -326,12 +325,20 @@ class TestMarch:
         calls = []
         snaps = sp.march(quadrupling(calls, limit=30.0), state, 3, 1)
         assert snaps.shape == (3, 4, 2)
-        # row 1 passes the limit in the second interval; the batch is halved down to it
+        # row 1 passes the limit in the second interval and is dropped at that save
         assert np.array_equal(snaps[1, :2], [[2.0, 1.0], [8.0, 4.0]])
         assert np.all(snaps[1, 2:] == np.inf)
         alone = sp.march(quadrupling([], limit=30.0), state[[0, 2]], 3, 1)
         assert np.array_equal(snaps[[0, 2]], alone)
-        assert calls == [[0, 1, 2], [0, 1, 2], [0], [1, 2], [1], [2], [0, 2]]
+        # one call per save, on the rows still live
+        assert calls == [[0, 1, 2], [0, 1, 2], [0, 2]]
+
+    def test_advance_errors_propagate(self):
+        def advance(state, nsteps, rows):
+            raise sp.DivergenceError("a solver that must fail")
+
+        with pytest.raises(sp.DivergenceError, match="must fail"):
+            sp.march(advance, np.ones((2, 3)), 2, 1)
 
     def test_observe_may_change_the_width(self):
         state = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -355,7 +362,7 @@ class TestMarch:
         calls = []
         state = np.full((2, 3), 50.0)
         snaps = sp.march(quadrupling(calls, limit=100.0), state, 5, 1)
-        assert calls == [[0, 1], [0], [1]]
+        assert calls == [[0, 1]]
         assert np.array_equal(snaps[:, 0], state) and np.all(snaps[:, 1:] == np.inf)
         calls.clear()
         snaps = sp.march(quadrupling(calls, limit=100.0), np.array([[np.nan, 1.0]]),
