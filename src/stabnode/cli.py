@@ -149,8 +149,8 @@ _PARSERS = {"int": int, "count": int, "counts": _parse_ints, "float": float, "st
 
 AUTO = "auto"
 
-# keys that manifests of older versions carry but that never changed a result
-RETIRED_KEYS = {"threads"}
+# keys in older manifests that never changed a result, dropped where a command lacks them
+RETIRED_KEYS = {"threads", "seed"}
 
 
 class Key(NamedTuple):
@@ -171,11 +171,12 @@ class Key(NamedTuple):
 
 def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
     """defaults <- config file <- CLI overrides; unknown keys are rejected,
-    retired keys in a config file dropped so old manifests still rerun, and
+    retired keys a command lacks dropped from a config file so old manifests rerun, and
     every value checked against its key's kind, choices and, for a count or
     each entry of counts, the minimum of 1.  `auto` is accepted only for keys
     whose default it is or that have per-system defaults."""
-    file_values = {k: v for k, v in file_values.items() if k not in RETIRED_KEYS}
+    file_values = {k: v for k, v in file_values.items()
+                   if k in schema or k not in RETIRED_KEYS}
     for source, values in (("config file", file_values), ("command line", overrides)):
         for key in values:
             if key not in schema:
@@ -653,7 +654,6 @@ ROM_SCHEMA = {
     "ic_index": Key("int", "0"),
     "pdf_bins": Key("int", "100"),
     "reference": Key("str", "dataset", ("dataset", "self")),
-    "seed": Key("int", "0"),
 }
 
 
@@ -718,8 +718,7 @@ def cmd_rom(config: dict) -> int:
               f"overlap={overlap:.3f} ({elapsed:.1f}s)")
 
     meta = {"rhs": config["rhs"], "sort": config["sort"],
-            "total_time": config["total_time"], "dt": config["dt"],
-            "seed": config["seed"]}
+            "total_time": config["total_time"], "dt": config["dt"]}
     write_table(os.path.join(out_dir, "rom.csv"),
                 "KL(ROM||true) of (u_x,u_xx) joint PDF vs retained dimension", meta,
                 ["d_p", "mode", "kl", "overlap", "runtime_s"],

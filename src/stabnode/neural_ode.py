@@ -128,19 +128,20 @@ class RhsModel:
             return np.add(linear, net, out=linear)
         return f, symbol
 
-    # ROM protocol ---------------------------------------------------------
+    # ROM protocol: the linear symbol, and N on one-sided coefficients c = rfft(u) / d
     def linear_symbol(self) -> np.ndarray:
         """One-sided symbol (k = 0..d/2) of the explicit linear branch."""
         if self.linear is None:
             raise ValueError("nonlinear variant has no separable linear term")
         return self.linear.symbol(self.width)
 
-    def nonlinear(self, u: np.ndarray) -> np.ndarray:
-        """The network branch N(u), separable only beside a linear branch."""
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+        """The network branch on coefficients, rfft(N(irfft(c d))) / d, of one
+        spectrum (d/2 + 1,) or a batch; separable only beside a linear branch."""
         if self.linear is None:
             raise ValueError("nonlinear variant has no separable linear term")
-        out, _ = dc.mlp_forward(self.mlp, u)
-        return out
+        d = self.width
+        return rfft(dc.mlp_forward(self.mlp, irfft(c * d, d))[0]) / d
 
 
 class Rk4Buffers:
@@ -410,28 +411,31 @@ LEARNING_RATES = {
 
 class AdamState:
     """First/second moment accumulators, one pair per ``model.parameters()``
-    tensor."""
+    tensor, and two scratch rows as long as the largest of them."""
 
     def __init__(self, model: RhsModel):
         self.t = 0
         self.m = [np.zeros_like(p) for p in model.parameters()]
         self.v = [np.zeros_like(p) for p in model.parameters()]
+        self._scratch = np.empty((2, max(p.size for p in self.m)))
 
     def update(self, model: RhsModel, grads: list,
                lr_nonlinear: float, lr_linear: float) -> None:
-        """One step; the stencil taps take ``lr_linear``, the network the other."""
+        """One step in place, each operation with the operands and order of the
+        array formulas; the stencil taps take ``lr_linear``, the network the other."""
         self.t += 1
         n_network = 2 * model.mlp.n_layers
         for i, (param, grad, m, v) in enumerate(
                 zip(model.parameters(), grads, self.m, self.v)):
+            a, b = (row[:m.size].reshape(m.shape) for row in self._scratch)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * grad
+            m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * grad * grad
-            mhat = m / (1.0 - ADAM_BETA1**self.t)
-            vhat = v / (1.0 - ADAM_BETA2**self.t)
+            v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=a), grad, out=a)
             lr = lr_nonlinear if i < n_network else lr_linear
-            param -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            step = np.multiply(lr, np.divide(m, 1.0 - ADAM_BETA1**self.t, out=a), out=a)
+            root = np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**self.t, out=b), out=b)
+            param -= np.divide(step, np.add(root, ADAM_EPS, out=b), out=a)
 
 
 @dataclass
@@ -498,7 +502,8 @@ class TrueRhs:
     nonlinearity.
 
     Implements the same eval/linear_symbol/nonlinear protocol as RhsModel so
-    reduced-order modeling can run on the true equations without training.
+    reduced-order modeling can run on the true equations without training;
+    ``nonlinear`` maps coefficients c = rfft(u) / d, with no grid round trip.
     """
 
     def __init__(self, system: str, d: int, domain_length: float,
@@ -517,16 +522,16 @@ class TrueRhs:
         ``workspace`` unused."""
         return self.eval, self._symbol
 
-    def nonlinear(self, u: np.ndarray) -> np.ndarray:
-        d = self.width
-        tendency = burgers_tendency(rfft(u) / d, *self._adv)
-        return irfft(tendency * d, d)
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+        return burgers_tendency(c, *self._adv)
 
     def linear_apply(self, u: np.ndarray) -> np.ndarray:
         return apply_symbol(self._symbol, u)
 
     def eval(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.add(self.linear_apply(u), self.nonlinear(u), out=out)
+        d = self.width
+        return np.add(self.linear_apply(u), irfft(self.nonlinear(rfft(u) / d) * d, d),
+                      out=out)
 
 
 def build_model(variant: str, layer_sizes, activations, weight_init, seed: int,

@@ -7,12 +7,17 @@ descending eigenvalue or by descending variance of their projected
 tendencies on attractor data.  Reduced dynamics integrate with RK4 in three
 flavors: plain Galerkin (truncate), nonlinear Galerkin (unresolved
 coordinates slaved through the stationarity of their dynamics), and
-postprocessing Galerkin (slaving applied only at output times).  A d_p
-sweep marches in lockstep: the reduced states, each with its nonlinear
-Galerkin lift Vq q, advance as one zero-padded batch, with one nonlinear
-evaluation per RK4 stage.  Projections stay per row, so with the true RHS
-each row is bit-identical to a run of its d_p alone; a network RHS
-evaluated on the stacked rows matches it only to rounding.
+postprocessing Galerkin (slaving applied only at output times).
+
+The reduced state is Fourier coefficients, not eigen-coordinates: spectra
+c = rfft(u) / d viewed as d + 2 real slots, 2k cos_k and 2k + 1 sin_k.  Each
+eigenvector is one slot, so a Galerkin projection is a 0/1 slot mask and
+Lambda_p a per-slot symbol (:func:`slot_masks`); the model's nonlinear term
+takes coefficients.  A d_p sweep marches in lockstep: every row, a resolved
+spectrum c_p and its nonlinear Galerkin lift c_q, advances in one batched
+expression, one nonlinear evaluation per RK4 stage and one inverse transform
+per save.  All is row-wise, so with the true RHS each row is bit-identical to
+a run of its d_p alone; a network RHS on stacked rows matches it to rounding.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .neural_ode import _rk4_forward
-from .spectral import (ArtifactError, expect_end, march, read_exact, read_f8, save_count,
-                       tag_name)
+from .spectral import (ArtifactError, expect_end, irfft, march, read_exact, read_f8, rfft,
+                       save_count, tag_name)
 
 ORDERING_TAGS = {"eigenvalue": 0, "variance": 1}
 ORDERING_NAMES = {v: k for k, v in ORDERING_TAGS.items()}
@@ -37,6 +42,7 @@ EIGENBASIS_MAGIC = b"SNEB"
 
 SYMMETRY_TOL = 1e-10
 SLAVING_EIGENVALUE_FLOOR = 1e-10
+FOURIER_MODE_TOL = 1e-10
 
 
 @dataclass
@@ -59,12 +65,6 @@ class EigenBasis:
     @property
     def d(self) -> int:
         return self.eigenvalues.size
-
-    def leading(self, d_p: int) -> np.ndarray:
-        return self.eigenvectors[:, :d_p]
-
-    def trailing(self, d_p: int) -> np.ndarray:
-        return self.eigenvectors[:, d_p:]
 
 
 def fourier_basis(symbol: np.ndarray) -> EigenBasis:
@@ -114,41 +114,57 @@ def variance_sort(basis: EigenBasis, model, snapshots: np.ndarray) -> EigenBasis
                       "variance")
 
 
-def galerkin_rhs(basis: EigenBasis, d_p, model, p: np.ndarray,
+def slot_masks(basis: EigenBasis, dims):
+    """(lam, resolved, divisor) of a sweep over the retained dimensions ``dims``.
+
+    ``lam`` (d + 2,) is each slot's eigenvalue, zero on the two slots no real
+    field fills (Im c_0, Im c_{d/2}); row r of ``resolved`` is 1.0 on the
+    slots of the leading dims[r] columns, its Galerkin projection, and 0.0
+    elsewhere; ``divisor`` is -lam on the trailing slots and -inf elsewhere,
+    so a tendency over it is the slaved -Q N / lam, zero off them.  ValueError
+    unless d is even and each column is one real Fourier mode, to
+    FOURIER_MODE_TOL of its largest coefficient, in a slot of its own.
+    """
+    d = basis.d
+    spectra = np.abs(rfft(basis.eigenvectors.T).view(np.float64))
+    slots = np.argmax(spectra, axis=1)
+    if (d % 2 or np.any(spectra.sum(axis=1) > (1 + FOURIER_MODE_TOL) * spectra.max(axis=1))
+            or not np.array_equal(np.sort(slots), np.delete(np.arange(d + 2), [1, d + 1]))):
+        raise ValueError("the reduced-order basis is not a Fourier basis: every "
+                         "eigenvector must be one real Fourier mode of an even grid")
+    lam = np.zeros(d + 2)
+    lam[slots] = basis.eigenvalues
+    lead = np.arange(d) < np.asarray(dims)[:, None]
+    resolved = np.zeros((lead.shape[0], d + 2))
+    resolved[:, slots] = lead
+    divisor = np.full(resolved.shape, -np.inf)
+    divisor[:, slots] = np.where(lead, -np.inf, -basis.eigenvalues)
+    return lam, resolved, divisor
+
+
+def galerkin_rhs(lam: np.ndarray, resolved: np.ndarray, model, c_p: np.ndarray,
                  lift=0.0) -> np.ndarray:
-    """Resolved dynamics dp/dt = Lambda_p p + Vp^T F(Vp p + lift); the lift
-    is nonlinear Galerkin's slaved Vq q, zero for plain Galerkin.
+    """Resolved dynamics dc_p/dt = Lambda_p c_p + P N(c_p + lift) of real-view
+    spectra (n, d + 2), with ``lam`` and the masks P ``resolved`` of
+    :func:`slot_masks`; the lift is nonlinear Galerkin's slaved coefficients."""
+    f = model.nonlinear((c_p + lift).view(np.complex128)).view(np.float64)
+    return lam * c_p + resolved * f
 
-    A sequence of n d_p takes p (n, max d_p), zero past each row's d_p, and
-    lifts (n, d), and returns that layout.  The projections run row by row
-    and F once on the stacked (n, d) states, so under a row-wise F (TrueRhs)
-    each row keeps the bits of a one-row call.
+
+def unresolved_correction(divisor: np.ndarray, model, c_p: np.ndarray,
+                          iterations: int = 1) -> np.ndarray:
+    """Unresolved coefficients slaved by stationarity of their dynamics.
+
+    Iterates c_q <- -Lambda_q^{-1} Q N(c_p + c_q) from c_q = 0, with the
+    ``divisor`` of :func:`slot_masks`; the fixed point satisfies
+    Lambda_q c_q + Q N = 0.  One iteration by default.  No trailing eigenvalue
+    may lie within SLAVING_EIGENVALUE_FLOOR of zero; :func:`check_sweep`
+    checks that once per d_p, before any step.
     """
-    f = model.nonlinear(_resolved(basis, d_p, p) + lift)
-    # zero past a row's d_p times any eigenvalue stays zero
-    out = basis.eigenvalues[:p.shape[1]] * p
-    for k, fk, o in zip(d_p, f, out):
-        o[:k] += basis.leading(k).T @ fk
-    return out
-
-
-def unresolved_correction(basis: EigenBasis, d_p, model, p: np.ndarray,
-                          iterations: int = 1):
-    """Unresolved coordinates slaved by stationarity of their dynamics.
-
-    Iterates q <- -Lambda_q^{-1} Vq^T F(Vp p + Vq q) from q = 0; the fixed
-    point satisfies Lambda_q q + Vq^T F = 0.  One iteration by default.
-    Batches as :func:`galerkin_rhs` and then returns a list, one q per row.
-    No trailing eigenvalue may lie within SLAVING_EIGENVALUE_FLOOR of zero;
-    :func:`check_sweep` checks that once per d_p, before any step.
-    """
-    base = _resolved(basis, d_p, p)
-    qs = [np.zeros(basis.d - k) for k in d_p]
+    c_q = np.zeros_like(c_p)
     for _ in range(iterations):
-        f = model.nonlinear(base + _slaved(basis, d_p, qs))
-        qs = [-(basis.trailing(k).T @ fk) / basis.eigenvalues[k:]
-              for k, fk in zip(d_p, f)]
-    return qs
+        c_q = model.nonlinear((c_p + c_q).view(np.complex128)).view(np.float64) / divisor
+    return c_q
 
 
 def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
@@ -181,22 +197,6 @@ def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
     return dims, save_count(total_time, save_interval), save_count(save_interval, dt)
 
 
-def _resolved(basis: EigenBasis, dims, p) -> np.ndarray:
-    """Vp p of every row of the batch, (n, d), one matrix-vector product each."""
-    u = np.empty((len(dims), basis.d))
-    for k, row, out in zip(dims, p, u):
-        np.matmul(basis.leading(k), row[:k], out=out)
-    return u
-
-
-def _slaved(basis: EigenBasis, dims, qs) -> np.ndarray:
-    """Vq q of every row, (n, d), one matrix-vector product each."""
-    u = np.empty((len(dims), basis.d))
-    for k, q, out in zip(dims, qs, u):
-        np.matmul(basis.trailing(k), q, out=out)
-    return u
-
-
 def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
                   total_time: float, mode: str = "galerkin",
                   save_interval: float = 0.25, dt: float = 0.01,
@@ -204,47 +204,43 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
     """Integrate the reduced dynamics; returns (times, reconstructed states).
 
     Modes: "galerkin" truncates the unresolved coordinates; "nlg" slaves them
-    to every new p, a lift Vq q that feeds the next step and the save; "ppg"
+    to every new c_p, a lift c_q that feeds the next step and the save; "ppg"
     runs plain Galerkin and slaves only at the saves.  A sequence of n d_p
-    gives states (n, n_save + 1, d): the sweep marches the packed state
-    [p | Vq q], (n, max d_p + d), p zero past each row's d_p, in lockstep,
-    with one nonlinear evaluation per RK4 stage.  :func:`check_sweep`
-    runs before any step.  A diverging row does not raise: its states go
-    non-finite, it reads +inf from the first such save on, and the other rows
-    march on untouched.
+    gives states (n, n_save + 1, d) from the packed spectra [c_p | c_q], (n,
+    2 (d + 2)), marched in lockstep.  :func:`check_sweep` and the basis
+    (:func:`slot_masks`) are checked before any step.  A diverging row does
+    not raise: its states go non-finite, it reads +inf from the first such
+    save on, and the other rows march on untouched.
     """
     dims, n_save, sub = check_sweep(basis, d_p, mode, total_time, save_interval, dt)
-    width = dims.max()
-    u0 = np.asarray(u0, dtype=np.float64)
-    state = np.zeros((dims.size, width + basis.d))
-    for k, row in zip(dims, state):
-        row[:k] = basis.leading(k).T @ u0
-
-    def slave(p, live):
-        return _slaved(basis, live, unresolved_correction(basis, live, model, p,
-                                                          slaving_iterations))
+    lam, resolved, divisor = slot_masks(basis, dims)
+    d, m = basis.d, basis.d + 2
 
     def advance(state, nsteps, rows):
-        live, p, lift = dims[rows], state[:, :width], state[:, width:]
+        mask, div = resolved[rows], divisor[rows]
+        c_p, lift = state[:, :m], state[:, m:]
         for _ in range(nsteps):
-            p = _rk4_forward(lambda ps, _: galerkin_rhs(basis, live, model, ps, lift),
-                             p, dt, 1)
+            c_p = _rk4_forward(lambda c, _: galerkin_rhs(lam, mask, model, c, lift),
+                               c_p, dt, 1)
             if mode == "nlg":
-                lift = slave(p, live)
-        return np.hstack([p, lift])
+                lift = unresolved_correction(div, model, c_p, slaving_iterations)
+        return np.hstack([c_p, lift])
 
     def observe(state, rows):
-        p = state[:, :width]
-        u = _resolved(basis, dims[rows], p)
-        if mode == "galerkin":
-            return u  # no + 0.0, which would turn -0.0 into +0.0
-        return u + (state[:, width:] if mode == "nlg" else slave(p, dims[rows]))
+        c = state[:, :m]
+        if mode != "galerkin":
+            c = c + (state[:, m:] if mode == "nlg" else unresolved_correction(
+                divisor[rows], model, c, slaving_iterations))
+        return irfft(c.view(np.complex128) * d, d)
 
+    c0 = rfft(np.asarray(u0, dtype=np.float64)) / d
+    state = np.zeros((dims.size, 2 * m))
+    state[:, :m] = resolved * c0.view(np.float64)
     if mode == "nlg":
-        state[:, width:] = slave(state[:, :width], dims)
+        state[:, m:] = unresolved_correction(divisor, model, state[:, :m],
+                                             slaving_iterations)
     states = march(advance, state, n_save, sub, observe)
-    times = np.arange(n_save + 1) * save_interval
-    return times, states
+    return np.arange(n_save + 1) * save_interval, states
 
 
 def write_eigenbasis(path, basis: EigenBasis) -> None:

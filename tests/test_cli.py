@@ -499,6 +499,8 @@ def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
     ["evaluate", "--metric", "lyapunov", "--set", "lyapunov_total_time=1.0"],
     ["rom", "--dp", "7", "--set", "reference=bogus"],
     ["rom", "--dp", "7", "--set", "sort=bogus"],
+    # rom has no seed: nothing in it is random
+    ["rom", "--dp", "7", "--set", "seed=1"],
     ["evaluate", "--set", "metric=bogus"],
     ["evaluate", "--metric", "bogus"],
     ["generate", "--system", "vbe", "--set", "train_ics=0"],
@@ -926,6 +928,21 @@ class TestRom:
         assert (out / "basis.sneb").exists()
         basis = rom_mod.read_eigenbasis(out / "basis.sneb")
         assert basis.d == 32
+
+    def test_old_manifest_with_seed_reruns(self, tmp_path, kse_dataset):
+        # manifests of older versions carry seed=, which rom never used
+        out = tmp_path / "rom"
+        argv = ["--dataset", str(kse_dataset), "--rhs", "true", "--mode", "galerkin",
+                "--dp", "8", "--set", "total_time=1.0", "--set", "dt=0.05"]
+        assert run_cli("rom", *argv, "--out", str(out)) == 0
+        manifest = (out / "manifest-rom.cfg").read_text()
+        assert not any(line.startswith("seed") for line in manifest.splitlines())
+        assert "# seed:" not in (out / "rom.csv").read_text()
+        old = tmp_path / "old.cfg"
+        old.write_text(manifest + "seed=0\n")
+        assert run_cli("rom", "--config", str(old), "--out", str(tmp_path / "again")) == 0
+        assert ((tmp_path / "again" / "basis.sneb").read_bytes()
+                == (out / "basis.sneb").read_bytes())
 
     def test_sort_orders_differ(self, tmp_path, kse_dataset):
         bases = {}

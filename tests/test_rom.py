@@ -45,6 +45,29 @@ def dense_from_stencil(stencil, d):
     return mat
 
 
+def leading(basis, d_p):
+    return basis.eigenvectors[:, :d_p]
+
+
+def trailing(basis, d_p):
+    return basis.eigenvectors[:, d_p:]
+
+
+def coeffs(u):
+    """Real-view one-sided spectra, 1/d convention, of (n, d) states."""
+    return np.ascontiguousarray(np.fft.rfft(u) / u.shape[-1]).view(np.float64)
+
+
+def grid(c):
+    d = c.shape[-1] - 2
+    return np.fft.irfft(np.ascontiguousarray(c).view(np.complex128) * d, n=d)
+
+
+def grid_nonlinear(model, u):
+    """The model's nonlinear term of grid states, through its coefficient one."""
+    return grid(model.nonlinear(coeffs(u).view(np.complex128)).view(np.float64))
+
+
 class TestEigSymmetric:
     """Eigenpairs of symmetric circulant operators, written from their symbols."""
 
@@ -134,7 +157,7 @@ class TestEigSymmetric:
 
 def projectors(basis, d_p):
     """(P, Q) = (Vp Vp^T, Vq Vq^T) for the leading d_p and the trailing vectors."""
-    vp, vq = basis.leading(d_p), basis.trailing(d_p)
+    vp, vq = leading(basis, d_p), trailing(basis, d_p)
     return vp @ vp.T, vq @ vq.T
 
 
@@ -152,6 +175,51 @@ class TestProjectors:
         assert np.allclose(p + q, np.eye(8), atol=1e-10)
         assert np.allclose(p @ p, p, atol=1e-10)
         assert np.max(np.abs(p @ q)) < 1e-10
+
+
+class TestSlotMasks:
+    """Galerkin projections as masks over the slots of real-view spectra."""
+
+    @pytest.mark.parametrize("sort", ["eigenvalue", "variance"])
+    def test_masks_are_the_dense_projectors(self, sort):
+        d = 16
+        basis = random_basis(d, 3)
+        if sort == "variance":
+            snaps = np.random.default_rng(4).standard_normal((30, d))
+            basis = rom.variance_sort(basis, _SpanRhs(basis.eigenvectors[:, 9]), snaps)
+        dims = np.arange(1, d + 1)
+        lam, resolved, divisor = rom.slot_masks(basis, dims)
+        u = np.random.default_rng(5).standard_normal((d, d))
+        projected = grid(resolved * coeffs(u))
+        for d_p, row, mask, div in zip(dims, projected, resolved, divisor):
+            p, _ = projectors(basis, d_p)
+            assert np.max(np.abs(row - p @ u[d_p - 1])) < 1e-13
+            # the divisor is -lam exactly on the trailing slots
+            trail = np.isfinite(div)
+            assert np.array_equal(trail, (mask == 0) & ~np.isin(np.arange(d + 2), [1, d + 1]))
+            assert np.array_equal(div[trail], -lam[trail])
+        assert np.array_equal(np.sort(lam), np.sort(np.concatenate([basis.eigenvalues,
+                                                                    [0.0, 0.0]])))
+
+    def test_slots_follow_the_columns(self):
+        # d = 8: slot 2k is cos(2 pi k j/d), slot 2k + 1 sin(2 pi k j/d)
+        basis = rom.fourier_basis(np.array([0.0, 3.0, -1.0, -2.0, -5.0]))
+        lam, resolved, _ = rom.slot_masks(basis, [1, 2, 3])
+        assert np.array_equal(lam, [0, 0, 3, 3, -1, -1, -2, -2, -5, 0])
+        assert np.array_equal(resolved, [[0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+                                         [0, 0, 1, 1, 0, 0, 0, 0, 0, 0],
+                                         [1, 0, 1, 1, 0, 0, 0, 0, 0, 0]])
+
+    def test_non_fourier_basis_refused(self):
+        fourier = random_basis(8, 0)
+        repeated = fourier.eigenvectors.copy()
+        repeated[:, 1] = repeated[:, 0]
+        sums = fourier.eigenvectors.copy()
+        sums[:, :2] = sums[:, :2] @ np.array([[0.6, -0.8], [0.8, 0.6]])
+        for vecs in (qr_basis(8, 0).eigenvectors, repeated, sums, np.eye(3)):
+            basis = rom.EigenBasis(np.zeros(len(vecs)), vecs)
+            with pytest.raises(ValueError, match="not a Fourier basis"):
+                rom.slot_masks(basis, [1])
 
 
 class _SpanRhs:
@@ -208,24 +276,52 @@ def stabilized_model(d, seed=0, zero_net=False):
     return node.RhsModel(mlp, node.FixedSymbol(symbol))
 
 
+def dense_galerkin_rhs(basis, d_p, model, p, lift=0.0):
+    """Resolved dynamics dp/dt = Lambda_p p + Vp^T F(Vp p + lift) of one row."""
+    vp = leading(basis, d_p)
+    return basis.eigenvalues[:d_p] * p + vp.T @ grid_nonlinear(model, vp @ p + lift)
+
+
+def dense_correction(basis, d_p, model, p, iterations=1):
+    """q <- -Lambda_q^{-1} Vq^T F(Vp p + Vq q) from q = 0, of one row."""
+    vp, vq = leading(basis, d_p), trailing(basis, d_p)
+    q = np.zeros(basis.d - d_p)
+    for _ in range(iterations):
+        q = -(vq.T @ grid_nonlinear(model, vp @ p + vq @ q)) / basis.eigenvalues[d_p:]
+    return q
+
+
+def resolved_coeffs(basis, d_p, p):
+    """The slot-mask state of eigen-coordinates p: one row of spectra."""
+    lam, resolved, divisor = rom.slot_masks(basis, [d_p])
+    return lam, resolved, divisor, resolved * coeffs(leading(basis, d_p) @ p)[None]
+
+
 class TestGalerkinRhs:
+    """The slot-mask Galerkin tendency against its dense formula."""
+
     def test_zero_nonlinearity_decouples(self):
         d = 8
         model = stabilized_model(d, zero_net=True)
         basis = rom.fourier_basis(model.linear_symbol())
         p = np.arange(1.0, 5.0)
-        out = rom.galerkin_rhs(basis, [4], model, p[None])[0]
-        assert np.allclose(out, basis.eigenvalues[:4] * p, atol=1e-12)
+        lam, resolved, _, c_p = resolved_coeffs(basis, 4, p)
+        out = rom.galerkin_rhs(lam, resolved, model, c_p)
+        assert np.allclose(grid(out)[0], leading(basis, 4) @ (basis.eigenvalues[:4] * p),
+                           atol=1e-12)
 
     def test_full_retention_matches_conjugated_rhs(self):
         d = 8
         model = stabilized_model(d, seed=1)
         basis = rom.fourier_basis(model.linear_symbol())
         p = np.random.default_rng(2).standard_normal(d)
-        out = rom.galerkin_rhs(basis, [d], model, p[None])[0]
+        lam, resolved, _, c_p = resolved_coeffs(basis, d, p)
+        out = grid(rom.galerkin_rhs(lam, resolved, model, c_p))[0]
         u = basis.eigenvectors @ p
-        expected = basis.eigenvectors.T @ model.eval(u)
+        expected = basis.eigenvectors @ (basis.eigenvectors.T @ model.eval(u))
         assert np.max(np.abs(out - expected)) < 1e-10
+        assert np.max(np.abs(out - basis.eigenvectors @ dense_galerkin_rhs(
+            basis, d, model, p))) < 1e-10
 
     def test_matches_direct_evaluation(self):
         d = 8
@@ -233,17 +329,23 @@ class TestGalerkinRhs:
         basis = rom.fourier_basis(model.linear_symbol())
         d_p = 5
         p = np.random.default_rng(4).standard_normal(d_p)
-        out = rom.galerkin_rhs(basis, [d_p], model, p[None])[0]
-        vp = basis.leading(d_p)
-        expected = vp.T @ model.eval(vp @ p)
+        lam, resolved, _, c_p = resolved_coeffs(basis, d_p, p)
+        lift = coeffs(trailing(basis, d_p) @ np.full(d - d_p, 0.1))[None]
+        out = grid(rom.galerkin_rhs(lam, resolved, model, c_p, lift))[0]
+        vp = leading(basis, d_p)
+        expected = vp @ dense_galerkin_rhs(basis, d_p, model, p, grid(lift)[0])
         assert np.max(np.abs(out - expected)) < 1e-10
+        direct = vp @ (vp.T @ model.eval(vp @ p))
+        out = grid(rom.galerkin_rhs(lam, resolved, model, c_p))[0]
+        assert np.max(np.abs(out - direct)) < 1e-10
 
     def test_bare_nonlinear_model_rejected(self):
         d = 6
         basis = rom.fourier_basis(np.ones(d // 2 + 1))
         model = node.RhsModel(zero_mlp(d))
+        lam, resolved, _ = rom.slot_masks(basis, [3])
         with pytest.raises(ValueError):
-            rom.galerkin_rhs(basis, [3], model, np.zeros((1, 3)))
+            rom.galerkin_rhs(lam, resolved, model, np.zeros((1, d + 2)))
 
 
 class TestUnresolvedCorrection:
@@ -252,34 +354,41 @@ class TestUnresolvedCorrection:
         model = stabilized_model(d, zero_net=True)
         basis = rom.fourier_basis(model.linear_symbol())
         # d_p = 7 keeps the conserved-mean (zero-eigenvalue) mode resolved
-        q = rom.unresolved_correction(basis, [7], model, np.ones((1, 7)))[0]
+        _, _, divisor, c_p = resolved_coeffs(basis, 7, np.ones(7))
+        q = rom.unresolved_correction(divisor, model, c_p)
         assert np.max(np.abs(q)) == 0.0
 
-    def test_single_iteration_matches_dense_solve(self):
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_single_iteration_matches_dense_solve(self, iterations):
         d = 10
         model = stabilized_model(d, seed=5)
         basis = rom.fourier_basis(model.linear_symbol())
         d_p = 7
         p = 0.3 * np.random.default_rng(6).standard_normal(d_p)
-        q = rom.unresolved_correction(basis, [d_p], model, p[None])[0]
-        vp, vq = basis.leading(d_p), basis.trailing(d_p)
-        rhs_vec = -(vq.T @ model.nonlinear(vp @ p))
-        oracle = np.linalg.solve(np.diag(basis.eigenvalues[d_p:]), rhs_vec)
-        assert np.allclose(q, oracle, atol=1e-12)
+        _, _, divisor, c_p = resolved_coeffs(basis, d_p, p)
+        q = grid(rom.unresolved_correction(divisor, model, c_p, iterations))[0]
+        vp, vq = leading(basis, d_p), trailing(basis, d_p)
+        assert np.allclose(q, vq @ dense_correction(basis, d_p, model, p, iterations),
+                           atol=1e-12)
+        if iterations == 1:
+            rhs_vec = -(vq.T @ grid_nonlinear(model, vp @ p))
+            oracle = np.linalg.solve(np.diag(basis.eigenvalues[d_p:]), rhs_vec)
+            assert np.allclose(q, vq @ oracle, atol=1e-12)
 
     def test_fixed_point_residual_decreases(self):
         d = 12
         model = stabilized_model(d, seed=7)
         basis = rom.fourier_basis(model.linear_symbol())
         d_p = 7
-        vp, vq = basis.leading(d_p), basis.trailing(d_p)
+        vp, vq = leading(basis, d_p), trailing(basis, d_p)
         lam_q = basis.eigenvalues[d_p:]
         p = 0.3 * np.random.default_rng(8).standard_normal(d_p)
 
         def residual(q):
-            return np.linalg.norm(lam_q * q + vq.T @ model.nonlinear(vp @ p + vq @ q))
+            return np.linalg.norm(lam_q * q + vq.T @ grid_nonlinear(model, vp @ p + vq @ q))
 
-        q1 = rom.unresolved_correction(basis, [d_p], model, p[None], iterations=1)[0]
+        _, _, divisor, c_p = resolved_coeffs(basis, d_p, p)
+        q1 = vq.T @ grid(rom.unresolved_correction(divisor, model, c_p))[0]
         assert residual(q1) < residual(np.zeros(d - d_p))
 
     def test_near_zero_trailing_eigenvalue_named(self):
@@ -310,13 +419,13 @@ class TestRomIntegrate:
         basis = rom.fourier_basis(model.linear_symbol())
         d_p = 4
         p0 = np.ones(d_p)
-        u0 = basis.leading(d_p) @ p0
+        u0 = leading(basis, d_p) @ p0
         t_end = 0.25
         times, states = rom.rom_integrate(basis, [d_p], model, u0, t_end,
                                           mode="galerkin", save_interval=t_end,
                                           dt=0.0125)
         states = states[0]
-        p_end = basis.leading(d_p).T @ states[-1]
+        p_end = leading(basis, d_p).T @ states[-1]
         expected = np.exp(basis.eigenvalues[:d_p] * t_end) * p0
         assert np.allclose(p_end, expected, rtol=1e-6)
 
@@ -330,10 +439,10 @@ class TestRomIntegrate:
                                         mode="galerkin", save_interval=0.1, dt=0.02)
         _, (post,) = rom.rom_integrate(basis, [d_p], model, u0, 0.2,
                                        mode="ppg", save_interval=0.1, dt=0.02)
-        vp, vq = basis.leading(d_p), basis.trailing(d_p)
+        vp, vq = leading(basis, d_p), trailing(basis, d_p)
         for k in range(len(plain)):
             p_now = vp.T @ plain[k]
-            q_now = rom.unresolved_correction(basis, [d_p], model, p_now[None])[0]
+            q_now = dense_correction(basis, d_p, model, p_now)
             assert np.allclose(post[k], vp @ p_now + vq @ q_now, atol=1e-12)
 
     def test_unknown_mode_rejected(self):
@@ -345,16 +454,17 @@ class TestRomIntegrate:
 
 
 def solo_rom(basis, d_p, model, u0, total_time, mode, save_interval, dt):
-    """One d_p integrated alone, in the step order of a one-row integrator;
-    snapshots from the first non-finite one on read +inf."""
-    vp, vq = basis.leading(d_p), basis.trailing(d_p)
+    """Dense reference: one d_p integrated alone in eigen-coordinates, every
+    projection a product with the eigenvectors; snapshots from the first
+    non-finite one on read +inf."""
+    vp, vq = leading(basis, d_p), trailing(basis, d_p)
     p = vp.T @ u0
 
     def reconstruct(p_now):
         u = vp @ p_now
         if mode == "galerkin":
             return u
-        return u + vq @ rom.unresolved_correction(basis, [d_p], model, p_now[None])[0]
+        return u + vq @ dense_correction(basis, d_p, model, p_now)
 
     n_save = int(round(total_time / save_interval))
     states = np.full((n_save + 1, basis.d), np.inf)
@@ -364,9 +474,9 @@ def solo_rom(basis, d_p, model, u0, total_time, mode, save_interval, dt):
             for _ in range(int(round(save_interval / dt))):
                 lift = 0.0
                 if mode == "nlg":
-                    lift = vq @ rom.unresolved_correction(basis, [d_p], model, p[None])[0]
+                    lift = vq @ dense_correction(basis, d_p, model, p)
                 p = node._rk4_forward(
-                    lambda ps, _: rom.galerkin_rhs(basis, [d_p], model, ps[None], lift)[0],
+                    lambda ps, _: dense_galerkin_rhs(basis, d_p, model, ps, lift),
                     p, dt, 1)
             snap = reconstruct(p)
             if not np.all(np.isfinite(snap)):
@@ -375,12 +485,60 @@ def solo_rom(basis, d_p, model, u0, total_time, mode, save_interval, dt):
     return states
 
 
+def one_row(basis, d_p, model, u0, total_time, mode, save_interval, dt):
+    """A one-row :func:`rom.rom_integrate` call, the lockstep rows' oracle."""
+    return rom.rom_integrate(basis, [d_p], model, u0, total_time, mode, save_interval,
+                             dt)[1][0]
+
+
+def assert_close_rows(rows, reference, rtol):
+    """Each snapshot within rtol of the reference snapshot's largest entry, as
+    cancellation leaves some entries tiny."""
+    scale = np.max(np.abs(reference), axis=-1, keepdims=True)
+    assert np.all(np.abs(rows - reference) <= rtol * scale)
+
+
 def kse_start(d, seed=0):
     """A smooth zero-mean KSE state built from the lowest eight wavenumbers."""
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(d // 2 + 1, dtype=complex)
     coeffs[1:9] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     return np.fft.irfft(coeffs, n=d) * d / 8
+
+
+class TestDenseReference:
+    """The slot-mask sweep against the dense eigen-coordinate integrator."""
+
+    @pytest.mark.parametrize("rhs", ["true", "network"])
+    @pytest.mark.parametrize("mode", ["galerkin", "nlg", "ppg"])
+    def test_matches_to_rounding(self, rhs, mode):
+        d = 32
+        if rhs == "true":
+            model, u0 = node.TrueRhs("kse", d, 22.0), kse_start(d)
+        else:
+            model, u0 = stabilized_model(d, seed=13), 0.3 * kse_start(d, seed=1)
+        basis = rom.fourier_basis(model.linear_symbol())
+        dims = [7, 8, 15]
+        _, sweep = rom.rom_integrate(basis, dims, model, u0, 1.0, mode, 0.25, 0.01)
+        for d_p, row in zip(dims, sweep):
+            assert np.all(np.isfinite(row))
+            assert_close_rows(row, solo_rom(basis, d_p, model, u0, 1.0, mode, 0.25, 0.01),
+                              1e-12)
+
+    def test_variance_sorted_basis(self):
+        d = 32
+        model = node.TrueRhs("kse", d, 22.0)
+        snaps = np.stack([kse_start(d, seed) for seed in range(20)])
+        basis = rom.variance_sort(rom.fourier_basis(model.linear_symbol()), model, snaps)
+        assert not np.array_equal(basis.eigenvalues,
+                                  rom.fourier_basis(model.linear_symbol()).eigenvalues)
+        u0 = kse_start(d)
+        dims = [7, 8, 15]
+        _, sweep = rom.rom_integrate(basis, dims, model, u0, 1.0, "galerkin", 0.25, 0.01)
+        for d_p, row in zip(dims, sweep):
+            assert np.all(np.isfinite(row))
+            assert_close_rows(row, solo_rom(basis, d_p, model, u0, 1.0, "galerkin",
+                                            0.25, 0.01), 1e-12)
 
 
 class TestLockstepSweep:
@@ -398,8 +556,8 @@ class TestLockstepSweep:
         assert np.array_equal(times, np.arange(9) * 0.25)
         for d_p, row in zip(dims, sweep):
             assert np.all(np.isfinite(row))
-            assert np.array_equal(row, solo_rom(basis, d_p, model, u0, 2.0, mode,
-                                                0.25, 0.01))
+            assert np.array_equal(row, one_row(basis, d_p, model, u0, 2.0, mode,
+                                               0.25, 0.01))
 
     def test_nlg_save_correction_lifts_the_next_step(self, monkeypatch):
         # 4 saves of 5 steps: one correction per step and one at t = 0, as
@@ -413,20 +571,21 @@ class TestLockstepSweep:
         correction = rom.unresolved_correction
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[2].shape)
             return correction(*args, **kwargs)
 
         monkeypatch.setattr(rom, "unresolved_correction", counted)
         _, sweep = rom.rom_integrate(basis, dims, model, u0, 1.0, "nlg", 0.25, 0.05)
         monkeypatch.undo()
-        assert len(calls) == 1 + 4 * 5
+        assert calls == [(3, d + 2)] * (1 + 4 * 5)
         for d_p, row in zip(dims, sweep):
-            assert np.array_equal(row, solo_rom(basis, d_p, model, u0, 1.0, "nlg",
-                                                0.25, 0.05))
+            assert np.array_equal(row, one_row(basis, d_p, model, u0, 1.0, "nlg",
+                                               0.25, 0.05))
+            assert_close_rows(row, solo_rom(basis, d_p, model, u0, 1.0, "nlg", 0.25, 0.05),
+                              1e-12)
 
     def test_network_rhs_rows_match_to_rounding(self):
-        # a batched matmul is not bitwise a one-row one; relative to each
-        # snapshot's largest entry, as cancellation leaves some entries tiny
+        # a batched matmul is not bitwise a one-row one
         d = 32
         model = stabilized_model(d, seed=13)
         basis = rom.fourier_basis(model.linear_symbol())
@@ -434,9 +593,8 @@ class TestLockstepSweep:
         dims = [7, 8, 15]
         _, sweep = rom.rom_integrate(basis, dims, model, u0, 0.5, "nlg", 0.25, 0.01)
         for d_p, row in zip(dims, sweep):
-            alone = solo_rom(basis, d_p, model, u0, 0.5, "nlg", 0.25, 0.01)
-            scale = np.max(np.abs(alone), axis=1, keepdims=True)
-            assert np.all(np.abs(row - alone) <= 1e-14 * scale)
+            assert_close_rows(row, one_row(basis, d_p, model, u0, 0.5, "nlg", 0.25, 0.01),
+                              1e-14)
 
     def test_diverging_row_leaves_the_others_alone(self):
         # d_p = 32 keeps the stiffest mode, far outside RK4's region at dt = 0.05;
@@ -453,8 +611,8 @@ class TestLockstepSweep:
             assert 0 < first and bad[first:].all(), mode
             assert np.all(sweep[1, first:] == np.inf)
             for d_p, row in zip(dims, sweep):
-                assert np.array_equal(row, solo_rom(basis, d_p, model, u0, 5.0, mode,
-                                                    0.25, 0.05)), (mode, d_p)
+                assert np.array_equal(row, one_row(basis, d_p, model, u0, 5.0, mode,
+                                                   0.25, 0.05)), (mode, d_p)
             assert np.all(np.isfinite(sweep[[0, 2]]))
 
     def test_every_dp_checked_before_any_step(self):
@@ -462,7 +620,7 @@ class TestLockstepSweep:
         model = node.TrueRhs("kse", d, 22.0)
         basis = rom.fourier_basis(model.linear_symbol())
         calls = []
-        model.nonlinear = lambda u: calls.append(u) or np.zeros_like(u)
+        model.nonlinear = lambda c: calls.append(c) or np.zeros_like(c)
         # d_p = 3 leaves the mean mode's zero eigenvalue among the slaved ones
         with pytest.raises(ValueError, match="cannot slave"):
             rom.rom_integrate(basis, [23, 3], model, kse_start(d), 1.0, "nlg")
@@ -479,6 +637,10 @@ class TestLockstepSweep:
             rom.rom_integrate(basis, [8], model, kse_start(d), 1.1, "nlg", 0.25)
         with pytest.raises(ValueError, match="must divide the time span"):
             rom.rom_integrate(basis, [8], model, kse_start(d), 1.0, "nlg", 0.25, 0.03)
+        # an orthonormal basis that is not a Fourier one has no slot masks
+        for mode in rom.MODES:
+            with pytest.raises(ValueError, match="not a Fourier basis"):
+                rom.rom_integrate(qr_basis(d, 0), [8], model, kse_start(d), 1.0, mode)
         assert calls == []
 
 
