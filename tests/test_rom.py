@@ -358,8 +358,7 @@ class TestUnresolvedCorrection:
         q = rom.unresolved_correction(divisor, model, c_p)
         assert np.max(np.abs(q)) == 0.0
 
-    @pytest.mark.parametrize("iterations", [1, 3])
-    def test_single_iteration_matches_dense_solve(self, iterations):
+    def correction_on_grid(self, iterations):
         d = 10
         model = stabilized_model(d, seed=5)
         basis = rom.fourier_basis(model.linear_symbol())
@@ -367,13 +366,20 @@ class TestUnresolvedCorrection:
         p = 0.3 * np.random.default_rng(6).standard_normal(d_p)
         _, _, divisor, c_p = resolved_coeffs(basis, d_p, p)
         q = grid(rom.unresolved_correction(divisor, model, c_p, iterations))[0]
-        vp, vq = leading(basis, d_p), trailing(basis, d_p)
+        vq = trailing(basis, d_p)
         assert np.allclose(q, vq @ dense_correction(basis, d_p, model, p, iterations),
                            atol=1e-12)
-        if iterations == 1:
-            rhs_vec = -(vq.T @ grid_nonlinear(model, vp @ p))
-            oracle = np.linalg.solve(np.diag(basis.eigenvalues[d_p:]), rhs_vec)
-            assert np.allclose(q, vq @ oracle, atol=1e-12)
+        return q, model, basis, d_p, p
+
+    def test_single_iteration_matches_dense_solve(self):
+        q, model, basis, d_p, p = self.correction_on_grid(1)
+        vp, vq = leading(basis, d_p), trailing(basis, d_p)
+        rhs_vec = -(vq.T @ grid_nonlinear(model, vp @ p))
+        oracle = np.linalg.solve(np.diag(basis.eigenvalues[d_p:]), rhs_vec)
+        assert np.allclose(q, vq @ oracle, atol=1e-12)
+
+    def test_several_iterations_match_dense_fixed_point(self):
+        self.correction_on_grid(3)
 
     def test_fixed_point_residual_decreases(self):
         d = 12
