@@ -33,7 +33,8 @@ and exits 0; a `checkpoint_every` save of the last epoch is not repeated.
 passed.
 
 Exit codes: 0 success; 2 config error: a value outside its key's kind,
-allowed values or minimum (a count, or a `hidden` width, below 1), from any
+allowed values or minimum (a count, e.g. `pdf_bins` or `slaving_iterations`,
+or a `hidden` width, below 1; a `test_ics` below 0), from any
 source, rejected before any command runs; or any other setting the pipeline
 rejects (a
 ValueError other than an artifact error), e.g. a bad noise spec or band, a
@@ -61,8 +62,9 @@ prediction went non-finite, which saves the last good epoch.  A KL of PDFs
 that share no bin reads inf and is not a divergence; 4 I/O error, a corrupt
 (truncated, padded, bad-header, unknown-tag or NaN/Inf-payload) binary
 artifact, a checkpoint whose variant tag contradicts its stencil block, a
-sidecar number that does not parse, a dataset sidecar `train_trajectories` below 1 or `solver_step` that does not
-divide the dataset's tau, a checkpoint sidecar without `system` or
+sidecar number that does not parse, a dataset sidecar `train_trajectories` below 1
+or past the file's trajectory count or `solver_step` that does not divide the
+dataset's tau, a checkpoint sidecar without `system` or
 `domain_length` where the physics is needed, or a `train --resume` checkpoint
 sidecar without `epochs_completed`.
 """
@@ -143,9 +145,10 @@ def parse_dp_list(text) -> list:
     return list(_parse_ints(text))
 
 
-# a count is an int of at least 1, and counts a comma list of them
-_PARSERS = {"int": int, "count": int, "counts": _parse_ints, "float": float, "str": str,
-            "bool": _parse_bool, "floats": _parse_floats, "dps": parse_dp_list}
+# a count is an int of at least 1, counts a comma list of them, and a size an
+# int of at least 0
+_PARSERS = {"int": int, "count": int, "counts": _parse_ints, "size": int, "float": float,
+            "str": str, "bool": _parse_bool, "floats": _parse_floats, "dps": parse_dp_list}
 
 AUTO = "auto"
 
@@ -173,8 +176,8 @@ def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
     """defaults <- config file <- CLI overrides; unknown keys are rejected,
     retired keys a command lacks dropped from a config file so old manifests rerun, and
     every value checked against its key's kind, choices and, for a count or
-    each entry of counts, the minimum of 1.  `auto` is accepted only for keys
-    whose default it is or that have per-system defaults."""
+    each entry of counts, the minimum of 1 (0 for a size).  `auto` is accepted
+    only for keys whose default it is or that have per-system defaults."""
     file_values = {k: v for k, v in file_values.items()
                    if k in schema or k not in RETIRED_KEYS}
     for source, values in (("config file", file_values), ("command line", overrides)):
@@ -204,6 +207,8 @@ def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
             raise ConfigError(f"{key} must be at least 1, got {value}")
         if spec.kind == "counts" and any(v < 1 for v in value):
             raise ConfigError(f"every {key} entry must be at least 1, got {raw}")
+        if spec.kind == "size" and value < 0:
+            raise ConfigError(f"{key} must be at least 0, got {value}")
         out[key] = value
     return out
 
@@ -285,7 +290,7 @@ GENERATE_SCHEMA_COMMON = {
 
 GENERATE_SCHEMA_VBE = {
     "train_ics": Key("count", "1000", flag=True),
-    "test_ics": Key("int", "100", flag=True),
+    "test_ics": Key("size", "100", flag=True),
     "horizon": Key("float", "5.0", flag=True),
     "tau": Key("float", "0.05"),
     "solver_step": Key("float", "1e-3"),
@@ -492,7 +497,7 @@ EVALUATE_SCHEMA = {
     "rollout_steps": Key("count", "5"),
     "seed": Key("int", "0", flag=True),
     "pdf_time": Key("float", "2000.0"),
-    "pdf_bins": Key("int", "100"),
+    "pdf_bins": Key("count", "100"),
     "lyapunov_time": Key("float", "22.0"),
     "lyapunov_total_time": Key("float", "2000.0"),
 }
@@ -650,9 +655,9 @@ ROM_SCHEMA = {
     "total_time": Key("float", "2000.0"),
     "save_interval": Key("float", "0.25"),
     "dt": Key("float", "0.01"),
-    "slaving_iterations": Key("int", "1"),
+    "slaving_iterations": Key("count", "1"),
     "ic_index": Key("int", "0"),
-    "pdf_bins": Key("int", "100"),
+    "pdf_bins": Key("count", "100"),
     "reference": Key("str", "dataset", ("dataset", "self")),
 }
 

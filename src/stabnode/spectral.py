@@ -5,6 +5,11 @@ third-order Runge-Kutta with Crank-Nicolson diffusion) and the
 Kuramoto-Sivashinsky equation (ETDRK4 after Kassam & Trefethen, SIAM
 J. Sci. Comput. 26 (2005) 1214-1233, with contour-averaged coefficients),
 plus random initial conditions drawn to a prescribed energy budget.
+Both solvers step in place: ``advance`` copies its input once, every stage
+writes into buffers kept on the solver, and each product or quotient of
+complex coefficients with a real factor is a multiply of float64 views by a
+row precomputed from the factor, which keeps numpy's complex-arithmetic bits
+(:class:`_Solver` says why).
 :func:`march` is the one loop that drops diverging rows, for the model rollout
 and the ROM sweep: a diverged row is a non-finite state, judged by value at
 each save.  Dataset generation, which must raise at once, and the Lyapunov
@@ -32,9 +37,9 @@ the rest are the test split, empty when there are no more; absent, the
 ensemble is its own test set) and ``train_fraction`` (KSE
 chronological cut, 0.8); a checkpoint ``system``, ``domain_length``,
 ``viscosity`` (8e-4) and ``epochs_completed``.  A number that does not parse,
-a ``train_trajectories`` below 1, a dataset ``solver_step`` that does not divide
-its tau and a checkpoint sidecar without ``system`` or ``domain_length`` are
-ArtifactErrors.
+a ``train_trajectories`` below 1 or past the file's trajectory count, a
+dataset ``solver_step`` that does not divide its tau and a checkpoint sidecar
+without ``system`` or ``domain_length`` are ArtifactErrors.
 """
 
 from __future__ import annotations
@@ -286,27 +291,70 @@ def advection_symbols(d: int, domain_length: float):
     return np.where(keep, half_iq, 0.0), keep * (d + 0j)
 
 
-def burgers_tendency(coeffs: np.ndarray, half_iq: np.ndarray,
-                     mask_d: np.ndarray) -> np.ndarray:
+def burgers_tendency(coeffs: np.ndarray, half_iq: np.ndarray, mask_d: np.ndarray,
+                     out: np.ndarray | None = None, spectrum: np.ndarray | None = None,
+                     grid: np.ndarray | None = None) -> np.ndarray:
     """Advection -0.5*(u^2)_x of one-sided coefficients (one state or a batch),
     2/3-rule dealiased on input and output by the factors of
-    :func:`advection_symbols`.  A discarded mode reads a zero of either sign."""
+    :func:`advection_symbols`.  A discarded mode reads a zero of either sign.
+
+    The result is written into ``out`` through the scratch ``spectrum``
+    (complex, the shape of ``coeffs``) and ``grid`` (real, d points per row)
+    when they are given, with the same bits as without them.  The 1/d
+    normalisation is a multiply by 1/d, which has the bits of numpy's complex
+    division by d (see :class:`_Solver`).
+    """
     d = 2 * (coeffs.shape[-1] - 1)
-    u = irfft(coeffs * mask_d, d)
-    return half_iq * (rfft(u * u) / d)
+    u = irfft(np.multiply(coeffs, mask_d, out=spectrum), d, out=grid)
+    spectrum = rfft(np.multiply(u, u, out=u), out=spectrum)
+    return np.multiply(half_iq, np.multiply(spectrum, 1.0 / d, out=spectrum), out=out)
+
+
+def _interleaved(row: np.ndarray) -> np.ndarray:
+    """A real per-wavenumber factor repeated twice, to multiply the float64 view
+    (real and imaginary parts interleaved) of one-sided coefficients."""
+    return np.repeat(row, 2)
 
 
 class _Solver:
-    """The stepping loop both ground-truth solvers share."""
+    """The stepping loop both ground-truth solvers share, run in place.
+
+    ``advance(coeffs, nsteps)`` copies ``coeffs`` once into a fresh state,
+    which it steps in place and returns: the input is left as it was, and two
+    results share no memory.  Every stage writes with ``out=`` into buffers
+    that are built, with their float64 views, once per batch shape and kept on
+    the solver.  Each product of a complex coefficient with a real factor, and
+    each quotient by one, is a multiply of those float64 views by a row
+    precomputed in ``__init__`` (the factor, or its reciprocal, repeated twice
+    for the interleaved real and imaginary parts).  That keeps numpy's bits:
+    numpy multiplies a complex array by a real x as the complex product
+    (re*x - im*0, re*0 + im*x) and divides it by x with Smith's method as
+    ((re + im*0)*(1/x), (im - re*0)*(1/x)), so both give re*x (or re*(1/x))
+    and im*x (or im*(1/x)); only the sign of an exact zero may differ, and a
+    sum with any nonzero term does not see it.
+    """
+
+    _shape = None  # the batch shape the kept buffers were built for
 
     def advance(self, coeffs: np.ndarray, nsteps: int) -> np.ndarray:
+        state = np.array(coeffs, dtype=np.complex128)
         # overflow en route to the finiteness check is the blow-up signal
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(nsteps):
-                coeffs = self.step_spectral(coeffs)
-        if not np.all(np.isfinite(coeffs)):
+            self._step_in_place(state, nsteps)
+        if not np.all(np.isfinite(state)):
             raise DivergenceError(f"{self.EQUATION} integration blew up")
-        return coeffs
+        return state
+
+    def _buffers(self, shape: tuple):
+        """The stage buffers for states of ``shape``, built on the first call
+        for that shape and kept until a call with another."""
+        if self._shape != shape:
+            self._shape, self._kept = shape, self._build_buffers(shape)
+        return self._kept
+
+    def _tendency_scratch(self, shape: tuple):
+        """The ``spectrum`` and ``grid`` scratch of :func:`burgers_tendency`."""
+        return np.empty(shape, dtype=np.complex128), np.empty(shape[:-1] + (self.d,))
 
 
 class VbeSolver(_Solver):
@@ -315,6 +363,9 @@ class VbeSolver(_Solver):
     Diffusion is treated with Crank-Nicolson inside a third-order
     low-storage Runge-Kutta loop (stage steps dt/3, dt/2, dt); the
     advection term -0.5*(u^2)_x is explicit with 2/3-rule dealiasing.
+    A stage is v <- (base + dt_s*N(v) + (0.5*lin*dt_s)*base) / (1 - 0.5*lin*dt_s),
+    stepped in place as :class:`_Solver` describes: the explicit half
+    0.5*lin*dt_s and the reciprocal of the implicit half are rows per stage.
     """
 
     EQUATION = "viscous Burgers"
@@ -327,17 +378,31 @@ class VbeSolver(_Solver):
         self.domain_length = domain_length
         self.viscosity = viscosity
         self.dt = dt
-        self._lin = linear_symbol("vbe", d, domain_length, viscosity)
+        lin = linear_symbol("vbe", d, domain_length, viscosity)
         self._adv = advection_symbols(d, domain_length)
+        # (dt_s, explicit row, reciprocal implicit row) of stages dt/3, dt/2, dt
+        self._stages = [(dt_s, _interleaved(0.5 * lin * dt_s),
+                         _interleaved(1.0 / (1.0 - 0.5 * lin * dt_s)))
+                        for dt_s in (dt / (3 - stage) for stage in range(3))]
 
-    def step_spectral(self, coeffs: np.ndarray) -> np.ndarray:
-        base = coeffs
-        v = coeffs
-        for stage in range(3):
-            dt_s = self.dt / (3 - stage)
-            v = base + dt_s * burgers_tendency(v, *self._adv)
-            v = (v + 0.5 * self._lin * dt_s * base) / (1.0 - 0.5 * self._lin * dt_s)
-        return v
+    def _build_buffers(self, shape: tuple):
+        tendency = np.empty(shape, dtype=np.complex128)
+        base = np.empty(shape[:-1] + (2 * shape[-1],))
+        return (base, tendency, tendency.view(np.float64), *self._tendency_scratch(shape))
+
+    def _step_in_place(self, v: np.ndarray, nsteps: int) -> None:
+        v_f = v.view(np.float64)
+        base_f, n, n_f, spectrum, grid = self._buffers(v.shape)
+        half_iq, mask_d = self._adv
+        for _ in range(nsteps):
+            np.copyto(base_f, v_f)
+            for dt_s, explicit, implicit_inv in self._stages:
+                burgers_tendency(v, half_iq, mask_d, out=n, spectrum=spectrum, grid=grid)
+                np.multiply(n_f, dt_s, out=v_f)
+                np.add(base_f, v_f, out=v_f)
+                np.multiply(explicit, base_f, out=n_f)
+                np.add(v_f, n_f, out=v_f)
+                np.multiply(v_f, implicit_inv, out=v_f)
 
 
 class KseSolver(_Solver):
@@ -345,7 +410,9 @@ class KseSolver(_Solver):
 
     Linear symbol l(k) = q^2 - q^4 with q = 2*pi*k/L is integrated exactly;
     the phi-coefficients are evaluated as means over 32 points of a complex
-    contour around each l*h to avoid cancellation near l -> 0.
+    contour around each l*h to avoid cancellation near l -> 0.  The factors
+    E, E2, Q and f1-f3 are rows, and a step runs in place as :class:`_Solver`
+    describes, with E2*v computed once for both stages that use it.
     """
 
     CONTOUR_POINTS = 32
@@ -359,28 +426,61 @@ class KseSolver(_Solver):
         self.h = h
         ell = linear_symbol("kse", d, domain_length)
         self._adv = advection_symbols(d, domain_length)
-        self._E = np.exp(h * ell)
-        self._E2 = np.exp(0.5 * h * ell)
         m = self.CONTOUR_POINTS
         r = np.exp(1j * np.pi * (np.arange(m) + 0.5) / m)
         lr = h * ell[:, None] + r[None, :]
-        self._Q = h * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1).real
-        self._f1 = h * np.mean(
+        q = h * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1).real
+        f1 = h * np.mean(
             (-4.0 - lr + np.exp(lr) * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1).real
-        self._f2 = h * np.mean(
-            (2.0 + lr + np.exp(lr) * (lr - 2.0)) / lr**3, axis=1).real
-        self._f3 = h * np.mean(
+        f2 = h * np.mean((2.0 + lr + np.exp(lr) * (lr - 2.0)) / lr**3, axis=1).real
+        f3 = h * np.mean(
             (-4.0 - 3.0 * lr - lr**2 + np.exp(lr) * (4.0 - lr)) / lr**3, axis=1).real
+        # E, E2, Q, f1, f2, f3
+        self._rows = tuple(_interleaved(row) for row in (
+            np.exp(h * ell), np.exp(0.5 * h * ell), q, f1, f2, f3))
 
-    def step_spectral(self, v: np.ndarray) -> np.ndarray:
-        n_v = burgers_tendency(v, *self._adv)
-        a = self._E2 * v + self._Q * n_v
-        n_a = burgers_tendency(a, *self._adv)
-        b = self._E2 * v + self._Q * n_a
-        n_b = burgers_tendency(b, *self._adv)
-        c = self._E2 * a + self._Q * (2.0 * n_b - n_v)
-        n_c = burgers_tendency(c, *self._adv)
-        return self._E * v + n_v * self._f1 + 2.0 * (n_a + n_b) * self._f2 + n_c * self._f3
+    def _build_buffers(self, shape: tuple):
+        # N(v), N(a), N(b), N(c), a, and b (then c)
+        stages = [np.empty(shape, dtype=np.complex128) for _ in range(6)]
+        e2v, tmp = np.empty((2,) + shape[:-1] + (2 * shape[-1],))
+        return (stages, [a.view(np.float64) for a in stages], e2v, tmp,
+                *self._tendency_scratch(shape))
+
+    def _step_in_place(self, v: np.ndarray, nsteps: int) -> None:
+        v_f = v.view(np.float64)
+        stages, views, e2v, tmp, spectrum, grid = self._buffers(v.shape)
+        n_v, n_a, n_b, n_c, a, b = stages
+        n_v_f, n_a_f, n_b_f, n_c_f, a_f, b_f = views
+        E, E2, Q, f1, f2, f3 = self._rows
+        half_iq, mask_d = self._adv
+        for _ in range(nsteps):
+            burgers_tendency(v, half_iq, mask_d, out=n_v, spectrum=spectrum, grid=grid)
+            np.multiply(E2, v_f, out=e2v)
+            # a = E2*v + Q*N(v)
+            np.multiply(Q, n_v_f, out=a_f)
+            np.add(e2v, a_f, out=a_f)
+            burgers_tendency(a, half_iq, mask_d, out=n_a, spectrum=spectrum, grid=grid)
+            # b = E2*v + Q*N(a)
+            np.multiply(Q, n_a_f, out=b_f)
+            np.add(e2v, b_f, out=b_f)
+            burgers_tendency(b, half_iq, mask_d, out=n_b, spectrum=spectrum, grid=grid)
+            # c = E2*a + Q*(2*N(b) - N(v)), into b's buffer
+            np.multiply(n_b_f, 2.0, out=tmp)
+            np.subtract(tmp, n_v_f, out=tmp)
+            np.multiply(Q, tmp, out=tmp)
+            np.multiply(E2, a_f, out=b_f)
+            np.add(b_f, tmp, out=b_f)
+            burgers_tendency(b, half_iq, mask_d, out=n_c, spectrum=spectrum, grid=grid)
+            # v <- E*v + N(v)*f1 + 2*(N(a) + N(b))*f2 + N(c)*f3, summed left to right
+            np.multiply(E, v_f, out=v_f)
+            np.multiply(n_v_f, f1, out=tmp)
+            np.add(v_f, tmp, out=v_f)
+            np.add(n_a_f, n_b_f, out=tmp)
+            np.multiply(tmp, 2.0, out=tmp)
+            np.multiply(tmp, f2, out=tmp)
+            np.add(v_f, tmp, out=v_f)
+            np.multiply(n_c_f, f3, out=tmp)
+            np.add(v_f, tmp, out=v_f)
 
 
 def true_solver(system: str, d: int, domain_length: float, viscosity: float,
@@ -564,6 +664,9 @@ def generate_vbe_dataset(n_train: int = 1000, n_test: int = 100, d: int = 512,
     separate single-seed runs stacked.  Train/test membership is by
     position: the first n_train trajectories are the training set.
     """
+    if n_train < 1 or n_test < 0:
+        raise ValueError(f"an ensemble needs at least 1 training and 0 test "
+                         f"trajectories, got {n_train} and {n_test}")
     n_snap = save_count(horizon, tau) + 1
     sub = save_count(tau, dt)
     solver = VbeSolver(d, domain_length, viscosity, dt)
@@ -635,6 +738,9 @@ def read_dataset(path) -> SnapshotDataset:
             save_count(tau, meta["solver_step"])
     except ValueError as err:
         raise ArtifactError(f"{sidecar}: solver_step: {err}") from None
+    if meta.get("train_trajectories", 0) > n_traj:
+        raise ArtifactError(f"{sidecar}: train_trajectories={meta['train_trajectories']} "
+                            f"is past the {n_traj} trajectories of {path}")
     return SnapshotDataset(values, tau, length, system, meta)
 
 

@@ -125,3 +125,20 @@ def test_non_finite_payload(tmp_path, write, value):
     with pytest.raises(sp.ArtifactError,
                        match=re.escape(str(path)) + f".*non-finite.*offset {offset}"):
         read(path)
+
+
+def test_train_trajectories_past_the_file(tmp_path, capsys):
+    # a sidecar that claims more training trajectories than the file holds
+    path = tmp_path / "d.snod"
+    ds = sp.SnapshotDataset(np.zeros((2, 3, 8)), 0.1, 1.0, "vbe")
+    sp.write_dataset(ds, path, manifest={"system": "vbe", "train_trajectories": 2})
+    assert sp.read_dataset(path).split()[1].n_traj == 0
+    sp.write_dataset(ds, path, manifest={"system": "vbe", "train_trajectories": 3})
+    with pytest.raises(sp.ArtifactError, match=re.escape(f"{path}.txt")
+                       + ".*train_trajectories=3.*2 trajectories"):
+        sp.read_dataset(path)
+    out = tmp_path / "o"
+    assert cli.main(["train", "--dataset", str(path), "--variant", "nonlinear",
+                     "--out", str(out), "--epochs", "1", "--set", "hidden=4"]) == 4
+    assert "train_trajectories" in capsys.readouterr().err
+    assert not out.exists()

@@ -505,6 +505,14 @@ def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
     ["evaluate", "--metric", "bogus"],
     ["generate", "--system", "vbe", "--set", "train_ics=0"],
     ["generate", "--system", "vbe", "--train-ics", "0"],
+    # a negative test count would shorten the ensemble under its sidecar's split
+    ["generate", "--system", "vbe", "--train-ics", "3", "--test-ics", "-1"],
+    ["generate", "--system", "vbe", "--set", "test_ics=-1"],
+    # refused before basis.sneb is written, and before the evaluate rollout
+    ["rom", "--dp", "7", "--set", "pdf_bins=0"],
+    ["evaluate", "--metric", "pdf", "--set", "pdf_bins=0"],
+    # zero iterations would label a plain Galerkin row nlg
+    ["rom", "--dp", "7", "--set", "slaving_iterations=0"],
     ["generate", "--system", "bogus"]],
     ids=lambda argv: " ".join(argv))
 def test_bad_setting_config_error(tmp_path, kse_dataset, kse_checkpoint, argv, capsys):

@@ -308,6 +308,144 @@ class TestBatchedAdvance:
         assert info.value.time in 0.5 * np.arange(1, 7)
 
 
+def formula_tendency(coeffs, d, L):
+    """The dealiased Burgers tendency as one array formula, dividing by d."""
+    half_iq, mask_d = sp.advection_symbols(d, L)
+    u = np.fft.irfft(coeffs * mask_d, n=d)
+    return half_iq * (np.fft.rfft(u * u) / d)
+
+
+def vbe_formula(solver):
+    """One RK3/Crank-Nicolson step of ``solver`` as array formulas, each stage
+    allocating."""
+    lin = sp.linear_symbol("vbe", solver.d, solver.domain_length, solver.viscosity)
+
+    def step(coeffs):
+        base = coeffs
+        v = coeffs
+        for stage in range(3):
+            dt_s = solver.dt / (3 - stage)
+            v = base + dt_s * formula_tendency(v, solver.d, solver.domain_length)
+            v = (v + 0.5 * lin * dt_s * base) / (1.0 - 0.5 * lin * dt_s)
+        return v
+    return step
+
+
+def kse_formula(solver):
+    """One ETDRK4 step of ``solver`` as array formulas, with the
+    contour-averaged factors."""
+    d, L, h = solver.d, solver.domain_length, solver.h
+    ell = sp.linear_symbol("kse", d, L)
+    E, E2 = np.exp(h * ell), np.exp(0.5 * h * ell)
+    m = sp.KseSolver.CONTOUR_POINTS
+    r = np.exp(1j * np.pi * (np.arange(m) + 0.5) / m)
+    lr = h * ell[:, None] + r[None, :]
+    Q = h * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1).real
+    f1 = h * np.mean(
+        (-4.0 - lr + np.exp(lr) * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=1).real
+    f2 = h * np.mean((2.0 + lr + np.exp(lr) * (lr - 2.0)) / lr**3, axis=1).real
+    f3 = h * np.mean(
+        (-4.0 - 3.0 * lr - lr**2 + np.exp(lr) * (4.0 - lr)) / lr**3, axis=1).real
+
+    def step(v):
+        n_v = formula_tendency(v, d, L)
+        a = E2 * v + Q * n_v
+        n_a = formula_tendency(a, d, L)
+        b = E2 * v + Q * n_a
+        n_b = formula_tendency(b, d, L)
+        c = E2 * a + Q * (2.0 * n_b - n_v)
+        n_c = formula_tendency(c, d, L)
+        return E * v + n_v * f1 + 2.0 * (n_a + n_b) * f2 + n_c * f3
+    return step
+
+
+def formula_advance(formula, solver, coeffs, nsteps):
+    step = formula(solver)
+    for _ in range(nsteps):
+        coeffs = step(coeffs)
+    return coeffs
+
+
+def same_bits(a, b):
+    """Equal in every float64 word, the sign of a zero included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestInPlaceStepper:
+    """``advance`` steps in place with the bits of the array formulas."""
+
+    @staticmethod
+    def _vbe_starts(d, n):
+        ics = np.stack([sp.generate_vbe_ic(sp.IcSpec(seed=seed), d).values
+                        for seed in range(n)])
+        return np.fft.rfft(ics) / d
+
+    @staticmethod
+    def _kse_start(d, seed=1):
+        u0 = 0.01 * np.random.default_rng(seed).standard_normal(d)
+        return np.fft.rfft(u0 - u0.mean()) / d
+
+    def test_vbe_paper_batch(self):
+        solver = sp.VbeSolver(512)
+        coeffs = self._vbe_starts(512, 18)
+        assert same_bits(solver.advance(coeffs, 1000),
+                         formula_advance(vbe_formula, solver, coeffs, 1000))
+
+    def test_vbe_grid_not_a_power_of_two(self):
+        solver = sp.VbeSolver(96, viscosity=2e-3, dt=2.5e-3)
+        coeffs = 0.3 * self._vbe_starts(96, 5)
+        assert same_bits(solver.advance(coeffs, 400),
+                         formula_advance(vbe_formula, solver, coeffs, 400))
+
+    def test_kse_long_run(self):
+        solver = sp.KseSolver(64)
+        coeffs = self._kse_start(64)
+        assert same_bits(solver.advance(coeffs, 8000),
+                         formula_advance(kse_formula, solver, coeffs, 8000))
+
+    @pytest.mark.parametrize("system", ["vbe", "kse"])
+    def test_single_state_and_zero_state(self, system):
+        solver, formula = ((sp.VbeSolver(64), vbe_formula) if system == "vbe"
+                           else (sp.KseSolver(32), kse_formula))
+        state = (self._vbe_starts(64, 1)[0] if system == "vbe"
+                 else self._kse_start(32))
+        for coeffs in (state, np.zeros_like(state)):
+            assert same_bits(solver.advance(coeffs, 50),
+                             formula_advance(formula, solver, coeffs, 50))
+
+    @pytest.mark.parametrize("system", ["vbe", "kse"])
+    def test_input_kept_and_results_apart(self, system):
+        solver = sp.VbeSolver(64) if system == "vbe" else sp.KseSolver(32)
+        coeffs = (self._vbe_starts(64, 3) if system == "vbe"
+                  else np.stack([self._kse_start(32, seed) for seed in range(3)]))
+        before = coeffs.copy()
+        first = solver.advance(coeffs, 5)
+        assert same_bits(coeffs, before)
+        second = solver.advance(first, 5)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, coeffs)
+        # a batch shape the buffers were not built for, and back
+        assert same_bits(solver.advance(coeffs[1], 10), second[1])
+        assert same_bits(solver.advance(coeffs, 10), second)
+
+    @pytest.mark.parametrize("shape", [(33,), (4, 33), (18, 257)])
+    def test_tendency_out_keeps_the_bits(self, shape):
+        d = 2 * (shape[-1] - 1)
+        rng = np.random.default_rng(d)
+        coeffs = np.fft.rfft(rng.standard_normal(shape[:-1] + (d,))) / d
+        adv = sp.advection_symbols(d, 22.0)
+        plain = sp.burgers_tendency(coeffs, *adv)
+        assert same_bits(plain, formula_tendency(coeffs, d, 22.0))
+        out = np.full(shape, np.nan, dtype=complex)
+        spectrum = np.full(shape, np.nan, dtype=complex)
+        grid = np.full(shape[:-1] + (d,), np.nan)
+        before = coeffs.copy()
+        assert sp.burgers_tendency(coeffs, *adv, out=out, spectrum=spectrum,
+                                   grid=grid) is out
+        assert same_bits(out, plain)
+        assert same_bits(coeffs, before)
+
+
 def quadrupling(calls, limit):
     """An advance that quadruples its rows every step and, as an RK4 step
     does on overflow, returns a row with an entry past ``limit`` as +inf."""
@@ -411,6 +549,11 @@ class TestDatasets:
         with pytest.raises(ValueError, match="must divide the time span"):
             sp.generate_vbe_dataset(n_train=1, n_test=0, d=64, horizon=0.1,
                                     tau=0.05, dt=3e-3)
+
+    @pytest.mark.parametrize("n_train,n_test", [(0, 2), (3, -1)])
+    def test_trajectory_counts_checked(self, n_train, n_test):
+        with pytest.raises(ValueError, match="at least 1 training and 0 test"):
+            sp.generate_vbe_dataset(n_train=n_train, n_test=n_test, d=64, horizon=0.1)
 
     def test_kse_single_trajectory(self):
         ds = sp.generate_kse_dataset(d=32, horizon=2.0, tau=0.25, h=0.05,
