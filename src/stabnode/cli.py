@@ -34,7 +34,8 @@ passed.
 
 Exit codes: 0 success; 2 config error: a value outside its key's kind,
 allowed values or minimum (a count, e.g. `pdf_bins` or `slaving_iterations`,
-or a `hidden` width, below 1; a `test_ics` below 0), from any
+or a `hidden` width, below 1; a size, `test_ics`, a `seed` or
+`checkpoint_every`, below 0), from any
 source, rejected before any command runs; or any other setting the pipeline
 rejects (a
 ValueError other than an artifact error), e.g. a bad noise spec or band, a
@@ -285,7 +286,7 @@ GENERATE_SCHEMA_COMMON = {
     "out": Key("str", flag=True),
     "d": Key("int", {"vbe": 512, "kse": 64}),
     "domain_length": Key("float", {"vbe": 1.0, "kse": 22.0}),
-    "seed": Key("int", "0", flag=True),
+    "seed": Key("size", "0", flag=True),
 }
 
 GENERATE_SCHEMA_VBE = {
@@ -350,7 +351,7 @@ TRAIN_SCHEMA = {
     "epochs": Key("count", "1000", flag=True),
     "batch_size": Key("count", "256"),
     "rollout_steps": Key("count", "5"),
-    "seed": Key("int", "0", flag=True),
+    "seed": Key("size", "0", flag=True),
     "hidden": Key("counts", "200,200,200"),
     "activation": Key("str", {"vbe": "relu", "kse": "sigmoid"},
                       tuple(dc.ACTIVATION_TAGS)),
@@ -365,7 +366,7 @@ TRAIN_SCHEMA = {
                                    in node.LEARNING_RATES.items()}),
     "lr_linear": Key("floats", {sv: linear for sv, (_, linear)
                                 in node.LEARNING_RATES.items()}),
-    "checkpoint_every": Key("int", "0"),
+    "checkpoint_every": Key("size", "0"),  # 0: no periodic checkpoint
     "resume": Key("str", "", flag=True),
 }
 
@@ -495,7 +496,7 @@ EVALUATE_SCHEMA = {
     "noise": Key("str", "none", flag=True),
     "times": Key("floats", "1,2,3,4,5", flag=True),
     "rollout_steps": Key("count", "5"),
-    "seed": Key("int", "0", flag=True),
+    "seed": Key("size", "0", flag=True),
     "pdf_time": Key("float", "2000.0"),
     "pdf_bins": Key("count", "100"),
     "lyapunov_time": Key("float", "22.0"),

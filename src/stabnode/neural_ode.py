@@ -15,16 +15,19 @@ hidden layers at each stage.  Every array it writes lives in an
 :class:`AdjointWorkspace`, which :func:`train` builds once per run, so an
 epoch's gradient allocates no array of the batch's size.  Each operation
 keeps the operands and order of the plain array expression it replaces, so
-results keep their bits with or without a workspace.  Integration and the
-ROM run the same RK4 code without a tape, each operation into a fresh
-array, and return a row that diverged as non-finite values; only the
-gradient raises DivergenceError, as training cannot go on.
+results keep their bits with or without a workspace.  There is one RK4
+formula, :func:`_rk4_forward`.  The ROM steps through it with a one-substep
+tape (:class:`Rk4Buffers`) that it reuses every step, so it allocates no
+array either; :func:`integrate` runs it without a tape, each operation into
+a fresh array.  Both return a row that diverged as non-finite values; only
+the gradient raises DivergenceError, as training cannot go on.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -135,24 +138,48 @@ class RhsModel:
             raise ValueError("nonlinear variant has no separable linear term")
         return self.linear.symbol(self.width)
 
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+    def nonlinear(self, c: np.ndarray, out: np.ndarray | None = None,
+                  scratch: tuple | None = None) -> np.ndarray:
         """The network branch on coefficients, rfft(N(irfft(c d))) / d, of one
-        spectrum (d/2 + 1,) or a batch; separable only beside a linear branch."""
+        spectrum (d/2 + 1,) or a batch; separable only beside a linear branch.
+
+        The result is written into ``out`` through ``scratch``, a
+        :meth:`nonlinear_scratch` of c's batch shape, when they are given, with
+        the same bits as without them."""
         if self.linear is None:
             raise ValueError("nonlinear variant has no separable linear term")
         d = self.width
-        return rfft(dc.mlp_forward(self.mlp, irfft(c * d, d))[0]) / d
+        spectrum, grid, buffers = (None, None, None) if scratch is None else scratch
+        u = irfft(np.multiply(c, d, out=spectrum), d, out=grid)
+        return np.divide(rfft(dc.mlp_forward(self.mlp, u, buffers=buffers)[0], out=out), d,
+                         out=out)
+
+    def nonlinear_scratch(self, shape: tuple) -> tuple:
+        """The scratch of :meth:`nonlinear` for coefficients of batch shape
+        ``shape``: a spectrum, a grid and the network's buffers."""
+        d = self.width
+        return (np.empty(shape + (d // 2 + 1,), dtype=np.complex128), np.empty(shape + (d,)),
+                dc.MlpBuffers(self.mlp.layer_sizes, int(np.prod(shape))))
 
 
 class Rk4Buffers:
     """The tape :func:`_rk4_forward` writes for states of ``shape``: the stage
     inputs x1..x4 of ``slots`` substeps (``stages[s]``), the slopes k1..k4
-    (``k``) and the final ``state``."""
+    (``k``) and the final ``state``.
+
+    The views a call writes are built here once, so a call makes none:
+    ``start`` is the first substep's x1, and ``outputs[s]`` holds substep s's
+    x2, x3 and x4, k1..k4, and the next substep's x1 (``state`` after the
+    last)."""
 
     def __init__(self, shape: tuple, slots: int):
         self.stages = np.empty((slots, 4, *shape))
         self.k = np.empty((4, *shape))
         self.state = np.empty(shape)
+        self.start = self.stages[0, 0]
+        self.outputs = [(*self.stages[s, 1:], *self.k,
+                         self.stages[s + 1, 0] if s + 1 < slots else self.state)
+                        for s in range(slots)]
 
 
 class AdjointWorkspace:
@@ -215,41 +242,38 @@ def _rhs_vjp(model: RhsModel, symbol, x: np.ndarray, cotangent: np.ndarray,
 def _rk4_forward(rhs, u, h: float, nsteps: int, tape: Rk4Buffers | None = None):
     """The state after ``nsteps`` classical RK4 steps of du/dt = rhs(u), where
     ``rhs(x, out)`` returns the slope at x, written into ``out`` unless it is
-    None; ``u`` is only read.
+    None; ``u`` is only read, and may be the tape's ``state``.
 
     With a ``tape`` of ``nsteps`` slots every stage writes into it, and its
     ``stages`` then hold the stage inputs x1..x4 of every step for
     :func:`_rk4_backward`; without one each operation allocates its result.
     Nothing is checked: a row that overflows comes back non-finite, and stays
-    so, as every step adds to its input.
+    so, as every step adds to its input.  Overflow on the way is the caller's
+    to judge, so the caller sets numpy's error state, once for all its calls.
     """
-    if tape is not None:
-        np.copyto(tape.stages[0, 0], u)
-        u = tape.stages[0, 0]
-    fresh = (None,) * 8
-    # overflow on the way to a non-finite row is the caller's to judge
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(nsteps):
-            # the arrays the step's results go into: the tape's, or fresh ones
-            last = step + 1 == nsteps
-            x2_out, x3_out, x4_out, k1_out, k2_out, k3_out, k4_out, u_out = (
-                fresh if tape is None else
-                (*tape.stages[step, 1:], *tape.k,
-                 tape.state if last else tape.stages[step + 1, 0]))
-            x1 = u
-            # each operation keeps the operands and order of x1 + 0.5 * h * k1 and
-            # x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            k1 = rhs(x1, k1_out)
-            x2 = np.add(x1, np.multiply(0.5 * h, k1, out=x2_out), out=x2_out)
-            k2 = rhs(x2, k2_out)
-            x3 = np.add(x1, np.multiply(0.5 * h, k2, out=x3_out), out=x3_out)
-            k3 = rhs(x3, k3_out)
-            x4 = np.add(x1, np.multiply(h, k3, out=x4_out), out=x4_out)
-            k4 = rhs(x4, k4_out)
-            total = np.add(k1, np.multiply(2.0, k2, out=k2_out), out=k2_out)
-            total = np.add(total, np.multiply(2.0, k3, out=k3_out), out=k3_out)
-            total = np.add(total, k4, out=k4_out)
-            u = np.add(x1, np.multiply(h / 6.0, total, out=k4_out), out=u_out)
+    if tape is None:
+        outputs = repeat((None,) * 8, nsteps)
+    elif len(tape.outputs) != nsteps:
+        raise ValueError(f"a tape of {len(tape.outputs)} slots for {nsteps} steps")
+    else:
+        outputs = tape.outputs
+        np.copyto(tape.start, u)
+        u = tape.start
+    for x2_out, x3_out, x4_out, k1_out, k2_out, k3_out, k4_out, u_out in outputs:
+        x1 = u
+        # each operation keeps the operands and order of x1 + 0.5 * h * k1 and
+        # x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(x1, k1_out)
+        x2 = np.add(x1, np.multiply(0.5 * h, k1, out=x2_out), out=x2_out)
+        k2 = rhs(x2, k2_out)
+        x3 = np.add(x1, np.multiply(0.5 * h, k2, out=x3_out), out=x3_out)
+        k3 = rhs(x3, k3_out)
+        x4 = np.add(x1, np.multiply(h, k3, out=x4_out), out=x4_out)
+        k4 = rhs(x4, k4_out)
+        total = np.add(k1, np.multiply(2.0, k2, out=k2_out), out=k2_out)
+        total = np.add(total, np.multiply(2.0, k3, out=k3_out), out=k3_out)
+        total = np.add(total, k4, out=k4_out)
+        u = np.add(x1, np.multiply(h / 6.0, total, out=k4_out), out=u_out)
     return u
 
 
@@ -293,8 +317,9 @@ def integrate(model, u0: np.ndarray, horizon: float, nsteps: int):
     """
     if nsteps < 1:
         raise ValueError("nsteps must be at least 1")
-    return _rk4_forward(model.rhs()[0], np.asarray(u0, dtype=np.float64),
-                        horizon / nsteps, nsteps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _rk4_forward(model.rhs()[0], np.asarray(u0, dtype=np.float64),
+                            horizon / nsteps, nsteps)
 
 
 def min_stable_substeps(symbol: np.ndarray, tau: float) -> int:
@@ -340,7 +365,8 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
                          "rollout_steps")
     h = tau / rollout_steps
     rhs, symbol = model.rhs(workspace)
-    pred = _rk4_forward(rhs, u_start, h, rollout_steps, workspace.rk4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = _rk4_forward(rhs, u_start, h, rollout_steps, workspace.rk4)
     residual = np.subtract(pred, u_end, out=workspace.w)
     loss = float(np.mean(np.abs(residual, out=workspace.cot)))
     if not np.isfinite(loss):
@@ -501,9 +527,10 @@ class TrueRhs:
     """Exact discrete RHS: the true linear symbol plus the pseudospectral
     nonlinearity.
 
-    Implements the same eval/linear_symbol/nonlinear protocol as RhsModel so
-    reduced-order modeling can run on the true equations without training;
-    ``nonlinear`` maps coefficients c = rfft(u) / d, with no grid round trip.
+    Implements the same eval/linear_symbol/nonlinear/nonlinear_scratch
+    protocol as RhsModel so reduced-order modeling can run on the true
+    equations without training; ``nonlinear`` maps coefficients c = rfft(u) / d,
+    with no grid round trip.
     """
 
     def __init__(self, system: str, d: int, domain_length: float,
@@ -522,8 +549,23 @@ class TrueRhs:
         ``workspace`` unused."""
         return self.eval, self._symbol
 
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        return burgers_tendency(c, *self._adv)
+    def nonlinear(self, c: np.ndarray, out: np.ndarray | None = None,
+                  scratch: tuple | None = None) -> np.ndarray:
+        """:func:`~stabnode.spectral.burgers_tendency` of coefficients c, written
+        into ``out`` through ``scratch``, a :meth:`nonlinear_scratch` of c's
+        batch shape, when they are given, with the same bits as without them."""
+        half_iq, mask_d, spectrum, grid = scratch or (*self._adv, None, None)
+        return burgers_tendency(c, half_iq, mask_d, out, spectrum, grid)
+
+    def nonlinear_scratch(self, shape: tuple) -> tuple:
+        """The arrays :meth:`nonlinear` works in for coefficients of batch shape
+        ``shape``: the dealiasing factors repeated for every row, so that no
+        product broadcasts, and the ``spectrum`` and ``grid`` of
+        ``burgers_tendency``."""
+        d = self.width
+        rows = [np.broadcast_to(factor, shape + factor.shape).copy() for factor in self._adv]
+        return (*rows, np.empty(shape + (d // 2 + 1,), dtype=np.complex128),
+                np.empty(shape + (d,)))
 
     def linear_apply(self, u: np.ndarray) -> np.ndarray:
         return apply_symbol(self._symbol, u)

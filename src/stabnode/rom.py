@@ -18,6 +18,12 @@ spectrum c_p and its nonlinear Galerkin lift c_q, advances in one batched
 expression, one nonlinear evaluation per RK4 stage and one inverse transform
 per save.  All is row-wise, so with the true RHS each row is bit-identical to
 a run of its d_p alone; a network RHS on stacked rows matches it to rounding.
+
+The sweep steps in place (:class:`ReducedStepper`): the RK4 stages, the
+tendencies and the lift go into arrays built once per set of live rows, and
+every operation writes with ``out=``, keeping the operands and order of the
+array expressions :func:`galerkin_rhs` and :func:`unresolved_correction`
+document, so the states keep their bits.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neural_ode import _rk4_forward
+from .neural_ode import Rk4Buffers, _rk4_forward
 from .spectral import (ArtifactError, expect_end, irfft, march, read_exact, read_f8, rfft,
                        save_count, tag_name)
 
@@ -142,28 +148,59 @@ def slot_masks(basis: EigenBasis, dims):
     return lam, resolved, divisor
 
 
+class TendencyBuffers:
+    """The arrays in which N(c_p + lift) of real-view spectra of batch shape
+    ``shape`` is computed: the argument ``arg``, the complex tendency ``out``
+    and the model's ``nonlinear_scratch``; the complex view of ``arg`` and the
+    float64 view of ``out`` are taken once."""
+
+    def __init__(self, model, shape: tuple):
+        m = model.width + 2
+        self.model = model
+        self.arg = np.empty(shape + (m,))
+        self.arg_c = self.arg.view(np.complex128)
+        self.out = np.empty(shape + (m // 2,), dtype=np.complex128)
+        self.out_f = self.out.view(np.float64)
+        self.scratch = model.nonlinear_scratch(shape)
+
+    def __call__(self, c_p: np.ndarray, lift) -> np.ndarray:
+        """N(c_p + lift) as a float64 view of ``out``."""
+        np.add(c_p, lift, out=self.arg)
+        self.model.nonlinear(self.arg_c, out=self.out, scratch=self.scratch)
+        return self.out_f
+
+
 def galerkin_rhs(lam: np.ndarray, resolved: np.ndarray, model, c_p: np.ndarray,
-                 lift=0.0) -> np.ndarray:
+                 lift=0.0, out: np.ndarray | None = None,
+                 work: TendencyBuffers | None = None) -> np.ndarray:
     """Resolved dynamics dc_p/dt = Lambda_p c_p + P N(c_p + lift) of real-view
     spectra (n, d + 2), with ``lam`` and the masks P ``resolved`` of
-    :func:`slot_masks`; the lift is nonlinear Galerkin's slaved coefficients."""
-    f = model.nonlinear((c_p + lift).view(np.complex128)).view(np.float64)
-    return lam * c_p + resolved * f
+    :func:`slot_masks`; the lift is nonlinear Galerkin's slaved coefficients.
+
+    Each operation keeps the operands and order of lam * c_p + resolved * N;
+    the result goes into ``out`` and N into ``work`` when they are given."""
+    f = (TendencyBuffers(model, c_p.shape[:-1]) if work is None else work)(c_p, lift)
+    linear = np.multiply(lam, c_p, out=out)
+    return np.add(linear, np.multiply(resolved, f, out=f), out=linear)
 
 
 def unresolved_correction(divisor: np.ndarray, model, c_p: np.ndarray,
-                          iterations: int = 1) -> np.ndarray:
+                          iterations: int = 1, out: np.ndarray | None = None,
+                          work: TendencyBuffers | None = None) -> np.ndarray:
     """Unresolved coefficients slaved by stationarity of their dynamics.
 
     Iterates c_q <- -Lambda_q^{-1} Q N(c_p + c_q) from c_q = 0, with the
     ``divisor`` of :func:`slot_masks`; the fixed point satisfies
     Lambda_q c_q + Q N = 0.  One iteration by default.  No trailing eigenvalue
     may lie within SLAVING_EIGENVALUE_FLOOR of zero; :func:`check_sweep`
-    checks that once per d_p, before any step.
+    checks that once per d_p, before any step.  Each iteration keeps the
+    operands and order of N(c_p + c_q) / divisor; c_q goes into ``out`` and N
+    into ``work`` when they are given.
     """
-    c_q = np.zeros_like(c_p)
+    work = TendencyBuffers(model, c_p.shape[:-1]) if work is None else work
+    c_q = 0.0
     for _ in range(iterations):
-        c_q = model.nonlinear((c_p + c_q).view(np.complex128)).view(np.float64) / divisor
+        c_q = np.divide(work(c_p, c_q), divisor, out=out)
     return c_q
 
 
@@ -197,6 +234,51 @@ def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
     return dims, save_count(total_time, save_interval), save_count(save_interval, dt)
 
 
+class ReducedStepper:
+    """The ``advance`` of a :func:`rom_integrate` sweep for one set of live
+    rows, with the rows' masks ``resolved`` and ``divisor`` of
+    :func:`slot_masks`: RK4 substeps of ``dt``, each followed in "nlg" mode by
+    a new lift of ``iterations`` slaving iterations.
+
+    It keeps every array a step writes: a one-substep RK4 tape, the tendency
+    buffers, the lift and the packed state [c_p | lift] that ``advance``
+    returns.  Every operand of a step is a contiguous array of the rows'
+    shape, lam too, so no product broadcasts, and a warm step allocates no
+    array; a stepper for other rows is another one.
+    """
+
+    def __init__(self, model, lam: np.ndarray, resolved: np.ndarray,
+                 divisor: np.ndarray, dt: float, mode: str, iterations: int):
+        n, m = resolved.shape
+        self.lam = np.broadcast_to(lam, resolved.shape).copy()
+        self.model, self.resolved, self.divisor = model, resolved, divisor
+        self.dt, self.slaved, self.iterations = dt, mode == "nlg", iterations
+        self.rk4 = Rk4Buffers((n, m), 1)
+        self.work = TendencyBuffers(model, (n,))
+        self.lift = np.empty((n, m))
+        self.state = np.empty((n, 2 * m))
+        self.packed = self.state[:, :m], self.state[:, m:]
+
+    def rhs(self, c_p: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return galerkin_rhs(self.lam, self.resolved, self.model, c_p, self.lift, out,
+                            self.work)
+
+    def advance(self, state: np.ndarray, nsteps: int) -> np.ndarray:
+        """``state`` (n, 2 (d + 2)) after ``nsteps`` steps, in the stepper's
+        ``state``; ``state`` itself is only read."""
+        m = self.lift.shape[-1]
+        c_p = state[:, :m]
+        np.copyto(self.lift, state[:, m:])
+        for _ in range(nsteps):
+            c_p = _rk4_forward(self.rhs, c_p, self.dt, 1, self.rk4)
+            if self.slaved:
+                unresolved_correction(self.divisor, self.model, c_p, self.iterations,
+                                      out=self.lift, work=self.work)
+        np.copyto(self.packed[0], c_p)
+        np.copyto(self.packed[1], self.lift)
+        return self.state
+
+
 def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
                   total_time: float, mode: str = "galerkin",
                   save_interval: float = 0.25, dt: float = 0.01,
@@ -207,7 +289,8 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
     to every new c_p, a lift c_q that feeds the next step and the save; "ppg"
     runs plain Galerkin and slaves only at the saves.  A sequence of n d_p
     gives states (n, n_save + 1, d) from the packed spectra [c_p | c_q], (n,
-    2 (d + 2)), marched in lockstep.  :func:`check_sweep` and the basis
+    2 (d + 2)), marched in lockstep by a :class:`ReducedStepper`, which is
+    built again only when a row drops out.  :func:`check_sweep` and the basis
     (:func:`slot_masks`) are checked before any step.  A diverging row does
     not raise: its states go non-finite, it reads +inf from the first such
     save on, and the other rows march on untouched.
@@ -215,16 +298,14 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
     dims, n_save, sub = check_sweep(basis, d_p, mode, total_time, save_interval, dt)
     lam, resolved, divisor = slot_masks(basis, dims)
     d, m = basis.d, basis.d + 2
+    stepper = None
 
     def advance(state, nsteps, rows):
-        mask, div = resolved[rows], divisor[rows]
-        c_p, lift = state[:, :m], state[:, m:]
-        for _ in range(nsteps):
-            c_p = _rk4_forward(lambda c, _: galerkin_rhs(lam, mask, model, c, lift),
-                               c_p, dt, 1)
-            if mode == "nlg":
-                lift = unresolved_correction(div, model, c_p, slaving_iterations)
-        return np.hstack([c_p, lift])
+        nonlocal stepper
+        if stepper is None or len(stepper.state) != rows.size:
+            stepper = ReducedStepper(model, lam, resolved[rows], divisor[rows], dt, mode,
+                                     slaving_iterations)
+        return stepper.advance(state, nsteps)
 
     def observe(state, rows):
         c = state[:, :m]
@@ -237,8 +318,8 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
     state = np.zeros((dims.size, 2 * m))
     state[:, :m] = resolved * c0.view(np.float64)
     if mode == "nlg":
-        state[:, m:] = unresolved_correction(divisor, model, state[:, :m],
-                                             slaving_iterations)
+        unresolved_correction(divisor, model, state[:, :m], slaving_iterations,
+                              out=state[:, m:])
     states = march(advance, state, n_save, sub, observe)
     return np.arange(n_save + 1) * save_interval, states
 

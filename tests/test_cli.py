@@ -513,6 +513,12 @@ def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
     ["evaluate", "--metric", "pdf", "--set", "pdf_bins=0"],
     # zero iterations would label a plain Galerkin row nlg
     ["rom", "--dp", "7", "--set", "slaving_iterations=0"],
+    # a negative seed is refused by its key, before numpy sees it
+    ["generate", "--system", "vbe", "--seed", "-1"],
+    ["train", "--variant", "learned-linear", "--seed", "-1"],
+    ["evaluate", "--noise", "grid:0.01", "--seed", "-1"],
+    # a negative period would save as its absolute value does
+    ["train", "--variant", "learned-linear", "--set", "checkpoint_every=-2"],
     ["generate", "--system", "bogus"]],
     ids=lambda argv: " ".join(argv))
 def test_bad_setting_config_error(tmp_path, kse_dataset, kse_checkpoint, argv, capsys):
@@ -529,6 +535,19 @@ def test_bad_setting_config_error(tmp_path, kse_dataset, kse_checkpoint, argv, c
     assert capsys.readouterr().err.startswith("config error: ")
     # nothing is written, not even an empty output directory
     assert not (tmp_path / "o").exists()
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
+def test_negative_seed_names_the_key(tmp_path, kse_dataset, kse_checkpoint, command, capsys):
+    # the output's parent directory is not made either
+    extra = {"generate": ["--system", "kse"],
+             "train": ["--dataset", str(kse_dataset), "--variant", "learned-linear"],
+             "evaluate": ["--dataset", str(kse_dataset), "--checkpoint", str(kse_checkpoint),
+                          "--noise", "grid:0.01"]}[command]
+    out = tmp_path / "newdir" / ("x.snod" if command == "generate" else "o")
+    assert run_cli(command, *extra, "--seed", "-1", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("config error: seed must be at least 0")
     assert not list(tmp_path.iterdir())
 
 

@@ -357,6 +357,14 @@ class TestAdjointWorkspace:
         # a quarter of one (n, d) array covers the exception and its message
         assert peak_of(diverging) <= steady + u0.nbytes // 4
 
+    def test_tape_of_another_length_rejected(self):
+        # a tape's views are built for its slots, so it runs exactly that many steps
+        tape = node.Rk4Buffers((2, 4), 3)
+        for nsteps in (2, 4):
+            with pytest.raises(ValueError, match="slots"):
+                node._rk4_forward(lambda x, out: np.copyto(out, x) or out, np.ones((2, 4)),
+                                  0.1, nsteps, tape)
+
     def test_workspace_of_another_shape_rejected(self):
         model = deep_model("fixed-linear", "relu")
         u0 = smooth_batch(1, 4, 16)

@@ -1,5 +1,6 @@
 """Fourier eigenbasis, projections, mode ordering, and reduced integration."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -648,6 +649,157 @@ class TestLockstepSweep:
             with pytest.raises(ValueError, match="not a Fourier basis"):
                 rom.rom_integrate(qr_basis(d, 0), [8], model, kse_start(d), 1.0, mode)
         assert calls == []
+
+
+def same_bits(a, b):
+    """Equal in every float64 word, the sign of a zero included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def learned_model(d, seed=0):
+    """A learned-linear model: a small network beside a symmetric diffusion
+    stencil, whose only zero eigenvalue, the mean mode's, leads the basis."""
+    mlp = dc.init_mlp([d, 10, d], ["sigmoid", "linear"], ("normal", 0.0, 0.02), seed)
+    return node.RhsModel(mlp, dc.ConvStencil(np.array([0.5, -1.0, 0.5]), symmetric=True))
+
+
+def formula_tendency(model, c):
+    """The model's nonlinear term of coefficients c, each operation into a fresh array."""
+    d = model.width
+    if isinstance(model, node.TrueRhs):
+        return sp.burgers_tendency(c, *sp.advection_symbols(d, model.domain_length))
+    return np.fft.rfft(dc.mlp_forward(model.mlp, np.fft.irfft(c * d, d))[0]) / d
+
+
+def formula_rk4(f, x1, h):
+    k1 = f(x1)
+    k2 = f(x1 + 0.5 * h * k1)
+    k3 = f(x1 + 0.5 * h * k2)
+    k4 = f(x1 + h * k3)
+    return x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def formula_sweep(basis, dims, model, u0, total_time, mode, save_interval, dt,
+                  iterations=1):
+    """The oracle of the in-place sweep: the same lockstep march with an
+    allocating advance, each operation an array formula into a fresh array."""
+    lam, resolved, divisor = rom.slot_masks(basis, dims)
+    d, m = basis.d, basis.d + 2
+
+    def nonlinear(c):
+        return formula_tendency(model, c.view(np.complex128)).view(np.float64)
+
+    def correction(div, c_p):
+        c_q = np.zeros_like(c_p)
+        for _ in range(iterations):
+            c_q = nonlinear(c_p + c_q) / div
+        return c_q
+
+    def advance(state, nsteps, rows):
+        mask, div = resolved[rows], divisor[rows]
+        c_p, lift = state[:, :m], state[:, m:]
+        for _ in range(nsteps):
+            c_p = formula_rk4(lambda c: lam * c + mask * nonlinear(c + lift), c_p, dt)
+            if mode == "nlg":
+                lift = correction(div, c_p)
+        return np.hstack([c_p, lift])
+
+    def observe(state, rows):
+        c = state[:, :m]
+        if mode != "galerkin":
+            c = c + (state[:, m:] if mode == "nlg" else correction(divisor[rows], c))
+        return np.fft.irfft(c.view(np.complex128) * d, d)
+
+    c0 = np.fft.rfft(np.asarray(u0, dtype=np.float64)) / d
+    state = np.zeros((len(dims), 2 * m))
+    state[:, :m] = resolved * c0.view(np.float64)
+    if mode == "nlg":
+        state[:, m:] = correction(divisor, state[:, :m])
+    return sp.march(advance, state, sp.save_count(total_time, save_interval),
+                    sp.save_count(save_interval, dt), observe)
+
+
+def rom_case(rhs, d):
+    """(model, start) of the true KSE RHS or of a learned-linear network."""
+    if rhs == "true":
+        return node.TrueRhs("kse", d, 22.0), kse_start(d)
+    return learned_model(d, seed=13), 0.3 * kse_start(d, seed=1)
+
+
+class TestInPlaceStepper:
+    """The sweep steps in place with the bits of its array formulas."""
+
+    @pytest.mark.parametrize("dims", [[8], [7, 8, 15]], ids=["one-row", "three-rows"])
+    @pytest.mark.parametrize("iterations", [1, 3])
+    @pytest.mark.parametrize("rhs", ["true", "network"])
+    @pytest.mark.parametrize("mode", rom.MODES)
+    def test_bits_of_the_formulas(self, mode, rhs, iterations, dims):
+        d = 32
+        model, u0 = rom_case(rhs, d)
+        basis = rom.fourier_basis(model.linear_symbol())
+        _, sweep = rom.rom_integrate(basis, dims, model, u0, 1.0, mode, 0.25, 0.01,
+                                     iterations)
+        assert np.all(np.isfinite(sweep))
+        assert same_bits(sweep, formula_sweep(basis, dims, model, u0, 1.0, mode, 0.25,
+                                              0.01, iterations))
+
+    @pytest.mark.parametrize("mode", rom.MODES)
+    def test_diverging_row_rebuilds_the_buffers(self, mode, monkeypatch):
+        # d_p = 32 keeps the stiffest mode, far outside RK4's region at dt = 0.05;
+        # the save that drops it rebuilds the stepper for the two rows left
+        d = 32
+        model = node.TrueRhs("kse", d, 22.0)
+        basis = rom.fourier_basis(model.linear_symbol())
+        u0 = kse_start(d)
+        dims = [7, 32, 8]
+        built = []
+
+        class Counted(rom.ReducedStepper):
+            def __init__(self, model, lam, resolved, *args):
+                built.append(len(resolved))
+                super().__init__(model, lam, resolved, *args)
+
+        monkeypatch.setattr(rom, "ReducedStepper", Counted)
+        _, sweep = rom.rom_integrate(basis, dims, model, u0, 5.0, mode, 0.25, 0.05)
+        monkeypatch.undo()
+        assert built == [3, 2]
+        assert not np.all(np.isfinite(sweep[1])) and np.all(np.isfinite(sweep[[0, 2]]))
+        assert same_bits(sweep, formula_sweep(basis, dims, model, u0, 5.0, mode, 0.25, 0.05))
+        for d_p, row in zip(dims, sweep):
+            assert same_bits(row, one_row(basis, d_p, model, u0, 5.0, mode, 0.25, 0.05))
+
+    @pytest.mark.parametrize("rhs", ["true", "network"])
+    def test_nonlinear_into_buffers_keeps_the_bits(self, rhs):
+        d = 32
+        model, u0 = rom_case(rhs, d)
+        c = np.stack([np.fft.rfft(u0) / d, np.fft.rfft(0.5 * u0[::-1]) / d])
+        out = np.empty_like(c)
+        got = model.nonlinear(c, out=out, scratch=model.nonlinear_scratch((2,)))
+        assert got is out
+        assert same_bits(out, model.nonlinear(c))
+        assert same_bits(out, formula_tendency(model, c))
+
+    @pytest.mark.parametrize("mode", rom.MODES)
+    def test_warm_step_allocates_no_row(self, mode):
+        # numpy makes a few objects of fixed size per call, a transform's about
+        # 0.5 kB, which a row of d = 512 exceeds; a broadcast operand would be
+        # buffered, at least a row, so every operand must have the rows' shape.
+        # The true RHS only: the network's bias add broadcasts.
+        d = 512
+        model, u0 = rom_case("true", d)
+        basis = rom.fourier_basis(model.linear_symbol())
+        lam, resolved, divisor = rom.slot_masks(basis, [7, 15, 23])
+        stepper = rom.ReducedStepper(model, lam, resolved, divisor, 0.01, mode, 3)
+        state = np.zeros((3, 2 * (d + 2)))
+        state[:, :d + 2] = resolved * coeffs(u0[None])
+        state = stepper.advance(state, 1).copy()
+        tracemalloc.start()
+        try:
+            stepper.advance(state, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (d + 2), peak
 
 
 class TestEigenvalueGaps:
