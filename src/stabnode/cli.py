@@ -29,8 +29,8 @@ resumed run appends and writes the header only to a missing or empty file.
 `train --resume` of a checkpoint with all `epochs` completed writes nothing
 and exits 0; a `checkpoint_every` save of the last epoch is not repeated.
 
-`train` and `evaluate`, like `rom`, create `out` only once every check has
-passed.
+`generate`, `train`, `evaluate` and `rom` create their output directory only
+once every check has passed, and `generate` only once its data are solved.
 
 Exit codes: 0 success; 2 config error: a value outside its key's kind,
 allowed values or minimum (a count, e.g. `pdf_bins` or `slaving_iterations`,
@@ -55,8 +55,10 @@ save_interval, `evaluate` horizon, pdf_time, `times` and
 lyapunov_total_time), a lyapunov_total_time that keeps no segment after the
 leading tenth is discarded, or a fixed-linear RK4 substep tau/rollout_steps
 that amplifies a damped mode; 3
-numerical divergence: a `rom` row whose states went non-finite (its KL
-reads nan), a `rom --reference self` rollout (before any row runs), an
+numerical divergence: a `generate`, `evaluate` true or `--metric lyapunov`
+trajectory, named by time and seed (or row), before any output is written;
+a `rom` row whose states went non-finite (its KL reads nan), a
+`rom --reference self` rollout (before any row runs), an
 `evaluate --metric error|spectrum|pdf` model trajectory that went non-finite,
 whose outputs and manifest are still written, or a `train` gradient whose
 prediction went non-finite, which saves the last good epoch.  A KL of PDFs
@@ -313,7 +315,6 @@ def cmd_generate(config: dict) -> int:
     system = config["system"]
     fill_auto(GENERATE_SCHEMA_COMMON, config, system)
     out = resolve_path(config["out"])
-    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     if system == "vbe":
         amp = None if config["ic_amplitude"] == AUTO else config["ic_amplitude"]
         ds = sp.generate_vbe_dataset(
@@ -334,6 +335,7 @@ def cmd_generate(config: dict) -> int:
         sidecar = {"system": "kse", "train_fraction": config["train_fraction"],
                    "solver_step": config["solver_step"],
                    "transient": config["transient"], "base_seed": config["seed"]}
+    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     sp.write_dataset(ds, out, manifest=sidecar)
     write_manifest(f"{out}.manifest.cfg", "generate", config,
                    {"dataset": sha256_file(out)})
@@ -694,13 +696,8 @@ def cmd_rom(config: dict) -> int:
         reference = mt.joint_pdf(ds.snapshots(), ds.domain_length,
                                  bins=config["pdf_bins"])
     else:  # self: the full (untruncated) rollout of the same RHS and integrator
-        times, traj = node.rollout(model, u0, config["total_time"],
-                                   config["save_interval"], sub)
-        bad = ~np.all(np.isfinite(traj), axis=1)
-        if bad.any():
-            t = times[bad.argmax()]
-            raise sp.DivergenceError(f"reference=self rollout went non-finite by "
-                                     f"t = {t:g}", time=t)
+        traj = node.rollout(model, u0, config["total_time"], config["save_interval"], sub)[1]
+        sp.finite_truth(traj[None], config["save_interval"], what="reference=self rollout")
         reference = mt.joint_pdf(traj, ds.domain_length, bins=config["pdf_bins"])
     mt.write_joint_pdf(os.path.join(out_dir, "reference_pdf.snpd"), reference)
     start = time.perf_counter()

@@ -243,6 +243,7 @@ def lyapunov_time_estimate(system: str = "kse", d: int = 64,
     exponent averages the per-segment growth rates after discarding the
     leading fraction; the Lyapunov time is its inverse, reported only when the
     exponent is positive.  A ``total_time`` that keeps no segment is a ValueError.
+    A pair that goes non-finite raises DivergenceError at its segment's end.
     """
     sub = sp.save_count(renorm_interval, solver_step)
     n_segments = sp.save_count(total_time, renorm_interval)
@@ -266,7 +267,11 @@ def lyapunov_time_estimate(system: str = "kse", d: int = 64,
 
     growths = np.empty(n_segments)
     for seg in range(n_segments):
-        ref, comp = solver.advance(np.stack([ref, comp]), sub)
+        ref, comp = pair = solver.advance(np.stack([ref, comp]), sub)
+        if not np.all(np.isfinite(pair)):
+            t = (seg + 1) * renorm_interval
+            raise sp.DivergenceError(f"Lyapunov pair (seed {seed}) went non-finite by "
+                                     f"t = {t:g}", time=t, seed=seed)
         delta = sp.irfft((comp - ref) * d, d)
         sep = np.linalg.norm(delta)
         growths[seg] = np.log(sep / perturbation)

@@ -10,10 +10,9 @@ writes into buffers kept on the solver, and each product or quotient of
 complex coefficients with a real factor is a multiply of float64 views by a
 row precomputed from the factor, which keeps numpy's complex-arithmetic bits
 (:class:`_Solver` says why).
-:func:`march` is the one loop that drops diverging rows, for the model rollout
-and the ROM sweep: a diverged row is a non-finite state, judged by value at
-each save.  Dataset generation, which must raise at once, and the Lyapunov
-estimate, which renormalises a coupled pair of rows, keep their own loops.
+:func:`march` is the one loop, for generation, true trajectories, model
+rollouts and the ROM: a diverged row is a non-finite state, judged by value at
+each save, and :func:`finite_truth` raises where the truth is needed.
 :func:`save_count` is the one time-grid rule: every step, save and segment
 count of a time span comes from it, and a span it does not divide is rejected.
 
@@ -109,8 +108,8 @@ def tag_name(names: dict, tag: int, path, what: str) -> str:
 
 
 class DivergenceError(RuntimeError):
-    """A state went non-finite where the caller must fail: in a ground-truth
-    solver, a training gradient or a ``rom --reference self`` rollout.  Model
+    """A state went non-finite where the caller must fail: in the ground truth,
+    a training gradient or a ``rom --reference self`` rollout.  The solvers, model
     rollouts and reduced models return non-finite rows instead.
 
     ``time`` and ``seed`` (of the initial condition) are None where unknown.
@@ -321,7 +320,8 @@ class _Solver:
 
     ``advance(coeffs, nsteps)`` copies ``coeffs`` once into a fresh state,
     which it steps in place and returns: the input is left as it was, and two
-    results share no memory.  Every stage writes with ``out=`` into buffers
+    results share no memory; a diverged row comes back non-finite, without a
+    warning, and the other rows keep their bits.  Every stage writes with ``out=`` into buffers
     that are built, with their float64 views, once per batch shape and kept on
     the solver.  Each product of a complex coefficient with a real factor, and
     each quotient by one, is a multiply of those float64 views by a row
@@ -338,11 +338,8 @@ class _Solver:
 
     def advance(self, coeffs: np.ndarray, nsteps: int) -> np.ndarray:
         state = np.array(coeffs, dtype=np.complex128)
-        # overflow en route to the finiteness check is the blow-up signal
         with np.errstate(over="ignore", invalid="ignore"):
             self._step_in_place(state, nsteps)
-        if not np.all(np.isfinite(state)):
-            raise DivergenceError(f"{self.EQUATION} integration blew up")
         return state
 
     def _buffers(self, shape: tuple):
@@ -367,8 +364,6 @@ class VbeSolver(_Solver):
     stepped in place as :class:`_Solver` describes: the explicit half
     0.5*lin*dt_s and the reciprocal of the implicit half are rows per stage.
     """
-
-    EQUATION = "viscous Burgers"
 
     def __init__(self, d: int, domain_length: float = 1.0, viscosity: float = 8e-4,
                  dt: float = 1e-3):
@@ -416,7 +411,6 @@ class KseSolver(_Solver):
     """
 
     CONTOUR_POINTS = 32
-    EQUATION = "Kuramoto-Sivashinsky"
 
     def __init__(self, d: int, domain_length: float = 22.0, h: float = 0.05):
         if h <= 0:
@@ -531,11 +525,6 @@ class SnapshotDataset:
     def solver_step(self) -> float:
         return self.sidecar.get("solver_step", 1e-3 if self.system == "vbe" else 0.05)
 
-    def solver(self):
-        """The ground-truth solver at the dataset's physics."""
-        return true_solver(self.system, self.d, self.domain_length, self.viscosity,
-                           self.solver_step)
-
     def initial_conditions(self) -> np.ndarray:
         """(n, d) starting states: the first snapshot of every VBE trajectory,
         every snapshot of the one KSE trajectory."""
@@ -549,15 +538,16 @@ class SnapshotDataset:
         the same coefficients, and a batch has the bits of its rows.  Other
         states, longer horizons and KSE states (snapshots of one unbroken
         coefficient trajectory, which a restart misses in the last bits) are
-        solved."""
+        solved at the dataset's physics, with ``ics`` as snapshot 0."""
         n = len(ics)
         if (self.system == "vbe" and n <= self.n_traj and n_snap <= self.n_snap
                 and np.array_equal(ics, self.values[:n, 0])):
             return self.values[:n, :n_snap]
-        values = np.empty((n, n_snap, self.d))
+        solver = true_solver(self.system, self.d, self.domain_length, self.viscosity,
+                             self.solver_step)
+        values = solve_truth(solver, rfft(ics) / self.d, n_snap - 1,
+                             save_count(self.tau, self.solver_step), self.tau)
         values[:, 0] = ics
-        fill_trajectories(self.solver(), rfft(ics) / self.d, values,
-                          save_count(self.tau, self.solver_step), self.tau)
         return values
 
     def times(self) -> np.ndarray:
@@ -612,8 +602,8 @@ def march(advance, state: np.ndarray, n_save: int, sub: int, observe=None) -> np
     still marching.  ``advance`` runs once per save on the live rows and returns
     a diverged row as non-finite values; whatever it raises propagates.  A row
     whose snapshot is non-finite reads +inf from that save on and is not
-    stepped again; with no row left, nothing more runs.  Dataset generation
-    and the Lyapunov estimate keep their own loops."""
+    stepped again; while no row drops, ``advance`` gets back the array it
+    returned.  With no row left, nothing more runs."""
     see = observe or (lambda s, rows: s)
     rows = np.arange(len(state))
     # overflow en route to the finiteness check is the divergence signal
@@ -624,32 +614,43 @@ def march(advance, state: np.ndarray, n_save: int, sub: int, observe=None) -> np
             if j:
                 state = advance(state, sub, rows)
                 snap = see(state, rows)
-            ok = np.all(np.isfinite(snap), axis=tuple(range(1, snap.ndim)))
-            snaps[rows[ok], j] = snap[ok]
-            state, rows = state[ok], rows[ok]
+            if not np.isfinite(snap).all():
+                ok = np.isfinite(snap).reshape(len(snap), -1).all(axis=1)
+                state, rows, snap = state[ok], rows[ok], snap[ok]
+            snaps[rows, j] = snap
             if rows.size == 0:
                 break
     return snaps
 
 
-def fill_trajectories(solver, coeffs: np.ndarray, values: np.ndarray, sub: int,
-                      tau: float, seeds=()) -> None:
-    """Advance (n, d/2 + 1) coefficients, or one state, sampling every ``sub`` steps.
+def solve_truth(solver, coeffs: np.ndarray, n_save: int, sub: int, tau: float,
+                seeds=None) -> np.ndarray:
+    """:func:`finite_truth` of the grid snapshots (n, n_save + 1, d), ``tau`` =
+    ``sub`` steps apart, that :func:`march` takes of the (n, d/2 + 1) ``coeffs``.
+    Snapshot 0, ``irfft(coeffs * d)``, may miss the grid state in the last bits."""
+    def advance(state, nsteps, rows):  # numpy steps a lone row faster as 1-D
+        return solver.advance(state[0] if len(state) == 1 else state,
+                              nsteps).reshape(state.shape)
 
-    Snapshot j >= 1 of every row goes to ``values[:, j]`` of the (n, n_snap,
-    d) array; snapshot 0 is the caller's.  A batch gives the same bits as its
-    rows stepped one at a time.  Blow-up raises DivergenceError with the time.
-    """
-    d = values.shape[-1]
-    for j in range(1, values.shape[1]):
-        try:
-            coeffs = solver.advance(coeffs, sub)
-        except DivergenceError as err:
-            which = f" (seeds {seeds[0]}..{seeds[-1]})" if len(seeds) else ""
-            raise DivergenceError(f"integration blew up near t = {j * tau:.3f}{which}",
-                                  time=j * tau,
-                                  seed=seeds[0] if len(seeds) == 1 else None) from err
-        values[:, j] = irfft(coeffs * d, d)
+    return finite_truth(march(advance, coeffs, n_save, sub,
+                              lambda c, rows: irfft(c * solver.d, solver.d)), tau, seeds)
+
+
+def finite_truth(snaps: np.ndarray, tau: float, seeds=None,
+                 what: str = "ground truth") -> np.ndarray:
+    """``snaps`` (n, n_snap, ...), saved every ``tau``, if all finite; else
+    DivergenceError with the time of the first non-finite save and the seed (or,
+    without ``seeds``, the index) of its first non-finite row.  Rows are checked
+    one at a time, so no boolean copy of the whole array is made."""
+    bad = np.array([~np.isfinite(row).reshape(len(row), -1).all(axis=1) for row in snaps])
+    if not bad.any():
+        return snaps
+    save = int(bad.any(axis=0).argmax())
+    row = int(bad[:, save].argmax())
+    seed = None if seeds is None else seeds[row]
+    name = f"row {row}" if seed is None else f"seed {seed}"
+    raise DivergenceError(f"{what} ({name}) went non-finite by t = {save * tau:g}",
+                          time=save * tau, seed=seed)
 
 
 def generate_vbe_dataset(n_train: int = 1000, n_test: int = 100, d: int = 512,
@@ -669,12 +670,12 @@ def generate_vbe_dataset(n_train: int = 1000, n_test: int = 100, d: int = 512,
                          f"trajectories, got {n_train} and {n_test}")
     n_snap = save_count(horizon, tau) + 1
     sub = save_count(tau, dt)
-    solver = VbeSolver(d, domain_length, viscosity, dt)
     seeds = [base_seed + i for i in range(n_train + n_test)]
-    values = np.empty((len(seeds), n_snap, d))
-    values[:, 0] = [generate_vbe_ic(IcSpec(peak_wavenumber, amplitude, seed), d,
-                                    domain_length).values for seed in seeds]
-    fill_trajectories(solver, rfft(values[:, 0]) / d, values, sub, tau, seeds)
+    ics = np.stack([generate_vbe_ic(IcSpec(peak_wavenumber, amplitude, seed), d,
+                                    domain_length).values for seed in seeds])
+    values = solve_truth(VbeSolver(d, domain_length, viscosity, dt), rfft(ics) / d,
+                         n_snap - 1, sub, tau, seeds)
+    values[:, 0] = ics
     return SnapshotDataset(values, tau, domain_length, "vbe")
 
 
@@ -684,7 +685,8 @@ def generate_kse_dataset(d: int = 64, domain_length: float = 22.0, horizon: floa
     """Single long Kuramoto-Sivashinsky trajectory on the attractor.
 
     A transient of ``transient`` time units is integrated and discarded
-    before recording begins, so snapshots sample the attractor.
+    before recording begins, so snapshots sample the attractor.  A blow-up in
+    the transient raises DivergenceError at recording time 0.
     """
     n_snap = save_count(horizon, tau) + 1
     sub = save_count(tau, h)
@@ -692,14 +694,9 @@ def generate_kse_dataset(d: int = 64, domain_length: float = 22.0, horizon: floa
     rng = np.random.default_rng(seed)
     u0 = 0.01 * rng.standard_normal(d)
     u0 -= u0.mean()
-    try:
-        coeffs = solver.advance(rfft(u0) / d, save_count(transient, h))
-    except DivergenceError as err:
-        raise DivergenceError(f"transient with seed {seed} blew up", seed=seed) from err
-    values = np.empty((1, n_snap, d))
-    values[0, 0] = irfft(coeffs * d, d)
-    fill_trajectories(solver, coeffs, values, sub, tau, [seed])
-    return SnapshotDataset(values, tau, domain_length, "kse")
+    coeffs = solver.advance(rfft(u0) / d, save_count(transient, h))
+    return SnapshotDataset(solve_truth(solver, coeffs[None], n_snap - 1, sub, tau, [seed]),
+                           tau, domain_length, "kse")
 
 
 def write_dataset(ds: SnapshotDataset, path, manifest: dict | None = None) -> None:

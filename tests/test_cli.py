@@ -144,13 +144,21 @@ class TestGenerate:
         assert run_cli("generate", "--config", manifest) == 0
         assert out.read_bytes() == first
 
-    def test_blow_up_exit_code(self, tmp_path):
-        out = tmp_path / "bad.snod"
-        code = run_cli("generate", "--system", "vbe", "--out", str(out),
-                       "--train-ics", "1", "--test-ics", "0",
-                       "--set", "d=64", "--set", "horizon=3.0",
-                       "--set", "tau=0.5", "--set", "solver_step=0.5")
-        assert code == 3
+    def test_blow_up_exit_code(self, tmp_path, capsys):
+        # Burgers blows up while recording, KSE (a step of 5) in its transient;
+        # neither writes a file or a directory: the output's parent is made after
+        for system, settings in [
+                ("vbe", ["--train-ics", "1", "--test-ics", "0", "--set", "d=64",
+                         "--set", "horizon=3.0", "--set", "tau=0.5",
+                         "--set", "solver_step=0.5"]),
+                ("kse", ["--set", "d=32", "--set", "horizon=50", "--set", "tau=5",
+                         "--set", "solver_step=5", "--set", "transient=100", "--seed", "5"])]:
+            out = tmp_path / f"newdir-{system}" / "bad.snod"
+            code = run_cli("generate", "--system", system, "--out", str(out), *settings)
+            assert code == 3
+            seed = 5 if system == "kse" else 0
+            assert f"(seed {seed}) went non-finite by t = " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_data_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SNODE_DATA_DIR", str(tmp_path))
@@ -824,6 +832,17 @@ class TestEvaluate:
             assert len(lines) == int(round(horizon / 0.05)) + 1
             assert all(np.isfinite(float(l.split(",")[1])) for l in lines)
 
+    def test_diverging_truth_exits_3(self, tmp_path, vbe_dataset, trained_dir, capsys):
+        # starts this noisy blow the true solve up before any output is written
+        out = tmp_path / "eval"
+        code = run_cli("evaluate", "--dataset", str(vbe_dataset),
+                       "--checkpoint", str(trained_dir / "model.snck"),
+                       "--out", str(out), "--noise", "grid:1e200",
+                       "--set", "n_ics=2", "--set", "horizon=0.2")
+        assert code == 3
+        assert "ground truth (row 0) went non-finite by t = " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pdf_metric_steps_no_ensembles(self, tmp_path, kse_dataset, monkeypatch):
         run_dir = tmp_path / "run"
         assert run_cli("train", "--dataset", str(kse_dataset), "--variant",
@@ -833,7 +852,7 @@ class TestEvaluate:
         def no_ensembles(*args, **kwargs):
             raise AssertionError("the pdf metric stepped the true ensemble")
 
-        monkeypatch.setattr(sp, "fill_trajectories", no_ensembles)
+        monkeypatch.setattr(sp.KseSolver, "advance", no_ensembles)
         out = tmp_path / "eval_pdf"
         code = run_cli("evaluate", "--dataset", str(kse_dataset),
                        "--checkpoint", str(run_dir / "model.snck"),

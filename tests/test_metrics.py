@@ -223,6 +223,21 @@ class TestLyapunov:
             with pytest.raises(ValueError):
                 mt.lyapunov_time_estimate(system="kse", d=32, **{"total_time": 20.0, **bad})
 
+    @pytest.mark.parametrize("system,kw,time", [
+        # a Burgers step of 0.5 blows up within the first segments
+        ("vbe", dict(d=64, domain_length=1.0, solver_step=0.5, transient=1.0), None),
+        # a KSE step of 5 blows up in the transient: the first segment reads it
+        ("kse", dict(d=32, solver_step=5.0, renorm_interval=5.0, transient=100.0), 5.0)])
+    def test_diverging_pair_raises_with_its_time(self, system, kw, time):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning leaks either
+            with pytest.raises(sp.DivergenceError, match="went non-finite by t = ") as info:
+                mt.lyapunov_time_estimate(system=system, total_time=100.0, seed=3, **kw)
+        interval = kw.get("renorm_interval", 1.0)
+        assert info.value.time in interval * np.arange(1, 100.0 / interval + 1)
+        assert time is None or info.value.time == time
+        assert info.value.seed == 3
+
 
 class TestPdfIO:
     def test_round_trip_and_exact_kl(self, tmp_path):

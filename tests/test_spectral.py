@@ -267,9 +267,10 @@ class TestKseSolver:
         assert all(3.7 <= o <= 4.3 for o in orders), orders
 
     def test_blow_up_detected(self):
+        # divergence is a value: the solver returns it and does not raise
         solver = sp.KseSolver(64, 22.0, 0.05)
-        with pytest.raises(sp.DivergenceError):
-            solver.advance(np.full(33, 1e200, dtype=complex), 3)
+        out = solver.advance(np.full(33, 1e200, dtype=complex), 3)
+        assert not np.all(np.isfinite(out))
 
 
 class TestBatchedAdvance:
@@ -296,14 +297,23 @@ class TestBatchedAdvance:
         assert np.array_equal(batch, np.stack([solver.advance(c, 100) for c in coeffs]))
         assert np.array_equal(solver.advance(coeffs[:3], 100), batch[:3])
 
-    def test_fill_trajectories_blow_up_names_time(self):
-        solver = sp.VbeSolver(64, 1.0, 8e-4, 0.5)
-        ic = sp.generate_vbe_ic(sp.IcSpec(seed=4), 64, 1.0).values
-        values = np.empty((1, 7, 64))
-        values[:, 0] = ic
+    @pytest.mark.parametrize("system", ["vbe", "kse"])
+    def test_diverging_row_leaves_the_others_alone(self, system):
+        # no raise: the blown-up row comes back non-finite, the others keep
+        # the bits they have stepped alone
+        L = 1.0 if system == "vbe" else 22.0
+        solver = sp.true_solver(system, 64, L, 8e-4, 1e-3 if system == "vbe" else 0.05)
+        coeffs = self._batch(64, L, 4)
+        coeffs[2] = 1e200
+        batch = solver.advance(coeffs, 20)
+        assert not np.all(np.isfinite(batch[2]))
+        for i in (0, 1, 3):
+            assert same_bits(batch[i], solver.advance(coeffs[i], 20))
+
+    def test_generation_blow_up_names_time(self):
         with pytest.raises(sp.DivergenceError) as info:
-            sp.fill_trajectories(solver, np.fft.rfft(values[:, 0]) / 64, values, 1,
-                                 0.5, [4])
+            sp.generate_vbe_dataset(n_train=1, n_test=0, d=64, horizon=3.0, tau=0.5,
+                                    dt=0.5, base_seed=4)
         assert info.value.seed == 4
         assert info.value.time in 0.5 * np.arange(1, 7)
 
@@ -471,6 +481,18 @@ class TestMarch:
         # one call per save, on the rows still live
         assert calls == [[0, 1, 2], [0, 1, 2], [0, 2]]
 
+    def test_live_rows_get_back_their_array(self):
+        given, returned = [], []
+
+        def advance(state, nsteps, rows):
+            given.append(state)
+            returned.append(state + 1.0)
+            return returned[-1]
+
+        snaps = sp.march(advance, np.zeros((2, 3)), 3, 1)
+        assert np.array_equal(snaps[:, 3], np.full((2, 3), 3.0))
+        assert len(given) == 3 and all(g is r for g, r in zip(given[1:], returned))
+
     def test_advance_errors_propagate(self):
         def advance(state, nsteps, rows):
             raise sp.DivergenceError("a solver that must fail")
@@ -506,6 +528,39 @@ class TestMarch:
         snaps = sp.march(quadrupling(calls, limit=100.0), np.array([[np.nan, 1.0]]),
                          5, 1)
         assert calls == [] and np.all(snaps == np.inf)
+
+
+class TestFiniteTruth:
+    def _snaps(self):
+        # row 2 goes non-finite at save 2, before row 0 (save 4) and row 1 (save 5)
+        snaps = np.zeros((3, 6, 4))
+        snaps[0, 4, 1] = np.nan
+        snaps[1, 5:] = np.inf
+        snaps[2, 2:, 3] = -np.inf
+        return snaps
+
+    def test_finite_snapshots_returned(self):
+        snaps = np.ones((2, 3, 4))
+        assert sp.finite_truth(snaps, 0.25) is snaps
+
+    def test_names_the_earliest_save_and_its_seed(self):
+        with pytest.raises(sp.DivergenceError,
+                           match=r"^ground truth \(seed 12\) went non-finite by t = 0.5$") as info:
+            sp.finite_truth(self._snaps(), 0.25, [10, 11, 12])
+        assert info.value.time == 0.5 and info.value.seed == 12
+
+    def test_names_the_row_without_seeds(self):
+        with pytest.raises(sp.DivergenceError,
+                           match=r"^rollout \(row 2\) went non-finite by t = 0.5$") as info:
+            sp.finite_truth(self._snaps(), 0.25, what="rollout")
+        assert info.value.time == 0.5 and info.value.seed is None
+
+    def test_first_of_rows_at_the_same_save(self):
+        snaps = self._snaps()
+        snaps[1, 2, 0] = np.nan
+        with pytest.raises(sp.DivergenceError) as info:
+            sp.finite_truth(snaps, 0.25, [10, 11, 12])
+        assert info.value.seed == 11
 
 
 class TestSaveCount:
@@ -563,6 +618,13 @@ class TestDatasets:
         train, test = ds.split_chronological(0.8)
         assert train.n_snap == 7 and test.n_snap == 2
 
+    def test_kse_transient_blow_up_names_the_seed(self):
+        # a step of 5 blows up in the transient: recording time 0 is non-finite
+        with pytest.raises(sp.DivergenceError, match=r"\(seed 3\)") as info:
+            sp.generate_kse_dataset(d=32, horizon=50.0, tau=5.0, h=5.0, transient=100.0,
+                                    seed=3)
+        assert info.value.seed == 3 and info.value.time == 0.0
+
     def test_pairs(self):
         ds = sp.generate_vbe_dataset(n_train=2, n_test=0, d=64, horizon=0.1,
                                      tau=0.05, dt=1e-3, base_seed=0)
@@ -612,15 +674,17 @@ class TestTrueTrajectories:
         # from the stored first snapshots, steps the stored test rows bit for bit
         test = self._dataset(tmp_path, d, sidecar).split()[1]
         assert test.n_traj == (3 if sidecar else 5)
-        values = np.empty_like(test.values)
-        values[:, 0] = test.initial_conditions()
-        sp.fill_trajectories(test.solver(), np.fft.rfft(values[:, 0]) / d, values,
-                             int(round(test.tau / test.solver_step)), test.tau)
+        starts = test.initial_conditions()
+        solver = sp.true_solver("vbe", d, test.domain_length, test.viscosity,
+                                test.solver_step)
+        values = sp.solve_truth(solver, np.fft.rfft(starts) / d, test.n_snap - 1,
+                                int(round(test.tau / test.solver_step)), test.tau)
+        values[:, 0] = starts
         assert np.array_equal(values, test.values)
 
     def test_stored_starts_read_without_solving(self, tmp_path, monkeypatch):
         test = self._dataset(tmp_path, 32, True).split()[1]
-        monkeypatch.setattr(sp, "fill_trajectories", None)  # any solve would fail
+        monkeypatch.setattr(sp.VbeSolver, "advance", None)  # any solve would fail
         truth = test.true_trajectories(test.initial_conditions()[:2].copy(), 4)
         assert truth.shape == (2, 4, 32)
         assert np.shares_memory(truth, test.values)
@@ -638,6 +702,14 @@ class TestTrueTrajectories:
         assert np.array_equal(truth[:, 0], noisy)
         assert np.all(np.isfinite(truth))
         assert not np.array_equal(truth, test.values[1:, :3])
+
+    def test_diverging_start_raises_naming_its_row(self, tmp_path):
+        test = self._dataset(tmp_path, 32, True).split()[1]
+        starts = test.initial_conditions().copy()
+        starts[1] *= 1e200
+        with pytest.raises(sp.DivergenceError, match=r"\(row 1\)") as info:
+            test.true_trajectories(starts, 3)
+        assert info.value.time in (0.05, 0.1) and info.value.seed is None
 
     def test_kse_always_solved(self):
         ds = sp.generate_kse_dataset(d=32, horizon=2.0, transient=10.0)
