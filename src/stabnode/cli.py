@@ -53,12 +53,14 @@ its interval does not divide (`spectral.save_count`, before any integration:
 `generate` horizon, tau and KSE transient, `rom` total_time and
 save_interval, `evaluate` horizon, pdf_time, `times` and
 lyapunov_total_time), a lyapunov_total_time that keeps no segment after the
-leading tenth is discarded, or a fixed-linear RK4 substep tau/rollout_steps
-that amplifies a damped mode; 3
+leading tenth is discarded, or an RK4 step that amplifies a damped mode
+(one rule, `neural_ode.min_stable_substeps`: a fixed-linear substep
+tau/rollout_steps, or a `rom --reference self` dt, before any output is
+written); 3
 numerical divergence: a `generate`, `evaluate` true or `--metric lyapunov`
 trajectory, named by time and seed (or row), before any output is written;
 a `rom` row whose states went non-finite (its KL reads nan), a
-`rom --reference self` rollout (before any row runs), an
+`rom --reference self` rollout at a stable dt (before any row runs), an
 `evaluate --metric error|spectrum|pdf` model trajectory that went non-finite,
 whose outputs and manifest are still written, or a `train` gradient whose
 prediction went non-finite, which saves the last good epoch.  A KL of PDFs
@@ -373,14 +375,25 @@ TRAIN_SCHEMA = {
 }
 
 
+def _require_stable_rk4(symbol: np.ndarray, interval: float, substeps: int,
+                        message) -> None:
+    """ConfigError(``message(need)``) when ``substeps`` RK4 steps over
+    ``interval`` are fewer than the ``need`` that
+    :func:`~stabnode.neural_ode.min_stable_substeps` gives for the real part of
+    ``symbol``, so they amplify a mode the linear term damps: the one stability
+    rule of ``train``, ``evaluate`` and ``rom --reference self``."""
+    need = node.min_stable_substeps(symbol.real, interval)
+    if substeps < need:
+        raise ConfigError(message(need))
+
+
 def _require_stable_substeps(model, tau: float, rollout_steps: int) -> None:
     """ConfigError when an RK4 substep amplifies a mode the fixed linear term damps."""
-    if model.variant != "fixed-linear":
-        return
-    need = node.min_stable_substeps(model.linear_symbol(), tau)
-    if rollout_steps < need:
-        raise ConfigError(f"rollout_steps={rollout_steps} makes RK4 amplify modes the "
-                          f"fixed linear term damps; use rollout_steps={need} or more")
+    if model.variant == "fixed-linear":
+        _require_stable_rk4(
+            model.linear_symbol(), tau, rollout_steps,
+            lambda need: f"rollout_steps={rollout_steps} makes RK4 amplify modes the "
+                         f"fixed linear term damps; use rollout_steps={need} or more")
 
 
 def cmd_train(config: dict) -> int:
@@ -685,6 +698,14 @@ def cmd_rom(config: dict) -> int:
     # every d_p, before anything is written or the reference is rolled out
     *_, sub = rom_mod.check_sweep(basis, config["dp"], config["mode"], config["total_time"],
                                   config["save_interval"], config["dt"])
+    if config["reference"] == "self":  # its full-dimension rollout steps every mode
+        interval = config["save_interval"]
+        _require_stable_rk4(
+            model.linear_symbol(), interval, sub,
+            lambda need: f"reference=self: dt={config['dt']:g} makes the full rollout's "
+                         f"RK4 amplify modes the linear term damps; use dt="
+                         f"{interval / need!r} (save_interval/{need}) or a smaller "
+                         f"divisor of save_interval")
     starts = ds.initial_conditions()
     if not 0 <= config["ic_index"] < len(starts):
         raise ConfigError(f"ic_index must be in 0..{len(starts) - 1}")

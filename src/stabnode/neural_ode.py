@@ -351,6 +351,12 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
     when None), the gradients included, so they hold until the workspace's
     next call.  A non-finite prediction or loss raises DivergenceError (with
     ``time`` tau) before the backward pass, allocating nothing.
+
+    ``u_start`` and ``u_end`` may be the workspace's own ``rk4.start`` and
+    ``w``, into which a caller can gather a batch with no other copy: the tape
+    then copies the start onto itself, and the residual overwrites the target
+    element by element, so the loss and gradients keep their bits.  No other
+    workspace array may be passed.
     """
     u_start = np.atleast_2d(np.asarray(u_start, dtype=np.float64))
     u_end = np.atleast_2d(np.asarray(u_end, dtype=np.float64))
@@ -492,23 +498,24 @@ def train(model: RhsModel, dataset: SnapshotDataset, config: TrainConfig,
                          f"width {model.width}")
     if stop_epoch is None:
         stop_epoch = config.epochs
-    u0_all, u1_all = dataset.pairs()
-    n_pairs = u0_all.shape[0]
+    snaps, starts = dataset.snapshots(), dataset.pair_starts()
+    n_pairs = starts.shape[0]
     take = min(config.batch_size, n_pairs)
     if adam is None:
         adam = AdamState(model)
-    # every epoch's batch and gradient reuse these arrays
-    batch = np.empty((2, take, model.width))
+    # every epoch's gradient reuses these arrays, and its batch is gathered into
+    # the two inputs loss_gradient lets alias the workspace
     workspace = AdjointWorkspace(model, take, config.rollout_steps)
+    u_start, u_end = workspace.rk4.start, workspace.w
     history = []
     for epoch in range(start_epoch, stop_epoch):
         rng = np.random.default_rng([config.seed, epoch])
-        idx = rng.choice(n_pairs, size=take, replace=False)
+        rows = starts[rng.choice(n_pairs, size=take, replace=False)]
         lr_nl, lr_lin = config.lrs_at(epoch)
-        np.take(u0_all, idx, axis=0, out=batch[0])
-        np.take(u1_all, idx, axis=0, out=batch[1])
+        np.take(snaps, rows, axis=0, out=u_start)
+        np.take(snaps, np.add(rows, 1, out=rows), axis=0, out=u_end)
         try:
-            loss, grads = loss_gradient(model, batch[0], batch[1], dataset.tau,
+            loss, grads = loss_gradient(model, u_start, u_end, dataset.tau,
                                         config.rollout_steps, workspace)
         except DivergenceError as err:
             raise DivergenceError(f"training diverged at epoch {epoch}: {err}",

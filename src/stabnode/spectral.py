@@ -71,26 +71,37 @@ class ArtifactError(ValueError):
     """A truncated, padded or malformed artifact, or an unparsable sidecar number."""
 
 
-def read_exact(fh, nbytes: int) -> bytes:
-    """The next ``nbytes`` of an open binary file, or ArtifactError naming it."""
+def _require_left(fh, nbytes: int) -> int:
+    """The offset of an open binary file, or ArtifactError naming it unless
+    ``nbytes`` are left from there."""
     here = fh.tell()
     left = fh.seek(0, 2) - here
     fh.seek(here)
     if not 0 <= nbytes <= left:
         raise ArtifactError(f"{fh.name}: truncated: {nbytes} bytes expected at "
                             f"offset {here}, {left} left")
+    return here
+
+
+def read_exact(fh, nbytes: int) -> bytes:
+    """The next ``nbytes`` of an open binary file, or ArtifactError naming it."""
+    _require_left(fh, nbytes)
     return fh.read(nbytes)
 
 
 def read_f8(fh, count: int) -> np.ndarray:
     """``count`` little-endian float64 values as a writable array, or
-    ArtifactError naming the file and the offset of the first NaN or Inf."""
-    here = fh.tell()
-    values = np.frombuffer(read_exact(fh, 8 * count), dtype="<f8").copy()
-    bad = ~np.isfinite(values)
-    if bad.any():
+    ArtifactError naming the file and the offset of the first NaN or Inf.
+
+    The file is read straight into the one array returned.  Its min and max,
+    which a NaN or an infinity carries, judge it; only a file that fails builds
+    a mask, to name the offset."""
+    here = _require_left(fh, 8 * count)
+    values = np.empty(count, "<f8")
+    fh.readinto(values)
+    if count and not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise ArtifactError(f"{fh.name}: non-finite value at offset "
-                            f"{here + 8 * int(bad.argmax())}")
+                            f"{here + 8 * int(np.isfinite(values).argmin())}")
     return values
 
 
@@ -490,7 +501,9 @@ def true_solver(system: str, d: int, domain_length: float, viscosity: float,
 @dataclass
 class SnapshotDataset:
     """Trajectories sampled at a fixed interval tau, shape (n_traj, n_snap, d),
-    with the parsed ``sidecar`` its physics and split come from."""
+    with the parsed ``sidecar`` its physics and split come from.  Splits,
+    :meth:`snapshots` and training pairs (:meth:`pair_starts`) are views or
+    row indices of ``values``, so a dataset's states exist once."""
 
     values: np.ndarray
     tau: float
@@ -554,14 +567,16 @@ class SnapshotDataset:
         return np.arange(self.n_snap) * self.tau
 
     def snapshots(self) -> np.ndarray:
-        """All states flattened to (n_traj * n_snap, d)."""
+        """All states flattened to (n_traj * n_snap, d), a view when ``values`` is
+        contiguous, as every dataset read, generated or split here is."""
         return self.values.reshape(-1, self.d)
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All single-interval training pairs (u(t), u(t + tau))."""
-        u0 = self.values[:, :-1, :].reshape(-1, self.d)
-        u1 = self.values[:, 1:, :].reshape(-1, self.d)
-        return u0, u1
+    def pair_starts(self) -> np.ndarray:
+        """The row in :meth:`snapshots` of every single-interval training pair's
+        start u(t), trajectory-major; its target u(t + tau) is the next row.
+        No state is copied: a batch gathers its rows from the one array."""
+        rows = np.arange(self.n_traj * self.n_snap).reshape(self.n_traj, self.n_snap)
+        return rows[:, :-1].ravel()
 
     def split(self) -> tuple["SnapshotDataset", "SnapshotDataset"]:
         """(train, test): a VBE ensemble's leading ``train_trajectories`` and
@@ -705,13 +720,15 @@ def write_dataset(ds: SnapshotDataset, path, manifest: dict | None = None) -> No
     Layout: magic, u32 version, u32 d, u32 n_traj, u32 n_snap, f64 tau,
     f64 L, u8 system tag, then f64 payload trajectory-major, snapshot-major,
     grid-minor.  An optional sidecar ``manifest`` records generation metadata.
+    The payload is written from ``ds.values`` itself, with no copy, when it is
+    contiguous little-endian float64, as every dataset this package makes is.
     """
     header = DATASET_MAGIC + struct.pack(
         "<IIIIddB", DATASET_VERSION, ds.d, ds.n_traj, ds.n_snap, ds.tau,
         ds.domain_length, SYSTEM_TAGS[ds.system])
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(ds.values.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(ds.values, dtype="<f8"))
     if manifest is not None:
         write_sidecar(f"{path}.txt", manifest)
 

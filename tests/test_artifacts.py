@@ -3,6 +3,7 @@ whose tag bytes name nothing, or whose payload holds a NaN or Inf."""
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,41 @@ def test_non_finite_payload(tmp_path, write, value):
     with pytest.raises(sp.ArtifactError,
                        match=re.escape(str(path)) + f".*non-finite.*offset {offset}"):
         read(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_first_non_finite_offset_named(tmp_path, value):
+    # a later NaN does not hide the first non-finite value
+    values = np.ones((2, 3, 8))
+    values[1, 0, 5] = value
+    values[1, 2, 0] = np.nan
+    path = tmp_path / "d.snod"
+    sp.write_dataset(sp.SnapshotDataset(values, 0.1, 1.0, "vbe"), path)
+    offset = 4 + struct.calcsize("<IIIIddB") + 8 * (3 * 8 + 5)
+    with pytest.raises(sp.ArtifactError, match=f"non-finite value at offset {offset}$"):
+        sp.read_dataset(path)
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_payload_held_once(tmp_path):
+    # the writer writes the values themselves, the reader reads into the one
+    # array it returns
+    values = np.random.default_rng(0).standard_normal((4, 50, 512))
+    path = tmp_path / "d.snod"
+    ds = sp.SnapshotDataset(values, 0.1, 1.0, "vbe")
+    _, write_peak = _peak(lambda: sp.write_dataset(ds, path))
+    back, read_peak = _peak(lambda: sp.read_dataset(path))
+    assert np.array_equal(back.values, values)
+    assert write_peak < 0.25 * values.nbytes, write_peak
+    assert read_peak < 1.25 * values.nbytes, read_peak
 
 
 def test_train_trajectories_past_the_file(tmp_path, capsys):

@@ -1095,9 +1095,35 @@ class TestRom:
         assert not (out / "basis.sneb").exists()
         assert calls == []
 
+    @pytest.mark.parametrize("rhs", ["true", "damping"])
+    def test_unstable_self_reference_exits_2(self, tmp_path, kse_dataset, rhs,
+                                             monkeypatch, capsys):
+        # at the default dt = 0.01 the full rollout's RK4 amplifies damped modes:
+        # the true KSE symbol at d = 32 reaches about -415 and the stencil
+        # [500, -1000, 500] -2000, against RK4's limit of -2.785 / dt
+        if rhs == "damping":
+            rhs = str(learned_linear_checkpoint(tmp_path / "model.snck", 32,
+                                                [500.0, -1000.0, 500.0], "kse"))
+        calls = []
+        monkeypatch.setattr(node, "rollout", lambda *args, **kw: calls.append(args))
+        out = tmp_path / "rom_unstable"
+        argv = ["rom", "--dataset", str(kse_dataset), "--rhs", rhs, "--mode", "galerkin",
+                "--dp", "8", "--set", "total_time=5.0", "--set", "reference=self"]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "reference=self" in err and "amplify" in err
+        assert not out.exists()
+        assert calls == []
+        # the dt it names passes the guard and runs
+        dt = re.search(r"use dt=(\S+) \(save_interval/", err).group(1)
+        monkeypatch.undo()
+        assert run_cli(*argv, "--out", str(tmp_path / "rom_stable"),
+                       "--set", f"dt={dt}") == 0
+
     def test_diverged_self_reference_exits_3(self, tmp_path, kse_dataset, capsys):
+        # a growing operator (sigma >= 0) passes the stability guard and blows up
         ckpt = learned_linear_checkpoint(tmp_path / "model.snck", 32,
-                                         [500.0, -1000.0, 500.0], "kse")
+                                         [-500.0, 1000.0, -500.0], "kse")
         out = tmp_path / "rom_self"
         code = run_cli("rom", "--dataset", str(kse_dataset), "--rhs", str(ckpt),
                        "--mode", "galerkin", "--dp", "8", "--out", str(out),

@@ -357,6 +357,24 @@ class TestAdjointWorkspace:
         # a quarter of one (n, d) array covers the exception and its message
         assert peak_of(diverging) <= steady + u0.nbytes // 4
 
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("variant", ["nonlinear", "fixed-linear", "learned-linear"])
+    def test_inputs_gathered_into_the_workspace(self, variant, activation):
+        # train gathers a batch into rk4.start and w: the tape then copies the
+        # start onto itself and the residual overwrites the target
+        model = deep_model(variant, activation)
+        u0, u1 = smooth_batch(1, 6, 16), smooth_batch(2, 6, 16)
+        loss, grads = node.loss_gradient(model, u0, u1, 0.1, 3)
+        workspace = node.AdjointWorkspace(model, 6, 3)
+        np.copyto(workspace.rk4.start, u0)
+        np.copyto(workspace.w, u1)
+        got_loss, got_grads = node.loss_gradient(model, workspace.rk4.start, workspace.w,
+                                                 0.1, 3, workspace)
+        words = [np.float64(loss).view(np.uint64)] + [g.view(np.uint64) for g in grads]
+        got = [np.float64(got_loss).view(np.uint64)] + [g.view(np.uint64) for g in got_grads]
+        assert len(got) == len(words)
+        assert all(np.array_equal(a, b) for a, b in zip(got, words))
+
     def test_tape_of_another_length_rejected(self):
         # a tape's views are built for its slots, so it runs exactly that many steps
         tape = node.Rk4Buffers((2, 4), 3)
@@ -504,6 +522,28 @@ class TestTraining:
             tracemalloc.stop()
         # the smallest network tensor, a 512-wide bias, is 4 KB
         assert peak < min(p.nbytes for p in model.mlp.weights + model.mlp.biases), peak
+
+    def test_an_epoch_holds_no_copy_of_the_split(self):
+        # batches are gathered from the split's own rows into the workspace
+        model = deep_model("learned-linear", "relu", d=64)
+        config = node.TrainConfig(1, (1e-3,), (1e-1,), batch_size=8, rollout_steps=1)
+        tracemalloc.start()
+        try:
+            node.AdjointWorkspace(model, 8, 1)
+            workspace_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values = 0.1 * np.random.default_rng(0).standard_normal((80, 60, 64))
+        assert values.nbytes >= 20 * workspace_bytes
+        ds = sp.SnapshotDataset(values, 0.1, 1.0, "vbe")
+        tracemalloc.start()
+        try:
+            loss = node.train(model, ds, config).loss_history[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss)
+        assert peak < values.nbytes, (peak, values.nbytes)
 
     def test_width_mismatch_rejected(self):
         ds = tiny_vbe_dataset(n_snap=5)

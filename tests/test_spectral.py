@@ -628,7 +628,9 @@ class TestDatasets:
     def test_pairs(self):
         ds = sp.generate_vbe_dataset(n_train=2, n_test=0, d=64, horizon=0.1,
                                      tau=0.05, dt=1e-3, base_seed=0)
-        u0, u1 = ds.pairs()
+        snaps, starts = ds.snapshots(), ds.pair_starts()
+        assert np.shares_memory(snaps, ds.values)
+        u0, u1 = snaps[starts], snaps[starts + 1]
         assert u0.shape == (4, 64)
         assert np.array_equal(u0[1], ds.values[0, 1])
         assert np.array_equal(u1[1], ds.values[0, 2])
