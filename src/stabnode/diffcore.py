@@ -12,8 +12,8 @@ No computation graph: a forward call returns the layer activations, which
 its matching backward call takes, and the backward pass never reads the
 output layer's, so a forward run only to feed it can stop after the last
 hidden layer.  Each pass writes into an :class:`MlpBuffers` when given one,
-and then allocates nothing; without one it runs the same operations into
-fresh arrays, with the same bits.
+and then allocates no result array; without one it runs the same operations
+into fresh arrays, with the same bits.
 """
 
 from __future__ import annotations
@@ -130,29 +130,41 @@ class ConvStencil:
 
 class MlpBuffers:
     """The arrays :func:`mlp_forward` and :func:`mlp_backward` write, for
-    batches of ``rows`` states through a network of ``layer_sizes``.
+    batches of ``rows`` states through the network ``params``.
 
-    ``acts[i]`` receives layer i's output and ``cot[i]`` the cotangent at its
-    input; ``scratch[i]`` and ``mask[i]`` are hidden layer i's activation
-    temporaries; ``grads`` holds the weight then the bias gradients.  Passes
-    that share these arrays allocate nothing, and each pass overwrites what
-    the previous one left.
+    ``acts[i]`` receives layer i's output and ``cot[i]`` the cotangent at
+    hidden layer i's output; the cotangent at the network's input goes into
+    the caller's array.  ``mask[i]`` is hidden layer i's activation mask, None
+    for a linear layer, and ``scratch[i]`` its sigmoid temporary, None unless
+    the layer is a sigmoid.  ``parts[i]`` receives layer i's weight then bias
+    gradient on their way into the caller's sums; the pairs are views of one
+    weight row and one bias row as long as the largest layer's.
+
+    Passes that share these arrays allocate no result array; numpy still
+    buffers a broadcast or cast operand (the bias add, relu's mask multiply)
+    through a temporary of up to 8192 elements.  Each pass overwrites what the
+    previous one left.
     """
 
-    def __init__(self, layer_sizes, rows: int):
-        pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+    def __init__(self, params: MlpParams, rows: int):
+        pairs = list(zip(params.layer_sizes[:-1], params.layer_sizes[1:]))
+        hidden = list(zip(params.activations, pairs))[:-1]
         self.acts = [np.empty((rows, n_out)) for _, n_out in pairs]
-        self.cot = [np.empty((rows, n_in)) for n_in, _ in pairs]
-        self.scratch = [np.empty((rows, n_out)) for _, n_out in pairs[:-1]]
-        self.mask = [np.empty((rows, n_out), dtype=bool) for _, n_out in pairs[:-1]]
-        self.grads = ([np.empty(pair) for pair in pairs]
-                      + [np.empty(n_out) for _, n_out in pairs])
+        self.cot = [np.empty((rows, n_out)) for _, (_, n_out) in hidden]
+        self.scratch = [np.empty((rows, n_out)) if act == "sigmoid" else None
+                        for act, (_, n_out) in hidden]
+        self.mask = [None if act == "linear" else np.empty((rows, n_out), dtype=bool)
+                     for act, (_, n_out) in hidden]
+        weight = np.empty(max(n_in * n_out for n_in, n_out in pairs))
+        bias = np.empty(max(n_out for _, n_out in pairs))
+        self.parts = [(weight[:n_in * n_out].reshape(n_in, n_out), bias[:n_out])
+                      for n_in, n_out in pairs]
 
 
 def _temps(buffers: MlpBuffers | None, i: int) -> tuple:
     """Hidden layer i's (scratch, mask) from ``buffers``; none for the final
     layer, which is linear, or without buffers."""
-    if buffers is None or i >= len(buffers.scratch):
+    if buffers is None or i >= len(buffers.mask):
         return ()
     return buffers.scratch[i], buffers.mask[i]
 
@@ -207,13 +219,18 @@ def mlp_forward(params: MlpParams, u: np.ndarray, layers: int | None = None,
 
 
 def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray,
-                 buffers: MlpBuffers | None = None):
+                 buffers: MlpBuffers | None = None, sums: list | None = None,
+                 out: np.ndarray | None = None):
     """Exact VJP at the activations :func:`mlp_forward` returned, with or
     without the output layer's (the backward pass never reads it): returns
     (grads, input cotangent); grads lists the weight gradients, then the bias
-    gradients, each summed over the batch.  Gradients and cotangents go into
-    ``buffers`` when given, fresh arrays otherwise; ``cotangent`` is only
-    read."""
+    gradients, each summed over the batch.
+
+    With ``sums`` (arrays in that order), each layer's gradient pair is added
+    into them as soon as it is computed, through ``buffers.parts`` when given,
+    and ``sums`` is returned as grads; without it they are fresh arrays.  The
+    input cotangent goes into ``out`` when given, the hidden layers' into
+    ``buffers``, fresh arrays otherwise; ``cotangent`` is only read."""
     n_layers = params.n_layers
     if (len(acts) not in (n_layers, n_layers + 1)
             or [a.shape[-1] for a in acts] != list(params.layer_sizes[:len(acts)])):
@@ -224,7 +241,7 @@ def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray,
         g = g[None, :]
     if g.shape != (acts[0].shape[0], params.layer_sizes[-1]):
         raise ValueError("cotangent shape does not match forward output")
-    grads = [None] * (2 * n_layers) if buffers is None else list(buffers.grads)
+    grads = [None] * (2 * n_layers) if sums is None else sums
     for i in range(n_layers - 1, -1, -1):
         act = params.activations[i]
         # the final layer is linear and passes the caller's cotangent through
@@ -232,10 +249,16 @@ def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray,
         gz = g
         if act != "linear":
             gz = _scale_by_activation_grad(act, g, acts[i + 1], *_temps(buffers, i))
-        grads[i] = np.matmul(acts[i].T, gz, out=grads[i])
-        grads[n_layers + i] = np.sum(gz, axis=0, out=grads[n_layers + i])
-        g = np.matmul(gz, params.weights[i].T,
-                      out=None if buffers is None else buffers.cot[i])
+        weight, bias = (None, None) if sums is None or buffers is None else buffers.parts[i]
+        weight = np.matmul(acts[i].T, gz, out=weight)
+        bias = np.sum(gz, axis=0, out=bias)
+        if sums is None:
+            grads[i], grads[n_layers + i] = weight, bias
+        else:
+            grads[i] += weight
+            grads[n_layers + i] += bias
+        g_out = out if i == 0 else (None if buffers is None else buffers.cot[i - 1])
+        g = np.matmul(gz, params.weights[i].T, out=g_out)
     return grads, (g[0] if squeeze else g)
 
 

@@ -43,6 +43,8 @@ VARIANT_NAMES = {v: k for k, v in VARIANT_TAGS.items()}
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements per slice of an AdamState.update, the length of its two scratch rows
+ADAM_CHUNK = 8192
 
 # the RK4 amplification R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has |R(z)| <= 1 on
 # the negative real axis exactly for z >= -this, the real root of R(z) = 1
@@ -159,26 +161,27 @@ class RhsModel:
         ``shape``: a spectrum, a grid and the network's buffers."""
         d = self.width
         return (np.empty(shape + (d // 2 + 1,), dtype=np.complex128), np.empty(shape + (d,)),
-                dc.MlpBuffers(self.mlp.layer_sizes, int(np.prod(shape))))
+                dc.MlpBuffers(self.mlp, int(np.prod(shape))))
 
 
 class Rk4Buffers:
     """The tape :func:`_rk4_forward` writes for states of ``shape``: the stage
-    inputs x1..x4 of ``slots`` substeps (``stages[s]``), the slopes k1..k4
-    (``k``) and the final ``state``.
+    inputs x1..x4 of ``slots`` substeps (``stages[s]``) and the slopes k1..k4
+    (``k``).  The final state is the k4 slot, ``k[3]``: the last substep's
+    weighted slope sum is already there, and adding x1 to it in place is the
+    substep's last operation.
 
     The views a call writes are built here once, so a call makes none:
     ``start`` is the first substep's x1, and ``outputs[s]`` holds substep s's
-    x2, x3 and x4, k1..k4, and the next substep's x1 (``state`` after the
+    x2, x3 and x4, k1..k4, and the next substep's x1 (``k[3]`` after the
     last)."""
 
     def __init__(self, shape: tuple, slots: int):
         self.stages = np.empty((slots, 4, *shape))
         self.k = np.empty((4, *shape))
-        self.state = np.empty(shape)
         self.start = self.stages[0, 0]
         self.outputs = [(*self.stages[s, 1:], *self.k,
-                         self.stages[s + 1, 0] if s + 1 < slots else self.state)
+                         self.stages[s + 1, 0] if s + 1 < slots else self.k[3])
                         for s in range(slots)]
 
 
@@ -190,15 +193,25 @@ class AdjointWorkspace:
     It holds the RK4 stage-input tape and slopes (``rk4``, whose ``k`` the
     backward pass reuses for the stage cotangents gx1..gx4), the network's
     :class:`~stabnode.diffcore.MlpBuffers`, two spectra, the adjoint state
-    ``w``, the stage cotangent ``cot`` and the parameter gradients.  Calls that
-    share one allocate nothing larger than one spectrum row; each overwrites
-    what the previous one left, including the gradients it returned.
+    ``w``, the stage cotangent ``cot`` and the parameter gradients, into which
+    every stage's parts are added as they are computed.  The backward pass
+    never writes the network's output activation, so the linear branch's
+    adjoint goes there.  Each call overwrites what the previous one left,
+    including the gradients it returned.
+
+    Calls that share one allocate no array of the batch's size, but numpy
+    (2.4) buffers a broadcast or dtype-casting operand through a temporary of
+    up to 8192 elements: the bias add of every layer :func:`mlp_forward`
+    computes, and relu's bool-by-float mask multiply in the backward pass.
+    That is about 200 temporaries of up to 64 KB each per gradient of a
+    batch of 256 through three relu layers of 200 over 5 substeps.  The
+    spectra's batch sum allocates one spectrum row.
     """
 
     def __init__(self, model: RhsModel, rows: int, rollout_steps: int):
         shape = (rows, model.width)
         self.rk4 = Rk4Buffers(shape, rollout_steps)
-        self.mlp = dc.MlpBuffers(model.mlp.layer_sizes, rows)
+        self.mlp = dc.MlpBuffers(model.mlp, rows)
         self.spectra = np.empty((2, rows, model.width // 2 + 1), dtype=np.complex128)
         self.w = np.empty(shape)
         self.cot = np.empty(shape)
@@ -218,31 +231,32 @@ def _rhs_vjp(model: RhsModel, symbol, x: np.ndarray, cotangent: np.ndarray,
     from ``model.rhs()``.  The network is recomputed only up to its last hidden
     layer, as its backward pass never reads the output layer's activation.
     Intermediates go into ``workspace``; ``cotangent`` is only read."""
-    _, acts = dc.mlp_forward(model.mlp, x, model.mlp.n_layers - 1, workspace.mlp)
-    parts, gin = dc.mlp_backward(model.mlp, acts, cotangent, workspace.mlp)
-    if symbol is None:
-        np.copyto(out, gin)
-    else:
+    mlp = model.mlp
+    _, acts = dc.mlp_forward(mlp, x, mlp.n_layers - 1, workspace.mlp)
+    dc.mlp_backward(mlp, acts, cotangent, workspace.mlp, grads[:2 * mlp.n_layers], out)
+    if symbol is not None:
         d = model.width
         g_hat, scratch = workspace.spectra
         rfft(cotangent, out=g_hat)
-        # a real circulant's adjoint has the conjugate symbol
-        linear = irfft(np.multiply(np.conj(symbol), g_hat, out=scratch), d, out=out)
-        np.add(gin, linear, out=out)
+        # a real circulant's adjoint has the conjugate symbol, and the output
+        # activation, which the recompute stops short of, takes its image
+        linear = irfft(np.multiply(np.conj(symbol), g_hat, out=scratch), d,
+                       out=workspace.mlp.acts[-1])
+        np.add(out, linear, out=out)
         if model.linear.params():
             x_hat = rfft(x, out=scratch)
             cross = np.multiply(np.conj(g_hat, out=g_hat), x_hat, out=x_hat)
-            parts = parts + model.linear.symbol_vjp(
-                cross.reshape(-1, d // 2 + 1).sum(axis=0), d)
-    for acc, g in zip(grads, parts):
-        acc += g
+            parts = model.linear.symbol_vjp(cross.reshape(-1, d // 2 + 1).sum(axis=0), d)
+            for acc, g in zip(grads[2 * mlp.n_layers:], parts):
+                acc += g
     return out
 
 
 def _rk4_forward(rhs, u, h: float, nsteps: int, tape: Rk4Buffers | None = None):
     """The state after ``nsteps`` classical RK4 steps of du/dt = rhs(u), where
     ``rhs(x, out)`` returns the slope at x, written into ``out`` unless it is
-    None; ``u`` is only read, and may be the tape's ``state``.
+    None; ``u`` is only read, and may be the state the tape returned, its k4
+    slot.
 
     With a ``tape`` of ``nsteps`` slots every stage writes into it, and its
     ``stages`` then hold the stage inputs x1..x4 of every step for
@@ -443,31 +457,42 @@ LEARNING_RATES = {
 
 class AdamState:
     """First/second moment accumulators, one pair per ``model.parameters()``
-    tensor, and two scratch rows as long as the largest of them."""
+    tensor, and two scratch rows of ADAM_CHUNK elements, or of the largest
+    tensor's when it is shorter."""
 
     def __init__(self, model: RhsModel):
         self.t = 0
         self.m = [np.zeros_like(p) for p in model.parameters()]
         self.v = [np.zeros_like(p) for p in model.parameters()]
-        self._scratch = np.empty((2, max(p.size for p in self.m)))
+        self._scratch = np.empty((2, min(ADAM_CHUNK, max(p.size for p in self.m))))
 
     def update(self, model: RhsModel, grads: list,
                lr_nonlinear: float, lr_linear: float) -> None:
         """One step in place, each operation with the operands and order of the
-        array formulas; the stencil taps take ``lr_linear``, the network the other."""
+        array formulas, elementwise, so slice by slice over ADAM_CHUNK elements
+        of the flattened tensors; the stencil taps take ``lr_linear``, the
+        network the other.  A parameter must be C-contiguous, as it is updated
+        through a flat view."""
         self.t += 1
         n_network = 2 * model.mlp.n_layers
-        for i, (param, grad, m, v) in enumerate(
-                zip(model.parameters(), grads, self.m, self.v)):
-            a, b = (row[:m.size].reshape(m.shape) for row in self._scratch)
-            m *= ADAM_BETA1
-            m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
-            v *= ADAM_BETA2
-            v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=a), grad, out=a)
+        for i, tensors in enumerate(zip(model.parameters(), grads, self.m, self.v)):
             lr = lr_nonlinear if i < n_network else lr_linear
-            step = np.multiply(lr, np.divide(m, 1.0 - ADAM_BETA1**self.t, out=a), out=a)
-            root = np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**self.t, out=b), out=b)
-            param -= np.divide(step, np.add(root, ADAM_EPS, out=b), out=a)
+            if not tensors[0].flags.c_contiguous:
+                raise ValueError(f"parameter {i} is not C-contiguous")
+            param, grad, m, v = (x.reshape(-1) for x in tensors)
+            for lo in range(0, param.size, ADAM_CHUNK):
+                self._step(param[lo:lo + ADAM_CHUNK], grad[lo:lo + ADAM_CHUNK],
+                           m[lo:lo + ADAM_CHUNK], v[lo:lo + ADAM_CHUNK], lr)
+
+    def _step(self, param, grad, m, v, lr: float) -> None:
+        a, b = self._scratch[:, :param.size]
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=a), grad, out=a)
+        step = np.multiply(lr, np.divide(m, 1.0 - ADAM_BETA1**self.t, out=a), out=a)
+        root = np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**self.t, out=b), out=b)
+        param -= np.divide(step, np.add(root, ADAM_EPS, out=b), out=a)
 
 
 @dataclass

@@ -48,6 +48,10 @@ EIGENBASIS_MAGIC = b"SNEB"
 
 SYMMETRY_TOL = 1e-10
 SLAVING_EIGENVALUE_FLOOR = 1e-10
+# a slaved eigenvalue must exceed this fraction of the largest retained one in
+# magnitude: the lift -Q N / lambda grows as 1 / |lambda|, and a mode an order
+# of magnitude slower than the retained ones is no fast mode to slave
+SLAVING_RELATIVE_FLOOR = 0.1
 FOURIER_MODE_TOL = 1e-10
 
 
@@ -132,12 +136,7 @@ def slot_masks(basis: EigenBasis, dims):
     FOURIER_MODE_TOL of its largest coefficient, in a slot of its own.
     """
     d = basis.d
-    spectra = np.abs(rfft(basis.eigenvectors.T).view(np.float64))
-    slots = np.argmax(spectra, axis=1)
-    if (d % 2 or np.any(spectra.sum(axis=1) > (1 + FOURIER_MODE_TOL) * spectra.max(axis=1))
-            or not np.array_equal(np.sort(slots), np.delete(np.arange(d + 2), [1, d + 1]))):
-        raise ValueError("the reduced-order basis is not a Fourier basis: every "
-                         "eigenvector must be one real Fourier mode of an even grid")
+    slots = _fourier_slots(basis)
     lam = np.zeros(d + 2)
     lam[slots] = basis.eigenvalues
     lead = np.arange(d) < np.asarray(dims)[:, None]
@@ -146,6 +145,19 @@ def slot_masks(basis: EigenBasis, dims):
     divisor = np.full(resolved.shape, -np.inf)
     divisor[:, slots] = np.where(lead, -np.inf, -basis.eigenvalues)
     return lam, resolved, divisor
+
+
+def _fourier_slots(basis: EigenBasis) -> np.ndarray:
+    """Each column's real-view spectrum slot; ValueError unless the basis is a
+    Fourier basis, as :func:`slot_masks` states."""
+    d = basis.d
+    spectra = np.abs(rfft(basis.eigenvectors.T).view(np.float64))
+    slots = np.argmax(spectra, axis=1)
+    if (d % 2 or np.any(spectra.sum(axis=1) > (1 + FOURIER_MODE_TOL) * spectra.max(axis=1))
+            or not np.array_equal(np.sort(slots), np.delete(np.arange(d + 2), [1, d + 1]))):
+        raise ValueError("the reduced-order basis is not a Fourier basis: every "
+                         "eigenvector must be one real Fourier mode of an even grid")
+    return slots
 
 
 class TendencyBuffers:
@@ -192,10 +204,10 @@ def unresolved_correction(divisor: np.ndarray, model, c_p: np.ndarray,
     Iterates c_q <- -Lambda_q^{-1} Q N(c_p + c_q) from c_q = 0, with the
     ``divisor`` of :func:`slot_masks`; the fixed point satisfies
     Lambda_q c_q + Q N = 0.  One iteration by default.  No trailing eigenvalue
-    may lie within SLAVING_EIGENVALUE_FLOOR of zero; :func:`check_sweep`
-    checks that once per d_p, before any step.  Each iteration keeps the
-    operands and order of N(c_p + c_q) / divisor; c_q goes into ``out`` and N
-    into ``work`` when they are given.
+    may lie within the slaving floor of zero (:func:`check_sweep` checks that
+    once per d_p, before any step).  Each iteration keeps the operands and
+    order of N(c_p + c_q) / divisor; c_q goes into ``out`` and N into ``work``
+    when they are given.
     """
     work = TendencyBuffers(model, c_p.shape[:-1]) if work is None else work
     c_q = 0.0
@@ -210,10 +222,13 @@ def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
     a :func:`rom_integrate` call.
 
     ValueError for an unknown mode, a d_p that is not a nonempty sequence, a
-    d_p outside 1..d, a d_p that leaves a trailing eigenvalue at zero when the
-    unresolved coordinates are slaved, or a dt that does not divide
-    save_interval or a save_interval total_time (:func:`spectral.save_count`).
-    It integrates nothing, so a caller can run it before any other work.
+    d_p outside 1..d, a basis that is not a Fourier basis (:func:`slot_masks`),
+    or a dt that does not divide save_interval or a save_interval total_time
+    (:func:`spectral.save_count`).  When the unresolved coordinates are
+    slaved, also for a d_p that leaves a trailing eigenvalue within the
+    slaving floor of zero: SLAVING_RELATIVE_FLOOR times the largest retained
+    |eigenvalue|, and at least SLAVING_EIGENVALUE_FLOOR.  It integrates
+    nothing, so a caller can run it before any other work.
     """
     if mode not in MODES:
         raise ValueError(f"unknown ROM mode {mode!r}")
@@ -221,16 +236,28 @@ def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
     if dims.ndim != 1 or dims.size == 0:
         raise ValueError(f"no retained dimension to integrate: d_p must be a "
                          f"nonempty sequence, got {d_p!r}")
+
+    def refuse_slaving(k, floor):
+        small = np.abs(basis.eigenvalues[k:]) <= floor
+        if mode != "galerkin" and np.any(small):
+            i = k + int(np.argmax(small))
+            hint = ("the variance sort puts a conserved mode last: use sort=eigenvalue"
+                    if basis.ordering == "variance" else "retain it with a larger d_p")
+            raise ValueError(
+                f"trailing eigenvalue {i} ({basis.eigenvalues[i]:.4g}) is within "
+                f"{floor:.4g} of zero (the slaving floor: {SLAVING_RELATIVE_FLOOR:g} times "
+                f"the largest retained |eigenvalue|, at least {SLAVING_EIGENVALUE_FLOOR:g});"
+                f" cannot slave it; {hint} or mode=galerkin")
+
+    # a zero eigenvalue cannot be slaved in any basis; the relative floor is
+    # checked once the basis is known to be a Fourier basis
     for k in dims:
         if not 0 < k <= basis.d:
             raise ValueError(f"retained dimension {k} is outside 1..{basis.d}")
-        small = np.abs(basis.eigenvalues[k:]) <= SLAVING_EIGENVALUE_FLOOR
-        if mode != "galerkin" and np.any(small):
-            hint = ("; the variance sort puts a conserved mode last: use sort=eigenvalue"
-                    " or mode=galerkin") if basis.ordering == "variance" else ""
-            raise ValueError(f"trailing eigenvalue {k + int(np.argmax(small))} is "
-                             f"within {SLAVING_EIGENVALUE_FLOOR} of zero; cannot slave "
-                             f"it{hint}")
+        refuse_slaving(k, SLAVING_EIGENVALUE_FLOOR)
+    _fourier_slots(basis)
+    for k in dims:
+        refuse_slaving(k, SLAVING_RELATIVE_FLOOR * np.max(np.abs(basis.eigenvalues[:k])))
     return dims, save_count(total_time, save_interval), save_count(save_interval, dt)
 
 

@@ -1095,6 +1095,35 @@ class TestRom:
         assert not (out / "basis.sneb").exists()
         assert calls == []
 
+    def test_slow_slaved_eigenvalue_exits_2(self, tmp_path, capsys):
+        # a 1-epoch learned stencil has the eigenvalue pair -0.03325 at 8, 9 below
+        # 0.44-0.81 retained: slaving onto it read KL=inf with exit 0 at d_p 4, 7, 8
+        data = tmp_path / "k.snod"
+        assert run_cli("generate", "--system", "kse", "--out", str(data), "--horizon", "20",
+                       "--set", "d=32", "--set", "transient=10") == 0
+        assert run_cli("train", "--dataset", str(data), "--variant", "learned-linear",
+                       "--out", str(tmp_path / "run"), "--epochs", "1", "--set", "hidden=4",
+                       "--set", "batch_size=8") == 0
+        argv = ["rom", "--dataset", str(data), "--rhs", str(tmp_path / "run" / "model.snck"),
+                "--set", "total_time=1"]
+        out = tmp_path / "rom"
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="not symmetric"):
+            code = run_cli(*argv, "--mode", "nlg", "--dp", "4,7,8,11,15", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "trailing eigenvalue 8 (-0.03325)" in err and "cannot slave" in err
+        assert not out.exists()
+        # slaving from d_p 11 on, past the pair, runs with a finite KL in every row
+        for mode in ("nlg", "ppg"):
+            with pytest.warns(UserWarning, match="not symmetric"):
+                assert run_cli(*argv, "--mode", mode, "--dp", "11,15",
+                               "--out", str(tmp_path / mode)) == 0
+            rows = [line.split(",") for line in (tmp_path / mode / "rom.csv").read_text()
+                    .splitlines() if not line.startswith("#")][1:]
+            assert [r[0] for r in rows] == ["11", "15"]
+            assert all(np.isfinite(float(r[2])) and float(r[3]) > 0 for r in rows), rows
+
     @pytest.mark.parametrize("rhs", ["true", "damping"])
     def test_unstable_self_reference_exits_2(self, tmp_path, kse_dataset, rhs,
                                              monkeypatch, capsys):

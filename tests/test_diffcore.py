@@ -169,7 +169,7 @@ class TestMlpBuffers:
         sizes = [6, 9, 7, 6]
         p = random_mlp(sizes, list(acts), seed=5)
         rng = np.random.default_rng(6)
-        buffers = dc.MlpBuffers(sizes, 4)
+        buffers = dc.MlpBuffers(p, 4)
         for trial in range(2):  # the second pass overwrites the first's arrays
             u, cot = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
             out, fresh_acts = dc.mlp_forward(p, u)
@@ -180,11 +180,50 @@ class TestMlpBuffers:
             assert all(np.array_equal(a, b) for a, b in zip(buf_acts, fresh_acts))
             hidden_acts = dc.mlp_forward(p, u, p.n_layers - 1, buffers)[1]
             assert len(hidden_acts) == p.n_layers
-            buf_grads, buf_gin = dc.mlp_backward(p, hidden_acts, cot, buffers)
+            sums = [np.zeros_like(t) for t in p.weights + p.biases]
+            buf_gin = np.empty_like(u)
+            buf_grads, got_gin = dc.mlp_backward(p, hidden_acts, cot, buffers, sums, buf_gin)
             assert np.array_equal(cot, cot_before)
             assert np.array_equal(buf_gin, gin)
+            assert got_gin is buf_gin
             assert all(np.array_equal(a, b) for a, b in zip(buf_grads, grads))
-            assert all(g is b for g, b in zip(buf_grads, buffers.grads))
+            assert buf_grads is sums
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+    @pytest.mark.parametrize("acts", [("relu", "relu", "linear"),
+                                      ("sigmoid", "sigmoid", "linear"),
+                                      ("linear", "relu", "linear")])
+    def test_gradients_added_into_nonzero_sums(self, acts, buffered):
+        # each layer's parts are added into the caller's sums: start + part in
+        # every float64 word, as the adjoint accumulates stage after stage
+        sizes = [6, 9, 7, 6]
+        p = random_mlp(sizes, list(acts), seed=8)
+        rng = np.random.default_rng(9)
+        buffers = dc.MlpBuffers(p, 5) if buffered else None
+        u, cot = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
+        _, fresh_acts = dc.mlp_forward(p, u)
+        parts, gin = dc.mlp_backward(p, fresh_acts, cot)
+        start = [rng.standard_normal(t.shape) for t in p.weights + p.biases]
+        sums = [s.copy() for s in start]
+        hidden_acts = dc.mlp_forward(p, u, p.n_layers - 1, buffers)[1]
+        grads, got_gin = dc.mlp_backward(p, hidden_acts, cot, buffers, sums)
+        assert grads is sums
+        assert np.array_equal(got_gin.view(np.uint64), gin.view(np.uint64))
+        for got, s, part in zip(sums, start, parts):
+            assert np.array_equal(got.view(np.uint64), (s + part).view(np.uint64))
+
+    def test_buffers_hold_sigmoid_temporaries_only_for_sigmoid_layers(self):
+        p = random_mlp([6, 9, 7, 8, 6], ["sigmoid", "relu", "linear", "linear"], seed=1)
+        buffers = dc.MlpBuffers(p, 3)
+        assert [s is not None for s in buffers.scratch] == [True, False, False]
+        assert [None if m is None else m.shape for m in buffers.mask] == [
+            (3, 9), (3, 7), None]
+        assert [c.shape for c in buffers.cot] == [(3, 9), (3, 7), (3, 8)]
+        # one weight row and one bias row, as long as the largest layer's
+        assert [(w.shape, b.shape) for w, b in buffers.parts] == [
+            ((6, 9), (9,)), ((9, 7), (7,)), ((7, 8), (8,)), ((8, 6), (6,))]
+        assert all(np.shares_memory(w, buffers.parts[0][0]) for w, _ in buffers.parts)
+        assert all(np.shares_memory(b, buffers.parts[1][1]) for _, b in buffers.parts)
 
     def test_backward_without_the_output_activation(self):
         p = random_mlp([5, 8, 5], ["sigmoid", "linear"], seed=2)

@@ -375,6 +375,56 @@ class TestAdjointWorkspace:
         assert len(got) == len(words)
         assert all(np.array_equal(a, b) for a, b in zip(got, words))
 
+    @pytest.mark.parametrize("slots", [1, 3])
+    def test_returned_state_fed_back_keeps_the_bits(self, slots):
+        # the returned state is the tape's k4 slot, which the next call reads as
+        # its start, as the ROM's stepper does every step
+        rhs = deep_model("learned-linear", "sigmoid").rhs()[0]
+        tape, other = node.Rk4Buffers((5, 16), slots), node.Rk4Buffers((5, 16), slots)
+        state = smooth_batch(4, 5, 16)
+        for call in range(4):
+            want = node._rk4_forward(rhs, state.copy(), 0.05, slots, other).copy()
+            state = node._rk4_forward(rhs, state, 0.05, slots, tape)
+            assert np.shares_memory(state, tape.k[3])
+            assert np.array_equal(state.view(np.uint64), want.view(np.uint64)), call
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_workspace_and_optimizer_hold_only_their_arrays(self, activation):
+        # the bytes of every array numpy allocates for them (tracemalloc's numpy
+        # domain), against the arrays the passes read back, one by one
+        d, hidden, rows, steps = 64, 32, 16, 3
+        model = node.build_model("learned-linear", [d, hidden, hidden, hidden, d],
+                                 [activation] * 3 + ["linear"], ("normal", 0.0, 0.1), 0,
+                                 stencil_width=3)
+        n_params = sum(p.size for p in model.parameters())
+        f8, c16 = 8, 16
+        budget = {
+            "rk4.stages: x1..x4 of every substep": steps * 4 * rows * d * f8,
+            "rk4.k: k1..k4, the final state in k4": 4 * rows * d * f8,
+            "mlp.acts: every layer's output": rows * (3 * hidden + d) * f8,
+            "mlp.cot: the hidden layers' cotangents": rows * 3 * hidden * f8,
+            "mlp.mask: bool, per hidden layer": rows * 3 * hidden,
+            "mlp.scratch: sigmoid layers only":
+                rows * 3 * hidden * f8 if activation == "sigmoid" else 0,
+            "mlp.parts: the largest layer's weight and bias": (d * hidden + d) * f8,
+            "spectra": 2 * rows * (d // 2 + 1) * c16,
+            "w and cot": 2 * rows * d * f8,
+            "grads": n_params * f8,
+            "adam m and v": 2 * n_params * f8,
+            "adam scratch: two rows of the largest tensor": 2 * d * hidden * f8,
+        }
+        # numpy traces array data in its own tracemalloc domain, NPY_TRACE_DOMAIN
+        numpy_domain = tracemalloc.DomainFilter(True, 389047)
+        tracemalloc.start()
+        try:
+            held = (node.AdjointWorkspace(model, rows, steps), node.AdamState(model))
+            traces = tracemalloc.take_snapshot().filter_traces([numpy_domain]).traces
+        finally:
+            tracemalloc.stop()
+        allocated = sum(t.size for t in traces)
+        assert allocated <= sum(budget.values()), (allocated, budget)
+        del held
+
     def test_tape_of_another_length_rejected(self):
         # a tape's views are built for its slots, so it runs exactly that many steps
         tape = node.Rk4Buffers((2, 4), 3)
