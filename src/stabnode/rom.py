@@ -11,13 +11,14 @@ postprocessing Galerkin (slaving applied only at output times).
 
 The reduced state is Fourier coefficients, not eigen-coordinates: spectra
 c = rfft(u) / d viewed as d + 2 real slots, 2k cos_k and 2k + 1 sin_k.  Each
-eigenvector is one slot, so a Galerkin projection is a 0/1 slot mask and
-Lambda_p a per-slot symbol (:func:`slot_masks`); the model's nonlinear term
-takes coefficients.  A d_p sweep marches in lockstep: every row, a resolved
-spectrum c_p and its nonlinear Galerkin lift c_q, advances in one batched
-expression, one nonlinear evaluation per RK4 stage and one inverse transform
-per save.  All is row-wise, so with the true RHS each row is bit-identical to
-a run of its d_p alone; a network RHS on stacked rows matches it to rounding.
+eigenvector is one slot, and a basis holds its slots, not vectors: a Galerkin
+projection is a 0/1 slot mask and Lambda_p a per-slot symbol
+(:func:`slot_masks`); the model's nonlinear term takes coefficients.  A d_p
+sweep marches in lockstep: every row, a resolved spectrum c_p and its
+nonlinear Galerkin lift c_q, advances in one batched expression, one nonlinear
+evaluation per RK4 stage and one inverse transform per save.  All is row-wise,
+so with the true RHS each row is bit-identical to a run of its d_p alone; a
+network RHS on stacked rows matches it to rounding.
 
 The sweep steps in place (:class:`ReducedStepper`): the RK4 stages, the
 tendencies and the lift go into arrays built once per set of live rows, and
@@ -52,23 +53,24 @@ SLAVING_EIGENVALUE_FLOOR = 1e-10
 # magnitude: the lift -Q N / lambda grows as 1 / |lambda|, and a mode an order
 # of magnitude slower than the retained ones is no fast mode to slave
 SLAVING_RELATIVE_FLOOR = 0.1
-FOURIER_MODE_TOL = 1e-10
 
 
 @dataclass
 class EigenBasis:
-    """Eigenpairs of a symmetric operator; eigenvectors are the columns."""
+    """Eigenpairs of a symmetric circulant: column i is the real Fourier mode in
+    real-view spectrum slot ``slots[i]`` (2k cos_k, 2k + 1 sin_k).  ValueError
+    unless the slots permute an even grid's d real ones, all but 1 and d + 1."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    slots: np.ndarray
     ordering: str = "eigenvalue"
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
-        self.eigenvectors = np.asarray(self.eigenvectors, dtype=np.float64)
+        self.slots = np.asarray(self.slots, dtype=np.intp)
         d = self.eigenvalues.size
-        if self.eigenvectors.shape != (d, d):
-            raise ValueError("eigenvector matrix must be d x d")
+        if d % 2 or not np.array_equal(np.sort(self.slots), np.r_[0, 2:d + 1]):
+            raise ValueError("the slots are no permutation of an even grid's real slots")
         if self.ordering not in ORDERING_TAGS:
             raise ValueError(f"unknown ordering {self.ordering!r}")
 
@@ -76,16 +78,26 @@ class EigenBasis:
     def d(self) -> int:
         return self.eigenvalues.size
 
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The dense orthonormal modes, each with its largest component positive;
+        built on each call, for :func:`write_eigenbasis` and dense oracles."""
+        d, half = self.d, self.d // 2
+        phase = 2.0 * np.pi * np.outer(np.arange(d), np.arange(half + 1)) / d
+        cos = np.cos(phase) * np.sqrt(2.0 / d)
+        cos[:, [0, -1]] /= np.sqrt(2.0)
+        natural = np.hstack([cos, np.sin(phase[:, 1:-1]) * np.sqrt(2.0 / d)])
+        vecs = natural[:, self.slots // 2 + half * (self.slots % 2)]
+        return vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)])
+
 
 def fourier_basis(symbol: np.ndarray) -> EigenBasis:
     """Eigenpairs of the circulant operator with one-sided symbol (k = 0..d/2).
 
-    The columns are the orthonormal modes cos(2*pi*k*j/d) for k = 0..d/2 and
-    sin(2*pi*k*j/d) for 0 < k < d/2, each with eigenvalue Re symbol[k], the
-    symbol of the symmetric part (A + A^T)/2; a symbol whose imaginary part
-    is not negligible warns.  Eigenpairs are sorted by descending eigenvalue,
-    ties kept in that column order, and the largest-magnitude component of every
-    eigenvector is made positive so bases are comparable across runs.
+    The modes are cos_k for k = 0..d/2 and sin_k for 0 < k < d/2, each with
+    eigenvalue Re symbol[k], the symbol of the symmetric part (A + A^T)/2; a
+    symbol whose imaginary part is not negligible warns.  Eigenpairs are
+    sorted by descending eigenvalue, ties kept in that mode order.
     """
     symbol = np.asarray(symbol)
     scale = np.max(np.abs(symbol))
@@ -93,35 +105,28 @@ def fourier_basis(symbol: np.ndarray) -> EigenBasis:
         warnings.warn("linear operator is not symmetric; using (A + A^T)/2 "
                       "for the reduced-order basis")
     lam = symbol.real.astype(np.float64)
-    d = 2 * (lam.size - 1)
-    phase = 2.0 * np.pi * np.outer(np.arange(d), np.arange(lam.size)) / d
-    cos = np.cos(phase) * np.sqrt(2.0 / d)
-    cos[:, [0, -1]] /= np.sqrt(2.0)
     vals = np.concatenate([lam, lam[1:-1]])
-    vecs = np.hstack([cos, np.sin(phase[:, 1:-1]) * np.sqrt(2.0 / d)])
-    order = np.lexsort((np.arange(d), -vals))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    picks = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[picks, np.arange(d)])
-    return EigenBasis(vals, vecs * signs, "eigenvalue")
+    slots = np.r_[0:2 * lam.size:2, 3:2 * lam.size - 2:2]  # cos_k for every k, then sin_k
+    order = np.lexsort((np.arange(vals.size), -vals))
+    return EigenBasis(vals[order], slots[order], "eigenvalue")
 
 
-def variance_sort(basis: EigenBasis, model, snapshots: np.ndarray) -> EigenBasis:
-    """Reorder eigenpairs by descending variance of the projected tendencies.
-
-    For every snapshot u the tendency of coordinate i is v_i . h(u); pairs
-    are sorted by the sample variance of those tendencies, with ties broken
-    by descending eigenvalue and then original position (stable).
-    """
+def tendency_variances(basis: EigenBasis, model, snapshots: np.ndarray) -> np.ndarray:
+    """Each column's variance of v_i . h(u) over the (n, d) ``snapshots``: that of
+    h's real-view spectrum at its slot times v_i's squared scale, 2/d or 1/d."""
     snaps = np.asarray(snapshots, dtype=np.float64)
     if snaps.ndim != 2 or snaps.shape[0] == 0:
         raise ValueError("need a nonempty (n, d) snapshot array")
-    tendencies = model.eval(snaps) @ basis.eigenvectors
-    variances = tendencies.var(axis=0)
+    d = basis.d
+    spectra = rfft(model.eval(snaps)).view(np.float64)
+    return spectra.var(axis=0)[basis.slots] * np.where(basis.slots % d, 2.0 / d, 1.0 / d)
+
+
+def variance_sort(basis: EigenBasis, model, snapshots: np.ndarray) -> EigenBasis:
+    """Sort by descending :func:`tendency_variances`, then eigenvalue, then position."""
+    variances = tendency_variances(basis, model, snapshots)
     order = np.lexsort((np.arange(basis.d), -basis.eigenvalues, -variances))
-    return EigenBasis(basis.eigenvalues[order], basis.eigenvectors[:, order],
-                      "variance")
+    return EigenBasis(basis.eigenvalues[order], basis.slots[order], "variance")
 
 
 def slot_masks(basis: EigenBasis, dims):
@@ -131,12 +136,9 @@ def slot_masks(basis: EigenBasis, dims):
     field fills (Im c_0, Im c_{d/2}); row r of ``resolved`` is 1.0 on the
     slots of the leading dims[r] columns, its Galerkin projection, and 0.0
     elsewhere; ``divisor`` is -lam on the trailing slots and -inf elsewhere,
-    so a tendency over it is the slaved -Q N / lam, zero off them.  ValueError
-    unless d is even and each column is one real Fourier mode, to
-    FOURIER_MODE_TOL of its largest coefficient, in a slot of its own.
+    so a tendency over it is the slaved -Q N / lam, zero off them.
     """
-    d = basis.d
-    slots = _fourier_slots(basis)
+    d, slots = basis.d, basis.slots
     lam = np.zeros(d + 2)
     lam[slots] = basis.eigenvalues
     lead = np.arange(d) < np.asarray(dims)[:, None]
@@ -145,19 +147,6 @@ def slot_masks(basis: EigenBasis, dims):
     divisor = np.full(resolved.shape, -np.inf)
     divisor[:, slots] = np.where(lead, -np.inf, -basis.eigenvalues)
     return lam, resolved, divisor
-
-
-def _fourier_slots(basis: EigenBasis) -> np.ndarray:
-    """Each column's real-view spectrum slot; ValueError unless the basis is a
-    Fourier basis, as :func:`slot_masks` states."""
-    d = basis.d
-    spectra = np.abs(rfft(basis.eigenvectors.T).view(np.float64))
-    slots = np.argmax(spectra, axis=1)
-    if (d % 2 or np.any(spectra.sum(axis=1) > (1 + FOURIER_MODE_TOL) * spectra.max(axis=1))
-            or not np.array_equal(np.sort(slots), np.delete(np.arange(d + 2), [1, d + 1]))):
-        raise ValueError("the reduced-order basis is not a Fourier basis: every "
-                         "eigenvector must be one real Fourier mode of an even grid")
-    return slots
 
 
 class TendencyBuffers:
@@ -222,13 +211,12 @@ def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
     a :func:`rom_integrate` call.
 
     ValueError for an unknown mode, a d_p that is not a nonempty sequence, a
-    d_p outside 1..d, a basis that is not a Fourier basis (:func:`slot_masks`),
-    or a dt that does not divide save_interval or a save_interval total_time
-    (:func:`spectral.save_count`).  When the unresolved coordinates are
-    slaved, also for a d_p that leaves a trailing eigenvalue within the
-    slaving floor of zero: SLAVING_RELATIVE_FLOOR times the largest retained
-    |eigenvalue|, and at least SLAVING_EIGENVALUE_FLOOR.  It integrates
-    nothing, so a caller can run it before any other work.
+    d_p outside 1..d, or a dt that does not divide save_interval or a
+    save_interval total_time (:func:`spectral.save_count`).  When the
+    unresolved coordinates are slaved, also for a d_p that leaves a trailing
+    eigenvalue within the slaving floor of zero: SLAVING_RELATIVE_FLOOR times
+    the largest retained |eigenvalue|, and at least SLAVING_EIGENVALUE_FLOOR.
+    It integrates nothing, so a caller can run it before any other work.
     """
     if mode not in MODES:
         raise ValueError(f"unknown ROM mode {mode!r}")
@@ -249,13 +237,11 @@ def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
                 f"the largest retained |eigenvalue|, at least {SLAVING_EIGENVALUE_FLOOR:g});"
                 f" cannot slave it; {hint} or mode=galerkin")
 
-    # a zero eigenvalue cannot be slaved in any basis; the relative floor is
-    # checked once the basis is known to be a Fourier basis
+    # every d_p against the absolute floor before any against the relative one
     for k in dims:
         if not 0 < k <= basis.d:
             raise ValueError(f"retained dimension {k} is outside 1..{basis.d}")
         refuse_slaving(k, SLAVING_EIGENVALUE_FLOOR)
-    _fourier_slots(basis)
     for k in dims:
         refuse_slaving(k, SLAVING_RELATIVE_FLOOR * np.max(np.abs(basis.eigenvalues[:k])))
     return dims, save_count(total_time, save_interval), save_count(save_interval, dt)
@@ -317,10 +303,9 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
     runs plain Galerkin and slaves only at the saves.  A sequence of n d_p
     gives states (n, n_save + 1, d) from the packed spectra [c_p | c_q], (n,
     2 (d + 2)), marched in lockstep by a :class:`ReducedStepper`, which is
-    built again only when a row drops out.  :func:`check_sweep` and the basis
-    (:func:`slot_masks`) are checked before any step.  A diverging row does
-    not raise: its states go non-finite, it reads +inf from the first such
-    save on, and the other rows march on untouched.
+    built again only when a row drops out.  :func:`check_sweep` runs before
+    any step.  A diverging row does not raise: it reads +inf from its first
+    non-finite save on, and the other rows march on untouched.
     """
     dims, n_save, sub = check_sweep(basis, d_p, mode, total_time, save_interval, dt)
     lam, resolved, divisor = slot_masks(basis, dims)
@@ -362,6 +347,9 @@ def write_eigenbasis(path, basis: EigenBasis) -> None:
 
 
 def read_eigenbasis(path) -> EigenBasis:
+    """ArtifactError naming the file unless its columns are, bit for bit, the
+    eigenvectors of their slots (so it rewrites the same bytes), and each cos_k
+    and sin_k share an eigenvalue, as a symmetric circulant's do."""
     with open(path, "rb") as fh:
         if read_exact(fh, 4) != EIGENBASIS_MAGIC:
             raise ArtifactError(f"{path}: not an eigenbasis file: bad magic")
@@ -369,4 +357,15 @@ def read_eigenbasis(path) -> EigenBasis:
         vals = read_f8(fh, d)
         vecs = read_f8(fh, d * d).reshape((d, d), order="F")
         expect_end(fh)
-    return EigenBasis(vals, vecs, tag_name(ORDERING_NAMES, tag, path, "ordering"))
+    ordering = tag_name(ORDERING_NAMES, tag, path, "ordering")
+    slots = np.argmax(np.abs(rfft(vecs.T).view(np.float64)), axis=1)
+    try:
+        basis = EigenBasis(vals, slots, ordering)
+    except ValueError as err:
+        raise ArtifactError(f"{path}: not a Fourier basis: {err}") from None
+    if not np.array_equal(basis.eigenvectors.view(np.uint64), vecs.view(np.uint64)):
+        raise ArtifactError(f"{path}: not a Fourier basis: a column is not its slot's mode")
+    lam = slot_masks(basis, [d])[0]
+    if not np.array_equal(lam[2:d:2], lam[3:d:2]):
+        raise ArtifactError(f"{path}: cos_k and sin_k have different eigenvalues")
+    return basis

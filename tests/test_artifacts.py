@@ -34,7 +34,7 @@ def _checkpoint(path):
 
 
 def _eigenbasis(path):
-    rom.write_eigenbasis(path, rom.EigenBasis(np.arange(4.0)[::-1], np.eye(4)))
+    rom.write_eigenbasis(path, rom.fourier_basis(np.array([0.0, -1.0, -4.0])))
     return rom.read_eigenbasis
 
 

@@ -1,5 +1,7 @@
 """Fourier eigenbasis, projections, mode ordering, and reduced integration."""
 
+import re
+import struct
 import tracemalloc
 import warnings
 
@@ -24,11 +26,37 @@ def random_basis(d, seed):
     return rom.fourier_basis(np.random.default_rng(seed).standard_normal(d // 2 + 1))
 
 
-def qr_basis(d, seed):
-    """An arbitrary orthonormal basis with descending eigenvalues."""
-    rng = np.random.default_rng(seed)
-    vecs, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    return rom.EigenBasis(np.sort(rng.standard_normal(d))[::-1], vecs)
+def frozen_fourier_basis(symbol):
+    """(eigenvalues, eigenvectors) as the dense basis was built before a basis
+    became slots: the natural cos/sin matrix, sorted, signs by the largest
+    component.  The bitwise oracle of :attr:`rom.EigenBasis.eigenvectors`."""
+    lam = np.asarray(symbol).real.astype(np.float64)
+    d = 2 * (lam.size - 1)
+    phase = 2.0 * np.pi * np.outer(np.arange(d), np.arange(lam.size)) / d
+    cos = np.cos(phase) * np.sqrt(2.0 / d)
+    cos[:, [0, -1]] /= np.sqrt(2.0)
+    vals = np.concatenate([lam, lam[1:-1]])
+    vecs = np.hstack([cos, np.sin(phase[:, 1:-1]) * np.sqrt(2.0 / d)])
+    order = np.lexsort((np.arange(d), -vals))
+    vals = vals[order]
+    vecs = vecs[:, order]
+    picks = np.argmax(np.abs(vecs), axis=0)
+    signs = np.sign(vecs[picks, np.arange(d)])
+    return vals, vecs * signs
+
+
+def qr_vectors(d, seed):
+    """An arbitrary orthonormal (d, d) matrix: no Fourier basis."""
+    vecs, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return vecs
+
+
+def write_dense_basis(path, vals, vecs, tag=0):
+    """An SNEB file of any (d,) values and (d, d) vectors, laid out as
+    :func:`rom.write_eigenbasis` lays one out."""
+    vals, vecs = np.asarray(vals, dtype="<f8"), np.asarray(vecs, dtype="<f8")
+    path.write_bytes(rom.EIGENBASIS_MAGIC + struct.pack("<IB", len(vals), tag)
+                     + vals.tobytes() + vecs.tobytes(order="F"))
 
 
 def dense_from_symbol(symbol, d):
@@ -145,6 +173,38 @@ class TestEigSymmetric:
         picks = np.argmax(np.abs(a.eigenvectors), axis=0)
         assert np.all(a.eigenvectors[picks, np.arange(12)] > 0)
 
+    @pytest.mark.parametrize("symbol", ["random", "degenerate"])
+    @pytest.mark.parametrize("d", [2, 4, 8, 64, 512])
+    def test_eigenvectors_keep_the_dense_bits(self, d, symbol):
+        rng = np.random.default_rng(d)
+        if symbol == "random":
+            sym = rng.standard_normal(d // 2 + 1)
+        else:  # repeated values across wavenumbers, on top of every cos/sin pair
+            sym = rng.integers(-2, 3, d // 2 + 1).astype(float)
+        self.assert_dense_bits(sym)
+
+    @pytest.mark.parametrize("system,d", [("kse", 32), ("kse", 64), ("vbe", 512)])
+    def test_true_operators_keep_the_dense_bits(self, system, d):
+        self.assert_dense_bits(sp.linear_symbol(system, d, 22.0 if system == "kse" else 1.0,
+                                                viscosity=1e-2))
+
+    @staticmethod
+    def assert_dense_bits(symbol):
+        basis = rom.fourier_basis(symbol)
+        vals, vecs = frozen_fourier_basis(symbol)
+        assert same_bits(basis.eigenvalues, vals)
+        assert same_bits(basis.eigenvectors, vecs)
+
+    def test_slots_are_a_permutation_of_the_real_slots(self):
+        basis = rom.EigenBasis([2, 1, 0, -1], [4, 0, 3, 2])
+        assert np.array_equal(basis.slots, [4, 0, 3, 2])
+        # Im c_0 (1) and Im c_{d/2} (d + 1) hold no real mode; d must be even
+        for vals, slots in [([1, 0, -1, -2], [0, 1, 2, 3]), ([1, 0, -1, -2], [0, 2, 3, 5]),
+                            ([1, 0, -1, -2], [0, 2, 2, 4]), ([1, 0, -1], [0, 2, 3]),
+                            ([1, 0, -1, -2], [0, 2, 3]), ([], [])]:
+            with pytest.raises(ValueError, match="no permutation"):
+                rom.EigenBasis(vals, slots)
+
     def test_degenerate_pair_cosine_first(self):
         # equal eigenvalues keep column order: cos(2 pi k j/d) before sin
         d = 8
@@ -164,7 +224,7 @@ def projectors(basis, d_p):
 
 class TestProjectors:
     def test_full_retention(self):
-        basis = qr_basis(6, 1)
+        basis = random_basis(6, 1)
         p, q = projectors(basis, 6)
         assert np.allclose(p, np.eye(6), atol=1e-10)
         assert np.max(np.abs(q)) < 1e-10
@@ -211,16 +271,15 @@ class TestSlotMasks:
                                          [0, 0, 1, 1, 0, 0, 0, 0, 0, 0],
                                          [1, 0, 1, 1, 0, 0, 0, 0, 0, 0]])
 
-    def test_non_fourier_basis_refused(self):
-        fourier = random_basis(8, 0)
-        repeated = fourier.eigenvectors.copy()
-        repeated[:, 1] = repeated[:, 0]
-        sums = fourier.eigenvectors.copy()
-        sums[:, :2] = sums[:, :2] @ np.array([[0.6, -0.8], [0.8, 0.6]])
-        for vecs in (qr_basis(8, 0).eigenvectors, repeated, sums, np.eye(3)):
-            basis = rom.EigenBasis(np.zeros(len(vecs)), vecs)
-            with pytest.raises(ValueError, match="not a Fourier basis"):
-                rom.slot_masks(basis, [1])
+
+class _LinearRhs:
+    """RHS u @ matrix: every projected tendency varies."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def eval(self, u):
+        return u @ self.matrix
 
 
 class _SpanRhs:
@@ -233,6 +292,26 @@ class _SpanRhs:
         return np.outer(u[:, 0], self.vector)
 
 
+def dense_variance_order(basis, model, snaps, vectors=None):
+    """The variance order of tendencies projected on dense eigenvectors."""
+    vectors = basis.eigenvectors if vectors is None else vectors
+    variances = (model.eval(snaps) @ vectors).var(axis=0)
+    return np.lexsort((np.arange(basis.d), -basis.eigenvalues, -variances))
+
+
+@pytest.fixture(scope="module")
+def kse_snapshots():
+    """(n, d) snapshots of one short KSE attractor trajectory per d."""
+    cache = {}
+
+    def snapshots(d):
+        if d not in cache:
+            ds = sp.generate_kse_dataset(d=d, horizon=50.0, transient=50.0, seed=1)
+            cache[d] = ds.snapshots()
+        return cache[d]
+    return snapshots
+
+
 class TestVarianceSort:
     def test_constant_snapshots_fall_back_to_eigenvalue_order(self):
         basis = random_basis(6, 3)
@@ -243,28 +322,54 @@ class TestVarianceSort:
         assert out.ordering == "variance"
 
     def test_single_active_direction_sorts_first(self):
-        basis = qr_basis(6, 4)
+        basis = random_basis(6, 4)
         target = basis.eigenvectors[:, 4]
         model = _SpanRhs(target)
         rng = np.random.default_rng(0)
         snaps = rng.standard_normal((50, 6))
         out = rom.variance_sort(basis, model, snaps)
+        assert out.slots[0] == basis.slots[4]
         assert np.allclose(np.abs(out.eigenvectors[:, 0]), np.abs(target))
 
     def test_sign_flip_invariant(self):
-        basis = qr_basis(6, 5)
-        flipped = rom.EigenBasis(basis.eigenvalues.copy(),
-                                 basis.eigenvectors * -1.0, basis.ordering)
-        model = _SpanRhs(basis.eigenvectors[:, 2])
-        snaps = np.random.default_rng(1).standard_normal((40, 6))
-        a = rom.variance_sort(basis, model, snaps)
-        b = rom.variance_sort(flipped, model, snaps)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        # the slots carry no sign: the dense order with every sign flipped is
+        # the order variance_sort reads from the spectrum
+        basis = random_basis(6, 5)
+        rng = np.random.default_rng(1)
+        model = _LinearRhs(rng.standard_normal((6, 6)))
+        snaps = rng.standard_normal((40, 6))
+        out = rom.variance_sort(basis, model, snaps)
+        flipped = dense_variance_order(basis, model, snaps, -basis.eigenvectors)
+        assert np.array_equal(out.slots, basis.slots[flipped])
+        assert not np.array_equal(out.slots, basis.slots)
 
     def test_empty_snapshots_rejected(self):
         basis = rom.fourier_basis(np.ones(3))
         with pytest.raises(ValueError):
             rom.variance_sort(basis, _SpanRhs(np.zeros(4)), np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("rhs", ["true", "network"])
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_spectrum_variances_are_the_projected_ones(self, d, rhs, kse_snapshots):
+        # the spectrum's variances against the dense projection's, on attractor
+        # data: within 1e-12 relative, beyond what rounding a projected
+        # tendency by one ulp of the largest, delta, moves a variance (the
+        # truth's dealiased modes sit at 1e-14 of the largest tendency)
+        snaps = kse_snapshots(d)
+        model = node.TrueRhs("kse", d, 22.0) if rhs == "true" else learned_model(d, seed=3)
+        basis = rom.fourier_basis(model.linear_symbol())
+        fft = rom.tendency_variances(basis, model, snaps)
+        tendencies = model.eval(snaps) @ basis.eigenvectors
+        dense = tendencies.var(axis=0)
+        delta = np.finfo(float).eps * np.abs(tendencies).max()
+        rounding = 2 * np.sqrt(dense) * delta + delta ** 2
+        assert np.all(np.abs(fft - dense) <= 1e-12 * dense + rounding)
+        # the rounding term decides only variances below 1e-3 of the largest
+        big = dense > 1e-6 * dense.max()
+        assert np.all(np.abs(fft - dense)[big] <= 1e-12 * dense[big])
+        out = rom.variance_sort(basis, model, snaps)
+        assert np.array_equal(out.slots, basis.slots[dense_variance_order(basis, model,
+                                                                          snaps)])
 
 
 def stabilized_model(d, seed=0, zero_net=False):
@@ -400,8 +505,7 @@ class TestUnresolvedCorrection:
 
     def test_near_zero_trailing_eigenvalue_named(self):
         # the integrator checks the slaved set once, before any correction
-        vals = np.array([2.0, 1.0, 1e-14, -1.0])
-        basis = rom.EigenBasis(vals, np.eye(4))
+        basis = rom.EigenBasis([2.0, 1.0, 1e-14, -1.0], [0, 2, 3, 4])
         model = stabilized_model(4, zero_net=True)
         with pytest.raises(ValueError, match="2"):
             rom.rom_integrate(basis, [2], model, np.zeros(4), 1.0, mode="nlg")
@@ -644,10 +748,6 @@ class TestLockstepSweep:
             rom.rom_integrate(basis, [8], model, kse_start(d), 1.1, "nlg", 0.25)
         with pytest.raises(ValueError, match="must divide the time span"):
             rom.rom_integrate(basis, [8], model, kse_start(d), 1.0, "nlg", 0.25, 0.03)
-        # an orthonormal basis that is not a Fourier one has no slot masks
-        for mode in rom.MODES:
-            with pytest.raises(ValueError, match="not a Fourier basis"):
-                rom.rom_integrate(qr_basis(d, 0), [8], model, kse_start(d), 1.0, mode)
         assert calls == []
 
 
@@ -856,8 +956,71 @@ class TestEigenbasisIO:
         rom.write_eigenbasis(path, basis)
         back = rom.read_eigenbasis(path)
         assert np.array_equal(back.eigenvalues, basis.eigenvalues)
+        assert np.array_equal(back.slots, basis.slots)
         assert np.array_equal(back.eigenvectors, basis.eigenvectors)
         assert back.ordering == basis.ordering
         path2 = tmp_path / "basis2.sneb"
         rom.write_eigenbasis(path2, back)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_variance_sorted_round_trip(self, tmp_path):
+        basis = random_basis(16, 3)
+        snaps = np.random.default_rng(4).standard_normal((30, 16))
+        basis = rom.variance_sort(basis, _SpanRhs(basis.eigenvectors[:, 9]), snaps)
+        path = tmp_path / "basis.sneb"
+        rom.write_eigenbasis(path, basis)
+        back = rom.read_eigenbasis(path)
+        assert back.ordering == "variance"
+        assert np.array_equal(back.slots, basis.slots)
+        rom.write_eigenbasis(tmp_path / "again.sneb", back)
+        assert (tmp_path / "again.sneb").read_bytes() == path.read_bytes()
+
+    def assert_refused(self, path, vals, vecs, match):
+        write_dense_basis(path, vals, vecs)
+        with pytest.raises(sp.ArtifactError, match=re.escape(str(path)) + ".*" + match):
+            rom.read_eigenbasis(path)
+
+    def test_non_fourier_basis_refused(self, tmp_path):
+        fourier = random_basis(8, 0)
+        repeated = fourier.eigenvectors.copy()
+        repeated[:, 1] = repeated[:, 0]
+        sums = fourier.eigenvectors.copy()
+        sums[:, :2] = sums[:, :2] @ np.array([[0.6, -0.8], [0.8, 0.6]])
+        for vecs in (qr_vectors(8, 0), repeated, sums, np.eye(4), np.eye(3)):
+            self.assert_refused(tmp_path / "basis.sneb", np.zeros(len(vecs)), vecs,
+                                "not a Fourier basis")
+
+    def test_flipped_sign_refused(self, tmp_path):
+        basis = random_basis(8, 1)
+        vecs = basis.eigenvectors
+        vecs[:, 3] *= -1.0
+        self.assert_refused(tmp_path / "basis.sneb", basis.eigenvalues, vecs,
+                            "a column is not its slot's mode")
+
+    def test_swapped_columns_refused(self, tmp_path):
+        # two columns of different wavenumbers traded places, their eigenvalues
+        # not: each wavenumber's cos and sin now disagree
+        basis = random_basis(8, 2)
+        i, j = np.flatnonzero(np.isin(basis.slots, [2, 4]))  # cos_1 and cos_2
+        assert basis.eigenvalues[i] != basis.eigenvalues[j]
+        vecs = basis.eigenvectors
+        vecs[:, [i, j]] = vecs[:, [j, i]]
+        self.assert_refused(tmp_path / "basis.sneb", basis.eigenvalues, vecs,
+                            "different eigenvalues")
+
+
+class TestBasisMemory:
+    def test_sweep_setup_holds_no_dense_basis(self):
+        # building, checking and masking a d = 4096 sweep stays below 1% of one
+        # dense d x d float64 matrix (134 MB)
+        d = 4096
+        symbol = sp.linear_symbol("kse", d, 22.0)
+        tracemalloc.start()
+        try:
+            basis = rom.fourier_basis(symbol)
+            dims, *_ = rom.check_sweep(basis, [7, 15], "nlg", 1.0, 0.25, 0.01)
+            rom.slot_masks(basis, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * 8 * d * d, peak
