@@ -59,7 +59,8 @@ SLAVING_RELATIVE_FLOOR = 0.1
 class EigenBasis:
     """Eigenpairs of a symmetric circulant: column i is the real Fourier mode in
     real-view spectrum slot ``slots[i]`` (2k cos_k, 2k + 1 sin_k).  ValueError
-    unless the slots permute an even grid's d real ones, all but 1 and d + 1."""
+    unless the slots permute an even grid's d real ones, all but 1 and d + 1,
+    and each cos_k and sin_k share an eigenvalue, as a symmetric circulant's do."""
 
     eigenvalues: np.ndarray
     slots: np.ndarray
@@ -70,7 +71,12 @@ class EigenBasis:
         self.slots = np.asarray(self.slots, dtype=np.intp)
         d = self.eigenvalues.size
         if d % 2 or not np.array_equal(np.sort(self.slots), np.r_[0, 2:d + 1]):
-            raise ValueError("the slots are no permutation of an even grid's real slots")
+            raise ValueError("not a Fourier basis: the slots are no permutation of an "
+                             "even grid's real slots")
+        lam = np.zeros(d + 2)
+        lam[self.slots] = self.eigenvalues
+        if not np.array_equal(lam[2:d:2], lam[3:d:2]):
+            raise ValueError("cos_k and sin_k have different eigenvalues")
         if self.ordering not in ORDERING_TAGS:
             raise ValueError(f"unknown ordering {self.ordering!r}")
 
@@ -347,9 +353,9 @@ def write_eigenbasis(path, basis: EigenBasis) -> None:
 
 
 def read_eigenbasis(path) -> EigenBasis:
-    """ArtifactError naming the file unless its columns are, bit for bit, the
-    eigenvectors of their slots (so it rewrites the same bytes), and each cos_k
-    and sin_k share an eigenvalue, as a symmetric circulant's do."""
+    """ArtifactError naming the file unless it holds an :class:`EigenBasis`
+    whose columns are, bit for bit, the eigenvectors of their slots (so it
+    rewrites the same bytes)."""
     with open(path, "rb") as fh:
         if read_exact(fh, 4) != EIGENBASIS_MAGIC:
             raise ArtifactError(f"{path}: not an eigenbasis file: bad magic")
@@ -362,10 +368,7 @@ def read_eigenbasis(path) -> EigenBasis:
     try:
         basis = EigenBasis(vals, slots, ordering)
     except ValueError as err:
-        raise ArtifactError(f"{path}: not a Fourier basis: {err}") from None
+        raise ArtifactError(f"{path}: {err}") from None
     if not np.array_equal(basis.eigenvectors.view(np.uint64), vecs.view(np.uint64)):
         raise ArtifactError(f"{path}: not a Fourier basis: a column is not its slot's mode")
-    lam = slot_masks(basis, [d])[0]
-    if not np.array_equal(lam[2:d:2], lam[3:d:2]):
-        raise ArtifactError(f"{path}: cos_k and sin_k have different eigenvalues")
     return basis

@@ -196,14 +196,22 @@ class TestEigSymmetric:
         assert same_bits(basis.eigenvectors, vecs)
 
     def test_slots_are_a_permutation_of_the_real_slots(self):
-        basis = rom.EigenBasis([2, 1, 0, -1], [4, 0, 3, 2])
+        basis = rom.EigenBasis([2, 1, 0, 0], [4, 0, 3, 2])
         assert np.array_equal(basis.slots, [4, 0, 3, 2])
         # Im c_0 (1) and Im c_{d/2} (d + 1) hold no real mode; d must be even
-        for vals, slots in [([1, 0, -1, -2], [0, 1, 2, 3]), ([1, 0, -1, -2], [0, 2, 3, 5]),
-                            ([1, 0, -1, -2], [0, 2, 2, 4]), ([1, 0, -1], [0, 2, 3]),
-                            ([1, 0, -1, -2], [0, 2, 3]), ([], [])]:
+        for vals, slots in [([1, 0, 0, -2], [0, 1, 2, 3]), ([1, 0, 0, -2], [0, 2, 3, 5]),
+                            ([1, 0, 0, -2], [0, 2, 2, 4]), ([1, 0, 0], [0, 2, 3]),
+                            ([1, 0, 0, -2], [0, 2, 3]), ([], [])]:
             with pytest.raises(ValueError, match="no permutation"):
                 rom.EigenBasis(vals, slots)
+
+    def test_cos_and_sin_share_an_eigenvalue(self):
+        # so every basis that can be built writes a file read_eigenbasis accepts
+        for vals, slots in [([2, 1, 1e-14, -1], [0, 2, 3, 4]),
+                            ([3, 3, 1, 1, 0, -1], [2, 5, 4, 3, 0, 6])]:
+            with pytest.raises(ValueError, match="cos_k and sin_k have different eigenvalues"):
+                rom.EigenBasis(vals, slots)
+        rom.EigenBasis([3, 3, 1, 1, 0, -1], [2, 3, 4, 5, 0, 6])
 
     def test_degenerate_pair_cosine_first(self):
         # equal eigenvalues keep column order: cos(2 pi k j/d) before sin
@@ -505,9 +513,9 @@ class TestUnresolvedCorrection:
 
     def test_near_zero_trailing_eigenvalue_named(self):
         # the integrator checks the slaved set once, before any correction
-        basis = rom.EigenBasis([2.0, 1.0, 1e-14, -1.0], [0, 2, 3, 4])
+        basis = rom.EigenBasis([2.0, 1e-14, 1e-14, -1.0], [0, 2, 3, 4])
         model = stabilized_model(4, zero_net=True)
-        with pytest.raises(ValueError, match="2"):
+        with pytest.raises(ValueError, match=r"trailing eigenvalue 2 \(1e-14\)"):
             rom.rom_integrate(basis, [2], model, np.zeros(4), 1.0, mode="nlg")
 
 

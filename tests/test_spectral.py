@@ -1,5 +1,8 @@
 """Transform conventions, symbols as derivatives, and ground-truth solver fidelity."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -454,6 +457,84 @@ class TestInPlaceStepper:
                                    grid=grid) is out
         assert same_bits(out, plain)
         assert same_bits(coeffs, before)
+
+
+class TestBlockedAdvance:
+    """A batch steps in blocks of ``block_rows`` rows, each with the bits of its
+    rows stepped alone and of the array formulas."""
+
+    @staticmethod
+    def _setup(system):
+        # the paper's grids: VBE d=512 and KSE d=64
+        if system == "vbe":
+            solver, formula, nsteps = sp.VbeSolver(512), vbe_formula, 20
+        else:
+            solver, formula, nsteps = sp.KseSolver(64), kse_formula, 10
+        return solver, formula, nsteps, solver.block_rows
+
+    @staticmethod
+    def _starts(solver, n):
+        d = solver.d
+        u = 0.3 * np.random.default_rng(n).standard_normal((n, d))
+        return np.fft.rfft(u - u.mean(axis=1, keepdims=True)) / d
+
+    @pytest.mark.parametrize("system", ["vbe", "kse"])
+    def test_block_holds_the_budget(self, system):
+        solver, _, _, rows = self._setup(system)
+        state_bytes = 16 * (solver.d // 2 + 1)
+        assert rows * state_bytes <= sp.BLOCK_BYTES < (rows + 1) * state_bytes
+
+    @pytest.mark.parametrize("system", ["vbe", "kse"])
+    def test_batches_around_the_block_keep_the_bits(self, system):
+        solver, formula, nsteps, B = self._setup(system)
+        for n in (1, B - 1, B, B + 1, 2 * B + 3):
+            coeffs = self._starts(solver, n)
+            batch = solver.advance(coeffs, nsteps)
+            assert same_bits(batch, np.stack([solver.advance(c, nsteps) for c in coeffs]))
+            # KSE modes past k = 21 underflow to zero at d=64, and the formulas'
+            # complex products may give such a zero the other sign
+            assert same_bits(batch + 0.0, formula_advance(formula, solver, coeffs, nsteps) + 0.0)
+
+    @pytest.mark.parametrize("system", ["vbe", "kse"])
+    @pytest.mark.parametrize("where", ["second block", "lone last row"])
+    def test_diverging_row_in_a_later_block(self, system, where):
+        solver, _, nsteps, B = self._setup(system)
+        n, bad = (B + 3, B + 1) if where == "second block" else (2 * B + 1, 2 * B)
+        coeffs = self._starts(solver, n)
+        coeffs[bad] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = solver.advance(coeffs, nsteps)
+        assert not np.all(np.isfinite(batch[bad]))
+        alone = np.delete(coeffs, bad, axis=0)
+        assert same_bits(np.delete(batch, bad, axis=0), solver.advance(alone, nsteps))
+        assert same_bits(batch[bad - 1], solver.advance(coeffs[bad - 1], nsteps))
+
+    @pytest.mark.parametrize("system", ["vbe", "kse"])
+    def test_shrinking_batch_reuses_the_buffers(self, system):
+        solver, _, _, B = self._setup(system)
+        for n in (5, B + 1):
+            coeffs = self._starts(solver, n)
+            solver.advance(coeffs, 2)
+            kept = solver._kept
+            solver.advance(coeffs[:-1], 2)
+            solver.advance(coeffs[0], 2)
+            assert solver._kept is kept
+
+    @pytest.mark.parametrize("system", ["vbe", "kse"])
+    def test_warm_advance_allocates_only_its_result(self, system):
+        solver, _, _, B = self._setup(system)
+        for n in (4 * B, 8 * B):
+            coeffs = self._starts(solver, n)
+            solver.advance(coeffs, 2)
+            tracemalloc.start()
+            try:
+                result = solver.advance(coeffs, 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # far below one block of state, whatever the batch
+            assert peak - result.nbytes <= 16 * 1024
 
 
 def quadrupling(calls, limit):
