@@ -25,6 +25,10 @@ Text outputs, every CSV through `write_table`: `generate` writes
 `stencil-report --out` a tap CSV.  `loss.log` holds a header and one row per
 finished epoch, appended as the epoch finishes: a fresh run truncates it, a
 resumed run appends and writes the header only to a missing or empty file.
+`pdf_kl.csv` and `rom.csv` end each row with `kl_support`, the KL of the two
+PDFs renormalised over their shared bins (>= 0), and `mass_off`, the model's
+sample fraction out of range or on bins the reference lacks; `kl` can go
+below zero when that mass is not 0.  A diverged `rom` row reads nan in both.
 
 `train --resume` of a checkpoint with all `epochs` completed writes nothing
 and exits 0; a `checkpoint_every` save of the last epoch is not repeated.
@@ -646,8 +650,9 @@ def _evaluate_rollouts(config: dict, test_ds, model, noise, out_dir: str,
         kl = mt.kl_divergence(pdf, ref)
         write_table(os.path.join(out_dir, "pdf_kl.csv"),
                     "KL(model||true) of (u_x,u_xx) PDF", meta,
-                    ["kl", "overlap", "model_oob_fraction"],
-                    [[fmt(kl), fmt(mt.support_overlap(pdf, ref)), fmt(pdf.oob_fraction)]])
+                    ["kl", "overlap", "model_oob_fraction", "kl_support", "mass_off"],
+                    [[fmt(kl), fmt(mt.support_overlap(pdf, ref)), fmt(pdf.oob_fraction),
+                      fmt(mt.kl_support(pdf, ref)), fmt(mt.mass_off(pdf, ref))]])
         print(f"joint-PDF KL divergence {kl:.4e}")
 
     if bad.any():
@@ -729,15 +734,16 @@ def cmd_rom(config: dict) -> int:
     rows, diverged = [], []
     for d_p, states in zip(config["dp"], sweep):
         start = time.perf_counter()
-        kl, overlap = float("nan"), 0.0
+        kl, overlap, kl_support, off = float("nan"), 0.0, float("nan"), float("nan")
         if np.all(np.isfinite(states)):
             pdf = mt.joint_pdf(states, ds.domain_length, bins=config["pdf_bins"])
             kl = mt.kl_divergence(pdf, reference)
             overlap = mt.support_overlap(pdf, reference)
+            kl_support, off = mt.kl_support(pdf, reference), mt.mass_off(pdf, reference)
         else:
             diverged.append(d_p)
         elapsed = shared + time.perf_counter() - start
-        rows.append((d_p, config["mode"], kl, overlap, elapsed))
+        rows.append((d_p, config["mode"], kl, overlap, elapsed, kl_support, off))
         print(f"d_p={d_p:3d} mode={config['mode']} KL={kl:.5e} "
               f"overlap={overlap:.3f} ({elapsed:.1f}s)")
 
@@ -745,9 +751,9 @@ def cmd_rom(config: dict) -> int:
             "total_time": config["total_time"], "dt": config["dt"]}
     write_table(os.path.join(out_dir, "rom.csv"),
                 "KL(ROM||true) of (u_x,u_xx) joint PDF vs retained dimension", meta,
-                ["d_p", "mode", "kl", "overlap", "runtime_s"],
-                [[str(d_p), mode, fmt(kl), fmt(overlap), f"{elapsed:.3f}"]
-                 for d_p, mode, kl, overlap, elapsed in rows])
+                ["d_p", "mode", "kl", "overlap", "runtime_s", "kl_support", "mass_off"],
+                [[str(d_p), mode, fmt(kl), fmt(overlap), f"{elapsed:.3f}", fmt(kl_support),
+                  fmt(off)] for d_p, mode, kl, overlap, elapsed, kl_support, off in rows])
     write_manifest(os.path.join(out_dir, "manifest-rom.cfg"), "rom", config,
                    {"dataset": sha256_file(dataset_path), "rhs": rhs_hash})
     if diverged:

@@ -160,22 +160,59 @@ def support_overlap(pdf_a: JointPdf2D, pdf_b: JointPdf2D) -> float:
     return float(np.sum(pdf_a.masses[pdf_b.masses > 0]) / mass_a)
 
 
-def kl_divergence(pdf_model: JointPdf2D, pdf_true: JointPdf2D) -> float:
-    """D_KL(model || true) over bins where both densities are positive.
-
-    Bins with a zero on either side contribute nothing.  PDFs that share no
-    such bin, whose statistics miss each other entirely, give +inf.
-    """
+def _shared_bins(pdf_model: JointPdf2D, pdf_true: JointPdf2D) -> np.ndarray:
+    """The mask of the bins where both densities are positive; ValueError
+    unless the histograms share one grid."""
     if (pdf_model.masses.shape != pdf_true.masses.shape
             or not np.array_equal(pdf_model.x_edges, pdf_true.x_edges)
             or not np.array_equal(pdf_model.y_edges, pdf_true.y_edges)):
         raise ValueError("histograms live on different grids")
-    both = (pdf_model.masses > 0) & (pdf_true.masses > 0)
+    return (pdf_model.masses > 0) & (pdf_true.masses > 0)
+
+
+def kl_divergence(pdf_model: JointPdf2D, pdf_true: JointPdf2D) -> float:
+    """D_KL(model || true) over bins where both densities are positive.
+
+    Bins with a zero on either side contribute nothing.  PDFs that share no
+    such bin, whose statistics miss each other entirely, give +inf.  The
+    densities are taken as they are, each over all its samples, so mass out
+    of range or off the shared bins can take the sum below zero; see
+    :func:`kl_support` and :func:`mass_off`.
+    """
+    both = _shared_bins(pdf_model, pdf_true)
     if not np.any(both):
         return float("inf")
     pm = pdf_model.masses[both]
     pt = pdf_true.masses[both]
     return float(np.sum(pm * np.log(pm / pt)) * pdf_model.bin_area())
+
+
+def kl_support(pdf_model: JointPdf2D, pdf_true: JointPdf2D) -> float:
+    """D_KL(model || true) of the two PDFs each renormalised to unit mass over
+    the bins where both are positive, so by Gibbs' inequality it is >= 0 (to
+    rounding), and exactly 0 for identical PDFs.  PDFs that share no such bin
+    give +inf.  :func:`mass_off` is the model's mass this leaves out."""
+    both = _shared_bins(pdf_model, pdf_true)
+    if not np.any(both):
+        return float("inf")
+    pm = pdf_model.masses[both]
+    pt = pdf_true.masses[both]
+    pm = pm / np.sum(pm)
+    pt = pt / np.sum(pt)
+    return float(np.sum(pm * np.log(pm / pt)))
+
+
+def mass_off(pdf_model: JointPdf2D, pdf_true: JointPdf2D) -> float:
+    """The fraction of the model's samples out of range or on bins where the
+    reference density is zero, the mass :func:`kl_support` leaves out; 0 for
+    a model without samples.  Each bin's count is its density times the
+    samples and the bin area, rounded to the integer it is."""
+    _shared_bins(pdf_model, pdf_true)
+    if pdf_model.total_count == 0:
+        return 0.0
+    off = np.sum(pdf_model.masses[pdf_true.masses == 0]) * pdf_model.bin_area()
+    count = pdf_model.oob_count + round(float(off) * pdf_model.total_count)
+    return count / pdf_model.total_count
 
 
 def add_noise_grid(u: np.ndarray, epsilon: float, seed: int) -> np.ndarray:

@@ -33,9 +33,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .spectral import (ArtifactError, DivergenceError, SnapshotDataset,
-                       advection_symbols, apply_symbol, burgers_tendency, expect_end,
-                       irfft, linear_symbol, march, read_exact, read_f8, read_sidecar,
-                       rfft, save_count, tag_name)
+                       advection_symbols, apply_symbol, burgers_kernel, burgers_tendency,
+                       expect_end, irfft, linear_symbol, march, read_exact, read_f8,
+                       read_sidecar, rfft, save_count, tag_name)
 
 VARIANT_TAGS = {"nonlinear": 0, "fixed-linear": 1, "learned-linear": 2}
 VARIANT_NAMES = {v: k for k, v in VARIANT_TAGS.items()}
@@ -81,6 +81,10 @@ class RhsModel:
     operator answers ``symbol(d)`` and ``params()``; one whose params are not
     empty also answers ``symbol_vjp(cross, d)``, the map from the linear
     branch's cross-spectrum to their gradients.
+
+    For reduced-order models, as :class:`TrueRhs` does, a model with a
+    linear branch answers ``linear_symbol()`` and ``tendency_kernel(shape)``,
+    the network branch on coefficients bound once to a batch shape.
     """
 
     mlp: dc.MlpParams
@@ -133,35 +137,45 @@ class RhsModel:
             return np.add(linear, net, out=linear)
         return f, symbol
 
-    # ROM protocol: the linear symbol, and N on one-sided coefficients c = rfft(u) / d
+    # ROM protocol: the linear symbol, and N on one-sided coefficients c = rfft(u) / d,
+    # through a kernel bound once to its batch shape (the sweep's hot path) or
+    # into fresh arrays
     def linear_symbol(self) -> np.ndarray:
         """One-sided symbol (k = 0..d/2) of the explicit linear branch."""
         if self.linear is None:
             raise ValueError("nonlinear variant has no separable linear term")
         return self.linear.symbol(self.width)
 
-    def nonlinear(self, c: np.ndarray, out: np.ndarray | None = None,
-                  scratch: tuple | None = None) -> np.ndarray:
-        """The network branch on coefficients, rfft(N(irfft(c d))) / d, of one
-        spectrum (d/2 + 1,) or a batch; separable only beside a linear branch.
-
-        The result is written into ``out`` through ``scratch``, a
-        :meth:`nonlinear_scratch` of c's batch shape, when they are given, with
-        the same bits as without them."""
+    def tendency_kernel(self, shape: tuple):
+        """``N(c_p, lift)``: the network branch on coefficients,
+        rfft(N(irfft(c d))) / d of c = c_p + lift, for real-view spectra
+        (d + 2 slots) of batch shape ``shape``, as a float64 view of an array
+        the kernel keeps and overwrites on its next call.  Its argument, spectrum,
+        grid and the network's buffers are built here once; separable only
+        beside a linear branch."""
         if self.linear is None:
             raise ValueError("nonlinear variant has no separable linear term")
         d = self.width
-        spectrum, grid, buffers = (None, None, None) if scratch is None else scratch
-        u = irfft(np.multiply(c, d, out=spectrum), d, out=grid)
-        return np.divide(rfft(dc.mlp_forward(self.mlp, u, buffers=buffers)[0], out=out), d,
-                         out=out)
+        arg = np.empty(shape + (d + 2,))
+        arg_c = arg.view(np.complex128)
+        spectrum = np.empty(shape + (d // 2 + 1,), dtype=np.complex128)
+        grid = np.empty(shape + (d,))
+        buffers = dc.MlpBuffers(self.mlp, int(np.prod(shape)))
+        out = np.empty(shape + (d // 2 + 1,), dtype=np.complex128)
+        out_f = out.view(np.float64)
 
-    def nonlinear_scratch(self, shape: tuple) -> tuple:
-        """The scratch of :meth:`nonlinear` for coefficients of batch shape
-        ``shape``: a spectrum, a grid and the network's buffers."""
-        d = self.width
-        return (np.empty(shape + (d // 2 + 1,), dtype=np.complex128), np.empty(shape + (d,)),
-                dc.MlpBuffers(self.mlp, int(np.prod(shape))))
+        def kernel(c_p: np.ndarray, lift) -> np.ndarray:
+            np.add(c_p, lift, out=arg)
+            u = irfft(np.multiply(arg_c, d, out=spectrum), d, out=grid)
+            rfft(dc.mlp_forward(self.mlp, u, buffers=buffers)[0], out=out, scale=1.0 / d)
+            return out_f
+        return kernel
+
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+        """The network branch on coefficients, of one spectrum (d/2 + 1,) or a
+        batch: :meth:`tendency_kernel` into fresh arrays."""
+        c = np.ascontiguousarray(c, dtype=np.complex128)
+        return self.tendency_kernel(c.shape[:-1])(c.view(np.float64), 0.0).view(np.complex128)
 
 
 class Rk4Buffers:
@@ -559,10 +573,11 @@ class TrueRhs:
     """Exact discrete RHS: the true linear symbol plus the pseudospectral
     nonlinearity.
 
-    Implements the same eval/linear_symbol/nonlinear/nonlinear_scratch
-    protocol as RhsModel so reduced-order modeling can run on the true
-    equations without training; ``nonlinear`` maps coefficients c = rfft(u) / d,
-    with no grid round trip.
+    Implements the same eval/linear_symbol/tendency_kernel/nonlinear protocol
+    as RhsModel so reduced-order modeling can run on the true equations
+    without training; the tendency maps coefficients c = rfft(u) / d, with no
+    grid round trip, through the one Burgers kernel of the solvers
+    (:func:`~stabnode.spectral.burgers_kernel`).
     """
 
     def __init__(self, system: str, d: int, domain_length: float,
@@ -581,23 +596,31 @@ class TrueRhs:
         ``workspace`` unused."""
         return self.eval, self._symbol
 
-    def nonlinear(self, c: np.ndarray, out: np.ndarray | None = None,
-                  scratch: tuple | None = None) -> np.ndarray:
-        """:func:`~stabnode.spectral.burgers_tendency` of coefficients c, written
-        into ``out`` through ``scratch``, a :meth:`nonlinear_scratch` of c's
-        batch shape, when they are given, with the same bits as without them."""
-        half_iq, mask_d, spectrum, grid = scratch or (*self._adv, None, None)
-        return burgers_tendency(c, half_iq, mask_d, out, spectrum, grid)
+    def tendency_kernel(self, shape: tuple):
+        """``N(c_p, lift)``: the advection of c = c_p + lift, real-view spectra
+        (d + 2 slots) of batch shape ``shape``, as a float64 view of an array
+        the kernel keeps and overwrites on its next call.  The dealiasing
+        factors are repeated for every row, so that no product broadcasts, and
+        bound once with the argument and the Burgers kernel's scratch."""
+        m = self.width // 2 + 1
+        tendency = burgers_kernel(
+            *(np.broadcast_to(factor, shape + factor.shape).copy() for factor in self._adv),
+            np.empty(shape + (m,), dtype=np.complex128), np.empty(shape + (self.width,)))
+        arg = np.empty(shape + (2 * m,))
+        arg_c = arg.view(np.complex128)
+        out = np.empty(shape + (m,), dtype=np.complex128)
+        out_f = out.view(np.float64)
 
-    def nonlinear_scratch(self, shape: tuple) -> tuple:
-        """The arrays :meth:`nonlinear` works in for coefficients of batch shape
-        ``shape``: the dealiasing factors repeated for every row, so that no
-        product broadcasts, and the ``spectrum`` and ``grid`` of
-        ``burgers_tendency``."""
-        d = self.width
-        rows = [np.broadcast_to(factor, shape + factor.shape).copy() for factor in self._adv]
-        return (*rows, np.empty(shape + (d // 2 + 1,), dtype=np.complex128),
-                np.empty(shape + (d,)))
+        def kernel(c_p: np.ndarray, lift) -> np.ndarray:
+            np.add(c_p, lift, out=arg)
+            tendency(arg_c, out)
+            return out_f
+        return kernel
+
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+        """:func:`~stabnode.spectral.burgers_tendency` of coefficients c, one
+        spectrum (d/2 + 1,) or a batch, into fresh arrays."""
+        return burgers_tendency(c, *self._adv)
 
     def linear_apply(self, u: np.ndarray) -> np.ndarray:
         return apply_symbol(self._symbol, u)

@@ -13,18 +13,21 @@ The reduced state is Fourier coefficients, not eigen-coordinates: spectra
 c = rfft(u) / d viewed as d + 2 real slots, 2k cos_k and 2k + 1 sin_k.  Each
 eigenvector is one slot, and a basis holds its slots, not vectors: a Galerkin
 projection is a 0/1 slot mask and Lambda_p a per-slot symbol
-(:func:`slot_masks`); the model's nonlinear term takes coefficients.  A d_p
-sweep marches in lockstep: every row, a resolved spectrum c_p and its
-nonlinear Galerkin lift c_q, advances in one batched expression, one nonlinear
-evaluation per RK4 stage and one inverse transform per save.  All is row-wise,
-so with the true RHS each row is bit-identical to a run of its d_p alone; a
-network RHS on stacked rows matches it to rounding.
+(:func:`slot_masks`).  A d_p sweep marches in lockstep: every row, a resolved
+spectrum c_p and its nonlinear Galerkin lift c_q, advances in one batched
+expression, one nonlinear evaluation per RK4 stage and one inverse transform
+per save.  All is row-wise, so with the true RHS each row is bit-identical to
+a run of its d_p alone; a network RHS on stacked rows matches it to rounding.
 
-The sweep steps in place (:class:`ReducedStepper`): the RK4 stages, the
-tendencies and the lift go into arrays built once per set of live rows, and
-every operation writes with ``out=``, keeping the operands and order of the
-array expressions :func:`galerkin_rhs` and :func:`unresolved_correction`
-document, so the states keep their bits.
+A model's nonlinear term reaches the ROM through one factory,
+``model.tendency_kernel(shape)``: it binds the buffers, the dealiasing rows or
+network buffers and the transforms for coefficients of batch shape ``shape``
+once, and returns ``N(c_p, lift)``, N(c_p + lift) of real-view spectra as a
+float64 view of an array it keeps.  The sweep steps in place
+(:class:`ReducedStepper`): its RK4 stage and its slaving closure are bound to
+one kernel per set of live rows, and every operation writes with ``out=``.
+:func:`galerkin_rhs` and :func:`unresolved_correction` are the same closures
+on a fresh kernel, into fresh arrays, so the states keep their bits.
 """
 
 from __future__ import annotations
@@ -155,60 +158,54 @@ def slot_masks(basis: EigenBasis, dims):
     return lam, resolved, divisor
 
 
-class TendencyBuffers:
-    """The arrays in which N(c_p + lift) of real-view spectra of batch shape
-    ``shape`` is computed: the argument ``arg``, the complex tendency ``out``
-    and the model's ``nonlinear_scratch``; the complex view of ``arg`` and the
-    float64 view of ``out`` are taken once."""
+def _resolved_rhs(lam: np.ndarray, resolved: np.ndarray, kernel, lift):
+    """``rhs(c_p, out)``, the resolved dynamics Lambda_p c_p + P N(c_p + lift)
+    through a model's ``kernel``, each operation with the operands and order
+    of lam * c_p + resolved * N, written into ``out`` (a fresh array when it
+    is None); N is overwritten in the kernel's own array."""
+    def rhs(c_p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        f = kernel(c_p, lift)
+        linear = np.multiply(lam, c_p, out=out)
+        return np.add(linear, np.multiply(resolved, f, out=f), out=linear)
+    return rhs
 
-    def __init__(self, model, shape: tuple):
-        m = model.width + 2
-        self.model = model
-        self.arg = np.empty(shape + (m,))
-        self.arg_c = self.arg.view(np.complex128)
-        self.out = np.empty(shape + (m // 2,), dtype=np.complex128)
-        self.out_f = self.out.view(np.float64)
-        self.scratch = model.nonlinear_scratch(shape)
 
-    def __call__(self, c_p: np.ndarray, lift) -> np.ndarray:
-        """N(c_p + lift) as a float64 view of ``out``."""
-        np.add(c_p, lift, out=self.arg)
-        self.model.nonlinear(self.arg_c, out=self.out, scratch=self.scratch)
-        return self.out_f
+def _slaving(divisor: np.ndarray, kernel, iterations: int, out: np.ndarray | None):
+    """``slave(c_p)``, the lift of ``iterations`` slaving iterations through a
+    model's ``kernel``, from c_q = 0, each with the operands and order of
+    N(c_p + c_q) / divisor, written into ``out`` (fresh arrays when it is
+    None)."""
+    def slave(c_p: np.ndarray) -> np.ndarray:
+        c_q = 0.0
+        for _ in range(iterations):
+            c_q = np.divide(kernel(c_p, c_q), divisor, out=out)
+        return c_q
+    return slave
 
 
 def galerkin_rhs(lam: np.ndarray, resolved: np.ndarray, model, c_p: np.ndarray,
-                 lift=0.0, out: np.ndarray | None = None,
-                 work: TendencyBuffers | None = None) -> np.ndarray:
+                 lift=0.0) -> np.ndarray:
     """Resolved dynamics dc_p/dt = Lambda_p c_p + P N(c_p + lift) of real-view
     spectra (n, d + 2), with ``lam`` and the masks P ``resolved`` of
     :func:`slot_masks`; the lift is nonlinear Galerkin's slaved coefficients.
-
-    Each operation keeps the operands and order of lam * c_p + resolved * N;
-    the result goes into ``out`` and N into ``work`` when they are given."""
-    f = (TendencyBuffers(model, c_p.shape[:-1]) if work is None else work)(c_p, lift)
-    linear = np.multiply(lam, c_p, out=out)
-    return np.add(linear, np.multiply(resolved, f, out=f), out=linear)
+    Into fresh arrays, with the bits of a :class:`ReducedStepper` stage."""
+    kernel = model.tendency_kernel(c_p.shape[:-1])
+    return _resolved_rhs(lam, resolved, kernel, lift)(c_p)
 
 
 def unresolved_correction(divisor: np.ndarray, model, c_p: np.ndarray,
-                          iterations: int = 1, out: np.ndarray | None = None,
-                          work: TendencyBuffers | None = None) -> np.ndarray:
+                          iterations: int = 1) -> np.ndarray:
     """Unresolved coefficients slaved by stationarity of their dynamics.
 
     Iterates c_q <- -Lambda_q^{-1} Q N(c_p + c_q) from c_q = 0, with the
     ``divisor`` of :func:`slot_masks`; the fixed point satisfies
     Lambda_q c_q + Q N = 0.  One iteration by default.  No trailing eigenvalue
     may lie within the slaving floor of zero (:func:`check_sweep` checks that
-    once per d_p, before any step).  Each iteration keeps the operands and
-    order of N(c_p + c_q) / divisor; c_q goes into ``out`` and N into ``work``
-    when they are given.
+    once per d_p, before any step).  Into fresh arrays, with the bits of a
+    :class:`ReducedStepper` lift.
     """
-    work = TendencyBuffers(model, c_p.shape[:-1]) if work is None else work
-    c_q = 0.0
-    for _ in range(iterations):
-        c_q = np.divide(work(c_p, c_q), divisor, out=out)
-    return c_q
+    kernel = model.tendency_kernel(c_p.shape[:-1])
+    return _slaving(divisor, kernel, iterations, None)(c_p)
 
 
 def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
@@ -259,28 +256,28 @@ class ReducedStepper:
     :func:`slot_masks`: RK4 substeps of ``dt``, each followed in "nlg" mode by
     a new lift of ``iterations`` slaving iterations.
 
-    It keeps every array a step writes: a one-substep RK4 tape, the tendency
-    buffers, the lift and the packed state [c_p | lift] that ``advance``
-    returns.  Every operand of a step is a contiguous array of the rows'
-    shape, lam too, so no product broadcasts, and a warm step allocates no
-    array; a stepper for other rows is another one.
+    The model's :meth:`tendency_kernel` is built once for the rows, and the
+    RK4 stage (:func:`galerkin_rhs`'s operations) and the slaving closure
+    (:func:`unresolved_correction`'s, as ``lift_of``) are bound to it once.
+    The stepper keeps every array a step writes: a one-substep RK4 tape, the
+    kernel's buffers, the lift and the packed state [c_p | lift] that
+    ``advance`` returns.  Every operand of a step is a contiguous array of the
+    rows' shape, lam too, so no product broadcasts, and a warm step allocates
+    no array; a stepper for other rows is another one.
     """
 
     def __init__(self, model, lam: np.ndarray, resolved: np.ndarray,
                  divisor: np.ndarray, dt: float, mode: str, iterations: int):
         n, m = resolved.shape
-        self.lam = np.broadcast_to(lam, resolved.shape).copy()
-        self.model, self.resolved, self.divisor = model, resolved, divisor
-        self.dt, self.slaved, self.iterations = dt, mode == "nlg", iterations
+        kernel = model.tendency_kernel((n,))
+        self.dt, self.slaved = dt, mode == "nlg"
         self.rk4 = Rk4Buffers((n, m), 1)
-        self.work = TendencyBuffers(model, (n,))
         self.lift = np.empty((n, m))
+        self.rhs = _resolved_rhs(np.broadcast_to(lam, resolved.shape).copy(), resolved,
+                                 kernel, self.lift)
+        self.lift_of = _slaving(divisor, kernel, iterations, self.lift)
         self.state = np.empty((n, 2 * m))
         self.packed = self.state[:, :m], self.state[:, m:]
-
-    def rhs(self, c_p: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return galerkin_rhs(self.lam, self.resolved, self.model, c_p, self.lift, out,
-                            self.work)
 
     def advance(self, state: np.ndarray, nsteps: int) -> np.ndarray:
         """``state`` (n, 2 (d + 2)) after ``nsteps`` steps, in the stepper's
@@ -291,8 +288,7 @@ class ReducedStepper:
         for _ in range(nsteps):
             c_p = _rk4_forward(self.rhs, c_p, self.dt, 1, self.rk4)
             if self.slaved:
-                unresolved_correction(self.divisor, self.model, c_p, self.iterations,
-                                      out=self.lift, work=self.work)
+                self.lift_of(c_p)
         np.copyto(self.packed[0], c_p)
         np.copyto(self.packed[1], self.lift)
         return self.state
@@ -309,8 +305,9 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
     runs plain Galerkin and slaves only at the saves.  A sequence of n d_p
     gives states (n, n_save + 1, d) from the packed spectra [c_p | c_q], (n,
     2 (d + 2)), marched in lockstep by a :class:`ReducedStepper`, which is
-    built again only when a row drops out.  :func:`check_sweep` runs before
-    any step.  A diverging row does not raise: it reads +inf from its first
+    built again only when a row drops out; the first lift and the saves'
+    slaving go through its kernel too.  :func:`check_sweep` runs before any
+    step.  A diverging row does not raise: it reads +inf from its first
     non-finite save on, and the other rows march on untouched.
     """
     dims, n_save, sub = check_sweep(basis, d_p, mode, total_time, save_interval, dt)
@@ -318,26 +315,27 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
     d, m = basis.d, basis.d + 2
     stepper = None
 
-    def advance(state, nsteps, rows):
+    def stepper_for(rows):
         nonlocal stepper
         if stepper is None or len(stepper.state) != rows.size:
             stepper = ReducedStepper(model, lam, resolved[rows], divisor[rows], dt, mode,
                                      slaving_iterations)
-        return stepper.advance(state, nsteps)
+        return stepper
+
+    def advance(state, nsteps, rows):
+        return stepper_for(rows).advance(state, nsteps)
 
     def observe(state, rows):
         c = state[:, :m]
-        if mode != "galerkin":
-            c = c + (state[:, m:] if mode == "nlg" else unresolved_correction(
-                divisor[rows], model, c, slaving_iterations))
+        if mode != "galerkin":  # a ppg lift is scratch: advance reloads the state's
+            c = c + (state[:, m:] if mode == "nlg" else stepper_for(rows).lift_of(c))
         return irfft(c.view(np.complex128) * d, d)
 
     c0 = rfft(np.asarray(u0, dtype=np.float64)) / d
     state = np.zeros((dims.size, 2 * m))
     state[:, :m] = resolved * c0.view(np.float64)
     if mode == "nlg":
-        unresolved_correction(divisor, model, state[:, :m], slaving_iterations,
-                              out=state[:, m:])
+        state[:, m:] = stepper_for(np.arange(dims.size)).lift_of(state[:, :m])
     states = march(advance, state, n_save, sub, observe)
     return np.arange(n_save + 1) * save_interval, states
 

@@ -27,8 +27,10 @@ gufuncs directly, with a preallocated output and the factor ``np.fft`` itself
 passes (1 forward, 1/n inverse), so each result has ``np.fft``'s bits without
 its per-call Python wrapper; at d = 64 that wrapper costs more than the
 transform.  Both take ``out=``, so a caller that transforms the same shapes
-again can reuse its arrays.  numpy < 2 has no such module, and there the pair
-wraps ``np.fft.rfft`` / ``np.fft.irfft``.
+again can reuse its arrays, and :func:`rfft` takes pocketfft's ``scale``, which
+multiplies every float64 word of the result, so a 1/d normalisation costs no
+extra pass.  numpy < 2 has no such module, and there the pair wraps
+``np.fft.rfft`` / ``np.fft.irfft`` and multiplies by the scale word by word.
 
 Artifacts carry a key=value text sidecar, ``<path>.txt``.  A dataset reads
 ``viscosity`` (8e-4 when absent), ``solver_step`` (1e-3 VBE, 0.05 KSE),
@@ -198,13 +200,14 @@ def wavenumber_indices(d: int) -> np.ndarray:
 
 
 if _pocketfft is not None:
-    def rfft(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def rfft(u: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
         """Unnormalized one-sided transform of real (..., n) ``u``, the bits of
-        ``np.fft.rfft(u)``, written into ``out`` when given."""
+        ``np.fft.rfft(u)``, times ``scale``, written into ``out`` when given.
+        pocketfft multiplies every float64 word of its result by ``scale``."""
         n = u.shape[-1]
         if out is None:
             out = np.empty(u.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
-        return (_pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even)(u, 1, out=out)
+        return (_pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even)(u, scale, out=out)
 
     def irfft(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """Real (..., n) inverse of one-sided ``c``, scaled by 1/n, the bits of
@@ -213,10 +216,14 @@ if _pocketfft is not None:
             out = np.empty(c.shape[:-1] + (n,))
         return _pocketfft.irfft(c, 1.0 / n, out=out)
 else:
-    def rfft(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def rfft(u: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
+        spectrum = np.fft.rfft(u)
+        if scale != 1.0:  # word by word, as pocketfft applies its factor
+            words = spectrum.view(np.float64)
+            np.multiply(words, scale, out=words)
         if out is None:
-            return np.fft.rfft(u)
-        out[...] = np.fft.rfft(u)
+            return spectrum
+        out[...] = spectrum
         return out
 
     def irfft(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -293,7 +300,7 @@ def apply_symbol(symbol: np.ndarray, u: np.ndarray, out: np.ndarray | None = Non
 
 
 def advection_symbols(d: int, domain_length: float):
-    """The dealiasing factors of :func:`burgers_tendency`, computed once: the
+    """The dealiasing factors of :func:`burgers_kernel`, computed once: the
     advection symbol -0.5*i*q, zero above the 2/3-rule cutoff (Nyquist
     included), and the input mask times d."""
     k = wavenumber_indices(d)
@@ -302,23 +309,46 @@ def advection_symbols(d: int, domain_length: float):
     return np.where(keep, half_iq, 0.0), keep * (d + 0j)
 
 
+def burgers_kernel(half_iq: np.ndarray, mask_d: np.ndarray, spectrum: np.ndarray,
+                   grid: np.ndarray):
+    """The one Burgers tendency, prebound: ``tendency(coeffs, out)`` writes the
+    advection -0.5*(u^2)_x of one-sided ``coeffs`` into ``out`` and returns it,
+    2/3-rule dealiased on input and output by the factors of
+    :func:`advection_symbols`, or those factors repeated to the rows.  It works
+    in the scratch ``spectrum`` (complex, the shape of ``coeffs``) and ``grid``
+    (real, d points per row), bound here with the factors and 1/d once, so a
+    hot loop pays one Python call per tendency.  A discarded mode reads a zero
+    of either sign.
+
+    The 1/d normalisation is the forward transform's scale, which multiplies
+    every float64 word by 1/d: the bits of numpy's complex product with 1/d
+    and of its complex division by d (see :class:`_Solver`), but for the sign
+    of an exact zero, and with one ufunc call fewer."""
+    d = grid.shape[-1]
+    scale = 1.0 / d
+
+    def tendency(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        u = irfft(np.multiply(coeffs, mask_d, out=spectrum), d, out=grid)
+        rfft(np.multiply(u, u, out=u), out=spectrum, scale=scale)
+        return np.multiply(half_iq, spectrum, out=out)
+    return tendency
+
+
 def burgers_tendency(coeffs: np.ndarray, half_iq: np.ndarray, mask_d: np.ndarray,
                      out: np.ndarray | None = None, spectrum: np.ndarray | None = None,
                      grid: np.ndarray | None = None) -> np.ndarray:
-    """Advection -0.5*(u^2)_x of one-sided coefficients (one state or a batch),
-    2/3-rule dealiased on input and output by the factors of
-    :func:`advection_symbols`.  A discarded mode reads a zero of either sign.
-
-    The result is written into ``out`` through the scratch ``spectrum``
-    (complex, the shape of ``coeffs``) and ``grid`` (real, d points per row)
-    when they are given, with the same bits as without them.  The 1/d
-    normalisation is a multiply by 1/d, which has the bits of numpy's complex
-    division by d (see :class:`_Solver`).
-    """
-    d = 2 * (coeffs.shape[-1] - 1)
-    u = irfft(np.multiply(coeffs, mask_d, out=spectrum), d, out=grid)
-    spectrum = rfft(np.multiply(u, u, out=u), out=spectrum)
-    return np.multiply(half_iq, np.multiply(spectrum, 1.0 / d, out=spectrum), out=out)
+    """:func:`burgers_kernel` of ``coeffs`` (one state or a batch), through
+    ``out``, ``spectrum`` and ``grid`` when they are given and fresh arrays
+    otherwise, with the same bits either way."""
+    shape = np.broadcast_shapes(coeffs.shape, mask_d.shape)
+    d = 2 * (shape[-1] - 1)
+    if spectrum is None:
+        spectrum = np.empty(shape, dtype=np.complex128)
+    if grid is None:
+        grid = np.empty(shape[:-1] + (d,))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(shape, half_iq.shape), dtype=np.complex128)
+    return burgers_kernel(half_iq, mask_d, spectrum, grid)(coeffs, out)
 
 
 # The bytes of state a solver steps as one block of rows: 31 rows at d = 512,
@@ -355,15 +385,18 @@ class _Solver:
     shrinks, steps in leading-row views of them, and only a longer block
     rebuilds them.  Each product of a complex coefficient with a real factor,
     and each quotient by one, is a multiply of float64 views by a kept row
-    block-shaped, as are the dealiasing factors of :func:`burgers_tendency`,
-    so no product broadcasts (numpy buffers a broadcast operand).  A real row
+    block-shaped, as are the dealiasing factors of the :func:`burgers_kernel`
+    bound to each block's buffers, so no product broadcasts (numpy buffers a
+    broadcast operand).  A real row
     is the factor, or its reciprocal, repeated twice for the interleaved real
     and imaginary parts and then to the block's rows.  That keeps numpy's
     bits: numpy multiplies a complex array by a real x as the complex product
     (re*x - im*0, re*0 + im*x) and divides it by x with Smith's method as
     ((re + im*0)*(1/x), (im - re*0)*(1/x)), so both give re*x (or re*(1/x))
     and im*x (or im*(1/x)); only the sign of an exact zero may differ, and a
-    sum with any nonzero term does not see it.
+    sum with any nonzero term does not see it.  The tendency's 1/d is no
+    multiply at all: the forward transform's scale puts it on every word, with
+    the same bits.
     """
 
     _kept_rows = 0  # the block rows the kept buffers were built for
@@ -385,18 +418,21 @@ class _Solver:
         return state
 
     def _buffers(self, rows: int, lead) -> list:
-        """The kept stage buffers and block-shaped rows cut by ``lead`` to a
-        block of ``rows`` rows: built for the first block longer than they are,
-        and cut once per row count, as march calls ``advance`` once per save."""
+        """The :func:`burgers_kernel`, then the kept stage buffers and
+        block-shaped rows, cut by ``lead`` to a block of ``rows`` rows: built
+        for the first block longer than they are, and cut and bound once per
+        row count, as march calls ``advance`` once per save."""
         if rows > self._kept_rows:
             self._kept_rows, self._kept, self._cuts = rows, self._build_buffers(rows), {}
         if rows not in self._cuts:
-            self._cuts[rows] = [a[lead] for a in self._kept]
+            cut = [a[lead] for a in self._kept]
+            self._cuts[rows] = [burgers_kernel(*cut[:4]), *cut[4:]]
         return self._cuts[rows]
 
     def _tendency_buffers(self, rows: int) -> tuple:
-        """The dealiasing factors of :func:`burgers_tendency` repeated to
-        ``rows`` rows, and its ``spectrum`` and ``grid`` scratch."""
+        """The four arrays :func:`burgers_kernel` binds, which lead what
+        ``_build_buffers`` returns: the dealiasing factors repeated to ``rows``
+        rows, and the ``spectrum`` and ``grid`` scratch."""
         m = self.d // 2 + 1
         return (*(np.tile(factor, (rows, 1)) for factor in self._adv),
                 np.empty((rows, m), dtype=np.complex128), np.empty((rows, self.d)))
@@ -431,20 +467,20 @@ class VbeSolver(_Solver):
 
     def _build_buffers(self, rows: int) -> tuple:
         m = self.d // 2 + 1
-        # base, N(v) and its float64 view, the tendency buffers, then each
+        # the tendency buffers, base, N(v) and its float64 view, then each
         # stage's explicit and implicit rows
         n = np.empty((rows, m), dtype=np.complex128)
-        return (np.empty((rows, 2 * m)), n, n.view(np.float64), *self._tendency_buffers(rows),
+        return (*self._tendency_buffers(rows), np.empty((rows, 2 * m)), n, n.view(np.float64),
                 *(_interleaved(factor, rows) for factor in self._factors))
 
     def _step_in_place(self, v: np.ndarray, nsteps: int, kept: list) -> None:
         v_f = v.view(np.float64)
-        base_f, n, n_f, half_iq, mask_d, spectrum, grid, *rows = kept
+        tendency, base_f, n, n_f, *rows = kept
         stages = list(zip(self._steps, rows[0::2], rows[1::2]))
         for _ in range(nsteps):
             np.copyto(base_f, v_f)
             for dt_s, explicit, implicit_inv in stages:
-                burgers_tendency(v, half_iq, mask_d, out=n, spectrum=spectrum, grid=grid)
+                tendency(v, n)
                 np.multiply(n_f, dt_s, out=v_f)
                 np.add(base_f, v_f, out=v_f)
                 np.multiply(explicit, base_f, out=n_f)
@@ -487,36 +523,35 @@ class KseSolver(_Solver):
 
     def _build_buffers(self, rows: int) -> tuple:
         m = self.d // 2 + 1
-        # N(v), N(a), N(b), N(c), a, and b (then c), and their float64 views;
-        # E2*v and a temporary; the tendency buffers; E, E2, Q, f1, f2, f3
+        # the tendency buffers; N(v), N(a), N(b), N(c), a, and b (then c), and
+        # their float64 views; E2*v and a temporary; E, E2, Q, f1, f2, f3
         stages = [np.empty((rows, m), dtype=np.complex128) for _ in range(6)]
-        return (*stages, *(z.view(np.float64) for z in stages),
+        return (*self._tendency_buffers(rows), *stages, *(z.view(np.float64) for z in stages),
                 np.empty((rows, 2 * m)), np.empty((rows, 2 * m)),
-                *self._tendency_buffers(rows),
                 *(_interleaved(factor, rows) for factor in self._factors))
 
     def _step_in_place(self, v: np.ndarray, nsteps: int, kept: list) -> None:
         v_f = v.view(np.float64)
-        (n_v, n_a, n_b, n_c, a, b, n_v_f, n_a_f, n_b_f, n_c_f, a_f, b_f, e2v, tmp,
-         half_iq, mask_d, spectrum, grid, E, E2, Q, f1, f2, f3) = kept
+        (tendency, n_v, n_a, n_b, n_c, a, b, n_v_f, n_a_f, n_b_f, n_c_f, a_f, b_f, e2v, tmp,
+         E, E2, Q, f1, f2, f3) = kept
         for _ in range(nsteps):
-            burgers_tendency(v, half_iq, mask_d, out=n_v, spectrum=spectrum, grid=grid)
+            tendency(v, n_v)
             np.multiply(E2, v_f, out=e2v)
             # a = E2*v + Q*N(v)
             np.multiply(Q, n_v_f, out=a_f)
             np.add(e2v, a_f, out=a_f)
-            burgers_tendency(a, half_iq, mask_d, out=n_a, spectrum=spectrum, grid=grid)
+            tendency(a, n_a)
             # b = E2*v + Q*N(a)
             np.multiply(Q, n_a_f, out=b_f)
             np.add(e2v, b_f, out=b_f)
-            burgers_tendency(b, half_iq, mask_d, out=n_b, spectrum=spectrum, grid=grid)
+            tendency(b, n_b)
             # c = E2*a + Q*(2*N(b) - N(v)), into b's buffer
             np.multiply(n_b_f, 2.0, out=tmp)
             np.subtract(tmp, n_v_f, out=tmp)
             np.multiply(Q, tmp, out=tmp)
             np.multiply(E2, a_f, out=b_f)
             np.add(b_f, tmp, out=b_f)
-            burgers_tendency(b, half_iq, mask_d, out=n_c, spectrum=spectrum, grid=grid)
+            tendency(b, n_c)
             # v <- E*v + N(v)*f1 + 2*(N(a) + N(b))*f2 + N(c)*f3, summed left to right
             np.multiply(E, v_f, out=v_f)
             np.multiply(n_v_f, f1, out=tmp)

@@ -948,8 +948,12 @@ class TestEvaluate:
                        str(run_dir / "model.snck"), "--out", str(out), "--metric",
                        "pdf", "--set", "pdf_time=5.0")
         assert code == 0
-        row = (out / "pdf_kl.csv").read_text().splitlines()[-1]
-        assert row.split(",")[:2] == ["inf", "0.0"]
+        lines = (out / "pdf_kl.csv").read_text().splitlines()
+        assert lines[-2].split(",") == ["kl", "overlap", "model_oob_fraction", "kl_support",
+                                        "mass_off"]
+        row = lines[-1].split(",")
+        assert row[:2] == ["inf", "0.0"]
+        assert row[3:] == ["inf", "1.0"]
         assert "Warning" not in capsys.readouterr().err
 
     def test_bad_metric_config_error(self, tmp_path, vbe_dataset, trained_dir):
@@ -969,11 +973,35 @@ class TestRom:
         assert code == 0
         lines = (out / "rom.csv").read_text().splitlines()
         data = [l for l in lines if not l.startswith("#")]
-        assert data[0] == "d_p,mode,kl,overlap,runtime_s"
+        assert data[0] == "d_p,mode,kl,overlap,runtime_s,kl_support,mass_off"
         assert len(data) == 3
         assert (out / "basis.sneb").exists()
         basis = rom_mod.read_eigenbasis(out / "basis.sneb")
         assert basis.d == 32
+
+    def test_kl_support_where_the_kl_goes_negative(self, tmp_path):
+        # a 2-epoch fixed-linear model's d_p = 30 row sums to a negative KL at
+        # overlap 1.0, as part of its mass leaves the PDF's range; renormalised
+        # over the shared bins it cannot go below zero, and the lost mass shows
+        data, run, out = tmp_path / "k.snod", tmp_path / "run", tmp_path / "rom"
+        assert run_cli("generate", "--system", "kse", "--out", str(data), "--horizon", "20",
+                       "--set", "d=32", "--set", "transient=10", "--seed", "7") == 0
+        assert run_cli("train", "--dataset", str(data), "--variant", "fixed-linear",
+                       "--out", str(run), "--epochs", "2", "--set", "hidden=4",
+                       "--set", "batch_size=8", "--set", "rollout_steps=40",
+                       "--seed", "7") == 0
+        assert run_cli("rom", "--dataset", str(data), "--rhs", str(run / "model.snck"),
+                       "--out", str(out), "--dp", "28,30", "--set", "total_time=1") == 0
+        lines = [l for l in (out / "rom.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        assert lines[0].split(",")[5:] == ["kl_support", "mass_off"]
+        rows = {row[0]: [float(x) for x in row[2:]] for row in
+                (line.split(",") for line in lines[1:])}
+        assert sorted(rows) == ["28", "30"]
+        kl, overlap, _, kl_support, off = rows["30"]
+        assert kl < 0.0 and overlap == 1.0
+        assert kl_support > 0.0 and 0.0 < off < 1.0
+        assert all(row[3] >= 0.0 and 0.0 <= row[4] <= 1.0 for row in rows.values())
 
     def test_old_manifest_with_seed_reruns(self, tmp_path, kse_dataset):
         # manifests of older versions carry seed=, which rom never used
@@ -1044,13 +1072,13 @@ class TestRom:
                                              capsys):
         # d_p = 3 leaves the mean mode's zero eigenvalue to slave; d_p = 23 is fine
         calls = []
-        nonlinear = node.TrueRhs.nonlinear
+        factory = node.TrueRhs.tendency_kernel
 
-        def counted(self, u):
-            calls.append(u.shape)
-            return nonlinear(self, u)
+        def counted(self, shape):
+            kernel = factory(self, shape)
+            return lambda c_p, lift: calls.append(c_p.shape) or kernel(c_p, lift)
 
-        monkeypatch.setattr(node.TrueRhs, "nonlinear", counted)
+        monkeypatch.setattr(node.TrueRhs, "tendency_kernel", counted)
         out = tmp_path / "rom_check"
         code = run_cli("rom", "--dataset", str(kse_dataset), "--rhs", "true",
                        "--mode", "nlg", "--dp", "23,3", "--out", str(out),

@@ -154,8 +154,69 @@ class TestKlDivergence:
         a = two_bin_pdf([0.5, 0.5])
         b = mt.JointPdf2D(np.array([0.0, 2.0]), np.array([0.0, 1.0, 2.0]),
                           np.array([[0.25, 0.25]]), 1, 0)
-        with pytest.raises(ValueError):
-            mt.kl_divergence(a, b)
+        for divergence in (mt.kl_divergence, mt.kl_support, mt.mass_off):
+            with pytest.raises(ValueError):
+                divergence(a, b)
+
+
+class TestKlSupport:
+    """The KL over the shared in-range bins, renormalised, and the model mass
+    it leaves out."""
+
+    def test_identical_is_zero_with_no_mass_off(self):
+        # smooth states whose derivatives stay in range
+        rng = np.random.default_rng(4)
+        x = sp.grid(32, 22.0)
+        states = [sum(0.5 * np.cos(2 * np.pi * k * x / 22.0 + rng.uniform(0.0, 2 * np.pi))
+                      for k in (1, 2, 3)) for _ in range(10)]
+        pdf = mt.joint_pdf(np.array(states), 22.0)
+        assert mt.kl_support(pdf, pdf) == 0.0
+        assert mt.mass_off(pdf, pdf) == pdf.oob_fraction == 0.0
+
+    def test_disjoint_is_infinite_with_all_mass_off(self):
+        model = two_bin_pdf([1.0, 0.0])
+        true = two_bin_pdf([0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mt.kl_support(model, true) == np.inf
+        assert mt.mass_off(model, true) == 1.0
+
+    def test_mass_out_of_range_cannot_make_it_negative(self):
+        # half the model's samples out of range, the rest spread as the
+        # reference's: the raw sum reads 0.5 log 0.5, the renormalised one 0
+        model = mt.JointPdf2D(np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]),
+                              np.array([[0.25, 0.25]]), total_count=100, oob_count=50)
+        true = two_bin_pdf([0.5, 0.5])
+        assert mt.kl_divergence(model, true) == pytest.approx(0.5 * np.log(0.5))
+        assert mt.kl_support(model, true) == 0.0
+        assert mt.mass_off(model, true) == 0.5
+
+    def test_mass_off_the_reference_counts(self):
+        # three bins: the model puts 20 of 100 samples on one the reference lacks
+        # and 10 out of range
+        edges_y = np.array([0.0, 1.0, 2.0, 3.0])
+        model = mt.JointPdf2D(np.array([0.0, 1.0]), edges_y, np.array([[0.5, 0.2, 0.2]]),
+                              total_count=100, oob_count=10)
+        true = mt.JointPdf2D(np.array([0.0, 1.0]), edges_y, np.array([[0.5, 0.0, 0.5]]),
+                             total_count=100, oob_count=0)
+        assert mt.mass_off(model, true) == 0.3
+        expected = (5 / 7) * np.log((5 / 7) / 0.5) + (2 / 7) * np.log((2 / 7) / 0.5)
+        assert mt.kl_support(model, true) == pytest.approx(expected, abs=1e-15)
+        assert mt.kl_support(model, true) > 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gibbs_nonnegative_under_lost_mass(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (6, 4)
+        edges_x = np.linspace(0, 1, shape[0] + 1)
+        edges_y = np.linspace(0, 1, shape[1] + 1)
+        a = rng.uniform(0.0, 1.0, size=shape) * (rng.uniform(size=shape) < 0.7)
+        b = rng.uniform(0.0, 1.0, size=shape) * (rng.uniform(size=shape) < 0.7)
+        area = (edges_x[1] - edges_x[0]) * (edges_y[1] - edges_y[0])
+        pa = mt.JointPdf2D(edges_x, edges_y, 0.3 * a / (a.sum() * area), 1000, 700)
+        pb = mt.JointPdf2D(edges_x, edges_y, b / (b.sum() * area), 1000, 0)
+        assert mt.kl_support(pa, pb) >= 0.0
+        assert 0.7 <= mt.mass_off(pa, pb) <= 1.0
 
 
 class TestNoise:

@@ -660,6 +660,25 @@ class TestDenseReference:
                                             0.25, 0.01), 1e-12)
 
 
+def counted_kernels(monkeypatch, model):
+    """The (c_p shape, lifted) of every tendency evaluated through the kernels
+    ``model.tendency_kernel`` builds from here on; lifted is False for a
+    scalar lift, the c_q = 0 a slaving correction starts from."""
+    calls = []
+    factory = model.tendency_kernel
+
+    def counted_factory(shape):
+        kernel = factory(shape)
+
+        def counted(c_p, lift):
+            calls.append((c_p.shape, np.ndim(lift) > 0))
+            return kernel(c_p, lift)
+        return counted
+
+    monkeypatch.setattr(model, "tendency_kernel", counted_factory)
+    return calls
+
+
 class TestLockstepSweep:
     """A d_p sweep integrated as one batch against each d_p integrated alone."""
 
@@ -686,17 +705,12 @@ class TestLockstepSweep:
         basis = rom.fourier_basis(model.linear_symbol())
         u0 = kse_start(d)
         dims = [7, 8, 15]
-        calls = []
-        correction = rom.unresolved_correction
-
-        def counted(*args, **kwargs):
-            calls.append(args[2].shape)
-            return correction(*args, **kwargs)
-
-        monkeypatch.setattr(rom, "unresolved_correction", counted)
+        calls = counted_kernels(monkeypatch, model)
         _, sweep = rom.rom_integrate(basis, dims, model, u0, 1.0, "nlg", 0.25, 0.05)
         monkeypatch.undo()
-        assert calls == [(3, d + 2)] * (1 + 4 * 5)
+        # a correction starts from c_q = 0, a stage from the stepper's lift
+        assert [shape for shape, lifted in calls if not lifted] == [(3, d + 2)] * (1 + 4 * 5)
+        assert [shape for shape, lifted in calls if lifted] == [(3, d + 2)] * (4 * 4 * 5)
         for d_p, row in zip(dims, sweep):
             assert np.array_equal(row, one_row(basis, d_p, model, u0, 1.0, "nlg",
                                                0.25, 0.05))
@@ -734,12 +748,11 @@ class TestLockstepSweep:
                                                    0.25, 0.05)), (mode, d_p)
             assert np.all(np.isfinite(sweep[[0, 2]]))
 
-    def test_every_dp_checked_before_any_step(self):
+    def test_every_dp_checked_before_any_step(self, monkeypatch):
         d = 32
         model = node.TrueRhs("kse", d, 22.0)
         basis = rom.fourier_basis(model.linear_symbol())
-        calls = []
-        model.nonlinear = lambda c: calls.append(c) or np.zeros_like(c)
+        calls = counted_kernels(monkeypatch, model)
         # d_p = 3 leaves the mean mode's zero eigenvalue among the slaved ones
         with pytest.raises(ValueError, match="cannot slave"):
             rom.rom_integrate(basis, [23, 3], model, kse_start(d), 1.0, "nlg")
@@ -757,6 +770,9 @@ class TestLockstepSweep:
         with pytest.raises(ValueError, match="must divide the time span"):
             rom.rom_integrate(basis, [8], model, kse_start(d), 1.0, "nlg", 0.25, 0.03)
         assert calls == []
+        # the count sees a sweep that runs: a first lift and 4 + 1 per step
+        rom.rom_integrate(basis, [8], model, kse_start(d), 0.25, "nlg", 0.25, 0.05)
+        assert len(calls) == 1 + 5 * 5
 
 
 def same_bits(a, b):
@@ -881,11 +897,16 @@ class TestInPlaceStepper:
         d = 32
         model, u0 = rom_case(rhs, d)
         c = np.stack([np.fft.rfft(u0) / d, np.fft.rfft(0.5 * u0[::-1]) / d])
-        out = np.empty_like(c)
-        got = model.nonlinear(c, out=out, scratch=model.nonlinear_scratch((2,)))
-        assert got is out
-        assert same_bits(out, model.nonlinear(c))
-        assert same_bits(out, formula_tendency(model, c))
+        kernel = model.tendency_kernel((2,))
+        got = kernel(c.view(np.float64), 0.0)
+        assert got.shape == (2, d + 2)
+        assert same_bits(got.view(np.complex128), model.nonlinear(c))
+        assert same_bits(got.view(np.complex128), formula_tendency(model, c))
+        # a second call, of c lifted from zero, overwrites the same array
+        # with the same bits
+        expected = got.copy()
+        assert kernel(np.zeros_like(got), c.view(np.float64)) is got
+        assert same_bits(got, expected)
 
     @pytest.mark.parametrize("mode", rom.MODES)
     def test_warm_step_allocates_no_row(self, mode):

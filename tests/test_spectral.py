@@ -1,5 +1,8 @@
 """Transform conventions, symbols as derivatives, and ground-truth solver fidelity."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -92,6 +95,68 @@ class TestTransformPair:
         for c in (coeffs, coeffs[2]):
             assert np.array_equal(sp.burgers_tendency(c, half_iq, mask_d),
                                   self._two_where_tendency(c, d, L))
+
+    @pytest.mark.parametrize("n", [32, 33, 64, 65, 512])
+    def test_scale_multiplies_every_word(self, n):
+        # even and odd n take pocketfft's two real kernels; the factor lands on
+        # each float64 word of the result, an exact zero, a subnormal and an
+        # underflow included, and a non-finite row stays non-finite
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-20.0, 20.0, (6, 1))
+        u[1, ::3] = 0.0
+        u[2] = 0.0
+        u[3] = 1e-310 * rng.standard_normal(n)
+        u[4, n // 2] = np.inf
+        u[5, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            for scale in (1.0 / n, 1.0 / 3.0, 7.5, 1e-300):
+                got = sp.rfft(u, scale=scale)
+                expected = sp.rfft(u).view(np.float64) * scale
+                assert same_bits(got[:4].view(np.float64), expected[:4])
+                assert not np.isfinite(got[4:]).all(axis=1).any()
+                out = np.full((6, n // 2 + 1), np.nan, dtype=complex)
+                assert sp.rfft(u, out=out, scale=scale) is out
+                assert same_bits(out[:4].view(np.float64), expected[:4])
+
+    @pytest.mark.skipif(sp._pocketfft is None, reason="numpy < 2 has only the fallback")
+    def test_fallback_writes_the_same_bytes(self, tmp_path):
+        # without numpy's pocketfft gufuncs (numpy < 2) the pair wraps np.fft
+        # and applies the forward scale word by word: a KSE dataset and a ROM
+        # sweep from it keep every byte
+        script = (
+            "import sys\n"
+            "import numpy.fft\n"
+            "del numpy.fft._pocketfft_umath\n"
+            "sys.modules['numpy.fft._pocketfft_umath'] = None\n"
+            "from stabnode import cli, spectral\n"
+            "assert spectral._pocketfft is None\n"
+            "out = sys.argv[1]\n"
+            "for argv in " + repr(self._fallback_runs("{out}")) + ":\n"
+            "    assert cli.main([a.format(out=out) for a in argv]) == 0, argv\n")
+        fast, slow = tmp_path / "fast", tmp_path / "slow"
+        for argv in self._fallback_runs(str(fast)):
+            assert cli.main(argv) == 0, argv
+        src = os.path.dirname(os.path.dirname(sp.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        subprocess.run([sys.executable, "-c", script, str(slow)], env=env, check=True,
+                       capture_output=True)
+        for name in ("k.snod", "k.snod.txt", "rom/basis.sneb", "rom/reference_pdf.snpd"):
+            assert (slow / name).read_bytes() == (fast / name).read_bytes(), name
+
+        def columns(path):
+            rows = [l.split(",") for l in path.read_text().splitlines()
+                    if not l.startswith("#")]
+            return [row[:4] + row[5:] for row in rows]
+        assert columns(slow / "rom" / "rom.csv") == columns(fast / "rom" / "rom.csv")
+
+    @staticmethod
+    def _fallback_runs(out):
+        kse = f"{out}/k.snod"
+        return [["generate", "--system", "kse", "--out", kse, "--set", "d=32",
+                 "--set", "horizon=10.0", "--set", "transient=5.0"],
+                ["rom", "--dataset", kse, "--out", f"{out}/rom", "--mode", "nlg",
+                 "--dp", "8,10,16", "--set", "total_time=2.0"]]
 
     @pytest.mark.skipif(sp._pocketfft is None, reason="numpy < 2 uses np.fft itself")
     def test_no_path_bypasses_the_pair(self, tmp_path, monkeypatch):
