@@ -153,11 +153,15 @@ def joint_pdf(states: np.ndarray, domain_length: float, bins: int = PDF_BINS,
 
 
 def support_overlap(pdf_a: JointPdf2D, pdf_b: JointPdf2D) -> float:
-    """Fraction of pdf_a's in-range mass sitting on bins where pdf_b > 0."""
+    """Fraction of pdf_a's in-range mass on bins where pdf_b > 0; exactly 1.0,
+    not a rounding of it, when none of that mass sits where pdf_b is zero."""
     mass_a = np.sum(pdf_a.masses)
     if mass_a == 0.0:
         return 0.0
-    return float(np.sum(pdf_a.masses[pdf_b.masses > 0]) / mass_a)
+    on_b = pdf_b.masses > 0
+    if not np.any(pdf_a.masses[~on_b]):
+        return 1.0
+    return float(np.sum(pdf_a.masses[on_b]) / mass_a)
 
 
 def _shared_bins(pdf_model: JointPdf2D, pdf_true: JointPdf2D) -> np.ndarray:

@@ -377,8 +377,7 @@ class _Solver:
     keep their bits.  Rows are independent, so the batch is stepped in blocks
     of :attr:`block_rows` rows, at most ``BLOCK_BYTES`` of state each, and a
     block runs all ``nsteps`` steps before the next one starts; each row keeps
-    the bits it has stepped alone.  A block of one row, a lone state or the
-    last block of a batch, steps as 1-D, which numpy runs faster.
+    the bits it has stepped alone, and a lone state steps as a one-row block.
 
     Every stage writes with ``out=`` into buffers built, for the rows of one
     block, once and kept on the solver: a shorter block, or a batch that
@@ -413,19 +412,18 @@ class _Solver:
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(batch), size):
                 rows = min(size, len(batch) - start)
-                lead = 0 if rows == 1 else slice(rows)  # a lone row steps as 1-D
-                self._step_in_place(batch[start:][lead], nsteps, self._buffers(rows, lead))
+                self._step_in_place(batch[start:start + rows], nsteps, self._buffers(rows))
         return state
 
-    def _buffers(self, rows: int, lead) -> list:
+    def _buffers(self, rows: int) -> list:
         """The :func:`burgers_kernel`, then the kept stage buffers and
-        block-shaped rows, cut by ``lead`` to a block of ``rows`` rows: built
-        for the first block longer than they are, and cut and bound once per
-        row count, as march calls ``advance`` once per save."""
+        block-shaped rows, cut to their leading ``rows`` rows: built for the
+        first block longer than they are, and cut and bound once per row count,
+        as march calls ``advance`` once per save."""
         if rows > self._kept_rows:
             self._kept_rows, self._kept, self._cuts = rows, self._build_buffers(rows), {}
         if rows not in self._cuts:
-            cut = [a[lead] for a in self._kept]
+            cut = [a[:rows] for a in self._kept]
             self._cuts[rows] = [burgers_kernel(*cut[:4]), *cut[4:]]
         return self._cuts[rows]
 
@@ -639,9 +637,6 @@ class SnapshotDataset:
         values[:, 0] = ics
         return values
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_snap) * self.tau
-
     def snapshots(self) -> np.ndarray:
         """All states flattened to (n_traj * n_snap, d), a view when ``values`` is
         contiguous, as every dataset read, generated or split here is."""
@@ -719,7 +714,7 @@ def solve_truth(solver, coeffs: np.ndarray, n_save: int, sub: int, tau: float,
     """:func:`finite_truth` of the grid snapshots (n, n_save + 1, d), ``tau`` =
     ``sub`` steps apart, that :func:`march` takes of the (n, d/2 + 1) ``coeffs``.
     Snapshot 0, ``irfft(coeffs * d)``, may miss the grid state in the last bits.
-    The solver steps the live rows in its blocks, a lone row as 1-D."""
+    The solver steps the live rows in its blocks."""
     def advance(state, nsteps, rows):
         return solver.advance(state, nsteps)
 

