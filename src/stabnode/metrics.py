@@ -267,7 +267,6 @@ class LyapunovEstimate:
     exponent: float
     lyapunov_time: float | None
     n_segments: int
-    renorm_interval: float
 
 
 def lyapunov_time_estimate(system: str = "kse", d: int = 64,
@@ -320,7 +319,7 @@ def lyapunov_time_estimate(system: str = "kse", d: int = 64,
     keep = growths[skip:]
     exponent = float(np.mean(keep) / renorm_interval)
     tau = 1.0 / exponent if exponent > 0 else None
-    return LyapunovEstimate(exponent, tau, keep.size, renorm_interval)
+    return LyapunovEstimate(exponent, tau, keep.size)
 
 
 # persistence ----------------------------------------------------------------

@@ -358,15 +358,6 @@ def min_stable_substeps(symbol: np.ndarray, tau: float) -> int:
     return max(1, int(np.ceil(tau * -symbol.min() / RK4_REAL_STABILITY_LIMIT)))
 
 
-def l1_loss(predicted: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute difference over samples and grid points."""
-    predicted = np.asarray(predicted)
-    target = np.asarray(target)
-    if predicted.shape != target.shape:
-        raise ValueError("predicted/target shape mismatch")
-    return float(np.mean(np.abs(predicted - target)))
-
-
 def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
                   tau: float, rollout_steps: int,
                   workspace: AdjointWorkspace | None = None):
@@ -582,7 +573,6 @@ class TrueRhs:
 
     def __init__(self, system: str, d: int, domain_length: float,
                  viscosity: float = 8e-4):
-        self.system = system
         self.width = d
         self.domain_length = domain_length
         self._symbol = linear_symbol(system, d, domain_length, viscosity)

@@ -14,9 +14,10 @@ c = rfft(u) / d viewed as d + 2 real slots, 2k cos_k and 2k + 1 sin_k.  Each
 eigenvector is one slot, and a basis holds its slots, not vectors: a Galerkin
 projection is a 0/1 slot mask and Lambda_p a per-slot symbol
 (:func:`slot_masks`).  A d_p sweep marches in lockstep: every row, a resolved
-spectrum c_p and its nonlinear Galerkin lift c_q, advances in one batched
-expression, one nonlinear evaluation per RK4 stage and one inverse transform
-per save.  All is row-wise, so with the true RHS each row is bit-identical to
+spectrum c_p, advances in one batched expression, one nonlinear evaluation
+per RK4 stage and one inverse transform per save.  The nonlinear Galerkin
+lift c_q is a function of c_p, so it is no part of the state: the stepper
+holds it.  All is row-wise, so with the true RHS each row is bit-identical to
 a run of its d_p alone; a network RHS on stacked rows matches it to rounding.
 
 A model's nonlinear term reaches the ROM through one factory,
@@ -24,10 +25,10 @@ A model's nonlinear term reaches the ROM through one factory,
 network buffers and the transforms for coefficients of batch shape ``shape``
 once, and returns ``N(c_p, lift)``, N(c_p + lift) of real-view spectra as a
 float64 view of an array it keeps.  The sweep steps in place
-(:class:`ReducedStepper`): its RK4 stage and its slaving closure are bound to
-one kernel per set of live rows, and every operation writes with ``out=``.
-:func:`galerkin_rhs` and :func:`unresolved_correction` are the same closures
-on a fresh kernel, into fresh arrays, so the states keep their bits.
+(:class:`ReducedStepper`): its RK4 stage, its slaving closure and its lift are
+bound to one kernel per set of live rows, and every operation writes with
+``out=``.  :func:`unresolved_correction` is the slaving closure on a fresh
+kernel, into fresh arrays, with the bits of the stepper's lift.
 """
 
 from __future__ import annotations
@@ -158,18 +159,6 @@ def slot_masks(basis: EigenBasis, dims):
     return lam, resolved, divisor
 
 
-def _resolved_rhs(lam: np.ndarray, resolved: np.ndarray, kernel, lift):
-    """``rhs(c_p, out)``, the resolved dynamics Lambda_p c_p + P N(c_p + lift)
-    through a model's ``kernel``, each operation with the operands and order
-    of lam * c_p + resolved * N, written into ``out`` (a fresh array when it
-    is None); N is overwritten in the kernel's own array."""
-    def rhs(c_p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        f = kernel(c_p, lift)
-        linear = np.multiply(lam, c_p, out=out)
-        return np.add(linear, np.multiply(resolved, f, out=f), out=linear)
-    return rhs
-
-
 def _slaving(divisor: np.ndarray, kernel, iterations: int, out: np.ndarray | None):
     """``slave(c_p)``, the lift of ``iterations`` slaving iterations through a
     model's ``kernel``, from c_q = 0, each with the operands and order of
@@ -183,16 +172,6 @@ def _slaving(divisor: np.ndarray, kernel, iterations: int, out: np.ndarray | Non
     return slave
 
 
-def galerkin_rhs(lam: np.ndarray, resolved: np.ndarray, model, c_p: np.ndarray,
-                 lift=0.0) -> np.ndarray:
-    """Resolved dynamics dc_p/dt = Lambda_p c_p + P N(c_p + lift) of real-view
-    spectra (n, d + 2), with ``lam`` and the masks P ``resolved`` of
-    :func:`slot_masks`; the lift is nonlinear Galerkin's slaved coefficients.
-    Into fresh arrays, with the bits of a :class:`ReducedStepper` stage."""
-    kernel = model.tendency_kernel(c_p.shape[:-1])
-    return _resolved_rhs(lam, resolved, kernel, lift)(c_p)
-
-
 def unresolved_correction(divisor: np.ndarray, model, c_p: np.ndarray,
                           iterations: int = 1) -> np.ndarray:
     """Unresolved coefficients slaved by stationarity of their dynamics.
@@ -201,8 +180,8 @@ def unresolved_correction(divisor: np.ndarray, model, c_p: np.ndarray,
     ``divisor`` of :func:`slot_masks`; the fixed point satisfies
     Lambda_q c_q + Q N = 0.  One iteration by default.  No trailing eigenvalue
     may lie within the slaving floor of zero (:func:`check_sweep` checks that
-    once per d_p, before any step).  Into fresh arrays, with the bits of a
-    :class:`ReducedStepper` lift.
+    once per d_p, before any step).  Into fresh arrays, with the bits of the
+    lift a :class:`ReducedStepper` holds beside its state c_p.
     """
     kernel = model.tendency_kernel(c_p.shape[:-1])
     return _slaving(divisor, kernel, iterations, None)(c_p)
@@ -253,45 +232,51 @@ def check_sweep(basis: EigenBasis, d_p, mode: str, total_time: float,
 class ReducedStepper:
     """The ``advance`` of a :func:`rom_integrate` sweep for one set of live
     rows, with the rows' masks ``resolved`` and ``divisor`` of
-    :func:`slot_masks`: RK4 substeps of ``dt``, each followed in "nlg" mode by
-    a new lift of ``iterations`` slaving iterations.
+    :func:`slot_masks`: RK4 substeps of ``dt`` of the resolved coefficients
+    c_p, each followed in "nlg" mode by a new lift of ``iterations`` slaving
+    iterations.
 
     The model's :meth:`tendency_kernel` is built once for the rows, and the
-    RK4 stage (:func:`galerkin_rhs`'s operations) and the slaving closure
-    (:func:`unresolved_correction`'s, as ``lift_of``) are bound to it once.
-    The stepper keeps every array a step writes: a one-substep RK4 tape, the
-    kernel's buffers, the lift and the packed state [c_p | lift] that
-    ``advance`` returns.  Every operand of a step is a contiguous array of the
-    rows' shape, lam too, so no product broadcasts, and a warm step allocates
-    no array; a stepper for other rows is another one.
+    RK4 stage ``rhs(c_p, out)``, Lambda_p c_p + P N(c_p + lift) into ``out``
+    (a fresh array when it is None), and the slaving closure ``lift_of(c_p)``
+    (:func:`unresolved_correction`'s) are bound to it once.  The stage reads
+    the stepper's ``lift``: zero in galerkin and ppg, and in nlg the slaved
+    c_q of the latest c_p, which ``lift_of`` writes there; ppg's ``lift_of``,
+    run only at the saves, writes a scratch array of its own.  The stepper
+    keeps every array a step writes: a one-substep RK4 tape, the kernel's
+    buffers and the lift.  Every operand of a step is a contiguous array of
+    the rows' shape, lam too, so no product broadcasts, and a warm step
+    allocates no array; a stepper for other rows is another one.
     """
 
     def __init__(self, model, lam: np.ndarray, resolved: np.ndarray,
                  divisor: np.ndarray, dt: float, mode: str, iterations: int):
         n, m = resolved.shape
         kernel = model.tendency_kernel((n,))
+        lam = np.broadcast_to(lam, resolved.shape).copy()
         self.dt, self.slaved = dt, mode == "nlg"
         self.rk4 = Rk4Buffers((n, m), 1)
-        self.lift = np.empty((n, m))
-        self.rhs = _resolved_rhs(np.broadcast_to(lam, resolved.shape).copy(), resolved,
-                                 kernel, self.lift)
-        self.lift_of = _slaving(divisor, kernel, iterations, self.lift)
-        self.state = np.empty((n, 2 * m))
-        self.packed = self.state[:, :m], self.state[:, m:]
+        self.lift = lift = np.zeros((n, m))
 
-    def advance(self, state: np.ndarray, nsteps: int) -> np.ndarray:
-        """``state`` (n, 2 (d + 2)) after ``nsteps`` steps, in the stepper's
-        ``state``; ``state`` itself is only read."""
-        m = self.lift.shape[-1]
-        c_p = state[:, :m]
-        np.copyto(self.lift, state[:, m:])
+        def rhs(c_p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            # the operands and order of lam * c_p + resolved * N; N is
+            # overwritten in the kernel's own array
+            f = kernel(c_p, lift)
+            linear = np.multiply(lam, c_p, out=out)
+            return np.add(linear, np.multiply(resolved, f, out=f), out=linear)
+
+        self.rhs = rhs
+        self.lift_of = _slaving(divisor, kernel, iterations,
+                                np.empty((n, m)) if mode == "ppg" else lift)
+
+    def advance(self, c_p: np.ndarray, nsteps: int) -> np.ndarray:
+        """``c_p`` (n, d + 2) after ``nsteps`` steps, in the RK4 tape's k4
+        slot; ``c_p`` itself is only read."""
         for _ in range(nsteps):
             c_p = _rk4_forward(self.rhs, c_p, self.dt, 1, self.rk4)
             if self.slaved:
                 self.lift_of(c_p)
-        np.copyto(self.packed[0], c_p)
-        np.copyto(self.packed[1], self.lift)
-        return self.state
+        return c_p
 
 
 def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
@@ -303,41 +288,42 @@ def rom_integrate(basis: EigenBasis, d_p, model, u0: np.ndarray,
     Modes: "galerkin" truncates the unresolved coordinates; "nlg" slaves them
     to every new c_p, a lift c_q that feeds the next step and the save; "ppg"
     runs plain Galerkin and slaves only at the saves.  A sequence of n d_p
-    gives states (n, n_save + 1, d) from the packed spectra [c_p | c_q], (n,
-    2 (d + 2)), marched in lockstep by a :class:`ReducedStepper`, which is
-    built again only when a row drops out; the first lift and the saves'
-    slaving go through its kernel too.  :func:`check_sweep` runs before any
-    step.  A diverging row does not raise: it reads +inf from its first
-    non-finite save on, and the other rows march on untouched.
+    gives states (n, n_save + 1, d) from the resolved spectra c_p (n, d + 2),
+    marched in lockstep by a :class:`ReducedStepper` that holds the lift.  It
+    is built again only when a row drops out, and takes the surviving rows'
+    lift, so a network RHS, whose products may round otherwise at another
+    batch size, keeps its bits too.  The first lift and the saves' slaving go
+    through its kernel.  :func:`check_sweep` runs before any step.  A
+    diverging row does not raise: it reads +inf from its first non-finite
+    save on, and the other rows march on untouched.
     """
     dims, n_save, sub = check_sweep(basis, d_p, mode, total_time, save_interval, dt)
     lam, resolved, divisor = slot_masks(basis, dims)
-    d, m = basis.d, basis.d + 2
-    stepper = None
+    d = basis.d
+    live = np.arange(dims.size)
+    stepper = ReducedStepper(model, lam, resolved, divisor, dt, mode, slaving_iterations)
 
-    def stepper_for(rows):
-        nonlocal stepper
-        if stepper is None or len(stepper.state) != rows.size:
+    def advance(c_p, nsteps, rows):
+        nonlocal stepper, live
+        if rows.size != live.size:
+            kept = stepper.lift[np.isin(live, rows)]
             stepper = ReducedStepper(model, lam, resolved[rows], divisor[rows], dt, mode,
                                      slaving_iterations)
-        return stepper
+            np.copyto(stepper.lift, kept)
+            live = rows
+        return stepper.advance(c_p, nsteps)
 
-    def advance(state, nsteps, rows):
-        return stepper_for(rows).advance(state, nsteps)
+    def observe(c_p, rows):
+        if mode == "nlg":
+            c_p = c_p + stepper.lift
+        elif mode == "ppg":
+            c_p = c_p + stepper.lift_of(c_p)
+        return irfft(c_p.view(np.complex128) * d, d)
 
-    def observe(state, rows):
-        c = state[:, :m]
-        if mode != "galerkin":  # a ppg lift is scratch: advance reloads the state's
-            c = c + (state[:, m:] if mode == "nlg" else stepper_for(rows).lift_of(c))
-        return irfft(c.view(np.complex128) * d, d)
-
-    c0 = rfft(np.asarray(u0, dtype=np.float64)) / d
-    state = np.zeros((dims.size, 2 * m))
-    state[:, :m] = resolved * c0.view(np.float64)
+    c_p = resolved * (rfft(np.asarray(u0, dtype=np.float64)) / d).view(np.float64)
     if mode == "nlg":
-        state[:, m:] = stepper_for(np.arange(dims.size)).lift_of(state[:, :m])
-    states = march(advance, state, n_save, sub, observe)
-    return np.arange(n_save + 1) * save_interval, states
+        stepper.lift_of(c_p)
+    return np.arange(n_save + 1) * save_interval, march(advance, c_p, n_save, sub, observe)
 
 
 def write_eigenbasis(path, basis: EigenBasis) -> None:

@@ -334,21 +334,15 @@ def burgers_kernel(half_iq: np.ndarray, mask_d: np.ndarray, spectrum: np.ndarray
     return tendency
 
 
-def burgers_tendency(coeffs: np.ndarray, half_iq: np.ndarray, mask_d: np.ndarray,
-                     out: np.ndarray | None = None, spectrum: np.ndarray | None = None,
-                     grid: np.ndarray | None = None) -> np.ndarray:
-    """:func:`burgers_kernel` of ``coeffs`` (one state or a batch), through
-    ``out``, ``spectrum`` and ``grid`` when they are given and fresh arrays
-    otherwise, with the same bits either way."""
+def burgers_tendency(coeffs: np.ndarray, half_iq: np.ndarray,
+                     mask_d: np.ndarray) -> np.ndarray:
+    """:func:`burgers_kernel` of ``coeffs`` (one state or a batch), into fresh
+    arrays."""
     shape = np.broadcast_shapes(coeffs.shape, mask_d.shape)
     d = 2 * (shape[-1] - 1)
-    if spectrum is None:
-        spectrum = np.empty(shape, dtype=np.complex128)
-    if grid is None:
-        grid = np.empty(shape[:-1] + (d,))
-    if out is None:
-        out = np.empty(np.broadcast_shapes(shape, half_iq.shape), dtype=np.complex128)
-    return burgers_kernel(half_iq, mask_d, spectrum, grid)(coeffs, out)
+    out = np.empty(np.broadcast_shapes(shape, half_iq.shape), dtype=np.complex128)
+    return burgers_kernel(half_iq, mask_d, np.empty(shape, dtype=np.complex128),
+                          np.empty(shape[:-1] + (d,)))(coeffs, out)
 
 
 # The bytes of state a solver steps as one block of rows: 31 rows at d = 512,

@@ -129,27 +129,6 @@ class TestIntegrate:
         assert np.array_equal(out[[0, 1, 3]], benign[[0, 1, 3]])
 
 
-class TestLoss:
-    def test_zero_for_identical(self):
-        a = np.random.default_rng(0).standard_normal((3, 5))
-        assert node.l1_loss(a, a.copy()) == 0.0
-
-    def test_direct_value(self):
-        pred = np.array([[0.5, -0.5]])
-        assert node.l1_loss(pred, np.zeros((1, 2))) == pytest.approx(0.5)
-
-    def test_homogeneous(self):
-        rng = np.random.default_rng(4)
-        target = rng.standard_normal((4, 6))
-        diff = rng.standard_normal((4, 6))
-        base = node.l1_loss(target + diff, target)
-        assert node.l1_loss(target + 3.0 * diff, target) == pytest.approx(3.0 * base)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            node.l1_loss(np.zeros((2, 3)), np.zeros((3, 2)))
-
-
 class TestLossGradient:
     def test_exact_prediction_gives_zero_gradient(self):
         d = 6

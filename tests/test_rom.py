@@ -411,8 +411,18 @@ def resolved_coeffs(basis, d_p, p):
     return lam, resolved, divisor, resolved * coeffs(leading(basis, d_p) @ p)[None]
 
 
+def stage_rhs(model, lam, resolved, c_p, lift=0.0):
+    """The sweep's RK4 stage at c_p, the ``rhs`` of a :class:`rom.ReducedStepper`
+    whose lift is set to ``lift``, into a fresh array."""
+    stepper = rom.ReducedStepper(model, lam, resolved, np.full(resolved.shape, -np.inf),
+                                 0.01, "galerkin", 1)
+    stepper.lift[...] = lift
+    return stepper.rhs(c_p)
+
+
 class TestGalerkinRhs:
-    """The slot-mask Galerkin tendency against its dense formula."""
+    """The slot-mask Galerkin tendency, the stepper's RK4 stage, against its
+    dense formula."""
 
     def test_zero_nonlinearity_decouples(self):
         d = 8
@@ -420,7 +430,7 @@ class TestGalerkinRhs:
         basis = rom.fourier_basis(model.linear_symbol())
         p = np.arange(1.0, 5.0)
         lam, resolved, _, c_p = resolved_coeffs(basis, 4, p)
-        out = rom.galerkin_rhs(lam, resolved, model, c_p)
+        out = stage_rhs(model, lam, resolved, c_p)
         assert np.allclose(grid(out)[0], leading(basis, 4) @ (basis.eigenvalues[:4] * p),
                            atol=1e-12)
 
@@ -430,7 +440,7 @@ class TestGalerkinRhs:
         basis = rom.fourier_basis(model.linear_symbol())
         p = np.random.default_rng(2).standard_normal(d)
         lam, resolved, _, c_p = resolved_coeffs(basis, d, p)
-        out = grid(rom.galerkin_rhs(lam, resolved, model, c_p))[0]
+        out = grid(stage_rhs(model, lam, resolved, c_p))[0]
         u = basis.eigenvectors @ p
         expected = basis.eigenvectors @ (basis.eigenvectors.T @ model.eval(u))
         assert np.max(np.abs(out - expected)) < 1e-10
@@ -445,12 +455,12 @@ class TestGalerkinRhs:
         p = np.random.default_rng(4).standard_normal(d_p)
         lam, resolved, _, c_p = resolved_coeffs(basis, d_p, p)
         lift = coeffs(trailing(basis, d_p) @ np.full(d - d_p, 0.1))[None]
-        out = grid(rom.galerkin_rhs(lam, resolved, model, c_p, lift))[0]
+        out = grid(stage_rhs(model, lam, resolved, c_p, lift))[0]
         vp = leading(basis, d_p)
         expected = vp @ dense_galerkin_rhs(basis, d_p, model, p, grid(lift)[0])
         assert np.max(np.abs(out - expected)) < 1e-10
         direct = vp @ (vp.T @ model.eval(vp @ p))
-        out = grid(rom.galerkin_rhs(lam, resolved, model, c_p))[0]
+        out = grid(stage_rhs(model, lam, resolved, c_p))[0]
         assert np.max(np.abs(out - direct)) < 1e-10
 
     def test_bare_nonlinear_model_rejected(self):
@@ -459,7 +469,7 @@ class TestGalerkinRhs:
         model = node.RhsModel(zero_mlp(d))
         lam, resolved, _ = rom.slot_masks(basis, [3])
         with pytest.raises(ValueError):
-            rom.galerkin_rhs(lam, resolved, model, np.zeros((1, d + 2)))
+            stage_rhs(model, lam, resolved, np.zeros((1, d + 2)))
 
 
 class TestUnresolvedCorrection:
@@ -806,7 +816,9 @@ def formula_rk4(f, x1, h):
 def formula_sweep(basis, dims, model, u0, total_time, mode, save_interval, dt,
                   iterations=1):
     """The oracle of the in-place sweep: the same lockstep march with an
-    allocating advance, each operation an array formula into a fresh array."""
+    allocating advance, each operation an array formula into a fresh array.
+    Its state packs the lift beside c_p, [c_p | c_q], so the march's own row
+    selection carries a row's lift past a drop."""
     lam, resolved, divisor = rom.slot_masks(basis, dims)
     d, m = basis.d, basis.d + 2
 
@@ -867,30 +879,44 @@ class TestInPlaceStepper:
         assert same_bits(sweep, formula_sweep(basis, dims, model, u0, 1.0, mode, 0.25,
                                               0.01, iterations))
 
-    @pytest.mark.parametrize("mode", rom.MODES)
-    def test_diverging_row_rebuilds_the_buffers(self, mode, monkeypatch):
+    @pytest.mark.parametrize("mode, rhs", [
+        pytest.param(mode, rhs, id=mode if rhs == "true" else f"{mode}-{rhs}")
+        for rhs in ("true", "network") for mode in rom.MODES])
+    def test_diverging_row_rebuilds_the_buffers(self, mode, rhs, monkeypatch):
         # d_p = 32 keeps the stiffest mode, far outside RK4's region at dt = 0.05;
-        # the save that drops it rebuilds the stepper for the two rows left
+        # the save that drops it rebuilds the stepper for the two rows left, which
+        # takes their lift from the old one: a network's products at batch 2 could
+        # round otherwise than at batch 3, so a lift made again could differ
         d = 32
-        model = node.TrueRhs("kse", d, 22.0)
+        if rhs == "true":
+            model, u0 = node.TrueRhs("kse", d, 22.0), kse_start(d)
+        else:
+            model, u0 = stabilized_model(d, seed=13), 0.3 * kse_start(d, seed=1)
         basis = rom.fourier_basis(model.linear_symbol())
-        u0 = kse_start(d)
         dims = [7, 32, 8]
         built = []
 
         class Counted(rom.ReducedStepper):
-            def __init__(self, model, lam, resolved, *args):
-                built.append(len(resolved))
-                super().__init__(model, lam, resolved, *args)
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+            def advance(self, c_p, nsteps):
+                if not hasattr(self, "first_lift"):
+                    self.first_lift = self.lift.copy()
+                return super().advance(c_p, nsteps)
 
         monkeypatch.setattr(rom, "ReducedStepper", Counted)
         _, sweep = rom.rom_integrate(basis, dims, model, u0, 5.0, mode, 0.25, 0.05)
         monkeypatch.undo()
-        assert built == [3, 2]
+        assert [len(stepper.lift) for stepper in built] == [3, 2]
+        old, new = built
+        assert same_bits(new.first_lift, old.lift[[0, 2]])
         assert not np.all(np.isfinite(sweep[1])) and np.all(np.isfinite(sweep[[0, 2]]))
         assert same_bits(sweep, formula_sweep(basis, dims, model, u0, 5.0, mode, 0.25, 0.05))
-        for d_p, row in zip(dims, sweep):
-            assert same_bits(row, one_row(basis, d_p, model, u0, 5.0, mode, 0.25, 0.05))
+        if rhs == "true":
+            for d_p, row in zip(dims, sweep):
+                assert same_bits(row, one_row(basis, d_p, model, u0, 5.0, mode, 0.25, 0.05))
 
     @pytest.mark.parametrize("rhs", ["true", "network"])
     def test_nonlinear_into_buffers_keeps_the_bits(self, rhs):
@@ -919,12 +945,13 @@ class TestInPlaceStepper:
         basis = rom.fourier_basis(model.linear_symbol())
         lam, resolved, divisor = rom.slot_masks(basis, [7, 15, 23])
         stepper = rom.ReducedStepper(model, lam, resolved, divisor, 0.01, mode, 3)
-        state = np.zeros((3, 2 * (d + 2)))
-        state[:, :d + 2] = resolved * coeffs(u0[None])
-        state = stepper.advance(state, 1).copy()
+        # the state is c_p alone, and advance returns it in the tape's k4 slot
+        c_p = stepper.advance(resolved * coeffs(u0[None]), 1)
+        assert c_p.shape == (3, d + 2) and np.shares_memory(c_p, stepper.rk4.k[3])
+        c_p = c_p.copy()
         tracemalloc.start()
         try:
-            stepper.advance(state, 5)
+            stepper.advance(c_p, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

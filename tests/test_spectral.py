@@ -512,15 +512,14 @@ class TestInPlaceStepper:
         rng = np.random.default_rng(d)
         coeffs = np.fft.rfft(rng.standard_normal(shape[:-1] + (d,))) / d
         adv = sp.advection_symbols(d, 22.0)
-        plain = sp.burgers_tendency(coeffs, *adv)
-        assert same_bits(plain, formula_tendency(coeffs, d, 22.0))
         out = np.full(shape, np.nan, dtype=complex)
         spectrum = np.full(shape, np.nan, dtype=complex)
         grid = np.full(shape[:-1] + (d,), np.nan)
         before = coeffs.copy()
-        assert sp.burgers_tendency(coeffs, *adv, out=out, spectrum=spectrum,
-                                   grid=grid) is out
-        assert same_bits(out, plain)
+        # the bound kernel, as the solvers and the ROM run it
+        assert sp.burgers_kernel(*adv, spectrum, grid)(coeffs, out) is out
+        assert same_bits(out, formula_tendency(coeffs, d, 22.0))
+        assert same_bits(out, sp.burgers_tendency(coeffs, *adv))
         assert same_bits(coeffs, before)
 
 
