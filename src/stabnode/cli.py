@@ -46,9 +46,13 @@ ValueError other than an artifact error), e.g. a bad noise spec or band, a
 stencil not narrower than the grid, a `train --resume` checkpoint of another
 width than the dataset, of another variant, hidden sizes or activation than
 the config, or with more epochs completed than `epochs` (before any file is
-written), an `evaluate --metric error|spectrum|pdf` or `rom --sort variance`
-dataset with an empty test split (every VBE trajectory or KSE snapshot in
-training; before any output is written), a `stencil-report` of a checkpoint
+written), a `generate` KSE `train_fraction` outside (0, 1] (before anything
+is solved), a `train` dataset whose training split holds no training pair (a
+VBE horizon below tau, or a KSE cut that keeps one snapshot or none; before
+any output is written), an `evaluate --metric error|spectrum|pdf` or
+`rom --sort variance` dataset with an empty test split (every VBE trajectory
+or KSE snapshot in training; before any output is written), a
+`stencil-report` of a checkpoint
 without a learned stencil, a `rom` checkpoint RHS without a
 linear branch (before any output is written), an ic_index or d_p
 outside the dataset, an empty d_p list, a d_p that leaves a zero
@@ -72,10 +76,10 @@ that share no bin reads inf and is not a divergence; 4 I/O error, a corrupt
 (truncated, padded, bad-header, unknown-tag or NaN/Inf-payload) binary
 artifact, a checkpoint whose variant tag contradicts its stencil block, a
 sidecar number that does not parse, a dataset sidecar `train_trajectories` below 1
-or past the file's trajectory count or `solver_step` that does not divide the
-dataset's tau, a checkpoint sidecar without `system` or
-`domain_length` where the physics is needed, or a `train --resume` checkpoint
-sidecar without `epochs_completed`.
+or past the file's trajectory count, `train_fraction` outside (0, 1] or
+`solver_step` that does not divide the dataset's tau, a checkpoint sidecar
+without `system` or `domain_length` where the physics is needed, or a
+`train --resume` checkpoint sidecar without `epochs_completed`.
 """
 
 from __future__ import annotations
@@ -333,6 +337,9 @@ def cmd_generate(config: dict) -> int:
                    "solver_step": config["solver_step"], "viscosity": config["viscosity"],
                    "peak_wavenumber": config["peak_wavenumber"], "base_seed": config["seed"]}
     else:
+        fraction = config["train_fraction"]
+        if not 0 < fraction <= 1:  # read_sidecar refuses it too
+            raise ConfigError(f"train_fraction must be in (0, 1], got {fraction}")
         ds = sp.generate_kse_dataset(
             d=config["d"], domain_length=config["domain_length"],
             horizon=config["horizon"], tau=config["tau"],
@@ -400,12 +407,21 @@ def _require_stable_substeps(model, tau: float, rollout_steps: int) -> None:
                          f"fixed linear term damps; use rollout_steps={need} or more")
 
 
+# how each system's generator leaves a training pair, two snapshots in a row
+_TRAIN_SPLIT_SETTING = {"vbe": "a horizon of one tau or more",
+                        "kse": "a train_fraction and horizon that keep two snapshots or more"}
+
+
 def cmd_train(config: dict) -> int:
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
     system = ds.system
     fill_auto(TRAIN_SCHEMA, config, system)
     train_ds = ds.split()[0]
+    if train_ds.pair_starts().size == 0:
+        raise ConfigError(f"{dataset_path} has no training pair: its training split has "
+                          f"shape {train_ds.values.shape}; generate it with "
+                          f"{_TRAIN_SPLIT_SETTING[system]}")
 
     hidden = list(config["hidden"])
     sizes = [ds.d] + hidden + [ds.d]
@@ -425,13 +441,13 @@ def cmd_train(config: dict) -> int:
         if model.width != ds.d:
             raise ConfigError(f"checkpoint width {model.width} does not match the "
                               f"dataset width {ds.d}")
-        if (model.variant, model.mlp.layer_sizes, model.mlp.activations) != (
+        if (model.variant, model.term.layer_sizes, model.term.activations) != (
                 config["variant"], sizes, acts):
             raise ConfigError(
                 f"variant={config['variant']}, hidden={','.join(map(str, hidden))} "
                 f"and activation={config['activation']} contradict the checkpoint, a "
-                f"{model.variant} model with layers {model.mlp.layer_sizes} and "
-                f"activations {model.mlp.activations}")
+                f"{model.variant} model with layers {model.term.layer_sizes} and "
+                f"activations {model.term.activations}")
         if start_epoch > config["epochs"]:
             raise ConfigError(f"checkpoint has {start_epoch} epochs completed, past "
                               f"epochs={config['epochs']}")

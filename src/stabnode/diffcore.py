@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (ArtifactError, expect_end, irfft, read_exact, read_f8, tag_name,
-                       write_sidecar)
+from .spectral import (ArtifactError, expect_end, irfft, read_exact, read_f8, rfft,
+                       tag_name, write_sidecar)
 
 ACTIVATION_TAGS = {"relu": 0, "sigmoid": 1, "linear": 2}
 ACTIVATION_NAMES = {v: k for k, v in ACTIVATION_TAGS.items()}
@@ -70,6 +70,33 @@ class MlpParams:
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+    # the nonlinear-term protocol of neural_ode.RhsModel
+    @property
+    def width(self) -> int:
+        return self.layer_sizes[0]
+
+    def params(self) -> list:
+        """The trainable tensors: the weights, then the biases."""
+        return self.weights + self.biases
+
+    def forward(self, u: np.ndarray, buffers: MlpBuffers | None = None) -> np.ndarray:
+        """The network's output at grid states ``u``, into ``buffers`` when given."""
+        return mlp_forward(self, u, buffers=buffers)[0]
+
+    def coefficient_tendency(self, shape: tuple):
+        """``tendency(coeffs, out)``: rfft(N(irfft(coeffs d))) / d of one-sided
+        spectra of batch shape ``shape``, written into ``out`` and returned,
+        through a grid and network buffers bound here once; ``out`` holds the
+        spectrum coeffs d on the way."""
+        d = self.width
+        grid = np.empty(shape + (d,))
+        buffers = MlpBuffers(self, int(np.prod(shape)))
+
+        def tendency(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+            u = irfft(np.multiply(coeffs, d, out=out), d, out=grid)
+            return rfft(mlp_forward(self, u, buffers=buffers)[0], out=out, scale=1.0 / d)
+        return tendency
 
 
 @dataclass

@@ -1,14 +1,22 @@
 """Learned right-hand sides and training through a fixed-step integrator.
 
-A model is du/dt = A u + N(u), with N a network and A a circulant linear
-operator applied through its Fourier symbol.  Three variants differ only in
-A: none (the bare network), the true operator held fixed, or a learned
-circular-convolution stencil.  States advance with classical RK4; parameter
-gradients come from the discrete adjoint, i.e. exact reverse-mode
-propagation through every RK4 stage.  Training minimizes the
-elementwise-mean L1 mismatch of one-interval predictions with an
-adaptive-moment optimizer over the model's parameter list, whose two groups,
-the network's and the linear branch's, follow staged learning rates.
+A model is du/dt = A u + N(u), with A a circulant linear operator applied
+through its Fourier symbol and N a term: a network, or the dealiased Burgers
+advection of the true VBE and KSE (:class:`BurgersTerm`), so the true RHS is
+a model too (:class:`TrueRhs`).  A term answers ``width``, ``params()`` (its
+trainable tensors, none for the advection), ``forward(u, buffers)`` (N at
+grid states, into a network's buffers when given) and
+``coefficient_tendency(shape)``, which binds N on one-sided coefficients
+c = rfft(u) / d of batch shape ``shape`` once and returns ``tendency(coeffs,
+out)``, the calling convention of :func:`~stabnode.spectral.burgers_kernel`.
+Three learned variants differ only in A: none (the bare network), the true
+operator held fixed, or a learned circular-convolution stencil.  States
+advance with classical RK4; parameter gradients come from the discrete
+adjoint, i.e. exact reverse-mode propagation through every RK4 stage, of a
+network term.  Training minimizes the elementwise-mean L1 mismatch of
+one-interval predictions with an adaptive-moment optimizer over the model's
+parameter list, whose two groups, the term's and the linear branch's, follow
+staged learning rates.
 
 The adjoint tapes only the RK4 stage inputs and recomputes the network's
 hidden layers at each stage.  Every array it writes lives in an
@@ -33,9 +41,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .spectral import (ArtifactError, DivergenceError, SnapshotDataset,
-                       advection_symbols, apply_symbol, burgers_kernel, burgers_tendency,
-                       expect_end, irfft, linear_symbol, march, read_exact, read_f8,
-                       read_sidecar, rfft, save_count, tag_name)
+                       advection_symbols, apply_symbol, burgers_kernel, expect_end, irfft,
+                       linear_symbol, march, read_exact, read_f8, read_sidecar, rfft,
+                       save_count, tag_name)
 
 VARIANT_TAGS = {"nonlinear": 0, "fixed-linear": 1, "learned-linear": 2}
 VARIANT_NAMES = {v: k for k, v in VARIANT_TAGS.items()}
@@ -71,23 +79,55 @@ LINEAR_VARIANTS = {type(None): "nonlinear", FixedSymbol: "fixed-linear",
                    dc.ConvStencil: "learned-linear"}
 
 
+class BurgersTerm:
+    """The dealiased Burgers advection -0.5*(u^2)_x on a d-point grid of a
+    domain of length ``domain_length``, the nonlinear term of the true VBE and
+    KSE; it has no parameters.  Both of its evaluations run the one Burgers
+    kernel of the solvers (:func:`~stabnode.spectral.burgers_kernel`)."""
+
+    def __init__(self, d: int, domain_length: float):
+        self.width = d
+        self._adv = advection_symbols(d, domain_length)
+
+    def params(self) -> list:
+        return []
+
+    def forward(self, u: np.ndarray, buffers=None) -> np.ndarray:
+        """The advection at grid states ``u``, through their coefficients
+        rfft(u) / d, into fresh arrays; ``buffers`` is unused."""
+        d = self.width
+        c = rfft(u) / d
+        return irfft(self.coefficient_tendency(c.shape[:-1])(c, np.empty_like(c)) * d, d)
+
+    def coefficient_tendency(self, shape: tuple):
+        """The kernel for coefficients of batch shape ``shape``, its dealiasing
+        factors repeated for every row, so that no product broadcasts, and
+        bound once with its scratch."""
+        half_iq, mask_d = (np.broadcast_to(f, shape + f.shape).copy() for f in self._adv)
+        return burgers_kernel(half_iq, mask_d, np.empty_like(half_iq),
+                              np.empty(shape + (self.width,)))
+
+
 @dataclass
 class RhsModel:
-    """du/dt = A u + N(u): the network ``mlp`` is N, and ``linear`` is the
-    circulant operator A, applied through its one-sided symbol (k = 0..d/2).
+    """du/dt = A u + N(u): ``term`` is N, a network
+    (:class:`~stabnode.diffcore.MlpParams`) or the Burgers advection
+    (:class:`BurgersTerm`), and ``linear`` is the circulant operator A, applied
+    through its one-sided symbol (k = 0..d/2).
 
     ``linear`` is None for the bare network, a :class:`FixedSymbol` for the
     known operator, or a learned :class:`~stabnode.diffcore.ConvStencil`.  An
     operator answers ``symbol(d)`` and ``params()``; one whose params are not
     empty also answers ``symbol_vjp(cross, d)``, the map from the linear
-    branch's cross-spectrum to their gradients.
+    branch's cross-spectrum to their gradients.  Gradients
+    (:func:`loss_gradient`) need a network term.
 
-    For reduced-order models, as :class:`TrueRhs` does, a model with a
-    linear branch answers ``linear_symbol()`` and ``tendency_kernel(shape)``,
-    the network branch on coefficients bound once to a batch shape.
+    For reduced-order models, a model with a linear branch answers
+    ``linear_symbol()`` and ``tendency_kernel(shape)``, the term on
+    coefficients bound once to a batch shape.
     """
 
-    mlp: dc.MlpParams
+    term: dc.MlpParams | BurgersTerm
     linear: FixedSymbol | dc.ConvStencil | None = None
 
     def __post_init__(self):
@@ -96,16 +136,16 @@ class RhsModel:
 
     @property
     def width(self) -> int:
-        return self.mlp.layer_sizes[0]
+        return self.term.width
 
     @property
     def variant(self) -> str:
         return LINEAR_VARIANTS[type(self.linear)]
 
     def parameters(self) -> list:
-        """Trainable tensors in gradient and optimizer order: network weights,
-        network biases, then the linear branch's parameters."""
-        params = self.mlp.weights + self.mlp.biases
+        """Trainable tensors in gradient and optimizer order: the term's
+        (network weights, then biases), then the linear branch's."""
+        params = self.term.params()
         if self.linear is not None:
             params += self.linear.params()
         return params
@@ -121,18 +161,12 @@ class RhsModel:
         spectrum go into ``workspace`` when given, fresh arrays otherwise."""
         buffers = None if workspace is None else workspace.mlp
         spectrum = None if workspace is None else workspace.spectra[0]
-        if self.linear is None:
-            def f(u, out=None):
-                net, _ = dc.mlp_forward(self.mlp, u, buffers=buffers)
-                if out is None:
-                    return net
-                np.copyto(out, net)
-                return out
-            return f, None
-        symbol = self.linear_symbol()
+        symbol = None if self.linear is None else self.linear_symbol()
 
         def f(u, out=None):
-            net, _ = dc.mlp_forward(self.mlp, u, buffers=buffers)
+            net = self.term.forward(u, buffers)
+            if symbol is None:  # np.positive copies every bit, a zero's sign included
+                return net if out is None else np.positive(net, out=out)
             linear = apply_symbol(symbol, u, out=out, spectrum=spectrum)
             return np.add(linear, net, out=linear)
         return f, symbol
@@ -146,34 +180,33 @@ class RhsModel:
             raise ValueError("nonlinear variant has no separable linear term")
         return self.linear.symbol(self.width)
 
+    def linear_apply(self, u: np.ndarray) -> np.ndarray:
+        """A u, of one state or a batch, into fresh arrays."""
+        return apply_symbol(self.linear_symbol(), u)
+
     def tendency_kernel(self, shape: tuple):
-        """``N(c_p, lift)``: the network branch on coefficients,
-        rfft(N(irfft(c d))) / d of c = c_p + lift, for real-view spectra
-        (d + 2 slots) of batch shape ``shape``, as a float64 view of an array
-        the kernel keeps and overwrites on its next call.  Its argument, spectrum,
-        grid and the network's buffers are built here once; separable only
-        beside a linear branch."""
-        if self.linear is None:
-            raise ValueError("nonlinear variant has no separable linear term")
-        d = self.width
-        arg = np.empty(shape + (d + 2,))
+        """``N(c_p, lift)``: the term on coefficients c = c_p + lift, for
+        real-view spectra (d + 2 slots) of batch shape ``shape``, as a float64
+        view of an array the kernel keeps and overwrites on its next call.  Its
+        argument and the term's :meth:`coefficient_tendency` are built here
+        once; separable only beside a linear branch."""
+        self.linear_symbol()  # raises for the bare network
+        m = self.width // 2 + 1
+        tendency = self.term.coefficient_tendency(shape)
+        arg = np.empty(shape + (2 * m,))
         arg_c = arg.view(np.complex128)
-        spectrum = np.empty(shape + (d // 2 + 1,), dtype=np.complex128)
-        grid = np.empty(shape + (d,))
-        buffers = dc.MlpBuffers(self.mlp, int(np.prod(shape)))
-        out = np.empty(shape + (d // 2 + 1,), dtype=np.complex128)
+        out = np.empty(shape + (m,), dtype=np.complex128)
         out_f = out.view(np.float64)
 
         def kernel(c_p: np.ndarray, lift) -> np.ndarray:
             np.add(c_p, lift, out=arg)
-            u = irfft(np.multiply(arg_c, d, out=spectrum), d, out=grid)
-            rfft(dc.mlp_forward(self.mlp, u, buffers=buffers)[0], out=out, scale=1.0 / d)
+            tendency(arg_c, out)
             return out_f
         return kernel
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        """The network branch on coefficients, of one spectrum (d/2 + 1,) or a
-        batch: :meth:`tendency_kernel` into fresh arrays."""
+        """The term on coefficients, of one spectrum (d/2 + 1,) or a batch:
+        :meth:`tendency_kernel` into fresh arrays."""
         c = np.ascontiguousarray(c, dtype=np.complex128)
         return self.tendency_kernel(c.shape[:-1])(c.view(np.float64), 0.0).view(np.complex128)
 
@@ -225,7 +258,7 @@ class AdjointWorkspace:
     def __init__(self, model: RhsModel, rows: int, rollout_steps: int):
         shape = (rows, model.width)
         self.rk4 = Rk4Buffers(shape, rollout_steps)
-        self.mlp = dc.MlpBuffers(model.mlp, rows)
+        self.mlp = dc.MlpBuffers(model.term, rows)
         self.spectra = np.empty((2, rows, model.width // 2 + 1), dtype=np.complex128)
         self.w = np.empty(shape)
         self.cot = np.empty(shape)
@@ -245,7 +278,7 @@ def _rhs_vjp(model: RhsModel, symbol, x: np.ndarray, cotangent: np.ndarray,
     from ``model.rhs()``.  The network is recomputed only up to its last hidden
     layer, as its backward pass never reads the output layer's activation.
     Intermediates go into ``workspace``; ``cotangent`` is only read."""
-    mlp = model.mlp
+    mlp = model.term
     _, acts = dc.mlp_forward(mlp, x, mlp.n_layers - 1, workspace.mlp)
     dc.mlp_backward(mlp, acts, cotangent, workspace.mlp, grads[:2 * mlp.n_layers], out)
     if symbol is not None:
@@ -479,7 +512,7 @@ class AdamState:
         network the other.  A parameter must be C-contiguous, as it is updated
         through a flat view."""
         self.t += 1
-        n_network = 2 * model.mlp.n_layers
+        n_network = len(model.term.params())
         for i, tensors in enumerate(zip(model.parameters(), grads, self.m, self.v)):
             lr = lr_nonlinear if i < n_network else lr_linear
             if not tensors[0].flags.c_contiguous:
@@ -560,65 +593,15 @@ def train(model: RhsModel, dataset: SnapshotDataset, config: TrainConfig,
 
 # true-physics operators ----------------------------------------------------
 
-class TrueRhs:
-    """Exact discrete RHS: the true linear symbol plus the pseudospectral
-    nonlinearity.
-
-    Implements the same eval/linear_symbol/tendency_kernel/nonlinear protocol
-    as RhsModel so reduced-order modeling can run on the true equations
-    without training; the tendency maps coefficients c = rfft(u) / d, with no
-    grid round trip, through the one Burgers kernel of the solvers
-    (:func:`~stabnode.spectral.burgers_kernel`).
-    """
+class TrueRhs(RhsModel):
+    """The exact discrete RHS of ``system``: the true linear symbol beside the
+    dealiased Burgers advection, so reduced-order modeling runs on the true
+    equations without training."""
 
     def __init__(self, system: str, d: int, domain_length: float,
                  viscosity: float = 8e-4):
-        self.width = d
-        self.domain_length = domain_length
-        self._symbol = linear_symbol(system, d, domain_length, viscosity)
-        self._adv = advection_symbols(d, domain_length)
-
-    def linear_symbol(self) -> np.ndarray:
-        return self._symbol
-
-    def rhs(self, workspace=None):
-        """(eval, symbol), as :meth:`RhsModel.rhs`; the symbol is fixed and
-        ``workspace`` unused."""
-        return self.eval, self._symbol
-
-    def tendency_kernel(self, shape: tuple):
-        """``N(c_p, lift)``: the advection of c = c_p + lift, real-view spectra
-        (d + 2 slots) of batch shape ``shape``, as a float64 view of an array
-        the kernel keeps and overwrites on its next call.  The dealiasing
-        factors are repeated for every row, so that no product broadcasts, and
-        bound once with the argument and the Burgers kernel's scratch."""
-        m = self.width // 2 + 1
-        tendency = burgers_kernel(
-            *(np.broadcast_to(factor, shape + factor.shape).copy() for factor in self._adv),
-            np.empty(shape + (m,), dtype=np.complex128), np.empty(shape + (self.width,)))
-        arg = np.empty(shape + (2 * m,))
-        arg_c = arg.view(np.complex128)
-        out = np.empty(shape + (m,), dtype=np.complex128)
-        out_f = out.view(np.float64)
-
-        def kernel(c_p: np.ndarray, lift) -> np.ndarray:
-            np.add(c_p, lift, out=arg)
-            tendency(arg_c, out)
-            return out_f
-        return kernel
-
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        """:func:`~stabnode.spectral.burgers_tendency` of coefficients c, one
-        spectrum (d/2 + 1,) or a batch, into fresh arrays."""
-        return burgers_tendency(c, *self._adv)
-
-    def linear_apply(self, u: np.ndarray) -> np.ndarray:
-        return apply_symbol(self._symbol, u)
-
-    def eval(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        d = self.width
-        return np.add(self.linear_apply(u), irfft(self.nonlinear(rfft(u) / d) * d, d),
-                      out=out)
+        super().__init__(BurgersTerm(d, domain_length),
+                         FixedSymbol(linear_symbol(system, d, domain_length, viscosity)))
 
 
 def build_model(variant: str, layer_sizes, activations, weight_init, seed: int,
@@ -649,7 +632,7 @@ def build_model(variant: str, layer_sizes, activations, weight_init, seed: int,
 
 def save_model(path, model: RhsModel, sidecar: dict | None = None) -> None:
     stencil = model.linear if model.variant == "learned-linear" else None
-    dc.write_checkpoint(path, VARIANT_TAGS[model.variant], model.mlp, stencil,
+    dc.write_checkpoint(path, VARIANT_TAGS[model.variant], model.term, stencil,
                         sidecar=sidecar)
 
 

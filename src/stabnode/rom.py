@@ -21,13 +21,15 @@ holds it.  All is row-wise, so with the true RHS each row is bit-identical to
 a run of its d_p alone; a network RHS on stacked rows matches it to rounding.
 
 A model's nonlinear term reaches the ROM through one factory,
-``model.tendency_kernel(shape)``: it binds the buffers, the dealiasing rows or
-network buffers and the transforms for coefficients of batch shape ``shape``
-once, and returns ``N(c_p, lift)``, N(c_p + lift) of real-view spectra as a
-float64 view of an array it keeps.  The sweep steps in place
-(:class:`ReducedStepper`): its RK4 stage, its slaving closure and its lift are
-bound to one kernel per set of live rows, and every operation writes with
-``out=``.  :func:`unresolved_correction` is the slaving closure on a fresh
+``model.tendency_kernel(shape)``, written once in
+:class:`~stabnode.neural_ode.RhsModel` for either term, the network or the true
+RHS's Burgers advection: it binds the term's ``coefficient_tendency(shape)``
+(the dealiasing rows, or the network buffers and transforms) and an argument
+for coefficients of batch shape ``shape`` once, and returns ``N(c_p, lift)``,
+N(c_p + lift) of real-view spectra as a float64 view of an array it keeps.
+The sweep steps in place (:class:`ReducedStepper`): its RK4 stage, its
+slaving closure and its lift are bound to one kernel per set of live rows,
+and every operation writes with ``out=``.  :func:`unresolved_correction` is the slaving closure on a fresh
 kernel, into fresh arrays, with the bits of the stepper's lift.
 """
 

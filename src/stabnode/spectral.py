@@ -40,8 +40,9 @@ ensemble is its own test set) and ``train_fraction`` (KSE
 chronological cut, 0.8); a checkpoint ``system``, ``domain_length``,
 ``viscosity`` (8e-4) and ``epochs_completed``.  A number that does not parse,
 a ``train_trajectories`` below 1 or past the file's trajectory count, a
-dataset ``solver_step`` that does not divide its tau and a checkpoint sidecar
-without ``system`` or ``domain_length`` are ArtifactErrors.
+``train_fraction`` outside (0, 1], a dataset ``solver_step`` that does not
+divide its tau and a checkpoint sidecar without ``system`` or
+``domain_length`` are ArtifactErrors.
 """
 
 from __future__ import annotations
@@ -318,7 +319,9 @@ def burgers_kernel(half_iq: np.ndarray, mask_d: np.ndarray, spectrum: np.ndarray
     in the scratch ``spectrum`` (complex, the shape of ``coeffs``) and ``grid``
     (real, d points per row), bound here with the factors and 1/d once, so a
     hot loop pays one Python call per tendency.  A discarded mode reads a zero
-    of either sign.
+    of either sign.  It has no allocating twin: the solvers' stages, and the
+    true RHS's :class:`~stabnode.neural_ode.BurgersTerm` on grid states and on
+    coefficients, all bind one.
 
     The 1/d normalisation is the forward transform's scale, which multiplies
     every float64 word by 1/d: the bits of numpy's complex product with 1/d
@@ -332,17 +335,6 @@ def burgers_kernel(half_iq: np.ndarray, mask_d: np.ndarray, spectrum: np.ndarray
         rfft(np.multiply(u, u, out=u), out=spectrum, scale=scale)
         return np.multiply(half_iq, spectrum, out=out)
     return tendency
-
-
-def burgers_tendency(coeffs: np.ndarray, half_iq: np.ndarray,
-                     mask_d: np.ndarray) -> np.ndarray:
-    """:func:`burgers_kernel` of ``coeffs`` (one state or a batch), into fresh
-    arrays."""
-    shape = np.broadcast_shapes(coeffs.shape, mask_d.shape)
-    d = 2 * (shape[-1] - 1)
-    out = np.empty(np.broadcast_shapes(shape, half_iq.shape), dtype=np.complex128)
-    return burgers_kernel(half_iq, mask_d, np.empty(shape, dtype=np.complex128),
-                          np.empty(shape[:-1] + (d,)))(coeffs, out)
 
 
 # The bytes of state a solver steps as one block of rows: 31 rows at d = 512,
@@ -848,4 +840,7 @@ def read_sidecar(path, required=()) -> dict:
     if meta.get("train_trajectories", 1) < 1:
         raise ArtifactError(f"{path}: train_trajectories must be at least 1: "
                             f"{meta['train_trajectories']}")
+    if not 0 < meta.get("train_fraction", 1.0) <= 1:
+        raise ArtifactError(f"{path}: train_fraction must be in (0, 1]: "
+                            f"{meta['train_fraction']}")
     return meta

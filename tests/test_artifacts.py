@@ -29,7 +29,7 @@ def _dataset(path):
 
 def _checkpoint(path):
     model = _model()
-    dc.write_checkpoint(path, 2, model.mlp, model.linear)
+    dc.write_checkpoint(path, 2, model.term, model.linear)
     return dc.read_checkpoint
 
 
@@ -106,7 +106,7 @@ def test_variant_tag_contradicting_stencil(tmp_path, tag, with_stencil, capsys):
     # a stencil block belongs to the learned-linear tag (2) and to no other
     model = _model()
     path = tmp_path / "model.snck"
-    dc.write_checkpoint(path, tag, model.mlp, model.linear if with_stencil else None,
+    dc.write_checkpoint(path, tag, model.term, model.linear if with_stencil else None,
                         sidecar={"system": "vbe", "domain_length": 1.0})
     with pytest.raises(sp.ArtifactError, match=re.escape(str(path)) + ".*stencil"):
         node.load_model(path)

@@ -516,6 +516,9 @@ def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
     # a negative test count would shorten the ensemble under its sidecar's split
     ["generate", "--system", "vbe", "--train-ics", "3", "--test-ics", "-1"],
     ["generate", "--system", "vbe", "--set", "test_ics=-1"],
+    # a KSE cut outside (0, 1] would be taken from the end, or keep nothing
+    *(["generate", "--system", "kse", "--set", f"train_fraction={f}"]
+      for f in ("-0.25", "0", "1.5", "nan")),
     # refused before basis.sneb is written, and before the evaluate rollout
     ["rom", "--dp", "7", "--set", "pdf_bins=0"],
     ["evaluate", "--metric", "pdf", "--set", "pdf_bins=0"],
@@ -657,6 +660,24 @@ class TestDatasetSidecar:
         err = capsys.readouterr().err
         assert f"{data}.txt" in err and "train_trajectories" in err
 
+    @pytest.mark.parametrize("fraction", ["-0.25", "0", "1.5"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_train_fraction_outside_unit_interval_io_error(self, tmp_path, kse_dataset,
+                                                           kse_checkpoint, command,
+                                                           fraction, capsys):
+        data = tmp_path / "d.snod"
+        data.write_bytes(kse_dataset.read_bytes())
+        (tmp_path / "d.snod.txt").write_text(
+            open(f"{kse_dataset}.txt").read().replace("train_fraction=0.8",
+                                                      f"train_fraction={fraction}"))
+        argv = {"train": ["train", "--variant", "nonlinear", "--set", "hidden=4"],
+                "evaluate": ["evaluate", "--checkpoint", str(kse_checkpoint)]}[command]
+        code = run_cli(*argv, "--dataset", str(data), "--out", str(tmp_path / "o"))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{data}.txt" in err and "train_fraction" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "rom"])
     def test_solver_step_not_dividing_tau_io_error(self, tmp_path, vbe_dataset,
                                                    trained_dir, command, capsys):
@@ -713,6 +734,25 @@ class TestEmptyTestSplit:
             assert run_cli(*argv, "--dataset", data, "--out", str(out)) == 2
             assert "has no test split" in capsys.readouterr().err
             assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["vbe", "kse"])
+def test_no_training_pair_exits_2_before_any_output(tmp_path, kind, capsys):
+    # each of the 3 VBE training trajectories is one snapshot; a KSE cut keeps one
+    # snapshot of 121
+    data = tmp_path / "d.snod"
+    generate = {"vbe": [*tiny_vbe_args(data), "--set", "horizon=0"],
+                "kse": [*tiny_kse_args(data), "--set", "train_fraction=0.01"]}[kind]
+    assert run_cli(*generate) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run_cli("train", "--dataset", str(data), "--variant", "nonlinear",
+                   "--out", str(out), "--epochs", "1", "--set", "hidden=4") == 2
+    err = capsys.readouterr().err
+    shape = {"vbe": "(3, 1, 64)", "kse": "(1, 1, 32)"}[kind]
+    setting = {"vbe": "horizon", "kse": "train_fraction"}[kind]
+    assert "no training pair" in err and shape in err and setting in err
+    assert not out.exists()
 
 
 class TestCheckpointSidecar:

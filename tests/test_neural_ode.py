@@ -8,6 +8,8 @@ import pytest
 from stabnode import diffcore as dc
 from stabnode import neural_ode as node
 from stabnode import spectral as sp
+from test_rom import formula_rk4
+from test_spectral import formula_tendency as burgers_formula
 
 
 def zero_mlp(d, hidden=8):
@@ -20,6 +22,15 @@ def zero_mlp(d, hidden=8):
 def dense_from_symbol(symbol, d):
     """Dense circulant of a one-sided symbol, one column per unit impulse."""
     return np.fft.irfft(symbol[:, None] * np.fft.rfft(np.eye(d), axis=0), n=d, axis=0)
+
+
+def true_rhs_formula(u, L, system="kse"):
+    """The true RHS at grid states u as array formulas: the symbol's image plus
+    the Burgers formula of the coefficients rfft(u) / d, back on the grid."""
+    d = u.shape[-1]
+    symbol = sp.linear_symbol(system, d, L)
+    return (np.fft.irfft(symbol * np.fft.rfft(u), n=d)
+            + np.fft.irfft(burgers_formula(np.fft.rfft(u) / d, d, L) * d, n=d))
 
 
 def random_model(variant, d, seed, acts=("sigmoid", "linear"), hidden=12,
@@ -117,7 +128,7 @@ class TestIntegrate:
         # the row at 1e300 overflows and comes back non-finite, without a raise
         # or a warning, and the others keep the bits they have beside a benign
         # row in its place
-        model = node.RhsModel(random_model("nonlinear", 8, seed=2).mlp,
+        model = node.RhsModel(random_model("nonlinear", 8, seed=2).term,
                               dc.ConvStencil(np.array([23.0])))
         u0 = 0.3 * np.random.default_rng(3).standard_normal((4, 8))
         blown = u0.copy()
@@ -173,9 +184,9 @@ class TestLossGradient:
             def perturbed(sign):
                 moved = [p + sign * step * v
                          for p, v in zip(model.parameters(), direction)]
-                n = model.mlp.n_layers
-                mlp = dc.MlpParams(list(model.mlp.layer_sizes),
-                                   list(model.mlp.activations), moved[:n],
+                n = model.term.n_layers
+                mlp = dc.MlpParams(list(model.term.layer_sizes),
+                                   list(model.term.activations), moved[:n],
                                    moved[n:2 * n])
                 linear = model.linear
                 if linear is not None and linear.params():
@@ -192,7 +203,7 @@ def allocating_loss_gradient(model, u_start, u_end, tau, steps):
     """The one-interval L1 loss and discrete-adjoint gradient with a fresh
     array for every intermediate and the network run in full on every VJP,
     the oracle for the bits of the workspace-backed loss_gradient."""
-    mlp, d = model.mlp, model.width
+    mlp, d = model.term, model.width
     symbol = None if model.linear is None else model.linear.symbol(d)
 
     def forward(u):
@@ -493,7 +504,7 @@ class TestTraining:
             node.train(model, ds, cfg)
             models.append(model)
         a, b = models
-        assert all(np.array_equal(x, y) for x, y in zip(a.mlp.weights, b.mlp.weights))
+        assert all(np.array_equal(x, y) for x, y in zip(a.term.weights, b.term.weights))
         assert np.array_equal(a.linear.taps, b.linear.taps)
 
     def test_resume_matches_uninterrupted(self):
@@ -514,7 +525,7 @@ class TestTraining:
         first = node.train(resumed, ds, cfg, stop_epoch=20)
         node.train(resumed, ds, cfg, start_epoch=20, adam=first.adam)
         assert all(np.array_equal(x, y) for x, y in
-                   zip(straight.mlp.weights, resumed.mlp.weights))
+                   zip(straight.term.weights, resumed.term.weights))
         assert np.array_equal(straight.linear.taps, resumed.linear.taps)
 
     def test_adam_update_keeps_the_bits_of_the_array_formulas(self):
@@ -550,7 +561,7 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         # the smallest network tensor, a 512-wide bias, is 4 KB
-        assert peak < min(p.nbytes for p in model.mlp.weights + model.mlp.biases), peak
+        assert peak < min(p.nbytes for p in model.term.weights + model.term.biases), peak
 
     def test_an_epoch_holds_no_copy_of_the_split(self):
         # batches are gathered from the split's own rows into the workspace
@@ -677,11 +688,32 @@ class TestTruePhysics:
         d, L = 32, 22.0
         rhs = node.TrueRhs("kse", d, L)
         u = np.random.default_rng(3).standard_normal((4, d))
-        c = sp.rfft(u) / d
-        adv = sp.advection_symbols(d, L)
-        assert np.array_equal(rhs.nonlinear(c), sp.burgers_tendency(c, *adv))
-        grid_n = sp.irfft(sp.burgers_tendency(sp.rfft(u) / d, *adv) * d, d)
-        assert np.array_equal(rhs.eval(u), sp.apply_symbol(rhs.linear_symbol(), u) + grid_n)
+        c = np.fft.rfft(u) / d
+        assert np.array_equal(rhs.nonlinear(c), burgers_formula(c, d, L))
+        assert np.array_equal(rhs.eval(u), true_rhs_formula(u, L))
+
+    @pytest.mark.parametrize("system,L,steps", [("kse", 22.0, 40), ("vbe", 1.0, 20)])
+    def test_rollout_keeps_the_bits_of_the_formulas(self, system, L, steps):
+        # the true RHS's grid evaluation, which rom --reference self rolls out,
+        # under RK4 as array formulas, each operation into a fresh array
+        d, save = 32, 0.25
+        rhs = node.TrueRhs(system, d, L)
+        assert steps >= node.min_stable_substeps(rhs.linear_symbol(), save)
+        x = np.arange(d) * L / d
+        u0 = np.stack([np.cos(2 * np.pi * x / L) * (1 + np.sin(2 * np.pi * x / L)),
+                       0.5 * np.sin(4 * np.pi * x / L)])
+        times, got = node.rollout(rhs, u0, 1.0, save, steps)
+        h = save / steps
+        u, expected = u0, [u0]
+        for _ in range(4):
+            for _ in range(steps):
+                u = formula_rk4(lambda v: true_rhs_formula(v, L, system), u, h)
+            expected.append(u)
+        expected = np.stack(expected, axis=1)
+        assert np.all(np.isfinite(expected))
+        assert np.array_equal(times, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestStableSubsteps:
@@ -711,7 +743,7 @@ class TestPersistence:
         back = node.load_model(path)
         assert back.variant == "learned-linear"
         assert all(np.array_equal(a, b) for a, b in
-                   zip(model.mlp.weights, back.mlp.weights))
+                   zip(model.term.weights, back.term.weights))
         assert np.array_equal(model.linear.taps, back.linear.taps)
 
     def test_fixed_linear_rebuilds_symbol_from_sidecar(self, tmp_path):
@@ -754,7 +786,7 @@ class TestPersistence:
         assert raw[:4] == b"SNOP"
         assert int.from_bytes(raw[4:12], "little") == adam.t == 3
         payload = np.frombuffer(raw[12:], dtype="<f8")
-        n = model.mlp.n_layers
+        n = model.term.n_layers
         w, b = slice(0, n), slice(n, 2 * n)
         taps = [adam.m[-1], adam.v[-1]] if variant == "learned-linear" else []
         expected = adam.m[w] + adam.v[w] + adam.m[b] + adam.v[b] + taps

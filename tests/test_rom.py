@@ -12,6 +12,7 @@ from stabnode import diffcore as dc
 from stabnode import neural_ode as node
 from stabnode import rom
 from stabnode import spectral as sp
+from test_spectral import formula_tendency as burgers_formula
 
 
 def zero_mlp(d, hidden=6):
@@ -798,11 +799,13 @@ def learned_model(d, seed=0):
 
 
 def formula_tendency(model, c):
-    """The model's nonlinear term of coefficients c, each operation into a fresh array."""
+    """The model's nonlinear term of coefficients c, each operation into a fresh
+    array; the true RHS's is the Burgers formula on the KSE domain, L = 22, of
+    every true-RHS case here."""
     d = model.width
     if isinstance(model, node.TrueRhs):
-        return sp.burgers_tendency(c, *sp.advection_symbols(d, model.domain_length))
-    return np.fft.rfft(dc.mlp_forward(model.mlp, np.fft.irfft(c * d, d))[0]) / d
+        return burgers_formula(c, d, 22.0)
+    return np.fft.rfft(dc.mlp_forward(model.term, np.fft.irfft(c * d, d))[0]) / d
 
 
 def formula_rk4(f, x1, h):
