@@ -550,17 +550,19 @@ def _parse_noise(spec: str):
     raise ConfigError(f"bad noise spec {spec!r}; use grid:EPS or fourier:EPS:KLO:KHI")
 
 
-# how each system's generator leaves a test split
-_TEST_SPLIT_SETTING = {"vbe": "test_ics of 1 or more", "kse": "train_fraction below 1"}
-
-
 def _test_split(ds, path) -> sp.SnapshotDataset:
     """The dataset's test split; ConfigError when it is empty, as scoring on
     the training data in its place would pass silently."""
     test_ds = ds.split()[1]
     if test_ds.values.size == 0:
-        raise ConfigError(f"{path} has no test split to score on; generate it with "
-                          f"{_TEST_SPLIT_SETTING[ds.system]}")
+        if ds.system == "kse":  # the generator's setting that leaves a test split
+            setting = (f"a train_fraction of at most "
+                       f"{sp.largest_testing_fraction(ds.n_snap)!r} (the cut rounds "
+                       f"{ds.n_snap} * train_fraction)")
+        else:
+            setting = "test_ics of 1 or more"
+        raise ConfigError(f"{path} has no test split to score on: its test split has "
+                          f"shape {test_ds.values.shape}; generate it with {setting}")
     return test_ds
 
 

@@ -14,11 +14,19 @@ output layer's, so a forward run only to feed it can stop after the last
 hidden layer.  Each pass writes into an :class:`MlpBuffers` when given one,
 and then allocates no result array; without one it runs the same operations
 into fresh arrays, with the same bits.
+
+A :class:`Worker` runs jobs on a second thread, in the order they are handed
+over, so that :func:`mlp_backward` can sum each layer's weight gradient there
+while the caller runs the input-cotangent chain.  Jobs are split by task,
+never by rows, so every array is computed by the operations that compute it
+inline, in the same order, with the same bits.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +173,11 @@ class MlpBuffers:
     for a linear layer, and ``scratch[i]`` its sigmoid temporary, None unless
     the layer is a sigmoid.  ``parts[i]`` receives layer i's weight then bias
     gradient on their way into the caller's sums; the pairs are views of one
-    weight row and one bias row as long as the largest layer's.
+    weight row and one bias row as long as the largest layer's.  The layers
+    share them because their gradients are computed one after another, inline
+    or as :func:`mlp_backward`'s jobs, which one :class:`Worker` runs in order
+    while the caller writes only ``cot``, ``mask``, ``scratch`` and the input
+    cotangent.
 
     Passes that share these arrays allocate no result array; numpy still
     buffers a broadcast or cast operand (the bias add, relu's mask multiply)
@@ -186,6 +198,101 @@ class MlpBuffers:
         bias = np.empty(max(n_out for _, n_out in pairs))
         self.parts = [(weight[:n_in * n_out].reshape(n_in, n_out), bias[:n_out])
                       for n_in, n_out in pairs]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _held_lock() -> threading.Lock:
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
+
+
+class Worker:
+    """Runs ``job(*args)`` for each :meth:`submit`, in the order submitted, on a
+    thread of its own when the process may run on two CPUs or more; otherwise,
+    or for a worker of no ``pending`` jobs, each job runs inline as it is
+    submitted.  :meth:`join` waits for every job submitted and raises the first
+    exception one of them raised.  At most ``pending`` jobs may wait between
+    joins, so their slots, and the locks that hand them over, are made once.
+
+    A job runs under the numpy error state of the thread that submitted it
+    (which is per thread), so a stage that ignores overflow ignores it in its
+    jobs too.  One thread submits and joins.  :meth:`close` stops the thread
+    once the jobs submitted have run; later jobs run inline.
+    """
+
+    def __init__(self, pending: int):
+        self._calls = [None] * (pending + 1)  # and a free slot for close's stop
+        self._ready = [_held_lock() for _ in self._calls]
+        self._done = [_held_lock() for _ in self._calls]
+        self._next = self._pending = 0
+        self._error = None
+        self._thread = None
+        if pending and _usable_cpus() >= 2:
+            self._thread = threading.Thread(target=self._serve, name="stabnode-worker",
+                                            daemon=True)
+            self._thread.start()
+
+    @property
+    def threaded(self) -> bool:
+        return self._thread is not None
+
+    def submit(self, job, *args) -> None:
+        if self._thread is None:
+            job(*args)
+            return
+        if self._pending + 1 == len(self._calls):
+            raise RuntimeError(f"more than {self._pending} jobs submitted between joins")
+        slot = self._next
+        self._calls[slot] = (job, args, np.geterr())
+        self._next = (slot + 1) % len(self._calls)
+        self._pending += 1
+        self._ready[slot].release()
+
+    def join(self) -> None:
+        while self._pending:
+            self._done[(self._next - self._pending) % len(self._calls)].acquire()
+            self._pending -= 1
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def close(self) -> None:
+        thread, self._thread = self._thread, None
+        if thread is None:
+            return
+        self._ready[self._next].release()  # its call is None: stop
+        if thread is not threading.current_thread():
+            thread.join()
+        self._pending, self._error = 0, None
+
+    def _serve(self) -> None:
+        # numpy's smallest ufunc buffer: a broadcast operand, such as a symbol
+        # applied to every row, then costs no batch-sized temporary beside the
+        # submitting thread's own; elementwise results and sums over a batch's
+        # rows keep their bits at any buffer size
+        np.setbufsize(16)
+        slot = 0
+        while True:
+            self._ready[slot].acquire()
+            call, self._calls[slot] = self._calls[slot], None
+            if call is None:
+                return
+            job, args, errstate = call
+            try:
+                with np.errstate(**errstate):
+                    job(*args)
+            except Exception as err:  # raised in the submitting thread by join
+                if self._error is None:
+                    self._error = err
+            self._done[slot].release()
+            slot = (slot + 1) % len(self._calls)
 
 
 def _temps(buffers: MlpBuffers | None, i: int) -> tuple:
@@ -245,9 +352,17 @@ def mlp_forward(params: MlpParams, u: np.ndarray, layers: int | None = None,
     return out, acts
 
 
+def _add_weight_gradient(a, gz, weight, bias, weight_sum, bias_sum) -> None:
+    """One layer's weight gradient a^T gz and bias gradient, gz summed over the
+    batch, added into ``weight_sum`` and ``bias_sum`` through ``weight`` and
+    ``bias``, fresh arrays when they are None."""
+    weight_sum += np.matmul(a.T, gz, out=weight)
+    bias_sum += np.sum(gz, axis=0, out=bias)
+
+
 def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray,
                  buffers: MlpBuffers | None = None, sums: list | None = None,
-                 out: np.ndarray | None = None):
+                 out: np.ndarray | None = None, worker: Worker | None = None):
     """Exact VJP at the activations :func:`mlp_forward` returned, with or
     without the output layer's (the backward pass never reads it): returns
     (grads, input cotangent); grads lists the weight gradients, then the bias
@@ -255,8 +370,13 @@ def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray,
 
     With ``sums`` (arrays in that order), each layer's gradient pair is added
     into them as soon as it is computed, through ``buffers.parts`` when given,
-    and ``sums`` is returned as grads; without it they are fresh arrays.  The
-    input cotangent goes into ``out`` when given, the hidden layers' into
+    and ``sums`` is returned as grads; without it they are fresh arrays.  With
+    ``sums`` and a ``worker``, each layer's pair is a job on the worker, which
+    reads that layer's input activation and the cotangent at its
+    pre-activation while the caller computes the next cotangent from the same
+    operands; the worker runs the layers in order, so they share
+    ``buffers.parts``, and it is joined before this returns.  The input
+    cotangent goes into ``out`` when given, the hidden layers' into
     ``buffers``, fresh arrays otherwise; ``cotangent`` is only read."""
     n_layers = params.n_layers
     if (len(acts) not in (n_layers, n_layers + 1)
@@ -269,6 +389,7 @@ def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray,
     if g.shape != (acts[0].shape[0], params.layer_sizes[-1]):
         raise ValueError("cotangent shape does not match forward output")
     grads = [None] * (2 * n_layers) if sums is None else sums
+    worker = Worker(0) if worker is None else worker
     for i in range(n_layers - 1, -1, -1):
         act = params.activations[i]
         # the final layer is linear and passes the caller's cotangent through
@@ -276,16 +397,15 @@ def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray,
         gz = g
         if act != "linear":
             gz = _scale_by_activation_grad(act, g, acts[i + 1], *_temps(buffers, i))
-        weight, bias = (None, None) if sums is None or buffers is None else buffers.parts[i]
-        weight = np.matmul(acts[i].T, gz, out=weight)
-        bias = np.sum(gz, axis=0, out=bias)
         if sums is None:
-            grads[i], grads[n_layers + i] = weight, bias
+            grads[i], grads[n_layers + i] = np.matmul(acts[i].T, gz), np.sum(gz, axis=0)
         else:
-            grads[i] += weight
-            grads[n_layers + i] += bias
+            parts = (None, None) if buffers is None else buffers.parts[i]
+            worker.submit(_add_weight_gradient, acts[i], gz, *parts, sums[i],
+                          sums[n_layers + i])
         g_out = out if i == 0 else (None if buffers is None else buffers.cot[i - 1])
         g = np.matmul(gz, params.weights[i].T, out=g_out)
+    worker.join()
     return grads, (g[0] if squeeze else g)
 
 

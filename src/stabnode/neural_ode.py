@@ -29,11 +29,29 @@ tape (:class:`Rk4Buffers`) that it reuses every step, so it allocates no
 array either; :func:`integrate` runs it without a tape, each operation into
 a fresh array.  Both return a row that diverged as non-finite values; only
 the gradient raises DivergenceError, as training cannot go on.
+
+A gradient's independent work overlaps on a second thread, the workspace's
+:class:`~stabnode.diffcore.Worker`, when the process may run on two CPUs or
+more; on one CPU the same jobs run inline, in the same order.  Three kinds of
+job run there while the caller runs the network:
+
+- a forward stage's linear branch A x, joined before the stage adds N(x);
+- a VJP's linear branch, the adjoint's image and the taps' cross-spectrum
+  gradient, while the caller recomputes the hidden layers;
+- each layer's weight and bias gradient, summed into the workspace's
+  gradients, while the caller runs the input-cotangent chain.
+
+A VJP's jobs are joined when the network's backward pass returns, before its
+input cotangent takes the linear image.  Jobs split the work by task, never
+by rows, so every result keeps its bits.  :func:`train` stops the thread when
+it returns or raises.  Rollouts (:func:`integrate`) and the ROM stay serial:
+their batches of 1-16 rows cannot pay for a hand-off.
 """
 
 from __future__ import annotations
 
 import struct
+import weakref
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -158,16 +176,22 @@ class RhsModel:
         given, with the linear branch's symbol (None for the bare network)
         computed once, as the taps change only in the optimizer step; one
         integration or gradient calls this once.  The network's layers and the
-        spectrum go into ``workspace`` when given, fresh arrays otherwise."""
-        buffers = None if workspace is None else workspace.mlp
-        spectrum = None if workspace is None else workspace.spectra[0]
+        spectrum go into ``workspace`` when given, fresh arrays otherwise, and
+        the linear branch is then a job on its worker, joined before the sum,
+        while the caller runs the network."""
+        buffers, spectrum, worker = None, None, dc.Worker(0)
+        if workspace is not None:
+            buffers, spectrum, worker = workspace.mlp, workspace.spectra[0], workspace.worker
         symbol = None if self.linear is None else self.linear_symbol()
 
         def f(u, out=None):
-            net = self.term.forward(u, buffers)
             if symbol is None:  # np.positive copies every bit, a zero's sign included
+                net = self.term.forward(u, buffers)
                 return net if out is None else np.positive(net, out=out)
-            linear = apply_symbol(symbol, u, out=out, spectrum=spectrum)
+            linear = np.empty(np.shape(u)) if out is None else out
+            worker.submit(apply_symbol, symbol, u, linear, spectrum)
+            net = self.term.forward(u, buffers)
+            worker.join()
             return np.add(linear, net, out=linear)
         return f, symbol
 
@@ -246,13 +270,36 @@ class AdjointWorkspace:
     adjoint goes there.  Each call overwrites what the previous one left,
     including the gradients it returned.
 
+    It owns one :class:`~stabnode.diffcore.Worker` (``worker``), a second
+    thread when the process may run on two CPUs or more, which runs three
+    kinds of job while the caller runs the network, each on arrays the caller
+    does not touch until it joins:
+
+    - a forward stage's linear branch A x, from ``spectra[0]`` into the
+      stage's slope, joined before the stage adds N(x) to it;
+    - a VJP's linear branch, in both spectra: the adjoint's image into the
+      network's output activation and the taps' gradient into ``grads``,
+      while the caller recomputes the hidden layers;
+    - each layer's weight and bias gradient, through ``mlp.parts`` into
+      ``grads``, while the caller runs the input-cotangent chain.
+
+    :func:`~stabnode.diffcore.mlp_backward` joins a VJP's jobs before it
+    returns, and the VJP then adds the linear image to its input cotangent.
+    Every operation keeps its operands and order, and one worker runs the
+    jobs in turn, so the gradients keep their bits.  :meth:`close` stops the
+    thread, as does collecting the workspace, and the workspace is a context
+    manager that closes it on exit.
+
     Calls that share one allocate no array of the batch's size, but numpy
     (2.4) buffers a broadcast or dtype-casting operand through a temporary of
     up to 8192 elements: the bias add of every layer :func:`mlp_forward`
     computes, and relu's bool-by-float mask multiply in the backward pass.
     That is about 200 temporaries of up to 64 KB each per gradient of a
     batch of 256 through three relu layers of 200 over 5 substeps.  The
-    spectra's batch sum allocates one spectrum row.
+    spectra's batch sum allocates one spectrum row.  The symbol's product
+    with the spectra broadcasts too; a worker thread runs it with numpy's
+    smallest buffer, so that its temporary does not add a batch-sized one to
+    the caller's at the same moment.
     """
 
     def __init__(self, model: RhsModel, rows: int, rollout_steps: int):
@@ -263,6 +310,18 @@ class AdjointWorkspace:
         self.w = np.empty(shape)
         self.cot = np.empty(shape)
         self.grads = [np.empty_like(p) for p in model.parameters()]
+        # at most a VJP's linear-branch job and one job per layer wait at once
+        self.worker = dc.Worker(model.term.n_layers + 1)
+        weakref.finalize(self, self.worker.close)
+
+    def close(self) -> None:
+        self.worker.close()
+
+    def __enter__(self) -> AdjointWorkspace:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def fits(self, model: RhsModel, rows: int, rollout_steps: int) -> bool:
         shapes = [p.shape for p in model.parameters()]
@@ -277,26 +336,38 @@ def _rhs_vjp(model: RhsModel, symbol, x: np.ndarray, cotangent: np.ndarray,
     input cotangent, written into ``out``.  ``symbol`` is the linear branch's,
     from ``model.rhs()``.  The network is recomputed only up to its last hidden
     layer, as its backward pass never reads the output layer's activation.
-    Intermediates go into ``workspace``; ``cotangent`` is only read."""
-    mlp = model.term
-    _, acts = dc.mlp_forward(mlp, x, mlp.n_layers - 1, workspace.mlp)
-    dc.mlp_backward(mlp, acts, cotangent, workspace.mlp, grads[:2 * mlp.n_layers], out)
+    Intermediates go into ``workspace``, the linear branch's on its worker
+    while the caller runs the network; ``cotangent`` is only read."""
+    mlp, worker = model.term, workspace.worker
+    n = 2 * mlp.n_layers
+    # the output activation, which the recompute stops short of, takes the
+    # linear branch's image
+    linear = workspace.mlp.acts[-1]
     if symbol is not None:
-        d = model.width
-        g_hat, scratch = workspace.spectra
-        rfft(cotangent, out=g_hat)
-        # a real circulant's adjoint has the conjugate symbol, and the output
-        # activation, which the recompute stops short of, takes its image
-        linear = irfft(np.multiply(np.conj(symbol), g_hat, out=scratch), d,
-                       out=workspace.mlp.acts[-1])
+        worker.submit(_linear_vjp, model.linear, symbol, x, cotangent, grads[n:],
+                      workspace.spectra, linear)
+    _, acts = dc.mlp_forward(mlp, x, mlp.n_layers - 1, workspace.mlp)
+    dc.mlp_backward(mlp, acts, cotangent, workspace.mlp, grads[:n], out, worker)
+    if symbol is not None:
         np.add(out, linear, out=out)
-        if model.linear.params():
-            x_hat = rfft(x, out=scratch)
-            cross = np.multiply(np.conj(g_hat, out=g_hat), x_hat, out=x_hat)
-            parts = model.linear.symbol_vjp(cross.reshape(-1, d // 2 + 1).sum(axis=0), d)
-            for acc, g in zip(grads[2 * mlp.n_layers:], parts):
-                acc += g
     return out
+
+
+def _linear_vjp(linear, symbol, x, cotangent, sums, spectra, image) -> None:
+    """The image of ``cotangent`` under the adjoint of the operator of
+    ``symbol`` into ``image``, and the gradients of ``linear``'s parameters at
+    states ``x`` added into ``sums``, working in the two ``spectra``."""
+    d = x.shape[-1]
+    g_hat, scratch = spectra
+    rfft(cotangent, out=g_hat)
+    # a real circulant's adjoint has the conjugate symbol
+    irfft(np.multiply(np.conj(symbol), g_hat, out=scratch), d, out=image)
+    if linear.params():
+        x_hat = rfft(x, out=scratch)
+        cross = np.multiply(np.conj(g_hat, out=g_hat), x_hat, out=x_hat)
+        parts = linear.symbol_vjp(cross.reshape(-1, d // 2 + 1).sum(axis=0), d)
+        for acc, g in zip(sums, parts):
+            acc += g
 
 
 def _rk4_forward(rhs, u, h: float, nsteps: int, tape: Rk4Buffers | None = None):
@@ -417,16 +488,18 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
     if u_start.shape[0] == 0:
         raise ValueError("empty batch")
     if workspace is None:
-        workspace = AdjointWorkspace(model, u_start.shape[0], rollout_steps)
-    elif not workspace.fits(model, u_start.shape[0], rollout_steps):
+        with AdjointWorkspace(model, u_start.shape[0], rollout_steps) as workspace:
+            return loss_gradient(model, u_start, u_end, tau, rollout_steps, workspace)
+    if not workspace.fits(model, u_start.shape[0], rollout_steps):
         raise ValueError("workspace was built for another model, batch size or "
                          "rollout_steps")
     h = tau / rollout_steps
     rhs, symbol = model.rhs(workspace)
+    # a prediction that overflowed is judged by its loss, so no warning leaks
     with np.errstate(over="ignore", invalid="ignore"):
         pred = _rk4_forward(rhs, u_start, h, rollout_steps, workspace.rk4)
-    residual = np.subtract(pred, u_end, out=workspace.w)
-    loss = float(np.mean(np.abs(residual, out=workspace.cot)))
+        residual = np.subtract(pred, u_end, out=workspace.w)
+        loss = float(np.mean(np.abs(residual, out=workspace.cot)))
     if not np.isfinite(loss):
         raise DivergenceError(f"the prediction over tau = {tau:g} went non-finite",
                               time=tau)
@@ -566,28 +639,29 @@ def train(model: RhsModel, dataset: SnapshotDataset, config: TrainConfig,
     take = min(config.batch_size, n_pairs)
     if adam is None:
         adam = AdamState(model)
-    # every epoch's gradient reuses these arrays, and its batch is gathered into
-    # the two inputs loss_gradient lets alias the workspace
-    workspace = AdjointWorkspace(model, take, config.rollout_steps)
-    u_start, u_end = workspace.rk4.start, workspace.w
     history = []
-    for epoch in range(start_epoch, stop_epoch):
-        rng = np.random.default_rng([config.seed, epoch])
-        rows = starts[rng.choice(n_pairs, size=take, replace=False)]
-        lr_nl, lr_lin = config.lrs_at(epoch)
-        np.take(snaps, rows, axis=0, out=u_start)
-        np.take(snaps, np.add(rows, 1, out=rows), axis=0, out=u_end)
-        try:
-            loss, grads = loss_gradient(model, u_start, u_end, dataset.tau,
-                                        config.rollout_steps, workspace)
-        except DivergenceError as err:
-            raise DivergenceError(f"training diverged at epoch {epoch}: {err}",
-                                  time=err.time) from err
-        adam.update(model, grads, lr_nl, lr_lin)
-        history.append(loss)
-        if on_epoch is not None:
-            on_epoch(epoch, loss, config.stage(epoch, config.lr_nonlinear),
-                     lr_nl, lr_lin, model, adam)
+    # every epoch's gradient reuses these arrays, and its batch is gathered into
+    # the two inputs loss_gradient lets alias the workspace; its worker thread
+    # stops when training returns or raises
+    with AdjointWorkspace(model, take, config.rollout_steps) as workspace:
+        u_start, u_end = workspace.rk4.start, workspace.w
+        for epoch in range(start_epoch, stop_epoch):
+            rng = np.random.default_rng([config.seed, epoch])
+            rows = starts[rng.choice(n_pairs, size=take, replace=False)]
+            lr_nl, lr_lin = config.lrs_at(epoch)
+            np.take(snaps, rows, axis=0, out=u_start)
+            np.take(snaps, np.add(rows, 1, out=rows), axis=0, out=u_end)
+            try:
+                loss, grads = loss_gradient(model, u_start, u_end, dataset.tau,
+                                            config.rollout_steps, workspace)
+            except DivergenceError as err:
+                raise DivergenceError(f"training diverged at epoch {epoch}: {err}",
+                                      time=err.time) from err
+            adam.update(model, grads, lr_nl, lr_lin)
+            history.append(loss)
+            if on_epoch is not None:
+                on_epoch(epoch, loss, config.stage(epoch, config.lr_nonlinear),
+                         lr_nl, lr_lin, model, adam)
     return TrainResult(history, adam)
 
 

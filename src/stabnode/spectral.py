@@ -649,12 +649,30 @@ class SnapshotDataset:
                 replace(self, values=self.values[n_train:]))
 
     def split_chronological(self, train_fraction: float = 0.8):
-        """Chronological split of a single-trajectory dataset."""
+        """Chronological split of a single-trajectory dataset at
+        :func:`chronological_cut`."""
         if self.n_traj != 1:
             raise ValueError("chronological split expects a single trajectory")
-        cut = int(round(self.n_snap * train_fraction))
+        cut = chronological_cut(self.n_snap, train_fraction)
         return (replace(self, values=self.values[:, :cut]),
                 replace(self, values=self.values[:, cut:]))
+
+
+def chronological_cut(n_snap: int, train_fraction: float) -> int:
+    """The snapshots a chronological split trains on: n_snap * train_fraction,
+    rounded half to even."""
+    return int(round(n_snap * train_fraction))
+
+
+def largest_testing_fraction(n_snap: int) -> float:
+    """The largest train_fraction whose :func:`chronological_cut` of ``n_snap``
+    snapshots leaves one or more to test on."""
+    fraction = (n_snap - 0.5) / n_snap
+    while chronological_cut(n_snap, fraction) == n_snap:
+        fraction = np.nextafter(fraction, 0.0)
+    while chronological_cut(n_snap, np.nextafter(fraction, 1.0)) < n_snap:
+        fraction = np.nextafter(fraction, 1.0)
+    return float(fraction)
 
 
 def save_count(span: float, interval: float) -> int:

@@ -735,6 +735,30 @@ class TestEmptyTestSplit:
             assert "has no test split" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_refusal_names_the_largest_fraction_that_leaves_a_test_snapshot(
+            self, tmp_path, capsys):
+        # 81 snapshots: a train_fraction of 0.995 cuts round(80.595) = 81 of them,
+        # so "below 1" is not enough; the advice names the split and the fraction
+        def generate(name, fraction):
+            data = tmp_path / name
+            assert run_cli("generate", "--system", "kse", "--out", str(data),
+                           "--horizon", "20", "--set", "d=32", "--set", "transient=10",
+                           "--set", f"train_fraction={fraction!r}") == 0
+            return data
+        data = generate("k.snod", 0.995)
+        capsys.readouterr()
+        out = tmp_path / "rom"
+        assert run_cli("rom", "--dataset", str(data), "--out", str(out), "--sort", "variance",
+                       "--mode", "galerkin", "--dp", "8") == 2
+        err = capsys.readouterr().err
+        largest = sp.largest_testing_fraction(81)
+        assert "has no test split" in err and "(1, 0, 32)" in err
+        assert f"train_fraction of at most {largest!r}" in err
+        assert not out.exists()
+        assert sp.read_dataset(generate("largest.snod", largest)).split()[1].n_snap == 1
+        above = float(np.nextafter(largest, 1.0))
+        assert sp.read_dataset(generate("above.snod", above)).split()[1].n_snap == 0
+
 
 @pytest.mark.parametrize("kind", ["vbe", "kse"])
 def test_no_training_pair_exits_2_before_any_output(tmp_path, kind, capsys):

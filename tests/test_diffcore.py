@@ -1,5 +1,9 @@
 """VJP exactness for the hand-rolled MLP and circular-convolution kernels."""
 
+import functools
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -236,6 +240,158 @@ class TestMlpBuffers:
         assert all(np.array_equal(a, b) for a, b in zip(full[0], short[0]))
         with pytest.raises(ValueError, match="layer sizes"):
             dc.mlp_backward(p, acts[:1], cot)
+
+
+def threaded_worker(pending):
+    if dc._usable_cpus() < 2:
+        pytest.skip("the process may run on one CPU only")
+    worker = dc.Worker(pending)
+    assert worker.threaded
+    return worker
+
+
+def within(seconds, *bodies):
+    """Run each of ``bodies`` on a thread of its own and assert that all of
+    them finished within ``seconds``."""
+    errors = []
+
+    def run(body):
+        try:
+            body()
+        except Exception as err:
+            errors.append(err)
+    threads = [threading.Thread(target=run, args=(body,), daemon=True) for body in bodies]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + seconds
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+
+
+class TestWorker:
+    """Jobs run in the order submitted, under the submitter's error state; join
+    hands their errors over; the thread stops on close, and a process limited
+    to one CPU runs them inline."""
+
+    def test_jobs_run_in_order_under_a_short_switch_interval(self):
+        # three workers, each fed by a thread of its own: more threads than cores
+        workers = [threaded_worker(4) for _ in range(3)]
+
+        def rounds(worker):
+            seen, want = [], []
+            total = np.zeros(64)
+
+            def job(i):
+                np.add(total, i, out=total)  # releases the GIL around numpy's loop
+                seen.append(i)
+            for r in range(300):
+                for i in range(4 * r, 4 * r + 4):
+                    worker.submit(job, i)
+                    want.append(i)
+                worker.join()
+                assert seen == want and total[0] == sum(want), r
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            within(60, *(functools.partial(rounds, worker) for worker in workers))
+        finally:
+            sys.setswitchinterval(interval)
+            for worker in workers:
+                worker.close()
+
+    def test_join_raises_the_first_error_and_the_worker_goes_on(self):
+        worker = threaded_worker(3)
+        seen = []
+
+        def fail(message):
+            raise ValueError(message)
+        try:
+            for job, arg in ((seen.append, 1), (fail, "first"), (fail, "second")):
+                worker.submit(job, arg)
+            with pytest.raises(ValueError, match="first"):
+                within(30, worker.join)
+            worker.submit(seen.append, 2)
+            within(30, worker.join)
+            assert seen == [1, 2]
+        finally:
+            worker.close()
+
+    def test_jobs_run_under_the_submitters_error_state(self):
+        worker = threaded_worker(1)
+        big = np.array([1e308])
+        try:
+            with np.errstate(over="raise"):
+                worker.submit(np.multiply, big, 10.0)
+            with pytest.raises(FloatingPointError):
+                within(30, worker.join)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(over="ignore"):
+                    worker.submit(np.multiply, big, 10.0, big)
+                within(30, worker.join)
+            assert big[0] == np.inf
+        finally:
+            worker.close()
+
+    def test_more_jobs_than_slots_refused(self):
+        worker = threaded_worker(2)
+        try:
+            worker.submit(len, ())
+            worker.submit(len, ())
+            with pytest.raises(RuntimeError, match="more than 2 jobs"):
+                worker.submit(len, ())
+            within(30, worker.join)
+        finally:
+            worker.close()
+
+    def test_close_stops_the_thread_after_its_jobs(self):
+        before = threading.active_count()
+        worker = threaded_worker(2)
+        assert threading.active_count() == before + 1
+        seen = []
+        worker.submit(seen.append, 1)
+        within(30, worker.close)
+        assert seen == [1] and not worker.threaded
+        assert threading.active_count() == before
+        worker.submit(seen.append, 2)  # inline from now on
+        assert seen == [1, 2]
+
+    def test_one_cpu_runs_jobs_inline(self, monkeypatch):
+        monkeypatch.setattr(dc.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(dc.os, "cpu_count", lambda: 1)
+        before = threading.active_count()
+        worker = dc.Worker(2)
+        assert not worker.threaded and threading.active_count() == before
+        seen = []
+        worker.submit(seen.append, 1)
+        assert seen == [1]
+        with pytest.raises(ZeroDivisionError):
+            worker.submit(divmod, 1, 0)
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+    def test_backward_on_a_worker_keeps_the_bits(self, buffered):
+        sizes = [6, 9, 7, 6]
+        p = random_mlp(sizes, ["relu", "sigmoid", "linear"], seed=8)
+        rng = np.random.default_rng(9)
+        buffers = dc.MlpBuffers(p, 5) if buffered else None
+        u, cot = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
+        start = [rng.standard_normal(t.shape) for t in p.weights + p.biases]
+        hidden_acts = dc.mlp_forward(p, u, p.n_layers - 1, buffers)[1]
+        want, want_gin = dc.mlp_backward(p, hidden_acts, cot, buffers,
+                                         [s.copy() for s in start])
+        want_gin = want_gin.copy()
+        worker = threaded_worker(p.n_layers)
+        try:
+            got, gin = dc.mlp_backward(p, hidden_acts, cot, buffers,
+                                       [s.copy() for s in start], worker=worker)
+        finally:
+            worker.close()
+        assert np.array_equal(gin.view(np.uint64), want_gin.view(np.uint64))
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                   for a, b in zip(got, want))
 
 
 def _near_relu_kink(params, u, tol=1e-4):

@@ -1,6 +1,8 @@
 """RHS variants, RK4 discrete adjoint, and the training loop."""
 
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -448,6 +450,74 @@ class TestAdjointWorkspace:
         # the fresh-array adjoint grows by about four (n, d) arrays per substep;
         # the slack, a quarter of one such array, covers interpreter objects
         assert peaks[8] <= peaks[2] + u0.nbytes // 4, peaks
+
+
+@pytest.fixture(params=["threaded", "inline"])
+def cpus(request, monkeypatch):
+    """The workspace's worker on a thread of its own, or inline, as on a process
+    limited to one CPU."""
+    if request.param == "inline":
+        monkeypatch.setattr(dc.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(dc.os, "cpu_count", lambda: 1)
+    elif dc._usable_cpus() < 2:
+        pytest.skip("the process may run on one CPU only")
+    return request.param
+
+
+class TestAdjointWorker:
+    """The workspace's worker overlaps the linear branch and the weight
+    gradients with the network, keeping every bit, and stops with training."""
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("variant", ["nonlinear", "fixed-linear", "learned-linear"])
+    @pytest.mark.parametrize("sizes", [[16, 12, 10, 16], [512, 200, 200, 200, 512]],
+                             ids=["d16", "d512"])
+    def test_bits_of_the_allocating_adjoint(self, cpus, sizes, variant, activation):
+        model = node.build_model(variant, sizes, [activation] * (len(sizes) - 2) + ["linear"],
+                                 ("normal", 0.0, 0.09), 21, system="vbe", stencil_width=3,
+                                 stencil_init=("uniform", -0.3, 0.3))
+        d = sizes[0]
+        u0, u1 = smooth_batch(1, 13, d), smooth_batch(2, 13, d)
+        expected = allocating_loss_gradient(model, u0, u1, 0.01, 2)
+        with node.AdjointWorkspace(model, 13, 2) as workspace:
+            assert workspace.worker.threaded == (cpus == "threaded")
+            for call in range(2):
+                assert same_bits(node.loss_gradient(model, u0, u1, 0.01, 2, workspace),
+                                 expected), call
+
+    @pytest.mark.parametrize("diverges", [False, True])
+    def test_train_stops_its_worker(self, cpus, diverges):
+        model = deep_model("learned-linear", "relu")
+        ds = tiny_vbe_dataset(d=16, n_snap=10)
+        if diverges:  # the transforms of the first epoch overflow
+            ds.values[...] = 1e308
+        during = []
+        before = threading.active_count()
+        config = node.TrainConfig(2, (1e-3,), (1e-1,), batch_size=4, rollout_steps=2)
+
+        def run():
+            return node.train(model, ds, config,
+                              on_epoch=lambda *_: during.append(threading.active_count()))
+        if diverges:
+            with pytest.raises(node.DivergenceError):
+                run()
+        else:
+            assert len(run().loss_history) == 2
+            assert during == [before + (cpus == "threaded")] * 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("variant", ["nonlinear", "fixed-linear", "learned-linear"])
+    def test_overflowing_forward_raises_divergence_without_a_warning(self, cpus, variant):
+        # the forward stage's linear branch runs on the worker under the stage's
+        # error state, which ignores overflow
+        model = deep_model(variant, "sigmoid")
+        u0, u1 = smooth_batch(7, 4, 16), smooth_batch(8, 4, 16)
+        with node.AdjointWorkspace(model, 4, 2) as workspace:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(node.DivergenceError):
+                    node.loss_gradient(model, 1e308 * (1.0 + u0 * u0), u1, 0.1, 2, workspace)
+        assert caught == []
 
 
 class TestTrainConfig:
