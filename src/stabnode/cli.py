@@ -43,11 +43,13 @@ or a `hidden` width, below 1; a size, `test_ics`, a `seed` or
 source, rejected before any command runs; or any other setting the pipeline
 rejects (a
 ValueError other than an artifact error), e.g. a bad noise spec or band, a
-stencil not narrower than the grid, a `train --resume` checkpoint of another
-width than the dataset, of another variant, hidden sizes or activation than
-the config, or with more epochs completed than `epochs` (before any file is
-written), a `generate` KSE `train_fraction` outside (0, 1] (before anything
-is solved), a `train` dataset whose training split holds no training pair (a
+stencil not narrower than the grid, an `evaluate --checkpoint`, `rom --rhs`
+or `train --resume` checkpoint of another width than the dataset (before
+anything is solved or written), a `train --resume` checkpoint of another
+variant, hidden sizes or activation than the config, or with more epochs
+completed than `epochs` (before any file is written), a `generate` KSE
+`train_fraction` outside (0, 1] or a `generate` grid size `d` that is odd or
+below 4 (`spectral.require_grid`, before anything is solved), a `train` dataset whose training split holds no training pair (a
 VBE horizon below tau, or a KSE cut that keeps one snapshot or none; before
 any output is written), an `evaluate --metric error|spectrum|pdf` or
 `rom --sort variance` dataset with an empty test split (every VBE trajectory
@@ -74,8 +76,9 @@ whose outputs and manifest are still written, or a `train` gradient whose
 prediction went non-finite, which saves the last good epoch.  A KL of PDFs
 that share no bin reads inf and is not a divergence; 4 I/O error, a corrupt
 (truncated, padded, bad-header, unknown-tag or NaN/Inf-payload) binary
-artifact, a checkpoint whose variant tag contradicts its stencil block, a
-sidecar number that does not parse, a dataset sidecar `train_trajectories` below 1
+artifact, a dataset whose grid size is odd or below 4 (as an older version
+wrote; read before any output is written), a checkpoint whose variant tag
+contradicts its stencil block, a sidecar number that does not parse, a dataset sidecar `train_trajectories` below 1
 or past the file's trajectory count, `train_fraction` outside (0, 1] or
 `solver_step` that does not divide the dataset's tau, a checkpoint sidecar
 without `system` or `domain_length` where the physics is needed, or a
@@ -412,6 +415,16 @@ _TRAIN_SPLIT_SETTING = {"vbe": "a horizon of one tau or more",
                         "kse": "a train_fraction and horizon that keep two snapshots or more"}
 
 
+def _load_checkpoint(path: str, ds: sp.SnapshotDataset) -> node.RhsModel:
+    """The model saved at ``path``; ConfigError when it is not as wide as the
+    dataset ``ds``, checked before anything is solved or written."""
+    model = node.load_model(path)
+    if model.width != ds.d:
+        raise ConfigError(f"checkpoint width {model.width} does not match the "
+                          f"dataset width {ds.d}")
+    return model
+
+
 def cmd_train(config: dict) -> int:
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
@@ -433,14 +446,11 @@ def cmd_train(config: dict) -> int:
     adam = None
     if config["resume"]:
         resume_path = resolve_path(config["resume"])
-        model = node.load_model(resume_path)
+        model = _load_checkpoint(resume_path, ds)
         adam = node.load_opt_state(f"{resume_path}.opt", model)
         start_epoch = sp.read_sidecar(f"{resume_path}.txt",
                                       required=("epochs_completed",))["epochs_completed"]
         # before the output directory is made or any file is rewritten
-        if model.width != ds.d:
-            raise ConfigError(f"checkpoint width {model.width} does not match the "
-                              f"dataset width {ds.d}")
         if (model.variant, model.term.layer_sizes, model.term.activations) != (
                 config["variant"], sizes, acts):
             raise ConfigError(
@@ -569,7 +579,7 @@ def _test_split(ds, path) -> sp.SnapshotDataset:
 def cmd_evaluate(config: dict) -> int:
     dataset_path = resolve_path(config["dataset"])
     ds = sp.read_dataset(dataset_path)
-    model = node.load_model(resolve_path(config["checkpoint"]))
+    model = _load_checkpoint(resolve_path(config["checkpoint"]), ds)
     fill_auto(EVALUATE_SCHEMA, config, ds.system)
     noise = _parse_noise(config["noise"])
     out_dir = resolve_path(config["out"])  # made once the metric is computed
@@ -711,7 +721,7 @@ def cmd_rom(config: dict) -> int:
         rhs_hash = "true"
     else:
         ckpt = resolve_path(config["rhs"])
-        model = node.load_model(ckpt)
+        model = _load_checkpoint(ckpt, ds)
         rhs_hash = sha256_file(ckpt)
 
     basis = rom_mod.fourier_basis(model.linear_symbol())

@@ -16,15 +16,18 @@ and then allocates no result array; without one it runs the same operations
 into fresh arrays, with the same bits.
 
 A :class:`Worker` runs jobs on a second thread, in the order they are handed
-over, so that :func:`mlp_backward` can sum each layer's weight gradient there
-while the caller runs the input-cotangent chain.  Jobs are split by task,
-never by rows, so every array is computed by the operations that compute it
-inline, in the same order, with the same bits.
+over through a queue with no limit between joins, so that
+:func:`mlp_backward` can sum each layer's weight gradient there while the
+caller runs the input-cotangent chain; :data:`INLINE` runs them as they are
+submitted.  Jobs are split by task, never by rows, so every array is computed
+by the operations that compute it inline, in the same order, with the same
+bits.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import struct
 import threading
 from dataclasses import dataclass
@@ -207,34 +210,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _held_lock() -> threading.Lock:
-    lock = threading.Lock()
-    lock.acquire()
-    return lock
-
-
 class Worker:
     """Runs ``job(*args)`` for each :meth:`submit`, in the order submitted, on a
-    thread of its own when the process may run on two CPUs or more; otherwise,
-    or for a worker of no ``pending`` jobs, each job runs inline as it is
-    submitted.  :meth:`join` waits for every job submitted and raises the first
-    exception one of them raised.  At most ``pending`` jobs may wait between
-    joins, so their slots, and the locks that hand them over, are made once.
+    thread of its own when ``threaded`` and the process may run on two CPUs or
+    more; otherwise each job runs inline as it is submitted.  Jobs pass to the
+    thread through a queue, with no limit on how many wait between joins, and
+    their outcomes come back through a second one: :meth:`join` takes one per
+    job submitted and raises the first exception one of them raised.
 
     A job runs under the numpy error state of the thread that submitted it
     (which is per thread), so a stage that ignores overflow ignores it in its
-    jobs too.  One thread submits and joins.  :meth:`close` stops the thread
-    once the jobs submitted have run; later jobs run inline.
+    jobs too.  The thread runs its jobs at numpy's smallest ufunc buffer: a
+    broadcast operand, such as a symbol applied to every row, then costs no
+    batch-sized temporary beside the submitting thread's own, and elementwise
+    results and sums over a batch's rows keep their bits at any buffer size.
+    One thread submits and joins.  :meth:`close` stops the thread once the
+    jobs submitted have run; later jobs run inline.
     """
 
-    def __init__(self, pending: int):
-        self._calls = [None] * (pending + 1)  # and a free slot for close's stop
-        self._ready = [_held_lock() for _ in self._calls]
-        self._done = [_held_lock() for _ in self._calls]
-        self._next = self._pending = 0
-        self._error = None
+    def __init__(self, threaded: bool = True):
         self._thread = None
-        if pending and _usable_cpus() >= 2:
+        self._pending = 0
+        if threaded and _usable_cpus() >= 2:
+            self._jobs, self._results = queue.SimpleQueue(), queue.SimpleQueue()
             self._thread = threading.Thread(target=self._serve, name="stabnode-worker",
                                             daemon=True)
             self._thread.start()
@@ -247,52 +245,40 @@ class Worker:
         if self._thread is None:
             job(*args)
             return
-        if self._pending + 1 == len(self._calls):
-            raise RuntimeError(f"more than {self._pending} jobs submitted between joins")
-        slot = self._next
-        self._calls[slot] = (job, args, np.geterr())
-        self._next = (slot + 1) % len(self._calls)
+        self._jobs.put((job, args, np.geterr()))
         self._pending += 1
-        self._ready[slot].release()
 
     def join(self) -> None:
-        while self._pending:
-            self._done[(self._next - self._pending) % len(self._calls)].acquire()
-            self._pending -= 1
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
+        errors = [self._results.get() for _ in range(self._pending)]
+        self._pending = 0
+        for error in errors:
+            if error is not None:
+                raise error
 
     def close(self) -> None:
         thread, self._thread = self._thread, None
         if thread is None:
             return
-        self._ready[self._next].release()  # its call is None: stop
+        self._jobs.put(None)
         if thread is not threading.current_thread():
             thread.join()
-        self._pending, self._error = 0, None
+        self._pending = 0
 
     def _serve(self) -> None:
-        # numpy's smallest ufunc buffer: a broadcast operand, such as a symbol
-        # applied to every row, then costs no batch-sized temporary beside the
-        # submitting thread's own; elementwise results and sums over a batch's
-        # rows keep their bits at any buffer size
         np.setbufsize(16)
-        slot = 0
-        while True:
-            self._ready[slot].acquire()
-            call, self._calls[slot] = self._calls[slot], None
-            if call is None:
-                return
+        while (call := self._jobs.get()) is not None:
             job, args, errstate = call
             try:
                 with np.errstate(**errstate):
                     job(*args)
             except Exception as err:  # raised in the submitting thread by join
-                if self._error is None:
-                    self._error = err
-            self._done[slot].release()
-            slot = (slot + 1) % len(self._calls)
+                self._results.put(err)
+            else:
+                self._results.put(None)
+
+
+# runs every job as it is submitted, for the calls made without a worker of their own
+INLINE = Worker(threaded=False)
 
 
 def _temps(buffers: MlpBuffers | None, i: int) -> tuple:
@@ -362,7 +348,7 @@ def _add_weight_gradient(a, gz, weight, bias, weight_sum, bias_sum) -> None:
 
 def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray,
                  buffers: MlpBuffers | None = None, sums: list | None = None,
-                 out: np.ndarray | None = None, worker: Worker | None = None):
+                 out: np.ndarray | None = None, worker: Worker = INLINE):
     """Exact VJP at the activations :func:`mlp_forward` returned, with or
     without the output layer's (the backward pass never reads it): returns
     (grads, input cotangent); grads lists the weight gradients, then the bias
@@ -389,7 +375,6 @@ def mlp_backward(params: MlpParams, acts: list, cotangent: np.ndarray,
     if g.shape != (acts[0].shape[0], params.layer_sizes[-1]):
         raise ValueError("cotangent shape does not match forward output")
     grads = [None] * (2 * n_layers) if sums is None else sums
-    worker = Worker(0) if worker is None else worker
     for i in range(n_layers - 1, -1, -1):
         act = params.activations[i]
         # the final layer is linear and passes the caller's cotangent through

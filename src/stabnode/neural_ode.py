@@ -32,8 +32,9 @@ the gradient raises DivergenceError, as training cannot go on.
 
 A gradient's independent work overlaps on a second thread, the workspace's
 :class:`~stabnode.diffcore.Worker`, when the process may run on two CPUs or
-more; on one CPU the same jobs run inline, in the same order.  Three kinds of
-job run there while the caller runs the network:
+more; on one CPU the same jobs run inline, in the same order.  Jobs pass to
+the thread through a queue with no limit between joins.  Three kinds of job
+run there while the caller runs the network:
 
 - a forward stage's linear branch A x, joined before the stage adds N(x);
 - a VJP's linear branch, the adjoint's image and the taps' cross-spectrum
@@ -44,8 +45,9 @@ job run there while the caller runs the network:
 A VJP's jobs are joined when the network's backward pass returns, before its
 input cotangent takes the linear image.  Jobs split the work by task, never
 by rows, so every result keeps its bits.  :func:`train` stops the thread when
-it returns or raises.  Rollouts (:func:`integrate`) and the ROM stay serial:
-their batches of 1-16 rows cannot pay for a hand-off.
+it returns or raises.  Rollouts (:func:`integrate`) and the ROM stay serial,
+on :data:`~stabnode.diffcore.INLINE`: their batches of 1-16 rows cannot pay
+for a hand-off.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ class RhsModel:
         spectrum go into ``workspace`` when given, fresh arrays otherwise, and
         the linear branch is then a job on its worker, joined before the sum,
         while the caller runs the network."""
-        buffers, spectrum, worker = None, None, dc.Worker(0)
+        buffers, spectrum, worker = None, None, dc.INLINE
         if workspace is not None:
             buffers, spectrum, worker = workspace.mlp, workspace.spectra[0], workspace.worker
         symbol = None if self.linear is None else self.linear_symbol()
@@ -273,7 +275,8 @@ class AdjointWorkspace:
     It owns one :class:`~stabnode.diffcore.Worker` (``worker``), a second
     thread when the process may run on two CPUs or more, which runs three
     kinds of job while the caller runs the network, each on arrays the caller
-    does not touch until it joins:
+    does not touch until it joins.  They pass to the thread through a queue
+    with no limit between joins:
 
     - a forward stage's linear branch A x, from ``spectra[0]`` into the
       stage's slope, joined before the stage adds N(x) to it;
@@ -294,12 +297,14 @@ class AdjointWorkspace:
     (2.4) buffers a broadcast or dtype-casting operand through a temporary of
     up to 8192 elements: the bias add of every layer :func:`mlp_forward`
     computes, and relu's bool-by-float mask multiply in the backward pass.
-    That is about 200 temporaries of up to 64 KB each per gradient of a
-    batch of 256 through three relu layers of 200 over 5 substeps.  The
-    spectra's batch sum allocates one spectrum row.  The symbol's product
-    with the spectra broadcasts too; a worker thread runs it with numpy's
-    smallest buffer, so that its temporary does not add a batch-sized one to
-    the caller's at the same moment.
+    That is about 200 temporaries of up to 64 KB each (8192 float64s) per
+    gradient of a batch of 256 through three relu layers of 200 over 5
+    substeps.  The spectra's batch sum allocates one spectrum row.  The
+    symbol's product with the spectra broadcasts too, through up to 8192
+    complex128s, 128 KB, at numpy's default buffer; a worker thread runs it
+    at numpy's smallest buffer, where it takes about 1 KB, so that it adds no
+    batch-sized temporary to the caller's at the same moment.  Inline, on one
+    CPU, its 128 KB temporary never coincides with one of the caller's.
     """
 
     def __init__(self, model: RhsModel, rows: int, rollout_steps: int):
@@ -310,8 +315,7 @@ class AdjointWorkspace:
         self.w = np.empty(shape)
         self.cot = np.empty(shape)
         self.grads = [np.empty_like(p) for p in model.parameters()]
-        # at most a VJP's linear-branch job and one job per layer wait at once
-        self.worker = dc.Worker(model.term.n_layers + 1)
+        self.worker = dc.Worker()
         weakref.finalize(self, self.worker.close)
 
     def close(self) -> None:

@@ -42,7 +42,8 @@ chronological cut, 0.8); a checkpoint ``system``, ``domain_length``,
 a ``train_trajectories`` below 1 or past the file's trajectory count, a
 ``train_fraction`` outside (0, 1], a dataset ``solver_step`` that does not
 divide its tau and a checkpoint sidecar without ``system`` or
-``domain_length`` are ArtifactErrors.
+``domain_length`` are ArtifactErrors, as is a dataset whose grid breaks
+:func:`require_grid`.
 """
 
 from __future__ import annotations
@@ -136,6 +137,15 @@ class DivergenceError(RuntimeError):
         self.seed = seed
 
 
+def require_grid(d: int) -> None:
+    """ValueError unless ``d`` is a grid the spectral code resolves: even, so
+    that its one-sided spectrum of d/2 + 1 entries names it, and of 4 points
+    or more; the one grid rule of fields, initial conditions, solvers and the
+    datasets :func:`read_dataset` reads."""
+    if d < 4 or d % 2 != 0:
+        raise ValueError(f"grid size must be even and >= 4, got {d}")
+
+
 @dataclass
 class Field:
     """Real periodic state sampled on an equispaced grid."""
@@ -148,9 +158,7 @@ class Field:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             raise ValueError("field values must be one-dimensional")
-        d = self.values.size
-        if d < 4 or d % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 4, got {d}")
+        require_grid(self.values.size)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
         if self.domain_length <= 0:
@@ -261,8 +269,7 @@ def generate_vbe_ic(spec: IcSpec, d: int, domain_length: float = 1.0) -> Field:
     Psi(k) i.i.d. uniform on [0, 1); the Nyquist phase is fixed to zero so
     the realized energy sum equals the budget exactly for every seed.
     """
-    if d % 2 != 0 or d < 4:
-        raise ValueError("grid size must be even and >= 4")
+    require_grid(d)
     amp = spec.amplitude
     if amp is None:
         amp = ic_amplitude_for_energy(spec.peak_wavenumber, d, domain_length)
@@ -436,6 +443,7 @@ class VbeSolver(_Solver):
 
     def __init__(self, d: int, domain_length: float = 1.0, viscosity: float = 8e-4,
                  dt: float = 1e-3):
+        require_grid(d)
         if dt <= 0 or viscosity <= 0:
             raise ValueError("dt and viscosity must be positive")
         self.d = d
@@ -486,6 +494,7 @@ class KseSolver(_Solver):
     CONTOUR_POINTS = 32
 
     def __init__(self, d: int, domain_length: float = 22.0, h: float = 0.05):
+        require_grid(d)
         if h <= 0:
             raise ValueError("step size must be positive")
         self.d = d
@@ -818,6 +827,10 @@ def read_dataset(path) -> SnapshotDataset:
             "<IIIIddB", read_exact(fh, struct.calcsize("<IIIIddB")))
         if version != DATASET_VERSION:
             raise ArtifactError(f"{path}: unsupported dataset version {version}")
+        try:
+            require_grid(d)
+        except ValueError as err:
+            raise ArtifactError(f"{path}: {err}") from None
         values = read_f8(fh, d * n_traj * n_snap).reshape(n_traj, n_snap, d)
         expect_end(fh)
     system = tag_name(SYSTEM_NAMES, tag, path, "system")

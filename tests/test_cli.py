@@ -468,6 +468,56 @@ class TestTrain:
         assert run_cli(*evaluate, "--set", f"rollout_steps={need}") == 0
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "rom"])
+def test_checkpoint_of_another_width_exits_2_before_any_output(tmp_path, kse_dataset,
+                                                               trained_dir, command, capsys):
+    # a d=64 learned-linear checkpoint of 30 epochs against a d=32 dataset; train
+    # names the width before the epochs completed past its 4
+    ckpt, out = str(trained_dir / "model.snck"), tmp_path / "o"
+    argv = {"train": ["--variant", "learned-linear", "--epochs", "4", "--resume", ckpt],
+            "evaluate": ["--checkpoint", ckpt, "--set", "n_ics=1"],
+            "rom": ["--rhs", ckpt, "--mode", "galerkin", "--dp", "3",
+                    "--set", "total_time=1"]}[command]
+    assert run_cli(command, "--dataset", str(kse_dataset), "--out", str(out), *argv) == 2
+    assert ("checkpoint width 64 does not match the dataset width 32"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", ["33", "2"])
+@pytest.mark.parametrize("system", ["vbe", "kse"])
+def test_odd_or_tiny_grid_exits_2_before_anything_is_solved(tmp_path, system, d, capsys,
+                                                           monkeypatch):
+    def advance(*args, **kwargs):
+        raise AssertionError("solved")
+    monkeypatch.setattr(sp._Solver, "advance", advance)
+    out = tmp_path / "newdir" / "x.snod"
+    argv = tiny_vbe_args(out) if system == "vbe" else tiny_kse_args(out)
+    assert run_cli(*argv, "--set", f"d={d}") == 2
+    assert f"grid size must be even and >= 4, got {d}" in capsys.readouterr().err
+    assert not (tmp_path / "newdir").exists()
+
+
+@pytest.mark.parametrize("d", [33, 2])
+@pytest.mark.parametrize("command", ["train", "evaluate", "rom"])
+def test_dataset_of_an_odd_or_tiny_grid_exits_4_before_any_output(tmp_path, trained_dir,
+                                                                  command, d, capsys):
+    # as the generator wrote a KSE grid before it refused one: a d=33 grid's
+    # 17-entry symbol reads as d=32's, and d=2 made a 2-point basis
+    grid = 22.0 * np.arange(d) / d
+    values = np.stack([np.sin(2 * np.pi * grid / 22.0 + 0.1 * t) for t in range(41)])
+    data = tmp_path / "k.snod"
+    sp.write_dataset(sp.SnapshotDataset(values[None], 0.25, 22.0, "kse"), data)
+    ckpt, out = str(trained_dir / "model.snck"), tmp_path / "o"
+    argv = {"train": ["--variant", "learned-linear", "--epochs", "1"],
+            "evaluate": ["--checkpoint", ckpt, "--set", "n_ics=1"],
+            "rom": ["--mode", "galerkin", "--dp", "1", "--set", "total_time=1"]}[command]
+    assert run_cli(command, "--dataset", str(data), "--out", str(out), *argv) == 4
+    assert (f"{data}: grid size must be even and >= 4, got {d}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,setting", [
     ("train", "rollout_steps=0"), ("train", "batch_size=0"), ("train", "epochs=0"),
     ("train", "epochs=-3"), ("evaluate", "rollout_steps=0"),
