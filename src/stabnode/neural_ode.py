@@ -2,13 +2,14 @@
 
 A model is du/dt = A u + N(u), with A a circulant linear operator applied
 through its Fourier symbol and N a term: a network, or the dealiased Burgers
-advection of the true VBE and KSE (:class:`BurgersTerm`), so the true RHS is
-a model too (:class:`TrueRhs`).  A term answers ``width``, ``params()`` (its
-trainable tensors, none for the advection), ``forward(u, buffers)`` (N at
-grid states, into a network's buffers when given) and
-``coefficient_tendency(shape)``, which binds N on one-sided coefficients
-c = rfft(u) / d of batch shape ``shape`` once and returns ``tendency(coeffs,
-out)``, the calling convention of :func:`~stabnode.spectral.burgers_kernel`.
+advection of the true VBE and KSE, :class:`~stabnode.spectral.BurgersTerm`, the
+one the ground-truth solvers step with, so the true RHS is a model too
+(:class:`TrueRhs`).  A term answers ``width``, ``params()`` (its trainable
+tensors, none for the advection), ``forward(u, buffers)`` (N at grid states,
+into a network's buffers when given) and ``coefficient_tendency(shape)``,
+which binds N on one-sided coefficients c = rfft(u) / d of batch shape
+``shape`` once and returns ``tendency(coeffs, out)``, the calling convention
+of the Burgers term's kernel.
 Three learned variants differ only in A: none (the bare network), the true
 operator held fixed, or a learned circular-convolution stencil.  States
 advance with classical RK4; parameter gradients come from the discrete
@@ -60,10 +61,9 @@ from itertools import repeat
 import numpy as np
 
 from . import diffcore as dc
-from .spectral import (ArtifactError, DivergenceError, SnapshotDataset,
-                       advection_symbols, apply_symbol, burgers_kernel, expect_end, irfft,
-                       linear_symbol, march, read_exact, read_f8, read_sidecar, rfft,
-                       save_count, tag_name)
+from .spectral import (ArtifactError, BurgersTerm, DivergenceError, SnapshotDataset,
+                       apply_symbol, expect_end, irfft, linear_symbol, march, read_exact,
+                       read_f8, read_sidecar, rfft, save_count, tag_name)
 
 VARIANT_TAGS = {"nonlinear": 0, "fixed-linear": 1, "learned-linear": 2}
 VARIANT_NAMES = {v: k for k, v in VARIANT_TAGS.items()}
@@ -99,40 +99,11 @@ LINEAR_VARIANTS = {type(None): "nonlinear", FixedSymbol: "fixed-linear",
                    dc.ConvStencil: "learned-linear"}
 
 
-class BurgersTerm:
-    """The dealiased Burgers advection -0.5*(u^2)_x on a d-point grid of a
-    domain of length ``domain_length``, the nonlinear term of the true VBE and
-    KSE; it has no parameters.  Both of its evaluations run the one Burgers
-    kernel of the solvers (:func:`~stabnode.spectral.burgers_kernel`)."""
-
-    def __init__(self, d: int, domain_length: float):
-        self.width = d
-        self._adv = advection_symbols(d, domain_length)
-
-    def params(self) -> list:
-        return []
-
-    def forward(self, u: np.ndarray, buffers=None) -> np.ndarray:
-        """The advection at grid states ``u``, through their coefficients
-        rfft(u) / d, into fresh arrays; ``buffers`` is unused."""
-        d = self.width
-        c = rfft(u) / d
-        return irfft(self.coefficient_tendency(c.shape[:-1])(c, np.empty_like(c)) * d, d)
-
-    def coefficient_tendency(self, shape: tuple):
-        """The kernel for coefficients of batch shape ``shape``, its dealiasing
-        factors repeated for every row, so that no product broadcasts, and
-        bound once with its scratch."""
-        half_iq, mask_d = (np.broadcast_to(f, shape + f.shape).copy() for f in self._adv)
-        return burgers_kernel(half_iq, mask_d, np.empty_like(half_iq),
-                              np.empty(shape + (self.width,)))
-
-
 @dataclass
 class RhsModel:
     """du/dt = A u + N(u): ``term`` is N, a network
     (:class:`~stabnode.diffcore.MlpParams`) or the Burgers advection
-    (:class:`BurgersTerm`), and ``linear`` is the circulant operator A, applied
+    (:class:`~stabnode.spectral.BurgersTerm`), and ``linear`` is the circulant operator A, applied
     through its one-sided symbol (k = 0..d/2).
 
     ``linear`` is None for the bare network, a :class:`FixedSymbol` for the

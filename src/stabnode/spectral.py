@@ -5,12 +5,14 @@ third-order Runge-Kutta with Crank-Nicolson diffusion) and the
 Kuramoto-Sivashinsky equation (ETDRK4 after Kassam & Trefethen, SIAM
 J. Sci. Comput. 26 (2005) 1214-1233, with contour-averaged coefficients),
 plus random initial conditions drawn to a prescribed energy budget.
-Both solvers step in place: ``advance`` copies its input once and steps a
-batch in blocks of rows, at most ``BLOCK_BYTES`` of state each, every stage
-writes into buffers kept on the solver, and each product or quotient of
-complex coefficients with a real factor is a multiply of float64 views by a
-row precomputed from the factor and repeated to the block, which keeps
-numpy's complex-arithmetic bits (:class:`_Solver` says why).
+:class:`BurgersTerm` is the one dealiased Burgers advection: the solvers'
+stages, the true RHS (:class:`~stabnode.neural_ode.TrueRhs`) and the ROM all
+bind its kernel.  Both solvers step in place: ``advance`` copies its input
+once and steps a batch in blocks of rows, at most ``BLOCK_BYTES`` of state
+each, every stage writes into buffers kept on the solver, and each product or
+quotient of complex coefficients with a real factor is a multiply of float64
+views by a row precomputed from the factor and repeated to the block, which
+keeps numpy's complex-arithmetic bits (:class:`_Solver` says why).
 :func:`march` is the one loop, for generation, true trajectories, model
 rollouts and the ROM: a diverged row is a non-finite state, judged by value at
 each save, and :func:`finite_truth` raises where the truth is needed.
@@ -307,41 +309,57 @@ def apply_symbol(symbol: np.ndarray, u: np.ndarray, out: np.ndarray | None = Non
     return irfft(np.multiply(symbol, spectrum, out=spectrum), u.shape[-1], out=out)
 
 
-def advection_symbols(d: int, domain_length: float):
-    """The dealiasing factors of :func:`burgers_kernel`, computed once: the
-    advection symbol -0.5*i*q, zero above the 2/3-rule cutoff (Nyquist
-    included), and the input mask times d."""
-    k = wavenumber_indices(d)
-    keep = k <= d // TWO_THIRDS_CUTOFF
-    half_iq = -0.5 * (1j * (2.0 * np.pi * k / domain_length))
-    return np.where(keep, half_iq, 0.0), keep * (d + 0j)
+class BurgersTerm:
+    """The dealiased Burgers advection -0.5*(u^2)_x on a d-point grid of a
+    domain of length ``domain_length``, the nonlinear term of the true VBE and
+    KSE; it has no parameters.  It is the one Burgers term: the solvers'
+    stages, the true RHS (:class:`~stabnode.neural_ode.TrueRhs`) and through
+    it the ROM all run the kernel :meth:`coefficient_tendency` binds.  Its
+    dealiasing factors, computed once, are the advection symbol -0.5*i*q, zero
+    above the 2/3-rule cutoff (Nyquist included), and the input mask times d.
+    A domain length that is not > 0 is refused before any arithmetic."""
 
+    def __init__(self, d: int, domain_length: float):
+        if not domain_length > 0:
+            raise ValueError(f"domain length must be > 0, got {domain_length}")
+        self.width = d
+        k = wavenumber_indices(d)
+        keep = k <= d // TWO_THIRDS_CUTOFF
+        half_iq = -0.5 * (1j * (2.0 * np.pi * k / domain_length))
+        self._factors = (np.where(keep, half_iq, 0.0), keep * (d + 0j))
 
-def burgers_kernel(half_iq: np.ndarray, mask_d: np.ndarray, spectrum: np.ndarray,
-                   grid: np.ndarray):
-    """The one Burgers tendency, prebound: ``tendency(coeffs, out)`` writes the
-    advection -0.5*(u^2)_x of one-sided ``coeffs`` into ``out`` and returns it,
-    2/3-rule dealiased on input and output by the factors of
-    :func:`advection_symbols`, or those factors repeated to the rows.  It works
-    in the scratch ``spectrum`` (complex, the shape of ``coeffs``) and ``grid``
-    (real, d points per row), bound here with the factors and 1/d once, so a
-    hot loop pays one Python call per tendency.  A discarded mode reads a zero
-    of either sign.  It has no allocating twin: the solvers' stages, and the
-    true RHS's :class:`~stabnode.neural_ode.BurgersTerm` on grid states and on
-    coefficients, all bind one.
+    def params(self) -> list:
+        return []
 
-    The 1/d normalisation is the forward transform's scale, which multiplies
-    every float64 word by 1/d: the bits of numpy's complex product with 1/d
-    and of its complex division by d (see :class:`_Solver`), but for the sign
-    of an exact zero, and with one ufunc call fewer."""
-    d = grid.shape[-1]
-    scale = 1.0 / d
+    def forward(self, u: np.ndarray, buffers=None) -> np.ndarray:
+        """The advection at grid states ``u``, through their coefficients
+        rfft(u) / d, into fresh arrays; ``buffers`` is unused."""
+        d = self.width
+        c = rfft(u) / d
+        return irfft(self.coefficient_tendency(c.shape[:-1])(c, np.empty_like(c)) * d, d)
 
-    def tendency(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        u = irfft(np.multiply(coeffs, mask_d, out=spectrum), d, out=grid)
-        rfft(np.multiply(u, u, out=u), out=spectrum, scale=scale)
-        return np.multiply(half_iq, spectrum, out=out)
-    return tendency
+    def coefficient_tendency(self, shape: tuple):
+        """The one Burgers kernel, prebound: ``tendency(coeffs, out)`` writes
+        the advection of one-sided ``coeffs`` of batch shape ``shape`` into
+        ``out`` and returns it, 2/3-rule dealiased on input and output.  The
+        factors are repeated for every row, so that no product broadcasts, and
+        bound once with a complex ``spectrum`` and a real ``grid`` scratch, so
+        a hot loop pays one Python call per tendency.  A discarded mode reads a
+        zero of either sign.
+
+        The 1/d normalisation is the forward transform's scale, which multiplies
+        every float64 word by 1/d: the bits of numpy's complex product with 1/d
+        and of its complex division by d (see :class:`_Solver`), but for the sign
+        of an exact zero, and with one ufunc call fewer."""
+        half_iq, mask_d = (np.broadcast_to(f, shape + f.shape).copy() for f in self._factors)
+        d, scale = self.width, 1.0 / self.width
+        spectrum, grid = np.empty_like(half_iq), np.empty(shape + (d,))
+
+        def tendency(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+            u = irfft(np.multiply(coeffs, mask_d, out=spectrum), d, out=grid)
+            rfft(np.multiply(u, u, out=u), out=spectrum, scale=scale)
+            return np.multiply(half_iq, spectrum, out=out)
+        return tendency
 
 
 # The bytes of state a solver steps as one block of rows: 31 rows at d = 512,
@@ -372,14 +390,17 @@ class _Solver:
     block runs all ``nsteps`` steps before the next one starts; each row keeps
     the bits it has stepped alone, and a lone state steps as a one-row block.
 
-    Every stage writes with ``out=`` into buffers built, for the rows of one
-    block, once and kept on the solver: a shorter block, or a batch that
-    shrinks, steps in leading-row views of them, and only a longer block
-    rebuilds them.  Each product of a complex coefficient with a real factor,
-    and each quotient by one, is a multiply of float64 views by a kept row
-    block-shaped, as are the dealiasing factors of the :func:`burgers_kernel`
-    bound to each block's buffers, so no product broadcasts (numpy buffers a
-    broadcast operand).  A real row
+    Both solvers build their grid rule, step check, :class:`BurgersTerm` and
+    true linear symbol here, the term before the symbol, so a domain length
+    the term refuses is refused before any arithmetic.  Every stage writes
+    with ``out=`` into buffers built, for the rows of one block, once and kept
+    on the solver: a shorter block, or a batch that shrinks, steps in
+    leading-row views of them, and only a longer block rebuilds them.  The
+    term's kernel (:meth:`BurgersTerm.coefficient_tendency`) is bound once per
+    row count, with its dealiasing factors repeated to the rows.  Each product
+    of a complex coefficient with a real factor, and each quotient by one, is a
+    multiply of float64 views by a kept row block-shaped, so no product
+    broadcasts (numpy buffers a broadcast operand).  A real row
     is the factor, or its reciprocal, repeated twice for the interleaved real
     and imaginary parts and then to the block's rows.  That keeps numpy's
     bits: numpy multiplies a complex array by a real x as the complex product
@@ -392,6 +413,16 @@ class _Solver:
     """
 
     _kept_rows = 0  # the block rows the kept buffers were built for
+
+    def __init__(self, system: str, d: int, domain_length: float, step: float,
+                 viscosity: float = 8e-4):
+        require_grid(d)
+        if not (step > 0 and viscosity > 0):
+            raise ValueError(f"step and viscosity must be positive, got {step} and {viscosity}")
+        self.d = d
+        self.domain_length = domain_length
+        self._term = BurgersTerm(d, domain_length)
+        self._symbol = linear_symbol(system, d, domain_length, viscosity)
 
     @property
     def block_rows(self) -> int:
@@ -409,24 +440,16 @@ class _Solver:
         return state
 
     def _buffers(self, rows: int) -> list:
-        """The :func:`burgers_kernel`, then the kept stage buffers and
-        block-shaped rows, cut to their leading ``rows`` rows: built for the
+        """The term's kernel for ``rows`` rows, then the kept stage buffers and
+        block-shaped rows cut to their leading ``rows`` rows: built for the
         first block longer than they are, and cut and bound once per row count,
         as march calls ``advance`` once per save."""
         if rows > self._kept_rows:
             self._kept_rows, self._kept, self._cuts = rows, self._build_buffers(rows), {}
         if rows not in self._cuts:
-            cut = [a[:rows] for a in self._kept]
-            self._cuts[rows] = [burgers_kernel(*cut[:4]), *cut[4:]]
+            self._cuts[rows] = [self._term.coefficient_tendency((rows,)),
+                                *(a[:rows] for a in self._kept)]
         return self._cuts[rows]
-
-    def _tendency_buffers(self, rows: int) -> tuple:
-        """The four arrays :func:`burgers_kernel` binds, which lead what
-        ``_build_buffers`` returns: the dealiasing factors repeated to ``rows``
-        rows, and the ``spectrum`` and ``grid`` scratch."""
-        m = self.d // 2 + 1
-        return (*(np.tile(factor, (rows, 1)) for factor in self._adv),
-                np.empty((rows, m), dtype=np.complex128), np.empty((rows, self.d)))
 
 
 class VbeSolver(_Solver):
@@ -443,15 +466,10 @@ class VbeSolver(_Solver):
 
     def __init__(self, d: int, domain_length: float = 1.0, viscosity: float = 8e-4,
                  dt: float = 1e-3):
-        require_grid(d)
-        if dt <= 0 or viscosity <= 0:
-            raise ValueError("dt and viscosity must be positive")
-        self.d = d
-        self.domain_length = domain_length
+        super().__init__("vbe", d, domain_length, dt, viscosity)
         self.viscosity = viscosity
         self.dt = dt
-        lin = linear_symbol("vbe", d, domain_length, viscosity)
-        self._adv = advection_symbols(d, domain_length)
+        lin = self._symbol
         # stages dt/3, dt/2, dt, with their explicit and reciprocal implicit factors
         self._steps = tuple(dt / (3 - stage) for stage in range(3))
         self._factors = tuple(factor for dt_s in self._steps
@@ -459,10 +477,10 @@ class VbeSolver(_Solver):
 
     def _build_buffers(self, rows: int) -> tuple:
         m = self.d // 2 + 1
-        # the tendency buffers, base, N(v) and its float64 view, then each
-        # stage's explicit and implicit rows
+        # base, N(v) and its float64 view, then each stage's explicit and
+        # implicit rows
         n = np.empty((rows, m), dtype=np.complex128)
-        return (*self._tendency_buffers(rows), np.empty((rows, 2 * m)), n, n.view(np.float64),
+        return (np.empty((rows, 2 * m)), n, n.view(np.float64),
                 *(_interleaved(factor, rows) for factor in self._factors))
 
     def _step_in_place(self, v: np.ndarray, nsteps: int, kept: list) -> None:
@@ -494,14 +512,9 @@ class KseSolver(_Solver):
     CONTOUR_POINTS = 32
 
     def __init__(self, d: int, domain_length: float = 22.0, h: float = 0.05):
-        require_grid(d)
-        if h <= 0:
-            raise ValueError("step size must be positive")
-        self.d = d
-        self.domain_length = domain_length
+        super().__init__("kse", d, domain_length, h)
         self.h = h
-        ell = linear_symbol("kse", d, domain_length)
-        self._adv = advection_symbols(d, domain_length)
+        ell = self._symbol
         m = self.CONTOUR_POINTS
         r = np.exp(1j * np.pi * (np.arange(m) + 0.5) / m)
         lr = h * ell[:, None] + r[None, :]
@@ -516,10 +529,10 @@ class KseSolver(_Solver):
 
     def _build_buffers(self, rows: int) -> tuple:
         m = self.d // 2 + 1
-        # the tendency buffers; N(v), N(a), N(b), N(c), a, and b (then c), and
-        # their float64 views; E2*v and a temporary; E, E2, Q, f1, f2, f3
+        # N(v), N(a), N(b), N(c), a, and b (then c), and their float64 views;
+        # E2*v and a temporary; E, E2, Q, f1, f2, f3
         stages = [np.empty((rows, m), dtype=np.complex128) for _ in range(6)]
-        return (*self._tendency_buffers(rows), *stages, *(z.view(np.float64) for z in stages),
+        return (*stages, *(z.view(np.float64) for z in stages),
                 np.empty((rows, 2 * m)), np.empty((rows, 2 * m)),
                 *(_interleaved(factor, rows) for factor in self._factors))
 
@@ -771,10 +784,10 @@ def generate_vbe_dataset(n_train: int = 1000, n_test: int = 100, d: int = 512,
     n_snap = save_count(horizon, tau) + 1
     sub = save_count(tau, dt)
     seeds = [base_seed + i for i in range(n_train + n_test)]
+    solver = VbeSolver(d, domain_length, viscosity, dt)  # its checks come first
     ics = np.stack([generate_vbe_ic(IcSpec(peak_wavenumber, amplitude, seed), d,
                                     domain_length).values for seed in seeds])
-    values = solve_truth(VbeSolver(d, domain_length, viscosity, dt), rfft(ics) / d,
-                         n_snap - 1, sub, tau, seeds)
+    values = solve_truth(solver, rfft(ics) / d, n_snap - 1, sub, tau, seeds)
     values[:, 0] = ics
     return SnapshotDataset(values, tau, domain_length, "vbe")
 
