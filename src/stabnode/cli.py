@@ -39,11 +39,16 @@ once every check has passed, and `generate` only once its data are solved.
 Exit codes: 0 success; 2 config error: a value outside its key's kind,
 allowed values or minimum (a count, e.g. `pdf_bins` or `slaving_iterations`,
 or a `hidden` width, below 1; a size, `test_ics`, a `seed` or
-`checkpoint_every`, below 0), from any
+`checkpoint_every`, below 0; a float, e.g. `lr_nonlinear` or `viscosity`,
+that is nan or inf), from any
 source, rejected before any command runs; or any other setting the pipeline
 rejects (a
-ValueError other than an artifact error), e.g. a bad noise spec or band, a
-stencil not narrower than the grid, an `evaluate --checkpoint`, `rom --rhs`
+ValueError other than an artifact error), e.g. a bad noise spec or band (a
+nan or inf noise level included), a stencil not narrower than the grid, a
+`generate` `domain_length` that is not above 0 (before anything is solved),
+a `train` learning rate below 0 or a negative normal init variance
+(`weight_init_variance`, or `stencil_init_scale` of the normal kind; before
+any output is written), an `evaluate --checkpoint`, `rom --rhs`
 or `train --resume` checkpoint of another width than the dataset (before
 anything is solved or written), a `train --resume` checkpoint of another
 variant, hidden sizes or activation than the config, or with more epochs
@@ -76,9 +81,10 @@ whose outputs and manifest are still written, or a `train` gradient whose
 prediction went non-finite, which saves the last good epoch.  A KL of PDFs
 that share no bin reads inf and is not a divergence; 4 I/O error, a corrupt
 (truncated, padded, bad-header, unknown-tag or NaN/Inf-payload) binary
-artifact, a dataset whose grid size is odd or below 4 (as an older version
-wrote; read before any output is written), a checkpoint whose variant tag
-contradicts its stencil block, a sidecar number that does not parse, a dataset sidecar `train_trajectories` below 1
+artifact, a dataset whose grid size is odd or below 4 or whose domain
+length is not above 0 (as an older version wrote; read before any output is
+written), a sidecar `domain_length` that is not above 0, a checkpoint whose
+variant tag contradicts its stencil block, a sidecar number that does not parse, a dataset sidecar `train_trajectories` below 1
 or past the file's trajectory count, `train_fraction` outside (0, 1] or
 `solver_step` that does not divide the dataset's tau, a checkpoint sidecar
 without `system` or `domain_length` where the physics is needed, or a
@@ -138,8 +144,16 @@ def _parse_bool(text):
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _parse_float(text):
+    """A finite float: nan and inf pass no check downstream, so none is taken."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _parse_floats(text):
-    return tuple(float(x) for x in str(text).split(",") if x != "")
+    return tuple(_parse_float(x) for x in str(text).split(",") if x != "")
 
 
 def _parse_ints(text):
@@ -163,7 +177,7 @@ def parse_dp_list(text) -> list:
 
 # a count is an int of at least 1, counts a comma list of them, and a size an
 # int of at least 0
-_PARSERS = {"int": int, "count": int, "counts": _parse_ints, "size": int, "float": float,
+_PARSERS = {"int": int, "count": int, "counts": _parse_ints, "size": int, "float": _parse_float,
             "str": str, "bool": _parse_bool, "floats": _parse_floats, "dps": parse_dp_list}
 
 AUTO = "auto"
@@ -553,11 +567,15 @@ def _parse_noise(spec: str):
     if spec == "none":
         return None
     parts = spec.split(":")
-    if parts[0] == "grid" and len(parts) == 2:
-        return ("grid", float(parts[1]))
-    if parts[0] == "fourier" and len(parts) == 4:
-        return ("fourier", float(parts[1]), int(parts[2]), int(parts[3]))
-    raise ConfigError(f"bad noise spec {spec!r}; use grid:EPS or fourier:EPS:KLO:KHI")
+    usage = f"bad noise spec {spec!r}; use grid:EPS or fourier:EPS:KLO:KHI"
+    try:
+        if parts[0] == "grid" and len(parts) == 2:
+            return ("grid", _parse_float(parts[1]))
+        if parts[0] == "fourier" and len(parts) == 4:
+            return ("fourier", _parse_float(parts[1]), int(parts[2]), int(parts[3]))
+    except ValueError as err:
+        raise ConfigError(f"{usage} ({err})") from None
+    raise ConfigError(usage)
 
 
 def _test_split(ds, path) -> sp.SnapshotDataset:

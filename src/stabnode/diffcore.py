@@ -398,6 +398,8 @@ def _draw(rng, dist, shape):
     kind = dist[0]
     if kind == "normal":
         _, mean, var = dist
+        if var < 0:
+            raise ValueError(f"normal init variance must be at least 0, got {var}")
         return rng.normal(mean, np.sqrt(var), size=shape)
     if kind == "uniform":
         _, lo, hi = dist

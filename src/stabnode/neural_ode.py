@@ -518,6 +518,9 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if not self.lr_nonlinear:
             raise ValueError("nonlinear learning-rate stages must be nonempty")
+        for name, rates in (("lr_nonlinear", self.lr_nonlinear), ("lr_linear", self.lr_linear)):
+            if min(rates, default=0.0) < 0:  # a negative rate ascends the loss
+                raise ValueError(f"every {name} rate must be at least 0, got {rates}")
 
     def stage(self, epoch: int, stages: tuple) -> int:
         return min(len(stages) - 1, epoch * len(stages) // self.epochs)

@@ -43,9 +43,10 @@ chronological cut, 0.8); a checkpoint ``system``, ``domain_length``,
 ``viscosity`` (8e-4) and ``epochs_completed``.  A number that does not parse,
 a ``train_trajectories`` below 1 or past the file's trajectory count, a
 ``train_fraction`` outside (0, 1], a dataset ``solver_step`` that does not
-divide its tau and a checkpoint sidecar without ``system`` or
-``domain_length`` are ArtifactErrors, as is a dataset whose grid breaks
-:func:`require_grid`.
+divide its tau, a ``domain_length`` that is not > 0 and a checkpoint sidecar
+without ``system`` or ``domain_length`` are ArtifactErrors, as is a dataset
+whose grid breaks :func:`require_grid` or whose header's domain length breaks
+:func:`require_domain_length`.
 """
 
 from __future__ import annotations
@@ -148,6 +149,14 @@ def require_grid(d: int) -> None:
         raise ValueError(f"grid size must be even and >= 4, got {d}")
 
 
+def require_domain_length(length: float) -> None:
+    """ValueError unless the periodic domain's ``length`` is > 0 (nan is not):
+    the one domain rule of fields, the Burgers term, and so the solvers, and
+    the datasets :func:`read_dataset` reads."""
+    if not length > 0:
+        raise ValueError(f"domain length must be > 0, got {length}")
+
+
 @dataclass
 class Field:
     """Real periodic state sampled on an equispaced grid."""
@@ -163,8 +172,7 @@ class Field:
         require_grid(self.values.size)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
-        if self.domain_length <= 0:
-            raise ValueError("domain length must be positive")
+        require_domain_length(self.domain_length)
 
     @property
     def d(self) -> int:
@@ -320,8 +328,7 @@ class BurgersTerm:
     A domain length that is not > 0 is refused before any arithmetic."""
 
     def __init__(self, d: int, domain_length: float):
-        if not domain_length > 0:
-            raise ValueError(f"domain length must be > 0, got {domain_length}")
+        require_domain_length(domain_length)
         self.width = d
         k = wavenumber_indices(d)
         keep = k <= d // TWO_THIRDS_CUTOFF
@@ -842,6 +849,7 @@ def read_dataset(path) -> SnapshotDataset:
             raise ArtifactError(f"{path}: unsupported dataset version {version}")
         try:
             require_grid(d)
+            require_domain_length(length)
         except ValueError as err:
             raise ArtifactError(f"{path}: {err}") from None
         values = read_f8(fh, d * n_traj * n_snap).reshape(n_traj, n_snap, d)
@@ -887,4 +895,6 @@ def read_sidecar(path, required=()) -> dict:
     if not 0 < meta.get("train_fraction", 1.0) <= 1:
         raise ArtifactError(f"{path}: train_fraction must be in (0, 1]: "
                             f"{meta['train_fraction']}")
+    if not meta.get("domain_length", 1.0) > 0:
+        raise ArtifactError(f"{path}: domain_length must be > 0: {meta['domain_length']}")
     return meta

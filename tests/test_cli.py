@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -484,44 +485,61 @@ def test_checkpoint_of_another_width_exits_2_before_any_output(tmp_path, kse_dat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("d", ["33", "2"])
+@pytest.mark.parametrize("setting, error", [
+    ("d=33", "grid size must be even and >= 4, got 33"),
+    ("d=2", "grid size must be even and >= 4, got 2"),
+    # the domain is refused before the initial conditions' energy budget is drawn
+    ("domain_length=-22", "domain length must be > 0, got -22.0"),
+    ("domain_length=0", "domain length must be > 0, got 0.0")],
+    ids=["33", "2", "L=-22", "L=0"])
 @pytest.mark.parametrize("system", ["vbe", "kse"])
-def test_odd_or_tiny_grid_exits_2_before_anything_is_solved(tmp_path, system, d, capsys,
-                                                           monkeypatch):
+def test_odd_or_tiny_grid_exits_2_before_anything_is_solved(tmp_path, system, setting, error,
+                                                           capsys, monkeypatch):
     def advance(*args, **kwargs):
         raise AssertionError("solved")
     monkeypatch.setattr(sp._Solver, "advance", advance)
     out = tmp_path / "newdir" / "x.snod"
     argv = tiny_vbe_args(out) if system == "vbe" else tiny_kse_args(out)
-    assert run_cli(*argv, "--set", f"d={d}") == 2
-    assert f"grid size must be even and >= 4, got {d}" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--set", setting) == 2
+    assert error in capsys.readouterr().err
     assert not (tmp_path / "newdir").exists()
 
 
-@pytest.mark.parametrize("d", [33, 2])
+@pytest.mark.parametrize("d, length, error", [
+    (33, 22.0, "grid size must be even and >= 4, got 33"),
+    (2, 22.0, "grid size must be even and >= 4, got 2"),
+    (64, -22.0, "domain length must be > 0, got -22.0")], ids=["33", "2", "L=-22"])
 @pytest.mark.parametrize("command", ["train", "evaluate", "rom"])
 def test_dataset_of_an_odd_or_tiny_grid_exits_4_before_any_output(tmp_path, trained_dir,
-                                                                  command, d, capsys):
+                                                                  command, d, length, error,
+                                                                  capsys):
     # as the generator wrote a KSE grid before it refused one: a d=33 grid's
-    # 17-entry symbol reads as d=32's, and d=2 made a 2-point basis
+    # 17-entry symbol reads as d=32's, and d=2 made a 2-point basis; a negative
+    # domain length flipped the sign of every wavenumber
     grid = 22.0 * np.arange(d) / d
     values = np.stack([np.sin(2 * np.pi * grid / 22.0 + 0.1 * t) for t in range(41)])
     data = tmp_path / "k.snod"
-    sp.write_dataset(sp.SnapshotDataset(values[None], 0.25, 22.0, "kse"), data)
+    sp.write_dataset(sp.SnapshotDataset(values[None], 0.25, length, "kse"), data)
     ckpt, out = str(trained_dir / "model.snck"), tmp_path / "o"
     argv = {"train": ["--variant", "learned-linear", "--epochs", "1"],
             "evaluate": ["--checkpoint", ckpt, "--set", "n_ics=1"],
             "rom": ["--mode", "galerkin", "--dp", "1", "--set", "total_time=1"]}[command]
     assert run_cli(command, "--dataset", str(data), "--out", str(out), *argv) == 4
-    assert (f"{data}: grid size must be even and >= 4, got {d}"
-            in capsys.readouterr().err)
+    assert f"{data}: {error}" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command,setting", [
     ("train", "rollout_steps=0"), ("train", "batch_size=0"), ("train", "epochs=0"),
     ("train", "epochs=-3"), ("evaluate", "rollout_steps=0"),
-    ("evaluate", "n_ics=0"), ("train", "hidden=0"), ("train", "hidden=16,0")])
+    ("evaluate", "n_ics=0"), ("train", "hidden=0"), ("train", "hidden=16,0"),
+    # a non-finite float is refused by its key, a negative rate by TrainConfig
+    ("train", "lr_nonlinear=nan"), ("train", "lr_nonlinear=inf"),
+    ("train", "weight_init_variance=nan"), ("train", "lr_nonlinear=-1e-3"),
+    ("train", "lr_linear=1,-1"), ("evaluate", "noise=grid:nan"),
+    ("evaluate", "noise=grid:inf")])
 def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
                                            command, setting, capsys):
     argv = {"train": ["train", "--variant", "nonlinear", "--set", "hidden=4"],
@@ -580,6 +598,13 @@ def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
     ["evaluate", "--noise", "grid:0.01", "--seed", "-1"],
     # a negative period would save as its absolute value does
     ["train", "--variant", "learned-linear", "--set", "checkpoint_every=-2"],
+    # a non-finite viscosity, and a negative normal init variance, which numpy's
+    # sqrt turns into nan weights
+    ["generate", "--system", "vbe", "--train-ics", "1", "--set", "d=64",
+     "--set", "viscosity=nan"],
+    ["train", "--variant", "learned-linear", "--set", "weight_init_variance=-1"],
+    ["train", "--variant", "learned-linear", "--set", "stencil_init_kind=normal",
+     "--set", "stencil_init_scale=-1"],
     ["generate", "--system", "bogus"]],
     ids=lambda argv: " ".join(argv))
 def test_bad_setting_config_error(tmp_path, kse_dataset, kse_checkpoint, argv, capsys):
@@ -849,6 +874,17 @@ class TestCheckpointSidecar:
         assert run_cli(*argv, "--checkpoint", str(ckpt)) == 4
         err = capsys.readouterr().err
         assert f"{ckpt}.txt" in err and key in err
+
+    def test_non_positive_domain_length_io_error(self, tmp_path, vbe_dataset, capsys):
+        model = node.build_model("fixed-linear", [64, 8, 64], ["relu", "linear"],
+                                 ("normal", 0.0, 1e-4), 0, system="vbe")
+        ckpt = tmp_path / "model.snck"
+        node.save_model(ckpt, model, sidecar={"system": "vbe", "domain_length": -1.0,
+                                              "variant": "fixed-linear"})
+        assert run_cli("evaluate", "--dataset", str(vbe_dataset), "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "o")) == 4
+        assert f"{ckpt}.txt: domain_length must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_resume_without_epochs_completed_io_error(self, tmp_path, vbe_dataset,
                                                        capsys):
