@@ -84,8 +84,9 @@ that share no bin reads inf and is not a divergence; 4 I/O error, a corrupt
 artifact, a dataset whose grid size is odd or below 4 or whose domain
 length is not above 0 (as an older version wrote; read before any output is
 written), a sidecar `domain_length` that is not above 0, a checkpoint whose
-variant tag contradicts its stencil block, a sidecar number that does not parse, a dataset sidecar `train_trajectories` below 1
-or past the file's trajectory count, `train_fraction` outside (0, 1] or
+variant tag contradicts its stencil block, a sidecar number that does not
+parse, a dataset sidecar `train_trajectories` below 1 or past the file's
+trajectory count, `train_fraction` outside (0, 1] or
 `solver_step` that does not divide the dataset's tau, a checkpoint sidecar
 without `system` or `domain_length` where the physics is needed, or a
 `train --resume` checkpoint sidecar without `epochs_completed`.
@@ -177,8 +178,9 @@ def parse_dp_list(text) -> list:
 
 # a count is an int of at least 1, counts a comma list of them, and a size an
 # int of at least 0
-_PARSERS = {"int": int, "count": int, "counts": _parse_ints, "size": int, "float": _parse_float,
-            "str": str, "bool": _parse_bool, "floats": _parse_floats, "dps": parse_dp_list}
+_PARSERS = {"int": int, "count": int, "counts": _parse_ints, "size": int,
+            "float": _parse_float, "str": str, "bool": _parse_bool, "floats": _parse_floats,
+            "dps": parse_dp_list}
 
 AUTO = "auto"
 

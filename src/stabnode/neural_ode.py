@@ -103,8 +103,8 @@ LINEAR_VARIANTS = {type(None): "nonlinear", FixedSymbol: "fixed-linear",
 class RhsModel:
     """du/dt = A u + N(u): ``term`` is N, a network
     (:class:`~stabnode.diffcore.MlpParams`) or the Burgers advection
-    (:class:`~stabnode.spectral.BurgersTerm`), and ``linear`` is the circulant operator A, applied
-    through its one-sided symbol (k = 0..d/2).
+    (:class:`~stabnode.spectral.BurgersTerm`), and ``linear`` is the circulant
+    operator A, applied through its one-sided symbol (k = 0..d/2).
 
     ``linear`` is None for the bare network, a :class:`FixedSymbol` for the
     known operator, or a learned :class:`~stabnode.diffcore.ConvStencil`.  An
@@ -518,9 +518,9 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if not self.lr_nonlinear:
             raise ValueError("nonlinear learning-rate stages must be nonempty")
-        for name, rates in (("lr_nonlinear", self.lr_nonlinear), ("lr_linear", self.lr_linear)):
-            if min(rates, default=0.0) < 0:  # a negative rate ascends the loss
-                raise ValueError(f"every {name} rate must be at least 0, got {rates}")
+        if min((*self.lr_nonlinear, *self.lr_linear)) < 0:  # it would ascend the loss
+            raise ValueError(f"learning rates must be at least 0, got lr_nonlinear="
+                             f"{self.lr_nonlinear} and lr_linear={self.lr_linear}")
 
     def stage(self, epoch: int, stages: tuple) -> int:
         return min(len(stages) - 1, epoch * len(stages) // self.epochs)

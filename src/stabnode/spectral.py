@@ -425,7 +425,7 @@ class _Solver:
                  viscosity: float = 8e-4):
         require_grid(d)
         if not (step > 0 and viscosity > 0):
-            raise ValueError(f"step and viscosity must be positive, got {step} and {viscosity}")
+            raise ValueError(f"step {step} and viscosity {viscosity} must be positive")
         self.d = d
         self.domain_length = domain_length
         self._term = BurgersTerm(d, domain_length)
