@@ -83,12 +83,15 @@ that share no bin reads inf and is not a divergence; 4 I/O error, a corrupt
 (truncated, padded, bad-header, unknown-tag or NaN/Inf-payload) binary
 artifact, a dataset whose grid size is odd or below 4 or whose domain
 length is not above 0 (as an older version wrote; read before any output is
-written), a sidecar `domain_length` that is not above 0, a checkpoint whose
+written), a sidecar `domain_length` that is not above 0, a sidecar
+`viscosity` that is not finite and above 0 or `epochs_completed` below 0
+(read before any output is written), a checkpoint whose
 variant tag contradicts its stencil block, a sidecar number that does not
 parse, a dataset sidecar `train_trajectories` below 1 or past the file's
 trajectory count, `train_fraction` outside (0, 1] or
 `solver_step` that does not divide the dataset's tau, a checkpoint sidecar
-without `system` or `domain_length` where the physics is needed, or a
+without `system` or `domain_length` where the physics is needed, or with a
+`system` other than vbe or kse (before any output is written), or a
 `train --resume` checkpoint sidecar without `epochs_completed`.
 """
 
@@ -824,16 +827,15 @@ def optimal_stencil(system: str, d: int, domain_length: float,
     """Central-difference taps of the system's true linear term.
 
     VBE (width 3): nu/Delta^2 * [1, -2, 1].  KSE (width 5): second plus
-    fourth derivative, -[0,1,-2,1,0]/Delta^2 - [1,-4,6,-4,1]/Delta^4.
+    fourth derivative, -[0,1,-2,1,0]/Delta^2 - [1,-4,6,-4,1]/Delta^4.  Any
+    ``system`` but vbe is KSE: ``node.checkpoint_physics`` refuses others.
     """
     delta = domain_length / d
     if system == "vbe":
         return viscosity / delta**2 * np.array([1.0, -2.0, 1.0])
-    if system == "kse":
-        d2 = np.array([0.0, 1.0, -2.0, 1.0, 0.0]) / delta**2
-        d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / delta**4
-        return -d2 - d4
-    raise ConfigError(f"unknown system {system!r}")
+    d2 = np.array([0.0, 1.0, -2.0, 1.0, 0.0]) / delta**2
+    d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / delta**4
+    return -d2 - d4
 
 
 def cmd_stencil_report(config: dict) -> int:

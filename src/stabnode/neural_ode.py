@@ -61,9 +61,10 @@ from itertools import repeat
 import numpy as np
 
 from . import diffcore as dc
-from .spectral import (ArtifactError, BurgersTerm, DivergenceError, SnapshotDataset,
-                       apply_symbol, expect_end, irfft, linear_symbol, march, read_exact,
-                       read_f8, read_sidecar, rfft, save_count, tag_name)
+from .spectral import (SYSTEM_TAGS, ArtifactError, BurgersTerm, DivergenceError,
+                       SnapshotDataset, apply_symbol, expect_end, irfft, linear_symbol,
+                       march, read_exact, read_f8, read_sidecar, rfft, save_count,
+                       tag_name)
 
 VARIANT_TAGS = {"nonlinear": 0, "fixed-linear": 1, "learned-linear": 2}
 VARIANT_NAMES = {v: k for k, v in VARIANT_TAGS.items()}
@@ -706,8 +707,11 @@ def load_model(path) -> RhsModel:
 
 def checkpoint_physics(path):
     """(system, domain_length, viscosity) from a checkpoint's sidecar;
-    viscosity 8e-4 when it is absent, ArtifactError when another is."""
+    viscosity 8e-4 when it is absent, ArtifactError when another is or when
+    ``system`` is neither vbe nor kse."""
     meta = read_sidecar(f"{path}.txt", required=("system", "domain_length"))
+    if meta["system"] not in SYSTEM_TAGS:
+        raise ArtifactError(f"{path}.txt: system must be vbe or kse: {meta['system']!r}")
     return meta["system"], meta["domain_length"], meta.get("viscosity", 8e-4)
 
 
@@ -730,7 +734,7 @@ def load_opt_state(path, model: RhsModel) -> AdamState:
     adam = AdamState(model)
     with open(path, "rb") as fh:
         if read_exact(fh, 4) != OPT_STATE_MAGIC:
-            raise ArtifactError(f"{path}: not an optimizer-state file")
+            raise ArtifactError(f"{path}: not an optimizer-state file: bad magic")
         (adam.t,) = struct.unpack("<Q", read_exact(fh, 8))
         for t in _opt_tensors(adam):
             t[...] = read_f8(fh, t.size).reshape(t.shape)

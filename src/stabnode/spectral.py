@@ -24,15 +24,13 @@ mode a*cos(2*pi*k*x/L) carries coefficient a/2 at one-sided index k.  Every
 spectrum formula in this package assumes that convention.
 
 Every real transform in the package goes through one pair, :func:`rfft` and
-:func:`irfft`, over the last axis.  On numpy >= 2 they call numpy's pocketfft
-gufuncs directly, with a preallocated output and the factor ``np.fft`` itself
-passes (1 forward, 1/n inverse), so each result has ``np.fft``'s bits without
-its per-call Python wrapper; at d = 64 that wrapper costs more than the
-transform.  Both take ``out=``, so a caller that transforms the same shapes
-again can reuse its arrays, and :func:`rfft` takes pocketfft's ``scale``, which
-multiplies every float64 word of the result, so a 1/d normalisation costs no
-extra pass.  numpy < 2 has no such module, and there the pair wraps
-``np.fft.rfft`` / ``np.fft.irfft`` and multiplies by the scale word by word.
+:func:`irfft`, over the last axis.  They call numpy's pocketfft gufuncs
+directly, with a preallocated output and the factor ``np.fft`` itself passes
+(1 forward, 1/n inverse), so each result has ``np.fft``'s bits without its
+per-call Python wrapper; at d = 64 that wrapper costs more than the transform.
+Both take ``out=``, so a caller that transforms the same shapes again can reuse
+its arrays, and :func:`rfft` takes pocketfft's ``scale``, which multiplies
+every float64 word of the result, so a 1/d normalisation costs no extra pass.
 
 Artifacts carry a key=value text sidecar, ``<path>.txt``.  A dataset reads
 ``viscosity`` (8e-4 when absent), ``solver_step`` (1e-3 VBE, 0.05 KSE),
@@ -43,8 +41,10 @@ chronological cut, 0.8); a checkpoint ``system``, ``domain_length``,
 ``viscosity`` (8e-4) and ``epochs_completed``.  A number that does not parse,
 a ``train_trajectories`` below 1 or past the file's trajectory count, a
 ``train_fraction`` outside (0, 1], a dataset ``solver_step`` that does not
-divide its tau, a ``domain_length`` that is not > 0 and a checkpoint sidecar
-without ``system`` or ``domain_length`` are ArtifactErrors, as is a dataset
+divide its tau, a ``domain_length`` that is not > 0, a ``viscosity`` that is
+not finite and > 0, an ``epochs_completed`` below 0, and a checkpoint sidecar
+without ``system`` or ``domain_length`` or with a ``system`` other than vbe
+or kse are ArtifactErrors, as is a dataset
 whose grid breaks :func:`require_grid` or whose header's domain length breaks
 :func:`require_domain_length`.
 """
@@ -56,11 +56,7 @@ import struct
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-
-try:
-    from numpy.fft import _pocketfft_umath as _pocketfft
-except ImportError:  # numpy < 2.0
-    _pocketfft = None
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 TWO_THIRDS_CUTOFF = 3  # keep k <= d // TWO_THIRDS_CUTOFF before quadratic products
 
@@ -218,38 +214,22 @@ def wavenumber_indices(d: int) -> np.ndarray:
     return np.arange(d // 2 + 1)
 
 
-if _pocketfft is not None:
-    def rfft(u: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
-        """Unnormalized one-sided transform of real (..., n) ``u``, the bits of
-        ``np.fft.rfft(u)``, times ``scale``, written into ``out`` when given.
-        pocketfft multiplies every float64 word of its result by ``scale``."""
-        n = u.shape[-1]
-        if out is None:
-            out = np.empty(u.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
-        return (_pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even)(u, scale, out=out)
+def rfft(u: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
+    """Unnormalized one-sided transform of real (..., n) ``u``, the bits of
+    ``np.fft.rfft(u)``, times ``scale``, written into ``out`` when given.
+    pocketfft multiplies every float64 word of its result by ``scale``."""
+    n = u.shape[-1]
+    if out is None:
+        out = np.empty(u.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    return (_pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even)(u, scale, out=out)
 
-    def irfft(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Real (..., n) inverse of one-sided ``c``, scaled by 1/n, the bits of
-        ``np.fft.irfft(c, n)``, written into ``out`` when given."""
-        if out is None:
-            out = np.empty(c.shape[:-1] + (n,))
-        return _pocketfft.irfft(c, 1.0 / n, out=out)
-else:
-    def rfft(u: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
-        spectrum = np.fft.rfft(u)
-        if scale != 1.0:  # word by word, as pocketfft applies its factor
-            words = spectrum.view(np.float64)
-            np.multiply(words, scale, out=words)
-        if out is None:
-            return spectrum
-        out[...] = spectrum
-        return out
 
-    def irfft(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            return np.fft.irfft(c, n)
-        out[...] = np.fft.irfft(c, n)
-        return out
+def irfft(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Real (..., n) inverse of one-sided ``c``, scaled by 1/n, the bits of
+    ``np.fft.irfft(c, n)``, written into ``out`` when given."""
+    if out is None:
+        out = np.empty(c.shape[:-1] + (n,))
+    return _pocketfft.irfft(c, 1.0 / n, out=out)
 
 
 def to_spectral(field: Field) -> SpectralField:
@@ -876,8 +856,8 @@ def write_sidecar(path, values: dict) -> None:
 
 def read_sidecar(path, required=()) -> dict:
     """The key=value lines of a sidecar, the SIDECAR_NUMBERS keys parsed;
-    ArtifactError naming the file and the key when one does not parse or a
-    ``required`` key is absent."""
+    ArtifactError naming the file and the key when one does not parse, is
+    out of its range or a ``required`` key is absent."""
     with open(path) as fh:
         meta = dict(line.strip().split("=", 1) for line in fh if "=" in line)
     for key in required:
@@ -897,4 +877,10 @@ def read_sidecar(path, required=()) -> dict:
                             f"{meta['train_fraction']}")
     if not meta.get("domain_length", 1.0) > 0:
         raise ArtifactError(f"{path}: domain_length must be > 0: {meta['domain_length']}")
+    if not 0 < meta.get("viscosity", 1.0) < np.inf:
+        raise ArtifactError(f"{path}: viscosity must be finite and > 0: "
+                            f"{meta['viscosity']}")
+    if meta.get("epochs_completed", 0) < 0:
+        raise ArtifactError(f"{path}: epochs_completed must be at least 0: "
+                            f"{meta['epochs_completed']}")
     return meta

@@ -77,6 +77,30 @@ class TestLength:
             read(path)
 
 
+@pytest.mark.parametrize("write", FORMATS, ids=lambda f: f.__name__.strip("_"))
+def test_bad_magic(tmp_path, write):
+    path = tmp_path / "artifact.bin"
+    read = write(path)
+    data = bytearray(path.read_bytes())
+    data[0] ^= 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(sp.ArtifactError, match=re.escape(str(path)) + ".*magic"):
+        read(path)
+
+
+# the formats with a u32 version field after the magic
+@pytest.mark.parametrize("write", [_dataset, _checkpoint],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_unsupported_version(tmp_path, write):
+    path = tmp_path / "artifact.bin"
+    read = write(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+    with pytest.raises(sp.ArtifactError,
+                       match=re.escape(str(path)) + ".*unsupported .* version 2"):
+        read(path)
+
+
 def _variant(path):
     node.save_model(path, _model())
     return node.load_model

@@ -605,6 +605,10 @@ def test_non_positive_setting_config_error(tmp_path, vbe_dataset, trained_dir,
     ["train", "--variant", "learned-linear", "--set", "weight_init_variance=-1"],
     ["train", "--variant", "learned-linear", "--set", "stencil_init_kind=normal",
      "--set", "stencil_init_scale=-1"],
+    # malformed values and flags, each refused before anything is read
+    ["rom", "--dp", "1..2..3..4"],
+    ["rom", "--dp", "7", "--set", "total_time"],
+    ["evaluate", "--noise", "grid:0.1:3"],
     ["generate", "--system", "bogus"]],
     ids=lambda argv: " ".join(argv))
 def test_bad_setting_config_error(tmp_path, kse_dataset, kse_checkpoint, argv, capsys):
@@ -635,6 +639,31 @@ def test_negative_seed_names_the_key(tmp_path, kse_dataset, kse_checkpoint, comm
     assert run_cli(command, *extra, "--seed", "-1", "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("config error: seed must be at least 0")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--variant", "learned-linear", "--set", "stencil_symmetric=maybe"],
+     "bad value for 'stencil_symmetric': 'maybe' (expected a boolean"),
+    (["train", "--variant", "nonlinear"], "missing required key 'dataset'"),
+    (["evaluate", "--checkpoint", "model.snck"], "missing required key 'dataset'"),
+    (["rom", "--dp", "7"], "missing required key 'dataset'")],
+    ids=["stencil_symmetric=maybe", "train-no-dataset", "evaluate-no-dataset",
+         "rom-no-dataset"])
+def test_bad_or_missing_key_is_named(tmp_path, kse_dataset, argv, message, capsys):
+    dataset = [] if "dataset" in message else ["--dataset", str(kse_dataset)]
+    assert run_cli(*argv, *dataset, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spelling", ["false", "no", "0", "FALSE"])
+def test_false_spellings_train_an_asymmetric_stencil(tmp_path, vbe_dataset, spelling):
+    out = tmp_path / "o"
+    assert run_cli("train", "--dataset", str(vbe_dataset), "--variant", "learned-linear",
+                   "--out", str(out), "--epochs", "1", "--set", "hidden=4",
+                   "--set", f"stencil_symmetric={spelling}") == 0
+    manifest = (out / "manifest-train.cfg").read_text().splitlines()
+    assert "stencil_symmetric=false" in manifest
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -751,6 +780,29 @@ class TestDatasetSidecar:
         assert code == 4
         err = capsys.readouterr().err
         assert f"{data}.txt" in err and "train_fraction" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("viscosity", ["-0.1", "0", "inf", "nan"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_viscosity_not_positive_and_finite_io_error(self, tmp_path, vbe_dataset,
+                                                        trained_dir, command, viscosity,
+                                                        capsys):
+        # an anti-diffusive or non-finite operator is refused as read, not trained or
+        # blamed on the ground truth
+        data = tmp_path / "d.snod"
+        data.write_bytes(vbe_dataset.read_bytes())
+        sidecar = open(f"{vbe_dataset}.txt").read()
+        assert "viscosity=0.0008\n" in sidecar
+        (tmp_path / "d.snod.txt").write_text(
+            sidecar.replace("viscosity=0.0008", f"viscosity={viscosity}"))
+        argv = {"train": ["train", "--variant", "fixed-linear", "--epochs", "1",
+                          "--set", "hidden=4"],
+                "evaluate": ["evaluate", "--checkpoint", str(trained_dir / "model.snck"),
+                             "--noise", "grid:0.01", "--set", "horizon=0.1"]}[command]
+        code = run_cli(*argv, "--dataset", str(data), "--out", str(tmp_path / "o"))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{data}.txt" in err and "viscosity" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "rom"])
@@ -875,15 +927,20 @@ class TestCheckpointSidecar:
         err = capsys.readouterr().err
         assert f"{ckpt}.txt" in err and key in err
 
-    def test_non_positive_domain_length_io_error(self, tmp_path, vbe_dataset, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("domain_length", -1.0), ("viscosity", -1.0), ("viscosity", 0.0),
+        ("viscosity", float("nan")), ("viscosity", float("inf")), ("system", "foo"),
+        ("epochs_completed", -1)])
+    def test_non_positive_domain_length_io_error(self, tmp_path, vbe_dataset, key, value,
+                                                 capsys):
         model = node.build_model("fixed-linear", [64, 8, 64], ["relu", "linear"],
                                  ("normal", 0.0, 1e-4), 0, system="vbe")
         ckpt = tmp_path / "model.snck"
-        node.save_model(ckpt, model, sidecar={"system": "vbe", "domain_length": -1.0,
-                                              "variant": "fixed-linear"})
+        sidecar = {"system": "vbe", "domain_length": 1.0, "variant": "fixed-linear"}
+        node.save_model(ckpt, model, sidecar={**sidecar, key: value})
         assert run_cli("evaluate", "--dataset", str(vbe_dataset), "--checkpoint", str(ckpt),
                        "--out", str(tmp_path / "o")) == 4
-        assert f"{ckpt}.txt: domain_length must be > 0" in capsys.readouterr().err
+        assert f"{ckpt}.txt: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_resume_without_epochs_completed_io_error(self, tmp_path, vbe_dataset,
@@ -900,6 +957,22 @@ class TestCheckpointSidecar:
         assert code == 4
         err = capsys.readouterr().err
         assert f"{ckpt}.txt" in err and "epochs_completed" in err
+
+    def test_resume_negative_epochs_completed_io_error(self, tmp_path, vbe_dataset,
+                                                       capsys):
+        model = node.build_model("nonlinear", [64, 8, 64], ["relu", "linear"],
+                                 ("normal", 0.0, 1e-4), 0)
+        ckpt = tmp_path / "model.snck"
+        node.save_model(ckpt, model, sidecar={"system": "vbe", "domain_length": 1.0,
+                                              "variant": "nonlinear",
+                                              "epochs_completed": -1})
+        node.save_opt_state(f"{ckpt}.opt", node.AdamState(model))
+        code = run_cli("train", "--dataset", str(vbe_dataset), "--variant", "nonlinear",
+                       "--out", str(tmp_path / "o"), "--epochs", "2",
+                       "--set", "hidden=8", "--resume", str(ckpt))
+        assert code == 4
+        assert f"{ckpt}.txt: epochs_completed must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvaluate:
@@ -1390,3 +1463,29 @@ class TestStencilReport:
         assert "tap_index,optimal,learned" in text
         cosine = float(text.splitlines()[-1].split("=")[1])
         assert -1.0 <= cosine <= 1.0
+
+    def test_kse_optimal_taps(self, tmp_path, capsys):
+        # -d2 - d4 at Delta = 22/32
+        model = node.build_model("learned-linear", [32, 8, 32], ["relu", "linear"],
+                                 ("normal", 0.0, 1e-4), 0, stencil_width=5)
+        ckpt = tmp_path / "model.snck"
+        node.save_model(ckpt, model, sidecar={"system": "kse", "domain_length": 22.0,
+                                              "variant": "learned-linear",
+                                              "epochs_completed": 0})
+        assert run_cli("stencil-report", "--checkpoint", str(ckpt)) == 0
+        printed = capsys.readouterr().out.splitlines()
+        optimal = next(l for l in printed if l.startswith("optimal taps:")).split()[2:]
+        assert optimal == ["-4.4762", "15.7891", "-22.6258", "15.7891", "-4.4762"]
+
+    def test_width_mismatch_config_error(self, tmp_path, capsys):
+        model = node.build_model("learned-linear", [64, 8, 64], ["relu", "linear"],
+                                 ("normal", 0.0, 1e-4), 0, stencil_width=5)
+        ckpt = tmp_path / "model.snck"
+        node.save_model(ckpt, model, sidecar={"system": "vbe", "domain_length": 1.0,
+                                              "variant": "learned-linear",
+                                              "epochs_completed": 0})
+        out = tmp_path / "st.csv"
+        assert run_cli("stencil-report", "--checkpoint", str(ckpt), "--out", str(out)) == 2
+        assert ("learned width 5 does not match the optimal stencil width 3"
+                in capsys.readouterr().err)
+        assert not out.exists()

@@ -1,8 +1,5 @@
 """Transform conventions, symbols as derivatives, and ground-truth solver fidelity."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -10,6 +7,9 @@ import numpy as np
 import pytest
 
 from stabnode import cli
+from stabnode import diffcore as dc
+from stabnode import neural_ode as node
+from stabnode import rom
 from stabnode import spectral as sp
 
 
@@ -119,29 +119,37 @@ class TestTransformPair:
                 assert sp.rfft(u, out=out, scale=scale) is out
                 assert same_bits(out[:4].view(np.float64), expected[:4])
 
-    @pytest.mark.skipif(sp._pocketfft is None, reason="numpy < 2 has only the fallback")
-    def test_fallback_writes_the_same_bytes(self, tmp_path):
-        # without numpy's pocketfft gufuncs (numpy < 2) the pair wraps np.fft
-        # and applies the forward scale word by word: a KSE dataset and a ROM
-        # sweep from it keep every byte
-        script = (
-            "import sys\n"
-            "import numpy.fft\n"
-            "del numpy.fft._pocketfft_umath\n"
-            "sys.modules['numpy.fft._pocketfft_umath'] = None\n"
-            "from stabnode import cli, spectral\n"
-            "assert spectral._pocketfft is None\n"
-            "out = sys.argv[1]\n"
-            "for argv in " + repr(self._fallback_runs("{out}")) + ":\n"
-            "    assert cli.main([a.format(out=out) for a in argv]) == 0, argv\n")
+    @staticmethod
+    def _np_fft_rfft(u, out=None, scale=1.0):
+        # the reference pair: np.fft, with the forward scale applied word by
+        # word as pocketfft applies it, and any out= filled by a copy
+        spectrum = np.fft.rfft(u)
+        if scale != 1.0:
+            words = spectrum.view(np.float64)
+            np.multiply(words, scale, out=words)
+        if out is None:
+            return spectrum
+        out[...] = spectrum
+        return out
+
+    @staticmethod
+    def _np_fft_irfft(c, n, out=None):
+        if out is None:
+            return np.fft.irfft(c, n)
+        out[...] = np.fft.irfft(c, n)
+        return out
+
+    def test_fallback_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        # with the pair swapped for np.fft itself in every module that binds
+        # it, a KSE dataset and a ROM sweep from it keep every byte
         fast, slow = tmp_path / "fast", tmp_path / "slow"
         for argv in self._fallback_runs(str(fast)):
             assert cli.main(argv) == 0, argv
-        src = os.path.dirname(os.path.dirname(sp.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        subprocess.run([sys.executable, "-c", script, str(slow)], env=env, check=True,
-                       capture_output=True)
+        for module in (sp, dc, node, rom):
+            monkeypatch.setattr(module, "rfft", self._np_fft_rfft)
+            monkeypatch.setattr(module, "irfft", self._np_fft_irfft)
+        for argv in self._fallback_runs(str(slow)):
+            assert cli.main(argv) == 0, argv
         for name in ("k.snod", "k.snod.txt", "rom/basis.sneb", "rom/reference_pdf.snpd"):
             assert (slow / name).read_bytes() == (fast / name).read_bytes(), name
 
@@ -159,7 +167,6 @@ class TestTransformPair:
                 ["rom", "--dataset", kse, "--out", f"{out}/rom", "--mode", "nlg",
                  "--dp", "8,10,16", "--set", "total_time=2.0"]]
 
-    @pytest.mark.skipif(sp._pocketfft is None, reason="numpy < 2 uses np.fft itself")
     def test_no_path_bypasses_the_pair(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("np.fft called outside spectral.rfft / irfft")
