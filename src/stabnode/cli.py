@@ -85,9 +85,9 @@ artifact, a dataset whose grid size is odd or below 4 or whose domain
 length is not above 0 (as an older version wrote; read before any output is
 written), a sidecar `domain_length` that is not above 0, a sidecar
 `viscosity` that is not finite and above 0 or `epochs_completed` below 0
-(read before any output is written), a checkpoint whose
-variant tag contradicts its stencil block, a sidecar number that does not
-parse, a dataset sidecar `train_trajectories` below 1 or past the file's
+(read before any output is written), a checkpoint whose variant tag
+contradicts its stencil block, a sidecar number that does not parse, a
+dataset sidecar `train_trajectories` below 1 or past the file's
 trajectory count, `train_fraction` outside (0, 1] or
 `solver_step` that does not divide the dataset's tau, a checkpoint sidecar
 without `system` or `domain_length` where the physics is needed, or with a

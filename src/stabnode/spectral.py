@@ -44,8 +44,8 @@ a ``train_trajectories`` below 1 or past the file's trajectory count, a
 divide its tau, a ``domain_length`` that is not > 0, a ``viscosity`` that is
 not finite and > 0, an ``epochs_completed`` below 0, and a checkpoint sidecar
 without ``system`` or ``domain_length`` or with a ``system`` other than vbe
-or kse are ArtifactErrors, as is a dataset
-whose grid breaks :func:`require_grid` or whose header's domain length breaks
+or kse are ArtifactErrors, as is a dataset whose grid breaks
+:func:`require_grid` or whose header's domain length breaks
 :func:`require_domain_length`.
 """
 

@@ -206,6 +206,7 @@ def learned_linear_checkpoint(path, d, taps, system):
                              ("normal", 0.0, 1e-4), 0, stencil_width=len(taps))
     model.linear.taps[:] = taps
     node.save_model(path, model, sidecar={"system": system, "epochs_completed": 0,
+                                          "domain_length": {"vbe": 1.0, "kse": 22.0}[system],
                                           "variant": "learned-linear"})
     return path
 
@@ -1466,24 +1467,14 @@ class TestStencilReport:
 
     def test_kse_optimal_taps(self, tmp_path, capsys):
         # -d2 - d4 at Delta = 22/32
-        model = node.build_model("learned-linear", [32, 8, 32], ["relu", "linear"],
-                                 ("normal", 0.0, 1e-4), 0, stencil_width=5)
-        ckpt = tmp_path / "model.snck"
-        node.save_model(ckpt, model, sidecar={"system": "kse", "domain_length": 22.0,
-                                              "variant": "learned-linear",
-                                              "epochs_completed": 0})
+        ckpt = learned_linear_checkpoint(tmp_path / "model.snck", 32, [1.0] * 5, "kse")
         assert run_cli("stencil-report", "--checkpoint", str(ckpt)) == 0
         printed = capsys.readouterr().out.splitlines()
         optimal = next(l for l in printed if l.startswith("optimal taps:")).split()[2:]
         assert optimal == ["-4.4762", "15.7891", "-22.6258", "15.7891", "-4.4762"]
 
     def test_width_mismatch_config_error(self, tmp_path, capsys):
-        model = node.build_model("learned-linear", [64, 8, 64], ["relu", "linear"],
-                                 ("normal", 0.0, 1e-4), 0, stencil_width=5)
-        ckpt = tmp_path / "model.snck"
-        node.save_model(ckpt, model, sidecar={"system": "vbe", "domain_length": 1.0,
-                                              "variant": "learned-linear",
-                                              "epochs_completed": 0})
+        ckpt = learned_linear_checkpoint(tmp_path / "model.snck", 64, [1.0] * 5, "vbe")
         out = tmp_path / "st.csv"
         assert run_cli("stencil-report", "--checkpoint", str(ckpt), "--out", str(out)) == 2
         assert ("learned width 5 does not match the optimal stencil width 3"
