@@ -49,8 +49,10 @@ nan or inf noise level included), a stencil not narrower than the grid, a
 a `train` learning rate below 0 or a negative normal init variance
 (`weight_init_variance`, or `stencil_init_scale` of the normal kind; before
 any output is written), an `evaluate --checkpoint`, `rom --rhs`
-or `train --resume` checkpoint of another width than the dataset (before
-anything is solved or written), a `train --resume` checkpoint of another
+or `train --resume` checkpoint of another width than the dataset, or a
+fixed-linear one whose sidecar system, domain_length or (VBE) viscosity is
+not the dataset's (before anything is solved or written), a
+`train --resume` checkpoint of another
 variant, hidden sizes or activation than the config, or with more epochs
 completed than `epochs` (before any file is written), a `generate` KSE
 `train_fraction` outside (0, 1] or a `generate` grid size `d` that is odd or
@@ -436,11 +438,21 @@ _TRAIN_SPLIT_SETTING = {"vbe": "a horizon of one tau or more",
 
 def _load_checkpoint(path: str, ds: sp.SnapshotDataset) -> node.RhsModel:
     """The model saved at ``path``; ConfigError when it is not as wide as the
-    dataset ``ds``, checked before anything is solved or written."""
+    dataset ``ds``, or when it is fixed-linear and the sidecar physics its
+    operator is built from is not the dataset's: system, domain_length and,
+    for vbe, the only operator viscosity enters, viscosity.  Checked before
+    anything is solved or written."""
     model = node.load_model(path)
     if model.width != ds.d:
         raise ConfigError(f"checkpoint width {model.width} does not match the "
                           f"dataset width {ds.d}")
+    if model.variant == "fixed-linear":
+        for key, saved, data in zip(("system", "domain_length", "viscosity"),
+                                    node.checkpoint_physics(path),
+                                    (ds.system, ds.domain_length, ds.viscosity)):
+            if saved != data and (key != "viscosity" or ds.system == "vbe"):
+                raise ConfigError(f"checkpoint {key} {saved} does not match the "
+                                  f"dataset {key} {data}")
     return model
 
 

@@ -25,11 +25,15 @@ hidden layers at each stage.  Every array it writes lives in an
 epoch's gradient allocates no array of the batch's size.  Each operation
 keeps the operands and order of the plain array expression it replaces, so
 results keep their bits with or without a workspace.  There is one RK4
-formula, :func:`_rk4_forward`.  The ROM steps through it with a one-substep
-tape (:class:`Rk4Buffers`) that it reuses every step, so it allocates no
-array either; :func:`integrate` runs it without a tape, each operation into
-a fresh array.  Both return a row that diverged as non-finite values; only
-the gradient raises DivergenceError, as training cannot go on.
+formula, :func:`_rk4_forward`, which folds the slopes' weighted sum as soon
+as each slope is used, so a substep needs two slope arrays beside its stage
+inputs.  The backward pass puts each stage cotangent in the tape slot its
+stage input has vacated, so it needs none of its own.  The ROM steps through
+it with a one-substep tape (:class:`Rk4Buffers`) that it reuses every step,
+so it allocates no array either; :func:`integrate` runs it without a tape,
+each operation into a fresh array.  Both return a row that diverged as
+non-finite values; only the gradient raises DivergenceError, as training
+cannot go on.
 
 A gradient's independent work overlaps on a second thread, the workspace's
 :class:`~stabnode.diffcore.Worker`, when the process may run on two CPUs or
@@ -211,22 +215,24 @@ class RhsModel:
 
 class Rk4Buffers:
     """The tape :func:`_rk4_forward` writes for states of ``shape``: the stage
-    inputs x1..x4 of ``slots`` substeps (``stages[s]``) and the slopes k1..k4
-    (``k``).  The final state is the k4 slot, ``k[3]``: the last substep's
-    weighted slope sum is already there, and adding x1 to it in place is the
-    substep's last operation.
+    inputs x1..x4 of ``slots`` substeps (``stages[s]``) and two slope arrays
+    (``k``), which alternate as slope and running weighted sum: k1 and k3 go
+    into ``k[0]``, k2 and k4 into ``k[1]``, and k1 + 2 k2 into ``k[1]`` once x3
+    is taken, then + 2 k3 into ``k[0]`` once x4 is.  The final state is
+    ``k[1]``: the last substep's weighted slope sum is there, and adding x1 to
+    it in place is the substep's last operation.
 
     The views a call writes are built here once, so a call makes none:
     ``start`` is the first substep's x1, and ``outputs[s]`` holds substep s's
-    x2, x3 and x4, k1..k4, and the next substep's x1 (``k[3]`` after the
-    last)."""
+    x2, x3 and x4, both slope arrays, and the next substep's x1 (``k[1]``
+    after the last)."""
 
     def __init__(self, shape: tuple, slots: int):
         self.stages = np.empty((slots, 4, *shape))
-        self.k = np.empty((4, *shape))
+        self.k = np.empty((2, *shape))
         self.start = self.stages[0, 0]
         self.outputs = [(*self.stages[s, 1:], *self.k,
-                         self.stages[s + 1, 0] if s + 1 < slots else self.k[3])
+                         self.stages[s + 1, 0] if s + 1 < slots else self.k[1])
                         for s in range(slots)]
 
 
@@ -235,14 +241,16 @@ class AdjointWorkspace:
     ``rows`` states, ``rollout_steps`` RK4 substeps and a model of ``model``'s
     shapes.
 
-    It holds the RK4 stage-input tape and slopes (``rk4``, whose ``k`` the
-    backward pass reuses for the stage cotangents gx1..gx4), the network's
-    :class:`~stabnode.diffcore.MlpBuffers`, two spectra, the adjoint state
-    ``w``, the stage cotangent ``cot`` and the parameter gradients, into which
-    every stage's parts are added as they are computed.  The backward pass
-    never writes the network's output activation, so the linear branch's
-    adjoint goes there.  Each call overwrites what the previous one left,
-    including the gradients it returned.
+    It holds the RK4 stage-input tape and its two slope arrays (``rk4``), the
+    network's :class:`~stabnode.diffcore.MlpBuffers`, two spectra, the
+    adjoint state ``w`` and the parameter gradients, into which every stage's
+    parts are added as they are computed.  The backward pass keeps no array
+    of its own: the cotangent a VJP reads goes in ``rk4.k[0]``, gx4 in
+    ``rk4.k[1]``, and gx3, gx2 and gx1 in the tape slots of x4, x3 and x2, each
+    free once the VJP that read it has returned.  It never writes the
+    network's output activation, so the linear branch's adjoint goes there.
+    Each call overwrites what the previous one left, including the gradients
+    it returned.
 
     It owns one :class:`~stabnode.diffcore.Worker` (``worker``), a second
     thread when the process may run on two CPUs or more, which runs three
@@ -285,7 +293,6 @@ class AdjointWorkspace:
         self.mlp = dc.MlpBuffers(model.term, rows)
         self.spectra = np.empty((2, rows, model.width // 2 + 1), dtype=np.complex128)
         self.w = np.empty(shape)
-        self.cot = np.empty(shape)
         self.grads = [np.empty_like(p) for p in model.parameters()]
         self.worker = dc.Worker()
         weakref.finalize(self, self.worker.close)
@@ -349,8 +356,8 @@ def _linear_vjp(linear, symbol, x, cotangent, sums, spectra, image) -> None:
 def _rk4_forward(rhs, u, h: float, nsteps: int, tape: Rk4Buffers | None = None):
     """The state after ``nsteps`` classical RK4 steps of du/dt = rhs(u), where
     ``rhs(x, out)`` returns the slope at x, written into ``out`` unless it is
-    None; ``u`` is only read, and may be the state the tape returned, its k4
-    slot.
+    None; ``u`` is only read, and may be the state the tape returned, its
+    ``k[1]``.
 
     With a ``tape`` of ``nsteps`` slots every stage writes into it, and its
     ``stages`` then hold the stage inputs x1..x4 of every step for
@@ -360,28 +367,30 @@ def _rk4_forward(rhs, u, h: float, nsteps: int, tape: Rk4Buffers | None = None):
     to judge, so the caller sets numpy's error state, once for all its calls.
     """
     if tape is None:
-        outputs = repeat((None,) * 8, nsteps)
+        outputs = repeat((None,) * 6, nsteps)
     elif len(tape.outputs) != nsteps:
         raise ValueError(f"a tape of {len(tape.outputs)} slots for {nsteps} steps")
     else:
         outputs = tape.outputs
         np.copyto(tape.start, u)
         u = tape.start
-    for x2_out, x3_out, x4_out, k1_out, k2_out, k3_out, k4_out, u_out in outputs:
+    for x2_out, x3_out, x4_out, a, b, u_out in outputs:
         x1 = u
         # each operation keeps the operands and order of x1 + 0.5 * h * k1 and
-        # x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        k1 = rhs(x1, k1_out)
+        # x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), and the sum is
+        # folded as soon as each slope is used, so a and b alternate as slope
+        # and running sum
+        k1 = rhs(x1, a)
         x2 = np.add(x1, np.multiply(0.5 * h, k1, out=x2_out), out=x2_out)
-        k2 = rhs(x2, k2_out)
+        k2 = rhs(x2, b)
         x3 = np.add(x1, np.multiply(0.5 * h, k2, out=x3_out), out=x3_out)
-        k3 = rhs(x3, k3_out)
+        total = np.add(k1, np.multiply(2.0, k2, out=b), out=b)
+        k3 = rhs(x3, a)
         x4 = np.add(x1, np.multiply(h, k3, out=x4_out), out=x4_out)
-        k4 = rhs(x4, k4_out)
-        total = np.add(k1, np.multiply(2.0, k2, out=k2_out), out=k2_out)
-        total = np.add(total, np.multiply(2.0, k3, out=k3_out), out=k3_out)
-        total = np.add(total, k4, out=k4_out)
-        u = np.add(x1, np.multiply(h / 6.0, total, out=k4_out), out=u_out)
+        total = np.add(total, np.multiply(2.0, k3, out=a), out=a)
+        k4 = rhs(x4, b)
+        total = np.add(total, k4, out=b)
+        u = np.add(x1, np.multiply(h / 6.0, total, out=b), out=u_out)
     return u
 
 
@@ -391,17 +400,22 @@ def _rk4_backward(model: RhsModel, symbol, h: float,
     the final state on entry, back through the stages :func:`_rk4_forward`
     taped into ``workspace.rk4``, accumulating into ``workspace.grads``;
     returns w, the cotangent of the initial state.
-    The stage cotangents gx1..gx4 reuse the slope arrays, and each operation
-    keeps the operands and order of (h / 3.0) * w + h * gx4 and
+    The cotangent each VJP reads goes in the first slope array and gx4 in the
+    second, as the final state there is dead once the residual is taken; gx3,
+    gx2 and gx1 go in the tape slots of x4, x3 and x2, each free once the VJP
+    that read it has returned, its worker's jobs joined.  Each operation keeps
+    the operands and order of (h / 3.0) * w + h * gx4 and
     w + gx1 + gx2 + gx3 + gx4."""
-    w, cot, grads = workspace.w, workspace.cot, workspace.grads
-    gx1, gx2, gx3, gx4 = workspace.rk4.k
+    w, grads = workspace.w, workspace.grads
+    cot, gx4 = workspace.rk4.k
 
     def vjp(x, out):
         _rhs_vjp(model, symbol, x, cot, grads, workspace, out)
 
     for x1, x2, x3, x4 in reversed(workspace.rk4.stages):
-        # a stage's cotangent array is scratch until its VJP writes it
+        # a stage's cotangent slot is scratch from the return of the VJP that
+        # read its stage input until its own VJP writes it
+        gx1, gx2, gx3 = x2, x3, x4
         np.multiply(h / 6.0, w, out=cot)
         vjp(x4, gx4)
         np.add(np.multiply(h / 3.0, w, out=cot), np.multiply(h, gx4, out=gx3), out=cot)
@@ -475,7 +489,7 @@ def loss_gradient(model: RhsModel, u_start: np.ndarray, u_end: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         pred = _rk4_forward(rhs, u_start, h, rollout_steps, workspace.rk4)
         residual = np.subtract(pred, u_end, out=workspace.w)
-        loss = float(np.mean(np.abs(residual, out=workspace.cot)))
+        loss = float(np.mean(np.abs(residual, out=workspace.rk4.k[0])))
     if not np.isfinite(loss):
         raise DivergenceError(f"the prediction over tau = {tau:g} went non-finite",
                               time=tau)

@@ -272,8 +272,8 @@ class ReducedStepper:
                                 np.empty((n, m)) if mode == "ppg" else lift)
 
     def advance(self, c_p: np.ndarray, nsteps: int) -> np.ndarray:
-        """``c_p`` (n, d + 2) after ``nsteps`` steps, in the RK4 tape's k4
-        slot; ``c_p`` itself is only read."""
+        """``c_p`` (n, d + 2) after ``nsteps`` steps, in the RK4 tape's
+        final-state slot ``rk4.k[1]``; ``c_p`` itself is only read."""
         for _ in range(nsteps):
             c_p = _rk4_forward(self.rhs, c_p, self.dt, 1, self.rk4)
             if self.slaved:

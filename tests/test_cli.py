@@ -944,6 +944,46 @@ class TestCheckpointSidecar:
         assert f"{ckpt}.txt: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value, dataset_value", [
+        ("domain_length", 2.0, 1.0), ("system", "kse", "vbe"),
+        ("viscosity", 0.01, 0.0008)])
+    @pytest.mark.parametrize("command", ["evaluate", "rom", "train"])
+    def test_fixed_linear_physics_of_another_dataset_config_error(
+            self, tmp_path, vbe_dataset, command, key, value, dataset_value, capsys):
+        # the fixed operator is built from the checkpoint's sidecar, so it must be
+        # the dataset's operator: refused before the RK4 stiffness check and
+        # before the output directory is made
+        model = node.build_model("fixed-linear", [64, 8, 64], ["relu", "linear"],
+                                 ("normal", 0.0, 1e-4), 0, system="vbe")
+        ckpt = tmp_path / "model.snck"
+        sidecar = {"system": "vbe", "domain_length": 1.0, "viscosity": 8e-4,
+                   "variant": "fixed-linear", "epochs_completed": 1}
+        node.save_model(ckpt, model, sidecar={**sidecar, key: value})
+        node.save_opt_state(f"{ckpt}.opt", node.AdamState(model))
+        out = tmp_path / "o"
+        argv = {"evaluate": ["evaluate", "--checkpoint", str(ckpt), "--set", "n_ics=2",
+                             "--set", "horizon=0.5"],
+                "rom": ["rom", "--rhs", str(ckpt), "--dp", "11", "--mode", "galerkin",
+                        "--set", "total_time=1"],
+                "train": ["train", "--variant", "fixed-linear", "--epochs", "2",
+                          "--set", "hidden=8", "--resume", str(ckpt)]}[command]
+        assert run_cli(*argv, "--dataset", str(vbe_dataset), "--out", str(out)) == 2
+        assert (f"checkpoint {key} {value} does not match the dataset {key} "
+                f"{dataset_value}") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kse_fixed_linear_viscosity_not_compared(self, tmp_path, kse_dataset):
+        # the KSE operator has no viscosity, so another sidecar value builds the
+        # dataset's operator
+        model = node.build_model("fixed-linear", [32, 8, 32], ["relu", "linear"],
+                                 ("normal", 0.0, 1e-4), 0, system="kse", domain_length=22.0)
+        ckpt = tmp_path / "model.snck"
+        node.save_model(ckpt, model, sidecar={"system": "kse", "domain_length": 22.0,
+                                              "viscosity": 0.01, "variant": "fixed-linear"})
+        assert run_cli("rom", "--dataset", str(kse_dataset), "--rhs", str(ckpt),
+                       "--out", str(tmp_path / "o"), "--dp", "7", "--mode", "galerkin",
+                       "--set", "total_time=1") == 0
+
     def test_resume_without_epochs_completed_io_error(self, tmp_path, vbe_dataset,
                                                        capsys):
         model = node.build_model("nonlinear", [64, 8, 64], ["relu", "linear"],

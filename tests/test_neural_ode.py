@@ -369,15 +369,15 @@ class TestAdjointWorkspace:
 
     @pytest.mark.parametrize("slots", [1, 3])
     def test_returned_state_fed_back_keeps_the_bits(self, slots):
-        # the returned state is the tape's k4 slot, which the next call reads as
-        # its start, as the ROM's stepper does every step
+        # the returned state is the tape's final-state slot, which the next call
+        # reads as its start, as the ROM's stepper does every step
         rhs = deep_model("learned-linear", "sigmoid").rhs()[0]
         tape, other = node.Rk4Buffers((5, 16), slots), node.Rk4Buffers((5, 16), slots)
         state = smooth_batch(4, 5, 16)
         for call in range(4):
             want = node._rk4_forward(rhs, state.copy(), 0.05, slots, other).copy()
             state = node._rk4_forward(rhs, state, 0.05, slots, tape)
-            assert np.shares_memory(state, tape.k[3])
+            assert np.shares_memory(state, tape.k[1])
             assert np.array_equal(state.view(np.uint64), want.view(np.uint64)), call
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
@@ -392,7 +392,7 @@ class TestAdjointWorkspace:
         f8, c16 = 8, 16
         budget = {
             "rk4.stages: x1..x4 of every substep": steps * 4 * rows * d * f8,
-            "rk4.k: k1..k4, the final state in k4": 4 * rows * d * f8,
+            "rk4.k: two slopes, the final state in k[1]": 2 * rows * d * f8,
             "mlp.acts: every layer's output": rows * (3 * hidden + d) * f8,
             "mlp.cot: the hidden layers' cotangents": rows * 3 * hidden * f8,
             "mlp.mask: bool, per hidden layer": rows * 3 * hidden,
@@ -400,7 +400,7 @@ class TestAdjointWorkspace:
                 rows * 3 * hidden * f8 if activation == "sigmoid" else 0,
             "mlp.parts: the largest layer's weight and bias": (d * hidden + d) * f8,
             "spectra": 2 * rows * (d // 2 + 1) * c16,
-            "w and cot": 2 * rows * d * f8,
+            "w": rows * d * f8,
             "grads": n_params * f8,
             "adam m and v": 2 * n_params * f8,
             "adam scratch: two rows of the largest tensor": 2 * d * hidden * f8,
@@ -484,6 +484,30 @@ class TestAdjointWorker:
             for call in range(2):
                 assert same_bits(node.loss_gradient(model, u0, u1, 0.01, 2, workspace),
                                  expected), call
+
+    @pytest.mark.parametrize("rollout_steps", [1, 2, 5])
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("variant", ["nonlinear", "fixed-linear", "learned-linear"])
+    def test_poisoned_workspace_keeps_the_bits(self, cpus, variant, activation,
+                                               rollout_steps):
+        # every slot is written before it is read: NaN left in any array, the
+        # tape slots the backward pass reuses for stage cotangents included,
+        # would reach the loss or a gradient.  One substep makes the last
+        # substep the first, whose x1 is the tape's start.
+        model = deep_model(variant, activation)
+        u0, u1 = smooth_batch(1, 6, 16), smooth_batch(2, 6, 16)
+        expected = allocating_loss_gradient(model, u0, u1, 0.1, rollout_steps)
+        with node.AdjointWorkspace(model, 6, rollout_steps) as workspace:
+            mlp = workspace.mlp
+            arrays = [workspace.rk4.stages, workspace.rk4.k, workspace.w,
+                      workspace.spectra, *workspace.grads, *mlp.acts, *mlp.cot,
+                      *mlp.scratch, *mlp.mask, *(a for pair in mlp.parts for a in pair)]
+            for call in range(2):
+                for array in arrays:
+                    if array is not None:  # a bool mask takes True, as NaN it cannot
+                        array.fill(np.nan)
+                assert same_bits(node.loss_gradient(model, u0, u1, 0.1, rollout_steps,
+                                                    workspace), expected), call
 
     @pytest.mark.parametrize("diverges", [False, True])
     def test_train_stops_its_worker(self, cpus, diverges):
